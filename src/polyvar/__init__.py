@@ -54,8 +54,6 @@ from .relaxation import (
     SizeGuardError,
     build_full_lp,
     build_reduced_lp,
-    enumerate_classes,
-    lifted_dot,
     lower_bound,
     sensitivity_bound,
 )

@@ -1,8 +1,10 @@
-"""Independent brute-force references: grid minima and vertex minima.
+"""Independent references: grid minima, vertex minima and scalar LP assembly.
 
 These are deliberately naive.  The test suite sandwiches the certified bound
 between them (bound <= true minimum <= sampled minimum), so they must share no
-code path with the bounding programs.
+code path with the bounding programs.  The class enumeration, the per-class
+lifted constraint value and the phase-1 region check are the scalar
+definitions that the vectorized bounding program is compared against.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ import itertools
 
 import numpy as np
 
+from .lpsolve import OPTIMAL, LPProblem, solve
 from .polynomial import MultiPoly, Rectangle, evaluate, evaluate_many
-from .relaxation import ConstraintSet
+from .relaxation import ConstraintSet, DegreeZeroConflict
 
 VERTEX_ENUM_MAX_VARS = 24
 
@@ -91,3 +94,50 @@ def vertex_min(p: MultiPoly, rect: Rectangle) -> tuple[float, np.ndarray]:
             best_val = val
             best_vertex = vertex
     return float(best_val), np.asarray(best_vertex)
+
+
+def enumerate_classes(degrees) -> list[tuple[int, ...]]:
+    """All class indices ``(l_1, ..., l_n)`` with ``0 <= l_k <= degrees[k]``, in
+    lexicographic order.  The order is part of the external contract."""
+    return list(itertools.product(*(range(int(d) + 1) for d in degrees)))
+
+
+def lifted_dot(a, rect: Rectangle, degrees, class_index) -> float:
+    """Value of the lifted row vector at the vertex class ``class_index``.
+
+    Each variable contributes its average lifted coordinate, which equals
+    ``(l_k * upper_k + (degrees_k - l_k) * lower_k) / degrees_k``.
+    """
+    a = np.asarray(a, dtype=float).reshape(-1)
+    if a.size != rect.n or len(degrees) != rect.n or len(class_index) != rect.n:
+        raise ValueError("dimension mismatch in lifted_dot")
+    total = 0.0
+    for k in range(rect.n):
+        dk = int(degrees[k])
+        lk = int(class_index[k])
+        if dk == 0:
+            if a[k] != 0.0:
+                raise DegreeZeroConflict(
+                    f"constraint touches variable {k} which has lift degree 0; "
+                    "pad the polynomial degrees first"
+                )
+            continue
+        if not 0 <= lk <= dk:
+            raise ValueError(f"class index {class_index} out of range for {degrees}")
+        total += (a[k] / dk) * (lk * rect.upper[k] + (dk - lk) * rect.lower[k])
+    return total
+
+
+def region_is_feasible(rect: Rectangle, cs: ConstraintSet) -> bool:
+    """Phase-1 check that some ``x`` in the rectangle satisfies ``cs``."""
+    lp = LPProblem(
+        "min",
+        np.zeros(cs.n_vars),
+        G=cs.a if cs.m_ineq else None,
+        h=cs.b if cs.m_ineq else None,
+        A=cs.c if cs.m_eq else None,
+        d=cs.d if cs.m_eq else None,
+        lo=rect.lower,
+        hi=rect.upper,
+    )
+    return solve(lp).status == OPTIMAL

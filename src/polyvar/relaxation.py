@@ -2,9 +2,13 @@
 
 The bound comes from a linear program over one multiplier per polytope
 constraint plus a single epigraph variable, with one row per vertex class of
-the lifted box.  A companion, exponentially larger program over the full set
-of lifted vertices is kept purely as a cross-check oracle: both programs have
-the same optimal value, and the reduced one is the one used everywhere.
+the lifted box.  The same program decides whether the constraint region is
+empty: it is always feasible, and by LP duality it is unbounded exactly when
+no point of the rectangle satisfies the constraints, so no separate
+feasibility check is solved.  A companion, exponentially larger program over
+the full set of lifted vertices is kept purely as a cross-check oracle: both
+programs have the same optimal value, and the reduced one is the one used
+everywhere.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lpsolve import OPTIMAL, LPProblem, NumericalFailure, solve
+from .lpsolve import OPTIMAL, UNBOUNDED, LPProblem, NumericalFailure, solve
 from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, blossom_eval
 
 
@@ -89,38 +93,6 @@ class BoundResult:
     status: str = OPTIMAL
 
 
-def enumerate_classes(degrees) -> list[tuple[int, ...]]:
-    """All class indices ``(l_1, ..., l_n)`` with ``0 <= l_k <= degrees[k]``, in
-    lexicographic order.  The order is part of the external contract."""
-    return list(itertools.product(*(range(int(d) + 1) for d in degrees)))
-
-
-def lifted_dot(a, rect: Rectangle, degrees, class_index) -> float:
-    """Value of the lifted row vector at the vertex class ``class_index``.
-
-    Each variable contributes its average lifted coordinate, which equals
-    ``(l_k * upper_k + (degrees_k - l_k) * lower_k) / degrees_k``.
-    """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if a.size != rect.n or len(degrees) != rect.n or len(class_index) != rect.n:
-        raise ValueError("dimension mismatch in lifted_dot")
-    total = 0.0
-    for k in range(rect.n):
-        dk = int(degrees[k])
-        lk = int(class_index[k])
-        if dk == 0:
-            if a[k] != 0.0:
-                raise DegreeZeroConflict(
-                    f"constraint touches variable {k} which has lift degree 0; "
-                    "pad the polynomial degrees first"
-                )
-            continue
-        if not 0 <= lk <= dk:
-            raise ValueError(f"class index {class_index} out of range for {degrees}")
-        total += (a[k] / dk) * (lk * rect.upper[k] + (dk - lk) * rect.lower[k])
-    return total
-
-
 def pad_for_constraints(p: MultiPoly, cs: ConstraintSet) -> MultiPoly:
     """Raise ``p``'s formal degree to >= 1 on every variable a constraint touches."""
     touched = np.zeros(p.n_vars, dtype=bool)
@@ -137,26 +109,46 @@ def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProb
 
     Requires degrees already padded so every constrained variable has degree
     >= 1 (see ``pad_for_constraints``).  Row order: classes in lexicographic
-    order, then the ``lam >= 0`` rows.
+    order, then the ``lam >= 0`` rows.  An affine constraint takes the same
+    value on every lifted vertex of class ``l``, namely its value at the class
+    point ``lower + (l/d) * width``, so each constraint block is the class
+    points times the constraint matrix, for all classes at once.
     """
     if cs.n_vars != p.n_vars or rect.n != p.n_vars:
         raise ValueError("dimension mismatch")
+    touched = np.any(cs.a != 0.0, axis=0) | np.any(cs.c != 0.0, axis=0)
+    conflict = np.flatnonzero(touched & (np.asarray(p.degrees) == 0))
+    if conflict.size:
+        raise DegreeZeroConflict(
+            f"constraint touches variable {int(conflict[0])} which has lift degree 0; "
+            "pad the polynomial degrees first"
+        )
     tensor = bernstein_coefficients(p, rect)
-    classes = enumerate_classes(p.degrees)
+    grid = np.meshgrid(*(np.arange(d + 1.0) for d in p.degrees), indexing="ij")
+    levels = [g.reshape(-1) for g in grid]
+    n_cls = tensor.values.size
+
+    def class_values(mat, rhs):
+        # Summing axis by axis in index order, with the class point written
+        # as (l*upper + (d-l)*lower)/d, repeats the float operations of the
+        # scalar per-class definition (oracle.lifted_dot), so the program and
+        # its optimal multipliers are bit for bit those of the scalar
+        # assembly; a BLAS product would round differently.
+        acc = np.zeros((n_cls, mat.shape[0]))
+        for k, d in enumerate(p.degrees):
+            if d:
+                side = levels[k] * rect.upper[k] + (d - levels[k]) * rect.lower[k]
+                acc += np.outer(side, mat[:, k] / d)
+        return -(acc - rhs)
+
     m_i, m_j = cs.m_ineq, cs.m_eq
-    n_lp = 1 + m_i + m_j
-    rows = np.zeros((len(classes) + m_i, n_lp))
-    rhs = np.zeros(len(classes) + m_i)
-    for r, cls in enumerate(classes):
-        rows[r, 0] = 1.0
-        for i in range(m_i):
-            rows[r, 1 + i] = -(lifted_dot(cs.a[i], rect, p.degrees, cls) - cs.b[i])
-        for j in range(m_j):
-            rows[r, 1 + m_i + j] = -(lifted_dot(cs.c[j], rect, p.degrees, cls) - cs.d[j])
-        rhs[r] = tensor.value(cls)
-    for i in range(m_i):
-        rows[len(classes) + i, 1 + i] = -1.0
-    obj = np.zeros(n_lp)
+    rows = np.zeros((n_cls + m_i, 1 + m_i + m_j))
+    rows[:n_cls, 0] = 1.0
+    rows[:n_cls, 1 : 1 + m_i] = class_values(cs.a, cs.b)
+    rows[:n_cls, 1 + m_i :] = class_values(cs.c, cs.d)
+    rows[n_cls:, 1 : 1 + m_i] = -np.eye(m_i)
+    rhs = np.concatenate([tensor.values.reshape(-1), np.zeros(m_i)])
+    obj = np.zeros(1 + m_i + m_j)
     obj[0] = 1.0
     return LPProblem("max", obj, G=rows, h=rhs)
 
@@ -223,32 +215,22 @@ def build_full_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem
     return LPProblem("max", obj, G=rows, h=rhs)
 
 
-def region_is_feasible(rect: Rectangle, cs: ConstraintSet) -> bool:
-    """Phase-1 check that some ``x`` in the rectangle satisfies ``cs``."""
-    lp = LPProblem(
-        "min",
-        np.zeros(cs.n_vars),
-        G=cs.a if cs.m_ineq else None,
-        h=cs.b if cs.m_ineq else None,
-        A=cs.c if cs.m_eq else None,
-        d=cs.d if cs.m_eq else None,
-        lo=rect.lower,
-        hi=rect.upper,
-    )
-    return solve(lp).status == OPTIMAL
-
-
 def lower_bound(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> BoundResult:
     """Certified lower bound of ``p`` over ``{x in rect : cs holds}``.
 
-    Degrees are padded automatically for constrained variables.  Raises
-    InfeasiblePolytope when the feasibility pre-check fails (the bound would
-    be vacuously +inf).
+    Degrees are padded automatically for constrained variables.  The bounding
+    program also decides whether the region is empty.  It is always feasible
+    (``t = min B``, ``lam = mu = 0``), and by LP duality it is unbounded
+    exactly when no convex combination of the class points satisfies ``cs``.
+    Along every constrained axis the class points include both ends of the
+    box side, so their convex hull covers the whole rectangle there; an
+    unbounded program thus means no point of the rectangle satisfies ``cs``,
+    and raises InfeasiblePolytope (the bound would be vacuously +inf).
     """
-    if not region_is_feasible(rect, cs):
-        raise InfeasiblePolytope("no feasible point in the rectangle")
     padded = pad_for_constraints(p, cs)
     sol = solve(build_reduced_lp(padded, rect, cs))
+    if sol.status == UNBOUNDED:
+        raise InfeasiblePolytope("no feasible point in the rectangle")
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"bounding program unexpectedly {sol.status}")
     m_i = cs.m_ineq

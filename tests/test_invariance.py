@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import polyvar.invariance
+import polyvar.relaxation
 from polyvar.invariance import (
     INVARIANT_FOUND,
     STALLED,
@@ -15,6 +17,7 @@ from polyvar.invariance import (
     template_within_rect,
     verify,
 )
+from polyvar.lpsolve import solve
 from polyvar.polynomial import MultiPoly, Rectangle
 
 from conftest import fitzhugh_nagumo, phytoplankton, sample_facet_points
@@ -121,6 +124,30 @@ class TestVerify:
     def test_requires_offsets(self):
         with pytest.raises(ValueError):
             verify(linear_decay(), Rectangle([-2, -2], [2, 2]), PolytopeTemplate(np.eye(2)))
+
+    def test_facet_just_outside_rectangle_is_empty_not_failed(self):
+        # facet 2 lies on x = -1e-9, outside [0,1]^2 by less than the simplex
+        # feasibility tolerance
+        tpl = unit_square_template((1.0, 1.0, 1e-9, 0.0))
+        report = verify(linear_decay(), Rectangle([0.0, 0.0], [1.0, 1.0]), tpl)
+        assert not report.facet_feasible[2]
+        assert report.failures == {}
+        assert report.facet_feasible[[0, 1, 3]].all()
+
+    def test_one_lp_per_nonempty_facet(self, monkeypatch):
+        calls = []
+
+        def counting_solve(lp):
+            calls.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(polyvar.relaxation, "solve", counting_solve)
+        monkeypatch.setattr(polyvar.invariance, "solve", counting_solve)
+        fld, rect, normals, _ = fitzhugh_nagumo()
+        tpl = PolytopeTemplate(normals, np.ones(len(normals)))
+        report = verify(fld, rect, tpl)
+        assert report.facet_feasible.all() and report.failures == {}
+        assert len(calls) == tpl.m == 8
 
 
 class TestImproveOffsets:

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+import polyvar.relaxation
+from polyvar.cli import main
+from polyvar.files import dump_json
 from polyvar.lpsolve import solve
-from polyvar.oracle import grid_min, vertex_min
-from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
+from polyvar.oracle import (
+    enumerate_classes,
+    grid_min,
+    lifted_dot,
+    region_is_feasible,
+    vertex_min,
+)
+from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate
 from polyvar.relaxation import (
     BoundResult,
     ConstraintSet,
@@ -12,8 +21,6 @@ from polyvar.relaxation import (
     SizeGuardError,
     build_full_lp,
     build_reduced_lp,
-    enumerate_classes,
-    lifted_dot,
     lower_bound,
     pad_for_constraints,
     sensitivity_bound,
@@ -110,6 +117,65 @@ class TestBuildReducedLp:
             sol = solve(lp)
             ref, _ = vertex_min(p, rect)
             assert sol.objective == pytest.approx(ref, abs=1e-9)
+
+
+class TestReducedLpAssembly:
+    """The vectorized program against the scalar per-class definition."""
+
+    @staticmethod
+    def scalar_rows(p, rect, cs):
+        tensor = bernstein_coefficients(p, rect)
+        rows, rhs = [], []
+        for cls in enumerate_classes(p.degrees):
+            row = [1.0]
+            row += [-(lifted_dot(a, rect, p.degrees, cls) - b) for a, b in zip(cs.a, cs.b)]
+            row += [-(lifted_dot(c, rect, p.degrees, cls) - d) for c, d in zip(cs.c, cs.d)]
+            rows.append(row)
+            rhs.append(tensor.value(cls))
+        for i in range(cs.m_ineq):
+            row = np.zeros(1 + cs.m_ineq + cs.m_eq)
+            row[1 + i] = -1.0
+            rows.append(row)
+            rhs.append(0.0)
+        return np.array(rows, dtype=float).reshape(len(rhs), -1), np.array(rhs)
+
+    def test_matches_scalar_loop_row_for_row(self):
+        # the assembly repeats the scalar arithmetic, so rows must be equal
+        rng = np.random.default_rng(151)
+        kinds = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            p = random_poly(rng, n, 3)
+            rect = random_rectangle(rng, n)
+            # constraints on a random subset of axes, so some stay at degree 0
+            # and others are padded from 0 to 1
+            mask = (rng.random(n) < 0.6).astype(float)
+            ineqs = [(rng.normal(size=n) * mask, float(rng.normal()))
+                     for _ in range(int(rng.integers(0, 4)))]
+            eqs = [(rng.normal(size=n) * mask, float(rng.normal()))
+                   for _ in range(int(rng.integers(0, 3)))]
+            cs = ConstraintSet(n, inequalities=ineqs, equalities=eqs)
+            padded = pad_for_constraints(p, cs)
+            kinds |= {"zero" for d in padded.degrees if d == 0}
+            kinds |= {"padded" for d, e in zip(p.degrees, padded.degrees) if d != e}
+            lp = build_reduced_lp(padded, rect, cs)
+            rows, rhs = self.scalar_rows(padded, rect, cs)
+            assert lp.sense == "max"
+            assert lp.c.tolist() == [1.0] + [0.0] * (cs.m_ineq + cs.m_eq)
+            assert lp.m_eq == 0 and np.all(np.isinf(lp.lo)) and np.all(np.isinf(lp.hi))
+            np.testing.assert_array_equal(lp.G, rows)
+            np.testing.assert_array_equal(lp.h, rhs)
+        assert kinds == {"zero", "padded"}
+
+    def test_degree_zero_conflict(self):
+        p = MultiPoly(2, {(2, 0): 1.0})
+        rect = Rectangle([0.0, 0.0], [1.0, 1.0])
+        for cs in (
+            ConstraintSet(2, inequalities=[(np.array([1.0, 1.0]), 1.0)]),
+            ConstraintSet(2, equalities=[(np.array([0.0, 2.0]), 1.0)]),
+        ):
+            with pytest.raises(DegreeZeroConflict):
+                build_reduced_lp(p, rect, cs)
 
 
 class TestBuildFullLp:
@@ -217,6 +283,99 @@ class TestLowerBound:
             res = lower_bound(p, rect, ConstraintSet(n))
             ref, _ = vertex_min(p, rect)
             assert res.d_star == pytest.approx(ref, abs=1e-9)
+
+
+UNIT_SQUARE = Rectangle([0.0, 0.0], [1.0, 1.0])
+SADDLE = MultiPoly(2, {(1, 1): 1.0, (2, 0): -1.0, (0, 1): 0.5})
+
+
+class TestEmptyRegion:
+    """Emptiness is read off the bounding program itself: it is unbounded
+    exactly when no point of the rectangle satisfies the constraints."""
+
+    @pytest.mark.parametrize(
+        "cs",
+        [
+            ConstraintSet(2, inequalities=[(np.array([1.0, 1.0]), -1e-9)]),
+            ConstraintSet(2, inequalities=[(np.array([1e6, 0.0]), -1e-3)]),
+            ConstraintSet(2, equalities=[(np.array([1.0, 1.0]), 2.0 + 1e-9)]),
+        ],
+        ids=["x+y<=-1e-9", "1e6x<=-1e-3", "x+y=2+1e-9"],
+    )
+    def test_region_just_outside_the_box_raises(self, cs):
+        with pytest.raises(InfeasiblePolytope):
+            lower_bound(SADDLE, UNIT_SQUARE, cs)
+
+    @pytest.mark.parametrize(
+        "cs, point",
+        [
+            (ConstraintSet(2, inequalities=[(np.array([1.0, 1.0]), 0.0)]), (0.0, 0.0)),
+            (ConstraintSet(2, equalities=[(np.array([1.0, 1.0]), 2.0)]), (1.0, 1.0)),
+        ],
+        ids=["x+y<=0", "x+y=2"],
+    )
+    def test_single_point_region_is_bounded(self, cs, point):
+        res = lower_bound(SADDLE, UNIT_SQUARE, cs)
+        assert res.d_star <= evaluate(SADDLE, point) + 1e-9
+
+    def test_cli_exit_2(self, tmp_path, capsys):
+        payload = {
+            "schema_version": "1",
+            "polynomial": [{"exponents": [1, 1], "coefficient": 1.0}],
+            "rectangle": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+            "inequalities": [{"a": [1.0, 1.0], "b": -1e-9}],
+        }
+        path = tmp_path / "outside.json"
+        path.write_text(dump_json(payload))
+        assert main(["bound", str(path)]) == 2
+        assert "infeasible constraint region" in capsys.readouterr().err
+
+    def test_agrees_with_phase_one_reference(self):
+        # a pair of opposite halfspaces either overlaps in a band or leaves a
+        # gap of at least 1e-4 of the box's extent along it; the other rows
+        # are redundant
+        rng = np.random.default_rng(157)
+        outcomes = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            rect = random_rectangle(rng, n)
+            p = random_poly(rng, n, 2)
+            a = rng.normal(size=n)
+            lo = float(np.minimum(a * rect.lower, a * rect.upper).sum())
+            hi = float(np.maximum(a * rect.lower, a * rect.upper).sum())
+            cut = lo + rng.uniform(0.2, 0.8) * (hi - lo)
+            gap = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-4, 0) * (hi - lo)
+            ineqs = [(a, cut), (-a, -(cut + gap))]
+            for _ in range(int(rng.integers(0, 3))):
+                g = rng.normal(size=n)
+                ineqs.append((g, float(np.maximum(g * rect.lower, g * rect.upper).sum()) + 0.1))
+            cs = ConstraintSet(n, inequalities=ineqs)
+            expected = region_is_feasible(rect, cs)
+            assert expected == (gap < 0)
+            outcomes.add(expected)
+            if expected:
+                lower_bound(p, rect, cs)
+            else:
+                with pytest.raises(InfeasiblePolytope):
+                    lower_bound(p, rect, cs)
+        assert outcomes == {True, False}
+
+
+class TestLpCount:
+    def test_lower_bound_solves_one_lp(self, monkeypatch):
+        calls = []
+
+        def counting_solve(lp):
+            calls.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(polyvar.relaxation, "solve", counting_solve)
+        lower_bound(*constrained_3d_problem())
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(InfeasiblePolytope):
+            lower_bound(SADDLE, UNIT_SQUARE, ConstraintSet(2, inequalities=[(np.ones(2), -1.0)]))
+        assert len(calls) == 1
 
 
 class TestSensitivityBound:
