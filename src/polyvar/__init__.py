@@ -20,9 +20,9 @@ from .invariance import (
     SynthesisTrace,
     VectorField,
     VerificationReport,
-    facet_nonempty,
     improve_offsets,
     repair_offsets,
+    support_values,
     synthesize,
     verify,
 )
@@ -41,7 +41,6 @@ from .polynomial import (
     MultiPoly,
     Rectangle,
     bernstein_coefficients,
-    blossom_eval,
     evaluate,
     facet_objective,
     to_unit_box,
@@ -51,8 +50,6 @@ from .relaxation import (
     ConstraintSet,
     DegreeZeroConflict,
     InfeasiblePolytope,
-    SizeGuardError,
-    build_full_lp,
     build_reduced_lp,
     lower_bound,
     sensitivity_bound,

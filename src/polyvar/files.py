@@ -234,7 +234,10 @@ def _poly_from_terms(terms, n_vars: int, label: str) -> MultiPoly:
                 f"{label}: term {list(exps)} has {len(exps)} exponents, expected {n_vars}"
             )
         table[exps] = table.get(exps, 0.0) + float(record["coefficient"])
-    return MultiPoly(n_vars, table)
+    try:
+        return MultiPoly(n_vars, table)
+    except ValueError as exc:
+        raise InputError(f"{label}: {exc}") from exc
 
 
 def poly_to_terms(p: MultiPoly) -> list:
@@ -273,7 +276,10 @@ def load_problem(path) -> tuple[MultiPoly, Rectangle, ConstraintSet]:
         if c.size != n:
             raise InputError(f"{path}: equality vector c has wrong length")
         eqs.append((c, float(row["d"])))
-    return poly, rect, ConstraintSet(n, inequalities=ineqs, equalities=eqs)
+    try:
+        return poly, rect, ConstraintSet(n, inequalities=ineqs, equalities=eqs)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_model(path) -> ModelData:

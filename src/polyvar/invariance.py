@@ -71,6 +71,8 @@ class PolytopeTemplate:
         normals = np.asarray(self.normals, dtype=float)
         if normals.ndim != 2 or normals.shape[0] < 1:
             raise ValueError("normals must be a (m_K, n) matrix")
+        if not np.all(np.isfinite(normals)):
+            raise ValueError("template normals must be finite")
         if np.any(np.all(normals == 0.0, axis=1)):
             raise ValueError("every facet normal must be nonzero")
         normals = normals.copy()
@@ -80,6 +82,8 @@ class PolytopeTemplate:
             offsets = np.asarray(self.offsets, dtype=float).reshape(-1).copy()
             if offsets.size != normals.shape[0]:
                 raise ValueError("one offset per facet required")
+            if not np.all(np.isfinite(offsets)):
+                raise ValueError("template offsets must be finite")
             offsets.setflags(write=False)
             object.__setattr__(self, "offsets", offsets)
 
@@ -174,53 +178,33 @@ class SynthesisParams:
     reference_point: np.ndarray = None
 
 
-def polytope_nonempty(tpl: PolytopeTemplate, rect: Rectangle) -> bool:
-    """Phase-1 check of ``{x in rect : normals @ x <= offsets}``."""
-    lp = LPProblem(
-        "min",
-        np.zeros(tpl.n),
-        G=tpl.normals,
-        h=tpl.offsets,
-        lo=rect.lower,
-        hi=rect.upper,
-    )
-    return solve(lp).status == OPTIMAL
+def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) -> np.ndarray:
+    """Support function ``max d . x`` of the template polytope along each row ``d``.
+
+    The polytope is ``{x : normals @ x <= offsets}``, intersected with ``rect``
+    when one is given.  An entry is ``+inf`` where the polytope is unbounded
+    along its direction.  Every entry is ``-inf`` when the polytope is empty:
+    the first infeasible program ends the sweep.
+    """
+    directions = np.atleast_2d(np.asarray(directions, dtype=float))
+    lo, hi = (None, None) if rect is None else (rect.lower, rect.upper)
+    out = np.empty(directions.shape[0])
+    for k, d in enumerate(directions):
+        sol = solve(LPProblem("max", d, G=tpl.normals, h=tpl.offsets, lo=lo, hi=hi))
+        if sol.status == INFEASIBLE:
+            return np.full(directions.shape[0], -np.inf)
+        out[k] = np.inf if sol.status == UNBOUNDED else sol.objective
+    return out
 
 
 def template_within_rect(tpl: PolytopeTemplate, rect: Rectangle, tol: float = 1e-9) -> bool:
-    """Support-function test that the template polytope fits inside the rectangle."""
-    for j in range(tpl.n):
-        e = np.zeros(tpl.n)
-        e[j] = 1.0
-        for sense, limit in (("max", rect.upper[j]), ("min", rect.lower[j])):
-            sol = solve(LPProblem(sense, e, G=tpl.normals, h=tpl.offsets))
-            if sol.status == UNBOUNDED:
-                return False
-            if sol.status == INFEASIBLE:
-                return True  # empty polytope is vacuously inside
-            if sense == "max" and sol.objective > limit + tol:
-                return False
-            if sense == "min" and sol.objective < limit - tol:
-                return False
-    return True
+    """Support-function test that the template polytope fits inside the rectangle.
 
-
-def facet_nonempty(tpl: PolytopeTemplate, rect: Rectangle, k: int) -> bool:
-    """True iff facet ``k`` contains a point of the rectangle."""
-    if not 0 <= k < tpl.m:
-        raise ValueError(f"facet index {k} out of range")
-    others = [i for i in range(tpl.m) if i != k]
-    lp = LPProblem(
-        "min",
-        np.zeros(tpl.n),
-        G=tpl.normals[others],
-        h=tpl.offsets[others],
-        A=tpl.normals[k : k + 1],
-        d=tpl.offsets[k : k + 1],
-        lo=rect.lower,
-        hi=rect.upper,
-    )
-    return solve(lp).status == OPTIMAL
+    An empty polytope is vacuously inside.
+    """
+    eye = np.eye(tpl.n)
+    reach = support_values(tpl, np.vstack([eye, -eye]))
+    return bool(np.all(reach <= np.concatenate([rect.upper, -rect.lower]) + tol))
 
 
 def verify(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> VerificationReport:
@@ -316,23 +300,9 @@ def repair_offsets(tpl: PolytopeTemplate, rect: Rectangle) -> np.ndarray:
     """
     if tpl.offsets is None:
         raise ValueError("template needs offsets to repair")
-    if not polytope_nonempty(tpl, rect):
+    tightened = support_values(tpl, tpl.normals, rect)
+    if np.isneginf(tightened).any():
         raise EmptyPolytope("cannot repair an empty polytope")
-    tightened = np.empty(tpl.m)
-    for k in range(tpl.m):
-        sol = solve(
-            LPProblem(
-                "max",
-                tpl.normals[k],
-                G=tpl.normals,
-                h=tpl.offsets,
-                lo=rect.lower,
-                hi=rect.upper,
-            )
-        )
-        if sol.status != OPTIMAL:
-            raise NumericalFailure(f"support program for facet {k} was {sol.status}")
-        tightened[k] = sol.objective
     return tightened
 
 
@@ -343,9 +313,12 @@ def _confining_caps(tpl: PolytopeTemplate, rect: Rectangle, ref) -> np.ndarray:
     the cap polytope can still poke out of the rectangle when the template
     lacks confining normals.  Since lowering offsets shrinks the set, it is
     enough to make the cap polytope itself contained: every later iterate is
-    then contained too.  When the raw support caps fail the test, scale them
-    toward the reference point by bisection (containment is monotone in the
-    scale).
+    then contained too.  When the raw support caps fail the test, they are
+    scaled toward the reference point.  With ``base = normals @ ref``, the
+    caps ``base + s * (support - base)`` describe exactly ``ref + s * Q`` for
+    ``Q = {y : normals @ y <= support - base}``, so the reach along every axis
+    is linear in ``s`` and the largest admissible scale is read off the
+    reach of ``Q``.
     """
     support = tpl.support_in(rect)
     if template_within_rect(tpl.with_offsets(support), rect):
@@ -355,26 +328,22 @@ def _confining_caps(tpl: PolytopeTemplate, rect: Rectangle, ref) -> np.ndarray:
             "the template cannot be confined to the rectangle by support caps "
             "alone; supply explicit b_hi or a reference_point"
         )
-    # Bisection accepts only with a strict inner margin so the returned caps
-    # keep the polytope inside the rectangle rather than within tolerance of
-    # its boundary.
-    margin = -1e-9
     base = tpl.normals @ ref
-    lo_s, hi_s = 0.0, 1.0
-    if not template_within_rect(tpl.with_offsets(base), rect, tol=margin):
+    eye = np.eye(tpl.n)
+    reach = support_values(tpl.with_offsets(support - base), np.vstack([eye, -eye]))
+    # A strict inner margin keeps the caps inside the rectangle rather than
+    # within tolerance of its boundary.
+    room = np.concatenate([rect.upper - ref, ref - rect.lower]) - 1e-9
+    if not (np.all(np.isfinite(reach)) and np.all(room > 0.0)):
         raise ValueError(
             "template normals do not confine a polytope inside the rectangle; "
             "add confining directions (e.g. the box normals)"
         )
-    for _ in range(50):
-        mid = 0.5 * (lo_s + hi_s)
-        if template_within_rect(
-            tpl.with_offsets(base + mid * (support - base)), rect, tol=margin
-        ):
-            lo_s = mid
-        else:
-            hi_s = mid
-    return base + lo_s * (support - base)
+    scale = min(1.0, float(np.min(room / reach)))
+    caps = base + scale * (support - base)
+    if not template_within_rect(tpl.with_offsets(caps), rect, tol=0.0):
+        raise NumericalFailure("scaled offset caps left the rectangle after rounding")
+    return caps
 
 
 def _resolve_params(tpl: PolytopeTemplate, rect: Rectangle, params: SynthesisParams):
@@ -433,16 +402,15 @@ def synthesize(
     """
     params = params or SynthesisParams()
     offsets0, b_lo, b_hi, epsilon = _resolve_params(tpl0, rect, params)
-    tpl = tpl0.with_offsets(offsets0)
-    if not polytope_nonempty(tpl, rect):
-        raise EmptyPolytope("initial polytope is empty inside the rectangle")
+    # Tighten up-front: user offsets may carry empty facets, which the facet
+    # programs would report as infeasible rather than bounding.  This also
+    # raises EmptyPolytope for an empty start.
+    repaired = repair_offsets(tpl0.with_offsets(offsets0), rect)
     # Offsets never exceed b_hi, and the b_hi cap polytope is contained in
     # the rectangle, so every iterate stays contained as well.
     if np.any(b_lo > offsets0 + 1e-12) or np.any(offsets0 > b_hi + 1e-12):
         raise ValueError("initial offsets must satisfy b_lo <= offsets <= b_hi")
-    # Tighten up-front: user offsets may carry empty facets, which the facet
-    # programs would report as infeasible rather than bounding.
-    tpl = tpl.with_offsets(repair_offsets(tpl, rect))
+    tpl = tpl0.with_offsets(repaired)
 
     records: list[IterationRecord] = []
     status = ITERATION_LIMIT

@@ -145,65 +145,40 @@ def solve(lp: LPProblem) -> LPSolution:
     if np.any(lp.lo > lp.hi):
         return LPSolution(status=INFEASIBLE)
 
-    # Transform to nonnegative variables: shift at a finite lower bound,
-    # reflect at a finite upper bound, split free variables.
-    kinds = []  # (kind, data...) per original variable
+    # Transform to nonnegative variables: shift at a finite lower bound and
+    # split the others into a difference of two.  Finite upper bounds become
+    # ordinary inequality rows after the caller's.
+    shifted = np.isfinite(lp.lo)
+    upper = np.flatnonzero(np.isfinite(lp.hi))
+    G = np.vstack([lp.G, np.eye(n)[upper]])
+    h = np.concatenate([lp.h, lp.hi[upper]])
     cols_c = []
     col_of_var = []  # first transformed column of each variable
-    upper_rows = []  # (column, upper value) for doubly bounded variables
-    n_t = 0
     for j in range(n):
-        lo_j, hi_j = lp.lo[j], lp.hi[j]
-        if np.isfinite(lo_j):
-            kinds.append(("shift", lo_j))
-            col_of_var.append(n_t)
-            cols_c.append(c_int[j])
-            if np.isfinite(hi_j):
-                upper_rows.append((n_t, hi_j - lo_j))
-            n_t += 1
-        elif np.isfinite(hi_j):
-            kinds.append(("reflect", hi_j))
-            col_of_var.append(n_t)
+        col_of_var.append(len(cols_c))
+        cols_c.append(c_int[j])
+        if not shifted[j]:
             cols_c.append(-c_int[j])
-            n_t += 1
-        else:
-            kinds.append(("free", None))
-            col_of_var.append(n_t)
-            cols_c.append(c_int[j])
-            cols_c.append(-c_int[j])
-            n_t += 2
+    n_t = len(cols_c)
 
     def transform_rows(mat, rhs):
-        rows = mat.shape[0]
-        out = np.zeros((rows, n_t))
+        out = np.zeros((mat.shape[0], n_t))
         rhs_t = rhs.astype(float).copy()
         for j in range(n):
-            kind, datum = kinds[j]
             col = col_of_var[j]
-            if kind == "shift":
-                out[:, col] = mat[:, j]
-                rhs_t -= mat[:, j] * datum
-            elif kind == "reflect":
-                out[:, col] = -mat[:, j]
-                rhs_t -= mat[:, j] * datum
+            out[:, col] = mat[:, j]
+            if shifted[j]:
+                rhs_t -= mat[:, j] * lp.lo[j]
             else:
-                out[:, col] = mat[:, j]
                 out[:, col + 1] = -mat[:, j]
         return out, rhs_t
 
-    G_t, h_t = transform_rows(lp.G, lp.h)
+    ineq_mat, ineq_rhs = transform_rows(G, h)
     A_t, d_t = transform_rows(lp.A, lp.d)
 
-    m_ineq = lp.m_ineq + len(upper_rows)
+    m_ineq = G.shape[0]
     m_eq = lp.m_eq
     m = m_ineq + m_eq
-    ineq_mat = np.zeros((m_ineq, n_t))
-    ineq_rhs = np.zeros(m_ineq)
-    ineq_mat[: lp.m_ineq] = G_t
-    ineq_rhs[: lp.m_ineq] = h_t
-    for r, (col, ub) in enumerate(upper_rows):
-        ineq_mat[lp.m_ineq + r, col] = 1.0
-        ineq_rhs[lp.m_ineq + r] = ub
 
     # Standard form rows: [ineq | eq], slack column per inequality row.
     n_slack = m_ineq
@@ -290,14 +265,8 @@ def solve(lp: LPProblem) -> LPSolution:
     x_std[basis] = T[:, -1]
     x = np.zeros(n)
     for j in range(n):
-        kind, datum = kinds[j]
         col = col_of_var[j]
-        if kind == "shift":
-            x[j] = datum + x_std[col]
-        elif kind == "reflect":
-            x[j] = datum - x_std[col]
-        else:
-            x[j] = x_std[col] - x_std[col + 1]
+        x[j] = lp.lo[j] + x_std[col] if shifted[j] else x_std[col] - x_std[col + 1]
 
     # Basis duals of the standard form, mapped back through row flips.
     y_full = np.zeros(m)

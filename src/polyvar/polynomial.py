@@ -48,7 +48,10 @@ class MultiPoly:
                 )
             if any(e < 0 for e in key):
                 raise ValueError(f"negative exponent in {key}")
-            clean[key] = clean.get(key, 0.0) + float(coeff)
+            coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise ValueError(f"coefficient of {key} must be finite, got {coeff}")
+            clean[key] = clean.get(key, 0.0) + coeff
         clean = {k: c for k, c in clean.items() if c != 0.0}
         natural = tuple(
             max((e[k] for e in clean), default=0) for k in range(self.n_vars)
@@ -208,39 +211,6 @@ def evaluate_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
                 term *= pts[:, k] ** e
         out += term
     return out
-
-
-def blossom_eval(p: MultiPoly, z) -> float:
-    """Polar form of ``p`` at ``z``.
-
-    ``z`` concatenates one block of ``degrees[k]`` arguments per variable;
-    variables of degree zero contribute no entries.  The polar form is the
-    unique symmetric multi-affine function agreeing with ``p`` on the
-    diagonal; each monomial block evaluates to the elementary symmetric sum
-    of the block normalized by the binomial coefficient.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    total_deg = sum(p.degrees)
-    if z.size != total_deg:
-        raise ValueError(f"argument vector has {z.size} entries, expected {total_deg}")
-    sym: list[np.ndarray] = []
-    offset = 0
-    for d in p.degrees:
-        block = z[offset : offset + d]
-        offset += d
-        e = np.zeros(d + 1)
-        e[0] = 1.0
-        for i in range(d):
-            e[1 : i + 2] = e[1 : i + 2] + block[i] * e[0 : i + 1]
-        binom = np.array([math.comb(d, l) for l in range(d + 1)])
-        sym.append(e / binom)
-    q = 0.0
-    for exps, coeff in p.terms.items():
-        term = coeff
-        for k, l in enumerate(exps):
-            term *= sym[k][l]
-        q += term
-    return q
 
 
 def to_unit_box(p: MultiPoly, rect: Rectangle) -> MultiPoly:

@@ -5,36 +5,27 @@ constraint plus a single epigraph variable, with one row per vertex class of
 the lifted box.  The same program decides whether the constraint region is
 empty: it is always feasible, and by LP duality it is unbounded exactly when
 no point of the rectangle satisfies the constraints, so no separate
-feasibility check is solved.  A companion, exponentially larger program over
-the full set of lifted vertices is kept purely as a cross-check oracle: both
-programs have the same optimal value, and the reduced one is the one used
-everywhere.
+feasibility check is solved.  The exponentially larger program over the full
+set of lifted vertices, which has the same optimal value, lives in ``oracle``
+as a cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lpsolve import OPTIMAL, UNBOUNDED, LPProblem, NumericalFailure, solve
-from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, blossom_eval
+from .polynomial import MultiPoly, Rectangle, bernstein_coefficients
 
 
 class DegreeZeroConflict(ValueError):
     """A constraint references a variable absent from the lift (degree zero)."""
 
 
-class SizeGuardError(ValueError):
-    """The full lifted program would exceed the hard vertex-count guard."""
-
-
 class InfeasiblePolytope(Exception):
     """No point of the rectangle satisfies the constraint set."""
-
-
-FULL_LP_MAX_VERTICES = 2**20
 
 
 class ConstraintSet:
@@ -58,9 +49,9 @@ class ConstraintSet:
             len(eqs), self.n_vars
         )
         self.d = np.array([float(d) for _, d in eqs])
-        for mat in (self.a, self.c):
-            if mat.size and not np.all(np.isfinite(mat)):
-                raise ValueError("constraint coefficients must be finite")
+        for name, arr in (("a", self.a), ("b", self.b), ("c", self.c), ("d", self.d)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"constraint data {name} must be finite")
         self.a.setflags(write=False)
         self.b.setflags(write=False)
         self.c.setflags(write=False)
@@ -149,68 +140,6 @@ def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProb
     rows[n_cls:, 1 : 1 + m_i] = -np.eye(m_i)
     rhs = np.concatenate([tensor.values.reshape(-1), np.zeros(m_i)])
     obj = np.zeros(1 + m_i + m_j)
-    obj[0] = 1.0
-    return LPProblem("max", obj, G=rows, h=rhs)
-
-
-def build_full_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
-    """Unreduced bounding program with one row per lifted box vertex.
-
-    Exponential in the total degree; guarded, and used only as an equivalence
-    oracle for the reduced program.  Extra variables: one multiplier per
-    adjacent-argument symmetry constraint of the lift.
-    """
-    if cs.n_vars != p.n_vars or rect.n != p.n_vars:
-        raise ValueError("dimension mismatch")
-    degrees = p.degrees
-    total_deg = sum(degrees)
-    if 2**total_deg > FULL_LP_MAX_VERTICES:
-        raise SizeGuardError(f"2**{total_deg} lifted vertices exceed the guard")
-    m_i, m_j = cs.m_ineq, cs.m_eq
-
-    slot_var = [k for k in range(p.n_vars) for _ in range(degrees[k])]
-    lifted_a = np.zeros((m_i, total_deg))
-    for i in range(m_i):
-        for s, k in enumerate(slot_var):
-            lifted_a[i, s] = cs.a[i, k] / degrees[k]
-        for k in range(p.n_vars):
-            if degrees[k] == 0 and cs.a[i, k] != 0.0:
-                raise DegreeZeroConflict(f"constraint {i} touches degree-0 variable {k}")
-    lifted_c = np.zeros((m_j, total_deg))
-    for j in range(m_j):
-        for s, k in enumerate(slot_var):
-            lifted_c[j, s] = cs.c[j, k] / degrees[k]
-        for k in range(p.n_vars):
-            if degrees[k] == 0 and cs.c[j, k] != 0.0:
-                raise DegreeZeroConflict(f"equality {j} touches degree-0 variable {k}")
-
-    # Adjacent-argument difference rows within each variable block.
-    sym_rows = []
-    offset = 0
-    for k in range(p.n_vars):
-        for l in range(degrees[k] - 1):
-            sym_rows.append((offset + l, offset + l + 1))
-        offset += degrees[k]
-    n_alpha = len(sym_rows)
-
-    n_lp = 1 + m_i + m_j + n_alpha
-    choices = [(rect.lower[k], rect.upper[k]) for k in slot_var]
-    n_vertices = 2**total_deg
-    rows = np.zeros((n_vertices + m_i, n_lp))
-    rhs = np.zeros(n_vertices + m_i)
-    for r, vertex in enumerate(itertools.product(*choices)):
-        v = np.asarray(vertex)
-        rows[r, 0] = 1.0
-        for i in range(m_i):
-            rows[r, 1 + i] = -(lifted_a[i] @ v - cs.b[i])
-        for j in range(m_j):
-            rows[r, 1 + m_i + j] = -(lifted_c[j] @ v - cs.d[j])
-        for s, (u, w) in enumerate(sym_rows):
-            rows[r, 1 + m_i + m_j + s] = -(v[u] - v[w])
-        rhs[r] = blossom_eval(p, v)
-    for i in range(m_i):
-        rows[n_vertices + i, 1 + i] = -1.0
-    obj = np.zeros(n_lp)
     obj[0] = 1.0
     return LPProblem("max", obj, G=rows, h=rhs)
 

@@ -18,17 +18,15 @@ from polyvar.invariance import (
     verify,
 )
 from polyvar.lpsolve import solve
-from polyvar.oracle import grid_min, vertex_min
+from polyvar.oracle import blossom_eval, build_full_lp, grid_min, vertex_min
 from polyvar.polynomial import (
     MultiPoly,
     Rectangle,
     bernstein_coefficients,
-    blossom_eval,
     evaluate,
 )
 from polyvar.relaxation import (
     ConstraintSet,
-    build_full_lp,
     build_reduced_lp,
     lower_bound,
     pad_for_constraints,

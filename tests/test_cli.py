@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import jsonschema
 import numpy as np
@@ -340,6 +341,50 @@ class TestInputValidation:
         model = json.loads((models_dir / "linear_decay.json").read_text())
         model["params"] = {"b_hi": [1.0, 2.0]}
         assert main(["synthesize", write_json(tmp_path / "caps.json", model)]) == 2
+
+
+class TestNonFiniteInput:
+    """Python's json reads Infinity and NaN; the loaders must reject them."""
+
+    def run_quietly(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_infinite_inequality_offset(self, tmp_path, capsys):
+        payload = {
+            "schema_version": "1",
+            "polynomial": [{"exponents": [1], "coefficient": 1.0}],
+            "rectangle": {"lower": [0.0], "upper": [1.0]},
+            "inequalities": [{"a": [1.0], "b": float("inf")}],
+        }
+        path = tmp_path / "b_inf.json"
+        path.write_text(json.dumps(payload))
+        code, err = self.run_quietly(["bound", str(path)], capsys)
+        assert code == 2
+        assert "b must be finite" in err
+
+    def test_infinite_coefficient(self, tmp_path, capsys):
+        payload = {
+            "schema_version": "1",
+            "polynomial": [{"exponents": [1], "coefficient": float("inf")}],
+            "rectangle": {"lower": [0.0], "upper": [1.0]},
+        }
+        path = tmp_path / "coef_inf.json"
+        path.write_text(json.dumps(payload))
+        code, err = self.run_quietly(["bound", str(path)], capsys)
+        assert code == 2
+        assert "coefficient" in err and "must be finite" in err
+
+    def test_infinite_template_offset(self, models_dir, tmp_path, capsys):
+        model = json.loads((models_dir / "linear_decay.json").read_text())
+        model["template"]["offsets"][0] = float("inf")
+        path = tmp_path / "offset_inf.json"
+        path.write_text(json.dumps(model))
+        code, err = self.run_quietly(["verify", str(path)], capsys)
+        assert code == 2
+        assert "offsets must be finite" in err
 
 
 class TestPolygonVertices:

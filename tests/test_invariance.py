@@ -10,14 +10,16 @@ from polyvar.invariance import (
     PolytopeTemplate,
     SynthesisParams,
     VectorField,
-    facet_nonempty,
+    _confining_caps,
     improve_offsets,
     repair_offsets,
+    support_values,
     synthesize,
     template_within_rect,
     verify,
 )
 from polyvar.lpsolve import solve
+from polyvar.oracle import facet_nonempty
 from polyvar.polynomial import MultiPoly, Rectangle
 
 from conftest import fitzhugh_nagumo, phytoplankton, sample_facet_points
@@ -35,6 +37,27 @@ def linear_decay(n=2) -> VectorField:
 def unit_square_template(offsets=(1.0, 1.0, 1.0, 1.0)) -> PolytopeTemplate:
     normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
     return PolytopeTemplate(normals, np.asarray(offsets, dtype=float))
+
+
+def diamond_normals() -> np.ndarray:
+    s = np.sqrt(0.5)
+    return np.array([[s, s], [-s, s], [-s, -s], [s, -s]])
+
+
+def rotated_hexagon_normals() -> np.ndarray:
+    angles = 2.0 * np.pi * np.arange(6) / 6 + np.radians(3.0)
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def count_solves(monkeypatch) -> list:
+    calls = []
+
+    def counting_solve(lp):
+        calls.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(polyvar.invariance, "solve", counting_solve)
+    return calls
 
 
 class TestVectorField:
@@ -65,6 +88,49 @@ class TestTemplate:
         rect = Rectangle([-2.0, -2.0], [2.0, 2.0])
         assert template_within_rect(unit_square_template(), rect)
         assert not template_within_rect(unit_square_template((3.0, 1.0, 1.0, 1.0)), rect)
+
+
+class TestSupportValues:
+    def test_values_in_rectangle(self):
+        tpl = unit_square_template((1.0, 1.0, 1.0, 1.0))
+        rect = Rectangle([-2.0, -0.5], [2.0, 2.0])
+        values = support_values(tpl, [[1.0, 0.0], [0.0, -1.0], [1.0, 1.0]], rect)
+        assert values == pytest.approx([1.0, 0.5, 2.0], abs=1e-12)
+
+    def test_empty_polytope_is_minus_infinity(self):
+        tpl = unit_square_template((1.0, 1.0, -2.0, 0.0))  # x >= 2 and x <= 1
+        values = support_values(tpl, np.eye(2))
+        assert np.all(values == -np.inf)
+
+    def test_unbounded_slab_is_plus_infinity(self):
+        slab = PolytopeTemplate(np.array([[1.0, 0.0], [-1.0, 0.0]]), [1.0, 1.0])
+        values = support_values(slab, [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        assert values[0] == pytest.approx(1.0)
+        assert values[1] == np.inf and values[2] == np.inf
+
+
+class TestConfiningCaps:
+    @pytest.mark.parametrize("normals", [diamond_normals(), rotated_hexagon_normals()])
+    def test_scaled_caps_are_contained_and_maximal(self, normals, monkeypatch):
+        rect = Rectangle([-2.0, -1.0], [2.0, 3.0])
+        ref = np.array([0.25, 0.5])
+        tpl = PolytopeTemplate(normals)
+        raw = tpl.support_in(rect)
+        assert not template_within_rect(tpl.with_offsets(raw), rect)
+        calls = count_solves(monkeypatch)
+        caps = _confining_caps(tpl, rect, ref)
+        assert len(calls) <= 6 * tpl.n
+        capped = tpl.with_offsets(caps)
+        assert template_within_rect(capped, rect, tol=0.0)
+        reach = support_values(capped, np.vstack([np.eye(2), -np.eye(2)]))
+        gaps = np.concatenate([rect.upper - 1e-9 - reach[:2], -reach[2:] - (rect.lower + 1e-9)])
+        assert np.all(gaps >= -1e-12)
+        assert np.min(np.abs(gaps)) <= 1e-12
+
+    def test_raw_caps_kept_when_contained(self):
+        rect = Rectangle([-2.0, -1.0], [2.0, 3.0])
+        tpl = unit_square_template()
+        assert np.array_equal(_confining_caps(tpl, rect, None), tpl.support_in(rect))
 
 
 class TestFacetNonempty:
@@ -223,6 +289,18 @@ class TestRepairOffsets:
         tpl = unit_square_template((1.0, 1.0, -2.0, 0.0))
         with pytest.raises(EmptyPolytope):
             repair_offsets(tpl, Rectangle([-2.0, -2.0], [2.0, 2.0]))
+
+    def test_one_lp_per_facet(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+        repair_offsets(PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0]), Rectangle([-2, -2], [2, 2]))
+        assert len(calls) == 5
+
+    def test_empty_polytope_costs_one_lp(self, monkeypatch):
+        calls = count_solves(monkeypatch)
+        with pytest.raises(EmptyPolytope):
+            repair_offsets(unit_square_template((1.0, 1.0, -2.0, 0.0)), Rectangle([-2, -2], [2, 2]))
+        assert len(calls) == 1
 
 
 class TestSynthesize:

@@ -158,6 +158,33 @@ class TestBasics:
         assert np.array_equal(a.x, b.x)
 
 
+class TestUpperBoundOnly:
+    def test_single_variable(self):
+        assert solve(LPProblem("max", [1.0], hi=[3.0])).objective == pytest.approx(3.0)
+        assert solve(LPProblem("min", [1.0], hi=[3.0])).status == UNBOUNDED
+
+    def test_random_battery_against_vertex_oracle(self):
+        # the same boxed programs with every lower bound moved into G, so each
+        # variable keeps only its upper bound
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            boxed = random_boxed_lp(rng)
+            n = boxed.n_vars
+            lp = LPProblem(
+                boxed.sense,
+                boxed.c,
+                G=np.vstack([boxed.G, -np.eye(n)]),
+                h=np.concatenate([boxed.h, -boxed.lo]),
+                A=boxed.A,
+                d=boxed.d,
+                hi=boxed.hi,
+            )
+            sol = solve(lp)
+            assert sol.status == OPTIMAL
+            assert sol.objective == pytest.approx(brute_force_optimum(lp), abs=1e-6)
+            assert kkt_residuals(lp, sol)["primal"] <= 1e-8
+
+
 class TestCertificates:
     def test_random_battery_against_vertex_oracle(self):
         rng = np.random.default_rng(42)

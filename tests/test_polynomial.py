@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from polyvar.oracle import blossom_eval
 from polyvar.polynomial import (
     BernsteinTensor,
     MultiPoly,
     Rectangle,
     bernstein_coefficients,
-    blossom_eval,
     evaluate,
     evaluate_many,
     facet_objective,

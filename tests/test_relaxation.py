@@ -6,6 +6,8 @@ from polyvar.cli import main
 from polyvar.files import dump_json
 from polyvar.lpsolve import solve
 from polyvar.oracle import (
+    SizeGuardError,
+    build_full_lp,
     enumerate_classes,
     grid_min,
     lifted_dot,
@@ -18,8 +20,6 @@ from polyvar.relaxation import (
     ConstraintSet,
     DegreeZeroConflict,
     InfeasiblePolytope,
-    SizeGuardError,
-    build_full_lp,
     build_reduced_lp,
     lower_bound,
     pad_for_constraints,
