@@ -43,7 +43,6 @@ from .polynomial import (
     bernstein_coefficients,
     evaluate,
     facet_objective,
-    to_unit_box,
 )
 from .relaxation import (
     BoundResult,

@@ -321,6 +321,9 @@ def load_model(path) -> ModelData:
     for key in ("b_lo", "b_hi"):
         if key in p and len(p[key]) != normals.shape[0]:
             raise InputError(f"{path}: params.{key} length != number of facets")
+    for key in ("epsilon", "stall_tol", "b_lo", "b_hi"):
+        if key in p and not np.all(np.isfinite(np.asarray(p[key], dtype=float))):
+            raise InputError(f"{path}: params.{key} must be finite")
     params = SynthesisParams(
         epsilon=p.get("epsilon"),
         b_lo=np.asarray(p["b_lo"], dtype=float) if "b_lo" in p else None,

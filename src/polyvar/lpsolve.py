@@ -1,9 +1,14 @@
 """Dense two-phase simplex for small linear programs, with dual extraction.
 
-Every program this package builds has at most a few dozen variables and
-constraints, so a dense tableau is both fast enough and the most direct way
-to read exact basis duals back out.  Pricing is Dantzig's rule, switching to
-Bland's rule after too many degenerate pivots to rule out cycling.
+Every program this package builds has at most a few dozen rows; the bounding
+programs have one column per vertex class, up to a few thousand.  A dense
+tableau is fast enough at that shape and the most direct way to read exact
+basis duals back out.  Pricing is Dantzig's rule, switching to Bland's rule
+after too many degenerate pivots to rule out cycling.  Among the optimal
+duals, an active inequality row gets a nonzero multiplier where one exists
+(see ``_activate_degenerate_rows``): the bounding program's multipliers are
+its duals, and a zero multiplier on an active facet hides how the bound
+reacts to moving that facet.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
-FEAS_TOL = 1e-8
+FEAS_TOL = 1e-10
 
 
 class NumericalFailure(RuntimeError):
@@ -92,6 +97,15 @@ class LPSolution:
     eq_duals: np.ndarray = None
 
 
+def _pivot(T, basis, row, col):
+    """Pivot tableau ``T`` in place on ``(row, col)``; ``col`` enters the basis."""
+    T[row] /= T[row, col]
+    factor = T[:, col].copy()
+    factor[row] = 0.0
+    T -= np.outer(factor, T[row])
+    basis[row] = col
+
+
 def _pivot_loop(T, basis, cost, max_degenerate, max_iter):
     """Run simplex pivots on tableau ``T`` in place; returns 'optimal'/'unbounded'."""
     m = T.shape[0]
@@ -123,15 +137,37 @@ def _pivot_loop(T, basis, cost, max_degenerate, max_iter):
             degenerate += 1
             if degenerate > max_degenerate:
                 bland = True
-        piv = T[leave, enter]
-        if abs(piv) < PIVOT_TOL:
+        if abs(T[leave, enter]) < PIVOT_TOL:
             raise NumericalFailure("pivot element below tolerance")
-        T[leave] /= piv
-        factor = T[:, enter].copy()
-        factor[leave] = 0.0
-        T -= np.outer(factor, T[leave])
-        basis_arr[leave] = enter
+        _pivot(T, basis_arr, leave, enter)
     raise NumericalFailure("simplex iteration limit exceeded")
+
+
+def _activate_degenerate_rows(T, basis, cost, first_slack, n_rows):
+    """Give weakly active caller rows a multiplier, keeping ``x`` optimal.
+
+    A row whose slack is basic at zero is active but carries a zero basis
+    dual, the end of the optimal multiplier set that says nothing about the
+    row.  One dual-simplex pivot per such row moves its slack out of the
+    basis: the entering column minimizes ``r_j / |T[row, j]|`` over
+    ``T[row, j] < 0``, so every reduced cost stays nonnegative, the basic
+    values (hence ``x`` and the objective) stay as they are, and the row's
+    multiplier becomes that ratio.  Rows where the ratio is zero are left.
+    """
+    ncols = T.shape[1] - 1
+    rows = np.flatnonzero((basis >= first_slack) & (basis < first_slack + n_rows))
+    for row in rows[np.argsort(basis[rows])]:
+        if abs(T[row, -1]) > 1e-12:
+            continue
+        cand = np.flatnonzero(T[row, :ncols] < -PIVOT_TOL)
+        if cand.size == 0:
+            continue
+        r = cost - cost[basis] @ T[:, :ncols]
+        ratios = r[cand] / -T[row, cand]
+        best = int(np.argmin(ratios))
+        if ratios[best] > 0.0:
+            T[row, -1] = 0.0  # round-off below the degeneracy threshold
+            _pivot(T, basis, row, int(cand[best]))
 
 
 def solve(lp: LPProblem) -> LPSolution:
@@ -146,32 +182,25 @@ def solve(lp: LPProblem) -> LPSolution:
         return LPSolution(status=INFEASIBLE)
 
     # Transform to nonnegative variables: shift at a finite lower bound and
-    # split the others into a difference of two.  Finite upper bounds become
-    # ordinary inequality rows after the caller's.
+    # split the others into a difference of two adjacent columns.  Finite
+    # upper bounds become ordinary inequality rows after the caller's.
     shifted = np.isfinite(lp.lo)
     upper = np.flatnonzero(np.isfinite(lp.hi))
-    G = np.vstack([lp.G, np.eye(n)[upper]])
+    bound_rows = np.zeros((upper.size, n))
+    bound_rows[np.arange(upper.size), upper] = 1.0
+    G = np.vstack([lp.G, bound_rows])
     h = np.concatenate([lp.h, lp.hi[upper]])
-    cols_c = []
-    col_of_var = []  # first transformed column of each variable
-    for j in range(n):
-        col_of_var.append(len(cols_c))
-        cols_c.append(c_int[j])
-        if not shifted[j]:
-            cols_c.append(-c_int[j])
-    n_t = len(cols_c)
+    width = np.where(shifted, 1, 2)
+    col_of_var = np.cumsum(width) - width  # first transformed column of each variable
+    src = np.repeat(np.arange(n), width)  # variable behind each transformed column
+    sign = np.ones(src.size)
+    sign[col_of_var[~shifted] + 1] = -1.0
+    cols_c = c_int[src] * sign
+    n_t = src.size
+    lo_shift = np.where(shifted, lp.lo, 0.0)
 
     def transform_rows(mat, rhs):
-        out = np.zeros((mat.shape[0], n_t))
-        rhs_t = rhs.astype(float).copy()
-        for j in range(n):
-            col = col_of_var[j]
-            out[:, col] = mat[:, j]
-            if shifted[j]:
-                rhs_t -= mat[:, j] * lp.lo[j]
-            else:
-                out[:, col + 1] = -mat[:, j]
-        return out, rhs_t
+        return mat[:, src] * sign, rhs - mat @ lo_shift
 
     ineq_mat, ineq_rhs = transform_rows(G, h)
     A_t, d_t = transform_rows(lp.A, lp.d)
@@ -237,12 +266,7 @@ def solve(lp: LPProblem) -> LPSolution:
             row[basis[basis < n_t + n_slack]] = 0.0
             j = int(np.argmax(row))
             if row[j] > PIVOT_TOL:
-                piv = T[i, j]
-                T[i] /= piv
-                factor = T[:, j].copy()
-                factor[i] = 0.0
-                T -= np.outer(factor, T[i])
-                basis[i] = j
+                _pivot(T, basis, i, j)
             else:
                 keep[i] = False
         if not keep.all():
@@ -256,17 +280,16 @@ def solve(lp: LPProblem) -> LPSolution:
 
     # Phase 2 on the original columns only.
     T = np.hstack([T[:, : n_t + n_slack], T[:, -1:]])
-    cost2 = np.concatenate([np.asarray(cols_c, dtype=float), np.zeros(n_slack)])
+    cost2 = np.concatenate([cols_c, np.zeros(n_slack)])
     status = _pivot_loop(T, basis, cost2, max_degenerate, max_iter)
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
+    _activate_degenerate_rows(T, basis, cost2, n_t, lp.m_ineq)
 
     x_std = np.zeros(n_t + n_slack)
     x_std[basis] = T[:, -1]
-    x = np.zeros(n)
-    for j in range(n):
-        col = col_of_var[j]
-        x[j] = lp.lo[j] + x_std[col] if shifted[j] else x_std[col] - x_std[col + 1]
+    x = x_std[col_of_var] + lo_shift
+    x[~shifted] -= x_std[col_of_var[~shifted] + 1]
 
     # Basis duals of the standard form, mapped back through row flips.
     y_full = np.zeros(m)

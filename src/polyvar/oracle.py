@@ -5,9 +5,12 @@ between them (bound <= true minimum <= sampled minimum), so they must share no
 code path with the bounding programs.  The class enumeration, the per-class
 lifted constraint value and the phase-1 region check are the scalar
 definitions that the vectorized bounding program is compared against; the
-polar form and the full lifted-vertex program cross-check the Bernstein
-coefficients and the reduced program; the phase-1 facet check cross-checks
-the support-value repair.
+polar form and the term-by-term rescale to the unit box cross-check the
+Bernstein coefficients; the full lifted-vertex program cross-checks the
+value of the bounding program; its primal form (one row per class) is built
+from the same class values and coefficients, so it cross-checks the LP and
+its duals rather than the assembly; the phase-1 facet check cross-checks the
+support-value repair.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .invariance import PolytopeTemplate
 from .lpsolve import OPTIMAL, LPProblem, solve
-from .polynomial import MultiPoly, Rectangle, evaluate, evaluate_many
-from .relaxation import ConstraintSet, DegreeZeroConflict
+from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate, evaluate_many
+from .relaxation import ConstraintSet, DegreeZeroConflict, class_constraint_values
 
 VERTEX_ENUM_MAX_VARS = 24
 FULL_LP_MAX_VERTICES = 2**20
@@ -153,6 +156,27 @@ def region_is_feasible(rect: Rectangle, cs: ConstraintSet) -> bool:
     return solve(lp).status == OPTIMAL
 
 
+def to_unit_box(p: MultiPoly, rect: Rectangle) -> MultiPoly:
+    """Substitute ``x_k = lower_k + width_k * y_k`` so the box becomes [0,1]^n."""
+    if rect.n != p.n_vars:
+        raise ValueError("rectangle dimension must equal n_vars")
+    lo = rect.lower
+    wid = rect.width
+    out: dict = {}
+    for exps, coeff in p.terms.items():
+        per_var = []
+        for k, e in enumerate(exps):
+            per_var.append(
+                [math.comb(e, j) * lo[k] ** (e - j) * wid[k] ** j for j in range(e + 1)]
+            )
+        for js in itertools.product(*(range(e + 1) for e in exps)):
+            w = coeff
+            for k, j in enumerate(js):
+                w *= per_var[k][j]
+            out[js] = out.get(js, 0.0) + w
+    return MultiPoly(p.n_vars, out, degrees=p.degrees)
+
+
 def blossom_eval(p: MultiPoly, z) -> float:
     """Polar form of ``p`` at ``z``.
 
@@ -184,6 +208,30 @@ def blossom_eval(p: MultiPoly, z) -> float:
             term *= sym[k][l]
         q += term
     return q
+
+
+def build_primal_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
+    """The LP dual of ``relaxation.build_reduced_lp``: ``max t`` over
+    ``(t, lam, mu)`` with one row ``t - lam . g(c) - mu . h(c) <= B_c`` per
+    vertex class ``c`` and then the ``lam >= 0`` rows.
+
+    Same optimal value as the reduced program whenever the region is
+    nonempty, and unbounded when it is empty; its class block is the negated
+    transpose of the reduced program's constraint block.
+    """
+    g, h = class_constraint_values(p, rect, cs)
+    tensor = bernstein_coefficients(p, rect)
+    n_cls = tensor.values.size
+    m_i, m_j = cs.m_ineq, cs.m_eq
+    rows = np.zeros((n_cls + m_i, 1 + m_i + m_j))
+    rows[:n_cls, 0] = 1.0
+    rows[:n_cls, 1 : 1 + m_i] = -g
+    rows[:n_cls, 1 + m_i :] = -h
+    rows[n_cls:, 1 : 1 + m_i] = -np.eye(m_i)
+    rhs = np.concatenate([tensor.values.reshape(-1), np.zeros(m_i)])
+    obj = np.zeros(1 + m_i + m_j)
+    obj[0] = 1.0
+    return LPProblem("max", obj, G=rows, h=rhs)
 
 
 def build_full_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:

@@ -11,7 +11,6 @@ so they are safe to use concurrently without locking.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -213,27 +212,6 @@ def evaluate_many(p: MultiPoly, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def to_unit_box(p: MultiPoly, rect: Rectangle) -> MultiPoly:
-    """Substitute ``x_k = lower_k + width_k * y_k`` so the box becomes [0,1]^n."""
-    if rect.n != p.n_vars:
-        raise ValueError("rectangle dimension must equal n_vars")
-    lo = rect.lower
-    wid = rect.width
-    out: dict[Exponent, float] = {}
-    for exps, coeff in p.terms.items():
-        per_var = []
-        for k, e in enumerate(exps):
-            per_var.append(
-                [math.comb(e, j) * lo[k] ** (e - j) * wid[k] ** j for j in range(e + 1)]
-            )
-        for js in itertools.product(*(range(e + 1) for e in exps)):
-            w = coeff
-            for k, j in enumerate(js):
-                w *= per_var[k][j]
-            out[js] = out.get(js, 0.0) + w
-    return MultiPoly(p.n_vars, out, degrees=p.degrees)
-
-
 def _monomial_to_bernstein(degree: int) -> np.ndarray:
     """Lower-triangular change of basis on [0,1]: b_l = sum_i C(l,i)/C(d,i) c_i."""
     m = np.zeros((degree + 1, degree + 1))
@@ -243,26 +221,34 @@ def _monomial_to_bernstein(degree: int) -> np.ndarray:
     return m
 
 
+def _shift_to_unit(degree: int, lower: float, width: float) -> np.ndarray:
+    """Monomial coefficients in ``y`` from those in ``x = lower + width * y``:
+    ``x^e = sum_j C(e, j) lower^(e-j) width^j y^j``."""
+    m = np.zeros((degree + 1, degree + 1))
+    for e in range(degree + 1):
+        for j in range(e + 1):
+            m[j, e] = math.comb(e, j) * lower ** (e - j) * width**j
+    return m
+
+
 def bernstein_coefficients(p: MultiPoly, rect: Rectangle) -> BernsteinTensor:
     """Bernstein coordinates of ``p`` over ``rect`` at its formal degrees.
 
-    Computed by the affine rescale to the unit box followed by one triangular
-    basis conversion per axis; this avoids ever expanding the polar form,
-    whose explicit expression can have exponentially many terms.
+    The monomial coefficient tensor goes through one (d+1)x(d+1) matrix per
+    axis: the affine rescale of that axis to [0, 1], then the triangular
+    change to the Bernstein basis.  This never expands the polar form, whose
+    explicit expression can have exponentially many terms.
     """
     if rect.n != p.n_vars:
         raise ValueError("rectangle dimension must equal n_vars")
-    unit = to_unit_box(p, rect)
-    shape = tuple(d + 1 for d in p.degrees)
-    coeffs = np.zeros(shape)
-    for exps, coeff in unit.terms.items():
-        coeffs[exps] = coeff
-    vals = coeffs
+    vals = np.zeros(tuple(d + 1 for d in p.degrees))
+    for exps, coeff in p.terms.items():
+        vals[exps] = coeff
     for axis, d in enumerate(p.degrees):
-        conv = _monomial_to_bernstein(d)
-        vals = np.moveaxis(
-            np.tensordot(conv, np.moveaxis(vals, axis, 0), axes=(1, 0)), 0, axis
+        conv = _monomial_to_bernstein(d) @ _shift_to_unit(
+            d, float(rect.lower[axis]), float(rect.width[axis])
         )
+        vals = np.moveaxis(np.tensordot(conv, vals, axes=(1, axis)), 0, axis)
     return BernsteinTensor(rect, p.degrees, vals)
 
 

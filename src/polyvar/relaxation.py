@@ -1,13 +1,15 @@
 """Certified lower bounds for polynomial minimization over a polytope in a box.
 
-The bound comes from a linear program over one multiplier per polytope
-constraint plus a single epigraph variable, with one row per vertex class of
-the lifted box.  The same program decides whether the constraint region is
-empty: it is always feasible, and by LP duality it is unbounded exactly when
-no point of the rectangle satisfies the constraints, so no separate
-feasibility check is solved.  The exponentially larger program over the full
-set of lifted vertices, which has the same optimal value, lives in ``oracle``
-as a cross-check.
+The bound comes from a linear program over one convex weight per vertex class
+of the lifted box: minimize the weighted Bernstein coefficients over the
+weightings whose class points satisfy the constraints on average.  It has one
+row per polytope constraint plus the weight row, and its duals are the
+Lagrange multipliers that certify the bound.  The same program decides
+whether the constraint region is empty: it is infeasible exactly when no
+point of the rectangle satisfies the constraints, so no separate feasibility
+check is solved.  Its LP dual over ``(t, lam, mu)`` with one row per class,
+and the exponentially larger program over the full set of lifted vertices,
+which have the same optimal value, live in ``oracle`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lpsolve import OPTIMAL, UNBOUNDED, LPProblem, NumericalFailure, solve
+from .lpsolve import INFEASIBLE, OPTIMAL, LPProblem, NumericalFailure, solve
 from .polynomial import MultiPoly, Rectangle, bernstein_coefficients
 
 
@@ -73,9 +75,12 @@ class ConstraintSet:
 class BoundResult:
     """Certified lower bound ``d_star`` with the multipliers that witness it.
 
-    ``lam`` and ``mu`` are the optimal multipliers of the inequality and
-    equality rows; they are decision variables of the bounding program itself,
-    so they feed sensitivity analysis without any sign conversion.
+    ``lam >= 0`` and ``mu`` are the multipliers of the inequality and
+    equality constraints, read off the duals of the bounding program, and
+    ``d_star = min_c (B_c + lam . g(c) + mu . h(c))`` is the bound they
+    certify.  Moving the offsets ``b`` by ``alpha`` and ``d`` by ``beta``
+    shifts that bound by ``-(lam . alpha + mu . beta)``, which is what
+    ``sensitivity_bound`` uses.
     """
 
     d_star: float
@@ -95,15 +100,15 @@ def pad_for_constraints(p: MultiPoly, cs: ConstraintSet) -> MultiPoly:
     return p.pad_degrees(wanted)
 
 
-def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
-    """Bounding program over ``(t, lam, mu)`` with one row per vertex class.
+def class_constraint_values(p: MultiPoly, rect: Rectangle, cs: ConstraintSet):
+    """Values ``g = a_i . x - b_i`` and ``h = c_j . x - d_j`` at every class point.
 
     Requires degrees already padded so every constrained variable has degree
-    >= 1 (see ``pad_for_constraints``).  Row order: classes in lexicographic
-    order, then the ``lam >= 0`` rows.  An affine constraint takes the same
-    value on every lifted vertex of class ``l``, namely its value at the class
-    point ``lower + (l/d) * width``, so each constraint block is the class
-    points times the constraint matrix, for all classes at once.
+    >= 1 (see ``pad_for_constraints``).  Rows are the classes in lexicographic
+    order.  An affine constraint takes the same value on every lifted vertex
+    of class ``l``, namely its value at the class point
+    ``lower + (l/d) * width``, so each block is the class points times the
+    constraint matrix, for all classes at once.
     """
     if cs.n_vars != p.n_vars or rect.n != p.n_vars:
         raise ValueError("dimension mismatch")
@@ -114,58 +119,69 @@ def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProb
             f"constraint touches variable {int(conflict[0])} which has lift degree 0; "
             "pad the polynomial degrees first"
         )
-    tensor = bernstein_coefficients(p, rect)
     grid = np.meshgrid(*(np.arange(d + 1.0) for d in p.degrees), indexing="ij")
     levels = [g.reshape(-1) for g in grid]
-    n_cls = tensor.values.size
 
-    def class_values(mat, rhs):
+    def values(mat, rhs):
         # Summing axis by axis in index order, with the class point written
         # as (l*upper + (d-l)*lower)/d, repeats the float operations of the
-        # scalar per-class definition (oracle.lifted_dot), so the program and
-        # its optimal multipliers are bit for bit those of the scalar
-        # assembly; a BLAS product would round differently.
-        acc = np.zeros((n_cls, mat.shape[0]))
+        # scalar per-class definition (oracle.lifted_dot) bit for bit; a
+        # BLAS product would round differently.
+        acc = np.zeros((levels[0].size, mat.shape[0]))
         for k, d in enumerate(p.degrees):
             if d:
                 side = levels[k] * rect.upper[k] + (d - levels[k]) * rect.lower[k]
                 acc += np.outer(side, mat[:, k] / d)
-        return -(acc - rhs)
+        return acc - rhs
 
-    m_i, m_j = cs.m_ineq, cs.m_eq
-    rows = np.zeros((n_cls + m_i, 1 + m_i + m_j))
-    rows[:n_cls, 0] = 1.0
-    rows[:n_cls, 1 : 1 + m_i] = class_values(cs.a, cs.b)
-    rows[:n_cls, 1 + m_i :] = class_values(cs.c, cs.d)
-    rows[n_cls:, 1 : 1 + m_i] = -np.eye(m_i)
-    rhs = np.concatenate([tensor.values.reshape(-1), np.zeros(m_i)])
-    obj = np.zeros(1 + m_i + m_j)
-    obj[0] = 1.0
-    return LPProblem("max", obj, G=rows, h=rhs)
+    return values(cs.a, cs.b), values(cs.c, cs.d)
+
+
+def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
+    """Bounding program over one convex weight ``w_c`` per vertex class.
+
+    ``min sum_c w_c B_c`` subject to ``sum_c w_c = 1``,
+    ``sum_c w_c g_i(c) <= 0``, ``sum_c w_c h_j(c) = 0`` and ``w >= 0``, with
+    ``B`` the Bernstein coefficients and ``g``, ``h`` the constraint values
+    at the class points (``class_constraint_values``).  It has one row per
+    constraint plus the weight row, whatever the number of classes.  Row
+    order of ``A``: the weight row, then the equalities.
+    """
+    g, h = class_constraint_values(p, rect, cs)
+    bern = bernstein_coefficients(p, rect).values.reshape(-1)
+    weights = np.vstack([np.ones((1, bern.size)), h.T])
+    total = np.zeros(1 + cs.m_eq)
+    total[0] = 1.0
+    return LPProblem(
+        "min", bern, G=g.T, h=np.zeros(cs.m_ineq), A=weights, d=total, lo=np.zeros(bern.size)
+    )
 
 
 def lower_bound(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> BoundResult:
     """Certified lower bound of ``p`` over ``{x in rect : cs holds}``.
 
-    Degrees are padded automatically for constrained variables.  The bounding
-    program also decides whether the region is empty.  It is always feasible
-    (``t = min B``, ``lam = mu = 0``), and by LP duality it is unbounded
-    exactly when no convex combination of the class points satisfies ``cs``.
-    Along every constrained axis the class points include both ends of the
-    box side, so their convex hull covers the whole rectangle there; an
-    unbounded program thus means no point of the rectangle satisfies ``cs``,
-    and raises InfeasiblePolytope (the bound would be vacuously +inf).
+    Degrees are padded automatically for constrained variables.  The duals of
+    the bounding program are multipliers ``lam >= 0`` and ``mu``, and by weak
+    duality every such pair certifies ``min_c (B_c + lam . g(c) + mu . h(c))``,
+    which is the returned ``d_star``.  The program also decides whether the
+    region is empty: it is infeasible exactly when no convex combination of
+    the class points satisfies ``cs``.  Along every constrained axis the class
+    points include both ends of the box side, so their convex hull covers the
+    whole rectangle there; an infeasible program thus means no point of the
+    rectangle satisfies ``cs``, and raises InfeasiblePolytope (the bound would
+    be vacuously +inf).
     """
     padded = pad_for_constraints(p, cs)
-    sol = solve(build_reduced_lp(padded, rect, cs))
-    if sol.status == UNBOUNDED:
+    lp = build_reduced_lp(padded, rect, cs)
+    sol = solve(lp)
+    if sol.status == INFEASIBLE:
         raise InfeasiblePolytope("no feasible point in the rectangle")
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"bounding program unexpectedly {sol.status}")
-    m_i = cs.m_ineq
-    lam = sol.x[1 : 1 + m_i].copy()
-    mu = sol.x[1 + m_i :].copy()
-    return BoundResult(d_star=float(sol.objective), lam=lam, mu=mu)
+    lam = sol.ineq_duals
+    mu = sol.eq_duals[1:]
+    d_star = float(np.min(lp.c + lp.G.T @ lam + lp.A[1:].T @ mu))
+    return BoundResult(d_star=d_star, lam=lam, mu=mu)
 
 
 def sensitivity_bound(res: BoundResult, alpha, beta=None) -> float:

@@ -386,6 +386,27 @@ class TestNonFiniteInput:
         assert code == 2
         assert "offsets must be finite" in err
 
+    @pytest.mark.parametrize(
+        "model_name, key, value",
+        [
+            ("linear_decay", "b_hi", [float("inf"), 2.0, 2.0, 2.0]),
+            ("phytoplankton", "b_lo", [float("nan")] * 18),
+            ("phytoplankton", "epsilon", float("nan")),
+            ("phytoplankton", "epsilon", float("inf")),
+            ("phytoplankton", "stall_tol", float("nan")),
+        ],
+        ids=["b_hi-inf", "b_lo-nan", "epsilon-nan", "epsilon-inf", "stall_tol-nan"],
+    )
+    def test_non_finite_params(self, models_dir, tmp_path, capsys, model_name, key, value):
+        model = json.loads((models_dir / f"{model_name}.json").read_text())
+        model["template"].pop("offsets", None)
+        model.setdefault("params", {})[key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(model))
+        code, err = self.run_quietly(["synthesize", str(path)], capsys)
+        assert code == 2
+        assert f"params.{key} must be finite" in err
+
 
 class TestPolygonVertices:
     def test_square(self):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from polyvar import lpsolve
 from polyvar.lpsolve import (
     INFEASIBLE,
     OPTIMAL,
@@ -225,3 +226,52 @@ class TestCertificates:
             )
             primal_obj = lp.c @ sol.x if lp.sense == "min" else -(lp.c @ sol.x)
             assert dual_obj <= primal_obj + 1e-7 * (1 + abs(primal_obj))
+
+
+def degenerate_variant(rng, lp):
+    """``lp`` plus random rows tight at its optimum, so several rows are
+    active at the optimal vertex and some slacks sit in the basis at zero."""
+    x_opt = solve(lp).x
+    extra = rng.normal(size=(int(rng.integers(1, 4)), lp.n_vars))
+    return LPProblem(
+        lp.sense,
+        lp.c,
+        G=np.vstack([lp.G, extra]),
+        h=np.concatenate([lp.h, extra @ x_opt]),
+        A=lp.A,
+        d=lp.d,
+        lo=lp.lo,
+        hi=lp.hi,
+    )
+
+
+class TestDegenerateRowMultipliers:
+    """The post-optimal pass changes which optimal duals come back, never x."""
+
+    def test_x_and_objective_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        programs = []
+        for _ in range(100):
+            lp = random_boxed_lp(rng)
+            programs += [lp, degenerate_variant(rng, lp)]
+        with_pass = [solve(lp) for lp in programs]
+        monkeypatch.setattr(lpsolve, "_activate_degenerate_rows", lambda *args: None)
+        without_pass = [solve(lp) for lp in programs]
+        moved = 0
+        for lp, sol, plain in zip(programs, with_pass, without_pass):
+            assert sol.status == OPTIMAL
+            np.testing.assert_array_equal(sol.x, plain.x)
+            assert sol.objective == plain.objective
+            assert sol.objective == pytest.approx(brute_force_optimum(lp), abs=1e-6)
+            res = kkt_residuals(lp, sol)
+            assert res["primal"] <= 1e-8 and res["dual"] <= 1e-8 and res["gap"] <= 1e-7
+            assert np.all(sol.ineq_duals >= 0.0)
+            moved += not np.array_equal(sol.ineq_duals, plain.ineq_duals)
+        assert moved > 0
+
+    def test_weakly_active_row_gets_largest_multiplier(self):
+        # min x over x >= 0 with the row -x <= 0: every multiplier in [0, 1]
+        # is optimal for the row; the basis alone returns 0, the pass 1
+        sol = solve(LPProblem("min", [1.0], G=[[-1.0]], h=[0.0], lo=[0.0]))
+        assert sol.x.tolist() == [0.0]
+        assert sol.ineq_duals.tolist() == [1.0]

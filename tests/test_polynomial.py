@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from polyvar.oracle import blossom_eval
+from polyvar.oracle import blossom_eval, to_unit_box
 from polyvar.polynomial import (
     BernsteinTensor,
     MultiPoly,
@@ -12,7 +13,6 @@ from polyvar.polynomial import (
     evaluate,
     evaluate_many,
     facet_objective,
-    to_unit_box,
 )
 
 from conftest import random_poly, random_rectangle
@@ -229,6 +229,30 @@ class TestBernsteinCoefficients:
                 ) if sum(p.degrees) else np.zeros(0)
                 oracle = blossom_eval(p, rep)
                 assert bt.value(cls) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+    def test_matches_term_by_term_rescale(self):
+        # reference: expand every term on the unit box, then convert; the
+        # per-axis matrices sum in another order, so agreement is to rounding
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            n = int(rng.integers(1, 4))
+            p = random_poly(rng, n, 4)
+            p = p.pad_degrees([d + int(rng.integers(0, 2)) for d in p.degrees])
+            rect = random_rectangle(rng, n)
+            unit = to_unit_box(p, rect)
+            ref = np.zeros(tuple(d + 1 for d in p.degrees))
+            for exps, coeff in unit.terms.items():
+                ref[exps] = coeff
+            for axis, d in enumerate(p.degrees):
+                conv = np.array(
+                    [[math.comb(l, i) / math.comb(d, i) if i <= l else 0.0 for i in range(d + 1)]
+                     for l in range(d + 1)]
+                )
+                ref = np.moveaxis(np.tensordot(conv, ref, axes=(1, axis)), 0, axis)
+            scale = 1.0 + np.abs(ref).max()
+            np.testing.assert_allclose(
+                bernstein_coefficients(p, rect).values, ref, rtol=0.0, atol=1e-12 * scale
+            )
 
     def test_reconstruction_at_random_points(self):
         rng = np.random.default_rng(29)

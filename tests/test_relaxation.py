@@ -8,6 +8,7 @@ from polyvar.lpsolve import solve
 from polyvar.oracle import (
     SizeGuardError,
     build_full_lp,
+    build_primal_lp,
     enumerate_classes,
     grid_min,
     lifted_dot,
@@ -96,14 +97,16 @@ class TestLiftedDot:
 
 
 class TestBuildReducedLp:
+    """The paper's reduced LP in primal form (`oracle.build_primal_lp`)."""
+
     def test_quartic_size(self):
-        lp = build_reduced_lp(*quartic_problem())
+        lp = build_primal_lp(*quartic_problem())
         assert lp.n_vars == 1
         assert lp.m_ineq == 5
 
     def test_constrained_3d_size(self):
         p, rect, cs = constrained_3d_problem()
-        lp = build_reduced_lp(p, rect, cs)
+        lp = build_primal_lp(p, rect, cs)
         assert lp.n_vars == 3  # t and two multipliers
         assert lp.m_ineq == 18 + 2
 
@@ -113,14 +116,15 @@ class TestBuildReducedLp:
             n = int(rng.integers(1, 4))
             p = random_multi_affine(rng, n)
             rect = random_rectangle(rng, n)
-            lp = build_reduced_lp(p, rect, ConstraintSet(n))
+            lp = build_primal_lp(p, rect, ConstraintSet(n))
             sol = solve(lp)
             ref, _ = vertex_min(p, rect)
             assert sol.objective == pytest.approx(ref, abs=1e-9)
 
 
 class TestReducedLpAssembly:
-    """The vectorized program against the scalar per-class definition."""
+    """The vectorized primal-form program (`oracle.build_primal_lp`) against
+    the scalar per-class definition."""
 
     @staticmethod
     def scalar_rows(p, rect, cs):
@@ -158,7 +162,7 @@ class TestReducedLpAssembly:
             padded = pad_for_constraints(p, cs)
             kinds |= {"zero" for d in padded.degrees if d == 0}
             kinds |= {"padded" for d, e in zip(p.degrees, padded.degrees) if d != e}
-            lp = build_reduced_lp(padded, rect, cs)
+            lp = build_primal_lp(padded, rect, cs)
             rows, rhs = self.scalar_rows(padded, rect, cs)
             assert lp.sense == "max"
             assert lp.c.tolist() == [1.0] + [0.0] * (cs.m_ineq + cs.m_eq)
@@ -175,7 +179,57 @@ class TestReducedLpAssembly:
             ConstraintSet(2, equalities=[(np.array([0.0, 2.0]), 1.0)]),
         ):
             with pytest.raises(DegreeZeroConflict):
-                build_reduced_lp(p, rect, cs)
+                build_primal_lp(p, rect, cs)
+
+
+class TestReducedLpDualForm:
+    """The dual form: one column per vertex class, 1 + m rows."""
+
+    def test_quartic_shape(self):
+        lp = build_reduced_lp(*quartic_problem())
+        assert lp.n_vars == 5
+        assert lp.m_ineq == 0 and lp.m_eq == 1
+
+    def test_constrained_3d_shape(self):
+        p, rect, cs = constrained_3d_problem()
+        lp = build_reduced_lp(p, rect, cs)
+        assert lp.n_vars == 18
+        assert lp.m_ineq == 2 and lp.m_eq == 1
+
+    def test_negated_transpose_of_primal_form(self):
+        rng = np.random.default_rng(163)
+        for _ in range(40):
+            n = int(rng.integers(1, 5))
+            p = random_poly(rng, n, 3)
+            rect = random_rectangle(rng, n)
+            mask = (rng.random(n) < 0.6).astype(float)
+            ineqs = [(rng.normal(size=n) * mask, float(rng.normal()))
+                     for _ in range(int(rng.integers(0, 4)))]
+            eqs = [(rng.normal(size=n) * mask, float(rng.normal()))
+                   for _ in range(int(rng.integers(0, 3)))]
+            cs = ConstraintSet(n, inequalities=ineqs, equalities=eqs)
+            padded = pad_for_constraints(p, cs)
+            dual = build_reduced_lp(padded, rect, cs)
+            primal = build_primal_lp(padded, rect, cs)
+            n_cls = dual.n_vars
+            m_i = cs.m_ineq
+            assert dual.sense == "min"
+            np.testing.assert_array_equal(dual.G, -primal.G[:n_cls, 1 : 1 + m_i].T)
+            np.testing.assert_array_equal(dual.A[1:], -primal.G[:n_cls, 1 + m_i :].T)
+            np.testing.assert_array_equal(dual.A[0], np.ones(n_cls))
+            np.testing.assert_array_equal(
+                dual.c, bernstein_coefficients(padded, rect).values.reshape(-1)
+            )
+            np.testing.assert_array_equal(dual.c, primal.h[:n_cls])
+            assert dual.h.tolist() == [0.0] * m_i
+            assert dual.d.tolist() == [1.0] + [0.0] * cs.m_eq
+            assert np.all(dual.lo == 0.0) and np.all(np.isinf(dual.hi))
+
+    def test_degree_zero_conflict(self):
+        p = MultiPoly(2, {(2, 0): 1.0})
+        cs = ConstraintSet(2, inequalities=[(np.array([1.0, 1.0]), 1.0)])
+        with pytest.raises(DegreeZeroConflict):
+            build_reduced_lp(p, UNIT_SQUARE, cs)
 
 
 class TestBuildFullLp:
@@ -290,7 +344,7 @@ SADDLE = MultiPoly(2, {(1, 1): 1.0, (2, 0): -1.0, (0, 1): 0.5})
 
 
 class TestEmptyRegion:
-    """Emptiness is read off the bounding program itself: it is unbounded
+    """Emptiness is read off the bounding program itself: it is infeasible
     exactly when no point of the rectangle satisfies the constraints."""
 
     @pytest.mark.parametrize(
@@ -376,6 +430,49 @@ class TestLpCount:
         with pytest.raises(InfeasiblePolytope):
             lower_bound(SADDLE, UNIT_SQUARE, ConstraintSet(2, inequalities=[(np.ones(2), -1.0)]))
         assert len(calls) == 1
+
+
+PARABOLA = MultiPoly(1, {(2,): 1.0})
+SYMMETRIC = Rectangle([-1.0], [1.0])
+
+
+def x_at_most(b):
+    return ConstraintSet(1, inequalities=[(np.array([1.0]), b)])
+
+
+class TestMultiplierChoice:
+    """Active rows carry a multiplier even where the basis is degenerate."""
+
+    def test_active_row_gets_its_multiplier(self):
+        # x^2 on [-1, 1] with x <= 0: the class rows are 1 - lam, -1 and
+        # 1 + lam, so every lam in [0, 2] certifies -1 and 2 is the end that
+        # tells the step how the bound moves with the offset
+        res = lower_bound(PARABOLA, SYMMETRIC, x_at_most(0.0))
+        assert res.d_star == -1.0
+        assert res.lam.tolist() == [2.0]
+
+    def test_sensitivity_predicts_the_moved_offset(self):
+        res = lower_bound(PARABOLA, SYMMETRIC, x_at_most(0.0))
+        moved = lower_bound(PARABOLA, SYMMETRIC, x_at_most(-0.5))
+        assert sensitivity_bound(res, [-0.5]) == moved.d_star == 0.0
+
+    def test_multipliers_nonnegative_and_certify_d_star(self):
+        rng = np.random.default_rng(167)
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            p = random_poly(rng, n, 3)
+            rect = random_rectangle(rng, n)
+            cs = random_feasible_constraints(
+                rng, rect, int(rng.integers(1, 5)), int(rng.integers(0, 2))
+            )
+            res = lower_bound(p, rect, cs)
+            assert np.all(res.lam >= 0.0)
+            assert not np.any(np.signbit(res.lam))
+            padded = pad_for_constraints(p, cs)
+            lp = build_reduced_lp(padded, rect, cs)
+            certified = lp.c + lp.G.T @ res.lam + lp.A[1:].T @ res.mu
+            assert res.d_star == float(certified.min())
+            assert res.d_star == pytest.approx(solve(lp).objective, abs=1e-9)
 
 
 class TestSensitivityBound:
