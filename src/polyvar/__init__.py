@@ -42,7 +42,6 @@ from .polynomial import (
     Rectangle,
     bernstein_coefficients,
     evaluate,
-    facet_objective,
 )
 from .relaxation import (
     BoundResult,

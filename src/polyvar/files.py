@@ -208,11 +208,24 @@ class ModelData:
     params: SynthesisParams
 
 
-def _validate(instance, schema, label: str):
-    try:
-        jsonschema.validate(instance=instance, schema=schema)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"{label}: {exc.message}") from exc
+# Built once: ``jsonschema.validate`` would re-check each constant schema
+# against its metaschema on every load (the test suite checks them once).
+_PROBLEM_VALIDATOR, _MODEL_VALIDATOR, _POLYTOPE_VALIDATOR = (
+    jsonschema.validators.validator_for(schema)(schema)
+    for schema in (PROBLEM_SCHEMA, MODEL_SCHEMA, POLYTOPE_SCHEMA)
+)
+
+
+def _validate(instance, validator, label: str):
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise InputError(f"{label}: {error.message}") from error
+
+
+def _normals(rows, label: str) -> np.ndarray:
+    if len({len(row) for row in rows}) > 1:
+        raise InputError(f"{label}: rows must all have the same length")
+    return np.asarray(rows, dtype=float)
 
 
 def _load_json(path) -> dict:
@@ -240,13 +253,6 @@ def _poly_from_terms(terms, n_vars: int, label: str) -> MultiPoly:
         raise InputError(f"{label}: {exc}") from exc
 
 
-def poly_to_terms(p: MultiPoly) -> list:
-    return [
-        {"exponents": list(exps), "coefficient": coeff}
-        for exps, coeff in sorted(p.terms.items())
-    ]
-
-
 def _rectangle_from(obj, label: str) -> Rectangle:
     try:
         return Rectangle(obj["lower"], obj["upper"])
@@ -257,7 +263,7 @@ def _rectangle_from(obj, label: str) -> Rectangle:
 def load_problem(path) -> tuple[MultiPoly, Rectangle, ConstraintSet]:
     """Parse a bound-problem file; ``>=`` rows are negated into ``<=`` form."""
     raw = _load_json(path)
-    _validate(raw, PROBLEM_SCHEMA, f"{path}")
+    _validate(raw, _PROBLEM_VALIDATOR, f"{path}")
     rect = _rectangle_from(raw["rectangle"], f"{path}: rectangle")
     n = rect.n
     poly = _poly_from_terms(raw["polynomial"], n, f"{path}: polynomial")
@@ -285,7 +291,7 @@ def load_problem(path) -> tuple[MultiPoly, Rectangle, ConstraintSet]:
 def load_model(path) -> ModelData:
     """Parse and cross-validate a model file."""
     raw = _load_json(path)
-    _validate(raw, MODEL_SCHEMA, f"{path}")
+    _validate(raw, _MODEL_VALIDATOR, f"{path}")
     variables = list(raw["variables"])
     n = len(variables)
     rect = _rectangle_from(raw["rectangle"], f"{path}: rectangle")
@@ -302,7 +308,7 @@ def load_model(path) -> ModelData:
         )
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    normals = np.asarray(raw["template"]["normals"], dtype=float)
+    normals = _normals(raw["template"]["normals"], f"{path}: template.normals")
     if normals.ndim != 2 or normals.shape[1] != n:
         raise InputError(f"{path}: template normals must be rows of length {n}")
     offsets = raw["template"].get("offsets")
@@ -344,8 +350,8 @@ def load_model(path) -> ModelData:
 
 def load_polytope(path) -> PolytopeTemplate:
     raw = _load_json(path)
-    _validate(raw, POLYTOPE_SCHEMA, f"{path}")
-    normals = np.asarray(raw["normals"], dtype=float)
+    _validate(raw, _POLYTOPE_VALIDATOR, f"{path}")
+    normals = _normals(raw["normals"], f"{path}: normals")
     offsets = np.asarray(raw["offsets"], dtype=float)
     if offsets.size != normals.shape[0]:
         raise InputError(f"{path}: offsets length != number of normals")

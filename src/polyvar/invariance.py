@@ -1,11 +1,13 @@
 """Verification and synthesis of polytopic invariant sets for polynomial ODEs.
 
 A polytope with fixed facet normals is invariant when, on every facet, the
-flow points inward; each facet check is one certified lower-bound program.
-When verification fails, the facet multipliers say how the per-facet bounds
-react to moving the offsets, and a small LP picks the offset step that
-maximizes the worst predicted bound.  Offsets are re-tightened to their
-support values after every step so no facet is ever empty.
+flow points inward; each facet check is one certified lower-bound program,
+and a verification pass assembles all of them from arrays computed once per
+template (``facet_programs``).  When verification fails, the facet
+multipliers say how the per-facet bounds react to moving the offsets, and a
+small LP picks the offset step that maximizes the worst predicted bound.
+Offsets are re-tightened to their support values after every step so no
+facet is ever empty.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, NumericalFailure, solve
-from .polynomial import Rectangle, evaluate, evaluate_many, facet_objective
-from .relaxation import ConstraintSet, InfeasiblePolytope, lower_bound
+from .polynomial import Rectangle, bernstein_coefficients, evaluate, evaluate_many
+from .relaxation import (
+    InfeasiblePolytope,
+    bounding_program,
+    certify,
+    class_constraint_values,
+    lift_degrees,
+)
 
 INVARIANT_FOUND = "invariant_found"
 ITERATION_LIMIT = "iteration_limit"
@@ -207,6 +215,29 @@ def template_within_rect(tpl: PolytopeTemplate, rect: Rectangle, tol: float = 1e
     return bool(np.all(reach <= np.concatenate([rect.upper, -rect.lower]) + tol))
 
 
+def facet_programs(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
+    """The bounding program of every facet, in facet order.
+
+    Facet ``k`` minimizes ``-n_k . f`` subject to ``n_k . x = b_k`` and the
+    other facets' inequalities.  All facets share the lift degrees, hence the
+    constraint values at the class points, and facet ``k``'s Bernstein
+    coefficients are ``-n_k @ B`` for the stacked coefficients ``B`` of the
+    field components.  Each program is sliced out of these shared arrays.
+    """
+    if tpl.offsets is None:
+        raise ValueError("template needs offsets to verify")
+    if tpl.n != fld.n or rect.n != fld.n:
+        raise ValueError("dimension mismatch")
+    degrees = lift_degrees(fld.degrees, tpl.normals)
+    padded = [f.pad_degrees(degrees) for f in fld.components]
+    bern = np.stack([bernstein_coefficients(f, rect).values.ravel() for f in padded])
+    values = class_constraint_values(degrees, rect, tpl.normals, tpl.offsets)
+    return (
+        bounding_program(-(normal @ bern), np.delete(values, k, axis=1), values[:, [k]])
+        for k, normal in enumerate(tpl.normals)
+    )
+
+
 def verify(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> VerificationReport:
     """One certified bound per facet; invariant iff all bounds are nonnegative.
 
@@ -214,25 +245,14 @@ def verify(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> Verifica
     report then cannot certify invariance but the other facets keep their
     data.
     """
-    if tpl.offsets is None:
-        raise ValueError("template needs offsets to verify")
-    if tpl.n != fld.n or rect.n != fld.n:
-        raise ValueError("dimension mismatch")
     m = tpl.m
     d_star = np.full(m, np.nan)
     multipliers = np.full((m, m), np.nan)
     feasible = np.ones(m, dtype=bool)
     failures: dict = {}
-    for k in range(m):
-        objective = facet_objective(fld.components, tpl.normals[k])
-        others = [i for i in range(m) if i != k]
-        cs = ConstraintSet(
-            fld.n,
-            inequalities=[(tpl.normals[i], tpl.offsets[i]) for i in others],
-            equalities=[(tpl.normals[k], tpl.offsets[k])],
-        )
+    for k, lp in enumerate(facet_programs(fld, rect, tpl)):
         try:
-            res = lower_bound(objective, rect, cs)
+            res = certify(lp)
         except InfeasiblePolytope:
             feasible[k] = False
             continue
@@ -240,10 +260,7 @@ def verify(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> Verifica
             failures[k] = str(exc)
             continue
         d_star[k] = res.d_star
-        row = np.empty(m)
-        row[others] = res.lam
-        row[k] = res.mu[0]
-        multipliers[k] = row
+        multipliers[k] = np.insert(res.lam, k, res.mu[0])
     return VerificationReport(
         d_star=d_star,
         multipliers=multipliers,

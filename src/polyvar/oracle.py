@@ -26,6 +26,7 @@ from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate, 
 from .relaxation import ConstraintSet, DegreeZeroConflict, class_constraint_values
 
 VERTEX_ENUM_MAX_VARS = 24
+GRID_MAX_POINTS = 10**7
 FULL_LP_MAX_VERTICES = 2**20
 
 
@@ -53,10 +54,13 @@ def grid_min(
     Equality constraints are handled by orthogonally projecting every grid
     point onto their affine subspace before filtering: a plain grid almost
     never contains exact equality points.  Points pushed outside the
-    rectangle by the projection are discarded.
+    rectangle by the projection are discarded.  A grid of more than
+    ``GRID_MAX_POINTS`` points is refused before anything is allocated.
     """
     if steps_per_axis < 2:
         raise ValueError("steps_per_axis must be at least 2")
+    if int(steps_per_axis) ** rect.n > GRID_MAX_POINTS:
+        raise ValueError(f"steps_per_axis={steps_per_axis} gives over {GRID_MAX_POINTS} points")
     if cs is None:
         cs = ConstraintSet(p.n_vars)
     if cs.n_vars != p.n_vars or rect.n != p.n_vars:
@@ -219,7 +223,8 @@ def build_primal_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProbl
     nonempty, and unbounded when it is empty; its class block is the negated
     transpose of the reduced program's constraint block.
     """
-    g, h = class_constraint_values(p, rect, cs)
+    g = class_constraint_values(p.degrees, rect, cs.a, cs.b)
+    h = class_constraint_values(p.degrees, rect, cs.c, cs.d)
     tensor = bernstein_coefficients(p, rect)
     n_cls = tensor.values.size
     m_i, m_j = cs.m_ineq, cs.m_eq

@@ -4,6 +4,9 @@ A polynomial is stored as a map from exponent tuples to float coefficients,
 together with a per-variable degree vector.  The degree vector may be padded
 above the largest stored exponent; this is what lets a family of polynomials
 (e.g. the components of a vector field) share one index set of vertex classes.
+Bernstein conversion is linear, so at shared degrees the coefficients of a
+weighted sum of polynomials are the same weighted sum of their coefficients;
+no combined polynomial needs to be formed.
 
 All types here are immutable after construction and all operations are pure,
 so they are safe to use concurrently without locking.
@@ -75,14 +78,6 @@ class MultiPoly:
     @classmethod
     def constant(cls, n_vars: int, value: float) -> "MultiPoly":
         return cls(n_vars, {(0,) * n_vars: value})
-
-    @classmethod
-    def variable(cls, n_vars: int, index: int) -> "MultiPoly":
-        if not 0 <= index < n_vars:
-            raise ValueError(f"variable index {index} out of range")
-        exps = [0] * n_vars
-        exps[index] = 1
-        return cls(n_vars, {tuple(exps): 1.0})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -250,41 +245,3 @@ def bernstein_coefficients(p: MultiPoly, rect: Rectangle) -> BernsteinTensor:
         )
         vals = np.moveaxis(np.tensordot(conv, vals, axes=(1, axis)), 0, axis)
     return BernsteinTensor(rect, p.degrees, vals)
-
-
-def linear_combination(polys, weights, degrees=None) -> MultiPoly:
-    """Weighted sum of polynomials sharing one variable set."""
-    polys = list(polys)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if len(polys) != weights.size or not polys:
-        raise ValueError("need one weight per polynomial")
-    n_vars = polys[0].n_vars
-    if any(q.n_vars != n_vars for q in polys):
-        raise ValueError("polynomials must share n_vars")
-    acc: dict[Exponent, float] = {}
-    for w, q in zip(weights, polys):
-        if w == 0.0:
-            continue
-        for exps, coeff in q.terms.items():
-            acc[exps] = acc.get(exps, 0.0) + w * coeff
-    return MultiPoly(n_vars, acc, degrees=degrees)
-
-
-def facet_objective(components, normal) -> MultiPoly:
-    """Objective ``-normal . f`` padded to the unified componentwise degrees.
-
-    The degree vector of the result is the maximum, over all components, of
-    the component's degree in each variable, so every facet of a template
-    shares one set of vertex classes regardless of its normal.
-    """
-    components = list(components)
-    normal = np.asarray(normal, dtype=float).reshape(-1)
-    if len(components) != normal.size:
-        raise ValueError("normal length must equal the number of components")
-    n_vars = components[0].n_vars
-    if any(f.n_vars != n_vars for f in components):
-        raise ValueError("components must share n_vars")
-    unified = tuple(
-        max(f.degrees[k] for f in components) for k in range(n_vars)
-    )
-    return linear_combination(components, -normal, degrees=unified)

@@ -7,9 +7,13 @@ row per polytope constraint plus the weight row, and its duals are the
 Lagrange multipliers that certify the bound.  The same program decides
 whether the constraint region is empty: it is infeasible exactly when no
 point of the rectangle satisfies the constraints, so no separate feasibility
-check is solved.  Its LP dual over ``(t, lam, mu)`` with one row per class,
-and the exponentially larger program over the full set of lifted vertices,
-which have the same optimal value, live in ``oracle`` as cross-checks.
+check is solved.  ``bounding_program`` assembles it from arrays and
+``certify`` solves it; ``lower_bound`` does both for one polynomial, and
+``invariance.facet_programs`` slices every facet's arrays out of ones
+computed once per template.  Its LP dual over ``(t, lam, mu)`` with one row
+per class, and the exponentially larger program over the full set of lifted
+vertices, which have the same optimal value, live in ``oracle`` as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -67,9 +71,6 @@ class ConstraintSet:
     def m_eq(self) -> int:
         return self.c.shape[0]
 
-    def is_empty(self) -> bool:
-        return self.m_ineq == 0 and self.m_eq == 0
-
 
 @dataclass(frozen=True, eq=False)
 class BoundResult:
@@ -89,90 +90,86 @@ class BoundResult:
     status: str = OPTIMAL
 
 
+def lift_degrees(degrees, *rows) -> tuple:
+    """``degrees`` raised to >= 1 on every axis that a row of one of the
+    constraint matrices ``rows`` touches (see ``certify`` for why)."""
+    touched = np.zeros(len(degrees), dtype=bool)
+    for mat in rows:
+        touched |= np.any(mat != 0.0, axis=0)
+    return tuple(max(d, 1) if t else d for d, t in zip(degrees, touched))
+
+
 def pad_for_constraints(p: MultiPoly, cs: ConstraintSet) -> MultiPoly:
     """Raise ``p``'s formal degree to >= 1 on every variable a constraint touches."""
-    touched = np.zeros(p.n_vars, dtype=bool)
-    if cs.m_ineq:
-        touched |= np.any(cs.a != 0.0, axis=0)
-    if cs.m_eq:
-        touched |= np.any(cs.c != 0.0, axis=0)
-    wanted = tuple(max(d, 1) if t else d for d, t in zip(p.degrees, touched))
-    return p.pad_degrees(wanted)
+    return p.pad_degrees(lift_degrees(p.degrees, cs.a, cs.c))
 
 
-def class_constraint_values(p: MultiPoly, rect: Rectangle, cs: ConstraintSet):
-    """Values ``g = a_i . x - b_i`` and ``h = c_j . x - d_j`` at every class point.
+def class_constraint_values(degrees, rect: Rectangle, mat, rhs) -> np.ndarray:
+    """Values ``mat_i . x - rhs_i`` at every class point, one column per row.
 
-    Requires degrees already padded so every constrained variable has degree
-    >= 1 (see ``pad_for_constraints``).  Rows are the classes in lexicographic
-    order.  An affine constraint takes the same value on every lifted vertex
-    of class ``l``, namely its value at the class point
-    ``lower + (l/d) * width``, so each block is the class points times the
-    constraint matrix, for all classes at once.
+    Requires degrees >= 1 on every constrained variable (``lift_degrees``).
+    Rows are the classes in lexicographic order.  An affine constraint takes
+    the same value on every lifted vertex of class ``l``, namely its value at
+    the class point ``lower + (l/d) * width``.
     """
-    if cs.n_vars != p.n_vars or rect.n != p.n_vars:
+    if len(degrees) != rect.n or mat.shape[1] != rect.n:
         raise ValueError("dimension mismatch")
-    touched = np.any(cs.a != 0.0, axis=0) | np.any(cs.c != 0.0, axis=0)
-    conflict = np.flatnonzero(touched & (np.asarray(p.degrees) == 0))
+    touched = np.any(mat != 0.0, axis=0)
+    conflict = np.flatnonzero(touched & (np.asarray(degrees) == 0))
     if conflict.size:
         raise DegreeZeroConflict(
             f"constraint touches variable {int(conflict[0])} which has lift degree 0; "
             "pad the polynomial degrees first"
         )
-    grid = np.meshgrid(*(np.arange(d + 1.0) for d in p.degrees), indexing="ij")
-    levels = [g.reshape(-1) for g in grid]
-
-    def values(mat, rhs):
-        # Summing axis by axis in index order, with the class point written
-        # as (l*upper + (d-l)*lower)/d, repeats the float operations of the
-        # scalar per-class definition (oracle.lifted_dot) bit for bit; a
-        # BLAS product would round differently.
-        acc = np.zeros((levels[0].size, mat.shape[0]))
-        for k, d in enumerate(p.degrees):
-            if d:
-                side = levels[k] * rect.upper[k] + (d - levels[k]) * rect.lower[k]
-                acc += np.outer(side, mat[:, k] / d)
-        return acc - rhs
-
-    return values(cs.a, cs.b), values(cs.c, cs.d)
+    grid = np.meshgrid(*(np.arange(d + 1.0) for d in degrees), indexing="ij")
+    # Summing axis by axis in index order, with the class point written as
+    # (l*upper + (d-l)*lower)/d, repeats the float operations of the scalar
+    # per-class definition (oracle.lifted_dot) bit for bit; a BLAS product
+    # would round differently.
+    acc = np.zeros((grid[0].size, mat.shape[0]))
+    for k, d in enumerate(degrees):
+        if d:
+            level = grid[k].reshape(-1)
+            side = level * rect.upper[k] + (d - level) * rect.lower[k]
+            acc += np.outer(side, mat[:, k] / d)
+    return acc - rhs
 
 
-def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
+def bounding_program(bern: np.ndarray, g: np.ndarray, h: np.ndarray) -> LPProblem:
     """Bounding program over one convex weight ``w_c`` per vertex class.
 
     ``min sum_c w_c B_c`` subject to ``sum_c w_c = 1``,
     ``sum_c w_c g_i(c) <= 0``, ``sum_c w_c h_j(c) = 0`` and ``w >= 0``, with
-    ``B`` the Bernstein coefficients and ``g``, ``h`` the constraint values
-    at the class points (``class_constraint_values``).  It has one row per
-    constraint plus the weight row, whatever the number of classes.  Row
-    order of ``A``: the weight row, then the equalities.
+    ``bern`` the Bernstein coefficients and the columns of ``g`` and ``h``
+    the constraint values at the class points (``class_constraint_values``).
+    Row order of ``A``: the weight row, then the equalities.
     """
-    g, h = class_constraint_values(p, rect, cs)
-    bern = bernstein_coefficients(p, rect).values.reshape(-1)
     weights = np.vstack([np.ones((1, bern.size)), h.T])
-    total = np.zeros(1 + cs.m_eq)
+    total = np.zeros(1 + h.shape[1])
     total[0] = 1.0
     return LPProblem(
-        "min", bern, G=g.T, h=np.zeros(cs.m_ineq), A=weights, d=total, lo=np.zeros(bern.size)
+        "min", bern, G=g.T, h=np.zeros(g.shape[1]), A=weights, d=total, lo=np.zeros(bern.size)
     )
 
 
-def lower_bound(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> BoundResult:
-    """Certified lower bound of ``p`` over ``{x in rect : cs holds}``.
+def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
+    """``bounding_program`` of ``p`` over ``{x in rect : cs holds}`` at ``p``'s
+    formal degrees, which must already cover the constrained variables."""
+    g = class_constraint_values(p.degrees, rect, cs.a, cs.b)
+    h = class_constraint_values(p.degrees, rect, cs.c, cs.d)
+    return bounding_program(bernstein_coefficients(p, rect).values.reshape(-1), g, h)
 
-    Degrees are padded automatically for constrained variables.  The duals of
-    the bounding program are multipliers ``lam >= 0`` and ``mu``, and by weak
-    duality every such pair certifies ``min_c (B_c + lam . g(c) + mu . h(c))``,
-    which is the returned ``d_star``.  The program also decides whether the
-    region is empty: it is infeasible exactly when no convex combination of
-    the class points satisfies ``cs``.  Along every constrained axis the class
-    points include both ends of the box side, so their convex hull covers the
-    whole rectangle there; an infeasible program thus means no point of the
-    rectangle satisfies ``cs``, and raises InfeasiblePolytope (the bound would
-    be vacuously +inf).
+
+def certify(lp: LPProblem) -> BoundResult:
+    """Solve a ``bounding_program`` and return the bound its duals certify.
+
+    The duals are multipliers ``lam >= 0`` and ``mu``; by weak duality every
+    such pair certifies ``min_c (B_c + lam . g(c) + mu . h(c))``, the returned
+    ``d_star``.  Along every constrained axis the class points include both
+    ends of the box side, so their convex hull covers the rectangle there:
+    an infeasible program means no point of the rectangle satisfies the
+    constraints, and raises InfeasiblePolytope.
     """
-    padded = pad_for_constraints(p, cs)
-    lp = build_reduced_lp(padded, rect, cs)
     sol = solve(lp)
     if sol.status == INFEASIBLE:
         raise InfeasiblePolytope("no feasible point in the rectangle")
@@ -182,6 +179,12 @@ def lower_bound(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> BoundResult
     mu = sol.eq_duals[1:]
     d_star = float(np.min(lp.c + lp.G.T @ lam + lp.A[1:].T @ mu))
     return BoundResult(d_star=d_star, lam=lam, mu=mu)
+
+
+def lower_bound(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> BoundResult:
+    """Certified lower bound of ``p`` over ``{x in rect : cs holds}`` (see
+    ``certify``); degrees are padded for the constrained variables."""
+    return certify(build_reduced_lp(pad_for_constraints(p, cs), rect, cs))
 
 
 def sensitivity_bound(res: BoundResult, alpha, beta=None) -> float:

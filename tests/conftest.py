@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyvar.invariance import PolytopeTemplate, VectorField
+from polyvar.invariance import PolytopeTemplate, SynthesisParams, VectorField, synthesize
 from polyvar.lpsolve import LPProblem, solve
 from polyvar.polynomial import MultiPoly, Rectangle
 from polyvar.relaxation import ConstraintSet
@@ -83,6 +83,28 @@ def fitzhugh_nagumo() -> tuple[VectorField, Rectangle, np.ndarray, np.ndarray]:
     angles = 2.0 * np.pi * np.arange(8) / 8
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
     return fld, rect, normals, np.array([0.0, 0.875])
+
+
+def fitzhugh_nagumo_iterate64() -> tuple[VectorField, Rectangle, PolytopeTemplate]:
+    """The 64-facet FitzHugh-Nagumo polytope after one synthesis step from the
+    box: some of its facets touch it at a single vertex, with a dozen rows
+    tight there up to rounding."""
+    fld, rect, _, ref = fitzhugh_nagumo()
+    angles = 2.0 * np.pi * np.arange(64) / 64
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    trace = synthesize(
+        fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref, max_iter=2)
+    )
+    return fld, rect, PolytopeTemplate(normals, trace.records[1].offsets)
+
+
+def term_by_term_objective(fld: VectorField, normal) -> MultiPoly:
+    """``-normal . f`` summed term by term, at the field's lift degrees."""
+    terms = {}
+    for w, f in zip(normal, fld.components):
+        for exps, coeff in f.terms.items():
+            terms[exps] = terms.get(exps, 0.0) - w * coeff
+    return MultiPoly(fld.n, terms, degrees=fld.degrees)
 
 
 def phytoplankton() -> tuple[VectorField, Rectangle, np.ndarray, np.ndarray]:

@@ -11,8 +11,10 @@ from polyvar.files import (
     POLYTOPE_SCHEMA,
     PROBLEM_SCHEMA,
     REPORT_SCHEMA,
+    InputError,
     dump_json,
     load_model,
+    load_polytope,
     load_problem,
 )
 from polyvar.invariance import PolytopeTemplate
@@ -72,6 +74,12 @@ class TestBoundCommand:
         report = json.loads(report_path.read_text())
         jsonschema.validate(report, REPORT_SCHEMA)
         assert report["oracle"]["value"] >= report["d_star"] - 1e-9
+
+    def test_oracle_grid_too_large_exit_2(self, models_dir, capsys):
+        # 10**18 grid points: refused before any allocation
+        argv = ["bound", str(models_dir / "constrained_3d.json"), "--oracle", "--steps", "1000000"]
+        assert main(argv) == 2
+        assert "steps_per_axis" in capsys.readouterr().err
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -305,6 +313,40 @@ class TestPublishedSchemas:
         for name, schema in published.items():
             assert json.loads((docs / name).read_text()) == schema
 
+    def test_schemas_match_their_metaschema(self):
+        for schema in (PROBLEM_SCHEMA, MODEL_SCHEMA, REPORT_SCHEMA, POLYTOPE_SCHEMA):
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
+    def test_loads_never_recheck_the_schema(self, models_dir, tmp_path, monkeypatch):
+        def refuse(schema):
+            raise AssertionError("check_schema called on load")
+
+        for schema in (PROBLEM_SCHEMA, MODEL_SCHEMA, POLYTOPE_SCHEMA):
+            monkeypatch.setattr(jsonschema.validators.validator_for(schema), "check_schema", refuse)
+        load_problem(models_dir / "constrained_3d.json")
+        load_model(models_dir / "linear_decay.json")
+        poly = {"schema_version": "1", "normals": [[1.0, 0.0], [-1.0, 0.0]], "offsets": [1.0, 1.0]}
+        load_polytope(write_json(tmp_path / "poly.json", poly))
+        with pytest.raises(InputError):
+            load_problem(write_json(tmp_path / "bad.json", {"schema_version": "1"}))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"schema_version": "1"},
+            {"schema_version": "2", "polynomial": [], "rectangle": {"lower": [0], "upper": [1]}},
+            {"schema_version": "1", "polynomial": [{"exponents": [-1], "coefficient": 1}],
+             "rectangle": {"lower": [0], "upper": [1]}, "extra": 1},
+        ],
+    )
+    def test_error_text_is_the_best_match(self, tmp_path, payload):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(payload, PROBLEM_SCHEMA)
+        path = write_json(tmp_path / "bad.json", payload)
+        with pytest.raises(InputError) as raised:
+            load_problem(path)
+        assert str(raised.value) == f"{path}: {expected.value.message}"
+
 
 class TestInputValidation:
     def test_polytope_dimension_mismatch_exit_2(self, models_dir, tmp_path, capsys):
@@ -336,6 +378,21 @@ class TestInputValidation:
         model = json.loads((models_dir / "linear_decay.json").read_text())
         model["field"] = model["field"][:1]
         assert main(["verify", write_json(tmp_path / "short.json", model)]) == 2
+
+    def test_ragged_model_normals_exit_2(self, models_dir, tmp_path, capsys):
+        model = json.loads((models_dir / "linear_decay.json").read_text())
+        model["template"] = {"normals": [[1.0, 0.0], [1.0]], "offsets": [1.0, 1.0]}
+        path = write_json(tmp_path / "ragged.json", model)
+        assert main(["verify", path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "template.normals" in err
+
+    def test_ragged_polytope_normals_exit_2(self, models_dir, tmp_path, capsys):
+        poly = {"schema_version": "1", "normals": [[1.0, 0.0], [1.0]], "offsets": [1.0, 1.0]}
+        path = write_json(tmp_path / "ragged.json", poly)
+        assert main(["verify", str(models_dir / "linear_decay.json"), "--polytope", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: normals" in err
 
     def test_params_cap_length_checked(self, models_dir, tmp_path):
         model = json.loads((models_dir / "linear_decay.json").read_text())

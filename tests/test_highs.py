@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from polyvar.cli import polygon_vertices
-from polyvar.invariance import PolytopeTemplate, SynthesisParams, synthesize, verify
+from polyvar.invariance import facet_programs, verify
 from polyvar.lpsolve import INFEASIBLE, OPTIMAL, solve
-from polyvar.polynomial import facet_objective
 from polyvar.relaxation import (
     ConstraintSet,
     InfeasiblePolytope,
@@ -15,7 +14,12 @@ from polyvar.relaxation import (
     pad_for_constraints,
 )
 
-from conftest import fitzhugh_nagumo, random_feasible_constraints, random_poly, random_rectangle
+from conftest import (
+    fitzhugh_nagumo_iterate64,
+    random_feasible_constraints,
+    random_poly,
+    random_rectangle,
+)
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 
@@ -86,28 +90,16 @@ def test_single_vertex_facets_stay_feasible():
     # after one step from the box, the 64-facet FitzHugh-Nagumo polytope has
     # facets that touch it at a single vertex, with a dozen rows tight there
     # up to rounding; each facet program must stay feasible and bounded
-    fld, rect, _, ref = fitzhugh_nagumo()
-    angles = 2.0 * np.pi * np.arange(64) / 64
-    normals = np.column_stack([np.cos(angles), np.sin(angles)])
-    trace = synthesize(
-        fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref, max_iter=2)
-    )
-    tpl = PolytopeTemplate(normals, trace.records[1].offsets)
+    fld, rect, tpl = fitzhugh_nagumo_iterate64()
     vertices = polygon_vertices(tpl)
-    tight = np.abs(vertices @ normals.T - tpl.offsets) <= 1e-9
+    tight = np.abs(vertices @ tpl.normals.T - tpl.offsets) <= 1e-9
     single = [k for k in range(tpl.m) if tight[:, k].sum() == 1]
     assert max(tight[tight[:, k]].sum() for k in single) >= 3
     report = verify(fld, rect, tpl)
     assert report.complete
     assert np.all(np.isfinite(report.d_star))
+    programs = list(facet_programs(fld, rect, tpl))
     for k in single:
-        others = [i for i in range(tpl.m) if i != k]
-        cs = ConstraintSet(
-            2,
-            inequalities=[(normals[i], tpl.offsets[i]) for i in others],
-            equalities=[(normals[k], tpl.offsets[k])],
-        )
-        objective = pad_for_constraints(facet_objective(fld.components, normals[k]), cs)
-        ref_feasible, ref_value = highs(build_reduced_lp(objective, rect, cs))
+        ref_feasible, ref_value = highs(programs[k])
         assert ref_feasible
         assert report.d_star[k] <= ref_value + 1e-9

@@ -3,6 +3,7 @@ import pytest
 
 import polyvar.invariance
 import polyvar.relaxation
+from polyvar.files import load_model
 from polyvar.invariance import (
     INVARIANT_FOUND,
     STALLED,
@@ -20,9 +21,17 @@ from polyvar.invariance import (
 )
 from polyvar.lpsolve import solve
 from polyvar.oracle import facet_nonempty
-from polyvar.polynomial import MultiPoly, Rectangle
+from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
+from polyvar.relaxation import ConstraintSet, class_constraint_values, lower_bound
 
-from conftest import fitzhugh_nagumo, phytoplankton, sample_facet_points
+from conftest import (
+    MODELS_DIR,
+    fitzhugh_nagumo,
+    fitzhugh_nagumo_iterate64,
+    phytoplankton,
+    sample_facet_points,
+    term_by_term_objective,
+)
 
 
 def linear_decay(n=2) -> VectorField:
@@ -201,19 +210,76 @@ class TestVerify:
         assert report.facet_feasible[[0, 1, 3]].all()
 
     def test_one_lp_per_nonempty_facet(self, monkeypatch):
-        calls = []
+        # per pass: one LP per facet, one Bernstein conversion per field
+        # component and one matrix of constraint values for all facets
+        calls = {"solve": 0, "bernstein": 0, "values": 0}
 
-        def counting_solve(lp):
-            calls.append(lp)
-            return solve(lp)
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(polyvar.relaxation, "solve", counting_solve)
-        monkeypatch.setattr(polyvar.invariance, "solve", counting_solve)
+            return wrapper
+
+        monkeypatch.setattr(polyvar.relaxation, "solve", counted("solve", solve))
+        monkeypatch.setattr(polyvar.invariance, "solve", counted("solve", solve))
+        monkeypatch.setattr(
+            polyvar.invariance, "bernstein_coefficients", counted("bernstein", bernstein_coefficients)
+        )
+        monkeypatch.setattr(
+            polyvar.invariance, "class_constraint_values", counted("values", class_constraint_values)
+        )
         fld, rect, normals, _ = fitzhugh_nagumo()
         tpl = PolytopeTemplate(normals, np.ones(len(normals)))
-        report = verify(fld, rect, tpl)
-        assert report.facet_feasible.all() and report.failures == {}
-        assert len(calls) == tpl.m == 8
+        assert tpl.m == 8
+        for passes in (1, 2):
+            report = verify(fld, rect, tpl)
+            assert report.facet_feasible.all() and report.failures == {}
+            assert calls == {"solve": passes * tpl.m, "bernstein": passes * fld.n, "values": passes}
+
+
+def facet_constraints(tpl: PolytopeTemplate, k: int) -> ConstraintSet:
+    """Facet ``k`` as an equality, the other facets as inequalities."""
+    others = [i for i in range(tpl.m) if i != k]
+    return ConstraintSet(
+        tpl.n,
+        inequalities=[(tpl.normals[i], tpl.offsets[i]) for i in others],
+        equalities=[(tpl.normals[k], tpl.offsets[k])],
+    )
+
+
+def bundled_iterates(name):
+    """Field, rectangle and the first three synthesis iterates of a bundled model."""
+    model = load_model(MODELS_DIR / f"{name}.json")
+    params = model.params
+    params.max_iter = 3
+    trace = synthesize(model.field, model.rectangle, model.template, params)
+    tpls = [model.template.with_offsets(rec.offsets) for rec in trace.records]
+    return model.field, model.rectangle, tpls
+
+
+class TestFacetPrograms:
+    @pytest.mark.parametrize("case", ["fitzhugh_nagumo", "phytoplankton", "fhn_iterate64"])
+    def test_verify_matches_term_by_term_lower_bound(self, case):
+        # verify slices every facet program out of per-template arrays; the
+        # same program built from the polynomial -n_k . f must certify the
+        # same bound with the same multipliers
+        if case == "fhn_iterate64":
+            fld, rect, tpl = fitzhugh_nagumo_iterate64()
+            tpls = [tpl]
+        else:
+            fld, rect, tpls = bundled_iterates(case)
+        for tpl in tpls:
+            report = verify(fld, rect, tpl)
+            assert report.complete
+            for k in range(tpl.m):
+                res = lower_bound(
+                    term_by_term_objective(fld, tpl.normals[k]), rect, facet_constraints(tpl, k)
+                )
+                tol = 1e-12 * (1.0 + abs(res.d_star))
+                assert abs(report.d_star[k] - res.d_star) <= tol
+                expected = np.insert(res.lam, k, res.mu[0])
+                assert np.abs(report.multipliers[k] - expected).max() <= tol
 
 
 class TestImproveOffsets:

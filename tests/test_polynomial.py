@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from polyvar.invariance import PolytopeTemplate, VectorField, facet_programs
 from polyvar.oracle import blossom_eval, to_unit_box
 from polyvar.polynomial import (
     BernsteinTensor,
@@ -12,7 +13,6 @@ from polyvar.polynomial import (
     bernstein_coefficients,
     evaluate,
     evaluate_many,
-    facet_objective,
 )
 
 from conftest import random_poly, random_rectangle
@@ -285,11 +285,24 @@ class TestBernsteinCoefficients:
 
 
 class TestFacetObjective:
+    """The facet tensor ``-(n @ B)`` that ``verify`` assembles from the
+    per-component Bernstein coefficients ``B`` equals the Bernstein
+    coefficients of the polynomial ``-n . f`` at the shared lift degrees."""
+
+    @staticmethod
+    def assert_facet_tensor(components, normal, expected):
+        n = len(components)
+        rect = Rectangle(-1.5 + 0.25 * np.arange(n), 2.0 + 0.5 * np.arange(n))
+        tpl = PolytopeTemplate([normal], [0.0])
+        tensor = next(facet_programs(VectorField(tuple(components)), rect, tpl)).c
+        ref = bernstein_coefficients(expected, rect).values.reshape(-1)
+        assert tensor.shape == ref.shape
+        assert np.abs(tensor - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+
     def test_linear_field(self):
         f = [MultiPoly(2, {(1, 0): -1.0}), MultiPoly(2, {(0, 1): -1.0})]
-        q = facet_objective(f, [1.0, 0.0])
-        assert q.terms == {(1, 0): 1.0}
-        assert q.degrees == (1, 1)
+        expected = MultiPoly(2, {(1, 0): 1.0}, degrees=(1, 1))
+        self.assert_facet_tensor(f, [1.0, 0.0], expected)
 
     def test_neuron_model_first_facet(self):
         # -f1 = -x1 + x1^3/3 + x2 - 7/8 with unified degrees (3, 1)
@@ -297,11 +310,10 @@ class TestFacetObjective:
             MultiPoly(2, {(1, 0): 1.0, (3, 0): -1.0 / 3.0, (0, 1): -1.0, (0, 0): 0.875}),
             MultiPoly(2, {(1, 0): 0.08, (0, 1): -0.064, (0, 0): 0.056}),
         ]
-        q = facet_objective(f, [1.0, 0.0])
-        assert q.degrees == (3, 1)
-        assert q.terms == pytest.approx(
-            {(1, 0): -1.0, (3, 0): 1.0 / 3.0, (0, 1): 1.0, (0, 0): -0.875}
+        expected = MultiPoly(
+            2, {(1, 0): -1.0, (3, 0): 1.0 / 3.0, (0, 1): 1.0, (0, 0): -0.875}, degrees=(3, 1)
         )
+        self.assert_facet_tensor(f, [1.0, 0.0], expected)
 
     def test_plankton_model_third_axis(self):
         f = [
@@ -309,10 +321,10 @@ class TestFacetObjective:
             MultiPoly(3, {(0, 1, 1): 2.0, (0, 1, 0): -1.0}),
             MultiPoly(3, {(1, 0, 0): 0.25, (0, 0, 2): -2.0}),
         ]
-        q = facet_objective(f, [0.0, 0.0, 1.0])
-        assert q.degrees == (1, 1, 2)
-        assert q.terms == pytest.approx({(1, 0, 0): -0.25, (0, 0, 2): 2.0})
+        expected = MultiPoly(3, {(1, 0, 0): -0.25, (0, 0, 2): 2.0}, degrees=(1, 1, 2))
+        self.assert_facet_tensor(f, [0.0, 0.0, 1.0], expected)
 
     def test_length_mismatch(self):
+        fld = VectorField((MultiPoly(2, {(1, 0): 1.0}), MultiPoly(2, {(0, 1): 1.0})))
         with pytest.raises(ValueError):
-            facet_objective([MultiPoly(2, {(1, 0): 1.0})], [1.0, 0.0])
+            facet_programs(fld, Rectangle([0.0, 0.0], [1.0, 1.0]), PolytopeTemplate([[1.0]], [0.0]))
