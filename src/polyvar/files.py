@@ -332,8 +332,7 @@ def load_model(path) -> ModelData:
             raise InputError(f"{path}: params.{key} must be finite")
     params = SynthesisParams(
         epsilon=p.get("epsilon"),
-        b_lo=np.asarray(p["b_lo"], dtype=float) if "b_lo" in p else None,
-        b_hi=np.asarray(p["b_hi"], dtype=float) if "b_hi" in p else None,
+        **{key: np.asarray(p[key], dtype=float) for key in ("b_lo", "b_hi") if key in p},
         max_iter=int(p.get("max_iter", 50)),
         stall_tol=float(p.get("stall_tol", 1e-9)),
         reference_point=ref,

@@ -195,13 +195,21 @@ def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) ->
     the first infeasible program ends the sweep.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    lo, hi = (None, None) if rect is None else (rect.lower, rect.upper)
+    if rect is None:  # free x = x+ - x- in adjacent columns
+        sign = np.tile([1.0, -1.0], tpl.n)
+        G, h = np.repeat(tpl.normals, 2, axis=1) * sign, tpl.offsets
+    else:  # y = x - lower >= 0, with the box's upper sides as rows
+        G = np.vstack([tpl.normals, np.eye(tpl.n)])
+        h = np.concatenate([tpl.offsets, rect.upper]) - G @ rect.lower
     out = np.empty(directions.shape[0])
     for k, d in enumerate(directions):
-        sol = solve(LPProblem("max", d, G=tpl.normals, h=tpl.offsets, lo=lo, hi=hi))
+        sol = solve(LPProblem(-d if rect is not None else -np.repeat(d, 2) * sign, G=G, h=h))
         if sol.status == INFEASIBLE:
             return np.full(directions.shape[0], -np.inf)
-        out[k] = np.inf if sol.status == UNBOUNDED else sol.objective
+        if sol.status == UNBOUNDED:
+            out[k] = np.inf
+        else:
+            out[k] = d @ (sol.x[0::2] - sol.x[1::2] if rect is None else sol.x + rect.lower)
     return out
 
 
@@ -278,9 +286,10 @@ def improve_offsets(
 ) -> tuple[float, np.ndarray]:
     """Offset step maximizing the worst first-order-predicted facet bound.
 
-    Solves ``max_t,alpha t`` subject to ``t <= d_k - lambda_k . alpha`` per
-    facet and per-facet step caps derived from ``epsilon``, ``b_lo`` and
-    ``b_hi``.  Always feasible: ``alpha = 0`` yields the current worst bound.
+    Solves ``max_t,alpha t`` (as ``min -t``) subject to
+    ``t <= d_k - lambda_k . alpha`` per facet and per-facet step caps derived
+    from ``epsilon``, ``b_lo`` and ``b_hi``.  Always feasible: ``alpha = 0``
+    yields the current worst bound.
     """
     if not report.complete:
         raise ValueError("improvement requires a complete verification report")
@@ -297,15 +306,15 @@ def improve_offsets(
         raise ValueError("offset caps violate b_lo <= offsets <= b_hi")
     alpha_lo = np.minimum(alpha_lo, alpha_hi)
     m = tpl.m
-    obj = np.zeros(1 + m)
-    obj[0] = 1.0
-    rows = np.hstack([np.ones((m, 1)), report.multipliers])
-    lo = np.concatenate([[-np.inf], alpha_lo])
-    hi = np.concatenate([[np.inf], alpha_hi])
-    sol = solve(LPProblem("max", obj, G=rows, h=report.d_star, lo=lo, hi=hi))
+    # t = t+ - t- is free; alpha = alpha_lo + a with a >= 0 and the rows
+    # a <= alpha_hi - alpha_lo after the facet rows
+    G = np.vstack([np.hstack([np.ones((m, 1)), report.multipliers]), np.eye(m, 1 + m, 1)])
+    h = np.concatenate([report.d_star, alpha_hi]) - G @ np.concatenate([[0.0], alpha_lo])
+    c = np.concatenate([[-1.0, 1.0], np.zeros(m)])
+    sol = solve(LPProblem(c, G=np.insert(G, 1, -G[:, 0], axis=1), h=h))
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"offset-improvement program {sol.status}")
-    return float(sol.objective), sol.x[1:].copy()
+    return float(sol.x[0] - sol.x[1]), sol.x[2:] + alpha_lo
 
 
 def repair_offsets(tpl: PolytopeTemplate, rect: Rectangle) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Dense two-phase simplex for small linear programs, with dual extraction.
 
+Every program has one form, ``min c.x`` subject to ``G x <= h``, ``A x = d``
+and ``x >= 0``; callers pose free and boxed variables in it themselves.
 Every program this package builds has at most a few dozen rows; the bounding
 programs have one column per vertex class, up to a few thousand.  A dense
 tableau is fast enough at that shape and the most direct way to read exact
-basis duals back out.  Pricing is Dantzig's rule, switching to Bland's rule
-after too many degenerate pivots to rule out cycling.  Among the optimal
-duals, an active inequality row gets a nonzero multiplier where one exists
-(see ``_activate_degenerate_rows``): the bounding program's multipliers are
-its duals, and a zero multiplier on an active facet hides how the bound
-reacts to moving that facet.
+basis duals back out.  Rows far from unit scale are rescaled by powers of
+two first.  Pricing is Dantzig's rule, switching to Bland's rule after too
+many degenerate pivots to rule out cycling.  Among the optimal duals, an
+active inequality row gets a nonzero multiplier where one exists (see
+``_activate_degenerate_rows``): the bounding program's multipliers are its
+duals, and a zero multiplier on an active facet hides how the bound reacts
+to moving that facet.
 """
 
 from __future__ import annotations
@@ -31,42 +34,33 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(eq=False)
 class LPProblem:
-    """min or max of ``c.x`` subject to ``G x <= h``, ``A x = d``, ``lo <= x <= hi``.
+    """``min c.x`` subject to ``G x <= h``, ``A x = d`` and ``x >= 0``.
 
-    ``lo`` entries may be ``-inf`` and ``hi`` entries ``+inf``; both default to
-    free variables.
+    The one form every program is posed in: a free variable is the
+    difference of two adjacent nonnegative columns, and a boxed one is
+    shifted to its lower bound with its upper bound as a row of ``G``.
+    Either row block may be omitted.
     """
 
-    sense: str
     c: np.ndarray
     G: np.ndarray = None
     h: np.ndarray = None
     A: np.ndarray = None
     d: np.ndarray = None
-    lo: np.ndarray = None
-    hi: np.ndarray = None
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
         c = np.atleast_1d(np.asarray(self.c, dtype=float))
         n = c.size
         G = np.zeros((0, n)) if self.G is None else np.asarray(self.G, dtype=float).reshape(-1, n)
         h = np.zeros(0) if self.h is None else np.atleast_1d(np.asarray(self.h, dtype=float))
         A = np.zeros((0, n)) if self.A is None else np.asarray(self.A, dtype=float).reshape(-1, n)
         d = np.zeros(0) if self.d is None else np.atleast_1d(np.asarray(self.d, dtype=float))
-        lo = np.full(n, -np.inf) if self.lo is None else np.atleast_1d(np.asarray(self.lo, dtype=float))
-        hi = np.full(n, np.inf) if self.hi is None else np.atleast_1d(np.asarray(self.hi, dtype=float))
         if G.shape[0] != h.size or A.shape[0] != d.size:
             raise ValueError("constraint matrix and right-hand side sizes disagree")
-        if lo.size != n or hi.size != n:
-            raise ValueError("bound vectors must have one entry per variable")
         for arr in (c, G, h, A, d):
             if arr.size and np.isnan(arr).any():
                 raise ValueError("NaN in problem data")
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError("NaN in bounds")
-        self.c, self.G, self.h, self.A, self.d, self.lo, self.hi = c, G, h, A, d, lo, hi
+        self.c, self.G, self.h, self.A, self.d = c, G, h, A, d
 
     @property
     def n_vars(self) -> int:
@@ -85,9 +79,10 @@ class LPProblem:
 class LPSolution:
     """Solver output; primal/dual data is populated only when status is optimal.
 
-    ``ineq_duals`` are the nonnegative multipliers of the ``G x <= h`` rows and
-    ``eq_duals`` the free multipliers of the ``A x = d`` rows, in the
-    complementary-slack Lagrangian convention for the problem's own sense.
+    ``ineq_duals`` are the multipliers ``lam >= 0`` of the ``G x <= h`` rows
+    and ``eq_duals`` the free multipliers ``mu`` of the ``A x = d`` rows.  At
+    the optimum the reduced costs ``c + G^T lam + A^T mu`` are nonnegative and
+    ``c.x = -(lam.h + mu.d)``.
     """
 
     status: str
@@ -143,8 +138,8 @@ def _pivot_loop(T, basis, cost, max_degenerate, max_iter):
     raise NumericalFailure("simplex iteration limit exceeded")
 
 
-def _activate_degenerate_rows(T, basis, cost, first_slack, n_rows):
-    """Give weakly active caller rows a multiplier, keeping ``x`` optimal.
+def _activate_degenerate_rows(T, basis, cost, first_slack):
+    """Give weakly active inequality rows a multiplier, keeping ``x`` optimal.
 
     A row whose slack is basic at zero is active but carries a zero basis
     dual, the end of the optimal multiplier set that says nothing about the
@@ -155,7 +150,7 @@ def _activate_degenerate_rows(T, basis, cost, first_slack, n_rows):
     multiplier becomes that ratio.  Rows where the ratio is zero are left.
     """
     ncols = T.shape[1] - 1
-    rows = np.flatnonzero((basis >= first_slack) & (basis < first_slack + n_rows))
+    rows = np.flatnonzero(basis >= first_slack)
     for row in rows[np.argsort(basis[rows])]:
         if abs(T[row, -1]) > 1e-12:
             continue
@@ -176,81 +171,53 @@ def solve(lp: LPProblem) -> LPSolution:
     Raises NumericalFailure instead of ever returning an uncertified answer.
     """
     n = lp.n_vars
-    c_int = lp.c.copy() if lp.sense == "min" else -lp.c
-
-    if np.any(lp.lo > lp.hi):
-        return LPSolution(status=INFEASIBLE)
-
-    # Transform to nonnegative variables: shift at a finite lower bound and
-    # split the others into a difference of two adjacent columns.  Finite
-    # upper bounds become ordinary inequality rows after the caller's.
-    shifted = np.isfinite(lp.lo)
-    upper = np.flatnonzero(np.isfinite(lp.hi))
-    bound_rows = np.zeros((upper.size, n))
-    bound_rows[np.arange(upper.size), upper] = 1.0
-    G = np.vstack([lp.G, bound_rows])
-    h = np.concatenate([lp.h, lp.hi[upper]])
-    width = np.where(shifted, 1, 2)
-    col_of_var = np.cumsum(width) - width  # first transformed column of each variable
-    src = np.repeat(np.arange(n), width)  # variable behind each transformed column
-    sign = np.ones(src.size)
-    sign[col_of_var[~shifted] + 1] = -1.0
-    cols_c = c_int[src] * sign
-    n_t = src.size
-    lo_shift = np.where(shifted, lp.lo, 0.0)
-
-    def transform_rows(mat, rhs):
-        return mat[:, src] * sign, rhs - mat @ lo_shift
-
-    ineq_mat, ineq_rhs = transform_rows(G, h)
-    A_t, d_t = transform_rows(lp.A, lp.d)
-
-    m_ineq = G.shape[0]
-    m_eq = lp.m_eq
-    m = m_ineq + m_eq
+    m_ineq = lp.m_ineq
+    m = m_ineq + lp.m_eq
+    n_std = n + m_ineq
 
     # Standard form rows: [ineq | eq], slack column per inequality row.
-    n_slack = m_ineq
-    A0 = np.zeros((m, n_t + n_slack))
-    b0 = np.zeros(m)
-    A0[:m_ineq, :n_t] = ineq_mat
-    A0[:m_ineq, n_t : n_t + n_slack] = np.eye(n_slack)
-    b0[:m_ineq] = ineq_rhs
-    A0[m_ineq:, :n_t] = A_t
-    b0[m_ineq:] = d_t
+    A0 = np.zeros((m, n_std))
+    A0[:m_ineq, :n] = lp.G
+    A0[:m_ineq, n:] = np.eye(m_ineq)
+    A0[m_ineq:, :n] = lp.A
+    b0 = np.concatenate([lp.h, lp.d])
 
-    row_sign = np.ones(m)
+    # Rows more than a factor 64 off unit scale are scaled by a power of two,
+    # which is exact, so that the absolute tolerances below mean the same in
+    # every row; rows within that band are left exactly as posed.
+    size = np.maximum(np.abs(A0[:, :n]).max(axis=1, initial=0.0), np.abs(b0))
+    far = (size > 0.0) & ((size < 2.0**-6) | (size > 2.0**6))
+    shift = np.clip(np.round(np.log2(np.where(far, size, 1.0))), -1000, 1000)
+    row_scale = np.ldexp(1.0, -shift.astype(int))
+    A0[:, :n] *= row_scale[:, None]
+    b0 *= row_scale
+
     neg = b0 < 0
-    row_sign[neg] = -1.0
     A0[neg] *= -1.0
     b0[neg] *= -1.0
+    row_scale[neg] *= -1.0
 
     # Initial basis: unflipped slacks; artificial columns everywhere else.
-    needs_art = np.ones(m, dtype=bool)
-    basis = np.full(m, -1, dtype=int)
-    for i in range(m_ineq):
-        if not neg[i]:
-            basis[i] = n_t + i
-            needs_art[i] = False
-    art_rows = np.flatnonzero(needs_art)
+    basis = np.full(m, -1)
+    slack_rows = np.flatnonzero(~neg[:m_ineq])
+    basis[slack_rows] = n + slack_rows
+    art_rows = np.flatnonzero(basis < 0)
     n_art = art_rows.size
-    ncols_p1 = n_t + n_slack + n_art
+    ncols_p1 = n_std + n_art
     T = np.zeros((m, ncols_p1 + 1))
-    T[:, : n_t + n_slack] = A0
-    for k, i in enumerate(art_rows):
-        T[i, n_t + n_slack + k] = 1.0
-        basis[i] = n_t + n_slack + k
+    T[:, :n_std] = A0
+    basis[art_rows] = n_std + np.arange(n_art)
+    T[art_rows, basis[art_rows]] = 1.0
     T[:, -1] = b0
 
     max_degenerate = 5 * (m + ncols_p1)
     max_iter = 1000 + 50 * (m + ncols_p1)
-    scale = 1.0 + max(
-        np.abs(b0).max(initial=0.0), np.abs(A0).max(initial=0.0)
-    )
+    scale = 1.0 + max(np.abs(b0).max(initial=0.0), np.abs(A0).max(initial=0.0))
 
+    keep = np.ones(m, dtype=bool)
     if n_art:
         cost1 = np.zeros(ncols_p1)
-        cost1[n_t + n_slack :] = 1.0
+        cost1[n_std:] = 1.0
         status = _pivot_loop(T, basis, cost1, max_degenerate, max_iter)
         if status != OPTIMAL:
             raise NumericalFailure("phase-1 subproblem reported unbounded")
@@ -258,59 +225,47 @@ def solve(lp: LPProblem) -> LPSolution:
         if art_level > FEAS_TOL * scale:
             return LPSolution(status=INFEASIBLE)
         # Pivot remaining artificials out; drop rows that prove redundant.
-        keep = np.ones(m, dtype=bool)
         for i in range(m):
-            if basis[i] < n_t + n_slack:
+            if basis[i] < n_std:
                 continue
-            row = np.abs(T[i, : n_t + n_slack])
-            row[basis[basis < n_t + n_slack]] = 0.0
+            row = np.abs(T[i, :n_std])
+            row[basis[basis < n_std]] = 0.0
             j = int(np.argmax(row))
             if row[j] > PIVOT_TOL:
                 _pivot(T, basis, i, j)
             else:
                 keep[i] = False
-        if not keep.all():
-            T = T[keep]
-            basis = basis[keep]
-            kept_rows = np.flatnonzero(keep)
-        else:
-            kept_rows = np.arange(m)
-    else:
-        kept_rows = np.arange(m)
+        T, basis = T[keep], basis[keep]
 
     # Phase 2 on the original columns only.
-    T = np.hstack([T[:, : n_t + n_slack], T[:, -1:]])
-    cost2 = np.concatenate([cols_c, np.zeros(n_slack)])
+    T = np.hstack([T[:, :n_std], T[:, -1:]])
+    cost2 = np.concatenate([lp.c, np.zeros(m_ineq)])
     status = _pivot_loop(T, basis, cost2, max_degenerate, max_iter)
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
-    _activate_degenerate_rows(T, basis, cost2, n_t, lp.m_ineq)
+    _activate_degenerate_rows(T, basis, cost2, n)
 
-    x_std = np.zeros(n_t + n_slack)
+    x_std = np.zeros(n_std)
     x_std[basis] = T[:, -1]
-    x = x_std[col_of_var] + lo_shift
-    x[~shifted] -= x_std[col_of_var[~shifted] + 1]
+    x = x_std[:n]
 
-    # Basis duals of the standard form, mapped back through row flips.
+    # Basis duals of the standard form, mapped back through row scaling and flips.
     y_full = np.zeros(m)
-    if kept_rows.size:
-        basis_mat = A0[kept_rows][:, basis]
+    if keep.any():
+        basis_mat = A0[keep][:, basis]
         try:
             y_kept = np.linalg.solve(basis_mat.T, cost2[basis])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis at optimum") from exc
-        y_full[kept_rows] = y_kept
-    y_full *= row_sign
-    ineq_duals = np.maximum(-y_full[: lp.m_ineq], 0.0)
-    eq_duals = -y_full[m_ineq : m_ineq + m_eq]
+        y_full[keep] = y_kept
+    y_full *= row_scale
 
-    objective = float(lp.c @ x)
     sol = LPSolution(
         status=OPTIMAL,
         x=x,
-        objective=objective,
-        ineq_duals=ineq_duals,
-        eq_duals=eq_duals,
+        objective=float(lp.c @ x),
+        ineq_duals=np.maximum(-y_full[:m_ineq], 0.0),
+        eq_duals=-y_full[m_ineq:],
     )
     res = kkt_residuals(lp, sol)
     if res["primal"] > 1e-6 or res["dual"] > 1e-6 or res["gap"] > 1e-6:
@@ -324,54 +279,36 @@ def solve(lp: LPProblem) -> LPSolution:
 def kkt_residuals(lp: LPProblem, sol: LPSolution) -> dict:
     """Scaled primal/dual feasibility residuals, duality gap, and slackness.
 
-    Only meaningful for an optimal solution.  Works in the minimization
-    convention internally; a max problem is checked through its negated
-    objective, under which the reported duals are unchanged.
+    Only meaningful for an optimal solution.  With reduced costs
+    ``r = c + G^T lam + A^T mu``, the dual is feasible when ``lam >= 0`` and
+    ``r >= 0``, the gap is ``|c.x + lam.h + mu.d|``, and slackness covers
+    both ``lam * (h - G x)`` and ``x * r``.
     """
     if sol.status != OPTIMAL:
         raise ValueError("kkt_residuals requires an optimal solution")
     x, lam, mu = sol.x, sol.ineq_duals, sol.eq_duals
-    c = lp.c if lp.sense == "min" else -lp.c
-    obj = lp.c @ x if lp.sense == "min" else -(lp.c @ x)
     scale = 1.0 + max(
         np.abs(lp.h).max(initial=0.0),
         np.abs(lp.d).max(initial=0.0),
         np.abs(x).max(initial=0.0),
-        np.abs(c).max(initial=0.0),
+        np.abs(lp.c).max(initial=0.0),
     )
-
-    primal = 0.0
-    if lp.m_ineq:
-        primal = max(primal, float((lp.G @ x - lp.h).max(initial=0.0)))
-    if lp.m_eq:
-        primal = max(primal, float(np.abs(lp.A @ x - lp.d).max(initial=0.0)))
-    finite_lo = np.isfinite(lp.lo)
-    finite_hi = np.isfinite(lp.hi)
-    if finite_lo.any():
-        primal = max(primal, float((lp.lo[finite_lo] - x[finite_lo]).max(initial=0.0)))
-    if finite_hi.any():
-        primal = max(primal, float((x[finite_hi] - lp.hi[finite_hi]).max(initial=0.0)))
-
-    r = c + lp.G.T @ lam + lp.A.T @ mu
-    z_lo = np.maximum(r, 0.0)
-    z_hi = np.maximum(-r, 0.0)
-    dual = float(np.maximum(-lam, 0.0).max(initial=0.0))
-    if (~finite_lo).any():
-        dual = max(dual, float(z_lo[~finite_lo].max(initial=0.0)))
-    if (~finite_hi).any():
-        dual = max(dual, float(z_hi[~finite_hi].max(initial=0.0)))
-
-    dual_obj = -float(lam @ lp.h) - float(mu @ lp.d)
-    dual_obj += float(np.where(finite_lo, lp.lo, 0.0) @ z_lo)
-    dual_obj -= float(np.where(finite_hi, lp.hi, 0.0) @ z_hi)
-    gap = abs(float(obj) - dual_obj)
-
-    comp = 0.0
-    if lp.m_ineq:
-        comp = float(np.abs(lam * (lp.h - lp.G @ x)).max(initial=0.0))
-    comp = max(comp, float(np.abs(z_lo * np.where(finite_lo, x - lp.lo, 0.0)).max(initial=0.0)))
-    comp = max(comp, float(np.abs(z_hi * np.where(finite_hi, lp.hi - x, 0.0)).max(initial=0.0)))
-
+    slack = lp.h - lp.G @ x
+    primal = max(
+        float(np.maximum(-x, 0.0).max(initial=0.0)),
+        float(np.maximum(-slack, 0.0).max(initial=0.0)),
+        float(np.abs(lp.A @ x - lp.d).max(initial=0.0)),
+    )
+    r = lp.c + lp.G.T @ lam + lp.A.T @ mu
+    dual = max(
+        float(np.maximum(-lam, 0.0).max(initial=0.0)),
+        float(np.maximum(-r, 0.0).max(initial=0.0)),
+    )
+    gap = abs(float(lp.c @ x) + float(lam @ lp.h) + float(mu @ lp.d))
+    comp = max(
+        float(np.abs(lam * slack).max(initial=0.0)),
+        float(np.abs(x * r).max(initial=0.0)),
+    )
     return {
         "primal": primal / scale,
         "dual": dual / scale,

@@ -10,7 +10,8 @@ Bernstein coefficients; the full lifted-vertex program cross-checks the
 value of the bounding program; its primal form (one row per class) is built
 from the same class values and coefficients, so it cross-checks the LP and
 its duals rather than the assembly; the phase-1 facet check cross-checks the
-support-value repair.
+support-value repair.  ``free_lp`` and ``box_lp`` pose free and boxed
+variables in the LP engine's one form for these references and the tests.
 """
 
 from __future__ import annotations
@@ -145,19 +146,41 @@ def lifted_dot(a, rect: Rectangle, degrees, class_index) -> float:
     return total
 
 
+def free_lp(c, G=None, h=None, A=None, d=None) -> LPProblem:
+    """``min c.v`` over free ``v``, posed with ``v = v+ - v-`` in adjacent
+    columns; ``x[0::2] - x[1::2]`` maps a solution back."""
+    c = np.atleast_1d(np.asarray(c, dtype=float))
+    sign = np.tile([1.0, -1.0], c.size)
+
+    def split(mat):
+        return None if mat is None else np.repeat(np.reshape(mat, (-1, c.size)), 2, axis=1) * sign
+
+    return LPProblem(np.repeat(c, 2) * sign, G=split(G), h=h, A=split(A), d=d)
+
+
+def box_lp(c, rect: Rectangle, G=None, h=None, A=None, d=None) -> LPProblem:
+    """``min c.x`` over ``x`` in ``rect`` with ``G x <= h`` and ``A x = d``.
+
+    Posed in ``y = x - rect.lower >= 0``, with the box's upper sides as rows
+    after ``G``; add ``rect.lower`` to a solution to map it back.
+    """
+    n = rect.n
+    G = np.vstack([np.reshape(np.zeros((0, n)) if G is None else G, (-1, n)), np.eye(n)])
+    h = np.concatenate([np.zeros(0) if h is None else h, rect.upper]) - G @ rect.lower
+    A = np.reshape(np.zeros((0, n)) if A is None else A, (-1, n))
+    d = (np.zeros(0) if d is None else np.asarray(d, dtype=float)) - A @ rect.lower
+    return LPProblem(c, G=G, h=h, A=A, d=d)
+
+
+def box_point(rect: Rectangle, G=None, h=None, A=None, d=None):
+    """Phase-1 point of ``{x in rect : G x <= h, A x = d}``, or None if empty."""
+    sol = solve(box_lp(np.zeros(rect.n), rect, G, h, A, d))
+    return sol.x + rect.lower if sol.status == OPTIMAL else None
+
+
 def region_is_feasible(rect: Rectangle, cs: ConstraintSet) -> bool:
     """Phase-1 check that some ``x`` in the rectangle satisfies ``cs``."""
-    lp = LPProblem(
-        "min",
-        np.zeros(cs.n_vars),
-        G=cs.a if cs.m_ineq else None,
-        h=cs.b if cs.m_ineq else None,
-        A=cs.c if cs.m_eq else None,
-        d=cs.d if cs.m_eq else None,
-        lo=rect.lower,
-        hi=rect.upper,
-    )
-    return solve(lp).status == OPTIMAL
+    return box_point(rect, cs.a, cs.b, cs.c, cs.d) is not None
 
 
 def to_unit_box(p: MultiPoly, rect: Rectangle) -> MultiPoly:
@@ -215,13 +238,14 @@ def blossom_eval(p: MultiPoly, z) -> float:
 
 
 def build_primal_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
-    """The LP dual of ``relaxation.build_reduced_lp``: ``max t`` over
+    """The LP dual of ``relaxation.build_reduced_lp``: ``max t`` over free
     ``(t, lam, mu)`` with one row ``t - lam . g(c) - mu . h(c) <= B_c`` per
-    vertex class ``c`` and then the ``lam >= 0`` rows.
+    vertex class ``c`` and then the ``lam >= 0`` rows, posed as ``min -t``
+    by ``free_lp``.
 
-    Same optimal value as the reduced program whenever the region is
-    nonempty, and unbounded when it is empty; its class block is the negated
-    transpose of the reduced program's constraint block.
+    Its optimum is minus the reduced program's whenever the region is
+    nonempty, and it is unbounded when the region is empty; its class block
+    is the negated transpose of the reduced program's constraint block.
     """
     g = class_constraint_values(p.degrees, rect, cs.a, cs.b)
     h = class_constraint_values(p.degrees, rect, cs.c, cs.d)
@@ -235,8 +259,8 @@ def build_primal_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProbl
     rows[n_cls:, 1 : 1 + m_i] = -np.eye(m_i)
     rhs = np.concatenate([tensor.values.reshape(-1), np.zeros(m_i)])
     obj = np.zeros(1 + m_i + m_j)
-    obj[0] = 1.0
-    return LPProblem("max", obj, G=rows, h=rhs)
+    obj[0] = -1.0
+    return free_lp(obj, G=rows, h=rhs)
 
 
 def build_full_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
@@ -244,7 +268,8 @@ def build_full_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem
 
     Exponential in the total degree; guarded, and used only as an equivalence
     oracle for the reduced program.  Extra variables: one multiplier per
-    adjacent-argument symmetry constraint of the lift.
+    adjacent-argument symmetry constraint of the lift.  Posed like
+    ``build_primal_lp``, as ``min -t`` over free variables.
     """
     if cs.n_vars != p.n_vars or rect.n != p.n_vars:
         raise ValueError("dimension mismatch")
@@ -297,23 +322,17 @@ def build_full_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem
     for i in range(m_i):
         rows[n_vertices + i, 1 + i] = -1.0
     obj = np.zeros(n_lp)
-    obj[0] = 1.0
-    return LPProblem("max", obj, G=rows, h=rhs)
+    obj[0] = -1.0
+    return free_lp(obj, G=rows, h=rhs)
 
 
 def facet_nonempty(tpl: PolytopeTemplate, rect: Rectangle, k: int) -> bool:
     """Phase-1 check that facet ``k`` contains a point of the rectangle."""
     if not 0 <= k < tpl.m:
         raise ValueError(f"facet index {k} out of range")
-    others = [i for i in range(tpl.m) if i != k]
-    lp = LPProblem(
-        "min",
-        np.zeros(tpl.n),
-        G=tpl.normals[others],
-        h=tpl.offsets[others],
-        A=tpl.normals[k : k + 1],
-        d=tpl.offsets[k : k + 1],
-        lo=rect.lower,
-        hi=rect.upper,
+    others = np.arange(tpl.m) != k
+    facet = slice(k, k + 1)
+    point = box_point(
+        rect, tpl.normals[others], tpl.offsets[others], tpl.normals[facet], tpl.offsets[facet]
     )
-    return solve(lp).status == OPTIMAL
+    return point is not None

@@ -147,9 +147,7 @@ def bounding_program(bern: np.ndarray, g: np.ndarray, h: np.ndarray) -> LPProble
     weights = np.vstack([np.ones((1, bern.size)), h.T])
     total = np.zeros(1 + h.shape[1])
     total[0] = 1.0
-    return LPProblem(
-        "min", bern, G=g.T, h=np.zeros(g.shape[1]), A=weights, d=total, lo=np.zeros(bern.size)
-    )
+    return LPProblem(bern, G=g.T, h=np.zeros(g.shape[1]), A=weights, d=total)
 
 
 def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:

@@ -7,11 +7,21 @@ import numpy as np
 import pytest
 
 from polyvar.invariance import PolytopeTemplate, SynthesisParams, VectorField, synthesize
-from polyvar.lpsolve import LPProblem, solve
+from polyvar.oracle import box_point
 from polyvar.polynomial import MultiPoly, Rectangle
 from polyvar.relaxation import ConstraintSet
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
+
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # One profile for the whole suite: every property draws the same cases on
+    # every run, keeps no example database and has no per-example deadline.
+    settings.register_profile("polyvar", derandomize=True, database=None, deadline=None)
+    settings.load_profile("polyvar")
 
 
 @pytest.fixture(scope="session")
@@ -137,22 +147,13 @@ def phytoplankton() -> tuple[VectorField, Rectangle, np.ndarray, np.ndarray]:
 
 def sample_facet_points(tpl: PolytopeTemplate, rect: Rectangle, k: int, n_points: int, rng):
     """Hit-and-run samples on facet k (within the rectangle); None if empty."""
-    a, bk = tpl.normals[k], tpl.offsets[k]
+    a = tpl.normals[k]
     others = [i for i in range(tpl.m) if i != k]
-    lp = LPProblem(
-        "min",
-        np.zeros(tpl.n),
-        G=tpl.normals[others],
-        h=tpl.offsets[others],
-        A=tpl.normals[k : k + 1],
-        d=[bk],
-        lo=rect.lower,
-        hi=rect.upper,
-    )
-    sol = solve(lp)
-    if sol.status != "optimal":
+    facet = slice(k, k + 1)
+    G, h = tpl.normals[others], tpl.offsets[others]
+    x = box_point(rect, G, h, tpl.normals[facet], tpl.offsets[facet])
+    if x is None:
         return None
-    x = sol.x.copy()
     basis = np.linalg.qr(np.column_stack([a / np.linalg.norm(a), np.eye(tpl.n)]))[0][:, 1 : tpl.n]
     rows = [(tpl.normals[i], tpl.offsets[i]) for i in others]
     for j in range(tpl.n):

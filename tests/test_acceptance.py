@@ -122,7 +122,7 @@ def test_03_full_vs_reduced_equivalence(capsys):
             rng, rect, int(rng.integers(0, 4)), int(rng.integers(0, 2))
         )
         padded = pad_for_constraints(p, cs)
-        full = solve(build_full_lp(padded, rect, cs)).objective
+        full = -solve(build_full_lp(padded, rect, cs)).objective
         reduced = solve(build_reduced_lp(padded, rect, cs)).objective
         worst = max(worst, abs(full - reduced))
     elapsed = time.perf_counter() - start

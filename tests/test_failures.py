@@ -1,0 +1,126 @@
+"""The documented NumericalFailure paths: the solver's KKT gate, a failed
+facet inside ``verify`` and ``synthesize``, and the CLI's exit codes.
+
+Monkeypatching only injects the failure; everything around it runs as is.
+"""
+
+import json
+
+import jsonschema
+import numpy as np
+import pytest
+
+from polyvar import invariance, lpsolve
+from polyvar.cli import main
+from polyvar.files import REPORT_SCHEMA
+from polyvar.invariance import (
+    STALLED,
+    PolytopeTemplate,
+    SynthesisParams,
+    synthesize,
+    verify,
+)
+from polyvar.lpsolve import LPProblem, NumericalFailure, solve
+
+from conftest import fitzhugh_nagumo
+
+CLEAN = {"primal": 0.0, "dual": 0.0, "gap": 0.0, "slackness": 0.0}
+
+
+def residuals(**worse):
+    return lambda lp, sol: {**CLEAN, **worse}
+
+
+def fail_certify_calls(monkeypatch, calls):
+    """Make the given (0-based) calls of ``certify`` inside ``verify`` raise."""
+    count = [0]
+    real = invariance.certify
+
+    def certify(lp):
+        count[0] += 1
+        if count[0] - 1 in calls:
+            raise NumericalFailure("injected")
+        return real(lp)
+
+    monkeypatch.setattr(invariance, "certify", certify)
+
+
+def fitzhugh_nagumo_invariant():
+    """Bundled FitzHugh-Nagumo data and its synthesized invariant octagon."""
+    fld, rect, normals, ref = fitzhugh_nagumo()
+    trace = synthesize(fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref))
+    return fld, rect, PolytopeTemplate(normals, trace.final_offsets)
+
+
+class TestKktGate:
+    LP = LPProblem([1.0, 2.0], G=[[-1.0, -1.0]], h=[-1.0])
+
+    @pytest.mark.parametrize("key", ["primal", "dual", "gap"])
+    def test_residual_above_threshold_raises(self, monkeypatch, key):
+        monkeypatch.setattr(lpsolve, "kkt_residuals", residuals(**{key: 1.01e-6}))
+        with pytest.raises(NumericalFailure, match=f"KKT self-check.*{key}="):
+            solve(self.LP)
+
+    def test_residuals_at_threshold_pass(self, monkeypatch):
+        monkeypatch.setattr(
+            lpsolve, "kkt_residuals", residuals(primal=1e-6, dual=1e-6, gap=1e-6, slackness=1.0)
+        )
+        assert solve(self.LP).objective == 1.0
+
+
+class TestFailedFacet:
+    def test_verify_records_the_facet_and_keeps_the_others(self, monkeypatch):
+        fld, rect, tpl = fitzhugh_nagumo_invariant()
+        clean = verify(fld, rect, tpl)
+        assert clean.invariant
+        fail_certify_calls(monkeypatch, {2})
+        report = verify(fld, rect, tpl)
+        assert report.failures == {2: "injected"}
+        assert not report.complete and not report.invariant
+        others = np.arange(tpl.m) != 2
+        np.testing.assert_array_equal(report.d_star[others], clean.d_star[others])
+        np.testing.assert_array_equal(report.multipliers[others], clean.multipliers[others])
+        assert np.isnan(report.d_star[2]) and np.all(np.isnan(report.multipliers[2]))
+        assert report.facet_feasible.all()
+
+    def test_synthesize_stalls_with_the_failure_recorded(self, monkeypatch):
+        fld, rect, normals, ref = fitzhugh_nagumo()
+        m = normals.shape[0]
+        fail_certify_calls(monkeypatch, {m + 1})  # facet 1 of the second pass
+        trace = synthesize(
+            fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref)
+        )
+        assert trace.status == STALLED
+        assert trace.n_iterations == 2
+        assert trace.records[0].failures == {}
+        assert trace.records[1].failures == {1: "injected"}
+        assert not trace.records[1].invariant and trace.records[1].t_star is None
+
+
+class TestCli:
+    def test_verify_reports_the_failed_facet(self, models_dir, tmp_path, monkeypatch, capsys):
+        model = str(models_dir / "fitzhugh_nagumo.json")
+        poly_path = tmp_path / "polytope.json"
+        report_path = tmp_path / "report.json"
+        assert main(["synthesize", model, "--polytope", str(poly_path)]) == 0
+        capsys.readouterr()
+        fail_certify_calls(monkeypatch, {3})
+        code = main(["verify", model, "--polytope", str(poly_path), "--report", str(report_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "verdict = not_verified" in out
+        assert "facet 3: failed (injected)" in out
+        report = json.loads(report_path.read_text())
+        jsonschema.validate(report, REPORT_SCHEMA)
+        facet = report["facets"][3]
+        assert facet["error"] == "injected" and facet["d_star"] is None
+        others = [f for i, f in enumerate(report["facets"]) if i != 3]
+        assert all("error" not in f and f["d_star"] is not None for f in others)
+
+    def test_bound_exits_2(self, models_dir, monkeypatch, capsys):
+        monkeypatch.setattr(lpsolve, "kkt_residuals", residuals(gap=1.0))
+        code = main(["bound", str(models_dir / "constrained_3d.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: numerical failure: optimal basis failed the KKT")
+        assert captured.out == ""

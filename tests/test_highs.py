@@ -1,11 +1,20 @@
-"""Bounding programs against an independent solver (HiGHS through scipy)."""
+"""The LP engine against an independent solver (HiGHS through scipy): the
+bounding programs, and general programs drawn by hypothesis."""
 
 import numpy as np
 import pytest
 
 from polyvar.cli import polygon_vertices
 from polyvar.invariance import facet_programs, verify
-from polyvar.lpsolve import INFEASIBLE, OPTIMAL, solve
+from polyvar.lpsolve import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LPProblem,
+    NumericalFailure,
+    kkt_residuals,
+    solve,
+)
 from polyvar.relaxation import (
     ConstraintSet,
     InfeasiblePolytope,
@@ -24,19 +33,24 @@ from conftest import (
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 
-def highs(lp):
-    """``(feasible, optimum)`` of a bounding program from HiGHS."""
+STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def highs(lp, **options):
+    """``(status, optimum, x)`` of ``lp`` from HiGHS, with ``lpsolve``'s
+    status names."""
     res = linprog(
         lp.c,
         A_ub=lp.G if lp.m_ineq else None,
         b_ub=lp.h if lp.m_ineq else None,
-        A_eq=lp.A,
-        b_eq=lp.d,
+        A_eq=lp.A if lp.m_eq else None,
+        b_eq=lp.d if lp.m_eq else None,
         bounds=(0, None),
         method="highs",
+        options=options,
     )
-    assert res.status in (0, 2), res.message
-    return res.status == 0, res.fun
+    assert res.status in STATUS, res.message
+    return STATUS[res.status], res.fun, res.x
 
 
 def random_constraints(rng, rect):
@@ -71,7 +85,9 @@ def test_random_bounding_programs_match_highs():
         rect = random_rectangle(rng, n)
         cs, feasible = random_constraints(rng, rect)
         lp = build_reduced_lp(pad_for_constraints(p, cs), rect, cs)
-        ref_feasible, ref = highs(lp)
+        ref_status, ref, _ = highs(lp)
+        assert ref_status != UNBOUNDED
+        ref_feasible = ref_status == OPTIMAL
         ours = solve(lp)
         assert ref_feasible == feasible
         assert (ours.status == OPTIMAL) == ref_feasible
@@ -100,6 +116,106 @@ def test_single_vertex_facets_stay_feasible():
     assert np.all(np.isfinite(report.d_star))
     programs = list(facet_programs(fld, rect, tpl))
     for k in single:
-        ref_feasible, ref_value = highs(programs[k])
-        assert ref_feasible
+        ref_status, ref_value, _ = highs(programs[k])
+        assert ref_status == OPTIMAL
         assert report.d_star[k] <= ref_value + 1e-9
+
+
+# General programs.  HiGHS is the reference at tolerances below the smallest
+# gap drawn and without presolve, whose own tolerances misjudge slivers of
+# width 1e-7; a badly scaled program is referenced by the same program before
+# its rows were scaled, since row scaling leaves the answer as it is.
+TIGHT = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "presolve": False,
+}
+KINDS = ("badly scaled", "near-infeasible", "degenerate", "redundant", "plain")
+
+
+def general_lps(st):
+    """Strategy of ``(kind, lp, reference)``: a program in the one form with
+    a feasible point ``x0``, made one of ``KINDS``, and the program HiGHS
+    solves for it.
+
+    Degenerate: extra rows tight at the reference optimum.  Redundant:
+    duplicated inequality rows and equalities.  Badly scaled: every row
+    scaled by ``10**k``, ``|k| <= 6``.  Near-infeasible: two opposite rows
+    with a gap of 1e-7 to 1e-1 between them, or a sliver that wide.
+    """
+    # HiGHS drops matrix entries of magnitude 1e-9 and below, so the
+    # reference programs have none: every coefficient is 0 or at least 1e-3.
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+    zero_or = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+    def vector(draw, size, elements=coeff):
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)), dtype=float)
+
+    def matrix(draw, rows, cols):
+        return np.array([vector(draw, cols) for _ in range(rows)]).reshape(rows, cols)
+
+    @st.composite
+    def cases(draw):
+        n = draw(st.integers(1, 4))
+        m, m_eq = draw(st.integers(0, 4)), draw(st.integers(0, 2))
+        x0 = 2.0 * vector(draw, n, zero_or)
+        G = matrix(draw, m, n)
+        h = G @ x0 + vector(draw, m, zero_or)
+        A = matrix(draw, m_eq, n)
+        d = A @ x0
+        if draw(st.booleans()):
+            G = np.vstack([G, np.ones((1, n))])
+            h = np.append(h, x0.sum() + draw(st.floats(0.0, 3.0)))
+        c = vector(draw, n)
+        kind = draw(st.sampled_from(KINDS))
+        if kind == "degenerate":
+            status, _, x_ref = highs(LPProblem(c, G=G, h=h, A=A, d=d), **TIGHT)
+            if status == OPTIMAL:
+                extra = matrix(draw, draw(st.integers(1, 3)), n)
+                G, h = np.vstack([G, extra]), np.concatenate([h, extra @ x_ref])
+        elif kind == "redundant":
+            rows = []
+            if len(h):
+                rows = draw(st.lists(st.integers(0, len(h) - 1), min_size=1, max_size=3))
+            G, h = np.vstack([G, G[rows]]), np.concatenate([h, h[rows]])
+            A, d = np.vstack([A, A[:1]]), np.concatenate([d, d[:1]])
+        elif kind == "near-infeasible":
+            normal = st.lists(coeff, min_size=n, max_size=n)
+            a = np.array(draw(normal.filter(lambda v: max(map(abs, v)) > 0.1)))
+            b = a @ x0
+            gap = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-7.0, -1.0))
+            G, h = np.vstack([G, a, -a]), np.concatenate([h, [b, -(b + gap)]])
+        reference = LPProblem(c, G=G, h=h, A=A, d=d)
+        if kind != "badly scaled":
+            return kind, reference, reference
+        s = 10.0 ** vector(draw, len(h), st.integers(-6, 6))
+        t = 10.0 ** vector(draw, len(d), st.integers(-6, 6))
+        return kind, LPProblem(c, G=G * s[:, None], h=h * s, A=A * t[:, None], d=d * t), reference
+
+    return cases()
+
+
+def test_general_programs_match_highs():
+    # the same status as HiGHS, the optimum within 1e-9 (1 + |v|) and the
+    # KKT self-check passed; NumericalFailure is the only other outcome
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=400)
+    @hypothesis.given(general_lps(st))
+    def check(case):
+        kind, lp, reference = case
+        hypothesis.event(kind)
+        ref_status, ref, _ = highs(reference, **TIGHT)
+        try:
+            sol = solve(lp)
+        except NumericalFailure:
+            hypothesis.event("NumericalFailure")
+            return
+        assert sol.status == ref_status, kind
+        if ref_status == OPTIMAL:
+            assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref)), kind
+            res = kkt_residuals(lp, sol)
+            assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6, kind
+
+    check()

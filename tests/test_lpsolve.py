@@ -12,20 +12,17 @@ from polyvar.lpsolve import (
     kkt_residuals,
     solve,
 )
+from polyvar.oracle import box_lp, free_lp
+from polyvar.polynomial import Rectangle
 
 
 def brute_force_optimum(lp: LPProblem):
     """Vertex-enumeration oracle: intersect every n-subset of constraint
-    hyperplanes (including bound faces), filter feasibility, extremize."""
+    hyperplanes (including the faces ``x_j = 0``), filter feasibility,
+    minimize."""
     n = lp.n_vars
     rows = [(lp.G[i], lp.h[i]) for i in range(lp.m_ineq)]
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        if np.isfinite(lp.hi[j]):
-            rows.append((e, lp.hi[j]))
-        if np.isfinite(lp.lo[j]):
-            rows.append((-e, -lp.lo[j]))
+    rows += [(-np.eye(n)[j], 0.0) for j in range(n)]
     rows += [(lp.A[j], lp.d[j]) for j in range(lp.m_eq)]
     best = None
     for combo in itertools.combinations(range(len(rows)), n):
@@ -38,19 +35,16 @@ def brute_force_optimum(lp: LPProblem):
             continue
         if lp.m_eq and np.abs(lp.A @ x - lp.d).max() > 1e-7:
             continue
-        if np.any(lp.lo - x > 1e-7) or np.any(x - lp.hi > 1e-7):
+        if np.any(x < -1e-7):
             continue
         val = float(lp.c @ x)
-        if best is None:
-            best = val
-        elif lp.sense == "min":
-            best = min(best, val)
-        else:
-            best = max(best, val)
+        best = val if best is None else min(best, val)
     return best
 
 
-def random_boxed_lp(rng):
+def random_box_program(rng):
+    """``(c, rect, G, h, A, d)``: a random program over a box around a
+    feasible point; half of them maximize, posed as minimizing ``-c``."""
     n = int(rng.integers(1, 5))
     m = int(rng.integers(1, 7))
     x0 = rng.normal(size=n)
@@ -61,74 +55,68 @@ def random_boxed_lp(rng):
     m_eq = int(rng.integers(0, 2)) if n >= 2 else 0
     A = rng.normal(size=(m_eq, n))
     d = A @ x0
-    return LPProblem(
-        "min" if rng.integers(0, 2) else "max",
-        rng.normal(size=n),
-        G=G,
-        h=h,
-        A=A if m_eq else None,
-        d=d if m_eq else None,
-        lo=lo,
-        hi=hi,
-    )
+    sign = 1.0 if rng.integers(0, 2) else -1.0
+    return sign * rng.normal(size=n), Rectangle(lo, hi), G, h, A, d
+
+
+def random_boxed_lp(rng):
+    """``random_box_program`` in the one form, shifted to ``y = x - lo``."""
+    return box_lp(*random_box_program(rng))
 
 
 class TestBasics:
     def test_single_active_constraint_with_duals(self):
-        lp = LPProblem("max", [1.0], G=[[1.0], [1.0]], h=[1.0, 2.0])
+        # max x over free x with x <= 1 and x <= 2
+        lp = free_lp([-1.0], G=[[1.0], [1.0]], h=[1.0, 2.0])
         sol = solve(lp)
         assert sol.status == OPTIMAL
-        assert sol.x == pytest.approx([1.0])
-        assert sol.objective == pytest.approx(1.0)
+        assert sol.x[0::2] - sol.x[1::2] == pytest.approx([1.0])
+        assert sol.objective == pytest.approx(-1.0)
         assert sol.ineq_duals == pytest.approx([1.0, 0.0])
 
     def test_unbounded(self):
-        lp = LPProblem("max", [1.0], lo=[0.0])
+        lp = LPProblem([-1.0])
         assert solve(lp).status == UNBOUNDED
 
     def test_infeasible(self):
-        lp = LPProblem("min", [0.0], G=[[1.0]], h=[-1.0], lo=[0.0])
-        assert solve(lp).status == INFEASIBLE
-
-    def test_crossing_bounds_infeasible(self):
-        lp = LPProblem("min", [1.0], lo=[2.0], hi=[1.0])
+        lp = LPProblem([0.0], G=[[1.0]], h=[-1.0])
         assert solve(lp).status == INFEASIBLE
 
     def test_equality_with_free_variable(self):
+        # min x1 + x2 with x1 + x2 = 2, x1 in [-1, 5] shifted to y1 = x1 + 1
+        # (its upper side a row), x2 = x2+ - x2- free; the objective is
+        # y1 + x2 = (x1 + x2) + 1
         lp = LPProblem(
-            "min",
-            [1.0, 1.0],
-            A=[[1.0, 1.0]],
-            d=[2.0],
-            lo=[-1.0, -np.inf],
-            hi=[5.0, np.inf],
+            [1.0, 1.0, -1.0],
+            G=[[1.0, 0.0, 0.0]],
+            h=[6.0],
+            A=[[1.0, 1.0, -1.0]],
+            d=[3.0],
         )
         sol = solve(lp)
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(2.0)
+        assert sol.objective == pytest.approx(2.0 + 1.0)
         assert sol.eq_duals == pytest.approx([-1.0])
 
     def test_degenerate_redundant_rows(self):
-        # same halfspace stacked five times plus its boundary as equality
-        lp = LPProblem(
-            "max",
-            [1.0, 0.0],
+        # same halfspace stacked five times plus its boundary as equality;
+        # max x1 on [-5, 5]^2 is min -(y1 - 5) with y = x + 5, so -(1 + 5)
+        lp = box_lp(
+            [-1.0, 0.0],
+            Rectangle([-5.0, -5.0], [5.0, 5.0]),
             G=[[1.0, 0.0]] * 5,
             h=[1.0] * 5,
             A=[[1.0, 0.0]],
             d=[1.0],
-            lo=[-5.0, -5.0],
-            hi=[5.0, 5.0],
         )
         sol = solve(lp)
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(1.0)
+        assert sol.objective == pytest.approx(-6.0)
 
     def test_cycling_prone_degenerate_lp(self):
         # classic example that cycles under naive most-negative pricing from
         # the all-slack basis; the degenerate-pivot fallback must terminate it
         lp = LPProblem(
-            "min",
             [-0.75, 150.0, -0.02, 6.0],
             G=[
                 [0.25, -60.0, -1.0 / 25.0, 9.0],
@@ -136,7 +124,6 @@ class TestBasics:
                 [0.0, 0.0, 1.0, 0.0],
             ],
             h=[0.0, 0.0, 1.0],
-            lo=[0.0, 0.0, 0.0, 0.0],
         )
         sol = solve(lp)
         assert sol.status == OPTIMAL
@@ -144,11 +131,11 @@ class TestBasics:
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            LPProblem("min", [np.nan])
+            LPProblem([np.nan])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            LPProblem("min", [1.0], G=[[1.0, 2.0]], h=[1.0])
+            LPProblem([1.0], G=[[1.0, 2.0]], h=[1.0])
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -160,29 +147,31 @@ class TestBasics:
 
 
 class TestUpperBoundOnly:
+    """Variables with an upper bound only: a free column pair plus one row."""
+
     def test_single_variable(self):
-        assert solve(LPProblem("max", [1.0], hi=[3.0])).objective == pytest.approx(3.0)
-        assert solve(LPProblem("min", [1.0], hi=[3.0])).status == UNBOUNDED
+        assert solve(free_lp([-1.0], G=[[1.0]], h=[3.0])).objective == pytest.approx(-3.0)
+        assert solve(free_lp([1.0], G=[[1.0]], h=[3.0])).status == UNBOUNDED
 
     def test_random_battery_against_vertex_oracle(self):
-        # the same boxed programs with every lower bound moved into G, so each
-        # variable keeps only its upper bound
+        # the same boxed programs over free variables, with every lower bound
+        # and then every upper bound as a row of G; the reference is the
+        # boxed program's optimum, shifted back by c . lo
         rng = np.random.default_rng(43)
         for _ in range(100):
-            boxed = random_boxed_lp(rng)
-            n = boxed.n_vars
-            lp = LPProblem(
-                boxed.sense,
-                boxed.c,
-                G=np.vstack([boxed.G, -np.eye(n)]),
-                h=np.concatenate([boxed.h, -boxed.lo]),
-                A=boxed.A,
-                d=boxed.d,
-                hi=boxed.hi,
+            c, rect, G, h, A, d = random_box_program(rng)
+            n = rect.n
+            lp = free_lp(
+                c,
+                G=np.vstack([G, -np.eye(n), np.eye(n)]),
+                h=np.concatenate([h, -rect.lower, rect.upper]),
+                A=A,
+                d=d,
             )
             sol = solve(lp)
             assert sol.status == OPTIMAL
-            assert sol.objective == pytest.approx(brute_force_optimum(lp), abs=1e-6)
+            reference = brute_force_optimum(box_lp(c, rect, G, h, A, d)) + c @ rect.lower
+            assert sol.objective == pytest.approx(reference, abs=1e-6)
             assert kkt_residuals(lp, sol)["primal"] <= 1e-8
 
 
@@ -209,22 +198,15 @@ class TestCertificates:
             assert res["slackness"] <= 1e-6
 
     def test_weak_duality_sign(self):
-        # for min problems the dual objective never exceeds the primal
+        # the dual objective never exceeds the primal
         rng = np.random.default_rng(99)
         for _ in range(50):
             lp = random_boxed_lp(rng)
             sol = solve(lp)
             lam, mu = sol.ineq_duals, sol.eq_duals
             assert np.all(lam >= -1e-12)
-            c = lp.c if lp.sense == "min" else -lp.c
-            r = c + lp.G.T @ lam + lp.A.T @ mu
-            dual_obj = (
-                -lam @ lp.h
-                - mu @ lp.d
-                + np.where(np.isfinite(lp.lo), lp.lo, 0.0) @ np.maximum(r, 0.0)
-                - np.where(np.isfinite(lp.hi), lp.hi, 0.0) @ np.maximum(-r, 0.0)
-            )
-            primal_obj = lp.c @ sol.x if lp.sense == "min" else -(lp.c @ sol.x)
+            dual_obj = -lam @ lp.h - mu @ lp.d
+            primal_obj = lp.c @ sol.x
             assert dual_obj <= primal_obj + 1e-7 * (1 + abs(primal_obj))
 
 
@@ -234,14 +216,11 @@ def degenerate_variant(rng, lp):
     x_opt = solve(lp).x
     extra = rng.normal(size=(int(rng.integers(1, 4)), lp.n_vars))
     return LPProblem(
-        lp.sense,
         lp.c,
         G=np.vstack([lp.G, extra]),
         h=np.concatenate([lp.h, extra @ x_opt]),
         A=lp.A,
         d=lp.d,
-        lo=lp.lo,
-        hi=lp.hi,
     )
 
 
@@ -272,6 +251,40 @@ class TestDegenerateRowMultipliers:
     def test_weakly_active_row_gets_largest_multiplier(self):
         # min x over x >= 0 with the row -x <= 0: every multiplier in [0, 1]
         # is optimal for the row; the basis alone returns 0, the pass 1
-        sol = solve(LPProblem("min", [1.0], G=[[-1.0]], h=[0.0], lo=[0.0]))
+        sol = solve(LPProblem([1.0], G=[[-1.0]], h=[0.0]))
         assert sol.x.tolist() == [0.0]
         assert sol.ineq_duals.tolist() == [1.0]
+
+
+class TestRowScaling:
+    """Rows far from unit scale are rescaled inside ``solve``, so a program
+    and its copy with rows scaled by ``10**k`` have the same answer."""
+
+    def test_single_variable_with_a_tiny_equality(self):
+        # x = 2.7535554213561694e-05 / 1.6857112402553815e-05 is forced by the
+        # tiny equality; unscaled, phase 1 stopped at the large row's vertex
+        lp = LPProblem(
+            [0.7533058773219917],
+            G=[[-788862.0762168143], [10000.0]],
+            h=[-565904.169834939, 42076.89333393684],
+            A=[[1.6857112402553815e-05]],
+            d=[2.7535554213561694e-05],
+        )
+        sol = solve(lp)
+        x = 2.7535554213561694e-05 / 1.6857112402553815e-05
+        assert sol.x == pytest.approx([x], rel=1e-12)
+        assert sol.objective == pytest.approx(0.7533058773219917 * x, rel=1e-12)
+
+    def test_random_battery_against_unscaled(self):
+        rng = np.random.default_rng(181)
+        for _ in range(300):
+            lp = random_boxed_lp(rng)
+            s = 10.0 ** rng.integers(-6, 7, size=lp.m_ineq)
+            t = 10.0 ** rng.integers(-6, 7, size=lp.m_eq)
+            scaled = LPProblem(
+                lp.c, G=lp.G * s[:, None], h=lp.h * s, A=lp.A * t[:, None], d=lp.d * t
+            )
+            sol, ref = solve(scaled), solve(lp)
+            assert sol.status == ref.status == OPTIMAL
+            assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+            assert sol.ineq_duals * s == pytest.approx(ref.ineq_duals, rel=1e-6, abs=1e-9)

@@ -1,11 +1,19 @@
-"""Property tests, drawn deterministically (skipped without hypothesis)."""
+"""Property tests (skipped without hypothesis), drawn deterministically by
+the suite's hypothesis profile in ``conftest``."""
 
 import numpy as np
 import pytest
 
 from polyvar.invariance import PolytopeTemplate, VectorField, facet_programs
+from polyvar.oracle import grid_min
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
-from polyvar.relaxation import lift_degrees
+from polyvar.relaxation import (
+    ConstraintSet,
+    InfeasiblePolytope,
+    lift_degrees,
+    lower_bound,
+    sensitivity_bound,
+)
 
 from conftest import term_by_term_objective
 
@@ -13,24 +21,56 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 COEFF = st.floats(-4.0, 4.0, allow_nan=False)
+# grid_min accepts grid points within an absolute 1e-9 (1 + max|b|) of the
+# constraints, so constraint coefficients are 0 or at least 1e-3 in size
+ROW_COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
+
+
+def polynomials(draw, n, count):
+    """``count`` polynomials in ``n`` variables sharing degrees <= 3."""
+    degrees = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    exponents = st.tuples(*(st.integers(0, d) for d in degrees))
+    return tuple(
+        MultiPoly(n, draw(st.dictionaries(exponents, COEFF, max_size=6))) for _ in range(count)
+    )
+
+
+def box(draw, n):
+    lower = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    width = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
+    return Rectangle(lower, lower + width)
+
+
+@st.composite
+def problems(draw, min_rows=0):
+    """``(p, rect, cs)`` with n <= 3, degree <= 3 and ``min_rows`` to three
+    inequalities that the box center satisfies with some slack."""
+    n = draw(st.integers(1, 3))
+    (p,), rect = polynomials(draw, n, 1), box(draw, n)
+    center = (rect.lower + rect.upper) / 2.0
+    ineqs = []
+    for _ in range(draw(st.integers(min_rows, 3))):
+        a = np.array(draw(st.lists(ROW_COEFF, min_size=n, max_size=n).filter(any)))
+        slack = draw(st.floats(0.01, 0.5)) * float(np.abs(a) @ rect.width)
+        ineqs.append((a, float(a @ center) + slack))
+    return p, rect, ConstraintSet(n, inequalities=ineqs)
 
 
 @st.composite
 def facets(draw):
     """A field with n <= 3 components of degree <= 3, a nonzero normal and a box."""
     n = draw(st.integers(1, 3))
-    degrees = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    exponents = st.tuples(*(st.integers(0, d) for d in degrees))
-    fld = VectorField(
-        tuple(MultiPoly(n, draw(st.dictionaries(exponents, COEFF, max_size=6))) for _ in range(n))
-    )
+    fld = VectorField(polynomials(draw, n, n))
     normal = np.array(draw(st.lists(COEFF, min_size=n, max_size=n).filter(any)))
-    lower = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
-    width = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=n, max_size=n)))
-    return fld, normal, Rectangle(lower, lower + width)
+    return fld, normal, box(draw, n)
 
 
-@hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=100)
+def test_suite_profile_is_deterministic():
+    current = hypothesis.settings()
+    assert current.derandomize and current.database is None and current.deadline is None
+
+
+@hypothesis.settings(max_examples=100)
 @hypothesis.given(facets())
 def test_facet_tensor_is_linear_in_the_normal(case):
     # -(n @ B) from the per-component coefficients equals B(-n . f), to
@@ -43,3 +83,31 @@ def test_facet_tensor_is_linear_in_the_normal(case):
     parts = [bernstein_coefficients(f.pad_degrees(degrees), rect).values for f in fld.components]
     scale = 1.0 + np.abs(normal) @ np.array([np.abs(b).max() for b in parts])
     assert np.abs(tensor - ref.values.reshape(-1)).max() <= 1e-12 * scale
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(problems())
+def test_bound_never_exceeds_the_grid_minimum(case):
+    # d_star <= min over the region <= min over its grid points, to 1e-9 of
+    # the coefficient scale max|B|
+    p, rect, cs = case
+    d_star = lower_bound(p, rect, cs).d_star
+    value, _ = grid_min(p, rect, cs, steps_per_axis=21)
+    scale = 1.0 + np.abs(bernstein_coefficients(p, rect).values).max()
+    assert d_star <= value + 1e-9 * scale
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(problems(min_rows=1), st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3))
+def test_sensitivity_bound_below_the_resolved_bound(case, steps):
+    # by weak duality the multipliers at offsets b certify d_star - lam . alpha
+    # at offsets b + alpha, so the re-solved bound is at least that much
+    p, rect, cs = case
+    alpha = np.array(steps[: cs.m_ineq]) * (np.abs(cs.a) @ rect.width)
+    res = lower_bound(p, rect, cs)
+    moved = ConstraintSet(p.n_vars, inequalities=list(zip(cs.a, cs.b + alpha)))
+    try:
+        resolved = lower_bound(p, rect, moved).d_star
+    except InfeasiblePolytope:
+        return
+    assert sensitivity_bound(res, alpha) <= resolved + 1e-9 * (1.0 + abs(resolved))

@@ -101,13 +101,13 @@ class TestBuildReducedLp:
 
     def test_quartic_size(self):
         lp = build_primal_lp(*quartic_problem())
-        assert lp.n_vars == 1
+        assert lp.n_vars == 2  # t as a free column pair
         assert lp.m_ineq == 5
 
     def test_constrained_3d_size(self):
         p, rect, cs = constrained_3d_problem()
         lp = build_primal_lp(p, rect, cs)
-        assert lp.n_vars == 3  # t and two multipliers
+        assert lp.n_vars == 2 * 3  # t and two multipliers, each a free column pair
         assert lp.m_ineq == 18 + 2
 
     def test_multi_affine_unconstrained_reduces_to_vertex_min(self):
@@ -119,7 +119,7 @@ class TestBuildReducedLp:
             lp = build_primal_lp(p, rect, ConstraintSet(n))
             sol = solve(lp)
             ref, _ = vertex_min(p, rect)
-            assert sol.objective == pytest.approx(ref, abs=1e-9)
+            assert -sol.objective == pytest.approx(ref, abs=1e-9)
 
 
 class TestReducedLpAssembly:
@@ -164,10 +164,11 @@ class TestReducedLpAssembly:
             kinds |= {"padded" for d, e in zip(p.degrees, padded.degrees) if d != e}
             lp = build_primal_lp(padded, rect, cs)
             rows, rhs = self.scalar_rows(padded, rect, cs)
-            assert lp.sense == "max"
-            assert lp.c.tolist() == [1.0] + [0.0] * (cs.m_ineq + cs.m_eq)
-            assert lp.m_eq == 0 and np.all(np.isinf(lp.lo)) and np.all(np.isinf(lp.hi))
-            np.testing.assert_array_equal(lp.G, rows)
+            # max t over free (t, lam, mu), posed as min -t over column pairs
+            assert lp.c.tolist() == [-1.0, 1.0] + [0.0] * (2 * (cs.m_ineq + cs.m_eq))
+            assert lp.m_eq == 0
+            np.testing.assert_array_equal(lp.G[:, 0::2], rows)
+            np.testing.assert_array_equal(lp.G[:, 1::2], -rows)
             np.testing.assert_array_equal(lp.h, rhs)
         assert kinds == {"zero", "padded"}
 
@@ -213,9 +214,9 @@ class TestReducedLpDualForm:
             primal = build_primal_lp(padded, rect, cs)
             n_cls = dual.n_vars
             m_i = cs.m_ineq
-            assert dual.sense == "min"
-            np.testing.assert_array_equal(dual.G, -primal.G[:n_cls, 1 : 1 + m_i].T)
-            np.testing.assert_array_equal(dual.A[1:], -primal.G[:n_cls, 1 + m_i :].T)
+            rows = primal.G[:, 0::2]
+            np.testing.assert_array_equal(dual.G, -rows[:n_cls, 1 : 1 + m_i].T)
+            np.testing.assert_array_equal(dual.A[1:], -rows[:n_cls, 1 + m_i :].T)
             np.testing.assert_array_equal(dual.A[0], np.ones(n_cls))
             np.testing.assert_array_equal(
                 dual.c, bernstein_coefficients(padded, rect).values.reshape(-1)
@@ -223,7 +224,6 @@ class TestReducedLpDualForm:
             np.testing.assert_array_equal(dual.c, primal.h[:n_cls])
             assert dual.h.tolist() == [0.0] * m_i
             assert dual.d.tolist() == [1.0] + [0.0] * cs.m_eq
-            assert np.all(dual.lo == 0.0) and np.all(np.isinf(dual.hi))
 
     def test_degree_zero_conflict(self):
         p = MultiPoly(2, {(2, 0): 1.0})
@@ -236,7 +236,8 @@ class TestBuildFullLp:
     def test_quartic_shape(self):
         p, rect, cs = quartic_problem()
         lp = build_full_lp(p, rect, cs)
-        assert lp.n_vars == 1 + 3  # t plus the three adjacent-difference multipliers
+        # t plus the three adjacent-difference multipliers, each a free column pair
+        assert lp.n_vars == 2 * (1 + 3)
         assert lp.m_ineq == 16  # 2**4 lifted vertices
 
     def test_size_guard(self):
@@ -254,7 +255,7 @@ class TestBuildFullLp:
             p2 = pad_for_constraints(p, cs)
             full = solve(build_full_lp(p2, rect, cs))
             red = solve(build_reduced_lp(p2, rect, cs))
-            assert full.objective == pytest.approx(red.objective, abs=1e-9)
+            assert -full.objective == pytest.approx(red.objective, abs=1e-9)
 
     def test_random_equivalence_with_reduced(self):
         rng = np.random.default_rng(107)
@@ -268,7 +269,7 @@ class TestBuildFullLp:
             p2 = pad_for_constraints(p, cs)
             full = solve(build_full_lp(p2, rect, cs))
             red = solve(build_reduced_lp(p2, rect, cs))
-            assert full.objective == pytest.approx(red.objective, abs=1e-7)
+            assert -full.objective == pytest.approx(red.objective, abs=1e-7)
 
 
 class TestLowerBound:
