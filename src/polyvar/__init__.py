@@ -34,6 +34,7 @@ from .lpsolve import (
     LPSolution,
     NumericalFailure,
     solve,
+    solve_many,
 )
 from .oracle import NoFeasibleSample, NotMultiAffine, grid_min, vertex_min
 from .polynomial import (

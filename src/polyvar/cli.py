@@ -33,41 +33,33 @@ def polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:
 
     Pairwise facet intersection followed by feasibility filtering; duplicate
     and collinear points are removed so consecutive edges always turn left.
+    A point within ``tol`` of a point kept before it, in the order of the
+    facet pairs, is a duplicate.
     """
     if tpl.n != 2:
         raise ValueError("polygon extraction only applies to 2-D templates")
     scale = 1.0 + float(np.abs(tpl.offsets).max())
-    points = []
-    for i in range(tpl.m):
-        for j in range(i + 1, tpl.m):
-            mat = tpl.normals[[i, j]]
-            if abs(np.linalg.det(mat)) < 1e-12:
-                continue
-            x = np.linalg.solve(mat, tpl.offsets[[i, j]])
-            if np.all(tpl.normals @ x <= tpl.offsets + tol * scale):
-                points.append(x)
-    if not points:
-        return np.zeros((0, 2))
-    pts = np.array(points)
-    unique: list[np.ndarray] = []
-    for x in pts:
-        if not any(np.linalg.norm(x - u) <= tol * scale for u in unique):
-            unique.append(x)
-    pts = np.array(unique)
+    pairs = np.column_stack(np.triu_indices(tpl.m, 1))
+    mats = tpl.normals[pairs]
+    crossing = np.abs(np.linalg.det(mats)) >= 1e-12
+    pairs, mats = pairs[crossing], mats[crossing]
+    pts = np.linalg.solve(mats, tpl.offsets[pairs][:, :, None])[:, :, 0]
+    pts = pts[np.all(pts @ tpl.normals.T <= tpl.offsets + tol * scale, axis=1)]
+    unique = []
+    while pts.shape[0]:
+        unique.append(pts[0])
+        pts = pts[1:][np.linalg.norm(pts[1:] - pts[0], axis=1) > tol * scale]
+    pts = np.array(unique).reshape(-1, 2)
     if pts.shape[0] < 3:
         return pts
     centroid = pts.mean(axis=0)
     order = np.argsort(np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0]))
     pts = pts[order]
     # Drop collinear middle points so the CCW order is strict.
-    keep = []
-    m = pts.shape[0]
-    for i in range(m):
-        prev_pt, cur, nxt = pts[i - 1], pts[i], pts[(i + 1) % m]
-        u, v = cur - prev_pt, nxt - cur
-        if u[0] * v[1] - u[1] * v[0] > tol * scale:
-            keep.append(i)
-    return pts[keep] if keep else pts
+    u = pts - np.roll(pts, 1, axis=0)
+    v = np.roll(pts, -1, axis=0) - pts
+    keep = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] > tol * scale
+    return pts[keep] if keep.any() else pts
 
 
 def _print_vector(name: str, vec) -> None:

@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lpsolve import INFEASIBLE, OPTIMAL, UNBOUNDED, LPProblem, NumericalFailure, solve
+from .lpsolve import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    LPProblem,
+    NumericalFailure,
+    solve,
+    solve_many,
+)
 from .polynomial import Rectangle, bernstein_coefficients, evaluate, evaluate_many
 from .relaxation import (
     InfeasiblePolytope,
@@ -190,20 +198,23 @@ def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) ->
     """Support function ``max d . x`` of the template polytope along each row ``d``.
 
     The polytope is ``{x : normals @ x <= offsets}``, intersected with ``rect``
-    when one is given.  An entry is ``+inf`` where the polytope is unbounded
-    along its direction.  Every entry is ``-inf`` when the polytope is empty:
-    the first infeasible program ends the sweep.
+    when one is given.  All directions share one ``solve_many`` sweep: one
+    phase 1 for the polytope, then one warm phase 2 per direction.  An entry
+    is ``+inf`` where the polytope is unbounded along its direction.  Every
+    entry is ``-inf`` when the polytope is empty.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if rect is None:  # free x = x+ - x- in adjacent columns
         sign = np.tile([1.0, -1.0], tpl.n)
         G, h = np.repeat(tpl.normals, 2, axis=1) * sign, tpl.offsets
+        costs = -np.repeat(directions, 2, axis=1) * sign
     else:  # y = x - lower >= 0, with the box's upper sides as rows
         G = np.vstack([tpl.normals, np.eye(tpl.n)])
         h = np.concatenate([tpl.offsets, rect.upper]) - G @ rect.lower
+        costs = -directions
+    sols = solve_many(LPProblem(np.zeros(G.shape[1]), G=G, h=h), costs)
     out = np.empty(directions.shape[0])
-    for k, d in enumerate(directions):
-        sol = solve(LPProblem(-d if rect is not None else -np.repeat(d, 2) * sign, G=G, h=h))
+    for k, (d, sol) in enumerate(zip(directions, sols)):
         if sol.status == INFEASIBLE:
             return np.full(directions.shape[0], -np.inf)
         if sol.status == UNBOUNDED:

@@ -12,10 +12,17 @@ active inequality row gets a nonzero multiplier where one exists (see
 ``_activate_degenerate_rows``): the bounding program's multipliers are its
 duals, and a zero multiplier on an active facet hides how the bound reacts
 to moving that facet.
+
+``solve_many`` solves one set of rows under many costs, as the support
+queries of one polytope do: phase 1 runs once, and each cost's phase 2
+starts from the basis where the previous cost's ended, which is still
+primal feasible.  ``solve`` is ``solve_many`` with the program's own cost,
+so there is one phase-1 and one phase-2 code path.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,12 +155,12 @@ def _activate_degenerate_rows(T, basis, cost, first_slack):
     ``T[row, j] < 0``, so every reduced cost stays nonnegative, the basic
     values (hence ``x`` and the objective) stay as they are, and the row's
     multiplier becomes that ratio.  Rows where the ratio is zero are left.
+    The rows are selected once: a pivot row's value is zeroed first, so a
+    pivot changes no other row's value.
     """
     ncols = T.shape[1] - 1
-    rows = np.flatnonzero(basis >= first_slack)
+    rows = np.flatnonzero((basis >= first_slack) & (np.abs(T[:, -1]) <= 1e-12))
     for row in rows[np.argsort(basis[rows])]:
-        if abs(T[row, -1]) > 1e-12:
-            continue
         cand = np.flatnonzero(T[row, :ncols] < -PIVOT_TOL)
         if cand.size == 0:
             continue
@@ -165,11 +172,27 @@ def _activate_degenerate_rows(T, basis, cost, first_slack):
             _pivot(T, basis, row, int(cand[best]))
 
 
-def solve(lp: LPProblem) -> LPSolution:
-    """Solve ``lp``; deterministic for a fixed input.
+@dataclass(eq=False)
+class _Tableau:
+    """A primal feasible basis of the shared rows, ready for any cost.
 
-    Raises NumericalFailure instead of ever returning an uncertified answer.
+    ``T`` holds the rows of the kept constraints over the structural and
+    slack columns, ``basis`` its basic columns; ``A_kept`` (those rows before
+    any pivot), ``keep`` and ``row_scale`` map basis duals back to the
+    program's rows.
     """
+
+    T: np.ndarray
+    basis: np.ndarray
+    A_kept: np.ndarray
+    keep: np.ndarray
+    row_scale: np.ndarray
+    max_degenerate: int
+    max_iter: int
+
+
+def _phase_one(lp: LPProblem):
+    """Feasible start for the rows of ``lp``, or None when they are infeasible."""
     n = lp.n_vars
     m_ineq = lp.m_ineq
     m = m_ineq + lp.m_eq
@@ -223,7 +246,7 @@ def solve(lp: LPProblem) -> LPSolution:
             raise NumericalFailure("phase-1 subproblem reported unbounded")
         art_level = float(cost1[basis] @ T[:, -1])
         if art_level > FEAS_TOL * scale:
-            return LPSolution(status=INFEASIBLE)
+            return None
         # Pivot remaining artificials out; drop rows that prove redundant.
         for i in range(m):
             if basis[i] < n_std:
@@ -239,26 +262,38 @@ def solve(lp: LPProblem) -> LPSolution:
 
     # Phase 2 on the original columns only.
     T = np.hstack([T[:, :n_std], T[:, -1:]])
+    return _Tableau(T, basis, A0[keep], keep, row_scale, max_degenerate, max_iter)
+
+
+def _phase_two(tab: _Tableau, lp: LPProblem, c: np.ndarray) -> LPSolution:
+    """Minimize ``c`` over the rows of ``lp`` from the tableau's basis, which
+    is left at the end basis: still primal feasible, so the next cost can
+    start from it."""
+    lp = copy(lp)  # the rows of lp under the checked cost c
+    lp.c = c
+    n = lp.n_vars
+    m_ineq = lp.m_ineq
+    T, basis = tab.T, tab.basis
     cost2 = np.concatenate([lp.c, np.zeros(m_ineq)])
-    status = _pivot_loop(T, basis, cost2, max_degenerate, max_iter)
+    status = _pivot_loop(T, basis, cost2, tab.max_degenerate, tab.max_iter)
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
     _activate_degenerate_rows(T, basis, cost2, n)
 
-    x_std = np.zeros(n_std)
+    x_std = np.zeros(n + m_ineq)
     x_std[basis] = T[:, -1]
     x = x_std[:n]
 
     # Basis duals of the standard form, mapped back through row scaling and flips.
-    y_full = np.zeros(m)
-    if keep.any():
-        basis_mat = A0[keep][:, basis]
+    y_full = np.zeros(tab.keep.size)
+    if tab.keep.any():
+        basis_mat = tab.A_kept[:, basis]
         try:
             y_kept = np.linalg.solve(basis_mat.T, cost2[basis])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis at optimum") from exc
-        y_full[keep] = y_kept
-    y_full *= row_scale
+        y_full[tab.keep] = y_kept
+    y_full *= tab.row_scale
 
     sol = LPSolution(
         status=OPTIMAL,
@@ -274,6 +309,32 @@ def solve(lp: LPProblem) -> LPSolution:
             f"primal={res['primal']:.2e} dual={res['dual']:.2e} gap={res['gap']:.2e}"
         )
     return sol
+
+
+def solve_many(lp: LPProblem, costs) -> list:
+    """Solve the rows of ``lp`` once per cost vector in ``costs``, in order.
+
+    Only the rows of ``lp`` are used, not its cost.  Phase 1 runs once; each
+    cost's phase 2 starts from the basis where the previous one ended, which
+    is primal feasible since only the cost changed.  Every cost gets its own
+    degenerate-row pass, duals and KKT self-check, and a NumericalFailure in
+    any of them ends the sweep.  Deterministic for a fixed input.
+    """
+    costs = np.asarray(costs, dtype=float).reshape(-1, lp.n_vars)
+    if np.isnan(costs).any():
+        raise ValueError("NaN in problem data")
+    tab = _phase_one(lp)
+    if tab is None:
+        return [LPSolution(status=INFEASIBLE) for _ in costs]
+    return [_phase_two(tab, lp, c) for c in costs]
+
+
+def solve(lp: LPProblem) -> LPSolution:
+    """Solve ``lp``; deterministic for a fixed input.
+
+    Raises NumericalFailure instead of ever returning an uncertified answer.
+    """
+    return solve_many(lp, [lp.c])[0]
 
 
 def kkt_residuals(lp: LPProblem, sol: LPSolution) -> dict:

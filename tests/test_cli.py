@@ -279,6 +279,37 @@ class TestSynthesizeCommand:
         assert dump_json(a) == dump_json(b)
 
 
+# Status and iteration count of every bundled synthesis.  The offsets move in
+# their last bits whenever the pivot path of a support or offset-step program
+# changes, and that can change a trajectory, so these are pinned.
+BUNDLED_OUTCOMES = [
+    ("fitzhugh_nagumo", None, "invariant_found", 3),
+    ("phytoplankton", None, "invariant_found", 12),
+    ("linear_decay", None, "invariant_found", 1),
+    ("fitzhugh_nagumo", "uniform:3", "stalled", 8),
+    ("fitzhugh_nagumo", "uniform:4", "stalled", 4),
+    ("fitzhugh_nagumo", "uniform:5", "stalled", 13),
+    ("fitzhugh_nagumo", "uniform:6", "stalled", 13),
+    ("fitzhugh_nagumo", "uniform:8", "invariant_found", 3),
+    ("fitzhugh_nagumo", "uniform:32", "invariant_found", 2),
+    ("fitzhugh_nagumo", "uniform:64", "invariant_found", 2),
+]
+
+
+@pytest.mark.parametrize("model, template, status, iterations", BUNDLED_OUTCOMES)
+def test_bundled_synthesis_outcome(models_dir, tmp_path, capsys, model, template, status, iterations):
+    path = str(models_dir / f"{model}.json")
+    report_path, poly_path = tmp_path / "report.json", tmp_path / "polytope.json"
+    argv = ["synthesize", path, "--report", str(report_path), "--polytope", str(poly_path)]
+    code = main(argv + (["--template", template] if template else []))
+    report = json.loads(report_path.read_text())
+    assert (report["status"], len(report["iterations"])) == (status, iterations)
+    assert code == (0 if status == "invariant_found" else 1)
+    if code == 0:
+        assert main(["verify", path, "--polytope", str(poly_path)]) == 0
+    capsys.readouterr()
+
+
 class TestSchemas:
     def test_model_files_validate(self, models_dir):
         for name in ("fitzhugh_nagumo.json", "phytoplankton.json", "linear_decay.json"):
@@ -465,7 +496,84 @@ class TestNonFiniteInput:
         assert f"params.{key} must be finite" in err
 
 
+def reference_polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:
+    """``polygon_vertices`` one facet pair and one point at a time."""
+    scale = 1.0 + float(np.abs(tpl.offsets).max())
+    points = []
+    for i in range(tpl.m):
+        for j in range(i + 1, tpl.m):
+            mat = tpl.normals[[i, j]]
+            if abs(np.linalg.det(mat)) < 1e-12:
+                continue
+            x = np.linalg.solve(mat, tpl.offsets[[i, j]])
+            if np.all(tpl.normals @ x <= tpl.offsets + tol * scale):
+                points.append(x)
+    if not points:
+        return np.zeros((0, 2))
+    unique: list[np.ndarray] = []
+    for x in points:
+        if not any(np.linalg.norm(x - u) <= tol * scale for u in unique):
+            unique.append(x)
+    pts = np.array(unique)
+    if pts.shape[0] < 3:
+        return pts
+    centroid = pts.mean(axis=0)
+    pts = pts[np.argsort(np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0]))]
+    keep = []
+    m = pts.shape[0]
+    for i in range(m):
+        u, v = pts[i] - pts[i - 1], pts[(i + 1) % m] - pts[i]
+        if u[0] * v[1] - u[1] * v[0] > tol * scale:
+            keep.append(i)
+    return pts[keep] if keep else pts
+
+
+def random_polygon_template(rng, kind):
+    """A 2-D template of one kind: ``random`` (a polygon around a point),
+    ``parallel`` (some normals repeated, scaled or reversed), ``concurrent``
+    (extra facets through a vertex, and repeated edges) or ``empty`` (two
+    opposite facets with a gap between them)."""
+    m = int(rng.integers(3, 13))
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=m))
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    x0 = rng.normal(size=2)
+    offsets = normals @ x0 + rng.uniform(0.1, 2.0, size=m)
+    if kind == "parallel":
+        pick = rng.integers(0, m, size=int(rng.integers(1, 4)))
+        factor = rng.choice([1.0, 2.5, -1.0, -0.5], size=pick.size)
+        extra = factor[:, None] * normals[pick]
+        shift = np.where(rng.integers(0, 2, size=pick.size) == 1, 0.0, rng.uniform(-1.0, 1.0, size=pick.size))
+        normals = np.vstack([normals, extra])
+        offsets = np.concatenate([offsets, factor * offsets[pick] + np.abs(factor) * shift])
+    elif kind == "concurrent":
+        verts = reference_polygon_vertices(PolytopeTemplate(normals, offsets))
+        vertex = verts[int(rng.integers(0, len(verts)))]
+        extra = rng.normal(size=(int(rng.integers(1, 4)), 2))
+        # keep only lines through the vertex that miss the polygon's interior
+        extra = np.array([a for a in extra if np.all(verts @ a <= a @ vertex + 1e-12)]).reshape(-1, 2)
+        pick = rng.integers(0, m, size=2)
+        normals = np.vstack([normals, extra, normals[pick]])
+        offsets = np.concatenate([offsets, extra @ vertex, offsets[pick]])
+    elif kind == "empty":
+        a = normals[0]
+        normals = np.vstack([normals, -a])
+        offsets = np.append(offsets, -(offsets[0] + rng.uniform(1e-6, 1.0)))
+    order = rng.permutation(len(offsets))
+    return PolytopeTemplate(normals[order], offsets[order])
+
+
 class TestPolygonVertices:
+    @pytest.mark.parametrize("kind", ["random", "parallel", "concurrent", "empty"])
+    def test_matches_the_pairwise_reference(self, kind):
+        rng = np.random.default_rng(["random", "parallel", "concurrent", "empty"].index(kind))
+        counts = set()
+        for _ in range(150):
+            tpl = random_polygon_template(rng, kind)
+            verts = polygon_vertices(tpl)
+            np.testing.assert_array_equal(verts, reference_polygon_vertices(tpl))
+            counts.add(len(verts))
+        assert (counts == {0}) == (kind == "empty")
+
     def test_square(self):
         tpl = PolytopeTemplate(
             np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),

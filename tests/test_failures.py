@@ -1,5 +1,6 @@
 """The documented NumericalFailure paths: the solver's KKT gate, a failed
-facet inside ``verify`` and ``synthesize``, and the CLI's exit codes.
+facet inside ``verify`` and ``synthesize``, a failed direction of a support
+sweep, and the CLI's exit codes.
 
 Monkeypatching only injects the failure; everything around it runs as is.
 """
@@ -17,10 +18,12 @@ from polyvar.invariance import (
     STALLED,
     PolytopeTemplate,
     SynthesisParams,
+    repair_offsets,
     synthesize,
     verify,
 )
 from polyvar.lpsolve import LPProblem, NumericalFailure, solve
+from polyvar.polynomial import Rectangle
 
 from conftest import fitzhugh_nagumo
 
@@ -43,6 +46,22 @@ def fail_certify_calls(monkeypatch, calls):
         return real(lp)
 
     monkeypatch.setattr(invariance, "certify", certify)
+
+
+def fail_phase_two_runs(monkeypatch, runs) -> list:
+    """Make the given (0-based) phase-2 runs of the LP engine raise; returns
+    the run counter."""
+    count = [0]
+    real = lpsolve._phase_two
+
+    def phase_two(*args):
+        count[0] += 1
+        if count[0] - 1 in runs:
+            raise NumericalFailure("injected")
+        return real(*args)
+
+    monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
+    return count
 
 
 def fitzhugh_nagumo_invariant():
@@ -95,6 +114,38 @@ class TestFailedFacet:
         assert trace.records[0].failures == {}
         assert trace.records[1].failures == {1: "injected"}
         assert not trace.records[1].invariant and trace.records[1].t_star is None
+
+
+class TestFailedPhaseTwo:
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_repair_raises_and_ends_the_sweep(self, monkeypatch, k):
+        normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+        tpl = PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0])
+        count = fail_phase_two_runs(monkeypatch, {k})
+        with pytest.raises(NumericalFailure, match="injected"):
+            repair_offsets(tpl, Rectangle([-2.0, -2.0], [2.0, 2.0]))
+        assert count[0] == k + 1
+
+    def test_synthesize_stalls_on_a_failed_facet_program(self, monkeypatch):
+        # the failure hits the phase 2 of facet 1's program in the second pass
+        fld, rect, normals, ref = fitzhugh_nagumo()
+        real = invariance.verify
+        passes = [0]
+
+        def verify_pass(*args):
+            passes[0] += 1
+            if passes[0] == 2:
+                fail_phase_two_runs(monkeypatch, {1})
+            return real(*args)
+
+        monkeypatch.setattr(invariance, "verify", verify_pass)
+        trace = synthesize(
+            fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref)
+        )
+        assert trace.status == STALLED
+        assert trace.n_iterations == 2
+        assert trace.records[0].failures == {}
+        assert trace.records[1].failures == {1: "injected"}
 
 
 class TestCli:

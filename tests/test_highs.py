@@ -14,6 +14,7 @@ from polyvar.lpsolve import (
     NumericalFailure,
     kkt_residuals,
     solve,
+    solve_many,
 )
 from polyvar.relaxation import (
     ConstraintSet,
@@ -217,5 +218,42 @@ def test_general_programs_match_highs():
             assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref)), kind
             res = kkt_residuals(lp, sol)
             assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6, kind
+
+    check()
+
+
+def test_cost_sweeps_match_highs():
+    # one drawn region and five costs over it (the drawn cost first), solved
+    # in one sweep; each cost is checked against HiGHS as a program of its own
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+
+    @st.composite
+    def sweeps(draw):
+        kind, lp, reference = draw(general_lps(st))
+        extra = draw(st.lists(st.lists(coeff, min_size=lp.n_vars, max_size=lp.n_vars),
+                              min_size=4, max_size=4))
+        return kind, lp, reference, np.vstack([lp.c, np.reshape(extra, (4, lp.n_vars))])
+
+    @hypothesis.settings(max_examples=150)
+    @hypothesis.given(sweeps())
+    def check(case):
+        kind, lp, reference, costs = case
+        hypothesis.event(kind)
+        try:
+            sols = solve_many(lp, costs)
+        except NumericalFailure:
+            hypothesis.event("NumericalFailure")
+            return
+        for cost, sol in zip(costs, sols):
+            ref_status, ref, _ = highs(
+                LPProblem(cost, G=reference.G, h=reference.h, A=reference.A, d=reference.d), **TIGHT
+            )
+            assert sol.status == ref_status, kind
+            if ref_status == OPTIMAL:
+                assert abs(sol.objective - ref) <= 1e-9 * (1.0 + abs(ref)), kind
+                res = kkt_residuals(LPProblem(cost, G=lp.G, h=lp.h, A=lp.A, d=lp.d), sol)
+                assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6, kind
 
     check()

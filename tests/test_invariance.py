@@ -3,6 +3,7 @@ import pytest
 
 import polyvar.invariance
 import polyvar.relaxation
+from polyvar import lpsolve
 from polyvar.files import load_model
 from polyvar.invariance import (
     INVARIANT_FOUND,
@@ -58,15 +59,21 @@ def rotated_hexagon_normals() -> np.ndarray:
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
-def count_solves(monkeypatch) -> list:
-    calls = []
+def count_phases(monkeypatch) -> dict:
+    """Count the LP engine's phase-1 runs (one per sweep of shared rows) and
+    phase-2 runs (one per cost solved)."""
+    counts = {"phase_one": 0, "phase_two": 0}
 
-    def counting_solve(lp):
-        calls.append(lp)
-        return solve(lp)
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(polyvar.invariance, "solve", counting_solve)
-    return calls
+        return wrapper
+
+    monkeypatch.setattr(lpsolve, "_phase_one", counted("phase_one", lpsolve._phase_one))
+    monkeypatch.setattr(lpsolve, "_phase_two", counted("phase_two", lpsolve._phase_two))
+    return counts
 
 
 class TestVectorField:
@@ -126,9 +133,9 @@ class TestConfiningCaps:
         tpl = PolytopeTemplate(normals)
         raw = tpl.support_in(rect)
         assert not template_within_rect(tpl.with_offsets(raw), rect)
-        calls = count_solves(monkeypatch)
+        phases = count_phases(monkeypatch)
         caps = _confining_caps(tpl, rect, ref)
-        assert len(calls) <= 6 * tpl.n
+        assert 0 < phases["phase_two"] <= 6 * tpl.n
         capped = tpl.with_offsets(caps)
         assert template_within_rect(capped, rect, tol=0.0)
         reach = support_values(capped, np.vstack([np.eye(2), -np.eye(2)]))
@@ -357,16 +364,17 @@ class TestRepairOffsets:
             repair_offsets(tpl, Rectangle([-2.0, -2.0], [2.0, 2.0]))
 
     def test_one_lp_per_facet(self, monkeypatch):
-        calls = count_solves(monkeypatch)
+        # one phase 1 for the polytope, then one phase 2 per facet direction
+        phases = count_phases(monkeypatch)
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
         repair_offsets(PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0]), Rectangle([-2, -2], [2, 2]))
-        assert len(calls) == 5
+        assert phases == {"phase_one": 1, "phase_two": 5}
 
     def test_empty_polytope_costs_one_lp(self, monkeypatch):
-        calls = count_solves(monkeypatch)
+        phases = count_phases(monkeypatch)
         with pytest.raises(EmptyPolytope):
             repair_offsets(unit_square_template((1.0, 1.0, -2.0, 0.0)), Rectangle([-2, -2], [2, 2]))
-        assert len(calls) == 1
+        assert phases == {"phase_one": 1, "phase_two": 0}
 
 
 class TestSynthesize:

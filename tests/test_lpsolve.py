@@ -11,6 +11,7 @@ from polyvar.lpsolve import (
     LPProblem,
     kkt_residuals,
     solve,
+    solve_many,
 )
 from polyvar.oracle import box_lp, free_lp
 from polyvar.polynomial import Rectangle
@@ -288,3 +289,77 @@ class TestRowScaling:
             assert sol.status == ref.status == OPTIMAL
             assert sol.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
             assert sol.ineq_duals * s == pytest.approx(ref.ineq_duals, rel=1e-6, abs=1e-9)
+
+
+def random_sweep(rng):
+    """``(lp, costs)``: six costs over one region, boxed or free, with a gap
+    between two opposite rows in one region of five."""
+    if rng.integers(0, 2):
+        lp = random_boxed_lp(rng)
+        costs = rng.normal(size=(6, lp.n_vars))
+    else:
+        # few rows over free variables: some directions are unbounded
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        x0 = rng.normal(size=n)
+        G = rng.normal(size=(m, n))
+        lp = free_lp(np.zeros(n), G=G, h=G @ x0 + rng.uniform(0.0, 2.0, size=m))
+        costs = np.repeat(rng.normal(size=(6, n)), 2, axis=1) * np.tile([1.0, -1.0], n)
+    if rng.integers(0, 5) == 0:
+        a = rng.normal(size=lp.n_vars)
+        b = float(rng.normal())
+        lp = LPProblem(
+            lp.c,
+            G=np.vstack([lp.G, a, -a]),
+            h=np.concatenate([lp.h, [b, -(b + rng.uniform(1e-3, 1.0))]]),
+            A=lp.A,
+            d=lp.d,
+        )
+    return lp, costs
+
+
+class TestSolveMany:
+    """One phase 1, then a warm phase 2 per cost: each answer is the cold one."""
+
+    def test_matches_a_cold_solve_per_cost(self):
+        rng = np.random.default_rng(191)
+        statuses = set()
+        for _ in range(300):
+            lp, costs = random_sweep(rng)
+            for order in (np.arange(len(costs)), rng.permutation(len(costs))):
+                for cost, sol in zip(costs[order], solve_many(lp, costs[order])):
+                    ref = solve(LPProblem(cost, G=lp.G, h=lp.h, A=lp.A, d=lp.d))
+                    assert sol.status == ref.status
+                    statuses.add(sol.status)
+                    if ref.status == OPTIMAL:
+                        assert abs(sol.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+                        res = kkt_residuals(LPProblem(cost, G=lp.G, h=lp.h, A=lp.A, d=lp.d), sol)
+                        assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6
+        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+    def test_first_cost_is_the_cold_solve(self):
+        rng = np.random.default_rng(193)
+        for _ in range(50):
+            lp, costs = random_sweep(rng)
+            first = solve_many(lp, costs)[0]
+            cold = solve(LPProblem(costs[0], G=lp.G, h=lp.h, A=lp.A, d=lp.d))
+            assert first.status == cold.status
+            if cold.status == OPTIMAL:
+                np.testing.assert_array_equal(first.x, cold.x)
+                np.testing.assert_array_equal(first.ineq_duals, cold.ineq_duals)
+                np.testing.assert_array_equal(first.eq_duals, cold.eq_duals)
+                assert first.objective == cold.objective
+
+    def test_rows_only(self):
+        # the program's own cost plays no part; no costs, no answers
+        lp = free_lp([5.0], G=[[1.0], [-1.0]], h=[1.0, 2.0])
+        sols = solve_many(lp, [[-1.0, 1.0], [1.0, -1.0]])
+        assert [s.objective for s in sols] == pytest.approx([-1.0, -2.0])
+        assert solve_many(lp, np.zeros((0, 2))) == []
+
+    def test_empty_region_is_infeasible_for_every_cost(self):
+        lp = LPProblem([0.0], G=[[1.0]], h=[-1.0])
+        assert [s.status for s in solve_many(lp, [[1.0], [-1.0]])] == [INFEASIBLE] * 2
+
+    def test_nan_cost_rejected(self):
+        with pytest.raises(ValueError):
+            solve_many(LPProblem([1.0]), [[1.0], [np.nan]])
