@@ -439,15 +439,17 @@ def synthesize(
     """
     params = params or SynthesisParams()
     offsets0, b_lo, b_hi, epsilon = _resolve_params(tpl0, rect, params)
-    # Tighten up-front: user offsets may carry empty facets, which the facet
-    # programs would report as infeasible rather than bounding.  This also
-    # raises EmptyPolytope for an empty start.
-    repaired = repair_offsets(tpl0.with_offsets(offsets0), rect)
     # Offsets never exceed b_hi, and the b_hi cap polytope is contained in
     # the rectangle, so every iterate stays contained as well.
-    if np.any(b_lo > offsets0 + 1e-12) or np.any(offsets0 > b_hi + 1e-12):
+    if np.any(offsets0 > b_hi + 1e-12):
         raise ValueError("initial offsets must satisfy b_lo <= offsets <= b_hi")
-    tpl = tpl0.with_offsets(repaired)
+    # Tighten up-front: user offsets may carry empty facets, which the facet
+    # programs would report as infeasible rather than bounding.  This also
+    # raises EmptyPolytope for an empty start, so b_lo is checked after it:
+    # with b_lo = normals @ ref, every empty start is below b_lo somewhere.
+    tpl = tpl0.with_offsets(repair_offsets(tpl0.with_offsets(offsets0), rect))
+    if np.any(b_lo > offsets0 + 1e-12):
+        raise ValueError("initial offsets must satisfy b_lo <= offsets <= b_hi")
 
     records: list[IterationRecord] = []
     status = ITERATION_LIMIT

@@ -4,8 +4,11 @@ Every program has one form, ``min c.x`` subject to ``G x <= h``, ``A x = d``
 and ``x >= 0``; callers pose free and boxed variables in it themselves.
 Every program this package builds has at most a few dozen rows; the bounding
 programs have one column per vertex class, up to a few thousand.  A dense
-tableau is fast enough at that shape and the most direct way to read exact
-basis duals back out.  Rows far from unit scale are rescaled by powers of
+tableau is fast enough at that shape and carries its own duals: its last
+row holds the reduced costs, which every pivot updates with the rest, and
+the columns that formed the start basis hold the basis inverse, so a row's
+dual is minus the reduced cost of its start column, refined once against
+the program's own rows.  Rows far from unit scale are rescaled by powers of
 two first.  Pricing is Dantzig's rule, switching to Bland's rule after too
 many degenerate pivots to rule out cycling.  Among the optimal duals, an
 active inequality row gets a nonzero multiplier where one exists (see
@@ -15,9 +18,9 @@ to moving that facet.
 
 ``solve_many`` solves one set of rows under many costs, as the support
 queries of one polytope do: phase 1 runs once, and each cost's phase 2
-starts from the basis where the previous cost's ended, which is still
-primal feasible.  ``solve`` is ``solve_many`` with the program's own cost,
-so there is one phase-1 and one phase-2 code path.
+prices the reduced-cost row at the basis where the previous cost's ended,
+which is still primal feasible.  ``solve`` is ``solve_many`` with the
+program's own cost, so there is one phase-1 and one phase-2 code path.
 """
 
 from __future__ import annotations
@@ -100,7 +103,10 @@ class LPSolution:
 
 
 def _pivot(T, basis, row, col):
-    """Pivot tableau ``T`` in place on ``(row, col)``; ``col`` enters the basis."""
+    """Pivot tableau ``T`` in place on ``(row, col)``; ``col`` enters the basis.
+
+    The rank-1 update covers the reduced-cost row too, so it stays current.
+    """
     T[row] /= T[row, col]
     factor = T[:, col].copy()
     factor[row] = 0.0
@@ -108,64 +114,58 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _pivot_loop(T, basis, cost, max_degenerate, max_iter):
-    """Run simplex pivots on tableau ``T`` in place; returns 'optimal'/'unbounded'."""
-    m = T.shape[0]
-    ncols = T.shape[1] - 1
-    bland = False
+def _price(T, basis, cost):
+    """Set the reduced-cost row of ``T`` (its last) to ``cost`` at ``basis``."""
+    T[-1] = np.append(cost, 0.0) - cost[basis] @ T[:-1]
+
+
+def _pivot_loop(T, basis, n_enter):
+    """Run simplex pivots on tableau ``T`` in place, letting only its first
+    ``n_enter`` columns enter; returns 'optimal'/'unbounded'."""
+    size = T.shape[0] + T.shape[1] - 2  # constraint rows plus columns
     degenerate = 0
-    basis_arr = basis
-    for _ in range(max_iter):
-        r = cost - cost[basis_arr] @ T[:, :ncols]
-        r[basis_arr] = 0.0
-        if bland:
-            below = np.flatnonzero(r < -PIVOT_TOL)
-            if below.size == 0:
-                return OPTIMAL
-            enter = int(below[0])
-        else:
-            enter = int(np.argmin(r))
-            if r[enter] >= -PIVOT_TOL:
-                return OPTIMAL
-        col = T[:, enter]
+    for _ in range(1000 + 50 * size):
+        r = T[-1, :n_enter]
+        # Dantzig's rule; Bland's (the first improving column) once
+        # degenerate pivots pile up
+        enter = int(np.argmax(r < -PIVOT_TOL) if degenerate > 5 * size else np.argmin(r))
+        if r[enter] >= -PIVOT_TOL:
+            return OPTIMAL
+        col = T[:-1, enter]
         rows = np.flatnonzero(col > PIVOT_TOL)
         if rows.size == 0:
             return UNBOUNDED
-        ratios = T[rows, ncols] / col[rows]
+        ratios = T[rows, -1] / col[rows]
         best = ratios.min()
         ties = rows[ratios <= best + 1e-12]
-        leave = int(ties[np.argmin(basis_arr[ties])])
-        if best <= 1e-12:
-            degenerate += 1
-            if degenerate > max_degenerate:
-                bland = True
+        leave = int(ties[np.argmin(basis[ties])])
+        degenerate += best <= 1e-12
         if abs(T[leave, enter]) < PIVOT_TOL:
             raise NumericalFailure("pivot element below tolerance")
-        _pivot(T, basis_arr, leave, enter)
+        _pivot(T, basis, leave, enter)
     raise NumericalFailure("simplex iteration limit exceeded")
 
 
-def _activate_degenerate_rows(T, basis, cost, first_slack):
+def _activate_degenerate_rows(T, basis, first_slack, n_enter):
     """Give weakly active inequality rows a multiplier, keeping ``x`` optimal.
 
     A row whose slack is basic at zero is active but carries a zero basis
     dual, the end of the optimal multiplier set that says nothing about the
     row.  One dual-simplex pivot per such row moves its slack out of the
-    basis: the entering column minimizes ``r_j / |T[row, j]|`` over
-    ``T[row, j] < 0``, so every reduced cost stays nonnegative, the basic
-    values (hence ``x`` and the objective) stay as they are, and the row's
-    multiplier becomes that ratio.  Rows where the ratio is zero are left.
-    The rows are selected once: a pivot row's value is zeroed first, so a
-    pivot changes no other row's value.
+    basis: the entering column (one of the first ``n_enter``) minimizes
+    ``r_j / |T[row, j]|`` over ``T[row, j] < 0``, so every reduced cost stays
+    nonnegative, the basic values (hence ``x`` and the objective) stay as
+    they are, and the row's multiplier becomes that ratio.  Rows where the
+    ratio is zero are left.  The rows are selected once: a pivot row's value
+    is zeroed first, so a pivot changes no other row's value.
     """
-    ncols = T.shape[1] - 1
-    rows = np.flatnonzero((basis >= first_slack) & (np.abs(T[:, -1]) <= 1e-12))
+    slack = (basis >= first_slack) & (basis < n_enter)
+    rows = np.flatnonzero(slack & (np.abs(T[:-1, -1]) <= 1e-12))
     for row in rows[np.argsort(basis[rows])]:
-        cand = np.flatnonzero(T[row, :ncols] < -PIVOT_TOL)
+        cand = np.flatnonzero(T[row, :n_enter] < -PIVOT_TOL)
         if cand.size == 0:
             continue
-        r = cost - cost[basis] @ T[:, :ncols]
-        ratios = r[cand] / -T[row, cand]
+        ratios = T[-1, cand] / -T[row, cand]
         best = int(np.argmin(ratios))
         if ratios[best] > 0.0:
             T[row, -1] = 0.0  # round-off below the degeneracy threshold
@@ -176,19 +176,17 @@ def _activate_degenerate_rows(T, basis, cost, first_slack):
 class _Tableau:
     """A primal feasible basis of the shared rows, ready for any cost.
 
-    ``T`` holds the rows of the kept constraints over the structural and
-    slack columns, ``basis`` its basic columns; ``A_kept`` (those rows before
-    any pivot), ``keep`` and ``row_scale`` map basis duals back to the
-    program's rows.
+    ``T`` holds the constraint rows over the structural, slack and phase-1
+    artificial columns, then the reduced-cost row; ``basis`` lists the basic
+    columns.  ``start[i]``, row ``i``'s basic column at the start, is its
+    column of the basis inverse, and its reduced cost is minus the row's
+    dual, mapped back to the program's row by ``row_scale``.
     """
 
     T: np.ndarray
     basis: np.ndarray
-    A_kept: np.ndarray
-    keep: np.ndarray
+    start: np.ndarray
     row_scale: np.ndarray
-    max_degenerate: int
-    max_iter: int
 
 
 def _phase_one(lp: LPProblem):
@@ -226,28 +224,25 @@ def _phase_one(lp: LPProblem):
     basis[slack_rows] = n + slack_rows
     art_rows = np.flatnonzero(basis < 0)
     n_art = art_rows.size
-    ncols_p1 = n_std + n_art
-    T = np.zeros((m, ncols_p1 + 1))
-    T[:, :n_std] = A0
+    T = np.zeros((m + 1, n_std + n_art + 1))
+    T[:m, :n_std] = A0
     basis[art_rows] = n_std + np.arange(n_art)
     T[art_rows, basis[art_rows]] = 1.0
-    T[:, -1] = b0
+    T[:m, -1] = b0
+    start = basis.copy()
 
-    max_degenerate = 5 * (m + ncols_p1)
-    max_iter = 1000 + 50 * (m + ncols_p1)
-    scale = 1.0 + max(np.abs(b0).max(initial=0.0), np.abs(A0).max(initial=0.0))
-
-    keep = np.ones(m, dtype=bool)
     if n_art:
-        cost1 = np.zeros(ncols_p1)
+        scale = 1.0 + max(np.abs(b0).max(initial=0.0), np.abs(A0).max(initial=0.0))
+        cost1 = np.zeros(n_std + n_art)
         cost1[n_std:] = 1.0
-        status = _pivot_loop(T, basis, cost1, max_degenerate, max_iter)
-        if status != OPTIMAL:
+        _price(T, basis, cost1)
+        if _pivot_loop(T, basis, n_std + n_art) != OPTIMAL:
             raise NumericalFailure("phase-1 subproblem reported unbounded")
-        art_level = float(cost1[basis] @ T[:, -1])
+        art_level = float(cost1[basis] @ T[:-1, -1])
         if art_level > FEAS_TOL * scale:
             return None
-        # Pivot remaining artificials out; drop rows that prove redundant.
+        # Pivot remaining artificials out.  A row where none can go is
+        # redundant: zero up to round-off, it is set to zero and never pivots.
         for i in range(m):
             if basis[i] < n_std:
                 continue
@@ -257,50 +252,45 @@ def _phase_one(lp: LPProblem):
             if row[j] > PIVOT_TOL:
                 _pivot(T, basis, i, j)
             else:
-                keep[i] = False
-        T, basis = T[keep], basis[keep]
-
-    # Phase 2 on the original columns only.
-    T = np.hstack([T[:, :n_std], T[:, -1:]])
-    return _Tableau(T, basis, A0[keep], keep, row_scale, max_degenerate, max_iter)
+                T[i, :n_std] = 0.0
+    return _Tableau(T, basis, start, row_scale)
 
 
 def _phase_two(tab: _Tableau, lp: LPProblem, c: np.ndarray) -> LPSolution:
     """Minimize ``c`` over the rows of ``lp`` from the tableau's basis, which
     is left at the end basis: still primal feasible, so the next cost can
-    start from it."""
+    start from it.  Artificial columns never enter."""
     lp = copy(lp)  # the rows of lp under the checked cost c
     lp.c = c
-    n = lp.n_vars
-    m_ineq = lp.m_ineq
-    T, basis = tab.T, tab.basis
-    cost2 = np.concatenate([lp.c, np.zeros(m_ineq)])
-    status = _pivot_loop(T, basis, cost2, tab.max_degenerate, tab.max_iter)
-    if status == UNBOUNDED:
+    n, m_ineq = lp.n_vars, lp.m_ineq
+    n_std = n + m_ineq
+    T, basis, start, row_scale = tab.T, tab.basis, tab.start, tab.row_scale
+    cost = np.zeros(T.shape[1] - 1)
+    cost[:n] = c
+    _price(T, basis, cost)
+    if _pivot_loop(T, basis, n_std) == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
-    _activate_degenerate_rows(T, basis, cost2, n)
+    _activate_degenerate_rows(T, basis, n, n_std)
 
-    x_std = np.zeros(n + m_ineq)
-    x_std[basis] = T[:, -1]
-    x = x_std[:n]
+    x = np.zeros(T.shape[1] - 1)
+    x[basis] = T[:-1, -1]
 
-    # Basis duals of the standard form, mapped back through row scaling and flips.
-    y_full = np.zeros(tab.keep.size)
-    if tab.keep.any():
-        basis_mat = tab.A_kept[:, basis]
-        try:
-            y_kept = np.linalg.solve(basis_mat.T, cost2[basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure("singular basis at optimum") from exc
-        y_full[tab.keep] = y_kept
-    y_full *= tab.row_scale
-
+    # The multipliers [lam; mu] come off the reduced-cost row.  Pivots on
+    # small elements leave round-off in T, which a bound reads through the
+    # multipliers, so one refinement step follows: the reduced costs of the
+    # basic columns, recomputed from the rows of lp, should be zero, and the
+    # start columns of T, the basis inverse, map them to the correction.
+    w = T[-1, start] * row_scale
+    r = np.zeros_like(cost)
+    r[:n] = c + lp.G.T @ w[:m_ineq] + lp.A.T @ w[m_ineq:]
+    r[n:n_std] = w[:m_ineq] / np.abs(row_scale[:m_ineq])
+    w -= (r[basis] @ T[:-1, start]) * row_scale
     sol = LPSolution(
         status=OPTIMAL,
-        x=x,
-        objective=float(lp.c @ x),
-        ineq_duals=np.maximum(-y_full[:m_ineq], 0.0),
-        eq_duals=-y_full[m_ineq:],
+        x=x[:n],
+        objective=float(c @ x[:n]),
+        ineq_duals=np.maximum(w[:m_ineq], 0.0),
+        eq_duals=w[m_ineq:],
     )
     res = kkt_residuals(lp, sol)
     if res["primal"] > 1e-6 or res["dual"] > 1e-6 or res["gap"] > 1e-6:

@@ -443,6 +443,28 @@ class TestSynthesize:
         final = PolytopeTemplate(normals, trace.final_offsets)
         assert template_within_rect(final, rect)
 
+    @pytest.mark.parametrize(
+        "offsets, sweeps",
+        [
+            # above b_hi: only the b_hi containment sweep of the parameter
+            # checks runs (one phase 1, one phase 2 per direction +-e_i)
+            ((1.5, 1.0, 1.0, 1.0), {"phase_one": 1, "phase_two": 4}),
+            # below b_lo = normals @ ref: the repair sweep (one phase 2 per
+            # facet) runs first, since an empty start must raise EmptyPolytope
+            ((-0.5, 1.0, 1.0, 1.0), {"phase_one": 2, "phase_two": 8}),
+        ],
+    )
+    def test_offsets_outside_caps_rejected(self, offsets, sweeps, monkeypatch):
+        phases = count_phases(monkeypatch)
+        with pytest.raises(ValueError, match="b_lo <= offsets <= b_hi"):
+            synthesize(
+                linear_decay(),
+                Rectangle([-2, -2], [2, 2]),
+                unit_square_template(offsets),
+                SynthesisParams(reference_point=[0.0, 0.0], b_hi=[1.2] * 4),
+            )
+        assert phases == sweeps
+
     def test_non_confining_template_rejected(self):
         # a slab template is unbounded orthogonally and can never sit inside
         normals = np.array([[1.0, 0.0], [-1.0, 0.0]])

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,30 @@ def brute_force_optimum(lp: LPProblem):
         val = float(lp.c @ x)
         best = val if best is None else min(best, val)
     return best
+
+
+def exact_basis_duals(lp: LPProblem, sol) -> np.ndarray:
+    """``[lam; mu]`` of the basis ``sol`` ends at, in exact rationals: zero on
+    inactive rows, and ``c_j + G^T lam + A^T mu = 0`` on the columns with
+    ``x_j > 0``.  Needs a nondegenerate optimum, where these equations are
+    as many as the unknowns."""
+    active = np.flatnonzero(lp.h - lp.G @ sol.x <= 1e-9)
+    rows = np.vstack([lp.G[active], lp.A])
+    basic = np.flatnonzero(sol.x > 1e-9)
+    assert basic.size == rows.shape[0]
+    # Gauss-Jordan on [rows[:, basic]^T | -c_basic]
+    M = [[Fraction(v) for v in rows[:, j]] + [Fraction(-lp.c[j])] for j in basic]
+    for k in range(len(M)):
+        p = next(i for i in range(k, len(M)) if M[i][k] != 0)
+        M[k], M[p] = M[p], M[k]
+        M[k] = [v / M[k][k] for v in M[k]]
+        for i in range(len(M)):
+            if i != k:
+                M[i] = [a - M[i][k] * b for a, b in zip(M[i], M[k])]
+    y = np.array([float(row[-1]) for row in M])
+    lam = np.zeros(lp.m_ineq)
+    lam[active] = y[: active.size]
+    return np.concatenate([lam, y[active.size :]])
 
 
 def random_box_program(rng):
@@ -197,6 +222,21 @@ class TestCertificates:
             assert res["dual"] <= 1e-8
             assert res["gap"] <= 1e-7
             assert res["slackness"] <= 1e-6
+
+    def test_duals_exact_after_a_small_pivot(self):
+        # Phase 1 pivots on the 2.1e-5 entry of the equality row, and the
+        # tableau's entries grow by about its inverse; duals read off the
+        # reduced-cost row alone were 5.2e-12 (relative) from the basis duals
+        c = [-0.16600436170542032, -0.8247995492058817, -0.02625746050788247, 0.9971984704084642]
+        g = [-0.14573132676012546, -0.13339080409256865, -0.34185341209509934, 0.7719441227062529]
+        a = [-0.017576082134149518, 2.1418044866048316e-05, 0.055215305329331166, -0.961957497877004]
+        G = np.vstack([g, np.eye(4)])  # and the box x <= 2
+        h = [0.23568216454195653, 2.0, 2.0, 2.0, 2.0]
+        lp = LPProblem(c, G=G, h=h, A=[a], d=[8.258363381093087e-06])
+        sol = solve(lp)
+        exact = exact_basis_duals(lp, sol)
+        got = np.concatenate([sol.ineq_duals, sol.eq_duals])
+        assert np.abs(got - exact).max() <= 1e-14 * (1.0 + np.abs(exact).max())
 
     def test_weak_duality_sign(self):
         # the dual objective never exceeds the primal
