@@ -209,7 +209,7 @@ def _uniform_template(spec_text: str, n: int) -> PolytopeTemplate:
     return PolytopeTemplate(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyvar",
         description=(
@@ -235,8 +235,16 @@ def main(argv=None) -> int:
     p_synth.add_argument("--template", help="generated template, e.g. uniform:8 (2-D only)")
     p_synth.add_argument("--report", help="write a JSON report here")
     p_synth.add_argument("--polytope", help="write the final polytope here on success")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once per process; parsing keeps no state in it, so every call of
+# ``main`` starts from the same defaults.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     handler = {"bound": _cmd_bound, "verify": _cmd_verify, "synthesize": _cmd_synthesize}[
         args.command
     ]

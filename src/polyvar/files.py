@@ -4,6 +4,18 @@ All formats carry ``schema_version`` "1" and are validated against the
 schemas below before any numeric cross-checks.  Reals are emitted at full
 round-trip precision and keys are sorted, so identical inputs produce
 byte-identical files (the wall-time field aside).
+
+Validation runs in this order.  The term lists (a problem's ``polynomial``,
+each model ``field[j]``) are checked first, in one plain-Python pass that
+accepts a term only in the plainest form ``_TERM_SCHEMA`` allows: exactly the
+keys ``exponents`` and ``coefficient``, the exponents non-bool ints >= 0 and
+the coefficient a non-bool int or float.  When every term passes, jsonschema
+checks the rest of the document, a shallow copy with those lists emptied, so
+its work does not grow with the number of terms.  Any other case (a term that
+fails the plain check, a copy that jsonschema rejects, a document that is not
+an object) goes to jsonschema whole, and its best-matching error becomes the
+message.  So the plain check can only speed up acceptance: jsonschema alone
+decides every rejection and words every error.
 """
 
 from __future__ import annotations
@@ -216,7 +228,44 @@ _PROBLEM_VALIDATOR, _MODEL_VALIDATOR, _POLYTOPE_VALIDATOR = (
 )
 
 
-def _validate(instance, validator, label: str):
+def _plain_term(record) -> bool:
+    """Whether ``record`` is a term in the plainest form ``_TERM_SCHEMA`` accepts.
+
+    Stricter than the schema (it refuses an exponent ``2.0``, which the schema
+    takes as an integer), so every record that passes is schema-valid.
+    """
+    if type(record) is not dict or len(record) != 2:
+        return False
+    exponents, coefficient = record.get("exponents"), record.get("coefficient")
+    return (
+        type(exponents) is list
+        and all(type(e) is int and e >= 0 for e in exponents)
+        and type(coefficient) in (int, float)
+    )
+
+
+def _without_terms(instance, key: str, nested: bool):
+    """A shallow copy of ``instance`` with the term lists under ``key``
+    emptied, or None unless each of their records passes ``_plain_term``.
+
+    ``nested``: ``instance[key]`` holds one term list per component (a model's
+    ``field``) rather than one term list (a problem's ``polynomial``).
+    """
+    if type(instance) is not dict or type(instance.get(key)) is not list:
+        return None
+    lists = instance[key] if nested else [instance[key]]
+    if not all(type(terms) is list and all(map(_plain_term, terms)) for terms in lists):
+        return None
+    return {**instance, key: [[] for _ in lists] if nested else []}
+
+
+def _validate(instance, validator, label: str, key=None, nested=False):
+    """Raise InputError with jsonschema's best-matching message unless
+    ``instance`` is valid; the term lists under ``key`` (see
+    ``_without_terms``) are checked outside jsonschema when they are plain."""
+    stripped = None if key is None else _without_terms(instance, key, nested)
+    if stripped is not None and validator.is_valid(stripped):
+        return
     error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
     if error is not None:
         raise InputError(f"{label}: {error.message}") from error
@@ -234,6 +283,8 @@ def _load_json(path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -263,7 +314,7 @@ def _rectangle_from(obj, label: str) -> Rectangle:
 def load_problem(path) -> tuple[MultiPoly, Rectangle, ConstraintSet]:
     """Parse a bound-problem file; ``>=`` rows are negated into ``<=`` form."""
     raw = _load_json(path)
-    _validate(raw, _PROBLEM_VALIDATOR, f"{path}")
+    _validate(raw, _PROBLEM_VALIDATOR, f"{path}", "polynomial")
     rect = _rectangle_from(raw["rectangle"], f"{path}: rectangle")
     n = rect.n
     poly = _poly_from_terms(raw["polynomial"], n, f"{path}: polynomial")
@@ -291,7 +342,7 @@ def load_problem(path) -> tuple[MultiPoly, Rectangle, ConstraintSet]:
 def load_model(path) -> ModelData:
     """Parse and cross-validate a model file."""
     raw = _load_json(path)
-    _validate(raw, _MODEL_VALIDATOR, f"{path}")
+    _validate(raw, _MODEL_VALIDATOR, f"{path}", "field", nested=True)
     variables = list(raw["variables"])
     n = len(variables)
     rect = _rectangle_from(raw["rectangle"], f"{path}: rectangle")

@@ -25,7 +25,7 @@ from .lpsolve import (
     solve,
     solve_many,
 )
-from .polynomial import Rectangle, bernstein_coefficients, evaluate, evaluate_many
+from .polynomial import Rectangle, bernstein_coefficients, check_lift, evaluate, evaluate_many
 from .relaxation import (
     InfeasiblePolytope,
     bounding_program,
@@ -248,6 +248,7 @@ def facet_programs(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
     if tpl.n != fld.n or rect.n != fld.n:
         raise ValueError("dimension mismatch")
     degrees = lift_degrees(fld.degrees, tpl.normals)
+    check_lift(degrees, "vector field")
     padded = [f.pad_degrees(degrees) for f in fld.components]
     bern = np.stack([bernstein_coefficients(f, rect).values.ravel() for f in padded])
     values = class_constraint_values(degrees, rect, tpl.normals, tpl.offsets)

@@ -21,6 +21,12 @@ import numpy as np
 
 Exponent = tuple[int, ...]
 
+# Largest lift accepted: the per-axis degree, and the class count
+# prod(d_i + 1), which sizes every lift array (the Bernstein tensor, the
+# class constraint values and the bounding program's columns).
+LIFT_MAX_DEGREE = 100
+LIFT_MAX_CLASSES = 10**5
+
 
 @dataclass(frozen=True, eq=False)
 class MultiPoly:
@@ -168,6 +174,22 @@ class BernsteinTensor:
         for k, d in enumerate(self.degrees):
             acc = np.tensordot(bernstein_basis(d, y[k]), acc, axes=(0, 0))
         return float(acc)
+
+
+def check_lift(degrees, name: str) -> None:
+    """Refuse lift degrees above ``LIFT_MAX_DEGREE`` on an axis, or with more
+    than ``LIFT_MAX_CLASSES`` vertex classes, before any lift array exists."""
+    for axis, d in enumerate(degrees):
+        if d > LIFT_MAX_DEGREE:
+            raise ValueError(
+                f"{name}: lift degree {d} on axis {axis} is above the cap {LIFT_MAX_DEGREE}"
+            )
+    classes = math.prod(d + 1 for d in degrees)
+    if classes > LIFT_MAX_CLASSES:
+        raise ValueError(
+            f"{name}: lift degrees {tuple(degrees)} give {classes} vertex classes, "
+            f"above the cap {LIFT_MAX_CLASSES}"
+        )
 
 
 def bernstein_basis(degree: int, y: float) -> np.ndarray:

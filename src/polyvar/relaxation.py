@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lpsolve import INFEASIBLE, OPTIMAL, LPProblem, NumericalFailure, solve
-from .polynomial import MultiPoly, Rectangle, bernstein_coefficients
+from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, check_lift
 
 
 class DegreeZeroConflict(ValueError):
@@ -153,6 +153,7 @@ def bounding_program(bern: np.ndarray, g: np.ndarray, h: np.ndarray) -> LPProble
 def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
     """``bounding_program`` of ``p`` over ``{x in rect : cs holds}`` at ``p``'s
     formal degrees, which must already cover the constrained variables."""
+    check_lift(p.degrees, "polynomial")
     g = class_constraint_values(p.degrees, rect, cs.a, cs.b)
     h = class_constraint_values(p.degrees, rect, cs.c, cs.d)
     return bounding_program(bernstein_coefficients(p, rect).values.reshape(-1), g, h)

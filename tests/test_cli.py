@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -32,6 +37,54 @@ def constant_problem(tmp_path, value=4.25):
         "rectangle": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
     }
     return write_json(tmp_path / "constant.json", payload)
+
+
+def schema_message(path, schema):
+    """jsonschema's verdict on the file at ``path``: its best-matching error
+    message, or None when the file is valid."""
+    try:
+        jsonschema.validate(json.loads(Path(path).read_text()), schema)
+    except jsonschema.ValidationError as exc:
+        return exc.message
+    return None
+
+
+def term_cases(n):
+    """``(id, record)`` for term records in ``n`` variables, each malformed
+    in one way, except that the schema takes the exponent ``2.0`` as an
+    integer, so that record is valid."""
+    pad = [0] * (n - 1)
+    return [
+        ("coefficient-bool", {"exponents": [1, *pad], "coefficient": True}),
+        ("coefficient-string", {"exponents": [1, *pad], "coefficient": "1.0"}),
+        ("coefficient-null", {"exponents": [1, *pad], "coefficient": None}),
+        ("exponent-float-integral", {"exponents": [2.0, *pad], "coefficient": 1.0}),
+        ("exponent-float", {"exponents": [0.5, *pad], "coefficient": 1.0}),
+        ("exponent-negative", {"exponents": [-1, *pad], "coefficient": 1.0}),
+        ("exponent-bool", {"exponents": [True, *pad], "coefficient": 1.0}),
+        ("exponents-not-array", {"exponents": 1, "coefficient": 1.0}),
+        ("missing-coefficient", {"exponents": [1, *pad]}),
+        ("missing-exponents", {"coefficient": 1.0}),
+        ("extra-key", {"exponents": [1, *pad], "coefficient": 1.0, "note": "x"}),
+        ("term-number", 1.0),
+        ("term-array", [[1, *pad], 1.0]),
+        ("term-null", None),
+    ]
+
+
+TERM = {"exponents": [1], "coefficient": 1.0}
+PLANAR_TERM = {"exponents": [0, 1], "coefficient": -1.0}
+
+
+def problem_with(*terms, polynomial=None, **extra) -> dict:
+    """A one-variable problem whose polynomial is ``TERM`` and ``terms``
+    (or ``polynomial`` when given), with ``extra`` top-level members."""
+    return {
+        "schema_version": "1",
+        "polynomial": [TERM, *terms] if polynomial is None else polynomial,
+        "rectangle": {"lower": [0.0], "upper": [1.0]},
+        **extra,
+    }
 
 
 class TestBoundCommand:
@@ -368,18 +421,174 @@ class TestPublishedSchemas:
             {"schema_version": "2", "polynomial": [], "rectangle": {"lower": [0], "upper": [1]}},
             {"schema_version": "1", "polynomial": [{"exponents": [-1], "coefficient": 1}],
              "rectangle": {"lower": [0], "upper": [1]}, "extra": 1},
+        ]
+        + [pytest.param(problem_with(term), id=name) for name, term in term_cases(1)]
+        + [
+            pytest.param(problem_with(polynomial=TERM), id="polynomial-object"),
+            pytest.param(problem_with(polynomial="x^2"), id="polynomial-string"),
+            pytest.param(
+                {"schema_version": "1", "rectangle": {"lower": [0], "upper": [1]}},
+                id="no-polynomial",
+            ),
+            pytest.param(
+                problem_with({"exponents": [1], "coefficient": "1"}, extra=1),
+                id="bad-term-and-extra-key",
+            ),
+            pytest.param(
+                {"schema_version": "1", "polynomial": [{"exponents": [-1], "coefficient": 1}]},
+                id="bad-term-and-no-rectangle",
+            ),
         ],
     )
     def test_error_text_is_the_best_match(self, tmp_path, payload):
-        with pytest.raises(jsonschema.ValidationError) as expected:
-            jsonschema.validate(payload, PROBLEM_SCHEMA)
         path = write_json(tmp_path / "bad.json", payload)
+        message = schema_message(path, PROBLEM_SCHEMA)
+        if message is None:
+            load_problem(path)
+            return
         with pytest.raises(InputError) as raised:
             load_problem(path)
-        assert str(raised.value) == f"{path}: {expected.value.message}"
+        assert str(raised.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param({"field": [[PLANAR_TERM], [PLANAR_TERM, term]]}, id=name)
+            for name, term in term_cases(2)
+        ]
+        + [
+            pytest.param({"field": PLANAR_TERM}, id="field-object"),
+            pytest.param({"field": [[PLANAR_TERM], PLANAR_TERM]}, id="component-object"),
+            pytest.param(
+                {"field": [[PLANAR_TERM], [{"exponents": [0, -1], "coefficient": 1}]],
+                 "rectangle": {"lower": [0.0, 0.0]}},
+                id="bad-term-and-bad-rectangle",
+            ),
+        ],
+    )
+    def test_model_error_text_is_the_best_match(self, models_dir, tmp_path, edit):
+        model = json.loads((models_dir / "linear_decay.json").read_text())
+        path = write_json(tmp_path / "bad.json", {**model, **edit})
+        message = schema_message(path, MODEL_SCHEMA)
+        if message is None:
+            load_model(path)
+            return
+        with pytest.raises(InputError) as raised:
+            load_model(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+    def test_schema_work_does_not_grow_with_the_term_count(self, tmp_path, monkeypatch):
+        validator_class = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
+        descend = validator_class.descend
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return descend(self, *args, **kwargs)
+
+        monkeypatch.setattr(validator_class, "descend", counting)
+        counts = []
+        for n_terms in (1, 2000):
+            terms = [{"exponents": [k % 7, k // 7 % 7, k // 49], "coefficient": 0.5 + k}
+                     for k in range(n_terms)]
+            payload = problem_with(polynomial=terms)
+            payload["rectangle"] = {"lower": [0.0] * 3, "upper": [1.0] * 3}
+            calls.clear()
+            load_problem(write_json(tmp_path / f"terms{n_terms}.json", payload))
+            counts.append(len(calls))
+        assert counts[0] > 0 and counts[0] == counts[1]
+
+
+class TestSharedParser:
+    """``main`` reuses one argument parser; no call may see another's flags."""
+
+    def test_bound_oracle_flags_do_not_carry_over(self, models_dir, tmp_path, capsys):
+        problem = str(models_dir / "constrained_3d.json")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["bound", problem, "--oracle", "--steps", "7", "--report", str(a)]) == 0
+        assert main(["bound", problem, "--report", str(b)]) == 0
+        capsys.readouterr()
+        assert json.loads(a.read_text())["oracle"]["steps_per_axis"] == 7
+        assert "oracle" not in json.loads(b.read_text())
+
+    def test_synthesize_template_does_not_carry_over(self, models_dir, tmp_path, capsys):
+        model = str(models_dir / "linear_decay.json")
+        first, second, fresh = (tmp_path / f"{name}.json" for name in ("first", "second", "fresh"))
+        assert main(["synthesize", model, "--template", "uniform:8", "--report", str(first)]) == 0
+        assert main(["synthesize", model, "--report", str(second)]) == 0
+        capsys.readouterr()
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        subprocess.run(
+            [sys.executable, "-m", "polyvar.cli", "synthesize", model, "--report", str(fresh)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        reports = [json.loads(path.read_text()) for path in (first, second, fresh)]
+        for report in reports:
+            report.pop("wall_time_s")
+        assert len(reports[0]["final_offsets"]) == 8
+        assert dump_json(reports[1]) == dump_json(reports[2])
+
+
+def power_file(tmp_path, command, exponents) -> str:
+    """A ``bound`` problem, or a model for the other commands, over
+    ``len(exponents)`` variables with the single term ``x^exponents`` (in
+    every field component of the model, which has a box template)."""
+    n = len(exponents)
+    rect = {"lower": [-2.0] * n, "upper": [2.0] * n}
+    term = {"exponents": list(exponents), "coefficient": 1.0}
+    if command == "bound":
+        payload = {"schema_version": "1", "polynomial": [term], "rectangle": rect}
+    else:
+        eye = np.eye(n)
+        payload = {
+            "schema_version": "1",
+            "variables": [f"x{k}" for k in range(n)],
+            "field": [[term] for _ in range(n)],
+            "rectangle": rect,
+            "template": {"normals": np.vstack([eye, -eye]), "offsets": [1.0] * (2 * n)},
+            "reference_point": [0.0] * n,
+        }
+    return write_json(tmp_path / f"{command}.json", payload)
+
+
+class TestLiftCaps:
+    """Oversized lifts are refused before their arrays exist (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [("bound", "polynomial"), ("verify", "vector field"), ("synthesize", "vector field")],
+    )
+    @pytest.mark.parametrize(
+        "exponents, what",
+        [
+            ((1600,), "lift degree 1600"),
+            ((800, 0), "lift degree 800"),
+            ((3,) * 9, "262144 vertex classes"),
+        ],
+        ids=["degree-1600", "degree-800", "classes-4^9"],
+    )
+    def test_refused_fast_with_exit_2(self, tmp_path, capsys, command, name, exponents, what):
+        path = power_file(tmp_path, command, exponents)
+        start = time.perf_counter()
+        code = main([command, path])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {name}: ") and what in err
+        assert elapsed < 1.0
 
 
 class TestInputValidation:
+    def test_non_utf8_file_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"schema_version": "1", "note": "\xff"}')
+        with pytest.raises(InputError, match="latin1.json"):
+            load_problem(path)
+        assert main(["bound", str(path)]) == 2
+        assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
+
     def test_polytope_dimension_mismatch_exit_2(self, models_dir, tmp_path, capsys):
         poly = {
             "schema_version": "1",

@@ -7,10 +7,13 @@ import pytest
 from polyvar.invariance import PolytopeTemplate, VectorField, facet_programs
 from polyvar.oracle import blossom_eval, to_unit_box
 from polyvar.polynomial import (
+    LIFT_MAX_CLASSES,
+    LIFT_MAX_DEGREE,
     BernsteinTensor,
     MultiPoly,
     Rectangle,
     bernstein_coefficients,
+    check_lift,
     evaluate,
     evaluate_many,
 )
@@ -180,6 +183,22 @@ class TestToUnitBox:
             y = rng.uniform(0.0, 1.0, size=n)
             x = rect.lower + rect.width * y
             assert evaluate(q, y) == pytest.approx(evaluate(p, x), rel=1e-10, abs=1e-10)
+
+
+class TestCheckLift:
+    # 10 classes on each of 5 axes make exactly LIFT_MAX_CLASSES = 10**5
+    def test_caps_are_inclusive(self):
+        assert LIFT_MAX_CLASSES == 10**5
+        check_lift((LIFT_MAX_DEGREE,), "p")
+        check_lift((9,) * 5, "p")
+
+    def test_degree_above_the_cap(self):
+        with pytest.raises(ValueError, match=rf"^p: lift degree {LIFT_MAX_DEGREE + 1} on axis 1 "):
+            check_lift((0, LIFT_MAX_DEGREE + 1), "p")
+
+    def test_class_count_above_the_cap(self):
+        with pytest.raises(ValueError, match=r"^f: lift degrees \(9, 9, 9, 9, 10\) give 110000 "):
+            check_lift((9, 9, 9, 9, 10), "f")
 
 
 class TestBernsteinCoefficients:

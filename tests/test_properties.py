@@ -1,9 +1,11 @@
 """Property tests (skipped without hypothesis), drawn deterministically by
 the suite's hypothesis profile in ``conftest``."""
 
+import jsonschema
 import numpy as np
 import pytest
 
+from polyvar import files
 from polyvar.invariance import PolytopeTemplate, VectorField, facet_programs
 from polyvar.oracle import grid_min
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
@@ -111,3 +113,89 @@ def test_sensitivity_bound_below_the_resolved_bound(case, steps):
     except InfeasiblePolytope:
         return
     assert sensitivity_bound(res, alpha) <= resolved + 1e-9 * (1.0 + abs(resolved))
+
+
+# JSON values a term record or one of its members can take: 2.0 is an
+# integer to the schema, True is a number to Python but not to the schema
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from([2.0, 0.5]), st.text(max_size=1)
+)
+MEMBERS = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=2))
+EXPONENT_EDITS = st.sampled_from([2.0, 0.0, 0.5, -1, True, False, None, "1", [1]])
+RECTANGLE = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+
+
+@st.composite
+def term_lists(draw):
+    """Plain two-variable terms, one of them perhaps edited in one way, or
+    (rarely) something other than a list."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(MEMBERS)
+    terms = [
+        {"exponents": draw(st.lists(st.integers(0, 3), min_size=2, max_size=2)),
+         "coefficient": draw(st.one_of(COEFF, st.integers(-3, 3)))}
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    if terms and draw(st.booleans()):
+        term = terms[draw(st.integers(0, len(terms) - 1))]
+        edit = draw(st.sampled_from(["exponent", "member", "drop", "add"]))
+        key = draw(st.sampled_from(["exponents", "coefficient"]))
+        if edit == "exponent":
+            term["exponents"][draw(st.integers(0, 1))] = draw(EXPONENT_EDITS)
+        elif edit == "member":
+            term[key] = draw(MEMBERS)
+        elif edit == "drop":
+            del term[key]
+        else:
+            term["note"] = draw(MEMBERS)
+    if draw(st.integers(0, 4)) == 0:
+        terms.append(draw(MEMBERS))
+    return terms
+
+
+@st.composite
+def documents(draw):
+    """``(document, schema, validator, key, nested)``: a problem or model
+    with drawn term lists and, in one draw of four, one error elsewhere or
+    no term lists at all."""
+    if draw(st.booleans()):
+        doc = {"schema_version": "1", "polynomial": draw(term_lists()), "rectangle": RECTANGLE}
+        spec = (files.PROBLEM_SCHEMA, files._PROBLEM_VALIDATOR, "polynomial", False)
+    else:
+        doc = {
+            "schema_version": "1",
+            "variables": ["x", "y"],
+            "field": [draw(term_lists()) for _ in range(draw(st.integers(0, 2)))],
+            "rectangle": RECTANGLE,
+            "template": {"normals": [[1.0, 0.0]]},
+            "reference_point": [0.5, 0.5],
+        }
+        spec = (files.MODEL_SCHEMA, files._MODEL_VALIDATOR, "field", True)
+    if draw(st.integers(0, 3)) == 0:
+        edit = draw(st.sampled_from(
+            [None, {"extra": 1}, {"schema_version": "2"}, {"rectangle": {"lower": [0.0, 0.0]}}]
+        ))
+        if edit is None:
+            del doc[spec[2]]
+        else:
+            doc.update(edit)
+    return (doc, *spec)
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(documents())
+def test_term_checks_agree_with_jsonschema(case):
+    # _validate raises exactly when jsonschema reports an error, with the
+    # same message; the plain term check only ever speeds up acceptance
+    doc, schema, validator, key, nested = case
+    try:
+        jsonschema.validate(doc, schema)
+        expected = None
+    except jsonschema.ValidationError as exc:
+        expected = f"doc: {exc.message}"
+    try:
+        files._validate(doc, validator, "doc", key, nested)
+        raised = None
+    except files.InputError as exc:
+        raised = str(exc)
+    assert raised == expected
