@@ -1,9 +1,10 @@
 """Verification and synthesis of polytopic invariant sets for polynomial ODEs.
 
 A polytope with fixed facet normals is invariant when, on every facet, the
-flow points inward; each facet check is one certified lower-bound program,
-and a verification pass assembles all of them from arrays computed once per
-template (``facet_programs``).  When verification fails, the facet
+flow points inward; each facet check is one certified lower-bound program.
+A verification pass gathers all of them from arrays computed once per
+template (``facet_programs``) into stacks of a bounded size, and certifies
+each stack in one stacked solve.  When verification fails, the facet
 multipliers say how the per-facet bounds react to moving the offsets, and a
 small LP picks the offset step that maximizes the worst predicted bound.
 Offsets are re-tightened to their support values after every step so no
@@ -24,12 +25,13 @@ from .lpsolve import (
     NumericalFailure,
     solve,
     solve_many,
+    stack_members,
 )
 from .polynomial import Rectangle, bernstein_coefficients, check_lift, evaluate, evaluate_many
 from .relaxation import (
     InfeasiblePolytope,
-    bounding_program,
-    certify,
+    bounding_programs,
+    certify_stack,
     class_constraint_values,
     lift_degrees,
 )
@@ -235,13 +237,17 @@ def template_within_rect(tpl: PolytopeTemplate, rect: Rectangle, tol: float = 1e
 
 
 def facet_programs(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
-    """The bounding program of every facet, in facet order.
+    """The bounding program of every facet, as ``LPStack`` chunks in facet order.
 
     Facet ``k`` minimizes ``-n_k . f`` subject to ``n_k . x = b_k`` and the
     other facets' inequalities.  All facets share the lift degrees, hence the
     constraint values at the class points, and facet ``k``'s Bernstein
     coefficients are ``-n_k @ B`` for the stacked coefficients ``B`` of the
-    field components.  Each program is sliced out of these shared arrays.
+    field components.  Each chunk is gathered from these shared arrays by
+    ``relaxation.bounding_programs``, and holds as many facets as keep its
+    tableau within ``lpsolve.STACK_BYTES`` (at least one).  Member ``i`` of
+    a chunk (``stack[i]``) is its facet's program as ``bounding_program``
+    poses it alone.
     """
     if tpl.offsets is None:
         raise ValueError("template needs offsets to verify")
@@ -250,37 +256,58 @@ def facet_programs(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
     degrees = lift_degrees(fld.degrees, tpl.normals)
     check_lift(degrees, "vector field")
     padded = [f.pad_degrees(degrees) for f in fld.components]
-    bern = np.stack([bernstein_coefficients(f, rect).values.ravel() for f in padded])
-    values = class_constraint_values(degrees, rect, tpl.normals, tpl.offsets)
-    return (
-        bounding_program(-(normal @ bern), np.delete(values, k, axis=1), values[:, [k]])
-        for k, normal in enumerate(tpl.normals)
+    bern = np.stack(
+        [
+            bernstein_coefficients(f, rect, f"vector field component {j}").values.ravel()
+            for j, f in enumerate(padded)
+        ]
     )
+    values = class_constraint_values(degrees, rect, tpl.normals, tpl.offsets)
+    if np.isnan(values).any():
+        raise ValueError("NaN in problem data")
+    m, K = tpl.m, values.shape[0]
+    # others[k]: every facet but k, in order
+    others = np.arange(1, m) - (np.arange(1, m) <= np.arange(m)[:, None])
+    # facet k's bound needs m - 1 inequality rows and two equality rows (the
+    # weights and the facet), all with right-hand side 0 or 1
+    per_stack = stack_members(K, m - 1, 2)
+
+    def stack(ks):
+        c = -np.matmul(tpl.normals[ks, None, :], bern)[:, 0]
+        if np.isnan(c).any():
+            raise ValueError("NaN in problem data")
+        g = values[np.arange(K)[:, None], others[ks][:, None, :]]
+        return bounding_programs(c, g, values.T[ks][:, :, None])
+
+    return (stack(np.arange(lo, min(lo + per_stack, m))) for lo in range(0, m, per_stack))
 
 
 def verify(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> VerificationReport:
     """One certified bound per facet; invariant iff all bounds are nonnegative.
 
-    A facet whose program fails numerically is recorded and skipped; the
-    report then cannot certify invariance but the other facets keep their
-    data.
+    The facet programs are certified chunk by chunk, each chunk in one
+    stacked solve (``relaxation.certify_stack``).  A facet whose program
+    fails numerically is recorded and skipped; the report then cannot
+    certify invariance but the other facets keep their data, bit for bit.
     """
     m = tpl.m
     d_star = np.full(m, np.nan)
     multipliers = np.full((m, m), np.nan)
     feasible = np.ones(m, dtype=bool)
     failures: dict = {}
-    for k, lp in enumerate(facet_programs(fld, rect, tpl)):
-        try:
-            res = certify(lp)
-        except InfeasiblePolytope:
-            feasible[k] = False
-            continue
-        except NumericalFailure as exc:
-            failures[k] = str(exc)
-            continue
-        d_star[k] = res.d_star
-        multipliers[k] = np.insert(res.lam, k, res.mu[0])
+    k = 0
+    for stack in facet_programs(fld, rect, tpl):
+        for res in certify_stack(stack):
+            if isinstance(res, InfeasiblePolytope):
+                feasible[k] = False
+            elif isinstance(res, NumericalFailure):
+                failures[k] = str(res)
+            else:
+                d_star[k] = res.d_star
+                multipliers[k, :k] = res.lam[:k]
+                multipliers[k, k] = res.mu[0]
+                multipliers[k, k + 1 :] = res.lam[k:]
+            k += 1
     return VerificationReport(
         d_star=d_star,
         multipliers=multipliers,

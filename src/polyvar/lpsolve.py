@@ -16,16 +16,27 @@ active inequality row gets a nonzero multiplier where one exists (see
 duals, and a zero multiplier on an active facet hides how the bound reacts
 to moving that facet.
 
-``solve_many`` solves one set of rows under many costs, as the support
-queries of one polytope do: phase 1 runs once, and each cost's phase 2
-prices the reduced-cost row at the basis where the previous cost's ended,
-which is still primal feasible.  ``solve`` is ``solve_many`` with the
-program's own cost, so there is one phase-1 and one phase-2 code path.
+The engine works on stacks (``LPStack``): programs of one shape, such as
+the facet programs of one verification pass, solved together.  Row
+scaling, the tableau with its artificial columns, the pricing of the
+reduced-cost row, the dual refinement and the KKT self-check run once over
+the stacked arrays; the pivots run member by member, on each member's own
+2-D tableau.  A stacked product is ``np.matmul`` over operands laid out as
+the member's own, which rounds exactly as ``@`` on that member alone, so a
+member comes out of a stack bit for bit as it would alone, and a member
+that fails numerically leaves the others as they are.
+
+``solve_stack`` solves each member under its own cost.  ``solve_many``
+solves one set of rows under many costs, as the support queries of one
+polytope do: phase 1 runs once, and each cost's phase 2 prices the
+reduced-cost row at the basis where the previous cost's ended, which is
+still primal feasible.  ``solve`` is ``solve_many`` with the program's own
+cost.  Both are a stack of one, so there is one phase-1 and one phase-2
+code path.
 """
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +47,12 @@ UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-10
+
+# Largest stacked tableau, in bytes, that a caller builds: programs whose
+# tableaux together would exceed it go in several stacks, and a program
+# whose tableau alone exceeds it in a stack of one.  At 256 KiB the peak
+# memory of a synthesis stays where one facet program at a time left it.
+STACK_BYTES = 256 * 1024
 
 
 class NumericalFailure(RuntimeError):
@@ -102,6 +119,44 @@ class LPSolution:
     eq_duals: np.ndarray = None
 
 
+@dataclass(eq=False)
+class LPStack:
+    """Programs of one shape, member ``k`` being ``min c[k].x`` subject to
+    ``G[k] x <= h[k]``, ``A[k] x = d[k]`` and ``x >= 0``.
+
+    Each array has one more leading axis than ``LPProblem``'s, and the arrays
+    are used as given: whoever builds a stack checks its data.  ``stack[k]``
+    is member ``k`` as an ``LPProblem`` over views of the same arrays, which
+    solves alone bit for bit as it does in the stack.
+    """
+
+    c: np.ndarray
+    G: np.ndarray
+    h: np.ndarray
+    A: np.ndarray
+    d: np.ndarray
+
+    @classmethod
+    def of(cls, lp: LPProblem) -> "LPStack":
+        """``lp`` as a stack of one."""
+        return cls(lp.c[None], lp.G[None], lp.h[None], lp.A[None], lp.d[None])
+
+    def __len__(self) -> int:
+        return self.c.shape[0]
+
+    def __getitem__(self, k) -> LPProblem:
+        return LPProblem(self.c[k], G=self.G[k], h=self.h[k], A=self.A[k], d=self.d[k])
+
+
+def stack_members(n_vars: int, m_ineq: int, m_eq: int) -> int:
+    """How many programs of this shape one stack holds within ``STACK_BYTES``
+    (at least one), when no right-hand side is negative: their tableaux then
+    have artificial columns on the equality rows only."""
+    rows = m_ineq + m_eq + 1
+    cols = n_vars + m_ineq + m_eq + 1
+    return max(1, STACK_BYTES // (8 * rows * cols))
+
+
 def _pivot(T, basis, row, col):
     """Pivot tableau ``T`` in place on ``(row, col)``; ``col`` enters the basis.
 
@@ -115,8 +170,11 @@ def _pivot(T, basis, row, col):
 
 
 def _price(T, basis, cost):
-    """Set the reduced-cost row of ``T`` (its last) to ``cost`` at ``basis``."""
-    T[-1] = np.append(cost, 0.0) - cost[basis] @ T[:-1]
+    """Set the reduced-cost row of each member's tableau ``T[k]`` (its last)
+    to ``cost[k]`` at ``basis[k]``."""
+    v = _vm(cost[np.arange(T.shape[0])[:, None], basis], T[:, :-1])
+    T[:, -1, :-1] = cost - v[:, :-1]
+    T[:, -1, -1] = 0.0 - v[:, -1]
 
 
 def _pivot_loop(T, basis, n_enter):
@@ -172,45 +230,89 @@ def _activate_degenerate_rows(T, basis, first_slack, n_enter):
             _pivot(T, basis, row, int(cand[best]))
 
 
+def _mv(M, v):
+    """``M @ v`` member by member, for one program or a stack of them.
+
+    ``np.matmul`` runs each member's product as ``@`` runs it on that member
+    alone, so a stacked product rounds as the per-member one does, as long
+    as each member's operands are laid out alike (see ``_phase_two``).
+    """
+    return np.matmul(M, v[..., None])[..., 0]
+
+
+def _vm(v, M):
+    """``v @ M`` member by member (see ``_mv``)."""
+    return np.matmul(v[..., None, :], M)[..., 0, :]
+
+
+def _dot(a, b):
+    """``a @ b`` of two vectors, member by member (see ``_mv``)."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _top(a):
+    """The largest entry of each member's vector ``a``, or 0."""
+    return np.maximum.reduce(a, axis=-1, initial=0.0)
+
+
 @dataclass(eq=False)
 class _Tableau:
-    """A primal feasible basis of the shared rows, ready for any cost.
+    """Primal feasible bases of the rows of a stack's members, ready for any
+    costs.
 
-    ``T`` holds the constraint rows over the structural, slack and phase-1
-    artificial columns, then the reduced-cost row; ``basis`` lists the basic
-    columns.  ``start[i]``, row ``i``'s basic column at the start, is its
-    column of the basis inverse, and its reduced cost is minus the row's
-    dual, mapped back to the program's row by ``row_scale``.
+    ``T[k]`` holds member ``k``'s constraint rows over the structural, slack
+    and phase-1 artificial columns, then its reduced-cost row; ``basis[k]``
+    lists its basic columns.  ``start[k, i]``, row ``i``'s basic column at
+    the start, is its column of the basis inverse, and its reduced cost is
+    minus the row's dual, mapped back to the program's row by
+    ``row_scale[k, i]``.  ``ended[k]`` is None while member ``k`` has a
+    feasible basis, else its outcome: an infeasible LPSolution or the
+    NumericalFailure that ended phase 1.
     """
 
     T: np.ndarray
     basis: np.ndarray
     start: np.ndarray
     row_scale: np.ndarray
+    ended: list
 
 
-def _phase_one(lp: LPProblem):
-    """Feasible start for the rows of ``lp``, or None when they are infeasible."""
-    n = lp.n_vars
-    m_ineq = lp.m_ineq
-    m = m_ineq + lp.m_eq
+def _drive_out_artificials(T, basis, n_std):
+    """Pivot the artificial columns left in a phase-1 basis out of it.  A row
+    where none can go is redundant: zero up to round-off, it is set to zero
+    and never pivots."""
+    # a pivot on row i changes only basis[i], so the rows to visit are known
+    for i in (basis >= n_std).nonzero()[0]:
+        row = np.abs(T[i, :n_std])
+        row[basis[basis < n_std]] = 0.0
+        j = int(np.argmax(row))
+        if row[j] > PIVOT_TOL:
+            _pivot(T, basis, i, j)
+        else:
+            T[i, :n_std] = 0.0
+
+
+def _phase_one(stack: LPStack) -> _Tableau:
+    """Feasible starts for the rows of every member of ``stack``."""
+    S, m_ineq, n = stack.G.shape
+    m = m_ineq + stack.A.shape[1]
     n_std = n + m_ineq
 
     # Standard form rows: [ineq | eq], slack column per inequality row.
-    A0 = np.zeros((m, n_std))
-    A0[:m_ineq, :n] = lp.G
-    A0[:m_ineq, n:] = np.eye(m_ineq)
-    A0[m_ineq:, :n] = lp.A
-    b0 = np.concatenate([lp.h, lp.d])
+    A0 = np.zeros((S, m, n_std))
+    A0[:, :m_ineq, :n] = stack.G
+    A0[:, :m_ineq, n:] = np.eye(m_ineq)
+    A0[:, m_ineq:, :n] = stack.A
+    b0 = np.concatenate([stack.h, stack.d], axis=1)
 
     # Rows more than a factor 64 off unit scale are scaled by a power of two,
     # which is exact, so that the absolute tolerances below mean the same in
     # every row; rows within that band are left exactly as posed.
-    size = np.maximum(np.abs(A0[:, :n]).max(axis=1, initial=0.0), np.abs(b0))
+    size = np.maximum(np.abs(A0[:, :, :n]).max(axis=2, initial=0.0), np.abs(b0))
     far = (size > 0.0) & ((size < 2.0**-6) | (size > 2.0**6))
-    shift = np.clip(np.round(np.log2(np.where(far, size, 1.0))), -1000, 1000)
+    shift = np.log2(np.where(far, size, 1.0)).round().clip(-1000, 1000)
     row_scale = np.ldexp(1.0, -shift.astype(int))
-    A0[:, :n] *= row_scale[:, None]
+    A0[:, :, :n] *= row_scale[:, :, None]
     b0 *= row_scale
 
     neg = b0 < 0
@@ -218,87 +320,145 @@ def _phase_one(lp: LPProblem):
     b0[neg] *= -1.0
     row_scale[neg] *= -1.0
 
-    # Initial basis: unflipped slacks; artificial columns everywhere else.
-    basis = np.full(m, -1)
-    slack_rows = np.flatnonzero(~neg[:m_ineq])
-    basis[slack_rows] = n + slack_rows
-    art_rows = np.flatnonzero(basis < 0)
-    n_art = art_rows.size
-    T = np.zeros((m + 1, n_std + n_art + 1))
-    T[:m, :n_std] = A0
-    basis[art_rows] = n_std + np.arange(n_art)
-    T[art_rows, basis[art_rows]] = 1.0
-    T[:m, -1] = b0
+    # Initial basis: unflipped slacks; artificial columns everywhere else,
+    # numbered in row order.  The members share the tableau's shape, so they
+    # need equally many.
+    art = neg.copy()
+    art[:, m_ineq:] = True
+    counts = art.sum(axis=1)
+    n_art = int(counts[0])
+    if S > 1 and (counts != n_art).any():
+        raise ValueError("stack members need equally many artificial columns")
+    basis = np.where(art, n_std - 1 + art.cumsum(axis=1), n + np.arange(m))
+    T = np.zeros((S, m + 1, n_std + n_art + 1))
+    T[:, :m, :n_std] = A0
+    member, row = np.nonzero(art)
+    T[member, row, basis[member, row]] = 1.0
+    T[:, :m, -1] = b0
     start = basis.copy()
+    ended = [None] * S
 
     if n_art:
-        scale = 1.0 + max(np.abs(b0).max(initial=0.0), np.abs(A0).max(initial=0.0))
-        cost1 = np.zeros(n_std + n_art)
-        cost1[n_std:] = 1.0
+        scale = 1.0 + np.maximum(
+            np.abs(b0).max(axis=1, initial=0.0), np.abs(A0).reshape(S, -1).max(axis=1, initial=0.0)
+        )
+        cost1 = np.zeros((S, n_std + n_art))
+        cost1[:, n_std:] = 1.0
         _price(T, basis, cost1)
-        if _pivot_loop(T, basis, n_std + n_art) != OPTIMAL:
-            raise NumericalFailure("phase-1 subproblem reported unbounded")
-        art_level = float(cost1[basis] @ T[:-1, -1])
-        if art_level > FEAS_TOL * scale:
-            return None
-        # Pivot remaining artificials out.  A row where none can go is
-        # redundant: zero up to round-off, it is set to zero and never pivots.
-        for i in range(m):
-            if basis[i] < n_std:
-                continue
-            row = np.abs(T[i, :n_std])
-            row[basis[basis < n_std]] = 0.0
-            j = int(np.argmax(row))
-            if row[j] > PIVOT_TOL:
-                _pivot(T, basis, i, j)
+        for k in range(S):
+            try:
+                if _pivot_loop(T[k], basis[k], n_std + n_art) != OPTIMAL:
+                    raise NumericalFailure("phase-1 subproblem reported unbounded")
+            except NumericalFailure as exc:
+                ended[k] = exc
+        art_level = _dot(cost1[0, basis], T[:, :-1, -1])
+        for k in range(S):
+            if ended[k] is None and art_level[k] > FEAS_TOL * scale[k]:
+                ended[k] = LPSolution(status=INFEASIBLE)
+            if ended[k] is None:
+                _drive_out_artificials(T[k], basis[k], n_std)
             else:
-                T[i, :n_std] = 0.0
-    return _Tableau(T, basis, start, row_scale)
+                T[k] = 0.0  # never pivots again; keeps the stacked steps finite
+    return _Tableau(T, basis, start, row_scale, ended)
 
 
-def _phase_two(tab: _Tableau, lp: LPProblem, c: np.ndarray) -> LPSolution:
-    """Minimize ``c`` over the rows of ``lp`` from the tableau's basis, which
-    is left at the end basis: still primal feasible, so the next cost can
-    start from it.  Artificial columns never enter."""
-    lp = copy(lp)  # the rows of lp under the checked cost c
-    lp.c = c
-    n, m_ineq = lp.n_vars, lp.m_ineq
+def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
+    """Minimize each member's row of ``costs`` over its rows, from its basis
+    in the tableau, which is left at the end basis: still primal feasible,
+    so the next costs can start from it.  Artificial columns never enter.
+
+    Returns one outcome per member: its LPSolution, or the NumericalFailure
+    that ended it; a member that phase 1 ended keeps that outcome.  The
+    pivots run member by member on ``T[k]``; the pricing, the duals with
+    their refinement and the KKT self-check run once over the stack.
+    """
+    S, m_ineq, n = stack.G.shape
     n_std = n + m_ineq
     T, basis, start, row_scale = tab.T, tab.basis, tab.start, tab.row_scale
-    cost = np.zeros(T.shape[1] - 1)
-    cost[:n] = c
+    out = list(tab.ended)
+    cost = np.zeros((S, T.shape[2] - 1))
+    cost[:, :n] = costs
     _price(T, basis, cost)
-    if _pivot_loop(T, basis, n_std) == UNBOUNDED:
-        return LPSolution(status=UNBOUNDED)
-    _activate_degenerate_rows(T, basis, n, n_std)
+    for k in range(S):
+        if out[k] is not None:
+            continue
+        try:
+            if _pivot_loop(T[k], basis[k], n_std) == UNBOUNDED:
+                out[k] = LPSolution(status=UNBOUNDED)
+            else:
+                _activate_degenerate_rows(T[k], basis[k], n, n_std)
+        except NumericalFailure as exc:
+            out[k] = exc
+            T[k] = 0.0  # never pivots again; keeps the stacked steps finite
 
-    x = np.zeros(T.shape[1] - 1)
-    x[basis] = T[:-1, -1]
+    members = np.arange(S)[:, None]
+    x = np.zeros(cost.shape)
+    x[members, basis] = T[:, :-1, -1]
 
     # The multipliers [lam; mu] come off the reduced-cost row.  Pivots on
     # small elements leave round-off in T, which a bound reads through the
     # multipliers, so one refinement step follows: the reduced costs of the
-    # basic columns, recomputed from the rows of lp, should be zero, and the
-    # start columns of T, the basis inverse, map them to the correction.
-    w = T[-1, start] * row_scale
-    r = np.zeros_like(cost)
-    r[:n] = c + lp.G.T @ w[:m_ineq] + lp.A.T @ w[m_ineq:]
-    r[n:n_std] = w[:m_ineq] / np.abs(row_scale[:m_ineq])
-    w -= (r[basis] @ T[:-1, start]) * row_scale
+    # basic columns, recomputed from the rows of the program, should be zero,
+    # and the start columns of T, the basis inverse, map them to the
+    # correction.  ``T[members, :-1, start]`` lists each member's start
+    # columns as rows; read transposed, it is laid out as NumPy lays out
+    # ``T[k][:-1, start[k]]`` of one member, so it rounds the same.
+    w = T[members, -1, start] * row_scale
+    r = np.zeros(cost.shape)
+    r[:, :n] = (
+        costs
+        + _mv(stack.G.swapaxes(1, 2), w[:, :m_ineq])
+        + _mv(stack.A.swapaxes(1, 2), w[:, m_ineq:])
+    )
+    r[:, n:n_std] = w[:, :m_ineq] / np.abs(row_scale[:, :m_ineq])
+    w -= _vm(r[members, basis], T[members, :-1, start].swapaxes(1, 2)) * row_scale
     sol = LPSolution(
         status=OPTIMAL,
-        x=x[:n],
-        objective=float(c @ x[:n]),
-        ineq_duals=np.maximum(w[:m_ineq], 0.0),
-        eq_duals=w[m_ineq:],
+        x=x[:, :n],
+        objective=_dot(costs, x[:, :n]),
+        ineq_duals=np.maximum(w[:, :m_ineq], 0.0),
+        eq_duals=w[:, m_ineq:],
     )
-    res = kkt_residuals(lp, sol)
-    if res["primal"] > 1e-6 or res["dual"] > 1e-6 or res["gap"] > 1e-6:
-        raise NumericalFailure(
-            "optimal basis failed the KKT self-check: "
-            f"primal={res['primal']:.2e} dual={res['dual']:.2e} gap={res['gap']:.2e}"
-        )
-    return sol
+    res = kkt_residuals(LPStack(costs, stack.G, stack.h, stack.A, stack.d), sol)
+    primal, dual, gap = res["primal"], res["dual"], res["gap"]
+    for k in range(S):
+        if out[k] is not None:
+            continue
+        if primal[k] > 1e-6 or dual[k] > 1e-6 or gap[k] > 1e-6:
+            out[k] = NumericalFailure(
+                "optimal basis failed the KKT self-check: "
+                f"primal={primal[k]:.2e} dual={dual[k]:.2e} gap={gap[k]:.2e}"
+            )
+        else:
+            out[k] = LPSolution(
+                status=OPTIMAL,
+                x=sol.x[k],
+                objective=float(sol.objective[k]),
+                ineq_duals=sol.ineq_duals[k],
+                eq_duals=sol.eq_duals[k],
+            )
+    return out
+
+
+def _raised(outcome):
+    """``outcome``, unless it is a NumericalFailure, which is raised."""
+    if isinstance(outcome, NumericalFailure):
+        raise outcome
+    return outcome
+
+
+def solve_stack(stack: LPStack) -> list:
+    """Solve every member of ``stack`` under its own cost ``stack.c[k]``.
+
+    One phase 1 and one phase 2 over the stack: the row scaling, the
+    tableau, the pricing, the dual refinement and the KKT self-check run
+    once over the stacked arrays, the pivots member by member.  Returns one
+    outcome per member, its LPSolution or the NumericalFailure that ended
+    it; every member comes out bit for bit as it would alone.  The arrays
+    are used as given (no NaN check), and the tableau is ``len(stack)``
+    times one member's, which callers keep within ``STACK_BYTES``.
+    """
+    return _phase_two(_phase_one(stack), stack, stack.c)
 
 
 def solve_many(lp: LPProblem, costs) -> list:
@@ -313,10 +473,12 @@ def solve_many(lp: LPProblem, costs) -> list:
     costs = np.asarray(costs, dtype=float).reshape(-1, lp.n_vars)
     if np.isnan(costs).any():
         raise ValueError("NaN in problem data")
-    tab = _phase_one(lp)
-    if tab is None:
+    stack = LPStack.of(lp)
+    tab = _phase_one(stack)
+    if tab.ended[0] is not None:
+        _raised(tab.ended[0])
         return [LPSolution(status=INFEASIBLE) for _ in costs]
-    return [_phase_two(tab, lp, c) for c in costs]
+    return [_raised(_phase_two(tab, stack, c[None])[0]) for c in costs]
 
 
 def solve(lp: LPProblem) -> LPSolution:
@@ -327,39 +489,26 @@ def solve(lp: LPProblem) -> LPSolution:
     return solve_many(lp, [lp.c])[0]
 
 
-def kkt_residuals(lp: LPProblem, sol: LPSolution) -> dict:
+def kkt_residuals(lp, sol: LPSolution) -> dict:
     """Scaled primal/dual feasibility residuals, duality gap, and slackness.
 
     Only meaningful for an optimal solution.  With reduced costs
     ``r = c + G^T lam + A^T mu``, the dual is feasible when ``lam >= 0`` and
     ``r >= 0``, the gap is ``|c.x + lam.h + mu.d|``, and slackness covers
-    both ``lam * (h - G x)`` and ``x * r``.
+    both ``lam * (h - G x)`` and ``x * r``.  ``lp`` may be an ``LPStack``
+    with ``sol`` holding one row per member; each value is then an array
+    with one entry per member.
     """
     if sol.status != OPTIMAL:
         raise ValueError("kkt_residuals requires an optimal solution")
     x, lam, mu = sol.x, sol.ineq_duals, sol.eq_duals
-    scale = 1.0 + max(
-        np.abs(lp.h).max(initial=0.0),
-        np.abs(lp.d).max(initial=0.0),
-        np.abs(x).max(initial=0.0),
-        np.abs(lp.c).max(initial=0.0),
-    )
-    slack = lp.h - lp.G @ x
-    primal = max(
-        float(np.maximum(-x, 0.0).max(initial=0.0)),
-        float(np.maximum(-slack, 0.0).max(initial=0.0)),
-        float(np.abs(lp.A @ x - lp.d).max(initial=0.0)),
-    )
-    r = lp.c + lp.G.T @ lam + lp.A.T @ mu
-    dual = max(
-        float(np.maximum(-lam, 0.0).max(initial=0.0)),
-        float(np.maximum(-r, 0.0).max(initial=0.0)),
-    )
-    gap = abs(float(lp.c @ x) + float(lam @ lp.h) + float(mu @ lp.d))
-    comp = max(
-        float(np.abs(lam * slack).max(initial=0.0)),
-        float(np.abs(x * r).max(initial=0.0)),
-    )
+    scale = 1.0 + _top(np.abs(np.concatenate([lp.h, lp.d, x, lp.c], axis=-1)))
+    slack = lp.h - _mv(lp.G, x)
+    primal = _top(np.concatenate([-x, -slack, np.abs(_mv(lp.A, x) - lp.d)], axis=-1))
+    r = lp.c + _mv(lp.G.swapaxes(-1, -2), lam) + _mv(lp.A.swapaxes(-1, -2), mu)
+    dual = _top(np.concatenate([-lam, -r], axis=-1))
+    gap = np.abs(_dot(lp.c, x) + _dot(lam, lp.h) + _dot(mu, lp.d))
+    comp = _top(np.abs(np.concatenate([lam * slack, x * r], axis=-1)))
     return {
         "primal": primal / scale,
         "dual": dual / scale,

@@ -248,22 +248,34 @@ def _shift_to_unit(degree: int, lower: float, width: float) -> np.ndarray:
     return m
 
 
-def bernstein_coefficients(p: MultiPoly, rect: Rectangle) -> BernsteinTensor:
+def bernstein_coefficients(
+    p: MultiPoly, rect: Rectangle, name: str = "polynomial"
+) -> BernsteinTensor:
     """Bernstein coordinates of ``p`` over ``rect`` at its formal degrees.
 
     The monomial coefficient tensor goes through one (d+1)x(d+1) matrix per
     axis: the affine rescale of that axis to [0, 1], then the triangular
     change to the Bernstein basis.  This never expands the polar form, whose
-    explicit expression can have exponentially many terms.
+    explicit expression can have exponentially many terms.  A conversion
+    that leaves the float range (a high power of a far-off or wide box side)
+    raises ValueError naming ``name``.
     """
     if rect.n != p.n_vars:
         raise ValueError("rectangle dimension must equal n_vars")
     vals = np.zeros(tuple(d + 1 for d in p.degrees))
     for exps, coeff in p.terms.items():
         vals[exps] = coeff
-    for axis, d in enumerate(p.degrees):
-        conv = _monomial_to_bernstein(d) @ _shift_to_unit(
-            d, float(rect.lower[axis]), float(rect.width[axis])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for axis, d in enumerate(p.degrees):
+                conv = _monomial_to_bernstein(d) @ _shift_to_unit(
+                    d, float(rect.lower[axis]), float(rect.width[axis])
+                )
+                vals = np.moveaxis(np.tensordot(conv, vals, axes=(1, axis)), 0, axis)
+        except OverflowError:
+            vals = None
+    if vals is None or not np.isfinite(vals).all():
+        raise ValueError(
+            f"{name}: Bernstein coefficients over the rectangle overflow the float range"
         )
-        vals = np.moveaxis(np.tensordot(conv, vals, axes=(1, axis)), 0, axis)
     return BernsteinTensor(rect, p.degrees, vals)

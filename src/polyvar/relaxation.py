@@ -8,12 +8,13 @@ Lagrange multipliers that certify the bound.  The same program decides
 whether the constraint region is empty: it is infeasible exactly when no
 point of the rectangle satisfies the constraints, so no separate feasibility
 check is solved.  ``bounding_program`` assembles it from arrays and
-``certify`` solves it; ``lower_bound`` does both for one polynomial, and
-``invariance.facet_programs`` slices every facet's arrays out of ones
-computed once per template.  Its LP dual over ``(t, lam, mu)`` with one row
-per class, and the exponentially larger program over the full set of lifted
-vertices, which have the same optimal value, live in ``oracle`` as
-cross-checks.
+``certify`` solves it; ``lower_bound`` does both for one polynomial.
+``certify_stack`` certifies a stack of such programs in one stacked solve,
+reading all their bounds off in one step; ``invariance.facet_programs``
+gathers the stacks of a verification pass from arrays computed once per
+template.  Its LP dual over ``(t, lam, mu)`` with one row per class, and
+the exponentially larger program over the full set of lifted vertices,
+which have the same optimal value, live in ``oracle`` as cross-checks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lpsolve import INFEASIBLE, OPTIMAL, LPProblem, NumericalFailure, solve
+from .lpsolve import (
+    INFEASIBLE,
+    OPTIMAL,
+    LPProblem,
+    LPSolution,
+    LPStack,
+    NumericalFailure,
+    solve,
+    solve_stack,
+)
 from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, check_lift
 
 
@@ -144,10 +154,23 @@ def bounding_program(bern: np.ndarray, g: np.ndarray, h: np.ndarray) -> LPProble
     the constraint values at the class points (``class_constraint_values``).
     Row order of ``A``: the weight row, then the equalities.
     """
-    weights = np.vstack([np.ones((1, bern.size)), h.T])
-    total = np.zeros(1 + h.shape[1])
-    total[0] = 1.0
-    return LPProblem(bern, G=g.T, h=np.zeros(g.shape[1]), A=weights, d=total)
+    return bounding_programs(bern[None], g[None], h[None])[0]
+
+
+def bounding_programs(bern: np.ndarray, g: np.ndarray, h: np.ndarray) -> LPStack:
+    """``bounding_program`` of every row of ``bern`` with the blocks ``g[k]``
+    and ``h[k]``, as one stack.
+
+    Member ``k``'s ``G`` is a transposed view of ``g[k]``, so it keeps the
+    layout of its block, and ``stack[k]`` solves alone bit for bit as it
+    does in the stack.  Like ``LPStack``, the arrays are used as given.
+    """
+    S, K = bern.shape
+    weights = np.ones((S, 1 + h.shape[2], K))
+    weights[:, 1:] = h.swapaxes(1, 2)
+    total = np.zeros((S, 1 + h.shape[2]))
+    total[:, 0] = 1.0
+    return LPStack(bern, g.swapaxes(1, 2), np.zeros((S, g.shape[2])), weights, total)
 
 
 def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem:
@@ -169,15 +192,50 @@ def certify(lp: LPProblem) -> BoundResult:
     an infeasible program means no point of the rectangle satisfies the
     constraints, and raises InfeasiblePolytope.
     """
-    sol = solve(lp)
-    if sol.status == INFEASIBLE:
-        raise InfeasiblePolytope("no feasible point in the rectangle")
-    if sol.status != OPTIMAL:
-        raise NumericalFailure(f"bounding program unexpectedly {sol.status}")
-    lam = sol.ineq_duals
-    mu = sol.eq_duals[1:]
-    d_star = float(np.min(lp.c + lp.G.T @ lam + lp.A[1:].T @ mu))
-    return BoundResult(d_star=d_star, lam=lam, mu=mu)
+    (outcome,) = _certified(LPStack.of(lp), [solve(lp)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def certify_stack(stack: LPStack) -> list:
+    """``certify`` for every member of a stack of bounding programs, with one
+    stacked solve (``solve_stack``).
+
+    Returns one outcome per member: its BoundResult, or the
+    InfeasiblePolytope or NumericalFailure that ``certify`` would raise for
+    it alone.  Every member comes out bit for bit as ``certify`` gives it.
+    """
+    return _certified(stack, solve_stack(stack))
+
+
+def _certified(stack: LPStack, sols) -> list:
+    """The outcome of ``certify`` for each member, from its solver outcome;
+    the bounds of all members are read off in one stacked step."""
+    lam = np.zeros(stack.G.shape[:2])
+    mu = np.zeros((len(stack), stack.A.shape[1] - 1))
+    for k, sol in enumerate(sols):
+        if isinstance(sol, LPSolution) and sol.status == OPTIMAL:
+            lam[k], mu[k] = sol.ineq_duals, sol.eq_duals[1:]
+    terms = (
+        stack.c
+        + np.matmul(stack.G.swapaxes(1, 2), lam[:, :, None])[:, :, 0]
+        + np.matmul(stack.A[:, 1:].swapaxes(1, 2), mu[:, :, None])[:, :, 0]
+    )
+    d_star = terms.min(axis=1)
+    out = []
+    for k, sol in enumerate(sols):
+        if isinstance(sol, NumericalFailure):
+            out.append(sol)
+        elif sol.status == INFEASIBLE:
+            out.append(InfeasiblePolytope("no feasible point in the rectangle"))
+        elif sol.status != OPTIMAL:
+            out.append(NumericalFailure(f"bounding program unexpectedly {sol.status}"))
+        else:
+            out.append(
+                BoundResult(d_star=float(d_star[k]), lam=sol.ineq_duals, mu=sol.eq_duals[1:])
+            )
+    return out
 
 
 def lower_bound(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> BoundResult:

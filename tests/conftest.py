@@ -6,10 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyvar.invariance import PolytopeTemplate, SynthesisParams, VectorField, synthesize
+from polyvar.invariance import (
+    PolytopeTemplate,
+    SynthesisParams,
+    VectorField,
+    facet_programs,
+    synthesize,
+    verify,
+)
+from polyvar.lpsolve import NumericalFailure
 from polyvar.oracle import box_point
 from polyvar.polynomial import MultiPoly, Rectangle
-from polyvar.relaxation import ConstraintSet
+from polyvar.relaxation import ConstraintSet, InfeasiblePolytope, certify
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -106,6 +114,36 @@ def fitzhugh_nagumo_iterate64() -> tuple[VectorField, Rectangle, PolytopeTemplat
         fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref, max_iter=2)
     )
     return fld, rect, PolytopeTemplate(normals, trace.records[1].offsets)
+
+
+def assert_verify_matches_members_alone(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
+    """``verify``, which certifies the facet programs in stacked solves, must
+    give bit for bit the report that ``certify`` gives on each member of
+    ``facet_programs`` alone; returns the report."""
+    m = tpl.m
+    d_star = np.full(m, np.nan)
+    multipliers = np.full((m, m), np.nan)
+    feasible = np.ones(m, dtype=bool)
+    failures = {}
+    members = [lp for stack in facet_programs(fld, rect, tpl) for lp in stack]
+    assert len(members) == m
+    for k, lp in enumerate(members):
+        try:
+            res = certify(lp)
+        except InfeasiblePolytope:
+            feasible[k] = False
+            continue
+        except NumericalFailure as exc:
+            failures[k] = str(exc)
+            continue
+        d_star[k] = res.d_star
+        multipliers[k] = np.insert(res.lam, k, res.mu[0])
+    report = verify(fld, rect, tpl)
+    assert report.d_star.tobytes() == d_star.tobytes()
+    assert report.multipliers.tobytes() == multipliers.tobytes()
+    assert report.facet_feasible.tobytes() == feasible.tobytes()
+    assert report.failures == failures
+    return report
 
 
 def term_by_term_objective(fld: VectorField, normal) -> MultiPoly:

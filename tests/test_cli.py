@@ -580,6 +580,41 @@ class TestLiftCaps:
         assert elapsed < 1.0
 
 
+class TestFarBox:
+    """``x^30`` over [1e12, 1e12 + 1] leaves the float range in the Bernstein
+    conversion: exit 2 with an error line that names the polynomial or the
+    field component, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("bound", "polynomial"),
+            ("verify", "vector field component 0"),
+            ("synthesize", "vector field component 0"),
+        ],
+    )
+    def test_exit_2(self, tmp_path, capsys, command, name):
+        lo = 1e12
+        term = {"exponents": [30], "coefficient": 1.0}
+        rect = {"lower": [lo], "upper": [lo + 1.0]}
+        if command == "bound":
+            payload = {"schema_version": "1", "polynomial": [term], "rectangle": rect}
+        else:
+            payload = {
+                "schema_version": "1",
+                "variables": ["x"],
+                "field": [[term]],
+                "rectangle": rect,
+                "template": {"normals": [[1.0], [-1.0]], "offsets": [lo + 0.75, -(lo + 0.25)]},
+                "reference_point": [lo + 0.5],
+            }
+        code = main([command, write_json(tmp_path / "far.json", payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {name}: Bernstein coefficients over the rectangle")
+        assert captured.out == ""
+
+
 class TestInputValidation:
     def test_non_utf8_file_named(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"

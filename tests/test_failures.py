@@ -1,6 +1,6 @@
 """The documented NumericalFailure paths: the solver's KKT gate, a failed
-facet inside ``verify`` and ``synthesize``, a failed direction of a support
-sweep, and the CLI's exit codes.
+facet inside ``verify``'s stacked solve and ``synthesize``, a failed
+direction of a support sweep, and the CLI's exit codes.
 
 Monkeypatching only injects the failure; everything around it runs as is.
 """
@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from polyvar import invariance, lpsolve
+from polyvar import invariance, lpsolve, relaxation
 from polyvar.cli import main
 from polyvar.files import REPORT_SCHEMA
 from polyvar.invariance import (
@@ -25,27 +25,44 @@ from polyvar.invariance import (
 from polyvar.lpsolve import LPProblem, NumericalFailure, solve
 from polyvar.polynomial import Rectangle
 
-from conftest import fitzhugh_nagumo
+from conftest import fitzhugh_nagumo, fitzhugh_nagumo_iterate64
 
 CLEAN = {"primal": 0.0, "dual": 0.0, "gap": 0.0, "slackness": 0.0}
 
 
 def residuals(**worse):
-    return lambda lp, sol: {**CLEAN, **worse}
+    """A stand-in for ``kkt_residuals``: the given residuals, clean otherwise,
+    for each member of the stack it checks."""
+    values = {**CLEAN, **worse}
+    return lambda lp, sol: {key: np.full(len(lp.c), value) for key, value in values.items()}
 
 
-def fail_certify_calls(monkeypatch, calls):
-    """Make the given (0-based) calls of ``certify`` inside ``verify`` raise."""
+def fail_facet_programs(monkeypatch, members):
+    """Make the given (0-based) facet programs of ``verify`` fail inside its
+    stacked solves, counted over the members that reach phase 2, across
+    passes: the member's degenerate-row pass raises, and the solve goes on
+    with the other members of its stack."""
     count = [0]
-    real = invariance.certify
+    inside = [False]
+    real_stack = relaxation.solve_stack
+    real_rows = lpsolve._activate_degenerate_rows
 
-    def certify(lp):
-        count[0] += 1
-        if count[0] - 1 in calls:
-            raise NumericalFailure("injected")
-        return real(lp)
+    def solve_stack(stack):
+        inside[0] = True
+        try:
+            return real_stack(stack)
+        finally:
+            inside[0] = False
 
-    monkeypatch.setattr(invariance, "certify", certify)
+    def activate_degenerate_rows(*args):
+        if inside[0]:
+            count[0] += 1
+            if count[0] - 1 in members:
+                raise NumericalFailure("injected")
+        return real_rows(*args)
+
+    monkeypatch.setattr(relaxation, "solve_stack", solve_stack)
+    monkeypatch.setattr(lpsolve, "_activate_degenerate_rows", activate_degenerate_rows)
 
 
 def fail_phase_two_runs(monkeypatch, runs) -> list:
@@ -92,7 +109,7 @@ class TestFailedFacet:
         fld, rect, tpl = fitzhugh_nagumo_invariant()
         clean = verify(fld, rect, tpl)
         assert clean.invariant
-        fail_certify_calls(monkeypatch, {2})
+        fail_facet_programs(monkeypatch, {2})
         report = verify(fld, rect, tpl)
         assert report.failures == {2: "injected"}
         assert not report.complete and not report.invariant
@@ -102,10 +119,24 @@ class TestFailedFacet:
         assert np.isnan(report.d_star[2]) and np.all(np.isnan(report.multipliers[2]))
         assert report.facet_feasible.all()
 
+    def test_failures_across_stacks_leave_the_others_bit_equal(self, monkeypatch):
+        # the 64 facets go in stacks of six: 5 and 6 end and start a stack
+        fld, rect, tpl = fitzhugh_nagumo_iterate64()
+        clean = verify(fld, rect, tpl)
+        assert clean.complete
+        failed = [0, 5, 6, 31, 63]
+        fail_facet_programs(monkeypatch, set(failed))
+        report = verify(fld, rect, tpl)
+        assert report.failures == dict.fromkeys(failed, "injected")
+        others = np.setdiff1d(np.arange(tpl.m), failed)
+        assert report.d_star[others].tobytes() == clean.d_star[others].tobytes()
+        assert report.multipliers[others].tobytes() == clean.multipliers[others].tobytes()
+        assert np.isnan(report.d_star[failed]).all() and report.facet_feasible.all()
+
     def test_synthesize_stalls_with_the_failure_recorded(self, monkeypatch):
         fld, rect, normals, ref = fitzhugh_nagumo()
         m = normals.shape[0]
-        fail_certify_calls(monkeypatch, {m + 1})  # facet 1 of the second pass
+        fail_facet_programs(monkeypatch, {m + 1})  # facet 1 of the second pass
         trace = synthesize(
             fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref)
         )
@@ -135,7 +166,7 @@ class TestFailedPhaseTwo:
         def verify_pass(*args):
             passes[0] += 1
             if passes[0] == 2:
-                fail_phase_two_runs(monkeypatch, {1})
+                fail_facet_programs(monkeypatch, {1})
             return real(*args)
 
         monkeypatch.setattr(invariance, "verify", verify_pass)
@@ -155,7 +186,7 @@ class TestCli:
         report_path = tmp_path / "report.json"
         assert main(["synthesize", model, "--polytope", str(poly_path)]) == 0
         capsys.readouterr()
-        fail_certify_calls(monkeypatch, {3})
+        fail_facet_programs(monkeypatch, {3})
         code = main(["verify", model, "--polytope", str(poly_path), "--report", str(report_path)])
         out = capsys.readouterr().out
         assert code == 1

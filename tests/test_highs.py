@@ -115,7 +115,7 @@ def test_single_vertex_facets_stay_feasible():
     report = verify(fld, rect, tpl)
     assert report.complete
     assert np.all(np.isfinite(report.d_star))
-    programs = list(facet_programs(fld, rect, tpl))
+    programs = [lp for stack in facet_programs(fld, rect, tpl) for lp in stack]
     for k in single:
         ref_status, ref_value, _ = highs(programs[k])
         assert ref_status == OPTIMAL

@@ -27,6 +27,7 @@ from polyvar.relaxation import ConstraintSet, class_constraint_values, lower_bou
 
 from conftest import (
     MODELS_DIR,
+    assert_verify_matches_members_alone,
     fitzhugh_nagumo,
     fitzhugh_nagumo_iterate64,
     phytoplankton,
@@ -217,9 +218,11 @@ class TestVerify:
         assert report.facet_feasible[[0, 1, 3]].all()
 
     def test_one_lp_per_nonempty_facet(self, monkeypatch):
-        # per pass: one LP per facet, one Bernstein conversion per field
-        # component and one matrix of constraint values for all facets
+        # per pass: one LP per facet, all in one stacked solve, one Bernstein
+        # conversion per field component and one matrix of constraint values
+        # for all facets
         calls = {"solve": 0, "bernstein": 0, "values": 0}
+        stacks = [0]
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -228,7 +231,13 @@ class TestVerify:
 
             return wrapper
 
+        def solve_stack(stack):
+            stacks[0] += 1
+            calls["solve"] += len(stack)
+            return lpsolve.solve_stack(stack)
+
         monkeypatch.setattr(polyvar.relaxation, "solve", counted("solve", solve))
+        monkeypatch.setattr(polyvar.relaxation, "solve_stack", solve_stack)
         monkeypatch.setattr(polyvar.invariance, "solve", counted("solve", solve))
         monkeypatch.setattr(
             polyvar.invariance, "bernstein_coefficients", counted("bernstein", bernstein_coefficients)
@@ -243,6 +252,7 @@ class TestVerify:
             report = verify(fld, rect, tpl)
             assert report.facet_feasible.all() and report.failures == {}
             assert calls == {"solve": passes * tpl.m, "bernstein": passes * fld.n, "values": passes}
+            assert stacks[0] == passes
 
 
 def facet_constraints(tpl: PolytopeTemplate, k: int) -> ConstraintSet:
@@ -263,6 +273,103 @@ def bundled_iterates(name):
     trace = synthesize(model.field, model.rectangle, model.template, params)
     tpls = [model.template.with_offsets(rec.offsets) for rec in trace.records]
     return model.field, model.rectangle, tpls
+
+
+def uniform_normals(m) -> np.ndarray:
+    angles = 2.0 * np.pi * np.arange(m) / m
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def chain_8d() -> tuple[VectorField, Rectangle, PolytopeTemplate]:
+    """The 8-D chain dx_i = -x_i + 0.3 x_{i+1}^2 + 0.2 x_{i-1} x_i (indices
+    cyclic) on [-1.5, 1.5]^8 with a box template: 3^8 = 6561 vertex classes."""
+    n = 8
+    comps = []
+    for i in range(n):
+        terms = {}
+        for exps, coeff in (({i: 1}, -1.0), ({(i + 1) % n: 2}, 0.3), ({(i - 1) % n: 1, i: 1}, 0.2)):
+            key = [0] * n
+            for j, e in exps.items():
+                key[j] = e
+            terms[tuple(key)] = coeff
+        comps.append(MultiPoly(n, terms))
+    eye = np.eye(n)
+    tpl = PolytopeTemplate(np.vstack([eye, -eye]), np.full(2 * n, 1.0))
+    return VectorField(tuple(comps)), Rectangle(np.full(n, -1.5), np.full(n, 1.5)), tpl
+
+
+class TestStackedVerify:
+    """``verify`` certifies the facet programs in stacked solves; every
+    report must equal, bit for bit, ``certify`` on each member alone."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
+    def test_fitzhugh_nagumo_uniform(self, m):
+        fld, rect, _, ref = fitzhugh_nagumo()
+        trace = synthesize(
+            fld, rect, PolytopeTemplate(uniform_normals(m)),
+            SynthesisParams(reference_point=ref, max_iter=3),
+        )
+        for rec in trace.records:
+            assert_verify_matches_members_alone(
+                fld, rect, PolytopeTemplate(uniform_normals(m), rec.offsets)
+            )
+
+    def test_phytoplankton(self):
+        fld, rect, tpls = bundled_iterates("phytoplankton")
+        for tpl in tpls:
+            assert_verify_matches_members_alone(fld, rect, tpl)
+
+    def test_single_vertex_facets_over_many_stacks(self):
+        fld, rect, tpl = fitzhugh_nagumo_iterate64()
+        assert len(list(polyvar.invariance.facet_programs(fld, rect, tpl))) > 1
+        assert assert_verify_matches_members_alone(fld, rect, tpl).complete
+
+    def test_8d_box(self):
+        fld, rect, tpl = chain_8d()
+        report = assert_verify_matches_members_alone(fld, rect, tpl)
+        assert report.complete
+
+    def test_empty_facet_mid_stack(self):
+        # facet 2 (x <= 1.5) never touches the polytope, which x <= 1 bounds
+        normals = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+        tpl = PolytopeTemplate(normals, [1.0, 1.0, 1.5, 1.0, 1.0])
+        fld, rect = linear_decay(), Rectangle([-2.0, -2.0], [2.0, 2.0])
+        report = assert_verify_matches_members_alone(fld, rect, tpl)
+        assert report.facet_feasible.tolist() == [True, True, False, True, True]
+        assert report.failures == {}
+        assert np.all(np.isfinite(report.d_star[[0, 1, 3, 4]]))
+
+    @pytest.mark.parametrize("m", [64, 200])
+    def test_stacked_tableau_within_cap(self, monkeypatch, m):
+        # the largest tableau a pass holds is a stack's; a stack of two or
+        # more members stays within STACK_BYTES, and one member alone may
+        # exceed it only when it cannot be split (m = 200 here)
+        sizes, members = [], []
+        real_phase_one = lpsolve._phase_one
+
+        def phase_one(stack):
+            tab = real_phase_one(stack)
+            sizes.append((len(stack), tab.T.nbytes))
+            return tab
+
+        def solve_stack(stack):
+            members.append(len(stack))
+            return lpsolve.solve_stack(stack)
+
+        monkeypatch.setattr(lpsolve, "_phase_one", phase_one)
+        monkeypatch.setattr(polyvar.relaxation, "solve_stack", solve_stack)
+        fld, rect, _, _ = fitzhugh_nagumo()
+        tpl = PolytopeTemplate(uniform_normals(m))
+        tpl = tpl.with_offsets(tpl.support_in(rect))
+        report = verify(fld, rect, tpl)
+        assert report.complete
+        assert sum(members) == m and len(members) > 1
+        assert len(sizes) == len(members)
+        one = max(size // count for count, size in sizes)
+        for count, size in sizes:
+            assert size <= lpsolve.STACK_BYTES or count == 1
+        if one <= lpsolve.STACK_BYTES // 2:
+            assert max(members) > 1  # small members do share stacks
 
 
 class TestFacetPrograms:

@@ -403,3 +403,46 @@ class TestSolveMany:
     def test_nan_cost_rejected(self):
         with pytest.raises(ValueError):
             solve_many(LPProblem([1.0]), [[1.0], [np.nan]])
+
+
+class TestSolveStack:
+    @staticmethod
+    def random_stack(rng, kinds):
+        """Programs of one shape (4 columns, 3 inequality rows with h >= 0,
+        one equality row with d >= 0), each optimal, infeasible or unbounded."""
+        c, G, h, A, d = [], [], [], [], []
+        for kind in kinds:
+            g = rng.uniform(0.1, 2.0, (3, 4))
+            a = rng.uniform(0.1, 2.0, (1, 4))
+            cost = rng.uniform(-1.0, 1.0, 4)
+            if kind == "infeasible":  # -a.x = 1 has no solution with x >= 0
+                a, rhs = -a, [1.0]
+            elif kind == "unbounded":  # x grows without limit, the cost falls
+                g, a, rhs, cost = -g, np.zeros((1, 4)), [0.0], -np.abs(cost) - 0.1
+            else:
+                rhs = [float(a[0] @ rng.uniform(0.0, 0.2, 4))]
+            for arrays, value in zip((c, G, h, A, d), (cost, g, rng.uniform(0.5, 2.0, 3), a, rhs)):
+                arrays.append(value)
+        return lpsolve.LPStack(*map(np.array, (c, G, h, A, d)))
+
+    def test_members_match_their_solve_alone(self):
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(40):
+            kinds = rng.choice(["optimal", "optimal", "infeasible", "unbounded"], size=5)
+            stack = self.random_stack(rng, kinds)
+            for k, out in enumerate(lpsolve.solve_stack(stack)):
+                alone = solve(stack[k])
+                assert out.status == alone.status
+                seen.add(out.status)
+                if out.status == OPTIMAL:
+                    for field in ("x", "ineq_duals", "eq_duals"):
+                        assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
+                    assert out.objective == alone.objective
+        assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+
+    def test_members_need_equally_many_artificial_columns(self):
+        stack = self.random_stack(np.random.default_rng(8), ["optimal", "optimal"])
+        stack.h[1, 0] = -1.0  # flips a row of the second member only
+        with pytest.raises(ValueError, match="equally many artificial columns"):
+            lpsolve.solve_stack(stack)

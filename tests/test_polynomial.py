@@ -202,6 +202,18 @@ class TestCheckLift:
 
 
 class TestBernsteinCoefficients:
+    @pytest.mark.parametrize(
+        "terms, lower",
+        [({(30,): 1.0}, 1e12), ({(2,): 1e300}, 1e5)],
+        ids=["power-overflow", "coefficient-overflow"],
+    )
+    def test_leaving_the_float_range_raises_value_error(self, terms, lower):
+        # lower**30 overflows in the shift matrix; 1e300 * lower**2 only in
+        # the coefficients
+        rect = Rectangle([lower], [lower + 1.0])
+        with pytest.raises(ValueError, match=r"^f: Bernstein coefficients over the rectangle "):
+            bernstein_coefficients(MultiPoly(1, terms), rect, "f")
+
     def test_constant(self):
         p = MultiPoly.constant(2, 3.5)
         bt = bernstein_coefficients(p, Rectangle([0.0, -1.0], [1.0, 4.0]))
@@ -313,7 +325,7 @@ class TestFacetObjective:
         n = len(components)
         rect = Rectangle(-1.5 + 0.25 * np.arange(n), 2.0 + 0.5 * np.arange(n))
         tpl = PolytopeTemplate([normal], [0.0])
-        tensor = next(facet_programs(VectorField(tuple(components)), rect, tpl)).c
+        tensor = next(facet_programs(VectorField(tuple(components)), rect, tpl))[0].c
         ref = bernstein_coefficients(expected, rect).values.reshape(-1)
         assert tensor.shape == ref.shape
         assert np.abs(tensor - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())

@@ -17,7 +17,7 @@ from polyvar.relaxation import (
     sensitivity_bound,
 )
 
-from conftest import term_by_term_objective
+from conftest import assert_verify_matches_members_alone, term_by_term_objective
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -79,12 +79,36 @@ def test_facet_tensor_is_linear_in_the_normal(case):
     # 1e-12 of the coefficient scale sum_i |n_i| max|B(f_i)|
     fld, normal, rect = case
     tpl = PolytopeTemplate([normal], [0.0])
-    tensor = next(facet_programs(fld, rect, tpl)).c
+    tensor = next(facet_programs(fld, rect, tpl))[0].c
     degrees = lift_degrees(fld.degrees, tpl.normals)
     ref = bernstein_coefficients(term_by_term_objective(fld, normal).pad_degrees(degrees), rect)
     parts = [bernstein_coefficients(f.pad_degrees(degrees), rect).values for f in fld.components]
     scale = 1.0 + np.abs(normal) @ np.array([np.abs(b).max() for b in parts])
     assert np.abs(tensor - ref.values.reshape(-1)).max() <= 1e-12 * scale
+
+
+@st.composite
+def templates(draw):
+    """``(fld, rect, tpl)``: a field as in ``facets`` and one to twelve facets
+    whose offsets leave the box center inside by a drawn slack, or outside;
+    some facets come out empty, and sometimes the whole polytope."""
+    n = draw(st.integers(1, 3))
+    fld, rect = VectorField(polynomials(draw, n, n)), box(draw, n)
+    center = (rect.lower + rect.upper) / 2.0
+    m = draw(st.integers(1, 12))
+    rows = st.lists(ROW_COEFF, min_size=n, max_size=n).filter(any)
+    normals = np.array([draw(rows) for _ in range(m)])
+    slack = np.array(draw(st.lists(st.floats(-0.2, 0.6), min_size=m, max_size=m)))
+    offsets = normals @ center + slack * (np.abs(normals) @ rect.width)
+    return fld, rect, PolytopeTemplate(normals, offsets)
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(templates())
+def test_stacked_verify_matches_each_member_alone(case):
+    # verify certifies all facet programs of a pass in stacked solves; its
+    # report is bit for bit that of certify on each member alone
+    assert_verify_matches_members_alone(*case)
 
 
 @hypothesis.settings(max_examples=100)

@@ -1,0 +1,87 @@
+"""Print one sha256 per report and polytope file of the bundled runs.
+
+Every problem file goes through ``polyvar bound``.  Every model
+goes through ``polyvar verify`` (its own template, when that has offsets)
+and ``polyvar synthesize``; a 2-D model is also synthesized with
+``--template uniform:3`` to ``uniform:8``.  Each polytope that a synthesis
+writes is verified again with ``polyvar verify --polytope``.  Reports are
+hashed with ``wall_time_s`` removed, so two checkouts that compute the same
+results print the same lines:
+
+    python tools/report_digest.py > digest.txt           # models/*.json
+    python tools/report_digest.py more/*.json > more.txt  # other inputs
+
+Run it in two checkouts and ``diff`` the outputs.  Each line is
+``<sha256>  <run> <file> exit=<code>``; a run that writes no file prints
+``-`` for the hash.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from polyvar.cli import main  # noqa: E402
+
+UNIFORM = [f"uniform:{m}" for m in range(3, 9)]
+
+
+def _digest(path: Path) -> str:
+    if not path.exists():
+        return "-"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    data.pop("wall_time_s", None)
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _runs(path: Path, data: dict):
+    """``(label, argv)`` for every run of one input file, in order; ``{out}``
+    in an argv stands for the output directory."""
+    name = path.stem
+    if "polynomial" in data:
+        yield f"bound {name}", ["bound", str(path), "--report", "{out}/report.json"]
+        return
+    if data.get("template", {}).get("offsets") is not None:
+        yield f"verify {name}", ["verify", str(path), "--report", "{out}/report.json"]
+    templates = [None] + (UNIFORM if len(data["field"]) == 2 else [])
+    for spec in templates:
+        argv = ["synthesize", str(path), "--report", "{out}/report.json",
+                "--polytope", "{out}/polytope.json"]
+        yield (f"synthesize {name}" + (f" {spec}" if spec else ""),
+               argv + (["--template", spec] if spec else []))
+
+
+def print_digests(paths) -> None:
+    for path in paths:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        for label, argv in _runs(path, data):
+            with tempfile.TemporaryDirectory() as tmp:
+                out = Path(tmp)
+                code = _run([a.replace("{out}", tmp) for a in argv])
+                print(f"{_digest(out / 'report.json')}  {label} report exit={code}")
+                polytope = out / "polytope.json"
+                if argv[0] != "synthesize":
+                    continue
+                print(f"{_digest(polytope)}  {label} polytope")
+                if polytope.exists():
+                    code = _run(["verify", str(path), "--polytope", str(polytope),
+                                 "--report", str(out / "reverify.json")])
+                    print(f"{_digest(out / 'reverify.json')}  {label} reverify exit={code}")
+
+
+if __name__ == "__main__":
+    args = [Path(a) for a in sys.argv[1:]]
+    print_digests(args or sorted((ROOT / "models").glob("*.json")))
