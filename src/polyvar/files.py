@@ -5,25 +5,25 @@ schemas below before any numeric cross-checks.  Reals are emitted at full
 round-trip precision and keys are sorted, so identical inputs produce
 byte-identical files (the wall-time field aside).
 
-Validation runs in this order.  The term lists (a problem's ``polynomial``,
-each model ``field[j]``) are checked first, in one plain-Python pass that
-accepts a term only in the plainest form ``_TERM_SCHEMA`` allows: exactly the
-keys ``exponents`` and ``coefficient``, the exponents non-bool ints >= 0 and
-the coefficient a non-bool int or float.  When every term passes, jsonschema
-checks the rest of the document, a shallow copy with those lists emptied, so
-its work does not grow with the number of terms.  Any other case (a term that
-fails the plain check, a copy that jsonschema rejects, a document that is not
-an object) goes to jsonschema whole, and its best-matching error becomes the
-message.  So the plain check can only speed up acceptance: jsonschema alone
-decides every rejection and words every error.
+Validation runs in this order.  Each input schema (problem, model,
+polytope) is compiled once, at import, into a plain-Python predicate
+(``_compile``) that accepts a document only if jsonschema would.  A document
+the predicate accepts is valid, and jsonschema is never imported for it.
+Any other document goes to jsonschema, imported and given a validator for
+that schema on the first such load, and its best-matching error becomes the
+message; if jsonschema finds no error (the predicate is stricter, as with an
+exponent ``2.0``), the document is valid.  So jsonschema alone decides every
+rejection and words every error.  The numeric cross-checks come after, and a
+number beyond the float range, or JSON nested too deep to parse, is an
+InputError like any other malformed input.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from .invariance import PolytopeTemplate, SynthesisParams, VectorField
@@ -220,61 +220,126 @@ class ModelData:
     params: SynthesisParams
 
 
-# Built once: ``jsonschema.validate`` would re-check each constant schema
-# against its metaschema on every load (the test suite checks them once).
-_PROBLEM_VALIDATOR, _MODEL_VALIDATOR, _POLYTOPE_VALIDATOR = (
-    jsonschema.validators.validator_for(schema)(schema)
-    for schema in (PROBLEM_SCHEMA, MODEL_SCHEMA, POLYTOPE_SCHEMA)
-)
+# The schema keywords ``_compile`` implements, by the ``type`` they go with;
+# ``None`` is a schema without a ``type``, which holds one ``const`` or ``enum``.
+_KEYWORDS = {
+    None: {"const", "enum"},
+    "string": {"type"},
+    "integer": {"type", "minimum", "exclusiveMinimum"},
+    "number": {"type", "minimum", "exclusiveMinimum"},
+    "array": {"type", "items", "minItems"},
+    "object": {"type", "required", "properties", "additionalProperties"},
+}
 
 
-def _plain_term(record) -> bool:
-    """Whether ``record`` is a term in the plainest form ``_TERM_SCHEMA`` accepts.
+def _compile(schema):
+    """A plain-Python predicate that accepts a JSON value only if ``schema``
+    accepts it.
 
-    Stricter than the schema (it refuses an exponent ``2.0``, which the schema
-    takes as an integer), so every record that passes is schema-valid.
+    The schema becomes one boolean expression, compiled once, so a check
+    makes no Python-level call per node and costs about what a hand-written
+    one would.  The predicate is stricter than jsonschema in two ways: an
+    integer must be an ``int`` (jsonschema also takes ``2.0``), and no bound
+    holds for NaN.  A keyword, or a keyword value, that it does not
+    implement raises ValueError, so a schema edit cannot loosen it.
     """
-    if type(record) is not dict or len(record) != 2:
-        return False
-    exponents, coefficient = record.get("exponents"), record.get("coefficient")
-    return (
-        type(exponents) is list
-        and all(type(e) is int and e >= 0 for e in exponents)
-        and type(coefficient) in (int, float)
-    )
+    constants = {}
+
+    def expression(schema, x: str, depth: int) -> str:
+        # true exactly when the value of the expression ``x`` passes
+        kind = schema.get("type")
+        keywords = None if isinstance(kind, list) else _KEYWORDS.get(kind)
+        if (
+            keywords is None
+            or not schema.keys() <= keywords
+            or (kind is None and len(schema) != 1)
+            or type(schema.get("additionalProperties", True)) is not bool
+        ):
+            raise ValueError(f"no plain check for the schema {schema}")
+        if kind is None:
+            values = schema["enum"] if "enum" in schema else [schema["const"]]
+            if not all(type(v) is str for v in values):
+                raise ValueError(f"no plain check for the schema {schema}")
+            name = f"_values{len(constants)}"
+            constants[name] = frozenset(values)
+            return f"(type({x}) is str and {x} in {name})"
+        if kind == "string":
+            return f"type({x}) is str"
+        if kind in ("integer", "number"):
+            terms = [f"type({x}) is int" if kind == "integer" else f"type({x}) in (int, float)"]
+            if "minimum" in schema:
+                terms.append(f"{x} >= {schema['minimum']!r}")
+            if "exclusiveMinimum" in schema:
+                terms.append(f"{x} > {schema['exclusiveMinimum']!r}")
+        elif kind == "array":
+            terms = [f"type({x}) is list"]
+            if "minItems" in schema:
+                terms.append(f"len({x}) >= {schema['minItems']!r}")
+            if "items" in schema:
+                item = f"item{depth}"
+                test = expression(schema["items"], item, depth + 1)
+                terms.append(f"all({test} for {item} in {x})")
+        else:
+            required = schema.get("required", [])
+            properties = schema.get("properties", {})
+            terms = [f"type({x}) is dict", *(f"{key!r} in {x}" for key in required)]
+            if schema.get("additionalProperties", True) is False:
+                # with every property required, the count rules out extra keys
+                if set(required) == properties.keys():
+                    terms.append(f"len({x}) == {len(properties)}")
+                else:
+                    name = f"_names{len(constants)}"
+                    constants[name] = frozenset(properties)
+                    terms.append(f"{x}.keys() <= {name}")
+            for key, sub in properties.items():
+                term = expression(sub, f"{x}[{key!r}]", depth)
+                terms.append(term if key in required else f"({key!r} not in {x} or {term})")
+        return f"({' and '.join(terms)})"
+
+    source = f"def accepts(x):\n    return {expression(schema, 'x', 0)}\n"
+    exec(source, constants)
+    return constants["accepts"]
 
 
-def _without_terms(instance, key: str, nested: bool):
-    """A shallow copy of ``instance`` with the term lists under ``key``
-    emptied, or None unless each of their records passes ``_plain_term``.
-
-    ``nested``: ``instance[key]`` holds one term list per component (a model's
-    ``field``) rather than one term list (a problem's ``polynomial``).
-    """
-    if type(instance) is not dict or type(instance.get(key)) is not list:
-        return None
-    lists = instance[key] if nested else [instance[key]]
-    if not all(type(terms) is list and all(map(_plain_term, terms)) for terms in lists):
-        return None
-    return {**instance, key: [[] for _ in lists] if nested else []}
+_INPUT_SCHEMAS = {"problem": PROBLEM_SCHEMA, "model": MODEL_SCHEMA, "polytope": POLYTOPE_SCHEMA}
+_ACCEPTS = {name: _compile(schema) for name, schema in _INPUT_SCHEMAS.items()}
 
 
-def _validate(instance, validator, label: str, key=None, nested=False):
+@functools.cache
+def _validator(name: str):
+    """jsonschema's validator for an input schema, built at the first rejection."""
+    import jsonschema
+
+    schema = _INPUT_SCHEMAS[name]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def _validate(instance, name: str, label: str) -> None:
     """Raise InputError with jsonschema's best-matching message unless
-    ``instance`` is valid; the term lists under ``key`` (see
-    ``_without_terms``) are checked outside jsonschema when they are plain."""
-    stripped = None if key is None else _without_terms(instance, key, nested)
-    if stripped is not None and validator.is_valid(stripped):
+    ``instance`` is valid under the input schema ``name``.  jsonschema is
+    consulted only when the plain check refuses ``instance``."""
+    if _ACCEPTS[name](instance):
         return
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator(name).iter_errors(instance))
     if error is not None:
         raise InputError(f"{label}: {error.message}") from error
+
+
+def _floats(values, label: str) -> np.ndarray:
+    """``values`` as a float array; an integer beyond the float range (an
+    OverflowError in numpy) is an InputError naming ``label``."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError as exc:
+        raise InputError(f"{label}: {exc}") from exc
 
 
 def _normals(rows, label: str) -> np.ndarray:
     if len({len(row) for row in rows}) > 1:
         raise InputError(f"{label}: rows must all have the same length")
-    return np.asarray(rows, dtype=float)
+    return _floats(rows, label)
 
 
 def _load_json(path) -> dict:
@@ -287,6 +352,8 @@ def _load_json(path) -> dict:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deep to parse") from exc
 
 
 def _poly_from_terms(terms, n_vars: int, label: str) -> MultiPoly:
@@ -297,7 +364,11 @@ def _poly_from_terms(terms, n_vars: int, label: str) -> MultiPoly:
             raise InputError(
                 f"{label}: term {list(exps)} has {len(exps)} exponents, expected {n_vars}"
             )
-        table[exps] = table.get(exps, 0.0) + float(record["coefficient"])
+        try:
+            coefficient = float(record["coefficient"])
+        except OverflowError as exc:
+            raise InputError(f"{label}: term {list(exps)} coefficient: {exc}") from exc
+        table[exps] = table.get(exps, 0.0) + coefficient
     try:
         return MultiPoly(n_vars, table)
     except ValueError as exc:
@@ -307,32 +378,32 @@ def _poly_from_terms(terms, n_vars: int, label: str) -> MultiPoly:
 def _rectangle_from(obj, label: str) -> Rectangle:
     try:
         return Rectangle(obj["lower"], obj["upper"])
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"{label}: {exc}") from exc
 
 
 def load_problem(path) -> tuple[MultiPoly, Rectangle, ConstraintSet]:
     """Parse a bound-problem file; ``>=`` rows are negated into ``<=`` form."""
     raw = _load_json(path)
-    _validate(raw, _PROBLEM_VALIDATOR, f"{path}", "polynomial")
+    _validate(raw, "problem", f"{path}")
     rect = _rectangle_from(raw["rectangle"], f"{path}: rectangle")
     n = rect.n
     poly = _poly_from_terms(raw["polynomial"], n, f"{path}: polynomial")
     ineqs = []
     for row in raw.get("inequalities", ()):
-        a = np.asarray(row["a"], dtype=float)
+        a = _floats(row["a"], f"{path}: inequality vector a")
         if a.size != n:
             raise InputError(f"{path}: inequality vector a has wrong length")
-        b = float(row["b"])
+        b = float(_floats(row["b"], f"{path}: inequality bound b"))
         if row.get("op", "<=") == ">=":
             a, b = -a, -b
         ineqs.append((a, b))
     eqs = []
     for row in raw.get("equalities", ()):
-        c = np.asarray(row["c"], dtype=float)
+        c = _floats(row["c"], f"{path}: equality vector c")
         if c.size != n:
             raise InputError(f"{path}: equality vector c has wrong length")
-        eqs.append((c, float(row["d"])))
+        eqs.append((c, float(_floats(row["d"], f"{path}: equality value d"))))
     try:
         return poly, rect, ConstraintSet(n, inequalities=ineqs, equalities=eqs)
     except ValueError as exc:
@@ -342,7 +413,7 @@ def load_problem(path) -> tuple[MultiPoly, Rectangle, ConstraintSet]:
 def load_model(path) -> ModelData:
     """Parse and cross-validate a model file."""
     raw = _load_json(path)
-    _validate(raw, _MODEL_VALIDATOR, f"{path}", "field", nested=True)
+    _validate(raw, "model", f"{path}")
     variables = list(raw["variables"])
     n = len(variables)
     rect = _rectangle_from(raw["rectangle"], f"{path}: rectangle")
@@ -363,13 +434,15 @@ def load_model(path) -> ModelData:
     if normals.ndim != 2 or normals.shape[1] != n:
         raise InputError(f"{path}: template normals must be rows of length {n}")
     offsets = raw["template"].get("offsets")
-    if offsets is not None and len(offsets) != normals.shape[0]:
-        raise InputError(f"{path}: template offsets length != number of normals")
+    if offsets is not None:
+        offsets = _floats(offsets, f"{path}: template.offsets")
+        if len(offsets) != normals.shape[0]:
+            raise InputError(f"{path}: template offsets length != number of normals")
     try:
         template = PolytopeTemplate(normals, offsets)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    ref = np.asarray(raw["reference_point"], dtype=float)
+    ref = _floats(raw["reference_point"], f"{path}: reference_point")
     if ref.size != n:
         raise InputError(f"{path}: reference_point has wrong length")
     if not (np.all(ref > rect.lower) and np.all(ref < rect.upper)):
@@ -379,7 +452,7 @@ def load_model(path) -> ModelData:
         if key in p and len(p[key]) != normals.shape[0]:
             raise InputError(f"{path}: params.{key} length != number of facets")
     for key in ("epsilon", "stall_tol", "b_lo", "b_hi"):
-        if key in p and not np.all(np.isfinite(np.asarray(p[key], dtype=float))):
+        if key in p and not np.all(np.isfinite(_floats(p[key], f"{path}: params.{key}"))):
             raise InputError(f"{path}: params.{key} must be finite")
     params = SynthesisParams(
         epsilon=p.get("epsilon"),
@@ -400,9 +473,9 @@ def load_model(path) -> ModelData:
 
 def load_polytope(path) -> PolytopeTemplate:
     raw = _load_json(path)
-    _validate(raw, _POLYTOPE_VALIDATOR, f"{path}")
+    _validate(raw, "polytope", f"{path}")
     normals = _normals(raw["normals"], f"{path}: normals")
-    offsets = np.asarray(raw["offsets"], dtype=float)
+    offsets = _floats(raw["offsets"], f"{path}: offsets")
     if offsets.size != normals.shape[0]:
         raise InputError(f"{path}: offsets length != number of normals")
     try:

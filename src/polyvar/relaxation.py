@@ -177,8 +177,13 @@ def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProb
     """``bounding_program`` of ``p`` over ``{x in rect : cs holds}`` at ``p``'s
     formal degrees, which must already cover the constrained variables."""
     check_lift(p.degrees, "polynomial")
-    g = class_constraint_values(p.degrees, rect, cs.a, cs.b)
-    h = class_constraint_values(p.degrees, rect, cs.c, cs.d)
+    # One lattice walk for both blocks.  Each column is computed on its own,
+    # so the blocks equal one call per block bit for bit; the copies keep
+    # each block C-contiguous, the layout the solver's rounding assumes.
+    values = class_constraint_values(
+        p.degrees, rect, np.vstack([cs.a, cs.c]), np.concatenate([cs.b, cs.d])
+    )
+    g, h = values[:, : cs.m_ineq].copy(), values[:, cs.m_ineq :].copy()
     return bounding_program(bernstein_coefficients(p, rect).values.reshape(-1), g, h)
 
 

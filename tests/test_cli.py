@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from polyvar import files
 from polyvar.cli import main, polygon_vertices
 from polyvar.files import (
     MODEL_SCHEMA,
@@ -478,6 +480,8 @@ class TestPublishedSchemas:
         assert str(raised.value) == f"{path}: {message}"
 
     def test_schema_work_does_not_grow_with_the_term_count(self, tmp_path, monkeypatch):
+        # an accepted file never reaches jsonschema: no descend call for a
+        # problem, a model or a polytope, at 1 term (facet) and at 2000
         validator_class = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
         descend = validator_class.descend
         calls = []
@@ -487,16 +491,79 @@ class TestPublishedSchemas:
             return descend(self, *args, **kwargs)
 
         monkeypatch.setattr(validator_class, "descend", counting)
-        counts = []
-        for n_terms in (1, 2000):
+        box = {"lower": [-1.0] * 3, "upper": [1.0] * 3}
+        for count in (1, 2000):
             terms = [{"exponents": [k % 7, k // 7 % 7, k // 49], "coefficient": 0.5 + k}
-                     for k in range(n_terms)]
-            payload = problem_with(polynomial=terms)
-            payload["rectangle"] = {"lower": [0.0] * 3, "upper": [1.0] * 3}
-            calls.clear()
-            load_problem(write_json(tmp_path / f"terms{n_terms}.json", payload))
-            counts.append(len(calls))
-        assert counts[0] > 0 and counts[0] == counts[1]
+                     for k in range(count)]
+            problem = {**problem_with(polynomial=terms), "rectangle": box}
+            load_problem(write_json(tmp_path / "problem.json", problem))
+            model = {
+                "schema_version": "1", "variables": ["x", "y", "z"], "field": [terms] * 3,
+                "rectangle": box, "template": {"normals": np.vstack([np.eye(3), -np.eye(3)])},
+                "reference_point": [0.0] * 3,
+            }
+            load_model(write_json(tmp_path / "model.json", model))
+            normals = np.column_stack([np.cos(np.arange(count + 2)), np.sin(np.arange(count + 2))])
+            polytope = {"schema_version": "1", "normals": normals, "offsets": [1.0] * (count + 2)}
+            load_polytope(write_json(tmp_path / "polytope.json", polytope))
+        assert calls == []
+        with pytest.raises(InputError):
+            load_problem(write_json(tmp_path / "bad.json", problem_with(extra=1)))
+        assert calls
+
+    def test_jsonschema_imported_only_for_a_rejection(self, models_dir, tmp_path):
+        bad = write_json(tmp_path / "bad.json", {"schema_version": "1"})
+        script = (
+            "import contextlib, io, sys\n"
+            "import polyvar.cli\n"
+            "seen = ['jsonschema' in sys.modules]\n"
+            "for path in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        with contextlib.redirect_stderr(io.StringIO()):\n"
+            "            code = polyvar.cli.main(['bound', path])\n"
+            "    seen.append((code, 'jsonschema' in sys.modules))\n"
+            "print(seen)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(models_dir / "constrained_3d.json"), bad],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        ).stdout
+        assert out.strip() == "[False, (0, False), (2, True)]"
+
+    @pytest.mark.parametrize(
+        "schema",
+        [
+            {"type": "number", "maximum": 1},
+            {"type": "integer", "multipleOf": 2},
+            {"type": "string", "pattern": "^x"},
+            {"type": "array", "items": {"type": "number"}, "maxItems": 2},
+            {"type": "array", "items": {"type": "number", "exclusiveMaximum": 0}},
+            {"type": "object", "properties": {}, "additionalProperties": {"type": "number"}},
+            {"type": "object", "properties": {"a": {"$ref": "#"}}},
+            {"type": "object", "patternProperties": {"^x": {"type": "number"}}},
+            {"type": ["number", "null"]},
+            {"type": "boolean"},
+            {"const": 1},
+            {"enum": ["<=", 0]},
+            {"const": "1", "enum": ["1", "2"]},
+            {},
+        ],
+    )
+    def test_plain_check_refuses_unknown_keywords(self, schema):
+        # a schema edit that the plain check cannot follow fails at import,
+        # instead of leaving the check looser than the schema
+        with pytest.raises(ValueError, match="no plain check"):
+            files._compile(schema)
+
+    def test_bundled_files_take_the_plain_check(self, models_dir):
+        paths = sorted(models_dir.glob("*.json"))
+        assert len(paths) >= 5
+        for path in paths:
+            raw = json.loads(path.read_text())
+            assert files._ACCEPTS["problem" if "polynomial" in raw else "model"](raw), path.name
 
 
 class TestSharedParser:
@@ -738,6 +805,88 @@ class TestNonFiniteInput:
         code, err = self.run_quietly(["synthesize", str(path)], capsys)
         assert code == 2
         assert f"params.{key} must be finite" in err
+
+
+class TestOutOfRangeInput:
+    """An integer literal beyond the float range, or JSON nested too deep to
+    parse: exit 2 with an error line naming the file and the field, and no
+    traceback."""
+
+    HUGE = 10**400
+    POLYTOPE = {
+        "schema_version": "1",
+        "normals": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+        "offsets": [1.0, 1.0, 1.0, 1.0],
+    }
+
+    def files_for(self, models_dir, command):
+        """``(argv, document)``: the arguments of ``command``, with
+        ``{file}`` standing for the path of the edited ``document``."""
+        if command == "bound":
+            problem = json.loads((models_dir / "constrained_3d.json").read_text())
+            problem["equalities"] = [{"c": [1.0, 0.0, 0.0], "d": 0.5}]
+            return ["bound", "{file}"], problem
+        model = json.loads((models_dir / "linear_decay.json").read_text())
+        model["params"] = {"epsilon": 0.1, "b_lo": [0.5] * 4}
+        if command == "verify --polytope":
+            model_path = str(models_dir / "linear_decay.json")
+            return ["verify", model_path, "--polytope", "{file}"], self.POLYTOPE
+        return [command, "{file}"], model
+
+    @pytest.mark.parametrize(
+        "command, path, field",
+        [
+            ("bound", ("polynomial", 0, "coefficient"), "polynomial: term"),
+            ("bound", ("rectangle", "lower", 1), "rectangle"),
+            ("bound", ("inequalities", 0, "a", 2), "inequality vector a"),
+            ("bound", ("inequalities", 1, "b"), "inequality bound b"),
+            ("bound", ("equalities", 0, "c", 0), "equality vector c"),
+            ("bound", ("equalities", 0, "d"), "equality value d"),
+        ]
+        + [
+            (command, path, field)
+            for command in ("verify", "synthesize")
+            for path, field in [
+                (("field", 1, 0, "coefficient"), "field[1]: term"),
+                (("rectangle", "upper", 0), "rectangle"),
+                (("template", "normals", 2, 1), "template.normals"),
+                (("template", "offsets", 3), "template.offsets"),
+                (("reference_point", 0), "reference_point"),
+                (("params", "epsilon"), "params.epsilon"),
+                (("params", "b_lo", 1), "params.b_lo"),
+            ]
+        ]
+        + [
+            ("verify --polytope", ("normals", 1, 0), "normals"),
+            ("verify --polytope", ("offsets", 2), "offsets"),
+        ],
+    )
+    def test_integer_beyond_the_floats_exit_2(
+        self, models_dir, tmp_path, capsys, command, path, field
+    ):
+        argv, doc = self.files_for(models_dir, command)
+        doc = copy.deepcopy(doc)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = self.HUGE
+        file = write_json(tmp_path / "huge.json", doc)
+        code = main([arg.format(file=file) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: {file}: {field}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["bound", "verify", "synthesize", "verify --polytope"])
+    def test_deep_nesting_exit_2(self, models_dir, tmp_path, capsys, command):
+        argv, doc = self.files_for(models_dir, command)
+        key = min(doc)
+        file = tmp_path / "deep.json"
+        file.write_text(dump_json({**doc, key: None}).replace("null", "[" * 100000 + "]" * 100000))
+        code = main([arg.format(file=file) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"error: {file}: JSON nested too deep to parse\n"
 
 
 def reference_polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:

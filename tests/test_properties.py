@@ -1,6 +1,8 @@
 """Property tests (skipped without hypothesis), drawn deterministically by
 the suite's hypothesis profile in ``conftest``."""
 
+import math
+
 import jsonschema
 import numpy as np
 import pytest
@@ -12,8 +14,12 @@ from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
 from polyvar.relaxation import (
     ConstraintSet,
     InfeasiblePolytope,
+    bounding_program,
+    build_reduced_lp,
+    class_constraint_values,
     lift_degrees,
     lower_bound,
+    pad_for_constraints,
     sensitivity_bound,
 )
 
@@ -139,87 +145,191 @@ def test_sensitivity_bound_below_the_resolved_bound(case, steps):
     assert sensitivity_bound(res, alpha) <= resolved + 1e-9 * (1.0 + abs(resolved))
 
 
-# JSON values a term record or one of its members can take: 2.0 is an
-# integer to the schema, True is a number to Python but not to the schema
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(problems(), st.data())
+def test_reduced_lp_blocks_match_one_call_per_block(case, data):
+    # build_reduced_lp walks the class lattice once for the inequality and
+    # equality rows together; its program equals the one built from one
+    # class_constraint_values call per block, bit for bit and in layout
+    p, rect, ineqs = case
+    n = p.n_vars
+    rows = st.lists(ROW_COEFF, min_size=n, max_size=n)
+    count = data.draw(st.integers(0, 2))
+    eqs = [(np.array(data.draw(rows)), data.draw(COEFF)) for _ in range(count)]
+    cs = ConstraintSet(n, inequalities=zip(ineqs.a, ineqs.b), equalities=eqs)
+    padded = pad_for_constraints(p, cs)
+    lp = build_reduced_lp(padded, rect, cs)
+    g = class_constraint_values(padded.degrees, rect, cs.a, cs.b)
+    h = class_constraint_values(padded.degrees, rect, cs.c, cs.d)
+    ref = bounding_program(bernstein_coefficients(padded, rect).values.reshape(-1), g, h)
+    for name in ("c", "G", "h", "A", "d"):
+        got, want = getattr(lp, name), getattr(ref, name)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
+# JSON values an edit can put anywhere in a document: 2.0 is an integer to
+# the schema, True is a number to Python but not to the schema, NaN passes
+# every bound to jsonschema, and 10**400 is a JSON number beyond the floats
 JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(-1, 3), st.sampled_from([2.0, 0.5]), st.text(max_size=1)
+    st.none(), st.booleans(), st.integers(-1, 3), st.text(max_size=1),
+    st.sampled_from([2.0, 0.5, 0.0, -0.5, math.nan, 10**400, -10**400, "1", "2"]),
 )
 MEMBERS = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=2))
-EXPONENT_EDITS = st.sampled_from([2.0, 0.0, 0.5, -1, True, False, None, "1", [1]])
-RECTANGLE = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+NUMBERS = st.one_of(COEFF, st.integers(-3, 3))
 
 
-@st.composite
-def term_lists(draw):
-    """Plain two-variable terms, one of them perhaps edited in one way, or
-    (rarely) something other than a list."""
-    if draw(st.integers(0, 9)) == 0:
-        return draw(MEMBERS)
-    terms = [
-        {"exponents": draw(st.lists(st.integers(0, 3), min_size=2, max_size=2)),
-         "coefficient": draw(st.one_of(COEFF, st.integers(-3, 3)))}
+def term_lists(draw, n):
+    return [
+        {"exponents": draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+         "coefficient": draw(NUMBERS)}
         for _ in range(draw(st.integers(0, 3)))
     ]
-    if terms and draw(st.booleans()):
-        term = terms[draw(st.integers(0, len(terms) - 1))]
-        edit = draw(st.sampled_from(["exponent", "member", "drop", "add"]))
-        key = draw(st.sampled_from(["exponents", "coefficient"]))
-        if edit == "exponent":
-            term["exponents"][draw(st.integers(0, 1))] = draw(EXPONENT_EDITS)
-        elif edit == "member":
-            term[key] = draw(MEMBERS)
-        elif edit == "drop":
-            del term[key]
-        else:
-            term["note"] = draw(MEMBERS)
-    if draw(st.integers(0, 4)) == 0:
-        terms.append(draw(MEMBERS))
-    return terms
+
+
+def valid_document(draw, kind):
+    """A two-variable document that the schema ``kind`` accepts, with ints
+    and floats mixed and some optional members left out."""
+    vector = st.lists(NUMBERS, min_size=2, max_size=2)
+    rectangle = {"lower": [0.0, 0], "upper": [1, 1.0]}
+    if kind == "problem":
+        doc = {
+            "schema_version": "1", "polynomial": term_lists(draw, 2), "rectangle": rectangle,
+            "inequalities": [{"a": draw(vector), "op": draw(st.sampled_from(["<=", ">="])),
+                              "b": draw(NUMBERS)}],
+            "equalities": [{"c": draw(vector), "d": draw(NUMBERS)}],
+        }
+    elif kind == "model":
+        doc = {
+            "schema_version": "1", "variables": ["x", "y"],
+            "field": [term_lists(draw, 2) for _ in range(draw(st.integers(1, 2)))],
+            "rectangle": rectangle,
+            "template": {"normals": [draw(vector), draw(vector)], "offsets": draw(vector)},
+            "reference_point": [0.5, 0.5],
+            "params": {"epsilon": 0.1, "max_iter": 5, "stall_tol": 1, "b_lo": draw(vector),
+                       "b_hi": draw(vector)},
+        }
+    else:
+        doc = {"schema_version": "1", "normals": [draw(vector), draw(vector)],
+               "offsets": draw(vector), "vertices": [draw(vector)]}
+    for key in ("inequalities", "equalities", "params", "vertices"):
+        if key in doc and draw(st.integers(0, 3)) == 0:
+            del doc[key]
+    return doc
+
+
+def nodes(value, path=()):
+    """``(path, value)`` for ``value`` and everything inside it."""
+    yield path, value
+    if isinstance(value, dict):
+        members = value.items()
+    else:
+        members = enumerate(value) if isinstance(value, list) else ()
+    for key, member in members:
+        yield from nodes(member, (*path, key))
+
+
+DROP = object()
+# Edits the schemas single out: bool, float and int swapped, an
+# integral-float exponent or iteration count, a wrong version or operator,
+# empty arrays where one item is the least, parameters at or below their
+# bounds, NaN and integers beyond the floats where only the type is checked,
+# a missing required key (``DROP``) and an extra key
+TARGETED = [
+    (("polynomial", 0, "exponents", 0), 2.0), (("field", 0, 0, "exponents", 1), 2.0),
+    (("polynomial", 0, "exponents", 1), -1), (("field", 1, 0, "exponents", 0), 0.5),
+    (("polynomial", 0, "coefficient"), True), (("normals", 0, 0), True),
+    (("reference_point", 1), False), (("variables", 0), 1), (("inequalities", 0, "op"), "<"),
+    (("schema_version",), "2"), (("schema_version",), 1), (("rectangle", "lower"), []),
+    (("variables",), []), (("field",), []), (("template", "normals"), []), (("normals",), []),
+    (("params", "epsilon"), 0), (("params", "epsilon"), -0.5), (("params", "stall_tol"), 0.0),
+    (("params", "epsilon"), math.nan), (("params", "max_iter"), 0), (("params", "max_iter"), 2.0),
+    (("params", "max_iter"), 10**400), (("rectangle", "upper", 0), 10**400),
+    (("offsets", 1), math.nan), (("polynomial", 0, "coefficient"), -10**400),
+    (("schema_version",), DROP), (("rectangle",), DROP), (("template", "normals"), DROP),
+    (("polynomial", 0, "coefficient"), DROP), (("field", 0, 0, "exponents"), DROP),
+    (("inequalities", 0, "b"), DROP), (("normals",), DROP),
+    (("extra",), 1), (("rectangle", "note"), 1), (("polynomial", 0, "note"), 1),
+    (("field", 0, 0, "note"), 1), (("inequalities", 0, "note"), 1),
+    (("equalities", 0, "op"), "<="), (("template", "note"), 1), (("params", "note"), 1),
+]
+
+
+def settable(parent, key) -> bool:
+    return (isinstance(parent, dict) and isinstance(key, str)) or (
+        isinstance(parent, list) and isinstance(key, int) and key < len(parent)
+    )
 
 
 @st.composite
 def documents(draw):
-    """``(document, schema, validator, key, nested)``: a problem or model
-    with drawn term lists and, in one draw of four, one error elsewhere or
-    no term lists at all."""
-    if draw(st.booleans()):
-        doc = {"schema_version": "1", "polynomial": draw(term_lists()), "rectangle": RECTANGLE}
-        spec = (files.PROBLEM_SCHEMA, files._PROBLEM_VALIDATOR, "polynomial", False)
-    else:
-        doc = {
-            "schema_version": "1",
-            "variables": ["x", "y"],
-            "field": [draw(term_lists()) for _ in range(draw(st.integers(0, 2)))],
-            "rectangle": RECTANGLE,
-            "template": {"normals": [[1.0, 0.0]]},
-            "reference_point": [0.5, 0.5],
-        }
-        spec = (files.MODEL_SCHEMA, files._MODEL_VALIDATOR, "field", True)
-    if draw(st.integers(0, 3)) == 0:
-        edit = draw(st.sampled_from(
-            [None, {"extra": 1}, {"schema_version": "2"}, {"rectangle": {"lower": [0.0, 0.0]}}]
+    """``(document, schema, name, edited)``: a valid problem, model or
+    polytope document, then up to two edits anywhere in it: one of
+    ``TARGETED``, a member replaced or dropped, a member added to a
+    container or a container emptied, or the whole document replaced."""
+    name, schema = draw(st.sampled_from(
+        [("problem", files.PROBLEM_SCHEMA), ("model", files.MODEL_SCHEMA),
+         ("polytope", files.POLYTOPE_SCHEMA)]
+    ))
+    doc = valid_document(draw, name)
+    edits = draw(st.sampled_from([1, 2, 0]))
+    for _ in range(edits):
+        found = dict(nodes(doc))
+        edit = draw(st.one_of(
+            st.just("targeted"), st.sampled_from(["replace", "drop", "add", "empty", "root"])
         ))
-        if edit is None:
-            del doc[spec[2]]
+        members = [path for path in found if path]
+        containers = [value for value in found.values() if isinstance(value, (dict, list))]
+        if not (containers if edit in ("add", "empty") else members):
+            continue
+        if edit in ("add", "empty"):
+            value = draw(st.sampled_from(containers))
+            if edit == "empty":
+                value.clear()
+            elif isinstance(value, dict):
+                value[draw(st.sampled_from(["note", "lower", "epsilon"]))] = draw(MEMBERS)
+            else:
+                value.append(draw(MEMBERS))
+            continue
+        if edit == "root":
+            doc = draw(MEMBERS)
+            continue
+        if edit == "targeted":
+            fits = [(path, new) for path, new in TARGETED
+                    if settable(found.get(path[:-1]), path[-1])]
+            if not fits:
+                continue
+            path, new = draw(st.sampled_from(fits))
         else:
-            doc.update(edit)
-    return (doc, *spec)
+            path = draw(st.sampled_from(members))
+            new = draw(MEMBERS) if edit == "replace" else DROP
+        parent = found[path[:-1]]
+        if new is not DROP:
+            parent[path[-1]] = new
+        elif isinstance(parent, dict):
+            parent.pop(path[-1], None)
+        else:
+            del parent[path[-1]]
+    return doc, schema, name, edits > 0
 
 
-@hypothesis.settings(max_examples=300)
+@hypothesis.settings(max_examples=1000)
 @hypothesis.given(documents())
 def test_term_checks_agree_with_jsonschema(case):
     # _validate raises exactly when jsonschema reports an error, with the
-    # same message; the plain term check only ever speeds up acceptance
-    doc, schema, validator, key, nested = case
+    # same message; the compiled predicate accepts only what jsonschema
+    # accepts, and it accepts every unedited document
+    doc, schema, name, edited = case
     try:
         jsonschema.validate(doc, schema)
         expected = None
     except jsonschema.ValidationError as exc:
         expected = f"doc: {exc.message}"
     try:
-        files._validate(doc, validator, "doc", key, nested)
+        files._validate(doc, name, "doc")
         raised = None
     except files.InputError as exc:
         raised = str(exc)
     assert raised == expected
+    accepted = files._ACCEPTS[name](doc)
+    assert not accepted or expected is None
+    assert accepted or edited
