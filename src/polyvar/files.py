@@ -14,8 +14,9 @@ that schema on the first such load, and its best-matching error becomes the
 message; if jsonschema finds no error (the predicate is stricter, as with an
 exponent ``2.0``), the document is valid.  So jsonschema alone decides every
 rejection and words every error.  The numeric cross-checks come after, and a
-number beyond the float range, or JSON nested too deep to parse, is an
-InputError like any other malformed input.
+number beyond the float range, a polynomial whose degree exceeds the lift
+cap (``polynomial.LIFT_MAX_DEGREE``), or JSON nested too deep to parse, is
+an InputError like any other malformed input.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariance import PolytopeTemplate, SynthesisParams, VectorField
-from .polynomial import MultiPoly, Rectangle
+from .polynomial import LIFT_MAX_DEGREE, MultiPoly, Rectangle
 from .relaxation import ConstraintSet
 
 SCHEMA_VERSION = "1"
@@ -370,9 +371,23 @@ def _poly_from_terms(terms, n_vars: int, label: str) -> MultiPoly:
             raise InputError(f"{label}: term {list(exps)} coefficient: {exc}") from exc
         table[exps] = table.get(exps, 0.0) + coefficient
     try:
-        return MultiPoly(n_vars, table)
+        poly = MultiPoly(n_vars, table)
     except ValueError as exc:
         raise InputError(f"{label}: {exc}") from exc
+    if max(poly.degrees) > LIFT_MAX_DEGREE:
+        # no lift can hold the polynomial; name the term, since the exponent's
+        # digits may run to hundreds
+        i, axis = next(
+            (i, axis)
+            for i, record in enumerate(terms)
+            for axis, e in enumerate(record["exponents"])
+            if e > LIFT_MAX_DEGREE
+        )
+        raise InputError(
+            f"{label}: term {i} has an exponent on axis {axis} above the lift cap "
+            f"{LIFT_MAX_DEGREE}"
+        )
+    return poly
 
 
 def _rectangle_from(obj, label: str) -> Rectangle:

@@ -79,7 +79,10 @@ def grid_min(
     keep &= np.all(pts >= rect.lower - box_tol, axis=1)
     keep &= np.all(pts <= rect.upper + box_tol, axis=1)
     if cs.m_ineq:
-        ineq_tol = 1e-9 * (1.0 + np.abs(cs.b).max(initial=0.0))
+        # each row's tolerance scales with the size of its own terms over the
+        # box, so a row of tiny coefficients is not swamped by a unit one
+        reach = np.maximum(np.abs(rect.lower), np.abs(rect.upper))
+        ineq_tol = 1e-9 * (np.abs(cs.b) + np.abs(cs.a) @ reach)
         keep &= np.all(pts @ cs.a.T <= cs.b + ineq_tol, axis=1)
     if not keep.any():
         raise NoFeasibleSample("no grid point satisfies the constraints")

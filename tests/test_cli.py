@@ -630,8 +630,8 @@ class TestLiftCaps:
     @pytest.mark.parametrize(
         "exponents, what",
         [
-            ((1600,), "lift degree 1600"),
-            ((800, 0), "lift degree 800"),
+            ((1600,), "term 0 has an exponent on axis 0 above the lift cap 100"),
+            ((800, 0), "term 0 has an exponent on axis 0 above the lift cap 100"),
             ((3,) * 9, "262144 vertex classes"),
         ],
         ids=["degree-1600", "degree-800", "classes-4^9"],
@@ -643,6 +643,10 @@ class TestLiftCaps:
         elapsed = time.perf_counter() - start
         err = capsys.readouterr().err
         assert code == 2
+        # an exponent above the degree cap is refused as the file loads, with
+        # the file and the term named; too many classes, as the lift forms
+        if max(exponents) > 100:
+            name = f"{path}: " + ("polynomial" if command == "bound" else "field[0]")
         assert err.startswith(f"error: {name}: ") and what in err
         assert elapsed < 1.0
 
@@ -875,6 +879,37 @@ class TestOutOfRangeInput:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith(f"error: {file}: {field}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("exponent", [101, HUGE])
+    @pytest.mark.parametrize(
+        "command, path, field",
+        [
+            ("bound", ("polynomial", 1), "polynomial"),
+            ("verify", ("field", 1, 0), "field[1]"),
+            ("synthesize", ("field", 1, 0), "field[1]"),
+        ],
+    )
+    def test_exponent_above_the_lift_cap_exit_2(
+        self, models_dir, tmp_path, capsys, command, path, field, exponent
+    ):
+        # refused at load, naming the file and the term, not with the
+        # exponent's digits from deep inside the lift
+        argv, doc = self.files_for(models_dir, command)
+        doc = copy.deepcopy(doc)
+        term = doc
+        for key in path:
+            term = term[key]
+        term["exponents"][-1] = exponent
+        file = write_json(tmp_path / "steep.json", doc)
+        code = main([arg.format(file=file) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        axis = len(term["exponents"]) - 1
+        assert captured.err == (
+            f"error: {file}: {field}: term {path[-1]} has an exponent on axis {axis} "
+            "above the lift cap 100\n"
+        )
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["bound", "verify", "synthesize", "verify --polytope"])

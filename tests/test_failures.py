@@ -39,13 +39,14 @@ def residuals(**worse):
 
 def fail_facet_programs(monkeypatch, members):
     """Make the given (0-based) facet programs of ``verify`` fail inside its
-    stacked solves, counted over the members that reach phase 2, across
-    passes: the member's degenerate-row pass raises, and the solve goes on
-    with the other members of its stack."""
+    stacked solves, counted over the members that end phase 2 optimal,
+    across passes: phase 2 hands back a NumericalFailure for the member, as
+    for a member whose pivots failed, and the solve goes on with the other
+    members of its stack."""
     count = [0]
     inside = [False]
     real_stack = relaxation.solve_stack
-    real_rows = lpsolve._activate_degenerate_rows
+    real_phase_two = lpsolve._phase_two
 
     def solve_stack(stack):
         inside[0] = True
@@ -54,28 +55,33 @@ def fail_facet_programs(monkeypatch, members):
         finally:
             inside[0] = False
 
-    def activate_degenerate_rows(*args):
+    def phase_two(*args):
+        out = real_phase_two(*args)
         if inside[0]:
-            count[0] += 1
-            if count[0] - 1 in members:
-                raise NumericalFailure("injected")
-        return real_rows(*args)
+            for k, res in enumerate(out):
+                if res is None:
+                    count[0] += 1
+                    if count[0] - 1 in members:
+                        out[k] = NumericalFailure("injected")
+        return out
 
     monkeypatch.setattr(relaxation, "solve_stack", solve_stack)
-    monkeypatch.setattr(lpsolve, "_activate_degenerate_rows", activate_degenerate_rows)
+    monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
 
 
 def fail_phase_two_runs(monkeypatch, runs) -> list:
-    """Make the given (0-based) phase-2 runs of the LP engine raise; returns
-    the run counter."""
+    """Make the given (0-based) phase-2 runs of the LP engine fail: the run
+    hands back a NumericalFailure for its members.  Returns the run
+    counter."""
     count = [0]
     real = lpsolve._phase_two
 
     def phase_two(*args):
+        out = real(*args)
         count[0] += 1
         if count[0] - 1 in runs:
-            raise NumericalFailure("injected")
-        return real(*args)
+            out = [NumericalFailure("injected")] * len(out)
+        return out
 
     monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
     return count

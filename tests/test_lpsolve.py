@@ -10,12 +10,16 @@ from polyvar.lpsolve import (
     OPTIMAL,
     UNBOUNDED,
     LPProblem,
+    NumericalFailure,
     kkt_residuals,
     solve,
     solve_many,
 )
+from polyvar.invariance import PolytopeTemplate, facet_programs
 from polyvar.oracle import box_lp, free_lp
 from polyvar.polynomial import Rectangle
+
+from conftest import fitzhugh_nagumo
 
 
 def brute_force_optimum(lp: LPProblem):
@@ -405,6 +409,71 @@ class TestSolveMany:
             solve_many(LPProblem([1.0]), [[1.0], [np.nan]])
 
 
+    @staticmethod
+    def long_sweep():
+        """``(lp, costs)``: 20 costs over a bounded region whose tableau is
+        large enough that a chunk of ``solve_many`` holds seven of them."""
+        rng = np.random.default_rng(197)
+        lp = LPProblem(np.zeros(60), G=rng.uniform(0.1, 1.0, (40, 60)), h=rng.uniform(1.0, 2.0, 40))
+        assert lpsolve.stack_members(60, 40, 0) == 7
+        return lp, rng.normal(size=(20, 60))
+
+    def test_chunked_duals_match_one_cost_at_a_time(self, monkeypatch):
+        # three chunks; with a chunk of one cost, each cost's duals and KKT
+        # self-check run right after its pivots
+        lp, costs = self.long_sweep()
+        chunked = solve_many(lp, costs)
+        monkeypatch.setattr(lpsolve, "STACK_BYTES", 1)
+        assert lpsolve.stack_members(60, 40, 0) == 1
+        for sol, one in zip(chunked, solve_many(lp, costs), strict=True):
+            assert sol.status == one.status == OPTIMAL
+            for field in ("x", "ineq_duals", "eq_duals"):
+                assert getattr(sol, field).tobytes() == getattr(one, field).tobytes()
+            assert sol.objective == one.objective
+
+    @pytest.mark.parametrize(
+        "kkt, run, raised",
+        [
+            (9, None, r"KKT self-check: primal=1\.00e\+00"),
+            (None, 10, "injected"),
+            (9, 11, r"KKT self-check: primal=1\.00e\+00"),
+            (11, 9, "injected"),
+        ],
+    )
+    def test_failure_in_the_second_chunk_raises_in_order(self, monkeypatch, kkt, run, raised):
+        # costs 7-13 form the second chunk: the first cost to fail raises,
+        # whether its KKT self-check (run for the chunk) or its pivots fail,
+        # as when each cost is checked right after its pivots
+        lp, costs = self.long_sweep()
+        real_kkt, real_phase_two = lpsolve.kkt_residuals, lpsolve._phase_two
+        runs = [0]
+
+        def kkt_residuals(rows, sol):
+            res = real_kkt(rows, sol)
+            if kkt is not None:
+                hit = (np.atleast_2d(rows.c) == costs[kkt]).all(axis=1)
+                res["primal"] = np.where(hit, 1.0, res["primal"])
+            return res
+
+        def phase_two(*args):
+            out = real_phase_two(*args)
+            runs[0] += 1
+            return [NumericalFailure("injected")] if runs[0] - 1 == run else out
+
+        monkeypatch.setattr(lpsolve, "kkt_residuals", kkt_residuals)
+        monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
+        messages = []
+        for stack_bytes in (lpsolve.STACK_BYTES, 1):
+            monkeypatch.setattr(lpsolve, "STACK_BYTES", stack_bytes)
+            runs[0] = 0
+            with pytest.raises(NumericalFailure, match=raised) as exc:
+                solve_many(lp, costs)
+            messages.append(str(exc.value))
+            if run is not None and (kkt is None or run < kkt):
+                assert runs[0] == run + 1  # the sweep ends at the failing cost
+        assert messages[0] == messages[1]
+
+
 class TestSolveStack:
     @staticmethod
     def random_stack(rng, kinds):
@@ -446,3 +515,182 @@ class TestSolveStack:
         stack.h[1, 0] = -1.0  # flips a row of the second member only
         with pytest.raises(ValueError, match="equally many artificial columns"):
             lpsolve.solve_stack(stack)
+
+    @staticmethod
+    def posed(c, G, h, A=None):
+        """A program over 8 columns, 7 inequality rows and the equality row
+        ``x_7 = 1`` (or ``A.x = 1``), its data placed in the leading entries;
+        unused inequality rows read ``0 <= 1``."""
+        program = [np.zeros(8), np.zeros((7, 8)), np.ones(7), np.zeros((1, 8)), np.ones(1)]
+        program[0][: len(c)] = c
+        for i, row in enumerate(G):
+            program[1][i, : len(row)] = row
+        program[2][: len(h)] = h
+        program[3][0, -1] = 1.0
+        if A is not None:
+            program[3][0, : len(A)] = A
+        return program
+
+    def beale(self, blocks):
+        """Beale's cycling program, where Dantzig's rule cycles until the
+        switch to Bland's; each block adds a column its own row caps, which
+        the first pivots take, so the switch comes one step later per block."""
+        c, G, h, A, d = self.posed(
+            [-0.75, 150.0, -0.02, 6.0],
+            [[0.25, -60.0, -1 / 25, 9.0], [0.5, -90.0, -1 / 50, 3.0], [0.0, 0.0, 1.0, 0.0]],
+            [0.0, 0.0, 1.0],
+        )
+        for i in range(blocks):
+            c[4 + i], G[3 + i, 4 + i] = -1000.0, 1.0
+        return c, G, h, A, d
+
+    def test_members_ending_at_different_steps_match_their_solve_alone(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        members = [self.beale(blocks) for blocks in (0, 1, 2)]
+        # optimal at x = 0 with the slacks of -x_0 <= 0 and -x_1 <= 0 basic at
+        # zero: the degenerate-row pass gives both rows a multiplier
+        members.append(self.posed(np.arange(1.0, 8.0), [[-1.0], [0.0, -1.0], [1.0, 1.0, 1.0]], [0.0] * 3))
+        members += [self.degenerate(rng, 4) for _ in range(6)]
+        members.append(self.posed([0.0], [[1.0]], [1.0], A=-np.ones(8)))  # -sum x = 1: infeasible
+        members.append(self.posed([-1.0, 1.0], [[-1.0, 1.0]], [1.0]))  # x_0 grows: unbounded
+        order = rng.permutation(len(members))
+        stack = lpsolve.LPStack(*(np.array(block) for block in zip(*(members[k] for k in order))))
+
+        pivots = []
+        real_pivot = lpsolve._pivot
+
+        def pivot(*args):
+            pivots[-1] += 1
+            return real_pivot(*args)
+
+        outs = lpsolve.solve_stack(stack)
+        monkeypatch.setattr(lpsolve, "_pivot", pivot)
+        for k, out in enumerate(outs):
+            pivots.append(0)
+            alone = solve(stack[k])
+            assert out.status == alone.status
+            if out.status == OPTIMAL:
+                for field in ("x", "ineq_duals", "eq_duals"):
+                    assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
+                assert out.objective == alone.objective
+        statuses = [out.status for out in outs]
+        assert statuses.count(INFEASIBLE) == statuses.count(UNBOUNDED) == 1
+        # Beale's programs pass the 5 * (rows + columns) = 120 degenerate
+        # pivots after which Bland's rule takes over; the others end sooner
+        beale = [int(np.flatnonzero(order == b)[0]) for b in range(3)]
+        assert [pivots[k] for k in beale] == [127, 128, 129]
+        assert max(np.delete(pivots, beale)) < 20 and len(set(pivots)) > 5
+        degenerate = outs[int(np.flatnonzero(order == 3)[0])]
+        assert degenerate.ineq_duals[:2].tolist() == [1.0, 2.0]
+
+    def degenerate(self, rng, rows):
+        """A program of ``rows`` random rows with ``7 - rows`` more rows
+        through its optimum, so some slacks end basic at zero."""
+        G = rng.uniform(0.1, 2.0, (rows, 7))
+        lp = LPProblem(rng.uniform(-1.0, 1.0, 7), G=G, h=rng.uniform(0.5, 2.0, rows))
+        x = solve(lp).x
+        extra = rng.normal(size=(7 - rows, 7))
+        extra *= np.where(extra @ x < 0.0, -1.0, 1.0)[:, None]
+        return self.posed(lp.c, np.vstack([G, extra]), np.concatenate([lp.h, extra @ x]))
+
+    @staticmethod
+    def assert_members_alone(members):
+        """``solve_stack`` over ``members`` gives each its ``solve`` alone,
+        bit for bit."""
+        stack = lpsolve.LPStack(*(np.array(block) for block in zip(*members)))
+        for k, out in enumerate(lpsolve.solve_stack(stack)):
+            alone = solve(stack[k])
+            assert out.status == alone.status
+            if out.status == OPTIMAL:
+                for field in ("x", "ineq_duals", "eq_duals"):
+                    assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
+
+    def test_degenerate_rows_visited_as_alone(self):
+        # each member's degenerate-row pass visits its rows in the order of
+        # their basic columns, which phase 2 has moved away from row order
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            self.assert_members_alone([self.degenerate(rng, r) for r in rng.integers(1, 5, 6)])
+
+    @pytest.mark.parametrize("blocks", [0, 1, 2])
+    def test_last_member_keeps_its_degenerate_count(self, blocks):
+        # the short member ends long before Beale's program switches to
+        # Bland's rule, in the plain loop it finishes in alone
+        rng = np.random.default_rng(17 + blocks)
+        for _ in range(5):
+            self.assert_members_alone([self.beale(blocks), self.degenerate(rng, 4)])
+
+    def test_artificials_driven_out_as_alone(self):
+        # three equality rows through x = 0, the third the sum of the first
+        # two: phase 1 ends with artificial columns basic at zero, which the
+        # drive-out pivots out, or zeroes the redundant row, in row order
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            members = []
+            for _ in range(5):
+                A = rng.integers(-1, 2, (3, 6)).astype(float)
+                A[2] = A[0] + A[1]
+                G, h = rng.uniform(0.1, 2.0, (2, 6)), rng.uniform(0.5, 2.0, 2)
+                members.append((rng.normal(size=6), G, h, A, np.zeros(3)))
+            self.assert_members_alone(members)
+
+    def test_failed_member_leaves_its_stack_as_each_member_alone(self):
+        # FitzHugh-Nagumo facet 5: phase 1 pivots on an element of 3.45e-9
+        # and then reports unbounded; the seven other facets are optimal
+        fld, _, normals, _ = fitzhugh_nagumo()
+        offsets = [2.4244868517041693, 3.7426406871192874, 3.3888888888888884, 4.089289614847649,
+                   2.4524464230483383, 2.3284271247461916, 1.5000000000000002, 2.7343153804954032]
+        rect = Rectangle(
+            [float.fromhex("-0x1.39e9c3b681a7ap+1"), -1.5],
+            [float.fromhex("0x1.365595d42e031p+1"), float.fromhex("0x1.b1c71c7b33ed9p+1")],
+        )
+        (stack,) = facet_programs(fld, rect, PolytopeTemplate(normals, offsets))
+        outs = lpsolve.solve_stack(stack)
+        for k, out in enumerate(outs):
+            if k == 5:
+                assert isinstance(out, NumericalFailure)
+                with pytest.raises(NumericalFailure, match=str(out)):
+                    solve(stack[k])
+                continue
+            alone = solve(stack[k])
+            assert out.status == alone.status == OPTIMAL
+            for field in ("x", "ineq_duals", "eq_duals"):
+                assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
+
+
+class TestLockstepPivots:
+    """The batched rank-1 updates, against ``_pivot`` on each member alone."""
+
+    @staticmethod
+    def tableaux(rng):
+        """Six 5 x 8 tableaux with signed zeros, infinities and NaN about."""
+        T = rng.normal(size=(6, 5, 8))
+        T[rng.random(T.shape) < 0.2] = 0.0
+        T[rng.random(T.shape) < 0.2] = -0.0
+        T[0, 1, 2], T[3, 4, 1], T[5, 0, 0] = np.inf, -np.inf, np.nan
+        return T, np.tile(np.arange(4), (6, 1))
+
+    def test_pivot_all_is_pivot_per_member(self):
+        rng = np.random.default_rng(19)
+        for _ in range(20):
+            T, basis = self.tableaux(rng)
+            rows, cols = rng.integers(0, 4, 6), rng.integers(0, 7, 6)
+            ref, ref_basis = T.copy(), basis.copy()
+            with np.errstate(all="ignore"):  # zero pivots and inf - inf
+                for k in range(6):
+                    lpsolve._pivot(ref[k], ref_basis[k], rows[k], cols[k])
+                lpsolve._pivot_all(T, basis, rows, cols)
+            assert T.tobytes() == ref.tobytes() and np.array_equal(basis, ref_basis)
+
+    def test_pivot_some_leaves_the_others_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            T, basis = self.tableaux(rng)
+            go = rng.random(6) < 0.5
+            rows, cols = rng.integers(0, 4, 6), rng.integers(0, 7, 6)
+            ref, ref_basis = T.copy(), basis.copy()
+            with np.errstate(all="ignore"):  # zero pivots and inf - inf
+                for k in np.flatnonzero(go):
+                    lpsolve._pivot(ref[k], ref_basis[k], rows[k], cols[k])
+                lpsolve._pivot_some(T, basis, go, rows, cols)
+            assert T.tobytes() == ref.tobytes() and np.array_equal(basis, ref_basis)

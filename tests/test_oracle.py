@@ -54,6 +54,14 @@ class TestGridMin:
         assert value == pytest.approx(0.0, abs=1e-9)
         assert witness == pytest.approx([0.0, 0.0], abs=1e-9)
 
+    def test_tiny_row_keeps_its_own_tolerance(self):
+        # an absolute tolerance of 1e-9 (1 + max|b|) let the grid point 3.46
+        # pass 1.54e-285 x <= 5.27e-285, where x is at most 3.4221
+        cs = ConstraintSet(1, inequalities=[(np.array([1.54e-285]), 5.27e-285)])
+        value, witness = grid_min(MultiPoly(1, {(1,): -1.0}), Rectangle([3.36], [3.46]), cs)
+        assert 1.54e-285 * witness[0] <= 5.27e-285
+        assert value == -witness[0] and 3.42 < witness[0] < 3.4221
+
     def test_no_feasible_sample(self):
         cs = ConstraintSet(1, inequalities=[(np.array([1.0]), -10.0)])
         with pytest.raises(NoFeasibleSample):

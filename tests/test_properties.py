@@ -29,8 +29,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 COEFF = st.floats(-4.0, 4.0, allow_nan=False)
-# grid_min accepts grid points within an absolute 1e-9 (1 + max|b|) of the
-# constraints, so constraint coefficients are 0 or at least 1e-3 in size
+# constraint coefficients are 0 or at least 1e-3 in size: the solver scales
+# rows by at most 2**1000, and the duals of a row whose entries all lie
+# below 2**-1000 overflow to NaN
 ROW_COEFF = st.one_of(st.just(0.0), st.floats(1e-3, 4.0), st.floats(-4.0, -1e-3))
 
 

@@ -14,6 +14,19 @@ results print the same lines:
 Run it in two checkouts and ``diff`` the outputs.  Each line is
 ``<sha256>  <run> <file> exit=<code>``; a run that writes no file prints
 ``-`` for the hash.
+
+A benchmark run keeps the inputs it generated from its seed under
+``.perfbench_out/<workload>-s<seed>-t<trace>/inputs/``, so its items can
+be digested too.  For the ``synth`` items of seeds 41 to 43:
+
+    for s in 41 42 43; do
+      python perfbench/run.py --workload synth --seed $s --seconds 1
+    done
+    python tools/report_digest.py .perfbench_out/synth-s4[123]-t0/inputs/*.json > synth.txt
+
+The inputs depend only on the seed, ``perfbench/gen.py`` and ``models/``,
+and each line names its input file by stem, so two checkouts that share
+those can each digest their own ``.perfbench_out/``.
 """
 
 from __future__ import annotations
