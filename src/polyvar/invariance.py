@@ -2,11 +2,13 @@
 
 A polytope with fixed facet normals is invariant when, on every facet, the
 flow points inward; each facet check is one certified lower-bound program.
-A verification pass gathers all of them from arrays computed once per
-template (``facet_programs``) into stacks of a bounded size, and certifies
-each stack in one stacked solve.  When verification fails, the facet
-multipliers say how the per-facet bounds react to moving the offsets, and a
-small LP picks the offset step that maximizes the worst predicted bound.
+A verification pass gathers all of them into stacks of a bounded size
+(``facet_programs``), from arrays that depend only on the field, the
+rectangle and the normals (``facet_lift``, built once per synthesis), and
+certifies each stack in one stacked solve.  When verification fails, the
+facet multipliers say how the per-facet bounds react to moving the offsets,
+and a small LP picks the offset step that maximizes the worst predicted
+bound.
 Offsets are re-tightened to their support values after every step so no
 facet is ever empty.
 """
@@ -201,9 +203,10 @@ def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) ->
 
     The polytope is ``{x : normals @ x <= offsets}``, intersected with ``rect``
     when one is given.  All directions share one ``solve_many`` sweep: one
-    phase 1 for the polytope, then one warm phase 2 per direction.  An entry
-    is ``+inf`` where the polytope is unbounded along its direction.  Every
-    entry is ``-inf`` when the polytope is empty.
+    phase 1 for the polytope, then one warm phase 2 per direction, read
+    only for its optimal ``x``.  An entry is ``+inf`` where the polytope is
+    unbounded along its direction.  Every entry is ``-inf`` when the
+    polytope is empty.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if rect is None:  # free x = x+ - x- in adjacent columns
@@ -226,34 +229,48 @@ def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) ->
     return out
 
 
+def _reach(tpl: PolytopeTemplate) -> np.ndarray:
+    """The polytope's support values along ``e_1..e_n``, then ``-e_1..-e_n``."""
+    eye = np.eye(tpl.n)
+    return support_values(tpl, np.vstack([eye, -eye]))
+
+
+def _within(reach, rect: Rectangle, tol: float) -> bool:
+    """Whether a ``_reach`` stays inside the rectangle, up to ``tol``."""
+    return bool(np.all(reach <= np.concatenate([rect.upper, -rect.lower]) + tol))
+
+
 def template_within_rect(tpl: PolytopeTemplate, rect: Rectangle, tol: float = 1e-9) -> bool:
     """Support-function test that the template polytope fits inside the rectangle.
 
     An empty polytope is vacuously inside.
     """
-    eye = np.eye(tpl.n)
-    reach = support_values(tpl, np.vstack([eye, -eye]))
-    return bool(np.all(reach <= np.concatenate([rect.upper, -rect.lower]) + tol))
+    return _within(_reach(tpl), rect, tol)
 
 
-def facet_programs(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
-    """The bounding program of every facet, as ``LPStack`` chunks in facet order.
+@dataclass(frozen=True, eq=False)
+class FacetLift:
+    """What every verification pass of one set of normals shares, whatever
+    the offsets (``facet_lift``).
 
-    Facet ``k`` minimizes ``-n_k . f`` subject to ``n_k . x = b_k`` and the
-    other facets' inequalities.  All facets share the lift degrees, hence the
-    constraint values at the class points, and facet ``k``'s Bernstein
-    coefficients are ``-n_k @ B`` for the stacked coefficients ``B`` of the
-    field components.  Each chunk is gathered from these shared arrays by
-    ``relaxation.bounding_programs``, and holds as many facets as keep its
-    tableau within ``lpsolve.STACK_BYTES`` (at least one).  Member ``i`` of
-    a chunk (``stack[i]``) is its facet's program as ``bounding_program``
-    poses it alone.
+    ``costs[k]`` is facet ``k``'s Bernstein coefficients ``-n_k @ B``, for
+    the stacked coefficients ``B`` of the field components at the shared
+    lift degrees, and ``products[c, i]`` is ``n_i . p(c)`` at class point
+    ``c``; a pass subtracts its offsets from the products.
     """
-    if tpl.offsets is None:
-        raise ValueError("template needs offsets to verify")
-    if tpl.n != fld.n or rect.n != fld.n:
+
+    costs: np.ndarray
+    products: np.ndarray
+
+
+def facet_lift(fld: VectorField, rect: Rectangle, normals) -> FacetLift:
+    """The ``FacetLift`` of the facet programs of ``normals``: the lift
+    degrees and their size check, the stacked Bernstein coefficients, the
+    facet costs and the class-point products, computed once."""
+    normals = np.asarray(normals, dtype=float)
+    if normals.shape[1] != fld.n or rect.n != fld.n:
         raise ValueError("dimension mismatch")
-    degrees = lift_degrees(fld.degrees, tpl.normals)
+    degrees = lift_degrees(fld.degrees, normals)
     check_lift(degrees, "vector field")
     padded = [f.pad_degrees(degrees) for f in fld.components]
     bern = np.stack(
@@ -262,7 +279,34 @@ def facet_programs(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
             for j, f in enumerate(padded)
         ]
     )
-    values = class_constraint_values(degrees, rect, tpl.normals, tpl.offsets)
+    costs = -np.matmul(normals[:, None, :], bern)[:, 0]
+    if np.isnan(costs).any():
+        raise ValueError("NaN in problem data")
+    # the values at right-hand side 0 are the products, bit for bit
+    return FacetLift(costs, class_constraint_values(degrees, rect, normals, 0.0))
+
+
+def facet_programs(
+    fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate, lift: FacetLift = None
+):
+    """The bounding program of every facet, as ``LPStack`` chunks in facet order.
+
+    Facet ``k`` minimizes ``-n_k . f`` subject to ``n_k . x = b_k`` and the
+    other facets' inequalities.  All facets share the lift degrees, hence the
+    class points, and their costs and constraint values come off ``lift``,
+    ``facet_lift`` of the template's normals, which is built here when not
+    given: a pass only subtracts its offsets from the class-point products.
+    Each chunk is gathered from these shared arrays by
+    ``relaxation.bounding_programs``, and holds as many facets as keep its
+    tableau within ``lpsolve.STACK_BYTES`` (at least one).  Member ``i`` of
+    a chunk (``stack[i]``) is its facet's program as ``bounding_program``
+    poses it alone.
+    """
+    if tpl.offsets is None:
+        raise ValueError("template needs offsets to verify")
+    if lift is None:
+        lift = facet_lift(fld, rect, tpl.normals)
+    values = lift.products - tpl.offsets
     if np.isnan(values).any():
         raise ValueError("NaN in problem data")
     m, K = tpl.m, values.shape[0]
@@ -273,22 +317,24 @@ def facet_programs(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
     per_stack = stack_members(K, m - 1, 2)
 
     def stack(ks):
-        c = -np.matmul(tpl.normals[ks, None, :], bern)[:, 0]
-        if np.isnan(c).any():
-            raise ValueError("NaN in problem data")
         g = values[np.arange(K)[:, None], others[ks][:, None, :]]
-        return bounding_programs(c, g, values.T[ks][:, :, None])
+        return bounding_programs(lift.costs[ks], g, values.T[ks][:, :, None])
 
     return (stack(np.arange(lo, min(lo + per_stack, m))) for lo in range(0, m, per_stack))
 
 
-def verify(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> VerificationReport:
+def verify(
+    fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate, lift: FacetLift = None
+) -> VerificationReport:
     """One certified bound per facet; invariant iff all bounds are nonnegative.
 
     The facet programs are certified chunk by chunk, each chunk in one
-    stacked solve (``relaxation.certify_stack``).  A facet whose program
-    fails numerically is recorded and skipped; the report then cannot
-    certify invariance but the other facets keep their data, bit for bit.
+    stacked solve (``relaxation.certify_stack``).  ``lift`` is
+    ``facet_lift`` of the template's normals, which a synthesis builds once
+    for all its passes; a lone call builds it itself.  A facet whose
+    program fails numerically is recorded and skipped; the report then
+    cannot certify invariance but the other facets keep their data, bit for
+    bit.
     """
     m = tpl.m
     d_star = np.full(m, np.nan)
@@ -296,7 +342,7 @@ def verify(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> Verifica
     feasible = np.ones(m, dtype=bool)
     failures: dict = {}
     k = 0
-    for stack in facet_programs(fld, rect, tpl):
+    for stack in facet_programs(fld, rect, tpl, lift):
         for res in certify_stack(stack):
             if isinstance(res, InfeasiblePolytope):
                 feasible[k] = False
@@ -383,10 +429,12 @@ def _confining_caps(tpl: PolytopeTemplate, rect: Rectangle, ref) -> np.ndarray:
     caps ``base + s * (support - base)`` describe exactly ``ref + s * Q`` for
     ``Q = {y : normals @ y <= support - base}``, so the reach along every axis
     is linear in ``s`` and the largest admissible scale is read off the
-    reach of ``Q``.
+    reach of ``Q = P - ref``, for the raw cap polytope ``P``: the reach of
+    ``P``, swept once for the containment test, minus ``[ref; -ref]``.
     """
     support = tpl.support_in(rect)
-    if template_within_rect(tpl.with_offsets(support), rect):
+    reach = _reach(tpl.with_offsets(support))
+    if _within(reach, rect, 1e-9):
         return support
     if ref is None:
         raise ValueError(
@@ -394,8 +442,7 @@ def _confining_caps(tpl: PolytopeTemplate, rect: Rectangle, ref) -> np.ndarray:
             "alone; supply explicit b_hi or a reference_point"
         )
     base = tpl.normals @ ref
-    eye = np.eye(tpl.n)
-    reach = support_values(tpl.with_offsets(support - base), np.vstack([eye, -eye]))
+    reach = reach - np.concatenate([ref, -ref])
     # A strict inner margin keeps the caps inside the rectangle rather than
     # within tolerance of its boundary.
     room = np.concatenate([rect.upper - ref, ref - rect.lower]) - 1e-9
@@ -479,12 +526,13 @@ def synthesize(
     if np.any(b_lo > offsets0 + 1e-12):
         raise ValueError("initial offsets must satisfy b_lo <= offsets <= b_hi")
 
+    lift = facet_lift(fld, rect, tpl.normals)
     records: list[IterationRecord] = []
     status = ITERATION_LIMIT
     prev_t = None
     stall_run = 0
     for _ in range(int(params.max_iter)):
-        report = verify(fld, rect, tpl)
+        report = verify(fld, rect, tpl, lift)
         rec = IterationRecord(
             offsets=tpl.offsets.copy(),
             d_star=report.d_star.copy(),

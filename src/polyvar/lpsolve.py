@@ -10,11 +10,15 @@ the columns that formed the start basis hold the basis inverse, so a row's
 dual is minus the reduced cost of its start column, refined once against
 the program's own rows.  Rows far from unit scale are rescaled by powers of
 two first.  Pricing is Dantzig's rule, switching to Bland's rule after too
-many degenerate pivots to rule out cycling.  Among the optimal duals, an
-active inequality row gets a nonzero multiplier where one exists (see
-``_activate_degenerate_rows``): the bounding program's multipliers are its
-duals, and a zero multiplier on an active facet hides how the bound reacts
-to moving that facet.
+many degenerate pivots to rule out cycling.
+
+The programs whose duals are read (``solve_stack``, hence ``solve``) get
+one more pass: among the optimal duals, an active inequality row gets a
+nonzero multiplier where one exists (see ``_activate_degenerate_rows``).
+The bounding program's multipliers are its duals, and a zero multiplier on
+an active facet hides how the bound reacts to moving that facet.  The pass
+changes only the multipliers, so ``solve_many``, whose callers read only
+``x``, skips it and returns plain basis duals.
 
 The engine works on stacks (``LPStack``): programs of one shape, such as
 the facet programs of one verification pass, solved together.  Row
@@ -31,14 +35,14 @@ for bit as it would alone, and a member that fails numerically leaves the
 others as they are.  A stack of one pivots in a plain loop on its 2-D
 tableau, which costs less per pivot than a batched step.
 
-``solve_stack`` solves each member under its own cost.  ``solve_many``
-solves one set of rows under many costs, as the support queries of one
-polytope do: phase 1 runs once, and each cost's phase 2 prices the
-reduced-cost row at the basis where the previous cost's ended, which is
-still primal feasible.  That chain is sequential; what the duals and the
-KKT self-check read of each end basis is kept, and they run once per chunk
-of costs.  ``solve`` is ``solve_many`` with the program's own cost.  Both
-are a stack of one, so there is one phase-1 and one phase-2 code path.
+``solve_stack`` solves each member under its own cost; ``solve`` is a stack
+of one.  ``solve_many`` solves one set of rows under many costs, as the
+support queries of one polytope do: phase 1 runs once, and each cost's
+phase 2 prices the reduced-cost row at the basis where the previous cost's
+ended, which is still primal feasible.  That chain is sequential; what the
+duals and the KKT self-check read of each end basis is kept, and they run
+once per chunk of costs.  Every path shares one phase-1 and one phase-2
+code path.
 """
 
 from __future__ import annotations
@@ -519,9 +523,10 @@ def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
     so the next costs can start from it.  Artificial columns never enter.
 
     Returns one outcome per member: None where it ended optimal, its
-    solution to be read off the tableau (``_solutions``), else an
-    unbounded LPSolution or the NumericalFailure that ended it; a member
-    that phase 1 ended keeps that outcome.  The members pivot in lockstep.
+    solution to be read off the tableau (``_solutions``) at plain basis
+    duals, else an unbounded LPSolution or the NumericalFailure that ended
+    it; a member that phase 1 ended keeps that outcome.  The members pivot
+    in lockstep.
     """
     S, m_ineq, n = stack.G.shape
     n_std = n + m_ineq
@@ -537,7 +542,6 @@ def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
             T[k] = 0.0  # never pivots again; keeps the stacked steps finite
         elif res == UNBOUNDED:
             out[k] = LPSolution(status=UNBOUNDED)
-    _activate_degenerate_rows(T, basis, n, n_std, [k for k in running if out[k] is None])
     return out
 
 
@@ -601,7 +605,8 @@ def _solutions(stack: LPStack, tab: _Tableau, ends: tuple, out: list) -> list:
     for k in range(S):
         if out[k] is not None:
             continue
-        if primal[k] > 1e-6 or dual[k] > 1e-6 or gap[k] > 1e-6:
+        # written so that a NaN residual fails
+        if not (primal[k] <= 1e-6 and dual[k] <= 1e-6 and gap[k] <= 1e-6):
             out[k] = NumericalFailure(
                 "optimal basis failed the KKT self-check: "
                 f"primal={primal[k]:.2e} dual={dual[k]:.2e} gap={gap[k]:.2e}"
@@ -625,10 +630,12 @@ def _raised(outcome):
 
 
 def solve_stack(stack: LPStack) -> list:
-    """Solve every member of ``stack`` under its own cost ``stack.c[k]``.
+    """Solve every member of ``stack`` under its own cost ``stack.c[k]``,
+    with the multipliers its callers read.
 
     One phase 1 and one phase 2 over the stack: the row scaling, the
-    tableau, the pricing, the pivots, the dual refinement and the KKT
+    tableau, the pricing, the pivots, the degenerate-row pass
+    (``_activate_degenerate_rows``), the dual refinement and the KKT
     self-check run once over the stacked arrays, the pivots in lockstep
     (``_pivot_loops``).  Returns one outcome per member, its LPSolution or
     the NumericalFailure that ended it; every member comes out bit for bit
@@ -636,21 +643,26 @@ def solve_stack(stack: LPStack) -> list:
     tableau is ``len(stack)`` times one member's, which callers keep within
     ``STACK_BYTES``.
     """
+    S, m_ineq, n = stack.G.shape
     tab = _phase_one(stack)
     out = _phase_two(tab, stack, stack.c)
+    optimal = [k for k in range(S) if out[k] is None]
+    _activate_degenerate_rows(tab.T, tab.basis, n, n + m_ineq, optimal)
     return _solutions(stack, tab, _end_bases(tab), out)
 
 
 def solve_many(lp: LPProblem, costs) -> list:
-    """Solve the rows of ``lp`` once per cost vector in ``costs``, in order.
+    """Solve the rows of ``lp`` once per cost vector in ``costs``, in order,
+    for the optimal ``x`` of each.
 
     Only the rows of ``lp`` are used, not its cost.  Phase 1 runs once; each
-    cost's phase 2, with its degenerate-row pass, starts from the basis where
-    the previous one ended, which is primal feasible since only the cost
-    changed.  The end bases are kept, and the duals and the KKT self-check
-    run once per chunk of costs, as many as tableaux fit in ``STACK_BYTES``.
-    The first cost to fail numerically raises its NumericalFailure and ends
-    the sweep.  Deterministic for a fixed input.
+    cost's phase 2 starts from the basis where the previous one ended, which
+    is primal feasible since only the cost changed.  The duals are the plain
+    basis duals: no degenerate-row pass, whose pivots would change only the
+    multipliers.  The end bases are kept, and the duals and the KKT
+    self-check run once per chunk of costs, as many as tableaux fit in
+    ``STACK_BYTES``.  The first cost to fail numerically raises its
+    NumericalFailure and ends the sweep.  Deterministic for a fixed input.
     """
     costs = np.asarray(costs, dtype=float).reshape(-1, lp.n_vars)
     if np.isnan(costs).any():
@@ -683,11 +695,13 @@ def solve_many(lp: LPProblem, costs) -> list:
 
 
 def solve(lp: LPProblem) -> LPSolution:
-    """Solve ``lp``; deterministic for a fixed input.
+    """Solve ``lp``, with the multipliers of ``solve_stack``; deterministic
+    for a fixed input.
 
     Raises NumericalFailure instead of ever returning an uncertified answer.
     """
-    return solve_many(lp, [lp.c])[0]
+    (outcome,) = solve_stack(LPStack.of(lp))
+    return _raised(outcome)
 
 
 def kkt_residuals(lp, sol: LPSolution) -> dict:

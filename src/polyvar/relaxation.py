@@ -12,9 +12,10 @@ check is solved.  ``bounding_program`` assembles it from arrays and
 ``certify_stack`` certifies a stack of such programs in one stacked solve,
 reading all their bounds off in one step; ``invariance.facet_programs``
 gathers the stacks of a verification pass from arrays computed once per
-template.  Its LP dual over ``(t, lam, mu)`` with one row per class, and
-the exponentially larger program over the full set of lifted vertices,
-which have the same optimal value, live in ``oracle`` as cross-checks.
+synthesis (``invariance.facet_lift``).  Its LP dual over ``(t, lam, mu)``
+with one row per class, and the exponentially larger program over the full
+set of lifted vertices, which have the same optimal value, live in
+``oracle`` as cross-checks.
 """
 
 from __future__ import annotations

@@ -157,6 +157,33 @@ class TestBoundCommand:
         assert main(["bound", path]) == 2
         assert "infeasible" in capsys.readouterr().err
 
+    def test_nan_certificate_exit_2_without_report(self, tmp_path):
+        # the subnormal row overflows its dual to NaN, which the KKT
+        # self-check refuses; run in a process of its own, where NumPy's
+        # overflow warning stays a warning
+        payload = {
+            "schema_version": "1",
+            "polynomial": [{"exponents": [1], "coefficient": 1.0}],
+            "rectangle": {"lower": [0.0], "upper": [1.0]},
+            "inequalities": [{"a": [-2.225073858507e-311], "b": 0.0, "op": "<="}],
+        }
+        path = write_json(tmp_path / "subnormal_row.json", payload)
+        report = tmp_path / "report.json"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run(
+            [sys.executable, "-m", "polyvar.cli", "bound", path, "--report", str(report)],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 2
+        assert run.stderr.splitlines()[-1] == (
+            "error: numerical failure: optimal basis failed the KKT self-check: "
+            "primal=0.00e+00 dual=nan gap=nan"
+        )
+        assert run.stdout == ""
+        assert not report.exists()
+
     def test_ge_rows_negated(self, tmp_path):
         payload = {
             "schema_version": "1",

@@ -23,7 +23,7 @@ from polyvar.invariance import (
 from polyvar.lpsolve import solve
 from polyvar.oracle import facet_nonempty
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
-from polyvar.relaxation import ConstraintSet, class_constraint_values, lower_bound
+from polyvar.relaxation import ConstraintSet, certify_stack, class_constraint_values, lower_bound
 
 from conftest import (
     MODELS_DIR,
@@ -125,6 +125,22 @@ class TestSupportValues:
         assert values[0] == pytest.approx(1.0)
         assert values[1] == np.inf and values[2] == np.inf
 
+    def test_sweeps_skip_the_degenerate_row_pass(self, monkeypatch):
+        # support values read only x; the facet programs, whose multipliers
+        # are read, still take the pass
+        def entered(*args):
+            raise AssertionError("degenerate-row pass entered")
+
+        fld, rect, normals, _ = fitzhugh_nagumo()
+        tpl = PolytopeTemplate(normals, np.ones(len(normals)))
+        monkeypatch.setattr(lpsolve, "_activate_degenerate_rows", entered)
+        assert np.all(np.isfinite(support_values(tpl, normals)))
+        assert np.all(np.isfinite(support_values(tpl, normals, rect)))
+        repair_offsets(tpl, rect)
+        for stack in polyvar.invariance.facet_programs(fld, rect, tpl):
+            with pytest.raises(AssertionError, match="pass entered"):
+                certify_stack(stack)
+
 
 class TestConfiningCaps:
     @pytest.mark.parametrize("normals", [diamond_normals(), rotated_hexagon_normals()])
@@ -143,6 +159,16 @@ class TestConfiningCaps:
         gaps = np.concatenate([rect.upper - 1e-9 - reach[:2], -reach[2:] - (rect.lower + 1e-9)])
         assert np.all(gaps >= -1e-12)
         assert np.min(np.abs(gaps)) <= 1e-12
+
+    def test_scaled_caps_sweep_the_reach_once(self, monkeypatch):
+        # the reach of Q = P - ref is the raw caps' reach, which the
+        # containment test has swept, shifted by ref: one reach sweep, then
+        # the containment check of the scaled caps
+        rect = Rectangle([-2.0, -1.0], [2.0, 3.0])
+        tpl = PolytopeTemplate(diamond_normals())
+        phases = count_phases(monkeypatch)
+        _confining_caps(tpl, rect, np.array([0.25, 0.5]))
+        assert phases == {"phase_one": 2, "phase_two": 2 * (2 * tpl.n)}
 
     def test_raw_caps_kept_when_contained(self):
         rect = Rectangle([-2.0, -1.0], [2.0, 3.0])
@@ -370,6 +396,32 @@ class TestStackedVerify:
             assert size <= lpsolve.STACK_BYTES or count == 1
         if one <= lpsolve.STACK_BYTES // 2:
             assert max(members) > 1  # small members do share stacks
+
+
+class TestSynthesisLift:
+    """A synthesis builds the facet lift of its normals once; each of its
+    passes must be, bit for bit, the ``verify`` that builds its own."""
+
+    @pytest.mark.parametrize("name, m", [("phytoplankton", None), ("fitzhugh_nagumo", 8)])
+    def test_records_match_a_fresh_verify(self, monkeypatch, name, m):
+        model = load_model(MODELS_DIR / f"{name}.json")
+        tpl = model.template if m is None else PolytopeTemplate(uniform_normals(m))
+        lifts = [0]
+
+        def facet_lift(*args):
+            lifts[0] += 1
+            return lift(*args)
+
+        lift = polyvar.invariance.facet_lift
+        monkeypatch.setattr(polyvar.invariance, "facet_lift", facet_lift)
+        trace = synthesize(model.field, model.rectangle, tpl, model.params)
+        assert lifts[0] == 1 and trace.n_iterations > 1
+        for rec in trace.records:
+            report = verify(model.field, model.rectangle, tpl.with_offsets(rec.offsets))
+            assert report.d_star.tobytes() == rec.d_star.tobytes()
+            assert report.facet_feasible.tobytes() == rec.facet_feasible.tobytes()
+            assert report.failures == rec.failures
+        assert lifts[0] == 1 + trace.n_iterations  # a lone verify builds its own
 
 
 class TestFacetPrograms:

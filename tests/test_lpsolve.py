@@ -300,6 +300,43 @@ class TestDegenerateRowMultipliers:
         assert sol.x.tolist() == [0.0]
         assert sol.ineq_duals.tolist() == [1.0]
 
+    def test_only_programs_whose_duals_are_read_take_the_pass(self, monkeypatch):
+        # a sweep reads only x: it keeps the plain basis duals, and the same
+        # x as the pass leaves
+        lp = LPProblem([1.0], G=[[-1.0]], h=[0.0])
+        (swept,) = solve_many(lp, [[1.0]])
+        assert swept.x.tolist() == [0.0] and swept.ineq_duals.tolist() == [0.0]
+
+        def entered(*args):
+            raise AssertionError("degenerate-row pass entered")
+
+        monkeypatch.setattr(lpsolve, "_activate_degenerate_rows", entered)
+        rng = np.random.default_rng(199)
+        for _ in range(20):
+            sweep, costs = random_sweep(rng)
+            solve_many(sweep, costs)
+        with pytest.raises(AssertionError, match="pass entered"):
+            solve(lp)
+        with pytest.raises(AssertionError, match="pass entered"):
+            lpsolve.solve_stack(lpsolve.LPStack.of(lp))
+
+
+class TestKKTSelfCheck:
+    def test_nan_residual_fails(self):
+        # the bounding program of p = x over [0, 1] with the subnormal row
+        # -2.225073858507e-311 x <= 0: the row stays below unit scale after
+        # scaling by 2**1000, and its dual overflows to NaN, which no
+        # residual threshold may let through
+        lp = LPProblem(
+            [0.0, 1.0], G=[[-0.0, -2.225073858507e-311]], h=[0.0], A=[[1.0, 1.0]], d=[1.0]
+        )
+        with pytest.warns(RuntimeWarning):  # the overflow, then NaN arithmetic
+            with pytest.raises(
+                NumericalFailure,
+                match=r"KKT self-check: primal=0\.00e\+00 dual=nan gap=nan",
+            ):
+                solve(lp)
+
 
 class TestRowScaling:
     """Rows far from unit scale are rescaled inside ``solve``, so a program

@@ -13,7 +13,9 @@ results print the same lines:
 
 Run it in two checkouts and ``diff`` the outputs.  Each line is
 ``<sha256>  <run> <file> exit=<code>``; a run that writes no file prints
-``-`` for the hash.
+``-`` for the hash.  A ``synthesize`` report line ends in
+``status=<status> iterations=<count>``, so a moved report shows whether
+its outcome changed or only its bits.
 
 A benchmark run keeps the inputs it generated from its seed under
 ``.perfbench_out/<workload>-s<seed>-t<trace>/inputs/``, so its items can
@@ -55,6 +57,14 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
 
+def _outcome(path: Path) -> str:
+    """`` status=<s> iterations=<n>`` of a synthesis report, or ``""``."""
+    if not path.exists():
+        return ""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    return f" status={data['status']} iterations={len(data['iterations'])}"
+
+
 def _run(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -84,10 +94,13 @@ def print_digests(paths) -> None:
             with tempfile.TemporaryDirectory() as tmp:
                 out = Path(tmp)
                 code = _run([a.replace("{out}", tmp) for a in argv])
-                print(f"{_digest(out / 'report.json')}  {label} report exit={code}")
-                polytope = out / "polytope.json"
+                report = out / "report.json"
+                line = f"{_digest(report)}  {label} report exit={code}"
                 if argv[0] != "synthesize":
+                    print(line)
                     continue
+                print(line + _outcome(report))
+                polytope = out / "polytope.json"
                 print(f"{_digest(polytope)}  {label} polytope")
                 if polytope.exists():
                     code = _run(["verify", str(path), "--polytope", str(polytope),
