@@ -3,7 +3,7 @@
 The public surface mirrors the module layout:
 
 - ``polynomial``: sparse polynomials, polar forms, Bernstein coefficients
-- ``lpsolve``: dense two-phase simplex with dual extraction
+- ``lpsolve``: two-phase simplex on a condensed tableau, with dual extraction
 - ``relaxation``: the certified lower-bound programs and sensitivity bounds
 - ``invariance``: per-facet invariance verification and offset synthesis
 - ``oracle``: brute-force grid / vertex references for testing and diagnostics

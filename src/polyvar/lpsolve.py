@@ -1,16 +1,29 @@
-"""Dense two-phase simplex for small linear programs, with dual extraction.
+"""Two-phase simplex for small linear programs, with dual extraction.
 
 Every program has one form, ``min c.x`` subject to ``G x <= h``, ``A x = d``
 and ``x >= 0``; callers pose free and boxed variables in it themselves.
-Every program this package builds has at most a few dozen rows; the bounding
-programs have one column per vertex class, up to a few thousand.  A dense
-tableau is fast enough at that shape and carries its own duals: its last
-row holds the reduced costs, which every pivot updates with the rest, and
-the columns that formed the start basis hold the basis inverse, so a row's
-dual is minus the reduced cost of its start column, refined once against
-the program's own rows.  Rows far from unit scale are rescaled by powers of
-two first.  Pricing is Dantzig's rule, switching to Bland's rule after too
-many degenerate pivots to rule out cycling.
+Every program this package builds has at most a few hundred rows; the
+bounding programs have one column per vertex class, up to a few thousand.
+A tableau is fast enough at that shape and carries its own duals: its
+reduced costs are updated by every pivot, and the columns that formed the
+start basis hold the basis inverse, so a row's dual is minus the reduced
+cost of its start column, refined once against the program's own rows.
+Rows far from unit scale are rescaled by powers of two first.  Pricing is
+Dantzig's rule, switching to Bland's rule after too many degenerate pivots
+to rule out cycling.
+
+The tableau is condensed, in the dictionary form of the simplex method
+(Chvátal, *Linear Programming*, 1983, ch. 2-3): a basic column is a unit
+vector, so the rows are stored over the nonbasic columns and the right-hand
+side only, and a pivot is a Jordan exchange, the leaving column taking the
+entering column's slot.  A program with far more rows than columns, such as
+a facet program of a template with many facets, updates a few columns per
+pivot instead of all.  Every entry takes the full tableau's float
+operations and equals its entry bit for bit (see ``_Tableau``), and a step
+that reads a whole row reads it at full width: ``np.matmul`` rounds a
+column subset of ``v @ M`` differently from the full product, so pricing
+and the dual refinement multiply by full-width operands, and every pivot
+choice breaks ties by column index.
 
 The programs whose duals are read (``solve_stack``, hence ``solve``) get
 one more pass: among the optimal duals, an active inequality row gets a
@@ -22,27 +35,20 @@ changes only the multipliers, so ``solve_many``, whose callers read only
 
 The engine works on stacks (``LPStack``): programs of one shape, such as
 the facet programs of one verification pass, solved together.  Row
-scaling, the tableau with its artificial columns, the pricing of the
-reduced-cost row, the pivots, the dual refinement and the KKT self-check
-run once over the stacked arrays.  The members pivot in lockstep: one step
-picks every running member's entering and leaving columns with batched
-``argmin``s, under that member's own pricing rule, and applies all their
-rank-1 updates at once; a member that ends drops out untouched.  Every
-step is elementwise the one a member takes alone, and a stacked product is
-``np.matmul`` over operands laid out as the member's own, which rounds
-exactly as ``@`` on that member alone, so a member comes out of a stack bit
-for bit as it would alone, and a member that fails numerically leaves the
-others as they are.  A stack of one pivots in a plain loop on its 2-D
-tableau, which costs less per pivot than a batched step.
+scaling, the tableau, pricing, the dual refinement and the KKT self-check
+run once over the stacked arrays, and the members pivot in lockstep, a
+member that ends dropping out untouched.  Every step is elementwise the one
+a member takes alone, and a stacked product is ``np.matmul`` over operands
+laid out as the member's own, which rounds as ``@`` on that member alone,
+so a member comes out of a stack bit for bit as it would alone.  A stack of
+one pivots in a plain loop, which costs less per pivot.
 
 ``solve_stack`` solves each member under its own cost; ``solve`` is a stack
 of one.  ``solve_many`` solves one set of rows under many costs, as the
 support queries of one polytope do: phase 1 runs once, and each cost's
-phase 2 prices the reduced-cost row at the basis where the previous cost's
-ended, which is still primal feasible.  That chain is sequential; what the
-duals and the KKT self-check read of each end basis is kept, and they run
-once per chunk of costs.  Every path shares one phase-1 and one phase-2
-code path.
+phase 2 starts at the basis where the previous cost's ended, which is still
+primal feasible; the duals and the KKT self-check run once per chunk of
+costs.  Every path shares one phase-1 and one phase-2 code path.
 """
 
 from __future__ import annotations
@@ -59,9 +65,10 @@ PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-10
 
 # Largest stacked tableau, in bytes, that a caller builds: programs whose
-# tableaux together would exceed it go in several stacks, and a program
-# whose tableau alone exceeds it in a stack of one.  At 256 KiB the peak
-# memory of a synthesis stays where one facet program at a time left it.
+# condensed tableaux together would exceed it go in several stacks, and a
+# program whose tableau alone exceeds it in a stack of one.  The full-width
+# rows of pricing and the basis inverses of the dual refinement are built a
+# chunk of members at a time within the same size.
 STACK_BYTES = 256 * 1024
 
 
@@ -160,83 +167,214 @@ class LPStack:
 
 def stack_members(n_vars: int, m_ineq: int, m_eq: int) -> int:
     """How many programs of this shape one stack holds within ``STACK_BYTES``
-    (at least one), when no right-hand side is negative: their tableaux then
-    have artificial columns on the equality rows only."""
-    rows = m_ineq + m_eq + 1
-    cols = n_vars + m_ineq + m_eq + 1
-    return max(1, STACK_BYTES // (8 * rows * cols))
+    (at least one), when no right-hand side is negative: their condensed
+    tableaux then store ``n_vars + 1`` columns of ``m_ineq + m_eq + 1``
+    rows."""
+    return _per_chunk((m_ineq + m_eq + 1) * (n_vars + 1))
 
 
-def _pivot(T, basis, row, col):
-    """Pivot tableau ``T`` in place on ``(row, col)``; ``col`` enters the basis.
+def _per_chunk(cells: int) -> int:
+    """How many members' arrays of ``cells`` floats each fit in
+    ``STACK_BYTES`` (at least one)."""
+    return max(1, STACK_BYTES // (8 * max(1, cells)))
 
-    The rank-1 update covers the reduced-cost row too, so it stays current.
+
+# A tableau's state is the tuple ``(T, basis, cols, neg)`` of one member
+# (2-D ``T``) or of a stack (3-D ``T``); see ``_Tableau``.
+
+
+def _part(st, members) -> tuple:
+    """The state of ``members`` of a stacked state: views for one member
+    or a slice, copies for an index array or mask."""
+    T, basis, cols, neg = st
+    return T[members], basis[members], cols[members], neg if neg is None else neg[members]
+
+
+def _put(st, members, part) -> None:
+    """Write ``part``, taken with ``_part(st, members)``, back into ``st``."""
+    for a, b in zip(st, part):
+        if a is not None:
+            a[members] = b
+
+
+def _slot_of(cols, var):
+    """The stored slot of nonbasic variable ``var`` in each member's ``cols``."""
+    return (cols == np.asarray(var)[..., None]).argmax(axis=-1)
+
+
+def _width(T) -> int:
+    """The column count ``W`` of a member of the tableau ``T``."""
+    return T.shape[-2] + T.shape[-1] - 2
+
+
+def _pivot(st, row, slot):
+    """Pivot one member's tableau ``st`` in place on ``(row, slot)``: the
+    variable stored at ``slot`` enters the basis, and the one basic in
+    ``row`` leaves it, its new column taking the slot.
+
+    The full tableau's float operations: the pivot row is divided by the
+    pivot ``p``, and every other row, the reduced costs included, takes
+    ``x - f * prow``.  The leaving column was a unit vector with a zero
+    reduced cost, so it comes out as ``0.0 - f * (1.0 / p)``, ``1.0 / p`` at
+    the pivot row.
     """
-    T[row] /= T[row, col]
-    factor = T[:, col].copy()
+    T, basis, cols, neg = st
+    factor = T[:, slot].copy()
+    p = factor[row]
     factor[row] = 0.0
+    T[:, slot] = 0.0
+    T[row, slot] = 1.0
+    if neg is not None:
+        _pivot_negative_zeros(st, row, slot, factor, p)
+    T[row] /= p
     T -= factor[:, None] * T[row]
-    basis[row] = col
+    cols[slot], basis[row] = basis[row], cols[slot]
 
 
-def _pivot_all(T, basis, rows, cols):
-    """``_pivot`` on every member of the stacked tableau ``T`` at once, member
-    ``k`` on ``(rows[k], cols[k])``, with the same elementwise steps."""
+def _pivot_negative_zeros(st, row, slot, factor, p):
+    """``_pivot``'s steps on the ``-0.0`` entries of basic columns
+    (``_Tableau.neg``): the leaving column keeps its own, ``-0.0 - f * z``
+    for the pivot row's zero ``z`` stays ``-0.0`` only where ``f * z`` is
+    ``+0.0``, the same over a row, and the pivot row loses its own."""
+    T, basis, _, neg = st
+    rows, live = neg[: basis.size], neg[basis.size :]
+    if not rows.any():  # none left
+        return
+    leave = basis[row]
+    if live[leave]:
+        T[:-1][rows, slot] = -0.0
+        live[leave] = False
+    rows &= np.signbit(factor[:-1]) == (rows[row] ^ np.signbit(p))
+    rows[row] = False
+
+
+def _pivot_all(st, rows, slots):
+    """``_pivot`` on every member of the stacked state ``st`` at once,
+    member ``k`` on ``(rows[k], slots[k])``, with the same elementwise
+    steps."""
+    T, basis, cols, neg = st
     k = np.arange(T.shape[0])
-    T[k, rows] /= T[k, rows, cols][:, None]
-    factor = T[k, :, cols]
+    factor = T[k, :, slots]
+    p = factor[k, rows]
     factor[k, rows] = 0.0
-    T -= factor[:, :, None] * T[k, rows][:, None, :]
-    basis[k, rows] = cols
-
-
-def _pivot_some(T, basis, go, rows, cols):
-    """``_pivot_all`` on the members of ``T`` that ``go`` marks.  The others
-    take the same rank-1 update with a zero factor and a zero pivot row,
-    which subtracts ``+0.0`` from every entry and so leaves them bit for bit
-    as they were."""
-    k, rows, cols = np.flatnonzero(go), rows[go], cols[go]
-    prow = np.zeros((T.shape[0], T.shape[2]))
-    prow[k] = T[k, rows] / T[k, rows, cols][:, None]
-    T[k, rows] = prow[k]
-    factor = np.zeros(T.shape[:2])
-    factor[k] = T[k, :, cols]
-    factor[k, rows] = 0.0
+    prow = T[k, rows]
+    prow[k, slots] = 1.0
+    prow /= p[:, None]
+    T[k, :, slots] = 0.0
+    if neg is not None:
+        for i in k:
+            _pivot_negative_zeros(_part(st, i), rows[i], slots[i], factor[i], p[i])
+    T[k, rows] = prow
     T -= factor[:, :, None] * prow[:, None, :]
-    basis[k, rows] = cols
+    cols[k, slots], basis[k, rows] = basis[k, rows], cols[k, slots]
 
 
-def _price(T, basis, cost):
-    """Set the reduced-cost row of each member's tableau ``T[k]`` (its last)
-    to ``cost[k]`` at ``basis[k]``."""
-    v = _vm(cost[np.arange(T.shape[0])[:, None], basis], T[:, :-1])
-    T[:, -1, :-1] = cost - v[:, :-1]
-    T[:, -1, -1] = 0.0 - v[:, -1]
+def _pivot_some(st, go, rows, slots):
+    """``_pivot_all`` on the members of ``st`` that ``go`` marks; the others
+    are left as they are."""
+    k = np.flatnonzero(go)
+    part = _part(st, k)
+    _pivot_all(part, rows[go], slots[go])
+    _put(st, k, part)
+
+
+def _row_full(T, cols, row) -> np.ndarray:
+    """Row ``row[k]`` of each member of ``T`` over all columns, zero at the
+    basic ones."""
+    k = np.arange(T.shape[0])
+    out = np.zeros((T.shape[0], _width(T) + 1))
+    out[k[:, None], cols] = T[k, row]
+    return out
+
+
+def _price(st, cost):
+    """Set the reduced costs of each member ``k`` to ``cost[k]``, which has
+    one more entry, 0, for the right-hand side, at its basis.  The product
+    runs over the constraint rows at full width, as the full tableau's does,
+    its basic columns left zero since only the stored ones are read off."""
+    T, basis, cols = st[:3]
+    S, m = basis.shape
+    width = _width(T) + 1
+    step = _per_chunk(m * width)
+    for lo in range(0, S, step):
+        at = slice(lo, lo + step)
+        part, c, stored = T[at], cost[at], cols[at]
+        k = np.arange(c.shape[0])[:, None]
+        rows = np.zeros((k.size, m, width))
+        if k.size == 1:  # the same scatter, cheaper on one member's rows
+            rows[0][:, stored[0]] = part[0, :-1]
+        else:
+            rows[k, :, stored] = part[:, :-1].swapaxes(1, 2)
+        part[:, -1] = (c - _vm(c[k, basis[at]], rows))[k, stored]
+
+
+def _entering(r, cols, n_enter, bland, allowed=None):
+    """The entering slot of one member with reduced costs ``r`` at its
+    stored columns ``cols`` (``allowed`` being ``cols < n_enter``, or None
+    if all are), or None at the optimum: the full tableau's choice over its
+    row, zero at the basic columns.  Dantzig's rule takes the least of the
+    first ``n_enter`` reduced costs, NaN first and ties to the first column;
+    Bland's the first below ``-PIVOT_TOL``, else the first column; the
+    choice stands unless its reduced cost is at least ``-PIVOT_TOL``.
+    """
+    if bland:
+        key = np.where((cols < n_enter) & (r < -PIVOT_TOL), cols, n_enter)
+        slot = key.argmin()
+        if key[slot] < n_enter:
+            return slot
+        # no improving column: the first column, a NaN there going ahead
+        first = np.flatnonzero(cols == 0)
+        return first[0] if first.size and r[first[0]] != r[first[0]] else None
+    values = r if allowed is None else np.where(allowed, r, np.inf)
+    slot = values.argmin()
+    least = values[slot]
+    if least >= -PIVOT_TOL:
+        return None
+    if slot != values.size - 1 - values[::-1].argmin():  # tied, or NaN twice
+        same = values == least if least == least else np.isnan(values)
+        slot = np.where(same, cols, n_enter).argmin()
+    return slot
+
+
+def _allowed(T, cols, n_enter):
+    """``cols < n_enter`` over each member's stored columns, or None where
+    every column of ``T`` may enter; fixed for a loop, since an artificial
+    column neither enters nor leaves in phase 2."""
+    return None if n_enter >= _width(T) else cols[..., :-1] < n_enter
 
 
 def _pivot_limit(T) -> int:
     """The pivots a loop on one member of ``T`` may make."""
-    return 1000 + 50 * (T.shape[-2] + T.shape[-1] - 2)  # rows plus columns
+    return 1000 + 50 * (T.shape[-2] - 1 + _width(T))  # rows plus columns
 
 
-def _pivot_loop(T, basis, n_enter, degenerate=0, step=0):
-    """Run simplex pivots on one member's tableau ``T`` in place, letting only
-    its first ``n_enter`` columns enter; returns 'optimal', 'unbounded' or
-    the NumericalFailure that ended it.  ``degenerate`` and ``step`` carry
-    on a loop begun in ``_pivot_loops``.
+def _pivot_loop(st, n_enter, degenerate=0, step=0):
+    """Run simplex pivots on one member's tableau ``st`` in place, letting
+    only its first ``n_enter`` columns enter; returns 'optimal', 'unbounded'
+    or the NumericalFailure that ended it.  ``degenerate`` and ``step``
+    carry on a loop begun in ``_pivot_loops``.
 
-    The leaving row has the least ratio, ties going to the row whose basic
-    column comes first; its pivot element exceeds ``PIVOT_TOL`` by choice.
+    The entering column is ``_entering``'s, by Dantzig's rule until
+    degenerate pivots pile up, then Bland's.  The leaving row has the least
+    ratio, ties going to the row whose basic column comes first; its pivot
+    element exceeds ``PIVOT_TOL`` by choice.
     """
-    size = T.shape[0] + T.shape[1] - 2  # constraint rows plus columns
+    T, basis, cols, _ = st
+    size = T.shape[0] - 1 + _width(T)  # constraint rows plus columns
+    r, stored, allowed = T[-1, :-1], cols[:-1], _allowed(T, cols, n_enter)
     for _ in range(step, _pivot_limit(T)):
-        r = T[-1, :n_enter]
-        # Dantzig's rule; Bland's (the first improving column) once
-        # degenerate pivots pile up
-        enter = int((r < -PIVOT_TOL).argmax() if degenerate > 5 * size else r.argmin())
-        if r[enter] >= -PIVOT_TOL:
+        if degenerate > 5 * size:
+            slot = _entering(r, stored, n_enter, True)
+        else:  # _entering's Dantzig rule, its usual case inline
+            values = r if allowed is None else np.where(allowed, r, np.inf)
+            slot = values.argmin()
+            if values[slot] >= -PIVOT_TOL:
+                slot = None
+            elif slot != r.size - 1 - values[::-1].argmin():
+                slot = _entering(r, stored, n_enter, False, allowed)
+        if slot is None:
             return OPTIMAL
-        col = T[:-1, enter]
+        col = T[:-1, slot]
         rows = (col > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return UNBOUNDED
@@ -245,13 +383,14 @@ def _pivot_loop(T, basis, n_enter, degenerate=0, step=0):
         ties = rows[ratios <= best + 1e-12]
         leave = int(ties[basis[ties].argmin()])
         degenerate += best <= 1e-12
-        _pivot(T, basis, leave, enter)
+        _pivot(st, leave, slot)
     return NumericalFailure("simplex iteration limit exceeded")
 
 
-def _pivot_loops(T, basis, n_enter, members) -> dict:
-    """``_pivot_loop`` on each member ``T[k]``, ``k`` in ``members``, in
-    lockstep; returns ``{k: 'optimal', 'unbounded' or its NumericalFailure}``.
+def _pivot_loops(st, n_enter, members) -> dict:
+    """``_pivot_loop`` on each member of the stacked state ``st``, for
+    ``k`` in ``members``, in lockstep; returns ``{k: 'optimal', 'unbounded'
+    or its NumericalFailure}``.
 
     One step picks every running member's entering and leaving columns with
     batched ``argmin``s, each member under its own rule and degenerate
@@ -261,50 +400,65 @@ def _pivot_loops(T, basis, n_enter, members) -> dict:
     """
     if len(members) == 1:
         k = members[0]
-        return {k: _pivot_loop(T[k], basis[k], n_enter)}
+        return {k: _pivot_loop(_part(st, k), n_enter)}
     out = {}
     members = np.asarray(members, dtype=int)
-    size = T.shape[1] + T.shape[2] - 2
-    # the running members' tableaux: T itself while all of them run
-    W, B = (T, basis) if members.size == T.shape[0] else (T[members], basis[members])
+    size = st[0].shape[1] - 1 + _width(st[0])
+    # the running members' state: st itself while all of them run
+    run = st if members.size == st[0].shape[0] else _part(st, members)
     degenerate = np.zeros(members.size, dtype=int)
-    step, limit = 0, _pivot_limit(T)
+    step, limit = 0, _pivot_limit(st[0])
+    allowed = _allowed(run[0], run[2], n_enter)
     while members.size > 1 and step < limit:
+        T, B, cols = run[:3]
         k = np.arange(members.size)
-        r = W[:, -1, :n_enter]
-        enter = r.argmin(axis=1)
-        bland = degenerate > 5 * size
-        if bland.any():
-            enter[bland] = (r[bland] < -PIVOT_TOL).argmax(axis=1)
-        optimal = r[k, enter] >= -PIVOT_TOL
-        col = W[k, :-1, enter]
+        r, stored = T[:, -1, :-1], cols[:, :-1]
+        values = r if allowed is None else np.where(allowed, r, np.inf)
+        slot = values.argmin(axis=1)
+        least = values[k, slot]
+        optimal = least >= -PIVOT_TOL
+        odd = degenerate > 5 * size
+        tied = slot != values.shape[1] - 1 - values[:, ::-1].argmin(axis=1)
+        if tied.any():  # the first column of the least
+            same = values[tied] == least[tied, None]
+            slot[tied] = np.where(same, stored[tied], n_enter).argmin(axis=1)
+            odd |= tied & (least != least)
+        if odd.any():  # Bland's rule, and NaN twice: as _pivot_loop has it
+            for i in np.flatnonzero(odd):
+                chosen = _entering(r[i], stored[i], n_enter, degenerate[i] > 5 * size,
+                                   None if allowed is None else allowed[i])
+                optimal[i] = chosen is None
+                slot[i] = 0 if chosen is None else chosen
+        col = T[k, :-1, slot]
         up = col > PIVOT_TOL
         going = up.any(axis=1) & ~optimal
         if not going.all():
             for i in np.flatnonzero(~going):
                 out[members[i]] = OPTIMAL if optimal[i] else UNBOUNDED
-            if W is not T:
-                T[members[~going]], basis[members[~going]] = W[~going], B[~going]
-            W, B, members = W[going], B[going], members[going]
-            degenerate, enter, col, up = degenerate[going], enter[going], col[going], up[going]
+            if run is not st:
+                _put(st, members[~going], _part(run, ~going))
+            run, members = _part(run, going), members[going]
+            degenerate, slot, col, up = degenerate[going], slot[going], col[going], up[going]
+            allowed = allowed if allowed is None else allowed[going]
             if not members.size:
                 break
-        ratios = np.divide(W[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=up)
+            T, B = run[0], run[1]
+        ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=up)
         best = ratios.min(axis=1)
         if np.isnan(best).any():  # no tied row, where _pivot_loop's argmin raises
             raise ValueError("attempt to get argmin of an empty sequence")
         ties = up & (ratios <= (best + 1e-12)[:, None])
-        leave = np.where(ties, B, T.shape[2]).argmin(axis=1)
+        leave = np.where(ties, B, _width(T)).argmin(axis=1)
         degenerate += best <= 1e-12
-        _pivot_all(W, B, leave, enter)
+        _pivot_all(run, leave, slot)
         step += 1
     if members.size == 1:
-        out[members[0]] = _pivot_loop(W[0], B[0], n_enter, degenerate[0], step)
+        out[members[0]] = _pivot_loop(_part(run, 0), n_enter, degenerate[0], step)
     else:
         for k in members:
             out[k] = NumericalFailure("simplex iteration limit exceeded")
-    if W is not T:
-        T[members], basis[members] = W, B
+    if run is not st:
+        _put(st, members, run)
     return out
 
 
@@ -321,9 +475,9 @@ def _row_steps(rows, key, members):
         yield counts > step, order[:, step]
 
 
-def _activate_degenerate_rows(T, basis, first_slack, n_enter, members):
+def _activate_degenerate_rows(st, first_slack, n_enter, members):
     """Give weakly active inequality rows a multiplier, keeping ``x`` optimal,
-    in each member ``T[k]``, ``k`` in ``members``.
+    in each member of the stacked state ``st``, for ``k`` in ``members``.
 
     A row whose slack is basic at zero is active but carries a zero basis
     dual, the end of the optimal multiplier set that says nothing about the
@@ -338,68 +492,79 @@ def _activate_degenerate_rows(T, basis, first_slack, n_enter, members):
     rows in lockstep, one row each per step.
     """
     if len(members) == 1:
-        return _activate_rows_of(T[members[0]], basis[members[0]], first_slack, n_enter)
+        return _activate_rows_of(_part(st, members[0]), first_slack, n_enter)
+    T, basis, cols, _ = st
     k = np.arange(T.shape[0])
     rows = (basis >= first_slack) & (basis < n_enter) & (np.abs(T[:, :-1, -1]) <= 1e-12)
     for at, row in _row_steps(rows, basis, members):
-        a = T[k, row, :n_enter]
+        a = _row_full(T, cols, row)[:, :n_enter]
+        reduced = _row_full(T, cols, np.full(k.size, -1))[:, :n_enter]
         cand = (a < -PIVOT_TOL) & at[:, None]
-        ratios = np.divide(T[:, -1, :n_enter], -a, out=np.full(a.shape, np.inf), where=cand)
+        ratios = np.divide(reduced, -a, out=np.full(a.shape, np.inf), where=cand)
         best = ratios.argmin(axis=1)
         # the first candidate, where every candidate's ratio is infinite
         best = np.where(cand[k, best], best, cand.argmax(axis=1))
         go = cand[k, best] & (ratios[k, best] > 0.0)
         if go.any():
             T[k[go], row[go], -1] = 0.0  # round-off below the degeneracy threshold
-            _pivot_some(T, basis, go, row, best)
+            _pivot_some(st, go, row, _slot_of(cols, best))
 
 
-def _activate_rows_of(T, basis, first_slack, n_enter):
-    """``_activate_degenerate_rows`` on one member's tableau ``T``."""
+def _activate_rows_of(st, first_slack, n_enter):
+    """``_activate_degenerate_rows`` on one member's tableau ``st``."""
+    T, basis, cols, _ = st
     slack = (basis >= first_slack) & (basis < n_enter)
     rows = (slack & (np.abs(T[:-1, -1]) <= 1e-12)).nonzero()[0]
     for row in rows[basis[rows].argsort()]:
-        cand = (T[row, :n_enter] < -PIVOT_TOL).nonzero()[0]
+        a, reduced = np.zeros((2, _width(T) + 1))
+        a[cols], reduced[cols] = T[row], T[-1]
+        cand = (a[:n_enter] < -PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
             continue
-        ratios = T[-1, cand] / -T[row, cand]
+        ratios = reduced[cand] / -a[cand]
         best = int(ratios.argmin())
         if ratios[best] > 0.0:
             T[row, -1] = 0.0  # round-off below the degeneracy threshold
-            _pivot(T, basis, row, int(cand[best]))
+            _pivot(st, row, int(_slot_of(cols, cand[best])))
 
 
-def _drive_out_artificials(T, basis, n_std, members):
+def _drive_out_artificials(st, n_std, members):
     """Pivot the artificial columns left in the phase-1 basis of each member
-    ``T[k]``, ``k`` in ``members``, out of it.  A row where none can go is
-    redundant: zero up to round-off, it is set to zero and never pivots.
-    The members step through their rows in lockstep, one row each per step.
+    of the stacked state ``st``, for ``k`` in ``members``, out of it.  A row
+    where none can go is redundant: zero up to round-off, it is set to zero
+    and never pivots.  The members step through their rows in lockstep, one
+    row each per step.
     """
     if len(members) == 1:
-        return _drive_out_of(T[members[0]], basis[members[0]], n_std)
+        return _drive_out_of(_part(st, members[0]), n_std)
+    T, basis, cols, neg = st
     k = np.arange(T.shape[0])
     # a pivot on row i changes only basis[i], so the rows to visit are known
     for at, row in _row_steps(basis >= n_std, np.arange(basis.shape[1]), members):
-        a = np.zeros((k.size, n_std + 1))
-        a[:, :n_std] = np.abs(T[k, row, :n_std])
-        a[k[:, None], np.where(basis < n_std, basis, n_std)] = 0.0
-        j = a[:, :n_std].argmax(axis=1)
+        a = np.abs(_row_full(T, cols, row)[:, :n_std])
+        j = a.argmax(axis=1)
         go = at & (a[k, j] > PIVOT_TOL)
         if go.any():
-            _pivot_some(T, basis, go, row, j)
-        T[k[at & ~go], row[at & ~go], :n_std] = 0.0
+            _pivot_some(st, go, row, _slot_of(cols, j))
+        done = k[at & ~go]
+        T[done, row[done]] = np.where(cols[done] < n_std, 0.0, T[done, row[done]])
+        if neg is not None:
+            neg[done, row[done]] = False  # its flag among the rows
 
 
-def _drive_out_of(T, basis, n_std):
-    """``_drive_out_artificials`` on one member's tableau ``T``."""
+def _drive_out_of(st, n_std):
+    """``_drive_out_artificials`` on one member's tableau ``st``."""
+    T, basis, cols, neg = st
     for i in (basis >= n_std).nonzero()[0]:
-        row = np.abs(T[i, :n_std])
-        row[basis[basis < n_std]] = 0.0
-        j = int(np.argmax(row))
+        row = np.zeros(_width(T) + 1)
+        row[cols] = np.abs(T[i])
+        j = int(np.argmax(row[:n_std]))
         if row[j] > PIVOT_TOL:
-            _pivot(T, basis, i, j)
+            _pivot(st, i, int(_slot_of(cols, j)))
         else:
-            T[i, :n_std] = 0.0
+            T[i, cols < n_std] = 0.0
+            if neg is not None:
+                neg[i] = False  # its flag among the rows
 
 
 def _mv(M, v):
@@ -430,23 +595,45 @@ def _top(a):
 @dataclass(eq=False)
 class _Tableau:
     """Primal feasible bases of the rows of a stack's members, ready for any
-    costs.
+    costs, in condensed form.
 
-    ``T[k]`` holds member ``k``'s constraint rows over the structural, slack
-    and phase-1 artificial columns, then its reduced-cost row; ``basis[k]``
-    lists its basic columns.  ``start[k, i]``, row ``i``'s basic column at
-    the start, is its column of the basis inverse, and its reduced cost is
-    minus the row's dual, mapped back to the program's row by
-    ``row_scale[k, i]``.  ``ended[k]`` is None while member ``k`` has a
-    feasible basis, else its outcome: an infeasible LPSolution or the
-    NumericalFailure that ended phase 1.
+    Member ``k`` has ``m`` rows over ``W`` columns: structural, slack and
+    phase-1 artificial.  ``basis[k]`` lists its basic column per row, and
+    ``cols[k]`` the others, then ``W`` for the right-hand side.  ``T[k]``
+    holds the rows over ``cols[k]`` as the full tableau holds them, then
+    those columns' reduced costs and minus the objective.  ``start[k, i]``,
+    row ``i``'s basic column at the start, is its column of the basis
+    inverse, and its reduced cost is minus the row's dual, mapped back to
+    the program's row by ``row_scale[k, i]``.  ``ended[k]`` is None while
+    member ``k`` has a feasible basis, else its outcome: an infeasible
+    LPSolution or the NumericalFailure that ended phase 1.
+
+    A basic column's reduced cost, a zero, is not kept.  The full tableau
+    has ``-0.0`` where a basic column costs ``-0.0``, but no step reads it:
+    a start column costs ``+0.0`` and keeps a ``+0.0`` reduced cost while
+    basic, a leaving column's takes ``r - f * (1.0 / p)`` with ``f`` nonzero
+    or, in phase 1 (costs 0 and 1), ``r`` a ``+0.0``, and the entering
+    choices pass over zeros.
+
+    Only in phase 1 may a basic column hold a ``-0.0``: a row flipped for its
+    negative right-hand side holds one in the slack columns of the unflipped
+    rows, until it pivots or they leave the basis.  Row ``q`` holds ``-0.0``
+    in basic column ``j`` exactly when ``neg[k, q]`` and ``neg[k, m + j]``
+    are both set, since a pivot keeps or clears a row's zeros together.
+    ``neg`` is None once phase 1 is over.
     """
 
     T: np.ndarray
     basis: np.ndarray
+    cols: np.ndarray
+    neg: np.ndarray
     start: np.ndarray
     row_scale: np.ndarray
     ended: list
+
+    @property
+    def state(self) -> tuple:
+        return self.T, self.basis, self.cols, self.neg
 
 
 def _phase_one(stack: LPStack) -> _Tableau:
@@ -456,30 +643,33 @@ def _phase_one(stack: LPStack) -> _Tableau:
     n_std = n + m_ineq
 
     # Standard form rows: [ineq | eq], slack column per inequality row.
-    A0 = np.zeros((S, m, n_std))
-    A0[:, :m_ineq, :n] = stack.G
-    A0[:, :m_ineq, n:] = np.eye(m_ineq)
-    A0[:, m_ineq:, :n] = stack.A
+    A0 = np.concatenate([stack.G, stack.A], axis=1)
     b0 = np.concatenate([stack.h, stack.d], axis=1)
 
     # Rows more than a factor 64 off unit scale are scaled by a power of two,
     # which is exact, so that the absolute tolerances below mean the same in
     # every row; rows within that band are left exactly as posed.
-    size = np.maximum(np.abs(A0[:, :, :n]).max(axis=2, initial=0.0), np.abs(b0))
+    size = np.maximum(np.abs(A0).max(axis=2, initial=0.0), np.abs(b0))
     far = (size > 0.0) & ((size < 2.0**-6) | (size > 2.0**6))
-    shift = np.log2(np.where(far, size, 1.0)).round().clip(-1000, 1000)
-    row_scale = np.ldexp(1.0, -shift.astype(int))
-    A0[:, :, :n] *= row_scale[:, :, None]
-    b0 *= row_scale
+    row_scale = np.ones(b0.shape)
+    if far.any():
+        shift = np.log2(np.where(far, size, 1.0)).round().clip(-1000, 1000)
+        row_scale = np.ldexp(1.0, -shift.astype(int))
+        A0 *= row_scale[:, :, None]
+        b0 *= row_scale
+        size = np.maximum(np.abs(A0).max(axis=2, initial=0.0), np.abs(b0))
 
     neg = b0 < 0
-    A0[neg] *= -1.0
-    b0[neg] *= -1.0
-    row_scale[neg] *= -1.0
+    flips = neg.any()
+    if flips:
+        A0[neg] *= -1.0
+        b0[neg] *= -1.0
+        row_scale[neg] *= -1.0
 
     # Initial basis: unflipped slacks; artificial columns everywhere else,
     # numbered in row order.  The members share the tableau's shape, so they
-    # need equally many.
+    # need equally many.  Stored are the structural columns and the flipped
+    # rows' slacks: -1 in their own row, -0.0 in the other flipped rows.
     art = neg.copy()
     art[:, m_ineq:] = True
     counts = art.sum(axis=1)
@@ -487,22 +677,30 @@ def _phase_one(stack: LPStack) -> _Tableau:
     if S > 1 and (counts != n_art).any():
         raise ValueError("stack members need equally many artificial columns")
     basis = np.where(art, n_std - 1 + art.cumsum(axis=1), n + np.arange(m))
-    T = np.zeros((S, m + 1, n_std + n_art + 1))
-    T[:, :m, :n_std] = A0
-    member, row = np.nonzero(art)
-    T[member, row, basis[member, row]] = 1.0
+    W, n_flip = n_std + n_art, n_art - (m - m_ineq)
+    T = np.zeros((S, m + 1, n + n_flip + 1))
+    T[:, :m, :n] = A0
     T[:, :m, -1] = b0
-    start = basis.copy()
-    ended = [None] * S
+    cols = np.empty((S, n + n_flip + 1), dtype=int)
+    cols[:, :n], cols[:, -1] = np.arange(n), W
+    flags = None
+    if flips:
+        flipped = np.nonzero(neg[:, :m_ineq])[1].reshape(S, n_flip)
+        cols[:, n:-1] = n + flipped
+        T[:, :m, n:-1] = np.where(neg[:, :, None], -0.0, 0.0)
+        T[np.arange(S)[:, None], flipped, n + np.arange(n_flip)] = -1.0
+        flags = np.zeros((S, m + W), dtype=bool)
+        flags[:, :m], flags[:, m + n : m + n_std] = neg, ~neg[:, :m_ineq]
+    tab = _Tableau(T, basis, cols, flags, basis.copy(), row_scale, [None] * S)
 
     if n_art:
-        scale = 1.0 + np.maximum(
-            np.abs(b0).max(axis=1, initial=0.0), np.abs(A0).reshape(S, -1).max(axis=1, initial=0.0)
-        )
-        cost1 = np.zeros((S, n_std + n_art))
-        cost1[:, n_std:] = 1.0
-        _price(T, basis, cost1)
-        for k, res in _pivot_loops(T, basis, n_std + n_art, range(S)).items():
+        # the largest entry of the rows, the slacks' unit entries included
+        scale = 1.0 + np.maximum(size.max(axis=1, initial=0.0), min(m_ineq, 1))
+        cost1 = np.zeros((S, W + 1))
+        cost1[:, n_std:W] = 1.0
+        _price(tab.state, cost1)
+        ended = tab.ended
+        for k, res in _pivot_loops(tab.state, W, range(S)).items():
             if res == UNBOUNDED:
                 res = NumericalFailure("phase-1 subproblem reported unbounded")
             if isinstance(res, NumericalFailure):
@@ -511,10 +709,14 @@ def _phase_one(stack: LPStack) -> _Tableau:
         for k in range(S):
             if ended[k] is None and art_level[k] > FEAS_TOL * scale[k]:
                 ended[k] = LPSolution(status=INFEASIBLE)
-        _drive_out_artificials(T, basis, n_std, [k for k in range(S) if ended[k] is None])
+        _drive_out_artificials(tab.state, n_std, [k for k in range(S) if ended[k] is None])
         # the ended never pivot again; zeros keep the stacked steps finite
-        T[[k for k in range(S) if ended[k] is not None]] = 0.0
-    return _Tableau(T, basis, start, row_scale, ended)
+        out = [k for k in range(S) if ended[k] is not None]
+        if out:
+            T[out] = 0.0
+    # every flipped row has pivoted, or was zeroed with the ended members
+    tab.neg = None
+    return tab
 
 
 def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
@@ -530,68 +732,83 @@ def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
     """
     S, m_ineq, n = stack.G.shape
     n_std = n + m_ineq
-    T, basis = tab.T, tab.basis
     out = list(tab.ended)
-    cost = np.zeros((S, T.shape[2] - 1))
+    cost = np.zeros((S, _width(tab.T) + 1))
     cost[:, :n] = costs
-    _price(T, basis, cost)
+    _price(tab.state, cost)
     running = [k for k in range(S) if out[k] is None]
-    for k, res in _pivot_loops(T, basis, n_std, running).items():
+    for k, res in _pivot_loops(tab.state, n_std, running).items():
         if isinstance(res, NumericalFailure):
             out[k] = res
-            T[k] = 0.0  # never pivots again; keeps the stacked steps finite
+            tab.T[k] = 0.0  # never pivots again; keeps the stacked steps finite
         elif res == UNBOUNDED:
             out[k] = LPSolution(status=UNBOUNDED)
     return out
 
 
 def _end_bases(tab: _Tableau) -> tuple:
-    """What ``_solutions`` reads of each member's end basis: the basic
-    columns, their values, the start columns (the basis inverse) listed as
-    rows, and the reduced costs of the start columns."""
-    members = np.arange(tab.T.shape[0])[:, None]
-    return (
-        tab.basis.copy(),
-        tab.T[:, :-1, -1].copy(),
-        tab.T[members, :-1, tab.start],
-        tab.T[members, -1, tab.start],
-    )
+    """What ``_solutions`` reads of each member's end basis, copied."""
+    return tab.T.copy(), tab.basis.copy(), tab.cols.copy()
+
+
+def _start_columns(T, basis, cols, start) -> tuple:
+    """Each member's start columns of the full tableau, the basis inverse,
+    listed as rows, and their reduced costs (0 where basic)."""
+    k = np.arange(len(T))[:, None]
+    slots = np.full((len(T), _width(T) + 1), -1)
+    slots[k, cols] = np.arange(cols.shape[1])
+    slot = slots[k, start]
+    inverse = (start[:, :, None] == basis[:, None, :]).astype(float)
+    kk, ii = np.nonzero(slot >= 0)
+    inverse[kk, ii] = T[kk, :-1, slot[kk, ii]]
+    return inverse, np.where(slot >= 0, T[k, -1, slot], 0.0)
 
 
 def _solutions(stack: LPStack, tab: _Tableau, ends: tuple, out: list) -> list:
     """``out`` with each None entry, a member that ended optimal, replaced by
     its LPSolution or by the NumericalFailure of the KKT self-check.
 
-    ``ends`` is ``_end_bases`` of the members, taken from ``tab``; member
-    ``k`` minimizes ``stack.c[k]`` over its rows in ``stack``, or over the
-    rows of a stack of one shared by all.  The duals, their refinement and
-    the KKT self-check run once over all members.
+    ``ends`` is ``_end_bases`` of the members, taken from ``tab``, or the
+    tableau's own arrays when it pivots no more; member ``k`` minimizes
+    ``stack.c[k]`` over its rows in ``stack``, or over the rows of a stack of
+    one shared by all.  The refinement runs a chunk of members at a time.
     """
-    basis, values, inverse, reduced = ends
-    S, (m_ineq, n) = len(stack.c), stack.G.shape[1:]
+    T, basis, cols = ends
+    S, m = basis.shape
+    m_ineq, n = stack.G.shape[1:]
     n_std = n + m_ineq
-    costs, row_scale, width = stack.c, tab.row_scale, tab.T.shape[2] - 1
+    costs, width = stack.c, _width(T)
+    start, row_scale = tab.start, tab.row_scale
+    if len(start) != S:  # a stack of one's rows, under many costs
+        start, row_scale = start.repeat(S, axis=0), row_scale.repeat(S, axis=0)
     members = np.arange(S)[:, None]
     x = np.zeros((S, width))
-    x[members, basis] = values
+    x[members, basis] = T[:, :-1, -1]
 
-    # The multipliers [lam; mu] come off the reduced-cost row.  Pivots on
-    # small elements leave round-off in T, which a bound reads through the
-    # multipliers, so one refinement step follows: the reduced costs of the
-    # basic columns, recomputed from the rows of the program, should be zero,
-    # and the start columns of T, the basis inverse, map them to the
-    # correction.  ``inverse`` lists each member's start columns as rows;
-    # read transposed, it is laid out as NumPy lays out ``T[k][:-1, start[k]]``
-    # of one member, so it rounds the same.
-    w = reduced * row_scale
-    r = np.zeros((S, width))
-    r[:, :n] = (
-        costs
-        + _mv(stack.G.swapaxes(1, 2), w[:, :m_ineq])
-        + _mv(stack.A.swapaxes(1, 2), w[:, m_ineq:])
-    )
-    r[:, n:n_std] = w[:, :m_ineq] / np.abs(row_scale[:, :m_ineq])
-    w -= _vm(r[members, basis], inverse.swapaxes(1, 2)) * row_scale
+    # The multipliers [lam; mu] come off the reduced costs of the start
+    # columns.  Pivots on small elements leave round-off in T, which a bound
+    # reads through the multipliers, so one refinement step follows: the
+    # reduced costs of the basic columns, recomputed from the rows of the
+    # program, should be zero, and the basis inverse maps them to the
+    # correction.  ``_start_columns`` lists the start columns as rows; read
+    # transposed, it is laid out as NumPy lays out ``T[:-1, start]`` of one
+    # member's full tableau ``T``, so it rounds the same.
+    w = np.empty((S, m))
+    step = _per_chunk(m * (m + T.shape[2]))
+    for lo in range(0, S, step):
+        at = slice(lo, lo + step)
+        inverse, reduced = _start_columns(T[at], basis[at], cols[at], start[at])
+        k, scale = np.arange(len(inverse))[:, None], row_scale[at]
+        G, A = (stack.G, stack.A) if len(stack.G) == 1 else (stack.G[at], stack.A[at])
+        dual = reduced * scale
+        r = np.zeros((k.size, width))
+        r[:, :n] = (
+            costs[at]
+            + _mv(G.swapaxes(1, 2), dual[:, :m_ineq])
+            + _mv(A.swapaxes(1, 2), dual[:, m_ineq:])
+        )
+        r[:, n:n_std] = dual[:, :m_ineq] / np.abs(scale[:, :m_ineq])
+        w[at] = dual - _vm(r[k, basis[at]], inverse.swapaxes(1, 2)) * scale
     sol = LPSolution(
         status=OPTIMAL,
         x=x[:, :n],
@@ -641,14 +858,14 @@ def solve_stack(stack: LPStack) -> list:
     the NumericalFailure that ended it; every member comes out bit for bit
     as it would alone.  The arrays are used as given (no NaN check), and the
     tableau is ``len(stack)`` times one member's, which callers keep within
-    ``STACK_BYTES``.
+    ``STACK_BYTES`` (``stack_members``).
     """
     S, m_ineq, n = stack.G.shape
     tab = _phase_one(stack)
     out = _phase_two(tab, stack, stack.c)
     optimal = [k for k in range(S) if out[k] is None]
-    _activate_degenerate_rows(tab.T, tab.basis, n, n + m_ineq, optimal)
-    return _solutions(stack, tab, _end_bases(tab), out)
+    _activate_degenerate_rows(tab.state, n, n + m_ineq, optimal)
+    return _solutions(stack, tab, tab.state[:3], out)
 
 
 def solve_many(lp: LPProblem, costs) -> list:
@@ -672,7 +889,7 @@ def solve_many(lp: LPProblem, costs) -> list:
     if tab.ended[0] is not None:
         _raised(tab.ended[0])
         return [LPSolution(status=INFEASIBLE) for _ in costs]
-    chunk = stack_members(lp.n_vars, lp.m_ineq, lp.m_eq)
+    chunk = _per_chunk(tab.T[0].size)  # end tableaux kept per chunk
     out = []
     while len(out) < len(costs):
         first, at, ends = len(out), [], []
@@ -705,15 +922,15 @@ def solve(lp: LPProblem) -> LPSolution:
 
 
 def kkt_residuals(lp, sol: LPSolution) -> dict:
-    """Scaled primal/dual feasibility residuals, duality gap, and slackness.
+    """Scaled primal and dual feasibility residuals and duality gap: what
+    the self-check gates on.
 
     Only meaningful for an optimal solution.  With reduced costs
     ``r = c + G^T lam + A^T mu``, the dual is feasible when ``lam >= 0`` and
-    ``r >= 0``, the gap is ``|c.x + lam.h + mu.d|``, and slackness covers
-    both ``lam * (h - G x)`` and ``x * r``.  ``lp`` may be an ``LPStack``
-    with ``sol`` holding one row per member; each value is then an array
-    with one entry per member.  Its rows may be a stack of one, shared by
-    all members.
+    ``r >= 0``, and the gap is ``|c.x + lam.h + mu.d|``.  ``lp`` may be an
+    ``LPStack`` with ``sol`` holding one row per member; each value is then
+    an array with one entry per member.  Its rows may be a stack of one,
+    shared by all members.
     """
     if sol.status != OPTIMAL:
         raise ValueError("kkt_residuals requires an optimal solution")
@@ -727,10 +944,5 @@ def kkt_residuals(lp, sol: LPSolution) -> dict:
     r = lp.c + _mv(lp.G.swapaxes(-1, -2), lam) + _mv(lp.A.swapaxes(-1, -2), mu)
     dual = _top(np.concatenate([-lam, -r], axis=-1))
     gap = np.abs(_dot(lp.c, x) + _dot(lam, lp.h) + _dot(mu, lp.d))
-    comp = _top(np.abs(np.concatenate([lam * slack, x * r], axis=-1)))
-    return {
-        "primal": primal / scale,
-        "dual": dual / scale,
-        "gap": gap / scale,
-        "slackness": comp / scale,
-    }
+    return {"primal": primal / scale, "dual": dual / scale, "gap": gap / scale}
+

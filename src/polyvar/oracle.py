@@ -11,7 +11,9 @@ value of the bounding program; its primal form (one row per class) is built
 from the same class values and coefficients, so it cross-checks the LP and
 its duals rather than the assembly; the phase-1 facet check cross-checks the
 support-value repair.  ``free_lp`` and ``box_lp`` pose free and boxed
-variables in the LP engine's one form for these references and the tests.
+variables in the LP engine's one form for these references and the tests,
+and ``complementary_slackness`` measures the one optimality condition that
+the engine's self-check does not.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 import numpy as np
 
 from .invariance import PolytopeTemplate
-from .lpsolve import OPTIMAL, LPProblem, solve
+from .lpsolve import OPTIMAL, LPProblem, LPSolution, solve
 from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate, evaluate_many
 from .relaxation import ConstraintSet, DegreeZeroConflict, class_constraint_values
 
@@ -159,6 +161,17 @@ def free_lp(c, G=None, h=None, A=None, d=None) -> LPProblem:
         return None if mat is None else np.repeat(np.reshape(mat, (-1, c.size)), 2, axis=1) * sign
 
     return LPProblem(np.repeat(c, 2) * sign, G=split(G), h=h, A=split(A), d=d)
+
+
+def complementary_slackness(lp: LPProblem, sol: LPSolution) -> float:
+    """Largest complementarity product of an optimal solution, scaled as
+    ``kkt_residuals`` scales its residuals: ``lam * (h - G x)`` and
+    ``x * (c + G^T lam + A^T mu)``, both zero at an exact optimum."""
+    x, lam, mu = sol.x, sol.ineq_duals, sol.eq_duals
+    scale = 1.0 + np.abs(np.concatenate([lp.h, lp.d, x, lp.c])).max(initial=0.0)
+    reduced = lp.c + lp.G.T @ lam + lp.A.T @ mu
+    products = np.abs(np.concatenate([lam * (lp.h - lp.G @ x), x * reduced]))
+    return float(products.max(initial=0.0)) / scale
 
 
 def box_lp(c, rect: Rectangle, G=None, h=None, A=None, d=None) -> LPProblem:

@@ -48,22 +48,21 @@ class MultiPoly:
         object.__setattr__(self, "n_vars", int(self.n_vars))
         clean: dict[Exponent, float] = {}
         for exps, coeff in self.terms.items():
-            key = tuple(int(e) for e in exps)
+            key = tuple(map(int, exps))
             if len(key) != self.n_vars:
                 raise ValueError(
                     f"exponent tuple {key} has length {len(key)}, expected "
                     f"{self.n_vars}"
                 )
-            if any(e < 0 for e in key):
+            if min(key) < 0:
                 raise ValueError(f"negative exponent in {key}")
             coeff = float(coeff)
             if not math.isfinite(coeff):
                 raise ValueError(f"coefficient of {key} must be finite, got {coeff}")
             clean[key] = clean.get(key, 0.0) + coeff
         clean = {k: c for k, c in clean.items() if c != 0.0}
-        natural = tuple(
-            max((e[k] for e in clean), default=0) for k in range(self.n_vars)
-        )
+        # one pass over the terms for every variable's largest exponent
+        natural = tuple(map(max, zip(*clean))) if clean else (0,) * self.n_vars
         if self.degrees is None:
             degrees = natural
         else:

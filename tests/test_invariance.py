@@ -367,11 +367,13 @@ class TestStackedVerify:
 
     @pytest.mark.parametrize("m", [64, 200])
     def test_stacked_tableau_within_cap(self, monkeypatch, m):
-        # the largest tableau a pass holds is a stack's; a stack of two or
-        # more members stays within STACK_BYTES, and one member alone may
-        # exceed it only when it cannot be split (m = 200 here)
-        sizes, members = [], []
-        real_phase_one = lpsolve._phase_one
+        # the largest arrays a pass holds are a stack's tableau and the
+        # full-width rows and basis inverses that its pricing and dual
+        # refinement multiply by; each stays within STACK_BYTES while it
+        # spans two or more members, and one member alone may exceed it only
+        # when it cannot be split (the operands at m = 200 here)
+        sizes, members, operands = [], [], []
+        real_phase_one, real_vm = lpsolve._phase_one, lpsolve._vm
 
         def phase_one(stack):
             tab = real_phase_one(stack)
@@ -382,7 +384,12 @@ class TestStackedVerify:
             members.append(len(stack))
             return lpsolve.solve_stack(stack)
 
+        def vm(v, M):
+            operands.append((len(M), M.nbytes))
+            return real_vm(v, M)
+
         monkeypatch.setattr(lpsolve, "_phase_one", phase_one)
+        monkeypatch.setattr(lpsolve, "_vm", vm)
         monkeypatch.setattr(polyvar.relaxation, "solve_stack", solve_stack)
         fld, rect, _, _ = fitzhugh_nagumo()
         tpl = PolytopeTemplate(uniform_normals(m))
@@ -392,10 +399,12 @@ class TestStackedVerify:
         assert sum(members) == m and len(members) > 1
         assert len(sizes) == len(members)
         one = max(size // count for count, size in sizes)
-        for count, size in sizes:
+        for count, size in sizes + operands:
             assert size <= lpsolve.STACK_BYTES or count == 1
         if one <= lpsolve.STACK_BYTES // 2:
             assert max(members) > 1  # small members do share stacks
+        if max(size // count for count, size in operands) <= lpsolve.STACK_BYTES // 2:
+            assert max(count for count, _ in operands) > 1  # and chunks
 
 
 class TestSynthesisLift:

@@ -16,9 +16,10 @@ from polyvar.lpsolve import (
     solve_many,
 )
 from polyvar.invariance import PolytopeTemplate, facet_programs
-from polyvar.oracle import box_lp, free_lp
+from polyvar.oracle import box_lp, complementary_slackness, free_lp
 from polyvar.polynomial import Rectangle
 
+import dense_reference
 from conftest import fitzhugh_nagumo
 
 
@@ -225,7 +226,7 @@ class TestCertificates:
             assert res["primal"] <= 1e-8
             assert res["dual"] <= 1e-8
             assert res["gap"] <= 1e-7
-            assert res["slackness"] <= 1e-6
+            assert complementary_slackness(lp, sol) <= 1e-6
 
     def test_duals_exact_after_a_small_pivot(self):
         # Phase 1 pivots on the 2.1e-5 entry of the equality row, and the
@@ -451,8 +452,8 @@ class TestSolveMany:
         """``(lp, costs)``: 20 costs over a bounded region whose tableau is
         large enough that a chunk of ``solve_many`` holds seven of them."""
         rng = np.random.default_rng(197)
-        lp = LPProblem(np.zeros(60), G=rng.uniform(0.1, 1.0, (40, 60)), h=rng.uniform(1.0, 2.0, 40))
-        assert lpsolve.stack_members(60, 40, 0) == 7
+        lp = LPProblem(np.zeros(60), G=rng.uniform(0.1, 1.0, (75, 60)), h=rng.uniform(1.0, 2.0, 75))
+        assert lpsolve.stack_members(60, 75, 0) == 7
         return lp, rng.normal(size=(20, 60))
 
     def test_chunked_duals_match_one_cost_at_a_time(self, monkeypatch):
@@ -461,7 +462,7 @@ class TestSolveMany:
         lp, costs = self.long_sweep()
         chunked = solve_many(lp, costs)
         monkeypatch.setattr(lpsolve, "STACK_BYTES", 1)
-        assert lpsolve.stack_members(60, 40, 0) == 1
+        assert lpsolve.stack_members(60, 75, 0) == 1
         for sol, one in zip(chunked, solve_many(lp, costs), strict=True):
             assert sol.status == one.status == OPTIMAL
             for field in ("x", "ineq_duals", "eq_duals"):
@@ -696,38 +697,98 @@ class TestSolveStack:
 
 
 class TestLockstepPivots:
-    """The batched rank-1 updates, against ``_pivot`` on each member alone."""
+    """The batched Jordan exchanges, against ``_pivot`` on each member alone,
+    and ``_pivot`` against the full tableau's rank-1 update."""
 
     @staticmethod
-    def tableaux(rng):
-        """Six 5 x 8 tableaux with signed zeros, infinities and NaN about."""
-        T = rng.normal(size=(6, 5, 8))
+    def tableaux(rng, special=True, negative_zeros=True):
+        """Six condensed tableaux of 4 rows over 8 columns, with signed zeros
+        and, if ``special``, infinities and NaN about: the state
+        ``(T, basis, cols, neg)`` of a stack.  Row ``i``'s basic column is
+        ``basis[:, i]``; with ``negative_zeros``, some rows hold ``-0.0`` in
+        some basic columns other than their own."""
+        members = np.arange(6)[:, None]
+        order = np.argsort(rng.random((6, 8)), axis=1)
+        basis, cols = order[:, :4], np.hstack([order[:, 4:], np.full((6, 1), 8)])
+        T = rng.normal(size=(6, 5, 5))
         T[rng.random(T.shape) < 0.2] = 0.0
         T[rng.random(T.shape) < 0.2] = -0.0
-        T[0, 1, 2], T[3, 4, 1], T[5, 0, 0] = np.inf, -np.inf, np.nan
-        return T, np.tile(np.arange(4), (6, 1))
+        if special:
+            T[0, 1, 2], T[3, 3, 1], T[5, 0, 0] = np.inf, -np.inf, np.nan
+        neg = None
+        if negative_zeros:  # rows 0-1 hold -0.0 in the basic columns of rows 2-3
+            neg = np.zeros((6, 4 + 8), dtype=bool)
+            neg[:, :2] = rng.random((6, 2)) < 0.7
+            neg[members, 4 + basis[:, 2:]] = rng.random((6, 2)) < 0.7
+        return T, basis, cols, neg
+
+    @staticmethod
+    def copy(st):
+        return tuple(None if a is None else a.copy() for a in st)
+
+    @staticmethod
+    def assert_same(st, ref):
+        for a, b in zip(st, ref):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_pivot_all_is_pivot_per_member(self):
         rng = np.random.default_rng(19)
-        for _ in range(20):
-            T, basis = self.tableaux(rng)
-            rows, cols = rng.integers(0, 4, 6), rng.integers(0, 7, 6)
-            ref, ref_basis = T.copy(), basis.copy()
+        for negative_zeros in [False] * 20 + [True] * 20:
+            st = self.tableaux(rng, negative_zeros=negative_zeros)
+            rows, slots = rng.integers(0, 4, 6), rng.integers(0, 4, 6)
+            ref = self.copy(st)
             with np.errstate(all="ignore"):  # zero pivots and inf - inf
                 for k in range(6):
-                    lpsolve._pivot(ref[k], ref_basis[k], rows[k], cols[k])
-                lpsolve._pivot_all(T, basis, rows, cols)
-            assert T.tobytes() == ref.tobytes() and np.array_equal(basis, ref_basis)
+                    lpsolve._pivot(lpsolve._part(ref, k), rows[k], slots[k])
+                lpsolve._pivot_all(st, rows, slots)
+            self.assert_same(st, ref)
 
     def test_pivot_some_leaves_the_others_bit_for_bit(self):
         rng = np.random.default_rng(23)
-        for _ in range(20):
-            T, basis = self.tableaux(rng)
+        for negative_zeros in [False] * 20 + [True] * 20:
+            st = self.tableaux(rng, negative_zeros=negative_zeros)
             go = rng.random(6) < 0.5
-            rows, cols = rng.integers(0, 4, 6), rng.integers(0, 7, 6)
-            ref, ref_basis = T.copy(), basis.copy()
+            rows, slots = rng.integers(0, 4, 6), rng.integers(0, 4, 6)
+            ref = self.copy(st)
             with np.errstate(all="ignore"):  # zero pivots and inf - inf
                 for k in np.flatnonzero(go):
-                    lpsolve._pivot(ref[k], ref_basis[k], rows[k], cols[k])
-                lpsolve._pivot_some(T, basis, go, rows, cols)
-            assert T.tobytes() == ref.tobytes() and np.array_equal(basis, ref_basis)
+                    lpsolve._pivot(lpsolve._part(ref, k), rows[k], slots[k])
+                lpsolve._pivot_some(st, go, rows, slots)
+            self.assert_same(st, ref)
+
+    @pytest.mark.parametrize("negative_zeros", [False, True])
+    def test_pivot_is_the_full_tableau_pivot(self, negative_zeros):
+        # on finite entries and a nonzero pivot, every stored entry, -0.0
+        # included, is the full tableau's after the same pivot, and so is
+        # every reduced cost but the basic columns' zeros, which may differ
+        # in sign; the entering column becomes a unit vector there
+        rng = np.random.default_rng(31)
+        members = np.arange(6)
+        for _ in range(200):
+            T, basis, cols, neg = st = self.tableaux(rng, False, negative_zeros)
+            rows, slots = rng.integers(0, 4, 6), rng.integers(0, 4, 6)
+            T[members, rows, slots] = rng.choice([-1.0, 1.0], 6) * rng.uniform(1e-3, 2.0, 6)
+            enter = cols[members, slots]
+            full = self.full(st)
+            lpsolve._pivot_all(st, rows, slots)
+            for k in members:
+                dense_reference._pivot(full[k], basis[k].copy(), rows[k], enter[k], {"x": 0}, "x")
+            ours = self.full(st)
+            basic = np.zeros(ours.shape, dtype=bool)
+            basic[members[:, None], -1, basis] = True
+            assert ours[~basic].tobytes() == full[~basic].tobytes()
+            assert (full[basic] == 0.0).all() and (ours[basic] == 0.0).all()
+
+    @staticmethod
+    def full(st):
+        """The full tableaux of the state ``st``: the stored columns
+        scattered, the basic columns unit vectors with -0.0 where ``neg``
+        marks them and a reduced cost of +0.0."""
+        T, basis, cols, neg = st
+        members = np.arange(len(T))[:, None]
+        full = np.zeros((len(T), 5, 9))
+        full[members, :, cols] = T.swapaxes(1, 2)
+        full[members, np.arange(4), basis] = 1.0
+        if neg is not None:
+            full[:, :-1, :-1][neg[:, :4, None] & neg[:, None, 4:]] = -0.0
+        return full

@@ -3,7 +3,8 @@
 Every problem file goes through ``polyvar bound``.  Every model
 goes through ``polyvar verify`` (its own template, when that has offsets)
 and ``polyvar synthesize``; a 2-D model is also synthesized with
-``--template uniform:3`` to ``uniform:8``.  Each polytope that a synthesis
+``--template uniform:3`` to ``uniform:8``, ``uniform:32`` and ``uniform:64``
+(the many-facet programs, with far more rows than vertex classes).  Each polytope that a synthesis
 writes is verified again with ``polyvar verify --polytope``.  Reports are
 hashed with ``wall_time_s`` removed, so two checkouts that compute the same
 results print the same lines:
@@ -46,7 +47,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from polyvar.cli import main  # noqa: E402
 
-UNIFORM = [f"uniform:{m}" for m in range(3, 9)]
+UNIFORM = [f"uniform:{m}" for m in (*range(3, 9), 32, 64)]
 
 
 def _digest(path: Path) -> str:
