@@ -2,12 +2,17 @@
 
 The public surface mirrors the module layout:
 
-- ``polynomial``: sparse polynomials, polar forms, Bernstein coefficients
+- ``polynomial``: sparse polynomials and their Bernstein coefficients
 - ``lpsolve``: two-phase simplex on a condensed tableau, with dual extraction
-- ``relaxation``: the certified lower-bound programs and sensitivity bounds
+- ``relaxation``: the certified lower-bound programs and their multipliers
 - ``invariance``: per-facet invariance verification and offset synthesis
-- ``oracle``: brute-force grid / vertex references for testing and diagnostics
+- ``oracle``: naive references for the tests (grid and vertex minima, the
+  Bernstein reconstruction, the sensitivity prediction, scalar LP assembly)
 - ``cli``: the ``polyvar`` command-line front end
+
+The package exports what the command-line paths use.  The cross-checks live
+in ``oracle`` and the tests, and only ``cli`` imports ``oracle``, for the
+grid minimum of ``bound --oracle``: import ``polyvar.oracle`` to use them.
 """
 
 from .invariance import (
@@ -36,14 +41,7 @@ from .lpsolve import (
     solve,
     solve_many,
 )
-from .oracle import NoFeasibleSample, NotMultiAffine, grid_min, vertex_min
-from .polynomial import (
-    BernsteinTensor,
-    MultiPoly,
-    Rectangle,
-    bernstein_coefficients,
-    evaluate,
-)
+from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate
 from .relaxation import (
     BoundResult,
     ConstraintSet,
@@ -51,7 +49,6 @@ from .relaxation import (
     InfeasiblePolytope,
     build_reduced_lp,
     lower_bound,
-    sensitivity_bound,
 )
 
 __version__ = "0.1.0"

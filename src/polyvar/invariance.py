@@ -29,7 +29,7 @@ from .lpsolve import (
     solve_many,
     stack_members,
 )
-from .polynomial import Rectangle, bernstein_coefficients, check_lift, evaluate, evaluate_many
+from .polynomial import Rectangle, bernstein_coefficients, check_lift
 from .relaxation import (
     InfeasiblePolytope,
     bounding_programs,
@@ -72,12 +72,6 @@ class VectorField:
         return tuple(
             max(f.degrees[k] for f in self.components) for k in range(self.n)
         )
-
-    def eval(self, x) -> np.ndarray:
-        return np.array([evaluate(f, x) for f in self.components])
-
-    def eval_many(self, points) -> np.ndarray:
-        return np.column_stack([evaluate_many(f, points) for f in self.components])
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +116,6 @@ class PolytopeTemplate:
         """Per-facet support values of the rectangle: ``max_{x in rect} a_k . x``."""
         return np.where(self.normals > 0, self.normals * rect.upper, self.normals * rect.lower).sum(axis=1)
 
-    def contains(self, points, tol: float = 0.0) -> np.ndarray:
-        """Boolean mask of which rows of ``points`` satisfy every inequality."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all(pts @ self.normals.T <= self.offsets + tol, axis=1)
-
 
 @dataclass(eq=False)
 class VerificationReport:
@@ -150,11 +139,6 @@ class VerificationReport:
     @property
     def invariant(self) -> bool:
         return self.complete and bool(np.all(self.d_star >= 0.0))
-
-    @property
-    def min_bound(self) -> float:
-        ok = self.facet_feasible & ~np.isnan(self.d_star)
-        return float(self.d_star[ok].min()) if ok.any() else float("nan")
 
 
 @dataclass(eq=False)
@@ -275,14 +259,16 @@ def facet_lift(fld: VectorField, rect: Rectangle, normals) -> FacetLift:
     padded = [f.pad_degrees(degrees) for f in fld.components]
     bern = np.stack(
         [
-            bernstein_coefficients(f, rect, f"vector field component {j}").values.ravel()
+            bernstein_coefficients(f, rect, f"vector field component {j}").ravel()
             for j, f in enumerate(padded)
         ]
     )
-    costs = -np.matmul(normals[:, None, :], bern)[:, 0]
-    if np.isnan(costs).any():
-        raise ValueError("NaN in problem data")
-    # the values at right-hand side 0 are the products, bit for bit
+    with np.errstate(over="ignore", invalid="ignore"):
+        costs = -np.matmul(normals[:, None, :], bern)[:, 0]
+    if not np.isfinite(costs).all():
+        raise ValueError("vector field: facet costs overflow the float range")
+    # the values at right-hand side 0 are the products, bit for bit; one
+    # beyond the float range is refused with the pass's values
     return FacetLift(costs, class_constraint_values(degrees, rect, normals, 0.0))
 
 
@@ -306,9 +292,12 @@ def facet_programs(
         raise ValueError("template needs offsets to verify")
     if lift is None:
         lift = facet_lift(fld, rect, tpl.normals)
-    values = lift.products - tpl.offsets
-    if np.isnan(values).any():
-        raise ValueError("NaN in problem data")
+    with np.errstate(over="ignore"):
+        values = lift.products - tpl.offsets
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "vector field: facet values at the class points overflow the float range"
+        )
     m, K = tpl.m, values.shape[0]
     # others[k]: every facet but k, in order
     others = np.arange(1, m) - (np.arange(1, m) <= np.arange(m)[:, None])

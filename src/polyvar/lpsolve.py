@@ -19,11 +19,12 @@ side only, and a pivot is a Jordan exchange, the leaving column taking the
 entering column's slot.  A program with far more rows than columns, such as
 a facet program of a template with many facets, updates a few columns per
 pivot instead of all.  Every entry takes the full tableau's float
-operations and equals its entry bit for bit (see ``_Tableau``), and a step
-that reads a whole row reads it at full width: ``np.matmul`` rounds a
-column subset of ``v @ M`` differently from the full product, so pricing
-and the dual refinement multiply by full-width operands, and every pivot
-choice breaks ties by column index.
+operations and equals its entry, up to the sign of a zero that a basic
+column held (see ``_Tableau``), and a step that reads a whole row reads it
+at full width: ``np.matmul`` rounds a column subset of ``v @ M``
+differently from the full product, so pricing and the dual refinement
+multiply by full-width operands, and every pivot choice breaks ties by
+column index.
 
 The programs whose duals are read (``solve_stack``, hence ``solve``) get
 one more pass: among the optimal duals, an active inequality row gets a
@@ -83,7 +84,8 @@ class LPProblem:
     The one form every program is posed in: a free variable is the
     difference of two adjacent nonnegative columns, and a boxed one is
     shifted to its lower bound with its upper bound as a row of ``G``.
-    Either row block may be omitted.
+    Either row block may be omitted.  Every entry must be finite: a NaN or
+    an infinity raises ValueError.
     """
 
     c: np.ndarray
@@ -102,8 +104,8 @@ class LPProblem:
         if G.shape[0] != h.size or A.shape[0] != d.size:
             raise ValueError("constraint matrix and right-hand side sizes disagree")
         for arr in (c, G, h, A, d):
-            if arr.size and np.isnan(arr).any():
-                raise ValueError("NaN in problem data")
+            if not np.isfinite(arr).all():
+                raise ValueError("non-finite value (NaN or inf) in problem data")
         self.c, self.G, self.h, self.A, self.d = c, G, h, A, d
 
     @property
@@ -179,22 +181,21 @@ def _per_chunk(cells: int) -> int:
     return max(1, STACK_BYTES // (8 * max(1, cells)))
 
 
-# A tableau's state is the tuple ``(T, basis, cols, neg)`` of one member
+# A tableau's state is the tuple ``(T, basis, cols)`` of one member
 # (2-D ``T``) or of a stack (3-D ``T``); see ``_Tableau``.
 
 
 def _part(st, members) -> tuple:
     """The state of ``members`` of a stacked state: views for one member
     or a slice, copies for an index array or mask."""
-    T, basis, cols, neg = st
-    return T[members], basis[members], cols[members], neg if neg is None else neg[members]
+    T, basis, cols = st
+    return T[members], basis[members], cols[members]
 
 
 def _put(st, members, part) -> None:
     """Write ``part``, taken with ``_part(st, members)``, back into ``st``."""
     for a, b in zip(st, part):
-        if a is not None:
-            a[members] = b
+        a[members] = b
 
 
 def _slot_of(cols, var):
@@ -218,41 +219,22 @@ def _pivot(st, row, slot):
     reduced cost, so it comes out as ``0.0 - f * (1.0 / p)``, ``1.0 / p`` at
     the pivot row.
     """
-    T, basis, cols, neg = st
+    T, basis, cols = st
     factor = T[:, slot].copy()
     p = factor[row]
     factor[row] = 0.0
     T[:, slot] = 0.0
     T[row, slot] = 1.0
-    if neg is not None:
-        _pivot_negative_zeros(st, row, slot, factor, p)
     T[row] /= p
     T -= factor[:, None] * T[row]
     cols[slot], basis[row] = basis[row], cols[slot]
-
-
-def _pivot_negative_zeros(st, row, slot, factor, p):
-    """``_pivot``'s steps on the ``-0.0`` entries of basic columns
-    (``_Tableau.neg``): the leaving column keeps its own, ``-0.0 - f * z``
-    for the pivot row's zero ``z`` stays ``-0.0`` only where ``f * z`` is
-    ``+0.0``, the same over a row, and the pivot row loses its own."""
-    T, basis, _, neg = st
-    rows, live = neg[: basis.size], neg[basis.size :]
-    if not rows.any():  # none left
-        return
-    leave = basis[row]
-    if live[leave]:
-        T[:-1][rows, slot] = -0.0
-        live[leave] = False
-    rows &= np.signbit(factor[:-1]) == (rows[row] ^ np.signbit(p))
-    rows[row] = False
 
 
 def _pivot_all(st, rows, slots):
     """``_pivot`` on every member of the stacked state ``st`` at once,
     member ``k`` on ``(rows[k], slots[k])``, with the same elementwise
     steps."""
-    T, basis, cols, neg = st
+    T, basis, cols = st
     k = np.arange(T.shape[0])
     factor = T[k, :, slots]
     p = factor[k, rows]
@@ -261,9 +243,6 @@ def _pivot_all(st, rows, slots):
     prow[k, slots] = 1.0
     prow /= p[:, None]
     T[k, :, slots] = 0.0
-    if neg is not None:
-        for i in k:
-            _pivot_negative_zeros(_part(st, i), rows[i], slots[i], factor[i], p[i])
     T[k, rows] = prow
     T -= factor[:, :, None] * prow[:, None, :]
     cols[k, slots], basis[k, rows] = basis[k, rows], cols[k, slots]
@@ -292,7 +271,7 @@ def _price(st, cost):
     one more entry, 0, for the right-hand side, at its basis.  The product
     runs over the constraint rows at full width, as the full tableau's does,
     its basic columns left zero since only the stored ones are read off."""
-    T, basis, cols = st[:3]
+    T, basis, cols = st
     S, m = basis.shape
     width = _width(T) + 1
     step = _per_chunk(m * width)
@@ -359,7 +338,7 @@ def _pivot_loop(st, n_enter, degenerate=0, step=0):
     ratio, ties going to the row whose basic column comes first; its pivot
     element exceeds ``PIVOT_TOL`` by choice.
     """
-    T, basis, cols, _ = st
+    T, basis, cols = st
     size = T.shape[0] - 1 + _width(T)  # constraint rows plus columns
     r, stored, allowed = T[-1, :-1], cols[:-1], _allowed(T, cols, n_enter)
     for _ in range(step, _pivot_limit(T)):
@@ -410,7 +389,7 @@ def _pivot_loops(st, n_enter, members) -> dict:
     step, limit = 0, _pivot_limit(st[0])
     allowed = _allowed(run[0], run[2], n_enter)
     while members.size > 1 and step < limit:
-        T, B, cols = run[:3]
+        T, B, cols = run
         k = np.arange(members.size)
         r, stored = T[:, -1, :-1], cols[:, :-1]
         values = r if allowed is None else np.where(allowed, r, np.inf)
@@ -493,7 +472,7 @@ def _activate_degenerate_rows(st, first_slack, n_enter, members):
     """
     if len(members) == 1:
         return _activate_rows_of(_part(st, members[0]), first_slack, n_enter)
-    T, basis, cols, _ = st
+    T, basis, cols = st
     k = np.arange(T.shape[0])
     rows = (basis >= first_slack) & (basis < n_enter) & (np.abs(T[:, :-1, -1]) <= 1e-12)
     for at, row in _row_steps(rows, basis, members):
@@ -512,7 +491,7 @@ def _activate_degenerate_rows(st, first_slack, n_enter, members):
 
 def _activate_rows_of(st, first_slack, n_enter):
     """``_activate_degenerate_rows`` on one member's tableau ``st``."""
-    T, basis, cols, _ = st
+    T, basis, cols = st
     slack = (basis >= first_slack) & (basis < n_enter)
     rows = (slack & (np.abs(T[:-1, -1]) <= 1e-12)).nonzero()[0]
     for row in rows[basis[rows].argsort()]:
@@ -537,7 +516,7 @@ def _drive_out_artificials(st, n_std, members):
     """
     if len(members) == 1:
         return _drive_out_of(_part(st, members[0]), n_std)
-    T, basis, cols, neg = st
+    T, basis, cols = st
     k = np.arange(T.shape[0])
     # a pivot on row i changes only basis[i], so the rows to visit are known
     for at, row in _row_steps(basis >= n_std, np.arange(basis.shape[1]), members):
@@ -548,13 +527,11 @@ def _drive_out_artificials(st, n_std, members):
             _pivot_some(st, go, row, _slot_of(cols, j))
         done = k[at & ~go]
         T[done, row[done]] = np.where(cols[done] < n_std, 0.0, T[done, row[done]])
-        if neg is not None:
-            neg[done, row[done]] = False  # its flag among the rows
 
 
 def _drive_out_of(st, n_std):
     """``_drive_out_artificials`` on one member's tableau ``st``."""
-    T, basis, cols, neg = st
+    T, basis, cols = st
     for i in (basis >= n_std).nonzero()[0]:
         row = np.zeros(_width(T) + 1)
         row[cols] = np.abs(T[i])
@@ -563,8 +540,6 @@ def _drive_out_of(st, n_std):
             _pivot(st, i, int(_slot_of(cols, j)))
         else:
             T[i, cols < n_std] = 0.0
-            if neg is not None:
-                neg[i] = False  # its flag among the rows
 
 
 def _mv(M, v):
@@ -608,32 +583,28 @@ class _Tableau:
     member ``k`` has a feasible basis, else its outcome: an infeasible
     LPSolution or the NumericalFailure that ended phase 1.
 
-    A basic column's reduced cost, a zero, is not kept.  The full tableau
-    has ``-0.0`` where a basic column costs ``-0.0``, but no step reads it:
-    a start column costs ``+0.0`` and keeps a ``+0.0`` reduced cost while
-    basic, a leaving column's takes ``r - f * (1.0 / p)`` with ``f`` nonzero
-    or, in phase 1 (costs 0 and 1), ``r`` a ``+0.0``, and the entering
-    choices pass over zeros.
-
-    Only in phase 1 may a basic column hold a ``-0.0``: a row flipped for its
-    negative right-hand side holds one in the slack columns of the unflipped
-    rows, until it pivots or they leave the basis.  Row ``q`` holds ``-0.0``
-    in basic column ``j`` exactly when ``neg[k, q]`` and ``neg[k, m + j]``
-    are both set, since a pivot keeps or clears a row's zeros together.
-    ``neg`` is None once phase 1 is over.
+    A basic column is not stored: off its own row it is taken as ``+0.0``,
+    with a reduced cost of ``+0.0``, and a leaving column comes out of that
+    (see ``_pivot``).  The full tableau can hold a ``-0.0`` there instead: in
+    phase 1, a row flipped for its negative right-hand side holds one in the
+    slack columns of the unflipped rows.  Such an entry differs from the full
+    tableau's only in the sign of a zero, and no pivot choice reads that
+    sign: the entering, leaving, degenerate-row and drive-out choices compare
+    entries with tolerances.  So every pivot is the full tableau's, and the
+    results equal its results bit for bit on every program that
+    ``tests/test_condensed.py`` compares with the dense engine.
     """
 
     T: np.ndarray
     basis: np.ndarray
     cols: np.ndarray
-    neg: np.ndarray
     start: np.ndarray
     row_scale: np.ndarray
     ended: list
 
     @property
     def state(self) -> tuple:
-        return self.T, self.basis, self.cols, self.neg
+        return self.T, self.basis, self.cols
 
 
 def _phase_one(stack: LPStack) -> _Tableau:
@@ -659,18 +630,18 @@ def _phase_one(stack: LPStack) -> _Tableau:
         b0 *= row_scale
         size = np.maximum(np.abs(A0).max(axis=2, initial=0.0), np.abs(b0))
 
-    neg = b0 < 0
-    flips = neg.any()
+    flip = b0 < 0
+    flips = flip.any()
     if flips:
-        A0[neg] *= -1.0
-        b0[neg] *= -1.0
-        row_scale[neg] *= -1.0
+        A0[flip] *= -1.0
+        b0[flip] *= -1.0
+        row_scale[flip] *= -1.0
 
     # Initial basis: unflipped slacks; artificial columns everywhere else,
     # numbered in row order.  The members share the tableau's shape, so they
     # need equally many.  Stored are the structural columns and the flipped
     # rows' slacks: -1 in their own row, -0.0 in the other flipped rows.
-    art = neg.copy()
+    art = flip.copy()
     art[:, m_ineq:] = True
     counts = art.sum(axis=1)
     n_art = int(counts[0])
@@ -683,15 +654,12 @@ def _phase_one(stack: LPStack) -> _Tableau:
     T[:, :m, -1] = b0
     cols = np.empty((S, n + n_flip + 1), dtype=int)
     cols[:, :n], cols[:, -1] = np.arange(n), W
-    flags = None
     if flips:
-        flipped = np.nonzero(neg[:, :m_ineq])[1].reshape(S, n_flip)
+        flipped = np.nonzero(flip[:, :m_ineq])[1].reshape(S, n_flip)
         cols[:, n:-1] = n + flipped
-        T[:, :m, n:-1] = np.where(neg[:, :, None], -0.0, 0.0)
+        T[:, :m, n:-1] = np.where(flip[:, :, None], -0.0, 0.0)
         T[np.arange(S)[:, None], flipped, n + np.arange(n_flip)] = -1.0
-        flags = np.zeros((S, m + W), dtype=bool)
-        flags[:, :m], flags[:, m + n : m + n_std] = neg, ~neg[:, :m_ineq]
-    tab = _Tableau(T, basis, cols, flags, basis.copy(), row_scale, [None] * S)
+    tab = _Tableau(T, basis, cols, basis.copy(), row_scale, [None] * S)
 
     if n_art:
         # the largest entry of the rows, the slacks' unit entries included
@@ -714,8 +682,6 @@ def _phase_one(stack: LPStack) -> _Tableau:
         out = [k for k in range(S) if ended[k] is not None]
         if out:
             T[out] = 0.0
-    # every flipped row has pivoted, or was zeroed with the ended members
-    tab.neg = None
     return tab
 
 
@@ -865,7 +831,7 @@ def solve_stack(stack: LPStack) -> list:
     out = _phase_two(tab, stack, stack.c)
     optimal = [k for k in range(S) if out[k] is None]
     _activate_degenerate_rows(tab.state, n, n + m_ineq, optimal)
-    return _solutions(stack, tab, tab.state[:3], out)
+    return _solutions(stack, tab, tab.state, out)
 
 
 def solve_many(lp: LPProblem, costs) -> list:
@@ -882,8 +848,8 @@ def solve_many(lp: LPProblem, costs) -> list:
     NumericalFailure and ends the sweep.  Deterministic for a fixed input.
     """
     costs = np.asarray(costs, dtype=float).reshape(-1, lp.n_vars)
-    if np.isnan(costs).any():
-        raise ValueError("NaN in problem data")
+    if not np.isfinite(costs).all():
+        raise ValueError("non-finite value (NaN or inf) in problem data")
     one = LPStack.of(lp)
     tab = _phase_one(one)
     if tab.ended[0] is not None:

@@ -5,12 +5,14 @@ between them (bound <= true minimum <= sampled minimum), so they must share no
 code path with the bounding programs.  The class enumeration, the per-class
 lifted constraint value and the phase-1 region check are the scalar
 definitions that the vectorized bounding program is compared against; the
-polar form and the term-by-term rescale to the unit box cross-check the
-Bernstein coefficients; the full lifted-vertex program cross-checks the
-value of the bounding program; its primal form (one row per class) is built
-from the same class values and coefficients, so it cross-checks the LP and
-its duals rather than the assembly; the phase-1 facet check cross-checks the
-support-value repair.  ``free_lp`` and ``box_lp`` pose free and boxed
+polar form, the term-by-term rescale to the unit box and the reconstruction
+of values from the Bernstein basis cross-check the Bernstein coefficients;
+``sensitivity_bound``, the first-order prediction of a bound after its
+offsets move, is checked against re-solved bounds; the full lifted-vertex
+program cross-checks the value of the bounding program; its primal form
+(one row per class) is built from the same class values and coefficients,
+so it cross-checks the LP and its duals rather than the assembly; the
+phase-1 facet check cross-checks the support-value repair.  ``free_lp`` and ``box_lp`` pose free and boxed
 variables in the LP engine's one form for these references and the tests,
 and ``complementary_slackness`` measures the one optimality condition that
 the engine's self-check does not.
@@ -26,7 +28,7 @@ import numpy as np
 from .invariance import PolytopeTemplate
 from .lpsolve import OPTIMAL, LPProblem, LPSolution, solve
 from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate, evaluate_many
-from .relaxation import ConstraintSet, DegreeZeroConflict, class_constraint_values
+from .relaxation import BoundResult, ConstraintSet, DegreeZeroConflict, class_constraint_values
 
 VERTEX_ENUM_MAX_VARS = 24
 GRID_MAX_POINTS = 10**7
@@ -105,7 +107,7 @@ def vertex_min(p: MultiPoly, rect: Rectangle) -> tuple[float, np.ndarray]:
     """
     if rect.n != p.n_vars:
         raise ValueError("dimension mismatch")
-    if not p.is_multi_affine():
+    if any(d > 1 for d in p.degrees):
         raise NotMultiAffine(f"degrees {p.degrees} exceed 1")
     if p.n_vars > VERTEX_ENUM_MAX_VARS:
         raise ValueError(f"vertex enumeration guarded at n <= {VERTEX_ENUM_MAX_VARS}")
@@ -220,6 +222,46 @@ def to_unit_box(p: MultiPoly, rect: Rectangle) -> MultiPoly:
     return MultiPoly(p.n_vars, out, degrees=p.degrees)
 
 
+def bernstein_basis(degree: int, y: float) -> np.ndarray:
+    """Values of the degree-``degree`` Bernstein basis polynomials at ``y``."""
+    ls = np.arange(degree + 1)
+    binom = np.array([math.comb(degree, int(l)) for l in ls], dtype=float)
+    return binom * y**ls * (1.0 - y) ** (degree - ls)
+
+
+def bernstein_evaluate(coeffs: np.ndarray, rect: Rectangle, x) -> float:
+    """The polynomial value at ``x`` reconstructed from its Bernstein
+    coefficients ``coeffs`` over ``rect`` (``bernstein_coefficients``)."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.size != rect.n or coeffs.ndim != rect.n:
+        raise ValueError("point dimension mismatch")
+    y = (x - rect.lower) / rect.width
+    acc = coeffs
+    for k, size in enumerate(coeffs.shape):
+        acc = np.tensordot(bernstein_basis(size - 1, y[k]), acc, axes=(0, 0))
+    return float(acc)
+
+
+def sensitivity_bound(res: BoundResult, alpha, beta=None) -> float:
+    """Lower bound on the bound after offsets move by ``alpha`` (and ``beta``).
+
+    Valid whenever the perturbed region stays feasible; exact when no
+    perturbed row carries a multiplier.
+    """
+    alpha = np.asarray(alpha, dtype=float).reshape(-1)
+    if alpha.size != res.lam.size:
+        raise ValueError("alpha length must match the number of inequalities")
+    shift = float(res.lam @ alpha)
+    if beta is not None:
+        beta = np.asarray(beta, dtype=float).reshape(-1)
+        if beta.size != res.mu.size:
+            raise ValueError("beta length must match the number of equalities")
+        shift += float(res.mu @ beta)
+    elif res.mu.size:
+        raise ValueError("beta required when equalities are present")
+    return res.d_star - shift
+
+
 def blossom_eval(p: MultiPoly, z) -> float:
     """Polar form of ``p`` at ``z``.
 
@@ -265,15 +307,15 @@ def build_primal_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProbl
     """
     g = class_constraint_values(p.degrees, rect, cs.a, cs.b)
     h = class_constraint_values(p.degrees, rect, cs.c, cs.d)
-    tensor = bernstein_coefficients(p, rect)
-    n_cls = tensor.values.size
+    bern = bernstein_coefficients(p, rect).reshape(-1)
+    n_cls = bern.size
     m_i, m_j = cs.m_ineq, cs.m_eq
     rows = np.zeros((n_cls + m_i, 1 + m_i + m_j))
     rows[:n_cls, 0] = 1.0
     rows[:n_cls, 1 : 1 + m_i] = -g
     rows[:n_cls, 1 + m_i :] = -h
     rows[n_cls:, 1 : 1 + m_i] = -np.eye(m_i)
-    rhs = np.concatenate([tensor.values.reshape(-1), np.zeros(m_i)])
+    rhs = np.concatenate([bern, np.zeros(m_i)])
     obj = np.zeros(1 + m_i + m_j)
     obj[0] = -1.0
     return free_lp(obj, G=rows, h=rhs)

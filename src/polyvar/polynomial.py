@@ -22,7 +22,7 @@ import numpy as np
 Exponent = tuple[int, ...]
 
 # Largest lift accepted: the per-axis degree, and the class count
-# prod(d_i + 1), which sizes every lift array (the Bernstein tensor, the
+# prod(d_i + 1), which sizes every lift array (the Bernstein coefficients, the
 # class constraint values and the bounding program's columns).
 LIFT_MAX_DEGREE = 100
 LIFT_MAX_CLASSES = 10**5
@@ -76,20 +76,6 @@ class MultiPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "degrees", degrees)
 
-    @classmethod
-    def zero(cls, n_vars: int) -> "MultiPoly":
-        return cls(n_vars, {})
-
-    @classmethod
-    def constant(cls, n_vars: int, value: float) -> "MultiPoly":
-        return cls(n_vars, {(0,) * n_vars: value})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_multi_affine(self) -> bool:
-        return all(d <= 1 for d in self.degrees)
-
     def pad_degrees(self, degrees) -> "MultiPoly":
         """Return the same polynomial with degrees raised to at least ``degrees``."""
         padded = tuple(max(d, int(g)) for d, g in zip(self.degrees, degrees))
@@ -127,53 +113,6 @@ class Rectangle:
     def width(self) -> np.ndarray:
         return self.upper - self.lower
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
-
-@dataclass(frozen=True, eq=False)
-class BernsteinTensor:
-    """Polar-form values on vertex classes = Bernstein coordinates over a box.
-
-    ``values[l1, ..., ln]`` is the polar form evaluated at the class with
-    ``l_k`` arguments at ``upper_k`` and ``degrees_k - l_k`` at ``lower_k``.
-    """
-
-    rectangle: Rectangle
-    degrees: tuple
-    values: np.ndarray
-
-    def __post_init__(self):
-        degrees = tuple(int(d) for d in self.degrees)
-        vals = np.asarray(self.values, dtype=float)
-        shape = tuple(d + 1 for d in degrees)
-        if vals.shape != shape:
-            raise ValueError(f"values shape {vals.shape} != expected {shape}")
-        if len(degrees) != self.rectangle.n:
-            raise ValueError("degree vector length must match rectangle dimension")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "values", vals)
-
-    def value(self, class_index) -> float:
-        return float(self.values[tuple(int(i) for i in class_index)])
-
-    def min(self) -> float:
-        return float(self.values.min())
-
-    def evaluate(self, x) -> float:
-        """Reconstruct the polynomial value at ``x`` from the Bernstein expansion."""
-        x = np.asarray(x, dtype=float)
-        if x.size != self.rectangle.n:
-            raise ValueError("point dimension mismatch")
-        y = (x - self.rectangle.lower) / self.rectangle.width
-        acc = self.values
-        for k, d in enumerate(self.degrees):
-            acc = np.tensordot(bernstein_basis(d, y[k]), acc, axes=(0, 0))
-        return float(acc)
-
 
 def check_lift(degrees, name: str) -> None:
     """Refuse lift degrees above ``LIFT_MAX_DEGREE`` on an axis, or with more
@@ -189,13 +128,6 @@ def check_lift(degrees, name: str) -> None:
             f"{name}: lift degrees {tuple(degrees)} give {classes} vertex classes, "
             f"above the cap {LIFT_MAX_CLASSES}"
         )
-
-
-def bernstein_basis(degree: int, y: float) -> np.ndarray:
-    """Values of the degree-``degree`` Bernstein basis polynomials at ``y``."""
-    ls = np.arange(degree + 1)
-    binom = np.array([math.comb(degree, int(l)) for l in ls], dtype=float)
-    return binom * y**ls * (1.0 - y) ** (degree - ls)
 
 
 def evaluate(p: MultiPoly, x) -> float:
@@ -249,8 +181,13 @@ def _shift_to_unit(degree: int, lower: float, width: float) -> np.ndarray:
 
 def bernstein_coefficients(
     p: MultiPoly, rect: Rectangle, name: str = "polynomial"
-) -> BernsteinTensor:
+) -> np.ndarray:
     """Bernstein coordinates of ``p`` over ``rect`` at its formal degrees.
+
+    Entry ``[l_1, ..., l_n]`` of the returned array, of shape
+    ``(d_1 + 1, ..., d_n + 1)``, is the polar form of ``p`` at the vertex
+    class with ``l_k`` arguments at ``upper_k`` and ``d_k - l_k`` at
+    ``lower_k``.
 
     The monomial coefficient tensor goes through one (d+1)x(d+1) matrix per
     axis: the affine rescale of that axis to [0, 1], then the triangular
@@ -277,4 +214,4 @@ def bernstein_coefficients(
         raise ValueError(
             f"{name}: Bernstein coefficients over the rectangle overflow the float range"
         )
-    return BernsteinTensor(rect, p.degrees, vals)
+    return vals

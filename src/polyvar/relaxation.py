@@ -91,14 +91,13 @@ class BoundResult:
     equality constraints, read off the duals of the bounding program, and
     ``d_star = min_c (B_c + lam . g(c) + mu . h(c))`` is the bound they
     certify.  Moving the offsets ``b`` by ``alpha`` and ``d`` by ``beta``
-    shifts that bound by ``-(lam . alpha + mu . beta)``, which is what
-    ``sensitivity_bound`` uses.
+    shifts that bound by ``-(lam . alpha + mu . beta)``, which is what the
+    offset step of ``invariance.improve_offsets`` predicts with.
     """
 
     d_star: float
     lam: np.ndarray
     mu: np.ndarray
-    status: str = OPTIMAL
 
 
 def lift_degrees(degrees, *rows) -> tuple:
@@ -121,7 +120,9 @@ def class_constraint_values(degrees, rect: Rectangle, mat, rhs) -> np.ndarray:
     Requires degrees >= 1 on every constrained variable (``lift_degrees``).
     Rows are the classes in lexicographic order.  An affine constraint takes
     the same value on every lifted vertex of class ``l``, namely its value at
-    the class point ``lower + (l/d) * width``.
+    the class point ``lower + (l/d) * width``.  A value that leaves the float
+    range comes out infinite or NaN, without a warning; the callers refuse
+    it, naming what they lift.
     """
     if len(degrees) != rect.n or mat.shape[1] != rect.n:
         raise ValueError("dimension mismatch")
@@ -138,12 +139,13 @@ def class_constraint_values(degrees, rect: Rectangle, mat, rhs) -> np.ndarray:
     # per-class definition (oracle.lifted_dot) bit for bit; a BLAS product
     # would round differently.
     acc = np.zeros((grid[0].size, mat.shape[0]))
-    for k, d in enumerate(degrees):
-        if d:
-            level = grid[k].reshape(-1)
-            side = level * rect.upper[k] + (d - level) * rect.lower[k]
-            acc += np.outer(side, mat[:, k] / d)
-    return acc - rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, d in enumerate(degrees):
+            if d:
+                level = grid[k].reshape(-1)
+                side = level * rect.upper[k] + (d - level) * rect.lower[k]
+                acc += np.outer(side, mat[:, k] / d)
+        return acc - rhs
 
 
 def bounding_program(bern: np.ndarray, g: np.ndarray, h: np.ndarray) -> LPProblem:
@@ -184,8 +186,12 @@ def build_reduced_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProb
     values = class_constraint_values(
         p.degrees, rect, np.vstack([cs.a, cs.c]), np.concatenate([cs.b, cs.d])
     )
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "polynomial: constraint values at the class points overflow the float range"
+        )
     g, h = values[:, : cs.m_ineq].copy(), values[:, cs.m_ineq :].copy()
-    return bounding_program(bernstein_coefficients(p, rect).values.reshape(-1), g, h)
+    return bounding_program(bernstein_coefficients(p, rect).reshape(-1), g, h)
 
 
 def certify(lp: LPProblem) -> BoundResult:
@@ -248,25 +254,3 @@ def lower_bound(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> BoundResult
     """Certified lower bound of ``p`` over ``{x in rect : cs holds}`` (see
     ``certify``); degrees are padded for the constrained variables."""
     return certify(build_reduced_lp(pad_for_constraints(p, cs), rect, cs))
-
-
-def sensitivity_bound(res: BoundResult, alpha, beta=None) -> float:
-    """Lower bound on the bound after offsets move by ``alpha`` (and ``beta``).
-
-    Valid whenever the perturbed region stays feasible; exact when no
-    perturbed row carries a multiplier.
-    """
-    if res.status != OPTIMAL:
-        raise ValueError("sensitivity_bound requires an optimal BoundResult")
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    if alpha.size != res.lam.size:
-        raise ValueError("alpha length must match the number of inequalities")
-    shift = float(res.lam @ alpha)
-    if beta is not None:
-        beta = np.asarray(beta, dtype=float).reshape(-1)
-        if beta.size != res.mu.size:
-            raise ValueError("beta length must match the number of equalities")
-        shift += float(res.mu @ beta)
-    elif res.mu.size:
-        raise ValueError("beta required when equalities are present")
-    return res.d_star - shift

@@ -16,7 +16,7 @@ from polyvar.invariance import (
 )
 from polyvar.lpsolve import NumericalFailure
 from polyvar.oracle import box_point
-from polyvar.polynomial import MultiPoly, Rectangle
+from polyvar.polynomial import MultiPoly, Rectangle, evaluate_many
 from polyvar.relaxation import ConstraintSet, InfeasiblePolytope, certify
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
@@ -181,6 +181,11 @@ def phytoplankton() -> tuple[VectorField, Rectangle, np.ndarray, np.ndarray]:
                     normals.append(v)
     ref = np.array([1.0, 0.0, np.sqrt(1.0 / 8.0)])
     return fld, rect, np.array(normals), ref
+
+
+def field_values(fld: VectorField, points) -> np.ndarray:
+    """The field at every row of ``points``, one column per component."""
+    return np.column_stack([evaluate_many(f, points) for f in fld.components])
 
 
 def sample_facet_points(tpl: PolytopeTemplate, rect: Rectangle, k: int, n_points: int, rng):

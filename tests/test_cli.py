@@ -713,6 +713,46 @@ class TestFarBox:
         assert captured.out == ""
 
 
+class TestOverflowingLift:
+    """Constraint or facet values at the class points beyond the float range,
+    though every input number is finite: exit 2 with one error line naming
+    the polynomial or the field, and no warning."""
+
+    def test_bound(self, tmp_path, capsys):
+        # x^2 - x on [0, 2] with 1e308 x <= 1e308: the region x <= 1 is
+        # nonempty, but the class point x = 2 gives 2e308
+        payload = problem_with(
+            polynomial=[
+                {"exponents": [2], "coefficient": 1.0},
+                {"exponents": [1], "coefficient": -1.0},
+            ],
+            inequalities=[{"a": [1e308], "b": 1e308}],
+        )
+        payload["rectangle"] = {"lower": [0.0], "upper": [2.0]}
+        code = main(["bound", write_json(tmp_path / "over.json", payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: polynomial: constraint values at the class points overflow the float range\n"
+        )
+        assert captured.out == ""
+
+    def test_verify(self, tmp_path, capsys):
+        # facet 0's cost -n . f = 1e308 x reaches 2e308 at x = 2
+        payload = {
+            "schema_version": "1",
+            "variables": ["x"],
+            "field": [[{"exponents": [1], "coefficient": -1.0}]],
+            "rectangle": {"lower": [0.0], "upper": [2.0]},
+            "template": {"normals": [[1e308], [-1.0]], "offsets": [1e308, 0.0]},
+            "reference_point": [0.5],
+        }
+        code = main(["verify", write_json(tmp_path / "over.json", payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "error: vector field: facet costs overflow the float range\n"
+
+
 class TestInputValidation:
     def test_non_utf8_file_named(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -958,7 +998,7 @@ def reference_polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.n
     for i in range(tpl.m):
         for j in range(i + 1, tpl.m):
             mat = tpl.normals[[i, j]]
-            if abs(np.linalg.det(mat)) < 1e-12:
+            if abs(np.linalg.det(mat)) < 1e-12 * np.linalg.norm(mat[0]) * np.linalg.norm(mat[1]):
                 continue
             x = np.linalg.solve(mat, tpl.offsets[[i, j]])
             if np.all(tpl.normals @ x <= tpl.offsets + tol * scale):
@@ -1050,6 +1090,17 @@ class TestPolygonVertices:
         )
         verts = polygon_vertices(tpl)
         assert verts.shape == (4, 2)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e6])
+    def test_hexagon_at_any_scale(self, scale):
+        # the parallel-pair test is relative to the normals' lengths, so
+        # scaling normals and offsets together keeps every vertex
+        angles = np.arange(6) * np.pi / 3
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        unscaled = polygon_vertices(PolytopeTemplate(normals, np.ones(6)))
+        assert unscaled.shape == (6, 2)
+        verts = polygon_vertices(PolytopeTemplate(scale * normals, scale * np.ones(6)))
+        np.testing.assert_allclose(verts, unscaled, rtol=0.0, atol=1e-12)
 
     def test_requires_two_dimensions(self):
         tpl = PolytopeTemplate(np.eye(3), [1.0, 1.0, 1.0])

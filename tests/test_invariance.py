@@ -22,12 +22,13 @@ from polyvar.invariance import (
 )
 from polyvar.lpsolve import solve
 from polyvar.oracle import facet_nonempty
-from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
+from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate
 from polyvar.relaxation import ConstraintSet, certify_stack, class_constraint_values, lower_bound
 
 from conftest import (
     MODELS_DIR,
     assert_verify_matches_members_alone,
+    field_values,
     fitzhugh_nagumo,
     fitzhugh_nagumo_iterate64,
     phytoplankton,
@@ -88,7 +89,7 @@ class TestVectorField:
 
     def test_eval(self):
         fld = linear_decay()
-        assert fld.eval([2.0, -3.0]) == pytest.approx([-2.0, 3.0])
+        assert [evaluate(f, [2.0, -3.0]) for f in fld.components] == pytest.approx([-2.0, 3.0])
 
 
 class TestTemplate:
@@ -218,9 +219,26 @@ class TestVerify:
         assert report.invariant
         for k in range(tpl.m):
             pts = sample_facet_points(tpl, rect, k, 200, rng)
-            flow = -(fld.eval_many(pts) @ tpl.normals[k])
+            flow = -(field_values(fld, pts) @ tpl.normals[k])
             assert flow.min() >= -1e-7
             assert report.d_star[k] <= flow.min() + 1e-7
+
+    @pytest.mark.parametrize(
+        "normals, offsets, lower",
+        [
+            # the product n_0 . x is 2e308 at x = 2
+            ([[1e308], [-1.0]], [1e308, 0.0], 0.0),
+            # the products are finite, but facet 1's row n_0 . x - b_0 is
+            # -1.7e308 - 1.7e308 at x = -1
+            ([[1.7e308], [-1.7e308]], [1.7e308, 1.7e308], -1.0),
+        ],
+        ids=["product", "offset"],
+    )
+    def test_facet_values_beyond_the_float_range_raise(self, normals, offsets, lower):
+        fld = VectorField((MultiPoly(1, {(1,): -1e-300}),))
+        tpl = PolytopeTemplate(normals, offsets)
+        with pytest.raises(ValueError, match="^vector field: facet values at the class points"):
+            verify(fld, Rectangle([lower], [lower + 2.0]), tpl)
 
     def test_empty_facet_marks_not_verified(self):
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
@@ -463,7 +481,7 @@ class TestImproveOffsets:
         tpl = unit_square_template()
         report = verify(linear_decay(), rect, tpl)
         t_star, alpha = improve_offsets(report, tpl, 0.1, tpl.offsets - 1.0, tpl.offsets + 1.0)
-        assert t_star >= report.min_bound - 1e-9
+        assert t_star >= report.d_star[np.isfinite(report.d_star)].min() - 1e-9
         assert np.all(np.abs(alpha) <= 0.1 + 1e-12)
 
     def test_zero_multipliers_pin_t_at_min_bound(self):
@@ -524,7 +542,10 @@ class TestRepairOffsets:
         tpl = PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0])
         repaired = tpl.with_offsets(repair_offsets(tpl, rect))
         pts = rng.uniform(rect.lower, rect.upper, size=(1000, 2))
-        assert np.array_equal(tpl.contains(pts), repaired.contains(pts))
+        inside = pts @ normals.T
+        assert np.array_equal(
+            np.all(inside <= tpl.offsets, axis=1), np.all(inside <= repaired.offsets, axis=1)
+        )
 
     def test_empty_polytope_raises(self):
         tpl = unit_square_template((1.0, 1.0, -2.0, 0.0))
@@ -682,7 +703,7 @@ class TestSynthesize:
         t_star, alpha = improve_offsets(report, tpl, 0.25, normals @ ref, b_hi)
         # the zero step is always admissible, so the improvement value can
         # only raise the worst certified bound
-        assert t_star >= report.min_bound - 1e-9
+        assert t_star >= report.d_star[np.isfinite(report.d_star)].min() - 1e-9
         stepped = tpl.with_offsets(tpl.offsets + alpha)
         after = verify(fld, rect, stepped)
         assert after.complete

@@ -9,7 +9,7 @@ import pytest
 
 from polyvar import files
 from polyvar.invariance import PolytopeTemplate, VectorField, facet_programs
-from polyvar.oracle import grid_min
+from polyvar.oracle import grid_min, sensitivity_bound
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
 from polyvar.relaxation import (
     ConstraintSet,
@@ -20,7 +20,6 @@ from polyvar.relaxation import (
     lift_degrees,
     lower_bound,
     pad_for_constraints,
-    sensitivity_bound,
 )
 
 from conftest import assert_verify_matches_members_alone, term_by_term_objective
@@ -89,9 +88,9 @@ def test_facet_tensor_is_linear_in_the_normal(case):
     tensor = next(facet_programs(fld, rect, tpl))[0].c
     degrees = lift_degrees(fld.degrees, tpl.normals)
     ref = bernstein_coefficients(term_by_term_objective(fld, normal).pad_degrees(degrees), rect)
-    parts = [bernstein_coefficients(f.pad_degrees(degrees), rect).values for f in fld.components]
+    parts = [bernstein_coefficients(f.pad_degrees(degrees), rect) for f in fld.components]
     scale = 1.0 + np.abs(normal) @ np.array([np.abs(b).max() for b in parts])
-    assert np.abs(tensor - ref.values.reshape(-1)).max() <= 1e-12 * scale
+    assert np.abs(tensor - ref.reshape(-1)).max() <= 1e-12 * scale
 
 
 @st.composite
@@ -126,7 +125,7 @@ def test_bound_never_exceeds_the_grid_minimum(case):
     p, rect, cs = case
     d_star = lower_bound(p, rect, cs).d_star
     value, _ = grid_min(p, rect, cs, steps_per_axis=21)
-    scale = 1.0 + np.abs(bernstein_coefficients(p, rect).values).max()
+    scale = 1.0 + np.abs(bernstein_coefficients(p, rect)).max()
     assert d_star <= value + 1e-9 * scale
 
 
@@ -162,7 +161,7 @@ def test_reduced_lp_blocks_match_one_call_per_block(case, data):
     lp = build_reduced_lp(padded, rect, cs)
     g = class_constraint_values(padded.degrees, rect, cs.a, cs.b)
     h = class_constraint_values(padded.degrees, rect, cs.c, cs.d)
-    ref = bounding_program(bernstein_coefficients(padded, rect).values.reshape(-1), g, h)
+    ref = bounding_program(bernstein_coefficients(padded, rect).reshape(-1), g, h)
     for name in ("c", "G", "h", "A", "d"):
         got, want = getattr(lp, name), getattr(ref, name)
         assert got.tobytes() == want.tobytes() and got.strides == want.strides

@@ -13,6 +13,7 @@ from polyvar.oracle import (
     grid_min,
     lifted_dot,
     region_is_feasible,
+    sensitivity_bound,
     vertex_min,
 )
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate
@@ -24,7 +25,6 @@ from polyvar.relaxation import (
     build_reduced_lp,
     lower_bound,
     pad_for_constraints,
-    sensitivity_bound,
 )
 
 from conftest import (
@@ -128,14 +128,14 @@ class TestReducedLpAssembly:
 
     @staticmethod
     def scalar_rows(p, rect, cs):
-        tensor = bernstein_coefficients(p, rect)
+        values = bernstein_coefficients(p, rect)
         rows, rhs = [], []
         for cls in enumerate_classes(p.degrees):
             row = [1.0]
             row += [-(lifted_dot(a, rect, p.degrees, cls) - b) for a, b in zip(cs.a, cs.b)]
             row += [-(lifted_dot(c, rect, p.degrees, cls) - d) for c, d in zip(cs.c, cs.d)]
             rows.append(row)
-            rhs.append(tensor.value(cls))
+            rhs.append(values[cls])
         for i in range(cs.m_ineq):
             row = np.zeros(1 + cs.m_ineq + cs.m_eq)
             row[1 + i] = -1.0
@@ -219,7 +219,7 @@ class TestReducedLpDualForm:
             np.testing.assert_array_equal(dual.A[1:], -rows[:n_cls, 1 + m_i :].T)
             np.testing.assert_array_equal(dual.A[0], np.ones(n_cls))
             np.testing.assert_array_equal(
-                dual.c, bernstein_coefficients(padded, rect).values.reshape(-1)
+                dual.c, bernstein_coefficients(padded, rect).reshape(-1)
             )
             np.testing.assert_array_equal(dual.c, primal.h[:n_cls])
             assert dual.h.tolist() == [0.0] * m_i
@@ -285,7 +285,7 @@ class TestLowerBound:
     def test_constant_polynomial(self):
         rect = Rectangle([0.0, 0.0], [1.0, 1.0])
         cs = ConstraintSet(2, inequalities=[(np.array([1.0, 1.0]), 1.5)])
-        res = lower_bound(MultiPoly.constant(2, 4.25), rect, cs)
+        res = lower_bound(MultiPoly(2, {(0, 0): 4.25}), rect, cs)
         assert res.d_star == pytest.approx(4.25, abs=1e-9)
         assert res.lam == pytest.approx([0.0])
 
@@ -313,8 +313,8 @@ class TestLowerBound:
             p = random_poly(rng, n, 4)
             rect = random_rectangle(rng, n)
             res = lower_bound(p, rect, ConstraintSet(n))
-            tensor = bernstein_coefficients(p, rect)
-            assert res.d_star == pytest.approx(tensor.min(), abs=1e-9)
+            values = bernstein_coefficients(p, rect)
+            assert res.d_star == pytest.approx(values.min(), abs=1e-9)
 
     def test_soundness_small_battery(self):
         rng = np.random.default_rng(113)
