@@ -33,21 +33,22 @@ def polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:
 
     Pairwise facet intersection followed by feasibility filtering; duplicate
     and collinear points are removed so consecutive edges always turn left.
-    Two facets cross unless their normals are parallel to within 1e-12
-    relative to the product of their lengths, so the normals' scale does not
-    matter.  A point within ``tol`` of a point kept before it, in the order
-    of the facet pairs, is a duplicate.
+    Each facet row is divided by its normal's length first, so the normals'
+    scale does not matter; two facets cross unless their unit normals are
+    parallel to within 1e-12.  A point within ``tol`` of a point kept before
+    it, in the order of the facet pairs, is a duplicate.
     """
     if tpl.n != 2:
         raise ValueError("polygon extraction only applies to 2-D templates")
-    scale = 1.0 + float(np.abs(tpl.offsets).max())
+    lengths = np.hypot(tpl.normals[:, 0], tpl.normals[:, 1])
+    normals, offsets = tpl.normals / lengths[:, None], tpl.offsets / lengths
+    scale = 1.0 + float(np.abs(offsets).max())
     pairs = np.column_stack(np.triu_indices(tpl.m, 1))
-    mats = tpl.normals[pairs]
-    lengths = np.linalg.norm(tpl.normals, axis=1)[pairs]
-    crossing = np.abs(np.linalg.det(mats)) >= 1e-12 * lengths[:, 0] * lengths[:, 1]
+    mats = normals[pairs]
+    crossing = np.abs(np.linalg.det(mats)) >= 1e-12
     pairs, mats = pairs[crossing], mats[crossing]
-    pts = np.linalg.solve(mats, tpl.offsets[pairs][:, :, None])[:, :, 0]
-    pts = pts[np.all(pts @ tpl.normals.T <= tpl.offsets + tol * scale, axis=1)]
+    pts = np.linalg.solve(mats, offsets[pairs][:, :, None])[:, :, 0]
+    pts = pts[np.all(pts @ normals.T <= offsets + tol * scale, axis=1)]
     unique = []
     while pts.shape[0]:
         unique.append(pts[0])

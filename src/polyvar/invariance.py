@@ -113,8 +113,15 @@ class PolytopeTemplate:
         return PolytopeTemplate(self.normals, offsets)
 
     def support_in(self, rect: Rectangle) -> np.ndarray:
-        """Per-facet support values of the rectangle: ``max_{x in rect} a_k . x``."""
-        return np.where(self.normals > 0, self.normals * rect.upper, self.normals * rect.lower).sum(axis=1)
+        """Per-facet support values of the rectangle: ``max_{x in rect} a_k . x``.
+
+        Raises ValueError where one leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            caps = np.where(self.normals > 0, self.normals * rect.upper, self.normals * rect.lower)
+            caps = caps.sum(axis=1)
+        if not np.isfinite(caps).all():
+            raise ValueError("template normals: rectangle support values overflow the float range")
+        return caps
 
 
 @dataclass(eq=False)
@@ -187,10 +194,10 @@ def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) ->
 
     The polytope is ``{x : normals @ x <= offsets}``, intersected with ``rect``
     when one is given.  All directions share one ``solve_many`` sweep: one
-    phase 1 for the polytope, then one warm phase 2 per direction, read
-    only for its optimal ``x``.  An entry is ``+inf`` where the polytope is
-    unbounded along its direction.  Every entry is ``-inf`` when the
-    polytope is empty.
+    phase 1 for the polytope, then a phase 2 per direction from its
+    tableau, read only for its optimal ``x``.  An entry is ``+inf`` where
+    the polytope is unbounded along its direction.  Every entry is ``-inf``
+    when the polytope is empty.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if rect is None:  # free x = x+ - x- in adjacent columns

@@ -81,7 +81,7 @@ def _pivot_loop(T, basis, n_enter, counts, phase):
     return NumericalFailure("simplex iteration limit exceeded")
 
 
-def _activate_rows_of(T, basis, first_slack, n_enter, counts):
+def _activate_degenerate_rows(T, basis, first_slack, n_enter, counts):
     slack = (basis >= first_slack) & (basis < n_enter)
     rows = (slack & (np.abs(T[:-1, -1]) <= 1e-12)).nonzero()[0]
     for row in rows[basis[rows].argsort()]:
@@ -95,7 +95,7 @@ def _activate_rows_of(T, basis, first_slack, n_enter, counts):
             _pivot(T, basis, row, int(cand[best]), counts, "degenerate")
 
 
-def _drive_out_of(T, basis, n_std, counts):
+def _drive_out_artificials(T, basis, n_std, counts):
     for i in (basis >= n_std).nonzero()[0]:
         row = np.abs(T[i, :n_std])
         row[basis[basis < n_std]] = 0.0
@@ -152,7 +152,7 @@ def _phase_one(one: LPStack, counts):
         elif _dot(cost1[0, basis], T[:, :-1, -1])[0] > FEAS_TOL * scale[0]:
             ended = LPSolution(status=INFEASIBLE)
         else:
-            _drive_out_of(T[0], basis[0], n_std, counts)
+            _drive_out_artificials(T[0], basis[0], n_std, counts)
     return T, basis, start, row_scale, ended
 
 
@@ -223,14 +223,15 @@ def solve(lp: LPProblem):
     if out is not None:
         return out, counts
     m_ineq, n = one.G.shape[1:]
-    _activate_rows_of(T[0], basis[0], n, n + m_ineq, counts)
+    _activate_degenerate_rows(T[0], basis[0], n, n + m_ineq, counts)
     return _solution(one, T, basis, start, row_scale), counts
 
 
 def solve_many(lp: LPProblem, costs):
     """``(outcomes, counts)``: ``lpsolve.solve_many`` of ``lp`` over
-    ``costs``, up to and including the first NumericalFailure, which is
-    returned in place rather than raised, and the pivots per phase."""
+    ``costs``, each cost's phase 2 from a copy of the phase-1 tableau, up to
+    and including the first NumericalFailure, which is returned in place
+    rather than raised, and the pivots per phase."""
     counts = dict.fromkeys(PHASES, 0)
     costs = np.asarray(costs, dtype=float).reshape(-1, lp.n_vars)
     one = LPStack.of(lp)
@@ -241,10 +242,11 @@ def solve_many(lp: LPProblem, costs):
         return [LPSolution(status=INFEASIBLE) for _ in costs], counts
     out = []
     for c in costs:
-        res = _phase_two(T, basis, one, c[None], counts)
+        Tc, basis_c = T.copy(), basis.copy()
+        res = _phase_two(Tc, basis_c, one, c[None], counts)
         if res is None:
             rows = LPStack(c[None], one.G, one.h, one.A, one.d)
-            res = _solution(rows, T, basis.copy(), start, row_scale)
+            res = _solution(rows, Tc, basis_c, start, row_scale)
         out.append(res)
         if isinstance(res, NumericalFailure):
             break

@@ -752,6 +752,43 @@ class TestOverflowingLift:
         assert code == 2
         assert captured.err == "error: vector field: facet costs overflow the float range\n"
 
+    def test_synthesize_caps_name_the_normals(self, tmp_path, capsys):
+        # no offsets: the default caps are the rectangle's support values,
+        # and 1e308 x reaches 2e308 at x = 2
+        payload = {
+            "schema_version": "1",
+            "variables": ["x"],
+            "field": [[{"exponents": [1], "coefficient": -1.0}]],
+            "rectangle": {"lower": [0.0], "upper": [2.0]},
+            "template": {"normals": [[1e308], [-1.0]]},
+            "reference_point": [1.0],
+        }
+        code = main(["synthesize", write_json(tmp_path / "over.json", payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: template normals: rectangle support values overflow the float range\n"
+        )
+
+    def test_verify_containment_residuals(self, tmp_path, capsys):
+        # the containment sweep's slack h - G x of the row -1.7e308 x <=
+        # 1.7e308 at x = 1 is 3.4e308: a loose row, whose slack overflows
+        # to inf without a warning
+        payload = {
+            "schema_version": "1",
+            "variables": ["x"],
+            "field": [[{"exponents": [1], "coefficient": -1.0}]],
+            "rectangle": {"lower": [-1.0], "upper": [1.0]},
+            "template": {"normals": [[1.7e308], [-1.7e308]], "offsets": [1.7e308, 1.7e308]},
+            "reference_point": [0.0],
+        }
+        code = main(["verify", write_json(tmp_path / "over.json", payload)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            "error: vector field: facet values at the class points overflow the float range\n"
+        )
+
 
 class TestInputValidation:
     def test_non_utf8_file_named(self, tmp_path, capsys):
@@ -993,15 +1030,17 @@ class TestOutOfRangeInput:
 
 def reference_polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:
     """``polygon_vertices`` one facet pair and one point at a time."""
-    scale = 1.0 + float(np.abs(tpl.offsets).max())
+    lengths = np.hypot(tpl.normals[:, 0], tpl.normals[:, 1])
+    normals, offsets = tpl.normals / lengths[:, None], tpl.offsets / lengths
+    scale = 1.0 + float(np.abs(offsets).max())
     points = []
     for i in range(tpl.m):
         for j in range(i + 1, tpl.m):
-            mat = tpl.normals[[i, j]]
-            if abs(np.linalg.det(mat)) < 1e-12 * np.linalg.norm(mat[0]) * np.linalg.norm(mat[1]):
+            mat = normals[[i, j]]
+            if abs(np.linalg.det(mat)) < 1e-12:
                 continue
-            x = np.linalg.solve(mat, tpl.offsets[[i, j]])
-            if np.all(tpl.normals @ x <= tpl.offsets + tol * scale):
+            x = np.linalg.solve(mat, offsets[[i, j]])
+            if np.all(normals @ x <= offsets + tol * scale):
                 points.append(x)
     if not points:
         return np.zeros((0, 2))
@@ -1091,10 +1130,10 @@ class TestPolygonVertices:
         verts = polygon_vertices(tpl)
         assert verts.shape == (4, 2)
 
-    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e6])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-7, 1.0, 1e6, 1e12])
     def test_hexagon_at_any_scale(self, scale):
-        # the parallel-pair test is relative to the normals' lengths, so
-        # scaling normals and offsets together keeps every vertex
+        # each row is divided by its normal's length, so scaling normals and
+        # offsets together keeps every vertex
         angles = np.arange(6) * np.pi / 3
         normals = np.column_stack([np.cos(angles), np.sin(angles)])
         unscaled = polygon_vertices(PolytopeTemplate(normals, np.ones(6)))

@@ -70,17 +70,18 @@ def fail_facet_programs(monkeypatch, members):
 
 
 def fail_phase_two_runs(monkeypatch, runs) -> list:
-    """Make the given (0-based) phase-2 runs of the LP engine fail: the run
-    hands back a NumericalFailure for its members.  Returns the run
-    counter."""
+    """Make the given (0-based) phase-2 runs of the LP engine fail, counted
+    over the members of its stacks: the run hands back the NumericalFailure
+    ``injected at <run>``.  Returns the run counter."""
     count = [0]
     real = lpsolve._phase_two
 
     def phase_two(*args):
         out = real(*args)
-        count[0] += 1
-        if count[0] - 1 in runs:
-            out = [NumericalFailure("injected")] * len(out)
+        for k in range(len(out)):
+            if count[0] in runs:
+                out[k] = NumericalFailure(f"injected at {count[0]}")
+            count[0] += 1
         return out
 
     monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
@@ -156,12 +157,13 @@ class TestFailedFacet:
 class TestFailedPhaseTwo:
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_repair_raises_and_ends_the_sweep(self, monkeypatch, k):
+        # the directions fail at k and at 4: the first in order raises
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
         tpl = PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0])
-        count = fail_phase_two_runs(monkeypatch, {k})
-        with pytest.raises(NumericalFailure, match="injected"):
+        count = fail_phase_two_runs(monkeypatch, {k, 4})
+        with pytest.raises(NumericalFailure, match=f"^injected at {k}$"):
             repair_offsets(tpl, Rectangle([-2.0, -2.0], [2.0, 2.0]))
-        assert count[0] == k + 1
+        assert count[0] == 5
 
     def test_synthesize_stalls_on_a_failed_facet_program(self, monkeypatch):
         # the failure hits the phase 2 of facet 1's program in the second pass

@@ -62,19 +62,22 @@ def rotated_hexagon_normals() -> np.ndarray:
 
 
 def count_phases(monkeypatch) -> dict:
-    """Count the LP engine's phase-1 runs (one per sweep of shared rows) and
-    phase-2 runs (one per cost solved)."""
+    """Count the members of the LP engine's phase-1 runs (one per sweep of
+    shared rows) and of its phase-2 runs (one per cost solved)."""
     counts = {"phase_one": 0, "phase_two": 0}
 
-    def counted(key, fn):
+    def counted(key, fn, members):
         def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
+            out = fn(*args)
+            counts[key] += members(out)
+            return out
 
         return wrapper
 
-    monkeypatch.setattr(lpsolve, "_phase_one", counted("phase_one", lpsolve._phase_one))
-    monkeypatch.setattr(lpsolve, "_phase_two", counted("phase_two", lpsolve._phase_two))
+    monkeypatch.setattr(
+        lpsolve, "_phase_one", counted("phase_one", lpsolve._phase_one, lambda tab: len(tab.T))
+    )
+    monkeypatch.setattr(lpsolve, "_phase_two", counted("phase_two", lpsolve._phase_two, len))
     return counts
 
 

@@ -411,22 +411,34 @@ def random_sweep(rng):
 
 
 class TestSolveMany:
-    """One phase 1, then a warm phase 2 per cost: each answer is the cold one."""
+    """One phase 1, then the costs pivot as stacks from its tableau: each
+    answer is the cold one."""
 
     def test_matches_a_cold_solve_per_cost(self):
+        # each direction's status, x and objective are the cold solve's bit
+        # for bit, and permuting the costs permutes the answers bit for bit,
+        # the plain basis duals included
         rng = np.random.default_rng(191)
         statuses = set()
-        for _ in range(300):
+        for _ in range(400):
             lp, costs = random_sweep(rng)
-            for order in (np.arange(len(costs)), rng.permutation(len(costs))):
-                for cost, sol in zip(costs[order], solve_many(lp, costs[order])):
-                    ref = solve(LPProblem(cost, G=lp.G, h=lp.h, A=lp.A, d=lp.d))
-                    assert sol.status == ref.status
-                    statuses.add(sol.status)
-                    if ref.status == OPTIMAL:
-                        assert abs(sol.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
-                        res = kkt_residuals(LPProblem(cost, G=lp.G, h=lp.h, A=lp.A, d=lp.d), sol)
-                        assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6
+            order = rng.permutation(len(costs))
+            sols = solve_many(lp, costs)
+            for sol, permuted in zip([sols[i] for i in order], solve_many(lp, costs[order])):
+                assert permuted.status == sol.status
+                if sol.status == OPTIMAL:
+                    for field in ("x", "ineq_duals", "eq_duals"):
+                        assert getattr(permuted, field).tobytes() == getattr(sol, field).tobytes()
+            for cost, sol in zip(costs, sols):
+                program = LPProblem(cost, G=lp.G, h=lp.h, A=lp.A, d=lp.d)
+                ref = solve(program)
+                assert sol.status == ref.status
+                statuses.add(sol.status)
+                if ref.status == OPTIMAL:
+                    assert sol.x.tobytes() == ref.x.tobytes()
+                    assert sol.objective == ref.objective
+                    res = kkt_residuals(program, sol)
+                    assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6
         assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
 
     def test_first_cost_is_the_cold_solve(self):
@@ -472,8 +484,8 @@ class TestSolveMany:
         return lp, rng.normal(size=(20, 60))
 
     def test_chunked_duals_match_one_cost_at_a_time(self, monkeypatch):
-        # three chunks; with a chunk of one cost, each cost's duals and KKT
-        # self-check run right after its pivots
+        # three chunks of stacked costs; with a chunk of one cost, each cost
+        # pivots alone
         lp, costs = self.long_sweep()
         chunked = solve_many(lp, costs)
         monkeypatch.setattr(lpsolve, "STACK_BYTES", 1)
@@ -494,12 +506,12 @@ class TestSolveMany:
         ],
     )
     def test_failure_in_the_second_chunk_raises_in_order(self, monkeypatch, kkt, run, raised):
-        # costs 7-13 form the second chunk: the first cost to fail raises,
-        # whether its KKT self-check (run for the chunk) or its pivots fail,
-        # as when each cost is checked right after its pivots
+        # costs 7-13 form the second chunk: the first cost in order to fail
+        # raises, whether its KKT self-check or its pivots fail, as when each
+        # cost is solved alone
         lp, costs = self.long_sweep()
         real_kkt, real_phase_two = lpsolve.kkt_residuals, lpsolve._phase_two
-        runs = [0]
+        solved = [0]
 
         def kkt_residuals(rows, sol):
             res = real_kkt(rows, sol)
@@ -510,20 +522,20 @@ class TestSolveMany:
 
         def phase_two(*args):
             out = real_phase_two(*args)
-            runs[0] += 1
-            return [NumericalFailure("injected")] if runs[0] - 1 == run else out
+            first, solved[0] = solved[0], solved[0] + len(out)
+            if run is not None and first <= run < solved[0]:
+                out[run - first] = NumericalFailure("injected")
+            return out
 
         monkeypatch.setattr(lpsolve, "kkt_residuals", kkt_residuals)
         monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
         messages = []
         for stack_bytes in (lpsolve.STACK_BYTES, 1):
             monkeypatch.setattr(lpsolve, "STACK_BYTES", stack_bytes)
-            runs[0] = 0
+            solved[0] = 0
             with pytest.raises(NumericalFailure, match=raised) as exc:
                 solve_many(lp, costs)
             messages.append(str(exc.value))
-            if run is not None and (kkt is None or run < kkt):
-                assert runs[0] == run + 1  # the sweep ends at the failing cost
         assert messages[0] == messages[1]
 
 
