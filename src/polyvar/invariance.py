@@ -10,7 +10,10 @@ facet multipliers say how the per-facet bounds react to moving the offsets,
 and a small LP picks the offset step that maximizes the worst predicted
 bound.
 Offsets are re-tightened to their support values after every step so no
-facet is ever empty.
+facet is ever empty.  Between the passes of a synthesis only the offsets
+move, which are right-hand sides of the facet programs up to the weight
+row, and of the repair sweep: every pass after the first restarts them from
+the previous pass's end tableaux (``_Passes``).
 """
 
 from __future__ import annotations
@@ -24,10 +27,13 @@ from .lpsolve import (
     OPTIMAL,
     UNBOUNDED,
     LPProblem,
+    LPStack,
     NumericalFailure,
+    Restart,
     solve,
     solve_many,
     stack_members,
+    tableau_bytes,
 )
 from .polynomial import Rectangle, bernstein_coefficients, check_lift
 from .relaxation import (
@@ -37,6 +43,12 @@ from .relaxation import (
     class_constraint_values,
     lift_degrees,
 )
+
+# The most bytes of end tableaux that a synthesis keeps for its restarts
+# (``_Passes``).  A 64-facet template in the plane keeps about 0.3 MB, and a
+# 48-facet 8-D template over 3^8 vertex classes 127 MB; the facet stacks
+# past the limit, in facet order, are solved from phase 1 in every pass.
+KEEP_BYTES = 128 * 1024 * 1024
 
 INVARIANT_FOUND = "invariant_found"
 ITERATION_LIMIT = "iteration_limit"
@@ -189,15 +201,19 @@ class SynthesisParams:
     reference_point: np.ndarray = None
 
 
-def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) -> np.ndarray:
+def support_values(
+    tpl: PolytopeTemplate, directions, rect: Rectangle = None, restart: Restart = None
+) -> np.ndarray:
     """Support function ``max d . x`` of the template polytope along each row ``d``.
 
     The polytope is ``{x : normals @ x <= offsets}``, intersected with ``rect``
     when one is given.  All directions share one ``solve_many`` sweep: one
     phase 1 for the polytope, then a phase 2 per direction from its
-    tableau, read only for its optimal ``x``.  An entry is ``+inf`` where
-    the polytope is unbounded along its direction.  Every entry is ``-inf``
-    when the polytope is empty.
+    tableau, read only for its optimal ``x``.  With a ``restart`` that an
+    earlier sweep of the same normals, directions and rectangle filled,
+    each direction restarts from its own end tableau at the new offsets
+    instead.  An entry is ``+inf`` where the polytope is unbounded along its
+    direction.  Every entry is ``-inf`` when the polytope is empty.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
     if rect is None:  # free x = x+ - x- in adjacent columns
@@ -208,7 +224,7 @@ def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) ->
         G = np.vstack([tpl.normals, np.eye(tpl.n)])
         h = np.concatenate([tpl.offsets, rect.upper]) - G @ rect.lower
         costs = -directions
-    sols = solve_many(LPProblem(np.zeros(G.shape[1]), G=G, h=h), costs)
+    sols = solve_many(LPProblem(np.zeros(G.shape[1]), G=G, h=h), costs, restart)
     out = np.empty(directions.shape[0])
     for k, (d, sol) in enumerate(zip(directions, sols)):
         if sol.status == INFEASIBLE:
@@ -279,6 +295,29 @@ def facet_lift(fld: VectorField, rect: Rectangle, normals) -> FacetLift:
     return FacetLift(costs, class_constraint_values(degrees, rect, normals, 0.0))
 
 
+def _facet_values(lift: FacetLift, offsets) -> np.ndarray:
+    """The class values ``n_i . p(c) - b_i`` of ``lift`` at the offsets ``b``."""
+    with np.errstate(over="ignore"):
+        values = lift.products - offsets
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "vector field: facet values at the class points overflow the float range"
+        )
+    return values
+
+
+def _others(m: int) -> np.ndarray:
+    """Row ``k``: every facet but ``k``, in order."""
+    return np.arange(1, m) - (np.arange(1, m) <= np.arange(m)[:, None])
+
+
+def _facet_stack(lift: FacetLift, values: np.ndarray, ks) -> LPStack:
+    """The bounding programs of facets ``ks`` at the class values ``values``."""
+    K, m = values.shape
+    g = values[np.arange(K)[:, None], _others(m)[ks][:, None, :]]
+    return bounding_programs(lift.costs[ks], g, values.T[ks][:, :, None])
+
+
 def facet_programs(
     fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate, lift: FacetLift = None
 ):
@@ -299,38 +338,86 @@ def facet_programs(
         raise ValueError("template needs offsets to verify")
     if lift is None:
         lift = facet_lift(fld, rect, tpl.normals)
-    with np.errstate(over="ignore"):
-        values = lift.products - tpl.offsets
-    if not np.isfinite(values).all():
-        raise ValueError(
-            "vector field: facet values at the class points overflow the float range"
-        )
+    values = _facet_values(lift, tpl.offsets)
     m, K = tpl.m, values.shape[0]
-    # others[k]: every facet but k, in order
-    others = np.arange(1, m) - (np.arange(1, m) <= np.arange(m)[:, None])
     # facet k's bound needs m - 1 inequality rows and two equality rows (the
     # weights and the facet), all with right-hand side 0 or 1
     per_stack = stack_members(K, m - 1, 2)
+    return (
+        _facet_stack(lift, values, np.arange(lo, min(lo + per_stack, m)))
+        for lo in range(0, m, per_stack)
+    )
 
-    def stack(ks):
-        g = values[np.arange(K)[:, None], others[ks][:, None, :]]
-        return bounding_programs(lift.costs[ks], g, values.T[ks][:, :, None])
 
-    return (stack(np.arange(lo, min(lo + per_stack, m))) for lo in range(0, m, per_stack))
+class _Passes:
+    """What a synthesis carries from one pass to the next: the end tableaux
+    of each facet stack, with the offsets its tableaux were built at, and
+    those of the repair sweep, within ``KEEP_BYTES`` in all.
+
+    The tableau of a facet program built at offsets ``b`` has the rows
+    ``n_i . p(c) - b_i``; through the weight row, the program at offsets
+    ``b'`` is the program over those rows with right-hand sides
+    ``b'_i - b_i``, so a later pass restarts from it at those right-hand
+    sides (``lpsolve.solve_stack``).  A stack solved cold is built at the
+    pass's own offsets.  The sweep is charged its largest tableaux, every
+    row's right-hand side negative, and each facet stack its tableaux when
+    the first pass meets it; what does not fit runs cold in every pass.
+    """
+
+    def __init__(self, tpl: PolytopeTemplate):
+        m, n = tpl.m, tpl.n
+        self.room = KEEP_BYTES - m * tableau_bytes(n, m + n, 0, flipped=m + n)
+        self.sweep = Restart() if self.room >= 0 else None
+        self.stacks = []  # per facet stack: [Restart or None, offsets built at]
+        self._base = (None, None)  # the last offsets built at, and their class values
+
+    def certify(self, i: int, stack: LPStack, lift: FacetLift, ks, offsets) -> list:
+        """``certify_stack`` of the ``i``-th stack of a pass at ``offsets``,
+        the facets ``ks`` of ``lift``, from the tableaux of the previous
+        pass's."""
+        if i == len(self.stacks):
+            S, m_ineq, K = stack.G.shape
+            size = S * tableau_bytes(K, m_ineq, stack.A.shape[1])
+            fits = size <= self.room
+            if fits:
+                self.room -= size
+            self.stacks.append([Restart() if fits else None, None])
+        restart, base = self.stacks[i]
+        if restart is None:
+            return certify_stack(stack)
+        rows = None
+        if restart.tabs is not None:
+            if self._base[0] is not base:
+                self._base = (base, _facet_values(lift, base))
+            built = _facet_stack(lift, self._base[1], ks)
+            others = _others(len(offsets))[ks]
+            h = offsets[others] - base[others]
+            d = built.d.copy()
+            d[:, 1] = offsets[ks] - base[ks]
+            rows = LPStack(built.c, built.G, h, built.A, d)
+        results = certify_stack(stack, restart, rows)
+        if not restart.warm:
+            self.stacks[i][1] = offsets
+        return results
 
 
 def verify(
-    fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate, lift: FacetLift = None
+    fld: VectorField,
+    rect: Rectangle,
+    tpl: PolytopeTemplate,
+    lift: FacetLift = None,
+    passes: _Passes = None,
 ) -> VerificationReport:
     """One certified bound per facet; invariant iff all bounds are nonnegative.
 
     The facet programs are certified chunk by chunk, each chunk in one
     stacked solve (``relaxation.certify_stack``).  ``lift`` is
     ``facet_lift`` of the template's normals, which a synthesis builds once
-    for all its passes; a lone call builds it itself.  A facet whose
-    program fails numerically is recorded and skipped; the report then
-    cannot certify invariance but the other facets keep their data, bit for
-    bit.
+    for all its passes; a lone call builds it itself.  A synthesis also
+    passes its ``_Passes``, from which every pass after its first restarts
+    the facet programs.  A facet whose program fails numerically is recorded
+    and skipped; the report then cannot certify invariance but the other
+    facets keep their data, bit for bit.
     """
     m = tpl.m
     d_star = np.full(m, np.nan)
@@ -338,8 +425,12 @@ def verify(
     feasible = np.ones(m, dtype=bool)
     failures: dict = {}
     k = 0
-    for stack in facet_programs(fld, rect, tpl, lift):
-        for res in certify_stack(stack):
+    for i, stack in enumerate(facet_programs(fld, rect, tpl, lift)):
+        if passes is None:
+            results = certify_stack(stack)
+        else:
+            results = passes.certify(i, stack, lift, np.arange(k, k + len(stack)), tpl.offsets)
+        for res in results:
             if isinstance(res, InfeasiblePolytope):
                 feasible[k] = False
             elif isinstance(res, NumericalFailure):
@@ -398,16 +489,19 @@ def improve_offsets(
     return float(sol.x[0] - sol.x[1]), sol.x[2:] + alpha_lo
 
 
-def repair_offsets(tpl: PolytopeTemplate, rect: Rectangle) -> np.ndarray:
+def repair_offsets(
+    tpl: PolytopeTemplate, rect: Rectangle, restart: Restart = None
+) -> np.ndarray:
     """Tighten every offset to its support value, leaving the set unchanged.
 
     After repair each retained inequality is tight at some point of the
     polytope, so every facet is nonempty.  Raises EmptyPolytope when there is
-    nothing to support.
+    nothing to support.  A synthesis passes the ``restart`` of its repair
+    sweeps (see ``support_values``).
     """
     if tpl.offsets is None:
         raise ValueError("template needs offsets to repair")
-    tightened = support_values(tpl, tpl.normals, rect)
+    tightened = support_values(tpl, tpl.normals, rect, restart)
     if np.isneginf(tightened).any():
         raise EmptyPolytope("cannot repair an empty polytope")
     return tightened
@@ -518,7 +612,8 @@ def synthesize(
     # programs would report as infeasible rather than bounding.  This also
     # raises EmptyPolytope for an empty start, so b_lo is checked after it:
     # with b_lo = normals @ ref, every empty start is below b_lo somewhere.
-    tpl = tpl0.with_offsets(repair_offsets(tpl0.with_offsets(offsets0), rect))
+    passes = _Passes(tpl0)
+    tpl = tpl0.with_offsets(repair_offsets(tpl0.with_offsets(offsets0), rect, passes.sweep))
     if np.any(b_lo > offsets0 + 1e-12):
         raise ValueError("initial offsets must satisfy b_lo <= offsets <= b_hi")
 
@@ -528,7 +623,7 @@ def synthesize(
     prev_t = None
     stall_run = 0
     for _ in range(int(params.max_iter)):
-        report = verify(fld, rect, tpl, lift)
+        report = verify(fld, rect, tpl, lift, passes)
         rec = IterationRecord(
             offsets=tpl.offsets.copy(),
             d_star=report.d_star.copy(),
@@ -549,7 +644,7 @@ def synthesize(
         rec.t_star = t_star
         rec.alpha = alpha
         stepped = tpl.with_offsets(tpl.offsets + alpha)
-        repaired = repair_offsets(stepped, rect)
+        repaired = repair_offsets(stepped, rect, passes.sweep)
         rec.repaired_offsets = repaired
         tpl = tpl.with_offsets(repaired)
         if prev_t is not None and t_star - prev_t < params.stall_tol:

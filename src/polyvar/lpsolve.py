@@ -50,6 +50,17 @@ support queries of one polytope do: phase 1 runs once, and its tableau is
 repeated for a chunk of costs, which pivot in lockstep as a stack over the
 shared rows, so each cost's ``x`` is the one ``solve`` returns for it.
 Every path shares one phase-1 and one phase-2 code path.
+
+Both also restart warm, when a caller passes the ``Restart`` that an
+earlier solve of the same costs and rows at other right-hand sides filled
+with its end tableaux.  Only the right-hand side column of an end tableau
+depends on the right-hand sides: it is recomputed from the basis inverse,
+the basis stays dual feasible, and dual simplex pivots in lockstep
+(``_dual_loops``) make it primal feasible again, the pivots that a cold
+solve spends on phase 1 and phase 2 saved where the right-hand sides moved
+little.  A stack in which any member's restart fails is solved cold, so a
+restart decides no emptiness and adds no failure; its answers are optimal
+ones, though not bit for bit the cold solve's.
 """
 
 from __future__ import annotations
@@ -169,10 +180,15 @@ class LPStack:
 
 def stack_members(n_vars: int, m_ineq: int, m_eq: int) -> int:
     """How many programs of this shape one stack holds within ``STACK_BYTES``
-    (at least one), when no right-hand side is negative: their condensed
-    tableaux then store ``n_vars + 1`` columns of ``m_ineq + m_eq + 1``
-    rows."""
-    return _per_chunk((m_ineq + m_eq + 1) * (n_vars + 1))
+    (at least one), when no right-hand side is negative."""
+    return max(1, STACK_BYTES // tableau_bytes(n_vars, m_ineq, m_eq))
+
+
+def tableau_bytes(n_vars: int, m_ineq: int, m_eq: int, flipped: int = 0) -> int:
+    """The bytes of one program's condensed tableau when ``flipped`` of its
+    inequality rows have a negative right-hand side: ``n_vars + flipped +
+    1`` columns of ``m_ineq + m_eq + 1`` rows."""
+    return 8 * (m_ineq + m_eq + 1) * (n_vars + flipped + 1)
 
 
 def _per_chunk(cells: int) -> int:
@@ -251,6 +267,9 @@ def _pivot_all(st, rows, slots):
 def _pivot_some(st, go, rows, slots):
     """``_pivot_all`` on the members of ``st`` that ``go`` marks; the others
     are left as they are."""
+    if go.all():
+        _pivot_all(st, rows, slots)
+        return
     k = np.flatnonzero(go)
     part = _part(st, k)
     _pivot_all(part, rows[go], slots[go])
@@ -363,6 +382,51 @@ def _pivot_loop(st, n_enter, degenerate=0, step=0):
     return NumericalFailure("simplex iteration limit exceeded")
 
 
+class _Running:
+    """The running members of a stacked state ``st``, kept as its leading
+    block: ``state`` is a view of that block, ``members`` the indices its
+    members have in ``st``.  ``keep`` moves the members that go on to the
+    front of the block, in place, so that a loop holds the stack and one
+    copy of a block at most; ``restore`` puts every member back at its own
+    index.  Moving a member copies its entries, so its pivots are those it
+    takes in place.
+    """
+
+    def __init__(self, st, members):
+        self.st = st
+        self.order = np.arange(st[0].shape[0])
+        members = np.asarray(members, dtype=int)
+        self.n = members.size
+        if self.n < self.order.size or (members != self.order).any():
+            self._move(np.concatenate([members, np.setdiff1d(self.order, members)]))
+
+    def _move(self, perm):
+        """Reorder the leading ``perm.size`` members of ``st`` by ``perm``."""
+        lead = slice(0, perm.size)
+        for a in self.st:
+            a[lead] = a[lead][perm]
+        self.order[lead] = self.order[lead][perm]
+
+    @property
+    def state(self) -> tuple:
+        return tuple(a[: self.n] for a in self.st)
+
+    @property
+    def members(self) -> np.ndarray:
+        return self.order[: self.n]
+
+    def keep(self, going) -> None:
+        """Keep running the members that ``going`` marks, in their order."""
+        self._move(np.concatenate([np.flatnonzero(going), np.flatnonzero(~going)]))
+        self.n = int(np.count_nonzero(going))
+
+    def restore(self) -> None:
+        moved = np.flatnonzero(self.order != np.arange(self.order.size))
+        if moved.size:
+            for a in self.st:
+                a[self.order[moved]] = a[moved]
+
+
 def _pivot_loops(st, n_enter, members) -> dict:
     """``_pivot_loop`` on each member of the stacked state ``st``, for
     ``k`` in ``members``, in lockstep; returns ``{k: 'optimal', 'unbounded'
@@ -371,24 +435,22 @@ def _pivot_loops(st, n_enter, members) -> dict:
     One step picks every running member's entering and leaving columns with
     batched ``argmin``s, each member under its own rule and degenerate
     count, and pivots them all at once.  A member that ends drops out, left
-    as its last step left it.  A lone member, or the last one running,
-    pivots in ``_pivot_loop``, which costs less per pivot than a step of one:
-    stepped here instead, a lone member took the ``bound-small`` benchmark
-    +36% and ``synth`` +59% in wall time.
+    as its last step left it, and the others move up (``_Running``).  A lone
+    member, or the last one running, pivots in ``_pivot_loop``, which costs
+    less per pivot than a step of one: stepped here instead, a lone member
+    took the ``bound-small`` benchmark +36% and ``synth`` +59% in wall time.
     """
     if len(members) == 1:
         return {members[0]: _pivot_loop(_part(st, members[0]), n_enter)}
     out = {}
-    members = np.asarray(members, dtype=int)
     size = st[0].shape[1] - 1 + _width(st[0])
-    # the running members' state: st itself while all of them run
-    run = st if members.size == st[0].shape[0] else _part(st, members)
-    degenerate = np.zeros(members.size, dtype=int)
+    run = _Running(st, members)
+    degenerate = np.zeros(run.n, dtype=int)
     step, limit = 0, _pivot_limit(st[0])
-    allowed = _allowed(run[0], run[2], n_enter)
-    while members.size > 1 and step < limit:
-        T, B, cols = run
-        k = np.arange(members.size)
+    allowed = _allowed(run.state[0], run.state[2], n_enter)
+    while run.n > 1 and step < limit:
+        T, B, cols = run.state
+        k = np.arange(run.n)
         r, stored = T[:, -1, :-1], cols[:, :-1]
         values = r if allowed is None else np.where(allowed, r, np.inf)
         slot = values.argmin(axis=1)
@@ -411,15 +473,13 @@ def _pivot_loops(st, n_enter, members) -> dict:
         going = up.any(axis=1) & ~optimal
         if not going.all():
             for i in np.flatnonzero(~going):
-                out[members[i]] = OPTIMAL if optimal[i] else UNBOUNDED
-            if run is not st:
-                _put(st, members[~going], _part(run, ~going))
-            run, members = _part(run, going), members[going]
+                out[run.members[i]] = OPTIMAL if optimal[i] else UNBOUNDED
+            run.keep(going)
             degenerate, slot, col, up = degenerate[going], slot[going], col[going], up[going]
             allowed = allowed if allowed is None else allowed[going]
-            if not members.size:
+            if not run.n:
                 break
-            T, B = run[0], run[1]
+            T, B = run.state[:2]
         ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=up)
         best = ratios.min(axis=1)
         if np.isnan(best).any():  # no tied row, where _pivot_loop's argmin raises
@@ -427,15 +487,87 @@ def _pivot_loops(st, n_enter, members) -> dict:
         ties = up & (ratios <= (best + 1e-12)[:, None])
         leave = np.where(ties, B, _width(T)).argmin(axis=1)
         degenerate += best <= 1e-12
-        _pivot_all(run, leave, slot)
+        _pivot_all(run.state, leave, slot)
         step += 1
-    if members.size == 1:
-        out[members[0]] = _pivot_loop(_part(run, 0), n_enter, degenerate[0], step)
+    if run.n == 1:
+        out[run.members[0]] = _pivot_loop(_part(run.state, 0), n_enter, degenerate[0], step)
     else:
-        for k in members:
+        for k in run.members:
             out[k] = NumericalFailure("simplex iteration limit exceeded")
-    if run is not st:
-        _put(st, members, run)
+    run.restore()
+    return out
+
+
+def _dual_loops(st, n_enter, members) -> dict:
+    """Dual simplex pivots on each member of the stacked state ``st``, for
+    ``k`` in ``members``, in lockstep, from a basis whose reduced costs are
+    nonnegative; returns ``{k: 'optimal', 'infeasible' or its
+    NumericalFailure}``.  'optimal' means every basic value is at least
+    ``-FEAS_TOL``; 'infeasible' that a row below it has no entering column.
+
+    The leaving row has the most negative value relative to the length of
+    its row over the stored columns, ties going to the row whose basic
+    column comes first: on the second pass of a 48-facet 8-D synthesis this
+    normalized pricing took 42 pivots per facet program where the most
+    negative value alone took 70.  The entering column, one of the first
+    ``n_enter``, has the least ratio ``r_j / |T[row, j]|`` over the entries
+    ``T[row, j] < -PIVOT_TOL`` (the ratio test of
+    ``_activate_degenerate_rows``), ties within 1e-12 going to the first
+    column, so the reduced costs stay nonnegative.  After too many
+    degenerate pivots the leaving row is the one below zero whose basic
+    column comes first (Bland's rule), and the pivot limit is
+    ``_pivot_loop``'s.  A member that ends drops out, as in ``_pivot_loops``.
+    """
+    if st[0].shape[1] == 1:  # no rows
+        return dict.fromkeys(members, OPTIMAL)
+    out = {}
+    size = st[0].shape[1] - 1 + _width(st[0])
+    run = _Running(st, members)
+    degenerate = np.zeros(run.n, dtype=int)
+    step, limit = 0, _pivot_limit(st[0])
+    allowed = _allowed(run.state[0], run.state[2], n_enter)
+    while run.n and step < limit:
+        T, B, cols = run.state
+        k = np.arange(run.n)
+        value = T[:, :-1, -1]
+        low = value < -FEAS_TOL
+        bland = degenerate > 5 * size
+        rows = T[:, :-1, :-1]
+        with np.errstate(divide="ignore"):  # a row of zeros below zero comes first
+            key = np.divide(value, np.sqrt(np.einsum("kij,kij->ki", rows, rows)),
+                            out=np.full(value.shape, np.inf), where=low)
+        least = key.min(axis=1)
+        first = low & ((key == least[:, None]) | bland[:, None])
+        row = np.where(first, B, _width(T)).argmin(axis=1)
+        a = T[k, row, :-1]
+        cand = a < -PIVOT_TOL
+        if allowed is not None:
+            cand &= allowed
+        ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
+        best = ratios.min(axis=1)
+        ties = cand & (ratios <= (best + 1e-12)[:, None])
+        slot = np.where(ties, cols[:, :-1], _width(T)).argmin(axis=1)
+        feasible = ~low.any(axis=1)
+        stuck = ~cand.any(axis=1)
+        broken = np.isnan(best) | np.isnan(value).any(axis=1)
+        going = ~(feasible | stuck | broken)
+        if not going.all():
+            for i in np.flatnonzero(~going):
+                out[run.members[i]] = (
+                    NumericalFailure("dual simplex met a NaN") if broken[i]
+                    else OPTIMAL if feasible[i] else INFEASIBLE
+                )
+            run.keep(going)
+            degenerate, row, slot, best = degenerate[going], row[going], slot[going], best[going]
+            allowed = allowed if allowed is None else allowed[going]
+            if not run.n:
+                break
+        degenerate += best <= 1e-12
+        _pivot_all(run.state, row, slot)
+        step += 1
+    for k in run.members:
+        out[k] = NumericalFailure("simplex iteration limit exceeded")
+    run.restore()
     return out
 
 
@@ -675,6 +807,46 @@ def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
     return out
 
 
+def _restart(tab: _Tableau, stack: LPStack) -> list:
+    """Minimize each member of ``stack`` from its end tableau in ``tab``, an
+    optimal basis that a solve of the same costs and rows left at other
+    right-hand sides; the tableau is left at the new end basis.
+
+    Only the right-hand side column changes: it becomes ``B^-1 b`` for the
+    stack's scaled right-hand sides ``b``, with ``B^-1`` read off the start
+    columns, and the objective entry follows.  The reduced costs stay, so
+    the basis stays dual feasible, and dual simplex pivots (``_dual_loops``)
+    restore primal feasibility.  Returns one outcome per member as
+    ``_phase_two`` does: None where it ended optimal, else an infeasible
+    LPSolution (its dual loop found no entering column, or a basic
+    artificial column is off zero) or the NumericalFailure that ended it.
+    A phase-1 rule decides neither: the callers solve such a member again
+    from phase 1.
+    """
+    T, basis, cols = tab.state
+    S, m_ineq, n = stack.G.shape
+    n_std = n + m_ineq
+    b = np.concatenate([stack.h, stack.d], axis=1) * tab.row_scale
+    step = _per_chunk(basis.shape[1] ** 2)
+    for lo in range(0, S, step):
+        at = slice(lo, lo + step)
+        inverse, _ = _start_columns(T[at], basis[at], cols[at], tab.start[at])
+        T[at, :-1, -1] = _vm(b[at], inverse)
+    cost = np.zeros((S, _width(T) + 1))
+    cost[:, :n] = stack.c
+    T[:, -1, -1] = -_dot(cost[np.arange(S)[:, None], basis], T[:, :-1, -1])
+    out = [None] * S
+    # a basic artificial column sits in a row of zeros, where no pivot moves it
+    stray = ((basis >= n_std) & (np.abs(T[:, :-1, -1]) > FEAS_TOL)).any(axis=1)
+    for k in np.flatnonzero(stray):
+        out[k] = LPSolution(status=INFEASIBLE)
+    running = [k for k in range(S) if out[k] is None]
+    for k, res in _dual_loops(tab.state, n_std, running).items():
+        if res != OPTIMAL:
+            out[k] = res if isinstance(res, NumericalFailure) else LPSolution(status=res)
+    return out
+
+
 def _start_columns(T, basis, cols, start) -> tuple:
     """Each member's start columns of the full tableau, the basis inverse,
     listed as rows, and their reduced costs (0 where basic)."""
@@ -766,7 +938,45 @@ def _raised(outcome):
     return outcome
 
 
-def solve_stack(stack: LPStack) -> list:
+@dataclass(eq=False)
+class Restart:
+    """End tableaux that one solve leaves for the next solve of the same
+    costs and rows at other right-hand sides: a warm restart.
+
+    A caller whose programs keep their costs and matrices while their
+    right-hand sides move creates one and passes it to each solve.  ``tabs``
+    holds the last solve's end tableaux, one per stack it ran, or None before
+    the first solve and after one where a member did not end optimal.
+    ``warm`` says whether the last solve restarted from them; a solve whose
+    restart failed on any member ran cold, from phase 1.
+    """
+
+    tabs: list = None
+    warm: bool = False
+
+
+def _restarted(tab: _Tableau, stack: LPStack, duals: bool):
+    """``stack``'s outcomes restarted from ``tab`` (``_restart``), with
+    ``solve_stack``'s multipliers when ``duals`` is set, else
+    ``solve_many``'s; None unless every member ended optimal and passed the
+    KKT self-check."""
+    S, m_ineq, n = stack.G.shape
+    out = _restart(tab, stack)
+    if any(res is not None for res in out):
+        return None
+    if duals:
+        _activate_degenerate_rows(tab.state, n, n + m_ineq, list(range(S)))
+    out = _solutions(stack, tab, out)
+    return None if any(isinstance(res, NumericalFailure) for res in out) else out
+
+
+def _kept(tabs: list, outcomes: list):
+    """``tabs``, if every outcome is an optimal LPSolution, else None."""
+    optimal = all(isinstance(res, LPSolution) and res.status == OPTIMAL for res in outcomes)
+    return tabs if optimal else None
+
+
+def solve_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
     """Solve every member of ``stack`` under its own cost ``stack.c[k]``,
     with the multipliers its callers read.
 
@@ -779,16 +989,35 @@ def solve_stack(stack: LPStack) -> list:
     as it would alone.  The arrays are used as given (no NaN check), and the
     tableau is ``len(stack)`` times one member's, which callers keep within
     ``STACK_BYTES`` (``stack_members``).
+
+    With a ``restart`` that holds the end tableaux of an earlier solve, the
+    members restart from them (``_restart``) on ``rows``: the same programs
+    posed on the rows those tableaux were built on, with the right-hand
+    sides that make them the programs of ``stack``.  The outcomes are then
+    ``rows``' solutions, past the degenerate-row pass, the refinement and
+    the KKT self-check; if any member's restart fails, the whole stack is
+    solved cold, as without a restart.  Either way ``restart`` keeps the
+    end tableaux.
     """
     S, m_ineq, n = stack.G.shape
+    if restart is not None:
+        restart.warm = False
+        if restart.tabs is not None and rows is not None:
+            out = _restarted(restart.tabs[0], rows, duals=True)
+            if out is not None:
+                restart.warm = True
+                return out
     tab = _phase_one(stack)
     out = _phase_two(tab, stack, stack.c)
     optimal = [k for k in range(S) if out[k] is None]
     _activate_degenerate_rows(tab.state, n, n + m_ineq, optimal)
-    return _solutions(stack, tab, out)
+    out = _solutions(stack, tab, out)
+    if restart is not None:
+        restart.tabs = _kept([tab], out)
+    return out
 
 
-def solve_many(lp: LPProblem, costs) -> list:
+def solve_many(lp: LPProblem, costs, restart: Restart = None) -> list:
     """Solve the rows of ``lp`` once per cost vector in ``costs``, for the
     optimal ``x`` of each.
 
@@ -800,25 +1029,55 @@ def solve_many(lp: LPProblem, costs) -> list:
     the plain basis duals: no degenerate-row pass, whose pivots would change
     only the multipliers.  The first cost, in order, to fail numerically
     raises its NumericalFailure.
+
+    With a ``restart`` that holds the end tableaux of an earlier sweep of
+    the same costs over rows with the same ``G`` and ``A``, each cost
+    restarts from its own at this ``h`` and ``d`` (``_restart``), past the
+    refinement and the KKT self-check; if any cost's restart fails, the
+    sweep runs cold, as without a restart.  Either way ``restart`` keeps the
+    end tableaux.
     """
     costs = np.asarray(costs, dtype=float).reshape(-1, lp.n_vars)
     if not np.isfinite(costs).all():
         raise ValueError("non-finite value (NaN or inf) in problem data")
     one = LPStack.of(lp)
+
+    def rows(lo, S):
+        """The stack of costs ``lo`` to ``lo + S`` over views of the rows."""
+        return LPStack(costs[lo : lo + S], *(np.broadcast_to(a, (S,) + a.shape[1:]) for a in
+                                             (one.G, one.h, one.A, one.d)))
+
+    if restart is not None:
+        restart.warm = False
+        if restart.tabs is not None:
+            out, lo = [], 0
+            for part in restart.tabs:
+                S = len(part.T)
+                res = _restarted(part, rows(lo, S), duals=False)
+                if res is None:
+                    break
+                out += res
+                lo += S
+            if lo == len(costs):
+                restart.warm = True
+                return out
+            restart.tabs = None
     tab = _phase_one(one)
     if tab.ended[0] is not None:
         _raised(tab.ended[0])
         return [LPSolution(status=INFEASIBLE) for _ in costs]
     chunk = _per_chunk(tab.T[0].size)
-    out = []
+    out, parts = [], []
     for lo in range(0, len(costs), chunk):
         c = costs[lo : lo + chunk]
         S = len(c)
-        rows = LPStack(c, *(np.broadcast_to(a, (S,) + a.shape[1:]) for a in
-                            (one.G, one.h, one.A, one.d)))
         part = _Tableau(*(a.repeat(S, axis=0) for a in
                           (tab.T, tab.basis, tab.cols, tab.start, tab.row_scale)), [None] * S)
-        out += map(_raised, _solutions(rows, part, _phase_two(part, rows, c)))
+        stack = rows(lo, S)
+        out += map(_raised, _solutions(stack, part, _phase_two(part, stack, c)))
+        parts.append(part)
+    if restart is not None:
+        restart.tabs = _kept(parts, out)
     return out
 
 

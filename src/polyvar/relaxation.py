@@ -31,6 +31,7 @@ from .lpsolve import (
     LPSolution,
     LPStack,
     NumericalFailure,
+    Restart,
     solve,
     solve_stack,
 )
@@ -210,15 +211,20 @@ def certify(lp: LPProblem) -> BoundResult:
     return outcome
 
 
-def certify_stack(stack: LPStack) -> list:
+def certify_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
     """``certify`` for every member of a stack of bounding programs, with one
     stacked solve (``solve_stack``).
 
     Returns one outcome per member: its BoundResult, or the
     InfeasiblePolytope or NumericalFailure that ``certify`` would raise for
     it alone.  Every member comes out bit for bit as ``certify`` gives it.
+    With a ``restart``, the solve restarts from its end tableaux on ``rows``
+    (see ``solve_stack``): the same programs, each row of ``rows`` the row
+    of ``stack`` plus a multiple of the weight row, whose multiplier is the
+    only one that differs.  The bound is the one the multipliers certify in
+    ``stack``.
     """
-    return _certified(stack, solve_stack(stack))
+    return _certified(stack, solve_stack(stack, restart, rows))
 
 
 def _certified(stack: LPStack, sols) -> list:

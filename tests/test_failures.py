@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from polyvar import invariance, lpsolve, relaxation
+from polyvar import invariance, lpsolve
 from polyvar.cli import main
 from polyvar.files import REPORT_SCHEMA
 from polyvar.invariance import (
@@ -39,34 +39,37 @@ def residuals(**worse):
 
 def fail_facet_programs(monkeypatch, members):
     """Make the given (0-based) facet programs of ``verify`` fail inside its
-    stacked solves, counted over the members that end phase 2 optimal,
-    across passes: phase 2 hands back a NumericalFailure for the member, as
-    for a member whose pivots failed, and the solve goes on with the other
-    members of its stack."""
-    count = [0]
-    inside = [False]
-    real_stack = relaxation.solve_stack
-    real_phase_two = lpsolve._phase_two
+    stacked solves, counted in facet order across passes: each phase that
+    ends the program's pivots, phase 2 or a warm restart (``_restart``),
+    hands back a NumericalFailure for it, as for a member whose pivots
+    failed, and the solve goes on with the other members of its stack.  A
+    failed restart solves its stack again from phase 1, where the program
+    fails once more."""
+    seen = [0]
+    failing = []
+    real_certify = invariance.certify_stack
 
-    def solve_stack(stack):
-        inside[0] = True
+    def certify_stack(stack, *args):
+        failing[:] = [k - seen[0] for k in members if seen[0] <= k < seen[0] + len(stack)]
+        seen[0] += len(stack)
         try:
-            return real_stack(stack)
+            return real_certify(stack, *args)
         finally:
-            inside[0] = False
+            failing.clear()
 
-    def phase_two(*args):
-        out = real_phase_two(*args)
-        if inside[0]:
-            for k, res in enumerate(out):
-                if res is None:
-                    count[0] += 1
-                    if count[0] - 1 in members:
-                        out[k] = NumericalFailure("injected")
-        return out
+    def ending(real):
+        def wrapper(*args):
+            out = real(*args)
+            for k in failing:
+                if out[k] is None:
+                    out[k] = NumericalFailure("injected")
+            return out
 
-    monkeypatch.setattr(relaxation, "solve_stack", solve_stack)
-    monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
+        return wrapper
+
+    monkeypatch.setattr(invariance, "certify_stack", certify_stack)
+    monkeypatch.setattr(lpsolve, "_phase_two", ending(lpsolve._phase_two))
+    monkeypatch.setattr(lpsolve, "_restart", ending(lpsolve._restart))
 
 
 def fail_phase_two_runs(monkeypatch, runs) -> list:

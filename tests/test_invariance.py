@@ -278,10 +278,10 @@ class TestVerify:
 
             return wrapper
 
-        def solve_stack(stack):
+        def solve_stack(stack, *args):
             stacks[0] += 1
             calls["solve"] += len(stack)
-            return lpsolve.solve_stack(stack)
+            return lpsolve.solve_stack(stack, *args)
 
         monkeypatch.setattr(polyvar.relaxation, "solve", counted("solve", solve))
         monkeypatch.setattr(polyvar.relaxation, "solve_stack", solve_stack)
@@ -401,9 +401,9 @@ class TestStackedVerify:
             sizes.append((len(stack), tab.T.nbytes))
             return tab
 
-        def solve_stack(stack):
+        def solve_stack(stack, *args):
             members.append(len(stack))
-            return lpsolve.solve_stack(stack)
+            return lpsolve.solve_stack(stack, *args)
 
         def vm(v, M):
             operands.append((len(M), M.nbytes))
@@ -429,8 +429,11 @@ class TestStackedVerify:
 
 
 class TestSynthesisLift:
-    """A synthesis builds the facet lift of its normals once; each of its
-    passes must be, bit for bit, the ``verify`` that builds its own."""
+    """A synthesis builds the facet lift of its normals once.  Its first
+    pass must be, bit for bit, the ``verify`` that builds its own; the later
+    passes restart from the previous pass's tableaux, so they must reach the
+    same optimum, with the same feasible facets and failures and each
+    ``d_star`` within 1e-12 (1 + |d|)."""
 
     @pytest.mark.parametrize("name, m", [("phytoplankton", None), ("fitzhugh_nagumo", 8)])
     def test_records_match_a_fresh_verify(self, monkeypatch, name, m):
@@ -446,12 +449,102 @@ class TestSynthesisLift:
         monkeypatch.setattr(polyvar.invariance, "facet_lift", facet_lift)
         trace = synthesize(model.field, model.rectangle, tpl, model.params)
         assert lifts[0] == 1 and trace.n_iterations > 1
-        for rec in trace.records:
+        for i, rec in enumerate(trace.records):
             report = verify(model.field, model.rectangle, tpl.with_offsets(rec.offsets))
-            assert report.d_star.tobytes() == rec.d_star.tobytes()
+            if i == 0:
+                assert report.d_star.tobytes() == rec.d_star.tobytes()
+            else:
+                gap = np.abs(report.d_star - rec.d_star)
+                assert np.all(gap <= 1e-12 * (1.0 + np.abs(report.d_star))), gap.max()
             assert report.facet_feasible.tobytes() == rec.facet_feasible.tobytes()
             assert report.failures == rec.failures
         assert lifts[0] == 1 + trace.n_iterations  # a lone verify builds its own
+
+
+class TestWarmPasses:
+    """Every pass of a synthesis after its first restarts its facet
+    programs and its repair sweep from the previous pass's end tableaux."""
+
+    @pytest.mark.parametrize("name, m", [("phytoplankton", None), ("fitzhugh_nagumo", 8)])
+    def test_later_passes_run_no_phase_one_and_half_the_pivots(self, monkeypatch, name, m):
+        model = load_model(MODELS_DIR / f"{name}.json")
+        tpl = model.template if m is None else PolytopeTemplate(uniform_normals(m))
+        phases = count_phases(monkeypatch)
+        pivots = [0]
+        steps = []  # (name, phase-1 members, pivots) at each entry and exit
+
+        def counted(fn, count):
+            def wrapper(*args):
+                pivots[0] += count(*args)
+                return fn(*args)
+
+            return wrapper
+
+        def marked(key, fn):
+            def wrapper(*args):
+                steps.append((key, phases["phase_one"], pivots[0]))
+                out = fn(*args)
+                steps.append((key, phases["phase_one"], pivots[0]))
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(lpsolve, "_pivot", counted(lpsolve._pivot, lambda *args: 1))
+        monkeypatch.setattr(
+            lpsolve, "_pivot_all", counted(lpsolve._pivot_all, lambda st, rows, slots: len(rows))
+        )
+        monkeypatch.setattr(polyvar.invariance, "verify", marked("verify", verify))
+        monkeypatch.setattr(polyvar.invariance, "repair_offsets", marked("repair", repair_offsets))
+        trace = synthesize(model.field, model.rectangle, tpl, model.params)
+        assert trace.n_iterations > 2
+        spans = [(a[0], b[1] - a[1], b[2] - a[2]) for a, b in zip(steps[::2], steps[1::2])]
+        verifies = [s for s in spans if s[0] == "verify"]
+        assert len(verifies) == trace.n_iterations
+        first = spans.index(verifies[0])
+        later = spans[first + 1 :]
+        assert [s[1] for s in later] == [0] * len(later)  # no phase 1 after the first pass
+        assert verifies[0][1] == tpl.m
+        warm = sum(s[2] for s in verifies[1:])
+        pivots[0] = 0
+        for rec in trace.records[1:]:
+            verify(model.field, model.rectangle, tpl.with_offsets(rec.offsets))
+        assert 2 * warm <= pivots[0], (warm, pivots[0])
+
+    def test_nothing_kept_runs_every_pass_cold(self, monkeypatch):
+        # without room for tableaux every pass is, bit for bit, a fresh verify
+        monkeypatch.setattr(polyvar.invariance, "KEEP_BYTES", 0)
+        model = load_model(MODELS_DIR / "phytoplankton.json")
+        trace = synthesize(model.field, model.rectangle, model.template, model.params)
+        assert trace.n_iterations > 2
+        for rec in trace.records:
+            report = verify(model.field, model.rectangle, model.template.with_offsets(rec.offsets))
+            assert report.d_star.tobytes() == rec.d_star.tobytes()
+
+    def test_stacks_past_the_limit_run_cold(self, monkeypatch):
+        # room for the sweep and the first facet stack: the other stacks run
+        # phase 1 in every pass
+        fld, rect, _, ref = fitzhugh_nagumo()
+        tpl = PolytopeTemplate(uniform_normals(64))
+        K = polyvar.invariance.facet_lift(fld, rect, tpl.normals).products.shape[0]
+        first = lpsolve.stack_members(K, 63, 2)
+        sweep = 64 * lpsolve.tableau_bytes(2, 66, 0, flipped=66)
+        monkeypatch.setattr(
+            polyvar.invariance, "KEEP_BYTES", sweep + first * lpsolve.tableau_bytes(K, 63, 2)
+        )
+        phases = count_phases(monkeypatch)
+        passes = []
+        real = polyvar.invariance.verify
+
+        def counted(*args):
+            before = phases["phase_one"]
+            out = real(*args)
+            passes.append(phases["phase_one"] - before)
+            return out
+
+        monkeypatch.setattr(polyvar.invariance, "verify", counted)
+        trace = synthesize(fld, rect, tpl, SynthesisParams(reference_point=ref, max_iter=3))
+        assert 0 < first < 64 and trace.n_iterations > 1
+        assert passes == [64] + [64 - first] * (trace.n_iterations - 1)
 
 
 class TestFacetPrograms:

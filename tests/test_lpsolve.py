@@ -809,3 +809,127 @@ class TestLockstepPivots:
         full[members, :, cols] = T.swapaxes(1, 2)
         full[members, np.arange(4), basis] = 1.0
         return full
+
+
+class TestWarmRestart:
+    """A solve given the end tableaux of an earlier solve at other
+    right-hand sides restarts from them, with a dual simplex loop, and falls
+    back to phase 1 when the restart fails."""
+
+    @staticmethod
+    def moved(lp, u, v):
+        """``lp`` with each right-hand side moved by its share ``u`` or ``v``
+        of the row's own size, so a row scaled by ``s`` moves ``s`` times as
+        far."""
+        def size(M, b):
+            return np.abs(b) + np.abs(M).sum(axis=1)
+
+        return LPProblem(lp.c, G=lp.G, h=lp.h + u * size(lp.G, lp.h),
+                         A=lp.A, d=lp.d + v * size(lp.A, lp.d))
+
+    def test_moved_right_hand_sides_match_cold_and_highs(self):
+        # the five kinds of test_highs, solved, then moved and restarted from
+        # their end tableaux, alone and as one cost of a two-cost sweep: the
+        # cold solve's status, the cold and HiGHS optimum within 1e-9 (1 + |v|),
+        # and an infeasible move always ends infeasible through phase 1
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from test_highs import TIGHT, general_lps, highs
+
+        share = st.one_of(st.just(0.0), st.floats(-0.5, 0.5))
+        coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+
+        @st.composite
+        def cases(draw):
+            kind, lp, reference = draw(general_lps(st))
+            u = np.array(draw(st.lists(share, min_size=lp.m_ineq, max_size=lp.m_ineq)))
+            v = np.array(draw(st.lists(share, min_size=lp.m_eq, max_size=lp.m_eq)))
+            c2 = np.array(draw(st.lists(coeff, min_size=lp.n_vars, max_size=lp.n_vars)))
+            return kind, lp, reference, u.reshape(-1), v.reshape(-1), c2
+
+        seen = {"warm": 0, "infeasible": 0}
+
+        @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
+        @hypothesis.given(cases())
+        def check(case):
+            kind, lp, reference, u, v, c2 = case
+            hypothesis.event(kind)
+            restart, sweep = lpsolve.Restart(), lpsolve.Restart()
+            costs = np.vstack([lp.c, c2])
+            try:
+                lpsolve.solve_stack(lpsolve.LPStack.of(lp), restart)
+                lpsolve.solve_many(lp, costs, sweep)
+                moved = self.moved(lp, u, v)
+                cold = [solve(LPProblem(c, G=moved.G, h=moved.h, A=moved.A, d=moved.d))
+                        for c in costs]
+            except NumericalFailure:
+                hypothesis.event("NumericalFailure")
+                return
+            ref_moved = self.moved(reference, u, v)
+            one = lpsolve.LPStack.of(moved)
+            for kept, warm in (
+                (restart, lambda: lpsolve.solve_stack(one, restart, one)),
+                (sweep, lambda: lpsolve.solve_many(moved, costs, sweep)),
+            ):
+                if kept.tabs is None:
+                    continue
+                outs = warm()
+                for c, out, ref in zip(costs, outs, cold):
+                    assert not isinstance(out, NumericalFailure), kind
+                    assert out.status == ref.status, kind
+                    if ref.status == INFEASIBLE:
+                        assert not kept.warm and kept.tabs is None, kind
+                        seen["infeasible"] += 1
+                        continue
+                    assert abs(out.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+                    status, value, _ = highs(
+                        LPProblem(c, G=ref_moved.G, h=ref_moved.h, A=ref_moved.A, d=ref_moved.d),
+                        **TIGHT,
+                    )
+                    assert status == OPTIMAL, kind
+                    assert abs(out.objective - value) <= 1e-9 * (1.0 + abs(value)), kind
+                    seen["warm"] += kept.warm
+
+        check()
+        assert min(seen.values()) > 0, seen
+
+    def test_first_solve_is_the_cold_solve(self):
+        # keeping the end tableaux changes nothing in the solve that keeps them
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            lp, costs = random_sweep(rng)
+            restart = lpsolve.Restart()
+            ours = outcome_or_failure(lambda: solve_many(lp, costs, restart))
+            ref = outcome_or_failure(lambda: solve_many(lp, costs))
+            if isinstance(ref, NumericalFailure):
+                assert str(ours) == str(ref)
+                continue
+            for a, b in zip(ours, ref, strict=True):
+                assert a.status == b.status
+                if b.status == OPTIMAL:
+                    assert a.x.tobytes() == b.x.tobytes()
+            assert restart.warm is False
+            assert (restart.tabs is None) == any(s.status != OPTIMAL for s in ref)
+
+    def test_failed_restart_runs_cold(self, monkeypatch):
+        # a restart whose dual loop fails leaves the stack to phase 1
+        lp = LPProblem([1.0, 2.0], G=[[-1.0, -1.0], [1.0, 0.0]], h=[-1.0, 3.0])
+        restart = lpsolve.Restart()
+        lpsolve.solve_stack(lpsolve.LPStack.of(lp), restart)
+        monkeypatch.setattr(
+            lpsolve, "_dual_loops",
+            lambda st, n_enter, members: dict.fromkeys(members, NumericalFailure("injected")),
+        )
+        moved = LPProblem(lp.c, G=lp.G, h=[-2.0, 3.0])
+        one = lpsolve.LPStack.of(moved)
+        (out,) = lpsolve.solve_stack(one, restart, one)
+        assert not restart.warm and restart.tabs is not None
+        assert out.x.tobytes() == solve(moved).x.tobytes()
+
+
+def outcome_or_failure(fn):
+    """``fn()``, or the NumericalFailure it raised."""
+    try:
+        return fn()
+    except NumericalFailure as exc:
+        return exc
