@@ -35,14 +35,15 @@ def polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:
     and collinear points are removed so consecutive edges always turn left.
     Each facet row is divided by its normal's length first, so the normals'
     scale does not matter; two facets cross unless their unit normals are
-    parallel to within 1e-12.  A point within ``tol`` of a point kept before
-    it, in the order of the facet pairs, is a duplicate.
+    parallel to within 1e-12.  Each tolerance is ``tol`` times the largest
+    normalized offset, which shrinks with a polygon about the origin; a point
+    within it of one kept before it, in facet pair order, is a duplicate.
     """
     if tpl.n != 2:
         raise ValueError("polygon extraction only applies to 2-D templates")
     lengths = np.hypot(tpl.normals[:, 0], tpl.normals[:, 1])
     normals, offsets = tpl.normals / lengths[:, None], tpl.offsets / lengths
-    scale = 1.0 + float(np.abs(offsets).max())
+    scale = float(np.abs(offsets).max())
     pairs = np.column_stack(np.triu_indices(tpl.m, 1))
     mats = normals[pairs]
     crossing = np.abs(np.linalg.det(mats)) >= 1e-12

@@ -242,9 +242,15 @@ def _reach(tpl: PolytopeTemplate) -> np.ndarray:
     return support_values(tpl, np.vstack([eye, -eye]))
 
 
+def _side_tol(rect: Rectangle, tol: float) -> np.ndarray:
+    """``tol`` per side of the rectangle, in ``_reach``'s order, times the
+    side's width where that is below 1: a small rectangle's own scale."""
+    return tol * np.minimum(1.0, np.tile(rect.width, 2))
+
+
 def _within(reach, rect: Rectangle, tol: float) -> bool:
-    """Whether a ``_reach`` stays inside the rectangle, up to ``tol``."""
-    return bool(np.all(reach <= np.concatenate([rect.upper, -rect.lower]) + tol))
+    """Whether a ``_reach`` stays inside the rectangle, up to ``_side_tol``."""
+    return bool(np.all(reach <= np.concatenate([rect.upper, -rect.lower]) + _side_tol(rect, tol)))
 
 
 def template_within_rect(tpl: PolytopeTemplate, rect: Rectangle, tol: float = 1e-9) -> bool:
@@ -535,7 +541,7 @@ def _confining_caps(tpl: PolytopeTemplate, rect: Rectangle, ref) -> np.ndarray:
     reach = reach - np.concatenate([ref, -ref])
     # A strict inner margin keeps the caps inside the rectangle rather than
     # within tolerance of its boundary.
-    room = np.concatenate([rect.upper - ref, ref - rect.lower]) - 1e-9
+    room = np.concatenate([rect.upper - ref, ref - rect.lower]) - _side_tol(rect, 1e-9)
     if not (np.all(np.isfinite(reach)) and np.all(room > 0.0)):
         raise ValueError(
             "template normals do not confine a polytope inside the rectangle; "

@@ -20,11 +20,11 @@ entering column's slot.  A program with far more rows than columns, such as
 a facet program of a template with many facets, updates a few columns per
 pivot instead of all.  Every entry takes the full tableau's float
 operations and equals its entry, up to the sign of a zero that a basic
-column held (see ``_Tableau``), and a step that reads a whole row reads it
-at full width: ``np.matmul`` rounds a column subset of ``v @ M``
-differently from the full product, so pricing and the dual refinement
-multiply by full-width operands, and every pivot choice breaks ties by
-column index.
+column held (see ``_Tableau``).  Only pricing and the dual refinement
+multiply at full width, since ``np.matmul`` rounds a column subset of
+``v @ M`` differently from the full product.  Every pivot choice compares
+the stored columns and breaks ties by column index (``_first``), so it is
+the full tableau's choice over its whole row.
 
 The programs whose duals are read (``solve_stack``, hence ``solve``) get
 one more pass: among the optimal duals, an active inequality row gets a
@@ -75,6 +75,7 @@ UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-10
+_NO_COLUMN = np.iinfo(np.intp).max  # above every column, for ``_first``
 
 # Largest stacked tableau, in bytes, that a caller builds: programs whose
 # condensed tableaux together would exceed it go in several stacks, and a
@@ -214,11 +215,6 @@ def _put(st, members, part) -> None:
         a[members] = b
 
 
-def _slot_of(cols, var):
-    """The stored slot of nonbasic variable ``var`` in each member's ``cols``."""
-    return (cols == np.asarray(var)[..., None]).argmax(axis=-1)
-
-
 def _width(T) -> int:
     """The column count ``W`` of a member of the tableau ``T``."""
     return T.shape[-2] + T.shape[-1] - 2
@@ -276,15 +272,6 @@ def _pivot_some(st, go, rows, slots):
     _put(st, k, part)
 
 
-def _row_full(T, cols, row) -> np.ndarray:
-    """Row ``row[k]`` of each member of ``T`` over all columns, zero at the
-    basic ones."""
-    k = np.arange(T.shape[0])
-    out = np.zeros((T.shape[0], _width(T) + 1))
-    out[k[:, None], cols] = T[k, row]
-    return out
-
-
 def _price(st, cost):
     """Set the reduced costs of each member ``k`` to ``cost[k]``, which has
     one more entry, 0, for the right-hand side, at its basis.  The product
@@ -303,32 +290,30 @@ def _price(st, cost):
         part[:, -1] = (c - _vm(c[k, basis[at]], rows))[k, stored]
 
 
-def _entering(r, cols, n_enter, bland, allowed=None):
-    """The entering slot of one member with reduced costs ``r`` at its
-    stored columns ``cols`` (``allowed`` being ``cols < n_enter``, or None
-    if all are), or None at the optimum: the full tableau's choice over its
-    row, zero at the basic columns.  Dantzig's rule takes the least of the
-    first ``n_enter`` reduced costs, NaN first and ties to the first column;
-    Bland's the first below ``-PIVOT_TOL``, else the first column; the
-    choice stands unless its reduced cost is at least ``-PIVOT_TOL``.
-    """
-    if bland:
-        key = np.where((cols < n_enter) & (r < -PIVOT_TOL), cols, n_enter)
-        slot = key.argmin()
-        if key[slot] < n_enter:
-            return slot
-        # no improving column: the first column, a NaN there going ahead
-        first = np.flatnonzero(cols == 0)
-        return first[0] if first.size and r[first[0]] != r[first[0]] else None
-    values = r if allowed is None else np.where(allowed, r, np.inf)
-    slot = values.argmin()
-    least = values[slot]
-    if least >= -PIVOT_TOL:
-        return None
-    if slot != values.size - 1 - values[::-1].argmin():  # tied, or NaN twice
-        same = values == least if least == least else np.isnan(values)
-        slot = np.where(same, cols, n_enter).argmin()
-    return slot
+def _first(marked, cols):
+    """Where the least column of ``cols`` that ``marked`` marks sits (0 if none)."""
+    return np.where(marked, cols, _NO_COLUMN).argmin(axis=-1)
+
+
+def _least(values):
+    """Where ``values`` is least over the last axis, or NaN if its least is:
+    with ``_first``, the choice among tied values."""
+    least = values.min(axis=-1, keepdims=True)
+    return np.where(least == least, values == least, np.isnan(values))
+
+
+def _entering(r, cols, n_enter):
+    """Bland's entering slot of one member with reduced costs ``r`` at its
+    stored columns ``cols``, or None at the optimum: the first of the first
+    ``n_enter`` columns below ``-PIVOT_TOL``, else the first column if its
+    reduced cost is NaN."""
+    key = np.where((cols < n_enter) & (r < -PIVOT_TOL), cols, n_enter)
+    slot = key.argmin()
+    if key[slot] < n_enter:
+        return slot
+    # no improving column: the first column, a NaN there going ahead
+    first = np.flatnonzero(cols == 0)
+    return first[0] if first.size and r[first[0]] != r[first[0]] else None
 
 
 def _allowed(T, cols, n_enter):
@@ -349,24 +334,24 @@ def _pivot_loop(st, n_enter, degenerate=0, step=0):
     or the NumericalFailure that ended it.  ``degenerate`` and ``step``
     carry on a loop begun in ``_pivot_loops``.
 
-    The entering column is ``_entering``'s, by Dantzig's rule until
-    degenerate pivots pile up, then Bland's.  The leaving row has the least
-    ratio, ties going to the row whose basic column comes first; its pivot
-    element exceeds ``PIVOT_TOL`` by choice.
+    The entering column has the least reduced cost (Dantzig's rule, ties by
+    ``_least``) until degenerate pivots pile up, then ``_entering``'s.  The
+    leaving row has the least ratio, ties going to the row whose basic
+    column comes first; its pivot element exceeds ``PIVOT_TOL`` by choice.
     """
     T, basis, cols = st
     size = T.shape[0] - 1 + _width(T)  # constraint rows plus columns
     r, stored, allowed = T[-1, :-1], cols[:-1], _allowed(T, cols, n_enter)
     for _ in range(step, _pivot_limit(T)):
         if degenerate > 5 * size:
-            slot = _entering(r, stored, n_enter, True)
-        else:  # _entering's Dantzig rule, its usual case inline
+            slot = _entering(r, stored, n_enter)
+        else:
             values = r if allowed is None else np.where(allowed, r, np.inf)
             slot = values.argmin()
             if values[slot] >= -PIVOT_TOL:
                 slot = None
-            elif slot != r.size - 1 - values[::-1].argmin():
-                slot = _entering(r, stored, n_enter, False, allowed)
+            elif slot != r.size - 1 - values[::-1].argmin():  # tied, or NaN twice
+                slot = _first(_least(values), stored)
         if slot is None:
             return OPTIMAL
         col = T[:-1, slot]
@@ -383,48 +368,31 @@ def _pivot_loop(st, n_enter, degenerate=0, step=0):
 
 
 class _Running:
-    """The running members of a stacked state ``st``, kept as its leading
-    block: ``state`` is a view of that block, ``members`` the indices its
-    members have in ``st``.  ``keep`` moves the members that go on to the
-    front of the block, in place, so that a loop holds the stack and one
-    copy of a block at most; ``restore`` puts every member back at its own
-    index.  Moving a member copies its entries, so its pivots are those it
-    takes in place.
+    """The running members of a stacked state ``st``, ``members`` being their
+    indices there: ``state`` is ``st`` itself while all of them run, else a
+    copy of the running ones, which ``keep`` and ``restore`` write back.
+    Only a stack of two or more members, which fits ``STACK_BYTES``, is ever
+    copied, and a copy holds each entry as it is, as in place.
     """
 
     def __init__(self, st, members):
-        self.st = st
-        self.order = np.arange(st[0].shape[0])
-        members = np.asarray(members, dtype=int)
-        self.n = members.size
-        if self.n < self.order.size or (members != self.order).any():
-            self._move(np.concatenate([members, np.setdiff1d(self.order, members)]))
-
-    def _move(self, perm):
-        """Reorder the leading ``perm.size`` members of ``st`` by ``perm``."""
-        lead = slice(0, perm.size)
-        for a in self.st:
-            a[lead] = a[lead][perm]
-        self.order[lead] = self.order[lead][perm]
+        self.st, self.members = st, np.asarray(members, dtype=int)
+        whole = np.array_equal(self.members, np.arange(len(st[0])))
+        self.state = st if whole else _part(st, self.members)
 
     @property
-    def state(self) -> tuple:
-        return tuple(a[: self.n] for a in self.st)
-
-    @property
-    def members(self) -> np.ndarray:
-        return self.order[: self.n]
+    def n(self) -> int:
+        return self.members.size
 
     def keep(self, going) -> None:
         """Keep running the members that ``going`` marks, in their order."""
-        self._move(np.concatenate([np.flatnonzero(going), np.flatnonzero(~going)]))
-        self.n = int(np.count_nonzero(going))
+        self.restore(~going)
+        self.state, self.members = _part(self.state, going), self.members[going]
 
-    def restore(self) -> None:
-        moved = np.flatnonzero(self.order != np.arange(self.order.size))
-        if moved.size:
-            for a in self.st:
-                a[self.order[moved]] = a[moved]
+    def restore(self, ended=slice(None)) -> None:
+        """Write the running members that ``ended`` marks back into ``st``."""
+        if self.state is not self.st:
+            _put(self.st, self.members[ended], _part(self.state, ended))
 
 
 def _pivot_loops(st, n_enter, members) -> dict:
@@ -435,10 +403,11 @@ def _pivot_loops(st, n_enter, members) -> dict:
     One step picks every running member's entering and leaving columns with
     batched ``argmin``s, each member under its own rule and degenerate
     count, and pivots them all at once.  A member that ends drops out, left
-    as its last step left it, and the others move up (``_Running``).  A lone
-    member, or the last one running, pivots in ``_pivot_loop``, which costs
-    less per pivot than a step of one: stepped here instead, a lone member
-    took the ``bound-small`` benchmark +36% and ``synth`` +59% in wall time.
+    as its last step left it, and the others go on in a copy (``_Running``).
+    A lone member, or the last one running, pivots in ``_pivot_loop``, which
+    costs less per pivot than a step of one: stepped here instead, a lone
+    member took the ``bound-small`` benchmark +36% and ``synth`` +59% in
+    wall time.
     """
     if len(members) == 1:
         return {members[0]: _pivot_loop(_part(st, members[0]), n_enter)}
@@ -454,20 +423,14 @@ def _pivot_loops(st, n_enter, members) -> dict:
         r, stored = T[:, -1, :-1], cols[:, :-1]
         values = r if allowed is None else np.where(allowed, r, np.inf)
         slot = values.argmin(axis=1)
-        least = values[k, slot]
-        optimal = least >= -PIVOT_TOL
-        odd = degenerate > 5 * size
+        optimal = values[k, slot] >= -PIVOT_TOL
         tied = slot != values.shape[1] - 1 - values[:, ::-1].argmin(axis=1)
-        if tied.any():  # the first column of the least
-            same = values[tied] == least[tied, None]
-            slot[tied] = np.where(same, stored[tied], n_enter).argmin(axis=1)
-            odd |= tied & (least != least)
-        if odd.any():  # Bland's rule, and NaN twice: as _pivot_loop has it
-            for i in np.flatnonzero(odd):
-                chosen = _entering(r[i], stored[i], n_enter, degenerate[i] > 5 * size,
-                                   None if allowed is None else allowed[i])
-                optimal[i] = chosen is None
-                slot[i] = 0 if chosen is None else chosen
+        if tied.any():
+            slot[tied] = _first(_least(values[tied]), stored[tied])
+        for i in np.flatnonzero(degenerate > 5 * size):  # as _pivot_loop has it
+            chosen = _entering(r[i], stored[i], n_enter)
+            optimal[i] = chosen is None
+            slot[i] = 0 if chosen is None else chosen
         col = T[k, :-1, slot]
         up = col > PIVOT_TOL
         going = up.any(axis=1) & ~optimal
@@ -485,7 +448,7 @@ def _pivot_loops(st, n_enter, members) -> dict:
         if np.isnan(best).any():  # no tied row, where _pivot_loop's argmin raises
             raise ValueError("attempt to get argmin of an empty sequence")
         ties = up & (ratios <= (best + 1e-12)[:, None])
-        leave = np.where(ties, B, _width(T)).argmin(axis=1)
+        leave = _first(ties, B)
         degenerate += best <= 1e-12
         _pivot_all(run.state, leave, slot)
         step += 1
@@ -538,7 +501,7 @@ def _dual_loops(st, n_enter, members) -> dict:
                             out=np.full(value.shape, np.inf), where=low)
         least = key.min(axis=1)
         first = low & ((key == least[:, None]) | bland[:, None])
-        row = np.where(first, B, _width(T)).argmin(axis=1)
+        row = _first(first, B)
         a = T[k, row, :-1]
         cand = a < -PIVOT_TOL
         if allowed is not None:
@@ -546,7 +509,7 @@ def _dual_loops(st, n_enter, members) -> dict:
         ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
         best = ratios.min(axis=1)
         ties = cand & (ratios <= (best + 1e-12)[:, None])
-        slot = np.where(ties, cols[:, :-1], _width(T)).argmin(axis=1)
+        slot = _first(ties, cols[:, :-1])
         feasible = ~low.any(axis=1)
         stuck = ~cand.any(axis=1)
         broken = np.isnan(best) | np.isnan(value).any(axis=1)
@@ -604,17 +567,15 @@ def _activate_degenerate_rows(st, first_slack, n_enter, members):
     k = np.arange(T.shape[0])
     rows = (basis >= first_slack) & (basis < n_enter) & (np.abs(T[:, :-1, -1]) <= 1e-12)
     for at, row in _row_steps(rows, basis, members):
-        a = _row_full(T, cols, row)[:, :n_enter]
-        reduced = _row_full(T, cols, np.full(k.size, -1))[:, :n_enter]
-        cand = (a < -PIVOT_TOL) & at[:, None]
-        ratios = np.divide(reduced, -a, out=np.full(a.shape, np.inf), where=cand)
-        best = ratios.argmin(axis=1)
-        # the first candidate, where every candidate's ratio is infinite
-        best = np.where(cand[k, best], best, cand.argmax(axis=1))
-        go = cand[k, best] & (ratios[k, best] > 0.0)
+        a = T[k, row, :-1]
+        cand = (a < -PIVOT_TOL) & (cols[:, :-1] < n_enter) & at[:, None]
+        ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
+        # the least ratio, NaN first, and the first candidate if all are infinite
+        tied = cand & _least(ratios)
+        go = tied.any(axis=1) & (ratios.min(axis=1) > 0.0)
         if go.any():
             T[k[go], row[go], -1] = 0.0  # round-off below the degeneracy threshold
-            _pivot_some(st, go, row, _slot_of(cols, best))
+            _pivot_some(st, go, row, _first(tied, cols[:, :-1]))
 
 
 def _drive_out_artificials(st, n_std, members):
@@ -628,11 +589,11 @@ def _drive_out_artificials(st, n_std, members):
     k = np.arange(T.shape[0])
     # a pivot on row i changes only basis[i], so the rows to visit are known
     for at, row in _row_steps(basis >= n_std, np.arange(basis.shape[1]), members):
-        a = np.abs(_row_full(T, cols, row)[:, :n_std])
-        j = a.argmax(axis=1)
-        go = at & (a[k, j] > PIVOT_TOL)
+        a = np.where(cols[:, :-1] < n_std, np.abs(T[k, row, :-1]), 0.0)
+        largest = a.max(axis=1)
+        go = at & (largest > PIVOT_TOL)
         if go.any():
-            _pivot_some(st, go, row, _slot_of(cols, j))
+            _pivot_some(st, go, row, _first(a == largest[:, None], cols[:, :-1]))
         done = k[at & ~go]
         T[done, row[done]] = np.where(cols[done] < n_std, 0.0, T[done, row[done]])
 

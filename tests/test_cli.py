@@ -24,7 +24,7 @@ from polyvar.files import (
     load_polytope,
     load_problem,
 )
-from polyvar.invariance import PolytopeTemplate
+from polyvar.invariance import PolytopeTemplate, _reach
 
 
 def write_json(path, payload) -> str:
@@ -390,6 +390,52 @@ def test_bundled_synthesis_outcome(models_dir, tmp_path, capsys, model, template
     if code == 0:
         assert main(["verify", path, "--polytope", str(poly_path)]) == 0
     capsys.readouterr()
+
+
+def small_triangle_model(tmp_path, offsets=None) -> str:
+    """``f_x = 0.1 - 1e10 x + 1e20 x^2``, ``f_y = 0.1 - 1e10 y`` on
+    ``[0, 1e-10]^2`` with the triangle normals ``(1, 1)``, ``-e_1`` and
+    ``-e_2``.  The polytope of the offsets ``(1.5e-10, 0, 0)`` leaves the
+    rectangle at ``(1.5e-10, 0)``, where ``n.f = 0.95 > 0`` on its first
+    facet."""
+    model = {
+        "schema_version": "1",
+        "variables": ["x", "y"],
+        "field": [
+            [{"coefficient": 0.1, "exponents": [0, 0]},
+             {"coefficient": -1e10, "exponents": [1, 0]},
+             {"coefficient": 1e20, "exponents": [2, 0]}],
+            [{"coefficient": 0.1, "exponents": [0, 0]},
+             {"coefficient": -1e10, "exponents": [0, 1]}],
+        ],
+        "rectangle": {"lower": [0.0, 0.0], "upper": [1e-10, 1e-10]},
+        "reference_point": [3e-11, 3e-11],
+        "template": {"normals": [[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]},
+    }
+    if offsets is not None:
+        model["template"]["offsets"] = offsets
+    return write_json(tmp_path / "triangle.json", model)
+
+
+class TestSmallRectangle:
+    """Containment is measured by the rectangle: a polytope half a width
+    outside a rectangle 1e-10 wide is outside, as it is at width 1."""
+
+    def test_verify_refuses_the_polytope_outside(self, tmp_path, capsys):
+        assert main(["verify", small_triangle_model(tmp_path, [1.5e-10, 0.0, 0.0])]) == 2
+        assert "not contained" in capsys.readouterr().err
+
+    def test_synthesize_keeps_every_polytope_inside(self, tmp_path, capsys):
+        path = small_triangle_model(tmp_path)
+        report_path = tmp_path / "report.json"
+        code = main(["synthesize", path, "--report", str(report_path)])
+        capsys.readouterr()
+        assert code in (0, 1)
+        report = json.loads(report_path.read_text())
+        model = load_model(path)
+        sides = np.concatenate([model.rectangle.upper, -model.rectangle.lower])
+        for offsets in [rec["offsets"] for rec in report["iterations"]] + [report["final_offsets"]]:
+            assert np.all(_reach(model.template.with_offsets(np.array(offsets))) <= sides)
 
 
 class TestSchemas:
@@ -1032,7 +1078,7 @@ def reference_polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.n
     """``polygon_vertices`` one facet pair and one point at a time."""
     lengths = np.hypot(tpl.normals[:, 0], tpl.normals[:, 1])
     normals, offsets = tpl.normals / lengths[:, None], tpl.offsets / lengths
-    scale = 1.0 + float(np.abs(offsets).max())
+    scale = float(np.abs(offsets).max())
     points = []
     for i in range(tpl.m):
         for j in range(i + 1, tpl.m):
@@ -1130,7 +1176,7 @@ class TestPolygonVertices:
         verts = polygon_vertices(tpl)
         assert verts.shape == (4, 2)
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-7, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-10, 1e-9, 1e-7, 1.0, 1e6, 1e12])
     def test_hexagon_at_any_scale(self, scale):
         # each row is divided by its normal's length, so scaling normals and
         # offsets together keeps every vertex
@@ -1140,6 +1186,10 @@ class TestPolygonVertices:
         assert unscaled.shape == (6, 2)
         verts = polygon_vertices(PolytopeTemplate(scale * normals, scale * np.ones(6)))
         np.testing.assert_allclose(verts, unscaled, rtol=0.0, atol=1e-12)
+        # the tolerances follow the polygon's own size, so a scaled polygon
+        # keeps every vertex too
+        sized = polygon_vertices(PolytopeTemplate(normals, scale * np.ones(6)))
+        np.testing.assert_allclose(sized, scale * unscaled, rtol=0.0, atol=1e-12 * scale)
 
     def test_requires_two_dimensions(self):
         tpl = PolytopeTemplate(np.eye(3), [1.0, 1.0, 1.0])
