@@ -36,24 +36,34 @@ def polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:
     Each facet row is divided by its normal's length first, so the normals'
     scale does not matter; two facets cross unless their unit normals are
     parallel to within 1e-12.  Each tolerance is ``tol`` times the largest
-    normalized offset, which shrinks with a polygon about the origin; a point
-    within it of one kept before it, in facet pair order, is a duplicate.
+    offset measured from an interior point, the mean of the intersections
+    within ``tol`` times the largest offset of every facet, so it follows
+    the polygon's size wherever the polygon lies.  The feasibility and
+    duplicate tests read the intersections solved from that point; a point
+    within the tolerance of one kept before it, in facet pair order, is a
+    duplicate.  The vertices are the intersections solved from the origin.
     """
     if tpl.n != 2:
         raise ValueError("polygon extraction only applies to 2-D templates")
     lengths = np.hypot(tpl.normals[:, 0], tpl.normals[:, 1])
     normals, offsets = tpl.normals / lengths[:, None], tpl.offsets / lengths
-    scale = float(np.abs(offsets).max())
     pairs = np.column_stack(np.triu_indices(tpl.m, 1))
     mats = normals[pairs]
     crossing = np.abs(np.linalg.det(mats)) >= 1e-12
     pairs, mats = pairs[crossing], mats[crossing]
     pts = np.linalg.solve(mats, offsets[pairs][:, :, None])[:, :, 0]
-    pts = pts[np.all(pts @ normals.T <= offsets + tol * scale, axis=1)]
+    near = np.all(pts @ normals.T <= offsets + tol * np.abs(offsets).max(), axis=1)
+    center = pts[near].mean(axis=0) if near.any() else np.zeros(2)
+    offsets = offsets - normals @ center
+    scale = float(np.abs(offsets).max())
+    rel = np.linalg.solve(mats, offsets[pairs][:, :, None])[:, :, 0]
+    inside = np.all(rel @ normals.T <= offsets + tol * scale, axis=1)
+    pts, rel = pts[inside], rel[inside]
     unique = []
-    while pts.shape[0]:
+    while rel.shape[0]:
         unique.append(pts[0])
-        pts = pts[1:][np.linalg.norm(pts[1:] - pts[0], axis=1) > tol * scale]
+        apart = np.linalg.norm(rel[1:] - rel[0], axis=1) > tol * scale
+        pts, rel = pts[1:][apart], rel[1:][apart]
     pts = np.array(unique).reshape(-1, 2)
     if pts.shape[0] < 3:
         return pts

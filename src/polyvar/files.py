@@ -358,36 +358,51 @@ def _load_json(path) -> dict:
 
 
 def _poly_from_terms(terms, n_vars: int, label: str) -> MultiPoly:
-    table = {}
+    """The polynomial of the term records ``terms``, each read once: their
+    exponents go into one flat list and their coefficients into another,
+    which ``MultiPoly.from_arrays`` takes as its arrays."""
+    flat, coefficients = [], []
     for record in terms:
-        exps = tuple(record["exponents"])
+        exponents = record["exponents"]
+        if len(exponents) != n_vars:
+            _refuse_terms(terms, n_vars, label)
+        flat += exponents
+        coefficients.append(record["coefficient"])
+    try:
+        poly = MultiPoly.from_arrays(n_vars, flat, coefficients)
+    except OverflowError:  # a coefficient beyond the floats, or an exponent beyond int64
+        _refuse_terms(terms, n_vars, label)
+    except ValueError as exc:
+        raise InputError(f"{label}: {exc}") from exc
+    if max(poly.degrees) > LIFT_MAX_DEGREE:
+        _refuse_terms(terms, n_vars, label)
+    return poly
+
+
+def _refuse_terms(terms, n_vars: int, label: str):
+    """Raise the InputError of the first faulty term record: one with the
+    wrong number of exponents or a coefficient beyond the floats, or else
+    one with an exponent above the lift cap, which no lift can hold (the
+    term is named, since the exponent's digits may run to hundreds)."""
+    for record in terms:
+        exps = record["exponents"]
         if len(exps) != n_vars:
             raise InputError(
                 f"{label}: term {list(exps)} has {len(exps)} exponents, expected {n_vars}"
             )
         try:
-            coefficient = float(record["coefficient"])
+            float(record["coefficient"])
         except OverflowError as exc:
             raise InputError(f"{label}: term {list(exps)} coefficient: {exc}") from exc
-        table[exps] = table.get(exps, 0.0) + coefficient
-    try:
-        poly = MultiPoly(n_vars, table)
-    except ValueError as exc:
-        raise InputError(f"{label}: {exc}") from exc
-    if max(poly.degrees) > LIFT_MAX_DEGREE:
-        # no lift can hold the polynomial; name the term, since the exponent's
-        # digits may run to hundreds
-        i, axis = next(
-            (i, axis)
-            for i, record in enumerate(terms)
-            for axis, e in enumerate(record["exponents"])
-            if e > LIFT_MAX_DEGREE
-        )
-        raise InputError(
-            f"{label}: term {i} has an exponent on axis {axis} above the lift cap "
-            f"{LIFT_MAX_DEGREE}"
-        )
-    return poly
+    i, axis = next(
+        (i, axis)
+        for i, record in enumerate(terms)
+        for axis, e in enumerate(record["exponents"])
+        if e > LIFT_MAX_DEGREE
+    )
+    raise InputError(
+        f"{label}: term {i} has an exponent on axis {axis} above the lift cap {LIFT_MAX_DEGREE}"
+    )
 
 
 def _rectangle_from(obj, label: str) -> Rectangle:
@@ -511,7 +526,7 @@ def _clean(value):
         return bool(value)
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return None if np.isnan(v) else v
+        return None if v != v else v
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value

@@ -20,6 +20,7 @@ set of lifted vertices, which have the same optimal value, live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,19 +135,24 @@ def class_constraint_values(degrees, rect: Rectangle, mat, rhs) -> np.ndarray:
             f"constraint touches variable {int(conflict[0])} which has lift degree 0; "
             "pad the polynomial degrees first"
         )
-    grid = np.meshgrid(*(np.arange(d + 1.0) for d in degrees), indexing="ij")
     # Summing axis by axis in index order, with the class point written as
     # (l*upper + (d-l)*lower)/d, repeats the float operations of the scalar
     # per-class definition (oracle.lifted_dot) bit for bit; a BLAS product
-    # would round differently.
-    acc = np.zeros((grid[0].size, mat.shape[0]))
+    # would round differently.  Each axis's side values broadcast along the
+    # other axes of a (d_1+1) x ... x (d_n+1) x m accumulator, whose rows in
+    # C order are the classes in lexicographic order.
+    n, m = len(degrees), mat.shape[0]
+    lattice = tuple(d + 1 for d in degrees)
+    acc = np.zeros((*lattice, m))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, d in enumerate(degrees):
             if d:
-                level = grid[k].reshape(-1)
+                level = np.arange(d + 1.0)
                 side = level * rect.upper[k] + (d - level) * rect.lower[k]
-                acc += np.outer(side, mat[:, k] / d)
-        return acc - rhs
+                along = [1] * (n + 1)
+                along[k] = d + 1
+                acc += side.reshape(along) * (mat[:, k] / d)
+        return acc.reshape(math.prod(lattice), m) - rhs
 
 
 def bounding_program(bern: np.ndarray, g: np.ndarray, h: np.ndarray) -> LPProblem:
@@ -204,7 +210,19 @@ def certify(lp: LPProblem) -> BoundResult:
     ends of the box side, so their convex hull covers the rectangle there:
     an infeasible program means no point of the rectangle satisfies the
     constraints, and raises InfeasiblePolytope.
+
+    A program with no equality row besides the weight row, whose least
+    Bernstein class satisfies every inequality row strictly, is not solved:
+    that class's weight alone is optimal, so the bound is ``min B``, and by
+    complementary slackness ``lam = 0`` are its only optimal multipliers.
     """
+    if lp.m_eq == 1:
+        least = int(np.argmin(lp.c))
+        if (lp.G[:, least] < lp.h).all():
+            # + 0.0 as in the certificate sum, so a least B of -0.0 reads 0.0
+            return BoundResult(
+                d_star=float(lp.c[least]) + 0.0, lam=np.zeros(lp.m_ineq), mu=np.zeros(0)
+            )
     (outcome,) = _certified(LPStack.of(lp), [solve(lp)])
     if isinstance(outcome, Exception):
         raise outcome

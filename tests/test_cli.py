@@ -196,6 +196,51 @@ class TestBoundCommand:
         assert cs.b == pytest.approx([-0.25])
 
 
+class TestTermRecords:
+    """Each term record is read once; equal exponents are summed in record
+    order, and a sum of exactly 0 is dropped before the degrees are taken."""
+
+    def load(self, tmp_path, polynomial):
+        problem = {**problem_with(polynomial=polynomial), "rectangle": {
+            "lower": [0.0, 0.0], "upper": [1.0, 1.0]}}
+        poly, _, _ = load_problem(write_json(tmp_path / "terms.json", problem))
+        return poly
+
+    def test_duplicates_summed_in_record_order(self, tmp_path):
+        records = [([2, 1], 1.0), ([0, 1], 3.0), ([2.0, 1], 1e16), ([2, 1], -1e16)]
+        poly = self.load(tmp_path, [{"exponents": e, "coefficient": c} for e, c in records])
+        # (1.0 + 1e16) - 1e16 is 0.0 in floats
+        assert poly.terms == {(0, 1): 3.0}
+        assert poly.degrees == (0, 1)
+        records = [([2.0, 1], 1e16), ([0, 1], 3.0), ([2, 1], -1e16), ([2, 1], 1.0)]
+        poly = self.load(tmp_path, [{"exponents": e, "coefficient": c} for e, c in records])
+        assert list(poly.terms.items()) == [((2, 1), 1.0), ((0, 1), 3.0)]
+        assert poly.degrees == (2, 1)
+
+    def test_zero_sum_lowers_the_degree(self, tmp_path):
+        records = [([3, 0], 1.5), ([1, 2], 1.0), ([3, 0], -1.5)]
+        poly = self.load(tmp_path, [{"exponents": e, "coefficient": c} for e, c in records])
+        assert poly.terms == {(1, 2): 1.0}
+        assert poly.degrees == (1, 2)
+
+    @pytest.mark.parametrize("exponent", [2**63, 10**400, 1e300])
+    def test_exponent_beyond_int64_is_above_the_lift_cap(self, tmp_path, exponent):
+        polynomial = [{"exponents": [1, 0], "coefficient": 1.0},
+                      {"exponents": [0, exponent], "coefficient": 2.0}]
+        with pytest.raises(InputError, match=r"polynomial: term 1 has an exponent on axis 1 "
+                                             r"above the lift cap 100$"):
+            self.load(tmp_path, polynomial)
+
+    def test_first_faulty_record_named(self, tmp_path):
+        # a coefficient beyond the floats before a record of the wrong length
+        polynomial = [{"exponents": [1, 0], "coefficient": 10**400},
+                      {"exponents": [1], "coefficient": 1.0}]
+        with pytest.raises(InputError, match=r"polynomial: term \[1, 0\] coefficient: "):
+            self.load(tmp_path, polynomial)
+        with pytest.raises(InputError, match=r"polynomial: term \[1\] has 1 exponents, "):
+            self.load(tmp_path, polynomial[::-1])
+
+
 class TestVerifyCommand:
     def test_linear_model_invariant(self, models_dir, capsys):
         code = main(["verify", str(models_dir / "linear_decay.json")])
@@ -1078,23 +1123,31 @@ def reference_polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.n
     """``polygon_vertices`` one facet pair and one point at a time."""
     lengths = np.hypot(tpl.normals[:, 0], tpl.normals[:, 1])
     normals, offsets = tpl.normals / lengths[:, None], tpl.offsets / lengths
-    scale = float(np.abs(offsets).max())
+    crossing = [
+        (i, j) for i in range(tpl.m) for j in range(i + 1, tpl.m)
+        if abs(np.linalg.det(normals[[i, j]])) >= 1e-12
+    ]
+    # the interior point: the mean of the intersections within tol times the
+    # largest offset, with the offsets measured from the origin
+    near = [
+        x for x in (np.linalg.solve(normals[[i, j]], offsets[[i, j]]) for i, j in crossing)
+        if np.all(normals @ x <= offsets + tol * np.abs(offsets).max())
+    ]
+    center = np.mean(near, axis=0) if near else np.zeros(2)
+    shifted = offsets - normals @ center
+    scale = float(np.abs(shifted).max())
     points = []
-    for i in range(tpl.m):
-        for j in range(i + 1, tpl.m):
-            mat = normals[[i, j]]
-            if abs(np.linalg.det(mat)) < 1e-12:
-                continue
-            x = np.linalg.solve(mat, offsets[[i, j]])
-            if np.all(normals @ x <= offsets + tol * scale):
-                points.append(x)
+    for i, j in crossing:
+        rel = np.linalg.solve(normals[[i, j]], shifted[[i, j]])
+        if np.all(normals @ rel <= shifted + tol * scale):
+            points.append((np.linalg.solve(normals[[i, j]], offsets[[i, j]]), rel))
     if not points:
         return np.zeros((0, 2))
-    unique: list[np.ndarray] = []
-    for x in points:
-        if not any(np.linalg.norm(x - u) <= tol * scale for u in unique):
-            unique.append(x)
-    pts = np.array(unique)
+    unique: list[tuple] = []
+    for x, rel in points:
+        if not any(np.linalg.norm(rel - u) <= tol * scale for _, u in unique):
+            unique.append((x, rel))
+    pts = np.array([x for x, _ in unique])
     if pts.shape[0] < 3:
         return pts
     centroid = pts.mean(axis=0)
@@ -1190,6 +1243,17 @@ class TestPolygonVertices:
         # keeps every vertex too
         sized = polygon_vertices(PolytopeTemplate(normals, scale * np.ones(6)))
         np.testing.assert_allclose(sized, scale * unscaled, rtol=0.0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("corner", [0.0, 1.0, -3.0, 1e3])
+    def test_small_triangle_anywhere(self, corner):
+        # a triangle 2e-10 across keeps its three vertices at the origin and
+        # far from it: the tolerances are measured from the triangle itself
+        normals = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        offsets = np.array([2.0 * corner + 2e-10, -corner, -corner])
+        verts = polygon_vertices(PolytopeTemplate(normals, offsets))
+        assert verts.shape == (3, 2)
+        expected = corner + np.array([[0.0, 0.0], [2e-10, 0.0], [0.0, 2e-10]])
+        np.testing.assert_allclose(verts, expected, rtol=0.0, atol=1e-15 * (1 + abs(corner)))
 
     def test_requires_two_dimensions(self):
         tpl = PolytopeTemplate(np.eye(3), [1.0, 1.0, 1.0])

@@ -55,6 +55,48 @@ class TestMultiPoly:
             MultiPoly(2, {(2, 0): 1.0}, degrees=(1, 0))
 
 
+class TestTermArrays:
+    """The stored form: distinct exponent rows in first-appearance order,
+    nonzero finite coefficients."""
+
+    def test_equal_rows_summed_in_row_order(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the order of the sum shows
+        rows = [[2, 0], [0, 1], [2, 0], [2, 0]]
+        ahead = MultiPoly.from_arrays(2, rows, [1e16, 3.0, -1e16, 1.0])
+        behind = MultiPoly.from_arrays(2, rows, [1.0, 3.0, 1e16, -1e16])
+        assert ahead.terms == {(2, 0): 1.0, (0, 1): 3.0}
+        assert list(ahead.terms) == [(2, 0), (0, 1)]
+        assert behind.terms == {(0, 1): 3.0}
+
+    def test_zero_sum_lowers_the_degree(self):
+        p = MultiPoly.from_arrays(2, [[3, 0], [1, 2], [3, 0]], [1.5, 1.0, -1.5])
+        assert p.terms == {(1, 2): 1.0}
+        assert p.degrees == (1, 2)
+
+    def test_dict_constructor_gives_the_same_arrays(self):
+        terms = {(1, 0): 3.0, (0, 3): 2.0, (2, 2): 1.0, (4, 4): 0.0}
+        p = MultiPoly(2, terms)
+        q = MultiPoly.from_arrays(2, list(terms), list(terms.values()))
+        for name in ("exponents", "coefficients"):
+            assert getattr(p, name).tobytes() == getattr(q, name).tobytes()
+        assert p.exponents.dtype == np.int64 and p.exponents.shape == (3, 2)
+        assert p.degrees == q.degrees == (2, 3)
+
+    def test_arrays_are_read_only(self):
+        p = cubic_mix()
+        for arr in (p.exponents, p.coefficients, p.pad_degrees((4, 4)).coefficients):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_non_finite_sum_refused(self):
+        with pytest.raises(ValueError, match=r"coefficient of \(1,\) must be finite, got inf"):
+            MultiPoly.from_arrays(1, [[1], [1]], [1e308, 1e308])
+
+    def test_empty(self):
+        p = MultiPoly.from_arrays(3, np.zeros((0, 3)), [])
+        assert p.terms == {} and p.degrees == (0, 0, 0)
+
+
 class TestRectangle:
     def test_strict_bounds_required(self):
         with pytest.raises(ValueError):

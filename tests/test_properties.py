@@ -9,13 +9,15 @@ import pytest
 
 from polyvar import files
 from polyvar.invariance import PolytopeTemplate, VectorField, facet_programs
-from polyvar.oracle import grid_min, sensitivity_bound
+from polyvar.lpsolve import OPTIMAL, solve
+from polyvar.oracle import enumerate_classes, grid_min, lifted_dot, sensitivity_bound
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
 from polyvar.relaxation import (
     ConstraintSet,
     InfeasiblePolytope,
     bounding_program,
     build_reduced_lp,
+    certify,
     class_constraint_values,
     lift_degrees,
     lower_bound,
@@ -165,6 +167,89 @@ def test_reduced_lp_blocks_match_one_call_per_block(case, data):
     for name in ("c", "G", "h", "A", "d"):
         got, want = getattr(lp, name), getattr(ref, name)
         assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
+def per_term_bernstein(p, rect) -> np.ndarray:
+    """The Bernstein conversion with a loop over the terms and the tables
+    built afresh on every call."""
+    vals = np.zeros(tuple(d + 1 for d in p.degrees))
+    for exps, coeff in p.terms.items():
+        vals[exps] = coeff
+    for axis, d in enumerate(p.degrees):
+        lower, width = float(rect.lower[axis]), float(rect.width[axis])
+        to_bernstein, shift = np.zeros((d + 1, d + 1)), np.zeros((d + 1, d + 1))
+        for l in range(d + 1):
+            for i in range(l + 1):
+                to_bernstein[l, i] = math.comb(l, i) / math.comb(d, i)
+        for e in range(d + 1):
+            for j in range(e + 1):
+                shift[j, e] = math.comb(e, j) * lower ** (e - j) * width**j
+        vals = np.moveaxis(np.tensordot(to_bernstein @ shift, vals, axes=(1, axis)), 0, axis)
+    return vals
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(st.data())
+def test_bernstein_coefficients_match_the_per_term_loop(data):
+    # the terms go in with one indexed assignment and the change of basis is
+    # a table cached per degree; the coefficients are the loop's bit for bit
+    n = data.draw(st.integers(1, 3))
+    (p,), rect = polynomials(data.draw, n, 1), box(data.draw, n)
+    pad = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    p = p.pad_degrees([d + k for d, k in zip(p.degrees, pad)])
+    assert bernstein_coefficients(p, rect).tobytes() == per_term_bernstein(p, rect).tobytes()
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(st.data())
+def test_term_rows_match_the_record_loop(data):
+    # from_arrays, as a problem file's records reach it: equal rows summed in
+    # row order, a sum of 0 dropped, the rows in first-appearance order
+    n = data.draw(st.integers(1, 3))
+    row = st.tuples(*(st.integers(0, 2) for _ in range(n)))
+    coeff = st.sampled_from([1.0, -1.0, 0.5, 1e16, -1e16, 0.0])
+    records = data.draw(st.lists(st.tuples(row, coeff), max_size=8))
+    table = {}
+    for exps, c in records:
+        table[exps] = table.get(exps, 0.0) + c
+    expected = {exps: c for exps, c in table.items() if c != 0.0}
+    p = MultiPoly.from_arrays(n, [r for r, _ in records], [c for _, c in records])
+    assert list(p.terms.items()) == list(expected.items())
+    assert p.degrees == (tuple(map(max, zip(*expected))) if expected else (0,) * n)
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(st.data())
+def test_class_constraint_values_match_lifted_dot(data):
+    # each axis's side values broadcast along the others repeat the scalar
+    # per-class arithmetic of oracle.lifted_dot bit for bit
+    n = data.draw(st.integers(1, 4))
+    degrees = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    rect, m = box(data.draw, n), data.draw(st.integers(0, 3))
+    rows = [data.draw(st.lists(ROW_COEFF, min_size=n, max_size=n)) for _ in range(m)]
+    mat = np.where(np.array(degrees) > 0, np.array(rows).reshape(m, n), 0.0)
+    rhs = np.array([data.draw(COEFF) for _ in range(m)])
+    values = class_constraint_values(degrees, rect, mat, rhs)
+    ref = [
+        [lifted_dot(a, rect, degrees, cls) - b for a, b in zip(mat, rhs)]
+        for cls in enumerate_classes(degrees)
+    ]
+    assert values.tobytes() == np.array(ref).reshape(values.shape).tobytes()
+
+
+@hypothesis.settings(max_examples=100)
+@hypothesis.given(problems())
+def test_known_answer_matches_the_lp(case):
+    # where the least class satisfies every row strictly, certify answers
+    # without an LP: the solved program has the same bound, with zero
+    # multipliers
+    p, rect, cs = case
+    lp = build_reduced_lp(pad_for_constraints(p, cs), rect, cs)
+    hypothesis.assume(np.all(lp.G[:, np.argmin(lp.c)] < 0.0))
+    res, sol = certify(lp), solve(lp)
+    assert sol.status == OPTIMAL
+    assert res.d_star == float((lp.c + lp.G.T @ sol.ineq_duals).min()) == lp.c.min()
+    assert res.lam.tolist() == sol.ineq_duals.tolist() == [0.0] * cs.m_ineq
 
 
 # JSON values an edit can put anywhere in a document: 2.0 is an integer to

@@ -22,7 +22,9 @@ from polyvar.relaxation import (
     ConstraintSet,
     DegreeZeroConflict,
     InfeasiblePolytope,
+    bounding_program,
     build_reduced_lp,
+    certify,
     lower_bound,
     pad_for_constraints,
 )
@@ -474,6 +476,44 @@ class TestMultiplierChoice:
             certified = lp.c + lp.G.T @ res.lam + lp.A[1:].T @ res.mu
             assert res.d_star == float(certified.min())
             assert res.d_star == pytest.approx(solve(lp).objective, abs=1e-9)
+
+
+class TestKnownAnswer:
+    """A least Bernstein class that satisfies every inequality row strictly,
+    with no equality row, answers the program without an LP."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        calls = []
+
+        def counting_solve(lp):
+            calls.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(polyvar.relaxation, "solve", counting_solve)
+        return calls
+
+    def test_strictly_feasible_least_class_makes_no_solve(self, monkeypatch):
+        # x^2 on [-1, 1]: B = (1, -1, 1), least at the class point 0
+        calls = self.counted(monkeypatch)
+        for cs in (x_at_most(0.5), ConstraintSet(1)):
+            res = lower_bound(PARABOLA, SYMMETRIC, cs)
+            assert res.d_star == -1.0
+            assert res.lam.tolist() == [0.0] * cs.m_ineq and res.mu.size == 0
+            assert not np.signbit(res.lam).any()
+        assert calls == []
+
+    def test_boundary_or_equality_still_solved(self, monkeypatch):
+        calls = self.counted(monkeypatch)
+        # the least class on the row x <= 0, and an equality row
+        lower_bound(PARABOLA, SYMMETRIC, x_at_most(0.0))
+        lower_bound(PARABOLA, SYMMETRIC, ConstraintSet(1, equalities=[(np.array([1.0]), 0.0)]))
+        assert len(calls) == 2
+
+    def test_negative_zero_least_coefficient_reads_zero(self):
+        # as in the certificate sum of a solved program, which adds +0.0
+        res = certify(bounding_program(np.array([-0.0, 1.0]), np.zeros((2, 0)), np.zeros((2, 0))))
+        assert res.d_star == 0.0 and not np.signbit(res.d_star)
 
 
 class TestSensitivityBound:

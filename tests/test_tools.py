@@ -1,8 +1,8 @@
 """Smoke tests for the comparison scripts in ``tools/``.
 
 The scripts wrap engine functions by name, so a rename makes them crash or
-count nothing; each runs here as a subprocess, since ``pass_pivots.py``
-patches modules in place.
+count nothing; each runs here as a subprocess, since ``pass_pivots.py`` and
+``bound_stages.py`` patch modules in place.
 """
 
 import importlib.util
@@ -21,15 +21,21 @@ def run_tool(*argv) -> list:
     return out.stdout.splitlines()
 
 
-def synth_items(seed) -> dict:
-    """``{name: facet count}`` of the ``synth`` benchmark items of a seed."""
-    # loaded outside sys.modules: Hypothesis draws constants from every local
-    # module there, so importing gen would change the property tests' examples
+def benchmark_items(workload, seed) -> list:
+    """The items of a benchmark workload for a seed."""
+    # gen is loaded outside sys.modules: Hypothesis draws constants from every
+    # local module there, so importing gen would change the property tests'
+    # examples
     spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen.generate(workload, seed, ROOT / "models")
+
+
+def synth_items(seed) -> dict:
+    """``{name: facet count}`` of the ``synth`` benchmark items of a seed."""
     return {item["name"]: len(item["payload"]["template"]["normals"])
-            for item in gen.synth(seed, ROOT / "models")}
+            for item in benchmark_items("synth", seed)}
 
 
 PASS_LINE = re.compile(
@@ -75,3 +81,29 @@ def test_report_digest_line_format():
         assert pattern.fullmatch(line), line
     reports = [line for line in lines if " report exit=" in line]
     assert [line.split("  ")[1].split(" report")[0] for line in reports] == runs
+
+
+STAGE_LINE = re.compile(
+    r"3 (\S+) read=\d+ terms=\d+ bernstein=\d+ values=\d+ lp=\d+ write=\d+ other=-?\d+ "
+    r"lp_solved=([01])"
+)
+TOTAL_LINE = re.compile(
+    r"3 total [\d.]+ms read=([\d.]+)% terms=([\d.]+)% bernstein=([\d.]+)% values=([\d.]+)% "
+    r"lp=([\d.]+)% write=([\d.]+)% other=(-?[\d.]+)% no_lp=(\d+)/(\d+)"
+)
+
+
+def test_bound_stages_prints_one_line_per_item():
+    for workload in ("bound-dense", "bound-small"):
+        *lines, total = run_tool("bound_stages.py", "3", workload, "1")
+        items = benchmark_items(workload, 3)
+        matches = [STAGE_LINE.fullmatch(line) for line in lines]
+        assert all(matches), lines
+        assert [m.group(1) for m in matches] == [item["name"] for item in items]
+        shares = TOTAL_LINE.fullmatch(total)
+        assert shares, total
+        assert abs(sum(map(float, shares.groups()[:7])) - 100.0) < 0.5
+        no_lp = [m.group(2) for m in matches].count("0")
+        assert shares.groups()[7:] == (str(no_lp), str(len(items)))
+        # every dense program has an equality row, so each one is solved
+        assert (no_lp == 0) == (workload == "bound-dense")
