@@ -70,10 +70,11 @@ def polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.ndarray:
     centroid = pts.mean(axis=0)
     order = np.argsort(np.arctan2(pts[:, 1] - centroid[1], pts[:, 0] - centroid[0]))
     pts = pts[order]
-    # Drop collinear middle points so the CCW order is strict.
+    # Drop collinear middle points so the CCW order is strict: the cross
+    # product of the edges is an area, so its tolerance is one too.
     u = pts - np.roll(pts, 1, axis=0)
     v = np.roll(pts, -1, axis=0) - pts
-    keep = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] > tol * scale
+    keep = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] > tol * scale**2
     return pts[keep] if keep.any() else pts
 
 
@@ -174,6 +175,8 @@ def _iteration_payload(trace) -> list:
                 "feasible": rec.facet_feasible,
                 "invariant": rec.invariant,
                 "t_star": rec.t_star,
+                "t_big": rec.t_big,
+                "step": rec.step,
                 "alpha": rec.alpha,
                 "repaired_offsets": rec.repaired_offsets,
                 "failures": {str(k): v for k, v in rec.failures.items()},

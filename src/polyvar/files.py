@@ -198,6 +198,8 @@ REPORT_SCHEMA = {
                     "feasible": {"type": "array", "items": {"type": "boolean"}},
                     "invariant": {"type": "boolean"},
                     "t_star": {"type": ["number", "null"]},
+                    "t_big": {"type": ["number", "null"]},
+                    "step": {"enum": ["least_move", "capped", None]},
                     "alpha": {"type": ["array", "null"], "items": {"type": "number"}},
                     "repaired_offsets": {"type": ["array", "null"], "items": {"type": "number"}},
                     "failures": {"type": "object"},

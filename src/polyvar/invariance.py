@@ -7,8 +7,9 @@ A verification pass gathers all of them into stacks of a bounded size
 rectangle and the normals (``facet_lift``, built once per synthesis), and
 certifies each stack in one stacked solve.  When verification fails, the
 facet multipliers say how the per-facet bounds react to moving the offsets,
-and a small LP picks the offset step that maximizes the worst predicted
-bound.
+and small LPs pick the offset step: the least move after which the old
+multipliers certify every facet, or else the capped step that maximizes
+the worst predicted bound (``improve_offsets``).
 Offsets are re-tightened to their support values after every step so no
 facet is ever empty.  Between the passes of a synthesis only the offsets
 move, which are right-hand sides of the facet programs up to the weight
@@ -30,7 +31,7 @@ from .lpsolve import (
     LPStack,
     NumericalFailure,
     Restart,
-    solve,
+    solve_dual,
     solve_many,
     stack_members,
     tableau_bytes,
@@ -49,6 +50,14 @@ from .relaxation import (
 # 48-facet 8-D template over 3^8 vertex classes 127 MB; the facet stacks
 # past the limit, in facet order, are solved from phase 1 in every pass.
 KEEP_BYTES = 128 * 1024 * 1024
+
+# The least-move step keeps every predicted facet bound at least this share
+# of ``t_big``.  At 0 the step lands on bounds of exactly 0, which the next
+# pass reads as about -1e-16: the bundled syntheses then stall.
+LEAST_MOVE_SHARE = 0.25
+
+LEAST_MOVE = "least_move"
+CAPPED = "capped"
 
 INVARIANT_FOUND = "invariant_found"
 ITERATION_LIMIT = "iteration_limit"
@@ -170,6 +179,20 @@ class IterationRecord:
     t_star: float = None
     alpha: np.ndarray = None
     repaired_offsets: np.ndarray = None
+    t_big: float = None
+    step: str = None
+
+
+@dataclass(eq=False)
+class OffsetStep:
+    """An offset step of ``improve_offsets``: ``alpha``, ``kind`` (LEAST_MOVE
+    or CAPPED), ``t_big``, the largest worst predicted facet bound within the
+    offset caps, and ``t_star``, the worst predicted bound at ``alpha``."""
+
+    alpha: np.ndarray
+    t_star: float
+    t_big: float
+    kind: str
 
 
 @dataclass(eq=False)
@@ -187,10 +210,13 @@ class SynthesisTrace:
 class SynthesisParams:
     """Tuning knobs for ``synthesize``; every None gets a scale-aware default.
 
-    ``epsilon`` defaults to 5% of the shortest rectangle side, ``b_hi`` to the
-    rectangle's per-facet support (keeping the polytope inside), and ``b_lo``
-    to the support of ``reference_point`` (keeping the polytope nonempty, with
-    the reference point always a member).
+    ``epsilon`` caps the fallback offset step of ``improve_offsets``, taken
+    when the old multipliers cannot certify every facet within the offset
+    caps; the least-move step is bounded by the caps alone.  It defaults to
+    5% of the shortest rectangle side, ``b_hi`` to the rectangle's per-facet
+    support (keeping the polytope inside), and ``b_lo`` to the support of
+    ``reference_point`` (keeping the polytope nonempty, with the reference
+    point always a member).
     """
 
     epsilon: float = None
@@ -455,19 +481,74 @@ def verify(
     )
 
 
+def _max_min(
+    report: VerificationReport, alpha_lo: np.ndarray, alpha_hi: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """``(t, alpha)`` of ``max t`` subject to ``t <= d_k - row_k . alpha``
+    for every facet ``k`` and ``alpha_lo <= alpha <= alpha_hi``, for the
+    report's bounds ``d`` and multiplier rows.
+
+    Posed as ``min -s`` over ``s = t - t0 >= 0`` and ``a = alpha - alpha_lo
+    >= 0``, with the rows ``a <= alpha_hi - alpha_lo`` after the facet rows,
+    for ``t0`` the least facet right-hand side ``d_k - row_k . alpha_lo``,
+    the value at ``a = 0``.  Every right-hand side is then nonnegative, so
+    the slack basis is feasible and no phase 1 runs.  Only ``x`` is read, so
+    ``lpsolve.solve_many`` solves it, without the degenerate-row pass.
+    """
+    m = alpha_lo.size
+    G = np.vstack([np.hstack([np.ones((m, 1)), report.multipliers]), np.eye(m, 1 + m, 1)])
+    facet = report.d_star - report.multipliers @ alpha_lo
+    t0 = facet.min()
+    c = -np.eye(1, 1 + m)[0]
+    (sol,) = solve_many(LPProblem(c, G=G, h=np.concatenate([facet - t0, alpha_hi - alpha_lo])), c)
+    if sol.status != OPTIMAL:
+        raise NumericalFailure(f"offset-improvement program {sol.status}")
+    return float(t0 + sol.x[0]), alpha_lo + sol.x[1:]
+
+
+def _least_move(
+    report: VerificationReport, alpha_lo: np.ndarray, alpha_hi: np.ndarray, tau: float
+) -> np.ndarray:
+    """The least ``||alpha||_1`` subject to ``d_k - row_k . alpha >= tau``
+    for every facet ``k`` and ``alpha_lo <= alpha <= alpha_hi``.
+
+    Posed over ``alpha = p - q`` with ``p, q >= 0`` at the cost ``sum(p + q)``.
+    The costs are nonnegative, so the slack basis is dual feasible and the
+    dual simplex starts there (``lpsolve.solve_dual``), whatever the signs
+    of the right-hand sides.
+    """
+    M, eye = report.multipliers, np.eye(alpha_lo.size)
+    G = np.vstack([np.hstack([M, -M]), np.hstack([eye, -eye]), np.hstack([-eye, eye])])
+    h = np.concatenate([report.d_star - tau, alpha_hi, -alpha_lo])
+    sol = solve_dual(LPProblem(np.ones(2 * alpha_lo.size), G=G, h=h))
+    if sol.status != OPTIMAL:
+        raise NumericalFailure(f"least-move program {sol.status}")
+    return sol.x[: alpha_lo.size] - sol.x[alpha_lo.size :]
+
+
 def improve_offsets(
     report: VerificationReport,
     tpl: PolytopeTemplate,
     epsilon: float,
     b_lo: np.ndarray,
     b_hi: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Offset step maximizing the worst first-order-predicted facet bound.
+) -> OffsetStep:
+    """The offset step ``alpha`` of a synthesis from the offsets ``b`` of
+    ``tpl``, within the caps ``b_lo <= b + alpha <= b_hi``.
 
-    Solves ``max_t,alpha t`` (as ``min -t``) subject to
-    ``t <= d_k - lambda_k . alpha`` per facet and per-facet step caps derived
-    from ``epsilon``, ``b_lo`` and ``b_hi``.  Always feasible: ``alpha = 0``
-    yields the current worst bound.
+    Facet ``k``'s bound at ``b + alpha`` is predicted as ``d_k - row_k .
+    alpha``, for row ``k`` of the report's multipliers.  That is the
+    certificate of the old multipliers at ``b + alpha``, exact for every
+    ``alpha``, since ``lambda . alpha`` is the same at every class point.
+    First ``t_big``, the largest worst prediction within the caps alone
+    (``_max_min``).  If it is positive, the old multipliers certify every
+    facet somewhere within the caps, and the step is the least move that
+    keeps every prediction at least ``LEAST_MOVE_SHARE * t_big``
+    (``_least_move``).  Otherwise it maximizes the worst prediction within
+    ``epsilon`` of ``b`` as well: ``epsilon`` caps only this fallback.  No
+    program runs a phase 1, and ``alpha`` is clipped to the caps, which it
+    meets up to the LP's tolerances.  Always feasible: ``alpha = 0`` keeps
+    the current worst bound.
     """
     if not report.complete:
         raise ValueError("improvement requires a complete verification report")
@@ -478,21 +559,21 @@ def improve_offsets(
     b_hi = np.asarray(b_hi, dtype=float).reshape(-1)
     if b_lo.size != tpl.m or b_hi.size != tpl.m:
         raise ValueError("b_lo and b_hi need one entry per facet")
-    alpha_lo = np.maximum(-epsilon, b_lo - b)
-    alpha_hi = np.minimum(epsilon, b_hi - b)
+    alpha_lo, alpha_hi = b_lo - b, b_hi - b
     if np.any(alpha_lo > alpha_hi + 1e-12):
-        raise ValueError("offset caps violate b_lo <= offsets <= b_hi")
+        raise ValueError("offset caps violate b_lo <= b_hi")
     alpha_lo = np.minimum(alpha_lo, alpha_hi)
-    m = tpl.m
-    # t = t+ - t- is free; alpha = alpha_lo + a with a >= 0 and the rows
-    # a <= alpha_hi - alpha_lo after the facet rows
-    G = np.vstack([np.hstack([np.ones((m, 1)), report.multipliers]), np.eye(m, 1 + m, 1)])
-    h = np.concatenate([report.d_star, alpha_hi]) - G @ np.concatenate([[0.0], alpha_lo])
-    c = np.concatenate([[-1.0, 1.0], np.zeros(m)])
-    sol = solve(LPProblem(c, G=np.insert(G, 1, -G[:, 0], axis=1), h=h))
-    if sol.status != OPTIMAL:
-        raise NumericalFailure(f"offset-improvement program {sol.status}")
-    return float(sol.x[0] - sol.x[1]), sol.x[2:] + alpha_lo
+    t_big, alpha = _max_min(report, alpha_lo, alpha_hi)
+    if t_big > 0.0:
+        kind = LEAST_MOVE
+        alpha = _least_move(report, alpha_lo, alpha_hi, LEAST_MOVE_SHARE * t_big)
+    else:
+        kind = CAPPED
+        lo, hi = np.maximum(-epsilon, alpha_lo), np.minimum(epsilon, alpha_hi)
+        _, alpha = _max_min(report, np.minimum(lo, hi), hi)
+    alpha = np.clip(alpha, alpha_lo, alpha_hi)
+    t_star = float((report.d_star - report.multipliers @ alpha).min())
+    return OffsetStep(alpha, t_star, t_big, kind)
 
 
 def repair_offsets(
@@ -644,12 +725,10 @@ def synthesize(
         if not report.complete:
             status = STALLED
             break
-        t_star, alpha = improve_offsets(
-            report, tpl, epsilon, np.minimum(b_lo, tpl.offsets), b_hi
-        )
-        rec.t_star = t_star
-        rec.alpha = alpha
-        stepped = tpl.with_offsets(tpl.offsets + alpha)
+        step = improve_offsets(report, tpl, epsilon, np.minimum(b_lo, tpl.offsets), b_hi)
+        t_star = rec.t_star = step.t_star
+        rec.alpha, rec.t_big, rec.step = step.alpha, step.t_big, step.kind
+        stepped = tpl.with_offsets(tpl.offsets + step.alpha)
         repaired = repair_offsets(stepped, rect, passes.sweep)
         rec.repaired_offsets = repaired
         tpl = tpl.with_offsets(repaired)

@@ -61,6 +61,11 @@ solve spends on phase 1 and phase 2 saved where the right-hand sides moved
 little.  A stack in which any member's restart fails is solved cold, so a
 restart decides no emptiness and adds no failure; its answers are optimal
 ones, though not bit for bit the cold solve's.
+
+``solve_dual`` starts a program with nonnegative costs and inequality rows
+only at its slack basis, which those costs make dual feasible, and runs the
+restart's dual loop from there: no phase 1, whatever the signs of the
+right-hand sides.
 """
 
 from __future__ import annotations
@@ -781,8 +786,9 @@ def _restart(tab: _Tableau, stack: LPStack) -> list:
     ``_phase_two`` does: None where it ended optimal, else an infeasible
     LPSolution (its dual loop found no entering column, or a basic
     artificial column is off zero) or the NumericalFailure that ended it.
-    A phase-1 rule decides neither: the callers solve such a member again
-    from phase 1.
+    A phase-1 rule decides neither: the warm callers solve such a member
+    again from phase 1.  From a start basis that is dual feasible for every
+    right-hand side (``solve_dual``), 'infeasible' is a verdict.
     """
     T, basis, cols = tab.state
     S, m_ineq, n = stack.G.shape
@@ -1049,6 +1055,30 @@ def solve(lp: LPProblem) -> LPSolution:
     Raises NumericalFailure instead of ever returning an uncertified answer.
     """
     (outcome,) = solve_stack(LPStack.of(lp))
+    return _raised(outcome)
+
+
+def solve_dual(lp: LPProblem) -> LPSolution:
+    """Solve ``lp``, whose costs are nonnegative and whose rows are all
+    inequalities, for its optimal ``x``, by the dual simplex from the slack
+    basis, which those costs make dual feasible: no phase 1 runs, whatever
+    the signs of ``h``.
+
+    The slack basis is ``_phase_one``'s tableau of the rows at right-hand
+    side 0, priced with the costs; ``_restart`` then sets it at ``h`` and
+    runs ``_dual_loops``, whose 'infeasible' is a verdict here, since the
+    start basis is dual feasible.  The duals are the plain basis duals, as
+    ``solve_many``'s.  Raises NumericalFailure instead of ever returning an
+    uncertified answer.
+    """
+    if lp.m_eq or (lp.c < 0.0).any():
+        raise ValueError("a dual start needs nonnegative costs and no equality rows")
+    stack = LPStack.of(lp)
+    tab = _phase_one(LPStack(stack.c, stack.G, np.zeros_like(stack.h), stack.A, stack.d))
+    cost = np.zeros((1, _width(tab.T) + 1))
+    cost[:, : lp.n_vars] = lp.c
+    _price(tab.state, cost)
+    (outcome,) = _solutions(stack, tab, _restart(tab, stack))
     return _raised(outcome)
 
 

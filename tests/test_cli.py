@@ -315,7 +315,8 @@ class TestSynthesizeCommand:
         assert code == 0
         polytope = json.loads(poly_path.read_text())
         jsonschema.validate(polytope, POLYTOPE_SCHEMA)
-        assert len(polytope["vertices"]) == 8
+        # two of the eight diagonal facets touch the polygon at a corner
+        assert len(polytope["vertices"]) == 6
         # round trip: the synthesized polytope must verify
         code = main(
             ["verify", str(models_dir / "fitzhugh_nagumo.json"), "--polytope", str(poly_path)]
@@ -410,14 +411,14 @@ class TestSynthesizeCommand:
 # their last bits whenever the pivot path of a support or offset-step program
 # changes, and that can change a trajectory, so these are pinned.
 BUNDLED_OUTCOMES = [
-    ("fitzhugh_nagumo", None, "invariant_found", 3),
-    ("phytoplankton", None, "invariant_found", 12),
+    ("fitzhugh_nagumo", None, "invariant_found", 2),
+    ("phytoplankton", None, "invariant_found", 2),
     ("linear_decay", None, "invariant_found", 1),
     ("fitzhugh_nagumo", "uniform:3", "stalled", 8),
     ("fitzhugh_nagumo", "uniform:4", "stalled", 4),
-    ("fitzhugh_nagumo", "uniform:5", "stalled", 13),
+    ("fitzhugh_nagumo", "uniform:5", "stalled", 9),
     ("fitzhugh_nagumo", "uniform:6", "stalled", 13),
-    ("fitzhugh_nagumo", "uniform:8", "invariant_found", 3),
+    ("fitzhugh_nagumo", "uniform:8", "invariant_found", 2),
     ("fitzhugh_nagumo", "uniform:32", "invariant_found", 2),
     ("fitzhugh_nagumo", "uniform:64", "invariant_found", 2),
 ]
@@ -1156,7 +1157,7 @@ def reference_polygon_vertices(tpl: PolytopeTemplate, tol: float = 1e-9) -> np.n
     m = pts.shape[0]
     for i in range(m):
         u, v = pts[i] - pts[i - 1], pts[(i + 1) % m] - pts[i]
-        if u[0] * v[1] - u[1] * v[0] > tol * scale:
+        if u[0] * v[1] - u[1] * v[0] > tol * scale**2:
             keep.append(i)
     return pts[keep] if keep else pts
 
@@ -1254,6 +1255,19 @@ class TestPolygonVertices:
         assert verts.shape == (3, 2)
         expected = corner + np.array([[0.0, 0.0], [2e-10, 0.0], [0.0, 2e-10]])
         np.testing.assert_allclose(verts, expected, rtol=0.0, atol=1e-15 * (1 + abs(corner)))
+
+    @pytest.mark.parametrize("size", [1.0, 1e-3, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_blunt_apex_at_any_size(self, size):
+        # the apex between two facets 0.1 degrees off the horizontal turns by
+        # 0.2 degrees: it is a vertex at every size, and the strict
+        # counterclockwise check keeps all five
+        a = np.radians(0.1)
+        normals = np.array([(0, -1), (1, 0), (np.sin(a), np.cos(a)), (-np.sin(a), np.cos(a)), (-1, 0)])
+        verts = polygon_vertices(PolytopeTemplate(normals, np.full(5, size)))
+        assert verts.shape == (5, 2)
+        u = verts - np.roll(verts, 1, axis=0)
+        v = np.roll(verts, -1, axis=0) - verts
+        assert np.all(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] > 0.0)
 
     def test_requires_two_dimensions(self):
         tpl = PolytopeTemplate(np.eye(3), [1.0, 1.0, 1.0])

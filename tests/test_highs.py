@@ -5,7 +5,18 @@ import numpy as np
 import pytest
 
 from polyvar.cli import polygon_vertices
-from polyvar.invariance import facet_programs, verify
+from polyvar.invariance import (
+    CAPPED,
+    LEAST_MOVE,
+    LEAST_MOVE_SHARE,
+    PolytopeTemplate,
+    VerificationReport,
+    _least_move,
+    _max_min,
+    facet_programs,
+    improve_offsets,
+    verify,
+)
 from polyvar.lpsolve import (
     INFEASIBLE,
     OPTIMAL,
@@ -257,3 +268,89 @@ def test_cost_sweeps_match_highs():
                 assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6, kind
 
     check()
+
+
+def offset_steps(st):
+    """Strategy of ``(report, template, epsilon, b_lo, b_hi)`` for
+    ``improve_offsets``: facet bounds, multiplier rows with ``lambda >= 0``
+    off the diagonal and a free ``mu`` on it, offsets and caps around them."""
+    value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
+    width = st.one_of(st.just(0.0), st.floats(1e-3, 2.0))
+
+    @st.composite
+    def cases(draw):
+        m = draw(st.integers(1, 6))
+
+        def vector(elements):
+            return np.array(draw(st.lists(elements, min_size=m, max_size=m)), dtype=float)
+
+        rows = np.array([vector(weight) for _ in range(m)]).reshape(m, m)
+        np.fill_diagonal(rows, vector(value))
+        d = vector(st.floats(-1.0, 2.0))
+        b = vector(value)
+        report = VerificationReport(d, rows, np.ones(m, dtype=bool))
+        tpl = PolytopeTemplate(np.ones((m, 2)), b)
+        epsilon = draw(st.floats(0.01, 1.0))
+        return report, tpl, epsilon, b - vector(width), b + vector(width)
+
+    return cases()
+
+
+def test_offset_step_programs_match_highs():
+    # the largest worst prediction within the caps (t_big), the same within
+    # epsilon of the offsets (the capped step's t_star), and the least move
+    # keeping every prediction above the margin, against HiGHS on programs
+    # posed over alpha directly: t free, alpha boxed, |alpha| <= u
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    kinds = set()
+
+    def max_min(report, lo, hi):
+        m = lo.size
+        res = linprog(np.eye(1, 1 + m)[0] * -1.0,
+                      A_ub=np.hstack([np.ones((m, 1)), report.multipliers]), b_ub=report.d_star,
+                      bounds=[(None, None)] + list(zip(lo, hi)), method="highs", options=TIGHT)
+        assert res.status == 0, res.message
+        return -res.fun
+
+    def least_move(report, lo, hi, tau):
+        m, eye = lo.size, np.eye(lo.size)
+        res = linprog(np.concatenate([np.zeros(m), np.ones(m)]),
+                      A_ub=np.vstack([np.hstack([report.multipliers, np.zeros((m, m))]),
+                                      np.hstack([eye, -eye]), np.hstack([-eye, -eye])]),
+                      b_ub=np.concatenate([report.d_star - tau, np.zeros(2 * m)]),
+                      bounds=list(zip(lo, hi)) + [(0, None)] * m, method="highs", options=TIGHT)
+        assert res.status == 0, res.message
+        return res.fun
+
+    def close(ours, ref):
+        return abs(ours - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    @hypothesis.settings(max_examples=300)
+    @hypothesis.given(offset_steps(st))
+    def check(case):
+        report, tpl, epsilon, b_lo, b_hi = case
+        lo, hi = b_lo - tpl.offsets, b_hi - tpl.offsets
+        step = improve_offsets(report, tpl, epsilon, b_lo, b_hi)
+        kinds.add(step.kind)
+        hypothesis.event(step.kind)
+        assert np.all((lo <= step.alpha) & (step.alpha <= hi))
+        assert step.t_star == (report.d_star - report.multipliers @ step.alpha).min()
+        t_big = max_min(report, lo, hi)
+        assert close(step.t_big, t_big)
+        assert close(_max_min(report, lo, hi)[0], t_big)
+        capped_lo, capped_hi = np.maximum(lo, -epsilon), np.minimum(hi, epsilon)
+        capped = max_min(report, capped_lo, capped_hi)
+        assert close(_max_min(report, capped_lo, capped_hi)[0], capped)
+        if step.kind == CAPPED:
+            assert t_big <= 1e-9 and close(step.t_star, capped)
+            return
+        tau = LEAST_MOVE_SHARE * step.t_big
+        alpha = _least_move(report, lo, hi, tau)
+        assert np.array_equal(np.clip(alpha, lo, hi), step.alpha)
+        assert close(np.abs(alpha).sum(), least_move(report, lo, hi, tau))
+        assert step.t_star >= tau - 1e-9 * (1.0 + np.abs(report.d_star).max())
+
+    check()
+    assert kinds == {LEAST_MOVE, CAPPED}

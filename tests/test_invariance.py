@@ -6,7 +6,10 @@ import polyvar.relaxation
 from polyvar import lpsolve
 from polyvar.files import load_model
 from polyvar.invariance import (
+    CAPPED,
     INVARIANT_FOUND,
+    LEAST_MOVE,
+    LEAST_MOVE_SHARE,
     STALLED,
     EmptyPolytope,
     PolytopeTemplate,
@@ -285,7 +288,8 @@ class TestVerify:
 
         monkeypatch.setattr(polyvar.relaxation, "solve", counted("solve", solve))
         monkeypatch.setattr(polyvar.relaxation, "solve_stack", solve_stack)
-        monkeypatch.setattr(polyvar.invariance, "solve", counted("solve", solve))
+        for name in ("solve_many", "solve_dual"):
+            monkeypatch.setattr(polyvar.invariance, name, counted("solve", getattr(lpsolve, name)))
         monkeypatch.setattr(
             polyvar.invariance, "bernstein_coefficients", counted("bernstein", bernstein_coefficients)
         )
@@ -465,7 +469,11 @@ class TestWarmPasses:
     """Every pass of a synthesis after its first restarts its facet
     programs and its repair sweep from the previous pass's end tableaux."""
 
-    @pytest.mark.parametrize("name, m", [("phytoplankton", None), ("fitzhugh_nagumo", 8)])
+    # the bundled template and the uniform 8-facet one certify in two passes,
+    # the uniform 6-facet one stalls after 13
+    @pytest.mark.parametrize(
+        "name, m", [("phytoplankton", None), ("fitzhugh_nagumo", 8), ("fitzhugh_nagumo", 6)]
+    )
     def test_later_passes_run_no_phase_one_and_half_the_pivots(self, monkeypatch, name, m):
         model = load_model(MODELS_DIR / f"{name}.json")
         tpl = model.template if m is None else PolytopeTemplate(uniform_normals(m))
@@ -496,7 +504,7 @@ class TestWarmPasses:
         monkeypatch.setattr(polyvar.invariance, "verify", marked("verify", verify))
         monkeypatch.setattr(polyvar.invariance, "repair_offsets", marked("repair", repair_offsets))
         trace = synthesize(model.field, model.rectangle, tpl, model.params)
-        assert trace.n_iterations > 2
+        assert trace.n_iterations >= (3 if m == 6 else 2)
         spans = [(a[0], b[1] - a[1], b[2] - a[2]) for a, b in zip(steps[::2], steps[1::2])]
         verifies = [s for s in spans if s[0] == "verify"]
         assert len(verifies) == trace.n_iterations
@@ -513,11 +521,12 @@ class TestWarmPasses:
     def test_nothing_kept_runs_every_pass_cold(self, monkeypatch):
         # without room for tableaux every pass is, bit for bit, a fresh verify
         monkeypatch.setattr(polyvar.invariance, "KEEP_BYTES", 0)
-        model = load_model(MODELS_DIR / "phytoplankton.json")
-        trace = synthesize(model.field, model.rectangle, model.template, model.params)
+        model = load_model(MODELS_DIR / "fitzhugh_nagumo.json")
+        tpl = PolytopeTemplate(uniform_normals(6))
+        trace = synthesize(model.field, model.rectangle, tpl, model.params)
         assert trace.n_iterations > 2
         for rec in trace.records:
-            report = verify(model.field, model.rectangle, model.template.with_offsets(rec.offsets))
+            report = verify(model.field, model.rectangle, tpl.with_offsets(rec.offsets))
             assert report.d_star.tobytes() == rec.d_star.tobytes()
 
     def test_stacks_past_the_limit_run_cold(self, monkeypatch):
@@ -576,9 +585,10 @@ class TestImproveOffsets:
         rect = Rectangle([-2.0, -2.0], [2.0, 2.0])
         tpl = unit_square_template()
         report = verify(linear_decay(), rect, tpl)
-        t_star, alpha = improve_offsets(report, tpl, 0.1, tpl.offsets - 1.0, tpl.offsets + 1.0)
-        assert t_star >= report.d_star[np.isfinite(report.d_star)].min() - 1e-9
-        assert np.all(np.abs(alpha) <= 0.1 + 1e-12)
+        step = improve_offsets(report, tpl, 0.1, tpl.offsets - 1.0, tpl.offsets + 1.0)
+        assert step.t_star >= report.d_star[np.isfinite(report.d_star)].min() - 1e-9
+        # every bound is already positive: the least move stays put
+        assert step.kind == LEAST_MOVE and np.all(step.alpha == 0.0)
 
     def test_zero_multipliers_pin_t_at_min_bound(self):
         rect = Rectangle([-2.0, -2.0], [2.0, 2.0])
@@ -586,15 +596,17 @@ class TestImproveOffsets:
         report = verify(linear_decay(), rect, tpl)
         report.multipliers[:] = 0.0
         report.d_star[:] = [-0.5, 1.0, 1.0, 1.0]
-        t_star, _ = improve_offsets(report, tpl, 0.1, tpl.offsets - 1.0, tpl.offsets + 1.0)
-        assert t_star == pytest.approx(-0.5, abs=1e-9)
+        step = improve_offsets(report, tpl, 0.1, tpl.offsets - 1.0, tpl.offsets + 1.0)
+        assert step.kind == CAPPED
+        assert step.t_big == pytest.approx(-0.5, abs=1e-9)
+        assert step.t_star == pytest.approx(-0.5, abs=1e-9)
 
     def test_respects_caps(self):
         rect = Rectangle([-2.0, -2.0], [2.0, 2.0])
         tpl = unit_square_template()
         report = verify(linear_decay(), rect, tpl)
         b = tpl.offsets
-        t_star, alpha = improve_offsets(report, tpl, 0.5, b - 0.05, b + 0.02)
+        alpha = improve_offsets(report, tpl, 0.5, b - 0.05, b + 0.02).alpha
         assert np.all(alpha >= -0.05 - 1e-12)
         assert np.all(alpha <= 0.02 + 1e-12)
 
@@ -604,6 +616,46 @@ class TestImproveOffsets:
         report = verify(linear_decay(), Rectangle([-2, -2], [2, 2]), tpl)
         with pytest.raises(ValueError):
             improve_offsets(report, tpl, 0.1, tpl.offsets - 1, tpl.offsets + 1)
+
+
+class TestStepCertificates:
+    """The step's prediction ``d_k - row_k . alpha`` is the certificate of the
+    old multipliers at the stepped offsets, for every step."""
+
+    @pytest.mark.parametrize("name, m", [("phytoplankton", None), ("fitzhugh_nagumo", None),
+                                         ("fitzhugh_nagumo", 6)])
+    def test_prediction_is_the_old_multipliers_certificate(self, monkeypatch, name, m):
+        model = load_model(MODELS_DIR / f"{name}.json")
+        tpl0 = model.template if m is None else PolytopeTemplate(uniform_normals(m))
+        steps = []
+        real = polyvar.invariance.improve_offsets
+
+        def kept(report, tpl, *args):
+            step = real(report, tpl, *args)
+            steps.append((report, tpl.offsets, step))
+            return step
+
+        monkeypatch.setattr(polyvar.invariance, "improve_offsets", kept)
+        trace = synthesize(model.field, model.rectangle, tpl0, model.params)
+        assert len(steps) == trace.n_iterations - (trace.status == INVARIANT_FOUND)
+        kinds = {step.kind for _, _, step in steps}
+        assert kinds == ({CAPPED} if m else {LEAST_MOVE})
+        lift = polyvar.invariance.facet_lift(model.field, model.rectangle, tpl0.normals)
+        for report, b, step in steps:
+            rows = report.multipliers
+            values = lift.products - (b + step.alpha)
+            certified = (lift.costs + rows @ values.T).min(axis=1)
+            predicted = report.d_star - rows @ step.alpha
+            np.testing.assert_array_less(
+                np.abs(certified - predicted), 1e-12 * (1.0 + np.abs(report.d_star))
+            )
+            assert step.t_star == predicted.min()
+            if step.kind == LEAST_MOVE:
+                # the facets that bind the least move land on the margin,
+                # up to the rounding of the certificate
+                margin = LEAST_MOVE_SHARE * step.t_big - 1e-12 * (1.0 + np.abs(report.d_star))
+                assert np.all(certified >= margin)
+                assert np.any(certified <= LEAST_MOVE_SHARE * step.t_big + 1e-12)
 
 
 class TestRepairOffsets:
@@ -796,10 +848,11 @@ class TestSynthesize:
         tpl = PolytopeTemplate(normals, b_hi)
         report = verify(fld, rect, tpl)
         assert not report.invariant
-        t_star, alpha = improve_offsets(report, tpl, 0.25, normals @ ref, b_hi)
+        step = improve_offsets(report, tpl, 0.25, normals @ ref, b_hi)
+        alpha = step.alpha
         # the zero step is always admissible, so the improvement value can
         # only raise the worst certified bound
-        assert t_star >= report.d_star[np.isfinite(report.d_star)].min() - 1e-9
+        assert step.t_star >= report.d_star[np.isfinite(report.d_star)].min() - 1e-9
         stepped = tpl.with_offsets(tpl.offsets + alpha)
         after = verify(fld, rect, stepped)
         assert after.complete

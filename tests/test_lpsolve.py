@@ -13,6 +13,7 @@ from polyvar.lpsolve import (
     NumericalFailure,
     kkt_residuals,
     solve,
+    solve_dual,
     solve_many,
 )
 from polyvar.invariance import PolytopeTemplate, facet_programs
@@ -933,3 +934,35 @@ def outcome_or_failure(fn):
         return fn()
     except NumericalFailure as exc:
         return exc
+
+
+class TestSolveDual:
+    """The dual simplex from the slack basis, for nonnegative costs."""
+
+    def test_matches_solve_without_a_primal_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a primal pivot loop ran")
+
+        rng = np.random.default_rng(211)
+        lps = []
+        for _ in range(200):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            c = np.where(rng.uniform(size=n) < 0.2, 0.0, rng.uniform(0.0, 2.0, size=n))
+            lps.append(LPProblem(c, G=rng.normal(size=(m, n)), h=rng.normal(size=m)))
+        expected = [solve(lp) for lp in lps]
+        monkeypatch.setattr(lpsolve, "_pivot_loops", refuse)
+        statuses = set()
+        for lp, ref in zip(lps, expected):
+            sol = solve_dual(lp)
+            statuses.add(sol.status)
+            assert sol.status == ref.status
+            if ref.status == OPTIMAL:
+                assert abs(sol.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+                assert np.all(lp.G @ sol.x <= lp.h + 1e-9) and np.all(sol.x >= 0.0)
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_refuses_negative_costs_and_equality_rows(self):
+        with pytest.raises(ValueError):
+            solve_dual(LPProblem([1.0, -1.0], G=[[1.0, 1.0]], h=[1.0]))
+        with pytest.raises(ValueError):
+            solve_dual(LPProblem([1.0, 1.0], A=[[1.0, 1.0]], d=[1.0]))

@@ -40,7 +40,8 @@ def synth_items(seed) -> dict:
 
 PASS_LINE = re.compile(
     r"3 (\S+) pass=(\d+) phase1=(\d+)/(\d+) facet_pivots=([\d.]+) "
-    r"support_pivots=([\d.]+) fallbacks=(\d+)/(\d+)"
+    r"support_pivots=([\d.]+) fallbacks=(\d+)/(\d+) improve=(\d+)/(\d+)/(\d+) "
+    r"step=(least_move|capped|-)"
 )
 
 
@@ -48,13 +49,19 @@ def test_pass_pivots_counts_one_phase_one_per_facet():
     items = synth_items(3)
     passes = {}
     for line in run_tool("pass_pivots.py", "3"):
-        name, p, facet, support, facet_pivots, _, *fallbacks = PASS_LINE.fullmatch(line).groups()
+        name, p, facet, support, facet_pivots, _, *fallbacks, lps, improve_phase1, improve_pivots, step = (
+            PASS_LINE.fullmatch(line).groups()
+        )
         passes.setdefault(name, []).append((int(p), int(facet), int(support), float(facet_pivots)))
         assert fallbacks == ["0", "0"], line
+        # the offset step solves two LPs, neither from phase 1
+        assert (lps, improve_phase1) == (("0", "0") if step == "-" else ("2", "0")), line
+        assert (improve_pivots == "0") == (step == "-"), line
     assert passes.keys() == items.keys()
     for name, counts in passes.items():
         assert [c[0] for c in counts] == list(range(len(counts)))
-        assert counts[0][1:3] == (0, 1)  # the start repair's sweep
+        # the start repair's sweep runs from phase 1 unless its slack basis is feasible
+        assert counts[0][1] == 0 and counts[0][2] <= 1
         assert counts[1][1:3] == (items[name], 0) and counts[1][3] > 0
         assert all(c[1:3] == (0, 0) for c in counts[2:]), name  # every later pass warm
 

@@ -2,20 +2,25 @@
 
 Each line is
 
-    <seed> <item> pass=<p> phase1=<f>/<s> facet_pivots=<x> support_pivots=<y> fallbacks=<a>/<b>
+    <seed> <item> pass=<p> phase1=<f>/<s> facet_pivots=<x> support_pivots=<y> fallbacks=<a>/<b> improve=<l>/<i>/<z> step=<k>
 
-for verification pass ``p`` and the repair sweep that follows it (pass 0 is
-the repair of the start offsets, before the first pass).  ``<f>`` and
-``<s>`` count phase-1 runs, one per facet program and one per sweep, of the
-facet programs and of the repair sweep.  ``<x>`` is the pass's pivots per
+for verification pass ``p``, the offset step and the repair sweep that
+follow it (pass 0 is the repair of the start offsets, before the first
+pass).  ``<f>`` and ``<s>`` count phase-1 runs, one per facet program and
+one per sweep, of the facet programs and of the repair sweep; a phase 1
+runs where a program has equality rows or a negative right-hand side,
+which take artificial columns.  ``<x>`` is the pass's pivots per
 facet program and ``<y>`` the sweep's pivots per direction, every pivot
 counted: phase 1, the artificial drive-out, phase 2 or a restart's dual
 loop, and the degenerate-row pass.  ``<a>`` and ``<b>`` count the facet
 stacks and sweeps whose warm restart failed and that were solved again from
-phase 1.  The containment sweeps of the offset caps, before the start
-repair, are not counted.  The inputs come from ``perfbench/gen.py`` and
-``models/`` of this checkout, which the script only reads; run it in two
-checkouts to compare them:
+phase 1.  ``<l>`` counts the improvement LPs of the offset step
+(``invariance.improve_offsets``), ``<i>`` their phase-1 runs and ``<z>``
+their pivots in all, and ``<k>`` is the step taken (``least_move`` or
+``capped``), ``-`` where the pass takes none.  The containment sweeps of
+the offset caps, before the start repair, are not counted.  The inputs
+come from ``perfbench/gen.py`` and ``models/`` of this checkout, which the
+script only reads; run it in two checkouts to compare them:
 
     python tools/pass_pivots.py 3
 """
@@ -35,17 +40,20 @@ import gen  # noqa: E402
 from polyvar import files, invariance, lpsolve, relaxation  # noqa: E402
 
 KEYS = (
-    "phase1_facet", "phase1_support", "facet", "support", "fallbacks_facet", "fallbacks_support"
+    "phase1_facet", "phase1_support", "phase1_improve", "facet", "support", "improve",
+    "fallbacks_facet", "fallbacks_support", "lps_support", "lps_improve",
 )
 
 
 class Counts:
     """Per-pass counts of one synthesis, by caller: ``facet`` inside
-    ``verify``, ``support`` inside ``repair_offsets``; solves outside both
-    are not counted."""
+    ``verify``, ``support`` inside ``repair_offsets``, ``improve`` inside
+    ``improve_offsets``; solves outside them are not counted.  ``steps``
+    holds each pass's step kind."""
 
     def __init__(self):
         self.passes = [dict.fromkeys(KEYS, 0)]
+        self.steps = ["-"]
         self.caller = None
 
     def add(self, key, count):
@@ -56,27 +64,30 @@ class Counts:
 COUNTS = Counts()
 
 
-def wrap(module, name, before=None, count=None):
+def wrap(module, name, before=None, count=None, after=None):
     """Replace ``module.name`` by a wrapper that calls ``before(*args)`` and
     sets the caller it returns for the call, or adds ``count(*args)`` to its
-    ``(key, n)``."""
+    ``(key, n)``, and then passes the result to ``after``."""
     real = getattr(module, name)
 
     def wrapper(*args):
         if count is not None:
             COUNTS.add(*count(*args))
-        if before is None:
-            return real(*args)
-        outer, COUNTS.caller = COUNTS.caller, before(*args)
+        outer = COUNTS.caller
+        if before is not None:
+            COUNTS.caller = before(*args)
         try:
-            return real(*args)
+            out = real(*args)
         finally:
             COUNTS.caller = outer
+        if after is not None:
+            after(out)
+        return out
 
     setattr(module, name, wrapper)
 
 
-def fallbacks(module, name, key):
+def fallbacks(module, name):
     """Count the calls of ``module.name`` that were given the end tableaux of
     an earlier solve in a ``Restart`` and still ran from phase 1."""
     real = getattr(module, name)
@@ -87,7 +98,7 @@ def fallbacks(module, name, key):
         kept = restart is not None and restart.tabs is not None
         out = real(*args)
         if kept and not restart.warm:
-            COUNTS.add(key, 1)
+            COUNTS.add("fallbacks_{}", 1)
         return out
 
     setattr(module, name, wrapper)
@@ -95,17 +106,32 @@ def fallbacks(module, name, key):
 
 def new_pass(*args):
     COUNTS.passes.append(dict.fromkeys(KEYS, 0))
+    COUNTS.steps.append("-")
     return "facet"
+
+
+def phase_one_runs(stack):
+    """``("phase1_{}", n)``: ``n`` is the members of ``stack`` whose phase 1
+    takes artificial columns, hence pivots, all or none of them."""
+    artificial = stack.A.shape[1] > 0 or bool((stack.h[0] < 0.0).any())
+    return "phase1_{}", len(stack) if artificial else 0
+
+
+def record_step(step):
+    COUNTS.steps[-1] = step.kind
 
 
 def install() -> None:
     wrap(invariance, "verify", before=new_pass)
     wrap(invariance, "repair_offsets", before=lambda *args: "support")
+    wrap(invariance, "improve_offsets", before=lambda *args: "improve", after=record_step)
     wrap(lpsolve, "_pivot", count=lambda st, row, slot: ("{}", 1))
     wrap(lpsolve, "_pivot_all", count=lambda st, rows, slots: ("{}", len(rows)))
-    wrap(lpsolve, "_phase_one", count=lambda stack: ("phase1_{}", len(stack)))
-    fallbacks(relaxation, "solve_stack", "fallbacks_facet")
-    fallbacks(invariance, "solve_many", "fallbacks_support")
+    wrap(lpsolve, "_phase_one", count=phase_one_runs)
+    fallbacks(relaxation, "solve_stack")
+    fallbacks(invariance, "solve_many")
+    for name in ("solve_many", "solve_dual"):
+        wrap(invariance, name, count=lambda *args: ("lps_{}", 1))
 
 
 def main(argv) -> int:
@@ -128,7 +154,9 @@ def main(argv) -> int:
                     f"{seed} {item['name']} pass={p} "
                     f"phase1={c['phase1_facet']}/{c['phase1_support']} "
                     f"facet_pivots={c['facet'] / m:.2f} support_pivots={c['support'] / m:.2f} "
-                    f"fallbacks={c['fallbacks_facet']}/{c['fallbacks_support']}",
+                    f"fallbacks={c['fallbacks_facet']}/{c['fallbacks_support']} "
+                    f"improve={c['lps_improve']}/{c['phase1_improve']}/{c['improve']} "
+                    f"step={COUNTS.steps[p]}",
                     flush=True,
                 )
     return 0
