@@ -47,8 +47,9 @@ from .relaxation import (
 
 # The most bytes of end tableaux that a synthesis keeps for its restarts
 # (``_Passes``).  A 64-facet template in the plane keeps about 0.3 MB, and a
-# 48-facet 8-D template over 3^8 vertex classes 127 MB; the facet stacks
-# past the limit, in facet order, are solved from phase 1 in every pass.
+# 48-facet 8-D template over 3^8 vertex classes 131 MB; the facet stacks
+# past the limit, in facet order, are solved cold, from their dual starts,
+# in every pass.
 KEEP_BYTES = 128 * 1024 * 1024
 
 # The least-move step keeps every predicted facet bound at least this share
@@ -390,10 +391,10 @@ class _Passes:
     ``n_i . p(c) - b_i``; through the weight row, the program at offsets
     ``b'`` is the program over those rows with right-hand sides
     ``b'_i - b_i``, so a later pass restarts from it at those right-hand
-    sides (``lpsolve.solve_stack``).  A stack solved cold is built at the
-    pass's own offsets.  The sweep is charged its largest tableaux, every
-    row's right-hand side negative, and each facet stack its tableaux when
-    the first pass meets it; what does not fit runs cold in every pass.
+    sides (``lpsolve.solve_dual_stack``).  A stack solved cold is built at
+    the pass's own offsets.  The sweep is charged its largest tableaux,
+    every row's right-hand side negative, and each facet stack its tableaux
+    when the first pass meets it; what does not fit runs cold in every pass.
     """
 
     def __init__(self, tpl: PolytopeTemplate):

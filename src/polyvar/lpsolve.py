@@ -1,4 +1,5 @@
-"""Two-phase simplex for small linear programs, with dual extraction.
+"""Simplex for small linear programs, with dual extraction: the dual simplex
+from a dual-feasible slack basis, or two phases.
 
 Every program has one form, ``min c.x`` subject to ``G x <= h``, ``A x = d``
 and ``x >= 0``; callers pose free and boxed variables in it themselves.
@@ -26,9 +27,10 @@ multiply at full width, since ``np.matmul`` rounds a column subset of
 the stored columns and breaks ties by column index (``_first``), so it is
 the full tableau's choice over its whole row.
 
-The programs whose duals are read (``solve_stack``, hence ``solve``) get
-one more pass: among the optimal duals, an active inequality row gets a
-nonzero multiplier where one exists (see ``_activate_degenerate_rows``).
+The programs whose duals are read (``solve_dual_stack``, and
+``solve_stack``, hence ``solve``) get one more pass: among the optimal
+duals, an active inequality row gets a nonzero multiplier where one exists
+(see ``_activate_degenerate_rows``).
 The bounding program's multipliers are its duals, and a zero multiplier on
 an active facet hides how the bound reacts to moving that facet.  The pass
 changes only the multipliers, so ``solve_many``, whose callers read only
@@ -44,28 +46,36 @@ laid out as the member's own, which rounds as ``@`` on that member alone,
 so a member comes out of a stack bit for bit as it would alone.  A lone
 member pivots in a plain loop, which costs less per pivot.
 
-``solve_stack`` solves each member under its own cost; ``solve`` is a stack
+``solve_dual_stack`` solves stacks whose costs are nonnegative, as the
+bounding programs are posed (``relaxation.certify_stack`` shifts their
+costs by their least): each equality row is split into two inequality
+rows, so the slack basis is dual feasible whatever the right-hand sides,
+and the dual simplex (``_dual_loops``) starts there, with no phase 1 and no
+artificial column (``_dual_start``); 'infeasible' is then a verdict.
+``solve_dual`` is its cold start for one program, without the
+degenerate-row pass, for the least-move LP of the offset step.  Every
+bounding program of ``bound``, ``verify`` and ``synthesize`` is solved so.
+
+Phase 1 and phase 2 serve the rest.  ``solve_stack`` solves each member
+under its own cost; ``solve``, which ``oracle.box_point`` uses, is a stack
 of one.  ``solve_many`` solves one set of rows under many costs, as the
-support queries of one polytope do: phase 1 runs once, and its tableau is
-repeated for a chunk of costs, which pivot in lockstep as a stack over the
-shared rows, so each cost's ``x`` is the one ``solve`` returns for it.
-Every path shares one phase-1 and one phase-2 code path.
+support and reach queries of one polytope and the offset step's max-min LP
+do: phase 1 runs once, and its tableau is repeated for a chunk of costs,
+which pivot in lockstep as a stack over the shared rows, so each cost's
+``x`` is the one ``solve`` returns for it.  Every such path shares one
+phase-1 and one phase-2 code path.
 
-Both also restart warm, when a caller passes the ``Restart`` that an
-earlier solve of the same costs and rows at other right-hand sides filled
-with its end tableaux.  Only the right-hand side column of an end tableau
-depends on the right-hand sides: it is recomputed from the basis inverse,
-the basis stays dual feasible, and dual simplex pivots in lockstep
-(``_dual_loops``) make it primal feasible again, the pivots that a cold
-solve spends on phase 1 and phase 2 saved where the right-hand sides moved
-little.  A stack in which any member's restart fails is solved cold, so a
-restart decides no emptiness and adds no failure; its answers are optimal
-ones, though not bit for bit the cold solve's.
-
-``solve_dual`` starts a program with nonnegative costs and inequality rows
-only at its slack basis, which those costs make dual feasible, and runs the
-restart's dual loop from there: no phase 1, whatever the signs of the
-right-hand sides.
+``solve_dual_stack`` and ``solve_many`` also restart warm, when a caller
+passes the ``Restart`` that an earlier solve of the same costs and rows at
+other right-hand sides filled with its end tableaux.  Only the right-hand
+side column of an end tableau depends on the right-hand sides: it is
+recomputed from the basis inverse, the basis stays dual feasible, and dual
+simplex pivots in lockstep (``_dual_loops``) make it primal feasible again,
+the pivots that a cold solve spends saved where the right-hand sides moved
+little.  A stack in
+which any member's restart fails is solved cold, so a restart decides no
+emptiness and adds no failure; its answers are optimal ones, though not bit
+for bit the cold solve's.
 """
 
 from __future__ import annotations
@@ -191,10 +201,13 @@ def stack_members(n_vars: int, m_ineq: int, m_eq: int) -> int:
 
 
 def tableau_bytes(n_vars: int, m_ineq: int, m_eq: int, flipped: int = 0) -> int:
-    """The bytes of one program's condensed tableau when ``flipped`` of its
-    inequality rows have a negative right-hand side: ``n_vars + flipped +
-    1`` columns of ``m_ineq + m_eq + 1`` rows."""
-    return 8 * (m_ineq + m_eq + 1) * (n_vars + flipped + 1)
+    """The bytes of one program's condensed tableau: ``n_vars + flipped + 1``
+    columns of ``m_ineq + 2 m_eq + 1`` rows.  A dual start
+    (``solve_dual_stack``) poses each equality row as two inequality rows;
+    a phase-1 start keeps them whole, so this bounds its tableau, and adds a
+    column for each of the ``flipped`` inequality rows with a negative
+    right-hand side."""
+    return 8 * (m_ineq + 2 * m_eq + 1) * (n_vars + flipped + 1)
 
 
 def _per_chunk(cells: int) -> int:
@@ -466,6 +479,51 @@ def _pivot_loops(st, n_enter, members) -> dict:
     return out
 
 
+def _dual_loop(st, n_enter, degenerate=0, step=0):
+    """Dual simplex pivots on one member's tableau ``st`` in place, from a
+    basis whose reduced costs are nonnegative; returns 'optimal',
+    'infeasible' or the NumericalFailure that ended it.  ``degenerate`` and
+    ``step`` carry on a loop begun in ``_dual_loops``, whose steps, choices
+    and outcomes these are, member by member.
+    """
+    T, basis, cols = st
+    size = T.shape[0] - 1 + _width(T)
+    r, stored, allowed = T[-1, :-1], cols[:-1], _allowed(T, cols, n_enter)
+    for _ in range(step, _pivot_limit(T)):
+        value = T[:-1, -1]
+        low = value < -FEAS_TOL
+        if np.isnan(value).any():
+            return NumericalFailure("dual simplex met a NaN")
+        if not low.any():
+            return OPTIMAL
+        lows = low.nonzero()[0]
+        if lows.size == 1 and not np.isnan(T[lows[0], :-1]).any():
+            row = lows[0]  # the one row below zero; its key, not NaN, is the least
+        elif degenerate > 5 * size:
+            row = _first(low, basis)
+        else:
+            rows = T[:-1, :-1]
+            with np.errstate(divide="ignore"):  # a row of zeros below zero comes first
+                key = np.divide(value, np.sqrt(np.einsum("ij,ij->i", rows, rows)),
+                                out=np.full(value.shape, np.inf), where=low)
+            row = _first(low & (key == key.min()), basis)
+        a = T[row, :-1]
+        cand = a < -PIVOT_TOL
+        if allowed is not None:
+            cand &= allowed
+        cand = cand.nonzero()[0]  # _dual_loops' ratios, divided at the candidates only
+        if not cand.size:
+            return INFEASIBLE
+        ratios = r[cand] / -a[cand]
+        best = ratios.min()
+        if best != best:
+            return NumericalFailure("dual simplex met a NaN")
+        degenerate += best <= 1e-12
+        ties = cand[ratios <= best + 1e-12]
+        _pivot(st, row, ties[stored[ties].argmin()])
+    return NumericalFailure("simplex iteration limit exceeded")
+
+
 def _dual_loops(st, n_enter, members) -> dict:
     """Dual simplex pivots on each member of the stacked state ``st``, for
     ``k`` in ``members``, in lockstep, from a basis whose reduced costs are
@@ -484,17 +542,21 @@ def _dual_loops(st, n_enter, members) -> dict:
     column, so the reduced costs stay nonnegative.  After too many
     degenerate pivots the leaving row is the one below zero whose basic
     column comes first (Bland's rule), and the pivot limit is
-    ``_pivot_loop``'s.  A member that ends drops out, as in ``_pivot_loops``.
+    ``_pivot_loop``'s.  A member that ends drops out, as in ``_pivot_loops``,
+    and a lone member, or the last one running, pivots in ``_dual_loop``,
+    which takes the same steps for less per pivot.
     """
     if st[0].shape[1] == 1:  # no rows
         return dict.fromkeys(members, OPTIMAL)
+    if len(members) == 1:
+        return {members[0]: _dual_loop(_part(st, members[0]), n_enter)}
     out = {}
     size = st[0].shape[1] - 1 + _width(st[0])
     run = _Running(st, members)
     degenerate = np.zeros(run.n, dtype=int)
     step, limit = 0, _pivot_limit(st[0])
     allowed = _allowed(run.state[0], run.state[2], n_enter)
-    while run.n and step < limit:
+    while run.n > 1 and step < limit:
         T, B, cols = run.state
         k = np.arange(run.n)
         value = T[:, :-1, -1]
@@ -517,7 +579,7 @@ def _dual_loops(st, n_enter, members) -> dict:
         slot = _first(ties, cols[:, :-1])
         feasible = ~low.any(axis=1)
         stuck = ~cand.any(axis=1)
-        broken = np.isnan(best) | np.isnan(value).any(axis=1)
+        broken = np.isnan(value).any(axis=1) | (~feasible & ~stuck & np.isnan(best))
         going = ~(feasible | stuck | broken)
         if not going.all():
             for i in np.flatnonzero(~going):
@@ -533,8 +595,11 @@ def _dual_loops(st, n_enter, members) -> dict:
         degenerate += best <= 1e-12
         _pivot_all(run.state, row, slot)
         step += 1
-    for k in run.members:
-        out[k] = NumericalFailure("simplex iteration limit exceeded")
+    if run.n == 1:
+        out[run.members[0]] = _dual_loop(_part(run.state, 0), n_enter, degenerate[0], step)
+    else:
+        for k in run.members:
+            out[k] = NumericalFailure("simplex iteration limit exceeded")
     run.restore()
     return out
 
@@ -552,35 +617,61 @@ def _row_steps(rows, key, members):
         yield counts > step, order[:, step]
 
 
-def _activate_degenerate_rows(st, first_slack, n_enter, members):
+def _activate_degenerate_rows(st, first_slack, end_slack, n_enter, members):
     """Give weakly active inequality rows a multiplier, keeping ``x`` optimal,
     in each member of the stacked state ``st``, for ``k`` in ``members``.
 
     A row whose slack is basic at zero is active but carries a zero basis
     dual, the end of the optimal multiplier set that says nothing about the
-    row.  One dual-simplex pivot per such row moves its slack out of the
-    basis: the entering column (one of the first ``n_enter``) minimizes
-    ``r_j / |T[row, j]|`` over ``T[row, j] < 0``, so every reduced cost stays
-    nonnegative, the basic values (hence ``x`` and the objective) stay as
-    they are, and the row's multiplier becomes that ratio.  Rows where the
-    ratio is zero are left.  The rows are selected once and visited in the
-    order of their basic columns: a pivot row's value is zeroed first, so a
-    pivot changes no other row's value.  The members step through their
-    rows in lockstep, one row each per step.
+    row.  One dual-simplex pivot per such row, the rows being those whose
+    slack is a column from ``first_slack`` to ``end_slack``, moves its slack
+    out of the basis: the entering column minimizes ``r_j / |T[row, j]|``
+    over ``T[row, j] < 0`` among the first ``n_enter`` columns, so every
+    reduced cost stays nonnegative, the basic values (hence ``x`` and the
+    objective) stay as they are, and the row's multiplier becomes that
+    ratio.  Rows where the ratio is zero are left.  The rows are selected
+    once and visited in the order of their basic columns: a pivot row's
+    value is zeroed first, so a pivot changes no other row's value.  The
+    members step through their rows in lockstep, one row each per step.
+
+    The columns from ``end_slack`` to ``n_enter`` are the slacks of split
+    equality rows (``_split``), the ``-`` halves first.  They take part in
+    the ratio test, which keeps their reduced costs nonnegative, but never
+    enter: a row whose least ratio falls on one is left, as the artificial
+    column of an equality row never enters in a phase-1 tableau.  A split
+    row is visited only where both of its halves are basic, so that the
+    equality row it poses carries no multiplier at all; its ``-`` half comes
+    first, and once it pivots, the ``+`` half's row is the negated ``-`` row,
+    zero up to round-off, where no column enters.  Where one half is
+    nonbasic, the pair's multiplier is already that half's, and neither is
+    visited.
     """
     T, basis, cols = st
     k = np.arange(T.shape[0])
-    rows = (basis >= first_slack) & (basis < n_enter) & (np.abs(T[:, :-1, -1]) <= 1e-12)
+    zero = np.abs(T[:, :-1, -1]) <= 1e-12
+    rows = (basis >= first_slack) & (basis < end_slack) & zero
+    pairs = (n_enter - end_slack) // 2
+    # the halves of a pair are never both nonbasic, so a pair whose halves
+    # are both basic leaves fewer nonbasic halves than pairs
+    if pairs and ((cols >= end_slack) & (cols < n_enter)).sum(axis=1).min() < pairs:
+        half = basis - end_slack
+        pair = np.where((half >= 0) & (half < 2 * pairs), half % pairs, pairs)
+        both = (pair[:, :, None] == np.arange(pairs)).sum(axis=1) == 2
+        both = np.append(both, np.zeros((len(T), 1), dtype=bool), axis=1)  # a column for no pair
+        rows |= zero & both[k[:, None], pair]
+    if not rows.any():
+        return
     for at, row in _row_steps(rows, basis, members):
         a = T[k, row, :-1]
         cand = (a < -PIVOT_TOL) & (cols[:, :-1] < n_enter) & at[:, None]
         ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
         # the least ratio, NaN first, and the first candidate if all are infinite
         tied = cand & _least(ratios)
-        go = tied.any(axis=1) & (ratios.min(axis=1) > 0.0)
+        slot = _first(tied, cols[:, :-1])
+        go = tied.any(axis=1) & (ratios.min(axis=1) > 0.0) & (cols[k, slot] < end_slack)
         if go.any():
             T[k[go], row[go], -1] = 0.0  # round-off below the degeneracy threshold
-            _pivot_some(st, go, row, _first(tied, cols[:, :-1]))
+            _pivot_some(st, go, row, slot)
 
 
 def _drive_out_artificials(st, n_std, members):
@@ -624,8 +715,9 @@ def _dot(a, b):
 
 
 def _top(a):
-    """The largest entry of each member's vector ``a``, or 0."""
-    return np.maximum.reduce(a, axis=-1, initial=0.0)
+    """The largest entry of each member's vector ``a``, or 0 (never -0.0,
+    which ``np.maximum`` can return against an initial 0.0)."""
+    return np.maximum.reduce(a, axis=-1, initial=0.0) + 0.0
 
 
 @dataclass(eq=False)
@@ -642,7 +734,9 @@ class _Tableau:
     inverse, and its reduced cost is minus the row's dual, mapped back to
     the program's row by ``row_scale[k, i]``.  ``ended[k]`` is None while
     member ``k`` has a feasible basis, else its outcome: an infeasible
-    LPSolution or the NumericalFailure that ended phase 1.
+    LPSolution or the NumericalFailure that ended phase 1.  ``pairs`` counts
+    the equality rows that a dual start posed as two inequality rows each,
+    the last ``2 * pairs`` rows (``_split``); a phase-1 tableau has none.
 
     A basic column is not stored: off its own row it is taken as ``+0.0``,
     with a reduced cost of ``+0.0``, and a leaving column comes out of that
@@ -662,10 +756,61 @@ class _Tableau:
     start: np.ndarray
     row_scale: np.ndarray
     ended: list
+    pairs: int = 0
 
     @property
     def state(self) -> tuple:
         return self.T, self.basis, self.cols
+
+
+def _row_scale(size):
+    """The power of two that scales each row whose largest entry ``size``
+    lies more than a factor 64 off unit scale to about 1, and 1 for the
+    rows within that band, or None where every row is within it.  Scaling
+    by a power of two is exact, and it makes the absolute tolerances mean
+    the same in every row; rows within the band stay exactly as posed."""
+    far = (size > 0.0) & ((size < 2.0**-6) | (size > 2.0**6))
+    if not far.any():
+        return None
+    shift = np.log2(np.where(far, size, 1.0)).round().clip(-1000, 1000)
+    return np.ldexp(1.0, -shift.astype(int))
+
+
+def _split(stack: LPStack) -> LPStack:
+    """``stack`` with inequality rows only: after ``G x <= h`` come
+    ``A x <= d`` and ``-A x <= -d``, each equality row posed as two."""
+    S, _, n = stack.G.shape
+    G = np.concatenate([stack.G, -stack.A, stack.A], axis=1)
+    h = np.concatenate([stack.h, -stack.d, stack.d], axis=1)
+    return LPStack(stack.c, G, h, np.zeros((S, 0, n)), np.zeros((S, 0)))
+
+
+def _dual_start(stack: LPStack, pairs: int) -> _Tableau:
+    """The slack bases of the members of ``stack``, whose rows are all
+    inequalities and whose costs are nonnegative, the last ``2 * pairs``
+    rows being split equality rows (``_split``).
+
+    Each member's reduced costs are its costs, so the basis is dual
+    feasible whatever the right-hand sides, which the tableau holds as
+    posed: the dual simplex (``_dual_loops``) starts there, with no
+    artificial column.  The rows are scaled by ``_row_scale`` of their
+    largest entry, the right-hand side left out, so the scaling depends only
+    on the rows' matrix, as a warm restart at other right-hand sides needs.
+    """
+    S, m, n = stack.G.shape
+    T = np.zeros((S, m + 1, n + 1))
+    T[:, :m, :n] = stack.G
+    T[:, :m, -1] = stack.h
+    row_scale = _row_scale(np.abs(stack.G).max(axis=2, initial=0.0))
+    if row_scale is None:
+        row_scale = np.ones((S, m))
+    else:
+        T[:, :m] *= row_scale[:, :, None]
+    T[:, m, :n] = stack.c
+    basis = np.broadcast_to(n + np.arange(m), (S, m)).copy()
+    cols = np.empty((S, n + 1), dtype=int)
+    cols[:, :n], cols[:, -1] = np.arange(n), n + m
+    return _Tableau(T, basis, cols, basis.copy(), row_scale, [None] * S, pairs)
 
 
 def _phase_one(stack: LPStack) -> _Tableau:
@@ -678,15 +823,11 @@ def _phase_one(stack: LPStack) -> _Tableau:
     A0 = np.concatenate([stack.G, stack.A], axis=1)
     b0 = np.concatenate([stack.h, stack.d], axis=1)
 
-    # Rows more than a factor 64 off unit scale are scaled by a power of two,
-    # which is exact, so that the absolute tolerances below mean the same in
-    # every row; rows within that band are left exactly as posed.
     size = np.maximum(np.abs(A0).max(axis=2, initial=0.0), np.abs(b0))
-    far = (size > 0.0) & ((size < 2.0**-6) | (size > 2.0**6))
-    row_scale = np.ones(b0.shape)
-    if far.any():
-        shift = np.log2(np.where(far, size, 1.0)).round().clip(-1000, 1000)
-        row_scale = np.ldexp(1.0, -shift.astype(int))
+    row_scale = _row_scale(size)
+    if row_scale is None:
+        row_scale = np.ones(b0.shape)
+    else:
         A0 *= row_scale[:, :, None]
         b0 *= row_scale
         size = np.maximum(np.abs(A0).max(axis=2, initial=0.0), np.abs(b0))
@@ -773,6 +914,24 @@ def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
     return out
 
 
+def _dual_phase(tab: _Tableau, n_enter: int, out: list) -> list:
+    """``out`` with each None entry, a member whose basis in ``tab`` is dual
+    feasible, replaced by the outcome of its dual simplex pivots
+    (``_dual_loops``), letting only the first ``n_enter`` columns enter: None
+    where it ended optimal, its solution to be read off the tableau
+    (``_solutions``), else an infeasible LPSolution or the NumericalFailure
+    that ended it.  The tableau is left at the end bases."""
+    out = list(out)
+    running = [k for k in range(len(out)) if out[k] is None]
+    for k, res in _dual_loops(tab.state, n_enter, running).items():
+        if isinstance(res, NumericalFailure):
+            out[k] = res
+            tab.T[k] = 0.0  # never pivots again; keeps the stacked steps finite
+        elif res == INFEASIBLE:
+            out[k] = LPSolution(status=INFEASIBLE)
+    return out
+
+
 def _restart(tab: _Tableau, stack: LPStack) -> list:
     """Minimize each member of ``stack`` from its end tableau in ``tab``, an
     optimal basis that a solve of the same costs and rows left at other
@@ -782,13 +941,12 @@ def _restart(tab: _Tableau, stack: LPStack) -> list:
     stack's scaled right-hand sides ``b``, with ``B^-1`` read off the start
     columns, and the objective entry follows.  The reduced costs stay, so
     the basis stays dual feasible, and dual simplex pivots (``_dual_loops``)
-    restore primal feasibility.  Returns one outcome per member as
-    ``_phase_two`` does: None where it ended optimal, else an infeasible
-    LPSolution (its dual loop found no entering column, or a basic
-    artificial column is off zero) or the NumericalFailure that ended it.
-    A phase-1 rule decides neither: the warm callers solve such a member
-    again from phase 1.  From a start basis that is dual feasible for every
-    right-hand side (``solve_dual``), 'infeasible' is a verdict.
+    restore primal feasibility (``_dual_phase``).  Returns one outcome per
+    member as ``_dual_phase`` does; a basic artificial column off zero also
+    reads as infeasible.  Neither is a verdict on a phase-1 tableau, where
+    the warm caller solves such a member again from phase 1; from a dual
+    start (``_dual_start``), whose basis is dual feasible at every
+    right-hand side, 'infeasible' is one.
     """
     T, basis, cols = tab.state
     S, m_ineq, n = stack.G.shape
@@ -802,16 +960,10 @@ def _restart(tab: _Tableau, stack: LPStack) -> list:
     cost = np.zeros((S, _width(T) + 1))
     cost[:, :n] = stack.c
     T[:, -1, -1] = -_dot(cost[np.arange(S)[:, None], basis], T[:, :-1, -1])
-    out = [None] * S
     # a basic artificial column sits in a row of zeros, where no pivot moves it
     stray = ((basis >= n_std) & (np.abs(T[:, :-1, -1]) > FEAS_TOL)).any(axis=1)
-    for k in np.flatnonzero(stray):
-        out[k] = LPSolution(status=INFEASIBLE)
-    running = [k for k in range(S) if out[k] is None]
-    for k, res in _dual_loops(tab.state, n_std, running).items():
-        if res != OPTIMAL:
-            out[k] = res if isinstance(res, NumericalFailure) else LPSolution(status=res)
-    return out
+    out = [LPSolution(status=INFEASIBLE) if s else None for s in stray]
+    return _dual_phase(tab, n_std, out)
 
 
 def _start_columns(T, basis, cols, start) -> tuple:
@@ -833,6 +985,9 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
 
     Member ``k`` minimizes ``stack.c[k]`` over its rows in ``stack``, at its
     end basis in ``tab``.  The refinement runs a chunk of members at a time.
+    Where ``tab`` holds split equality rows (``_split``), the self-check runs
+    on the split rows of ``stack``, and each pair's multiplier is read as
+    the free multiplier ``lam+ - lam-`` of the equality row it poses.
     """
     T, basis, cols = tab.state
     S, m = basis.shape
@@ -877,6 +1032,9 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
     )
     res = kkt_residuals(stack, sol)
     primal, dual, gap = res["primal"], res["dual"], res["gap"]
+    if tab.pairs:
+        lam, p = sol.ineq_duals, tab.pairs
+        sol.ineq_duals, sol.eq_duals = lam[:, : -2 * p], lam[:, -p:] - lam[:, -2 * p : -p]
     out = list(out)
     for k in range(S):
         if out[k] is not None:
@@ -924,15 +1082,17 @@ class Restart:
 
 def _restarted(tab: _Tableau, stack: LPStack, duals: bool):
     """``stack``'s outcomes restarted from ``tab`` (``_restart``), with
-    ``solve_stack``'s multipliers when ``duals`` is set, else
+    ``solve_dual_stack``'s multipliers when ``duals`` is set, else
     ``solve_many``'s; None unless every member ended optimal and passed the
-    KKT self-check."""
+    KKT self-check.  ``stack`` is posed as ``tab`` was built: split by
+    ``_split`` where ``tab`` holds split equality rows."""
     S, m_ineq, n = stack.G.shape
     out = _restart(tab, stack)
     if any(res is not None for res in out):
         return None
     if duals:
-        _activate_degenerate_rows(tab.state, n, n + m_ineq, list(range(S)))
+        m_rows = m_ineq - 2 * tab.pairs
+        _activate_degenerate_rows(tab.state, n, n + m_rows, n + m_ineq, list(range(S)))
     out = _solutions(stack, tab, out)
     return None if any(isinstance(res, NumericalFailure) for res in out) else out
 
@@ -943,7 +1103,7 @@ def _kept(tabs: list, outcomes: list):
     return tabs if optimal else None
 
 
-def solve_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
+def solve_stack(stack: LPStack) -> list:
     """Solve every member of ``stack`` under its own cost ``stack.c[k]``,
     with the multipliers its callers read.
 
@@ -954,8 +1114,47 @@ def solve_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -
     (``_pivot_loops``).  Returns one outcome per member, its LPSolution or
     the NumericalFailure that ended it; every member comes out bit for bit
     as it would alone.  The arrays are used as given (no NaN check), and the
-    tableau is ``len(stack)`` times one member's, which callers keep within
-    ``STACK_BYTES`` (``stack_members``).
+    tableau is ``len(stack)`` times one member's.
+    """
+    S, m_ineq, n = stack.G.shape
+    tab = _phase_one(stack)
+    out = _phase_two(tab, stack, stack.c)
+    optimal = [k for k in range(S) if out[k] is None]
+    _activate_degenerate_rows(tab.state, n, n + m_ineq, n + m_ineq, optimal)
+    return _solutions(stack, tab, out)
+
+
+def _cold_dual(stack: LPStack, duals: bool) -> tuple:
+    """``(tab, outcomes)`` of every member of ``stack`` solved from its dual
+    start (``_dual_start`` of ``_split(stack)``), with the degenerate-row
+    pass when ``duals`` is set."""
+    S, m_ineq, n = stack.G.shape
+    split = _split(stack)
+    tab = _dual_start(split, stack.A.shape[1])
+    out = _dual_phase(tab, _width(tab.T), tab.ended)
+    if duals:
+        optimal = [k for k in range(S) if out[k] is None]
+        _activate_degenerate_rows(tab.state, n, n + m_ineq, _width(tab.T), optimal)
+    return tab, _solutions(split, tab, out)
+
+
+def solve_dual_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
+    """Solve every member of ``stack``, whose costs are nonnegative, by the
+    dual simplex from its slack basis, with ``solve_stack``'s multipliers:
+    no phase 1 runs.
+
+    Each equality row is posed as two inequality rows (``_split``), so the
+    slack basis is dual feasible whatever the right-hand sides
+    (``_dual_start``), and 'infeasible', a row below zero with no entering
+    column, is a verdict.  The row scaling, the pivots (``_dual_loops``),
+    the degenerate-row pass (over the rows of ``G``, and over a split row
+    only where both its halves are basic; see ``_activate_degenerate_rows``),
+    the dual refinement and the KKT self-check run once over the stacked
+    arrays.  An equality row's multiplier is the difference of its halves'.  Returns one outcome per member, its
+    LPSolution or the NumericalFailure that ended it; every member comes out
+    bit for bit as it would alone.  The arrays are used as given (no NaN or
+    sign check), and the tableau is ``len(stack)`` times one member's, which
+    callers keep within ``STACK_BYTES`` (``stack_members``).
 
     With a ``restart`` that holds the end tableaux of an earlier solve, the
     members restart from them (``_restart``) on ``rows``: the same programs
@@ -966,19 +1165,14 @@ def solve_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -
     solved cold, as without a restart.  Either way ``restart`` keeps the
     end tableaux.
     """
-    S, m_ineq, n = stack.G.shape
     if restart is not None:
         restart.warm = False
         if restart.tabs is not None and rows is not None:
-            out = _restarted(restart.tabs[0], rows, duals=True)
+            out = _restarted(restart.tabs[0], _split(rows), duals=True)
             if out is not None:
                 restart.warm = True
                 return out
-    tab = _phase_one(stack)
-    out = _phase_two(tab, stack, stack.c)
-    optimal = [k for k in range(S) if out[k] is None]
-    _activate_degenerate_rows(tab.state, n, n + m_ineq, optimal)
-    out = _solutions(stack, tab, out)
+    tab, out = _cold_dual(stack, duals=True)
     if restart is not None:
         restart.tabs = _kept([tab], out)
     return out
@@ -1064,21 +1258,14 @@ def solve_dual(lp: LPProblem) -> LPSolution:
     basis, which those costs make dual feasible: no phase 1 runs, whatever
     the signs of ``h``.
 
-    The slack basis is ``_phase_one``'s tableau of the rows at right-hand
-    side 0, priced with the costs; ``_restart`` then sets it at ``h`` and
-    runs ``_dual_loops``, whose 'infeasible' is a verdict here, since the
-    start basis is dual feasible.  The duals are the plain basis duals, as
+    The cold start of ``solve_dual_stack``, for one program, without the
+    degenerate-row pass: the duals are the plain basis duals, as
     ``solve_many``'s.  Raises NumericalFailure instead of ever returning an
     uncertified answer.
     """
     if lp.m_eq or (lp.c < 0.0).any():
         raise ValueError("a dual start needs nonnegative costs and no equality rows")
-    stack = LPStack.of(lp)
-    tab = _phase_one(LPStack(stack.c, stack.G, np.zeros_like(stack.h), stack.A, stack.d))
-    cost = np.zeros((1, _width(tab.T) + 1))
-    cost[:, : lp.n_vars] = lp.c
-    _price(tab.state, cost)
-    (outcome,) = _solutions(stack, tab, _restart(tab, stack))
+    _, (outcome,) = _cold_dual(LPStack.of(lp), duals=False)
     return _raised(outcome)
 
 

@@ -33,8 +33,7 @@ from .lpsolve import (
     LPStack,
     NumericalFailure,
     Restart,
-    solve,
-    solve_stack,
+    solve_dual_stack,
 )
 from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, check_lift
 
@@ -211,10 +210,14 @@ def certify(lp: LPProblem) -> BoundResult:
     an infeasible program means no point of the rectangle satisfies the
     constraints, and raises InfeasiblePolytope.
 
-    A program with no equality row besides the weight row, whose least
-    Bernstein class satisfies every inequality row strictly, is not solved:
-    that class's weight alone is optimal, so the bound is ``min B``, and by
-    complementary slackness ``lam = 0`` are its only optimal multipliers.
+    The program's dual is always feasible (``lam = 0`` and ``mu = 0``
+    certify ``min B``), so it is solved by the dual simplex from a basis
+    that is dual feasible before any pivot, with no phase 1
+    (``certify_stack``).  A program with no equality row besides the weight
+    row, whose least Bernstein class satisfies every inequality row
+    strictly, is not solved: that class's weight alone is optimal, so the
+    bound is ``min B``, and by complementary slackness ``lam = 0`` are its
+    only optimal multipliers.
     """
     if lp.m_eq == 1:
         least = int(np.argmin(lp.c))
@@ -223,7 +226,7 @@ def certify(lp: LPProblem) -> BoundResult:
             return BoundResult(
                 d_star=float(lp.c[least]) + 0.0, lam=np.zeros(lp.m_ineq), mu=np.zeros(0)
             )
-    (outcome,) = _certified(LPStack.of(lp), [solve(lp)])
+    (outcome,) = certify_stack(LPStack.of(lp))
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -231,18 +234,34 @@ def certify(lp: LPProblem) -> BoundResult:
 
 def certify_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
     """``certify`` for every member of a stack of bounding programs, with one
-    stacked solve (``solve_stack``).
+    stacked solve from their dual-feasible starts (``solve_dual_stack``).
+
+    Each member's costs are shifted by their least, ``B - min B >= 0``,
+    which moves the objective by the constant ``min B`` since the weights
+    sum to 1, so the slack basis of the program posed with inequality rows
+    only is dual feasible, and the first dual pivot brings the least
+    Bernstein class in through the weight row; no phase 1 runs, and an
+    infeasible program is one whose dual is unbounded.  The shift leaves
+    every multiplier of a row of ``G`` and of an equality row after the
+    weight row as it is, and the bound is certified over the unshifted
+    costs, so it holds whatever rounding the shift adds.
 
     Returns one outcome per member: its BoundResult, or the
     InfeasiblePolytope or NumericalFailure that ``certify`` would raise for
     it alone.  Every member comes out bit for bit as ``certify`` gives it.
     With a ``restart``, the solve restarts from its end tableaux on ``rows``
-    (see ``solve_stack``): the same programs, each row of ``rows`` the row
-    of ``stack`` plus a multiple of the weight row, whose multiplier is the
-    only one that differs.  The bound is the one the multipliers certify in
-    ``stack``.
+    (see ``solve_dual_stack``): the same programs, each row of ``rows`` the
+    row of ``stack`` plus a multiple of the weight row, whose multiplier is
+    the only one that differs.  The bound is the one the multipliers certify
+    in ``stack``.
     """
-    return _certified(stack, solve_stack(stack, restart, rows))
+    shifted = None if rows is None else _shifted(rows)
+    return _certified(stack, solve_dual_stack(_shifted(stack), restart, shifted))
+
+
+def _shifted(stack: LPStack) -> LPStack:
+    """``stack`` with each member's costs less their least."""
+    return LPStack(stack.c - stack.c.min(axis=1, keepdims=True), stack.G, stack.h, stack.A, stack.d)
 
 
 def _certified(stack: LPStack, sols) -> list:

@@ -116,6 +116,21 @@ def fitzhugh_nagumo_iterate64() -> tuple[VectorField, Rectangle, PolytopeTemplat
     return fld, rect, PolytopeTemplate(normals, trace.records[1].offsets)
 
 
+def tiny_entry_facets() -> tuple[VectorField, Rectangle, PolytopeTemplate]:
+    """The bundled FitzHugh-Nagumo field and template on a rectangle where
+    facet 5's program has a degenerate row (right-hand side 0) with an entry
+    of 3.45e-9: a phase 1 with an absolute pivot tolerance pivots on it, and
+    then reports its bounded subproblem unbounded."""
+    fld, _, normals, _ = fitzhugh_nagumo()
+    offsets = [2.4244868517041693, 3.7426406871192874, 3.3888888888888884, 4.089289614847649,
+               2.4524464230483383, 2.3284271247461916, 1.5000000000000002, 2.7343153804954032]
+    rect = Rectangle(
+        [float.fromhex("-0x1.39e9c3b681a7ap+1"), -1.5],
+        [float.fromhex("0x1.365595d42e031p+1"), float.fromhex("0x1.b1c71c7b33ed9p+1")],
+    )
+    return fld, rect, PolytopeTemplate(normals, offsets)
+
+
 def assert_verify_matches_members_alone(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate):
     """``verify``, which certifies the facet programs in stacked solves, must
     give bit for bit the report that ``certify`` gives on each member of

@@ -1273,3 +1273,36 @@ class TestPolygonVertices:
         tpl = PolytopeTemplate(np.eye(3), [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             polygon_vertices(tpl)
+
+
+def test_bound_and_verify_run_no_phase_one(models_dir, tmp_path, capsys, monkeypatch):
+    # every bounding program starts dual feasible: `bound` on the seed-3
+    # bound-small and bound-dense benchmark inputs, and verify on the bundled
+    # models and on a synthesized FitzHugh-Nagumo polytope, never reach the
+    # LP engine's phase 1 (the support and reach sweeps of synthesize and of
+    # the CLI's containment check still do)
+    from polyvar import lpsolve
+    from polyvar.invariance import verify
+    from test_tools import benchmark_items
+
+    fhn, polytope = models_dir / "fitzhugh_nagumo.json", tmp_path / "polytope.json"
+    assert main(["synthesize", str(fhn), "--polytope", str(polytope)]) == 0
+    models = [files.load_model(models_dir / f"{name}.json")
+              for name in ("fitzhugh_nagumo", "linear_decay")]
+    models[0].template = files.load_polytope(polytope)
+    calls = []
+
+    def phase_one(stack):
+        calls.append(len(stack))
+        raise AssertionError("phase 1 ran")
+
+    monkeypatch.setattr(lpsolve, "_phase_one", phase_one)
+    items = benchmark_items("bound-small", 3) + benchmark_items("bound-dense", 3)
+    for item in items:
+        path = write_json(tmp_path / f"{item['name']}.json", item["payload"])
+        code = main(["bound", path, "--report", str(tmp_path / f"{item['name']}.report.json")])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and "infeasible constraint region" in err), err
+    for model in models:
+        assert verify(model.field, model.rectangle, model.template).invariant
+    assert calls == [] and len(items) == 205

@@ -23,15 +23,16 @@ st = pytest.importorskip("hypothesis.strategies")
 def pivots(monkeypatch) -> dict:
     """Count ``lpsolve``'s pivots per phase, as ``dense_reference`` does;
     the test resets the counts between solves.  The pivots of a warm
-    restart, which the dense engine does not make, count as ``restart``."""
+    restart and of a dual start, which the dense engine does not make, count
+    as ``restart`` and ``dual_start``."""
     counts = dict.fromkeys(dense_reference.PHASES, 0)
     phase = []
 
     def within(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             phase.append(name)
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 phase.pop()
 
@@ -50,6 +51,7 @@ def pivots(monkeypatch) -> dict:
         ("phase_two", "_phase_two"),
         ("degenerate", "_activate_degenerate_rows"),
         ("restart", "_restart"),
+        ("dual_start", "_cold_dual"),
     ]:
         monkeypatch.setattr(lpsolve, fn, within(name, getattr(lpsolve, fn)))
     monkeypatch.setattr(lpsolve, "_pivot", counted(lpsolve._pivot, lambda row: 1))

@@ -39,12 +39,12 @@ def residuals(**worse):
 
 def fail_facet_programs(monkeypatch, members):
     """Make the given (0-based) facet programs of ``verify`` fail inside its
-    stacked solves, counted in facet order across passes: each phase that
-    ends the program's pivots, phase 2 or a warm restart (``_restart``),
-    hands back a NumericalFailure for it, as for a member whose pivots
-    failed, and the solve goes on with the other members of its stack.  A
-    failed restart solves its stack again from phase 1, where the program
-    fails once more."""
+    stacked solves, counted in facet order across passes: the dual simplex
+    phase that ends the program's pivots (``_dual_phase``), from a cold dual
+    start or a warm restart, hands back a NumericalFailure for it, as for a
+    member whose pivots failed, and the solve goes on with the other members
+    of its stack.  A failed restart solves its stack again cold, where the
+    program fails once more."""
     seen = [0]
     failing = []
     real_certify = invariance.certify_stack
@@ -68,8 +68,7 @@ def fail_facet_programs(monkeypatch, members):
         return wrapper
 
     monkeypatch.setattr(invariance, "certify_stack", certify_stack)
-    monkeypatch.setattr(lpsolve, "_phase_two", ending(lpsolve._phase_two))
-    monkeypatch.setattr(lpsolve, "_restart", ending(lpsolve._restart))
+    monkeypatch.setattr(lpsolve, "_dual_phase", ending(lpsolve._dual_phase))
 
 
 def fail_phase_two_runs(monkeypatch, runs) -> list:
@@ -169,7 +168,8 @@ class TestFailedPhaseTwo:
         assert count[0] == 5
 
     def test_synthesize_stalls_on_a_failed_facet_program(self, monkeypatch):
-        # the failure hits the phase 2 of facet 1's program in the second pass
+        # the failure hits the dual simplex phase of facet 1's program in the
+        # second pass
         fld, rect, normals, ref = fitzhugh_nagumo()
         real = invariance.verify
         passes = [0]

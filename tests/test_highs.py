@@ -30,7 +30,9 @@ from polyvar.lpsolve import (
 from polyvar.relaxation import (
     ConstraintSet,
     InfeasiblePolytope,
+    bounding_program,
     build_reduced_lp,
+    certify,
     lower_bound,
     pad_for_constraints,
 )
@@ -40,6 +42,7 @@ from conftest import (
     random_feasible_constraints,
     random_poly,
     random_rectangle,
+    tiny_entry_facets,
 )
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -133,6 +136,21 @@ def test_single_vertex_facets_stay_feasible():
         assert report.d_star[k] <= ref_value + 1e-9
 
 
+def test_tiny_degenerate_entry_facets_match_highs():
+    # facet 5's program carries an entry of 3.45e-9 in a degenerate row; from
+    # its dual start it comes out optimal at HiGHS's 1.0893247742688756, and
+    # every facet's bound matches HiGHS at tight tolerances
+    fld, rect, tpl = tiny_entry_facets()
+    report = verify(fld, rect, tpl)
+    assert report.complete and report.failures == {}
+    assert abs(report.d_star[5] - 1.0893247742688756) <= 1e-9 * (1.0 + 1.0893247742688756)
+    programs = [lp for stack in facet_programs(fld, rect, tpl) for lp in stack]
+    for k, lp in enumerate(programs):
+        status, value, _ = highs(lp, **TIGHT)
+        assert status == OPTIMAL
+        assert abs(report.d_star[k] - value) <= 1e-9 * (1.0 + abs(value)), k
+
+
 # General programs.  HiGHS is the reference at tolerances below the smallest
 # gap drawn and without presolve, whose own tolerances misjudge slivers of
 # width 1e-7; a badly scaled program is referenced by the same program before
@@ -205,6 +223,71 @@ def general_lps(st):
         return kind, LPProblem(c, G=G * s[:, None], h=h * s, A=A * t[:, None], d=d * t), reference
 
     return cases()
+
+
+def bounding_programs(st):
+    """Strategy of ``(kind, lp)``: a ``bounding_program`` over 1 to 12 vertex
+    classes with 0 to 6 inequality rows and 0 to 2 equality rows besides the
+    weight row.  Each row is plain, degenerate (entries of 1e-8 to 1e-5
+    beside zeros, the kind whose tiny entries broke the phase-1 ratio test;
+    HiGHS drops entries of 1e-9 and below) or positive at every class, which
+    no weighting meets; ``kind`` says whether one class meets every other
+    row, so the program is feasible."""
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+    tiny = st.one_of(st.just(0.0), st.floats(1e-8, 1e-5), st.floats(-1e-5, -1e-8))
+
+    @st.composite
+    def cases(draw):
+        K = draw(st.integers(1, 12))
+
+        def column(elements):
+            return np.array(draw(st.lists(elements, min_size=K, max_size=K)), dtype=float)
+
+        met = draw(st.one_of(st.none(), st.integers(0, K - 1)))  # the class meeting every row
+
+        def block(rows, equality):
+            values = np.zeros((K, rows))
+            for i in range(rows):
+                kind = draw(st.sampled_from(("plain", "plain", "degenerate", "positive")))
+                if kind == "positive":
+                    values[:, i] = np.abs(column(coeff)) + 1e-3
+                    continue
+                values[:, i] = column(tiny if kind == "degenerate" else coeff)
+                if met is not None:
+                    values[met, i] = 0.0 if equality else -abs(values[met, i])
+            return values
+
+        g, h = block(draw(st.integers(0, 6)), False), block(draw(st.integers(0, 2)), True)
+        kind = "plain" if met is None else "feasible class"
+        return kind, bounding_program(3.0 * column(coeff), g, h)
+
+    return cases()
+
+
+def test_bounding_programs_from_dual_starts_match_highs():
+    # certify against HiGHS at tight tolerances: the same verdict, and a
+    # bound within 1e-9 (1 + |v|) of HiGHS's optimum, never above it by more
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    verdicts = set()
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None)
+    @hypothesis.given(bounding_programs(st))
+    def check(case):
+        kind, lp = case
+        hypothesis.event(kind)
+        ref_status, ref, _ = highs(lp, **TIGHT)
+        assert ref_status in (OPTIMAL, INFEASIBLE)
+        verdicts.add(ref_status)
+        if ref_status == INFEASIBLE:
+            with pytest.raises(InfeasiblePolytope):
+                certify(lp)
+            return
+        d_star = certify(lp).d_star
+        assert abs(d_star - ref) <= 1e-9 * (1.0 + abs(ref)), kind
+
+    check()
+    assert verdicts == {OPTIMAL, INFEASIBLE}
 
 
 def test_general_programs_match_highs():

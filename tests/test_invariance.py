@@ -23,7 +23,6 @@ from polyvar.invariance import (
     template_within_rect,
     verify,
 )
-from polyvar.lpsolve import solve
 from polyvar.oracle import facet_nonempty
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate
 from polyvar.relaxation import ConstraintSet, certify_stack, class_constraint_values, lower_bound
@@ -66,8 +65,9 @@ def rotated_hexagon_normals() -> np.ndarray:
 
 def count_phases(monkeypatch) -> dict:
     """Count the members of the LP engine's phase-1 runs (one per sweep of
-    shared rows) and of its phase-2 runs (one per cost solved)."""
-    counts = {"phase_one": 0, "phase_two": 0}
+    shared rows), of its phase-2 runs (one per cost solved) and of its cold
+    dual starts (one per program solved cold by the dual simplex)."""
+    counts = {"phase_one": 0, "phase_two": 0, "dual_start": 0}
 
     def counted(key, fn, members):
         def wrapper(*args):
@@ -81,6 +81,9 @@ def count_phases(monkeypatch) -> dict:
         lpsolve, "_phase_one", counted("phase_one", lpsolve._phase_one, lambda tab: len(tab.T))
     )
     monkeypatch.setattr(lpsolve, "_phase_two", counted("phase_two", lpsolve._phase_two, len))
+    monkeypatch.setattr(
+        lpsolve, "_dual_start", counted("dual_start", lpsolve._dual_start, lambda tab: len(tab.T))
+    )
     return counts
 
 
@@ -175,7 +178,7 @@ class TestConfiningCaps:
         tpl = PolytopeTemplate(diamond_normals())
         phases = count_phases(monkeypatch)
         _confining_caps(tpl, rect, np.array([0.25, 0.5]))
-        assert phases == {"phase_one": 2, "phase_two": 2 * (2 * tpl.n)}
+        assert phases == {"phase_one": 2, "phase_two": 2 * (2 * tpl.n), "dual_start": 0}
 
     def test_raw_caps_kept_when_contained(self):
         rect = Rectangle([-2.0, -1.0], [2.0, 3.0])
@@ -281,13 +284,12 @@ class TestVerify:
 
             return wrapper
 
-        def solve_stack(stack, *args):
+        def solve_dual_stack(stack, *args):
             stacks[0] += 1
             calls["solve"] += len(stack)
-            return lpsolve.solve_stack(stack, *args)
+            return lpsolve.solve_dual_stack(stack, *args)
 
-        monkeypatch.setattr(polyvar.relaxation, "solve", counted("solve", solve))
-        monkeypatch.setattr(polyvar.relaxation, "solve_stack", solve_stack)
+        monkeypatch.setattr(polyvar.relaxation, "solve_dual_stack", solve_dual_stack)
         for name in ("solve_many", "solve_dual"):
             monkeypatch.setattr(polyvar.invariance, name, counted("solve", getattr(lpsolve, name)))
         monkeypatch.setattr(
@@ -398,24 +400,24 @@ class TestStackedVerify:
         # spans two or more members, and one member alone may exceed it only
         # when it cannot be split (the operands at m = 200 here)
         sizes, members, operands = [], [], []
-        real_phase_one, real_vm = lpsolve._phase_one, lpsolve._vm
+        real_dual_start, real_vm = lpsolve._dual_start, lpsolve._vm
 
-        def phase_one(stack):
-            tab = real_phase_one(stack)
+        def dual_start(stack, *args):
+            tab = real_dual_start(stack, *args)
             sizes.append((len(stack), tab.T.nbytes))
             return tab
 
-        def solve_stack(stack, *args):
+        def solve_dual_stack(stack, *args):
             members.append(len(stack))
-            return lpsolve.solve_stack(stack, *args)
+            return lpsolve.solve_dual_stack(stack, *args)
 
         def vm(v, M):
             operands.append((len(M), M.nbytes))
             return real_vm(v, M)
 
-        monkeypatch.setattr(lpsolve, "_phase_one", phase_one)
+        monkeypatch.setattr(lpsolve, "_dual_start", dual_start)
         monkeypatch.setattr(lpsolve, "_vm", vm)
-        monkeypatch.setattr(polyvar.relaxation, "solve_stack", solve_stack)
+        monkeypatch.setattr(polyvar.relaxation, "solve_dual_stack", solve_dual_stack)
         fld, rect, _, _ = fitzhugh_nagumo()
         tpl = PolytopeTemplate(uniform_normals(m))
         tpl = tpl.with_offsets(tpl.support_in(rect))
@@ -479,7 +481,7 @@ class TestWarmPasses:
         tpl = model.template if m is None else PolytopeTemplate(uniform_normals(m))
         phases = count_phases(monkeypatch)
         pivots = [0]
-        steps = []  # (name, phase-1 members, pivots) at each entry and exit
+        steps = []  # (name, phase-1 members, cold dual starts, pivots) at each entry and exit
 
         def counted(fn, count):
             def wrapper(*args):
@@ -490,9 +492,9 @@ class TestWarmPasses:
 
         def marked(key, fn):
             def wrapper(*args):
-                steps.append((key, phases["phase_one"], pivots[0]))
+                steps.append((key, phases["phase_one"], phases["dual_start"], pivots[0]))
                 out = fn(*args)
-                steps.append((key, phases["phase_one"], pivots[0]))
+                steps.append((key, phases["phase_one"], phases["dual_start"], pivots[0]))
                 return out
 
             return wrapper
@@ -505,14 +507,16 @@ class TestWarmPasses:
         monkeypatch.setattr(polyvar.invariance, "repair_offsets", marked("repair", repair_offsets))
         trace = synthesize(model.field, model.rectangle, tpl, model.params)
         assert trace.n_iterations >= (3 if m == 6 else 2)
-        spans = [(a[0], b[1] - a[1], b[2] - a[2]) for a, b in zip(steps[::2], steps[1::2])]
+        spans = [(a[0], *(y - x for x, y in zip(a[1:], b[1:])))
+                 for a, b in zip(steps[::2], steps[1::2])]
         verifies = [s for s in spans if s[0] == "verify"]
         assert len(verifies) == trace.n_iterations
+        assert [s[1] for s in verifies] == [0] * len(verifies)  # no facet program runs phase 1
         first = spans.index(verifies[0])
         later = spans[first + 1 :]
-        assert [s[1] for s in later] == [0] * len(later)  # no phase 1 after the first pass
-        assert verifies[0][1] == tpl.m
-        warm = sum(s[2] for s in verifies[1:])
+        assert [s[1:3] for s in later] == [(0, 0)] * len(later)  # nothing cold after the first pass
+        assert verifies[0][2] == tpl.m  # the first pass starts every facet program cold
+        warm = sum(s[3] for s in verifies[1:])
         pivots[0] = 0
         for rec in trace.records[1:]:
             verify(model.field, model.rectangle, tpl.with_offsets(rec.offsets))
@@ -530,8 +534,8 @@ class TestWarmPasses:
             assert report.d_star.tobytes() == rec.d_star.tobytes()
 
     def test_stacks_past_the_limit_run_cold(self, monkeypatch):
-        # room for the sweep and the first facet stack: the other stacks run
-        # phase 1 in every pass
+        # room for the sweep and the first facet stack: the other stacks start
+        # cold, from their dual starts, in every pass
         fld, rect, _, ref = fitzhugh_nagumo()
         tpl = PolytopeTemplate(uniform_normals(64))
         K = polyvar.invariance.facet_lift(fld, rect, tpl.normals).products.shape[0]
@@ -545,15 +549,15 @@ class TestWarmPasses:
         real = polyvar.invariance.verify
 
         def counted(*args):
-            before = phases["phase_one"]
+            before = phases["phase_one"], phases["dual_start"]
             out = real(*args)
-            passes.append(phases["phase_one"] - before)
+            passes.append((phases["phase_one"] - before[0], phases["dual_start"] - before[1]))
             return out
 
         monkeypatch.setattr(polyvar.invariance, "verify", counted)
         trace = synthesize(fld, rect, tpl, SynthesisParams(reference_point=ref, max_iter=3))
         assert 0 < first < 64 and trace.n_iterations > 1
-        assert passes == [64] + [64 - first] * (trace.n_iterations - 1)
+        assert passes == [(0, 64)] + [(0, 64 - first)] * (trace.n_iterations - 1)
 
 
 class TestFacetPrograms:
@@ -705,13 +709,13 @@ class TestRepairOffsets:
         phases = count_phases(monkeypatch)
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
         repair_offsets(PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0]), Rectangle([-2, -2], [2, 2]))
-        assert phases == {"phase_one": 1, "phase_two": 5}
+        assert phases == {"phase_one": 1, "phase_two": 5, "dual_start": 0}
 
     def test_empty_polytope_costs_one_lp(self, monkeypatch):
         phases = count_phases(monkeypatch)
         with pytest.raises(EmptyPolytope):
             repair_offsets(unit_square_template((1.0, 1.0, -2.0, 0.0)), Rectangle([-2, -2], [2, 2]))
-        assert phases == {"phase_one": 1, "phase_two": 0}
+        assert phases == {"phase_one": 1, "phase_two": 0, "dual_start": 0}
 
 
 class TestSynthesize:
@@ -785,10 +789,10 @@ class TestSynthesize:
         [
             # above b_hi: only the b_hi containment sweep of the parameter
             # checks runs (one phase 1, one phase 2 per direction +-e_i)
-            ((1.5, 1.0, 1.0, 1.0), {"phase_one": 1, "phase_two": 4}),
+            ((1.5, 1.0, 1.0, 1.0), {"phase_one": 1, "phase_two": 4, "dual_start": 0}),
             # below b_lo = normals @ ref: the repair sweep (one phase 2 per
             # facet) runs first, since an empty start must raise EmptyPolytope
-            ((-0.5, 1.0, 1.0, 1.0), {"phase_one": 2, "phase_two": 8}),
+            ((-0.5, 1.0, 1.0, 1.0), {"phase_one": 2, "phase_two": 8, "dual_start": 0}),
         ],
     )
     def test_offsets_outside_caps_rejected(self, offsets, sweeps, monkeypatch):

@@ -16,12 +16,12 @@ from polyvar.lpsolve import (
     solve_dual,
     solve_many,
 )
-from polyvar.invariance import PolytopeTemplate, facet_programs
+from polyvar.invariance import facet_programs
 from polyvar.oracle import box_lp, complementary_slackness, free_lp
 from polyvar.polynomial import Rectangle
 
 import dense_reference
-from conftest import fitzhugh_nagumo
+from conftest import tiny_entry_facets
 
 
 def brute_force_optimum(lp: LPProblem):
@@ -701,27 +701,31 @@ class TestSolveStack:
             self.assert_members_alone(members)
 
     def test_failed_member_leaves_its_stack_as_each_member_alone(self):
-        # FitzHugh-Nagumo facet 5: phase 1 pivots on an element of 3.45e-9
-        # and then reports unbounded; the seven other facets are optimal
-        fld, _, normals, _ = fitzhugh_nagumo()
-        offsets = [2.4244868517041693, 3.7426406871192874, 3.3888888888888884, 4.089289614847649,
-                   2.4524464230483383, 2.3284271247461916, 1.5000000000000002, 2.7343153804954032]
-        rect = Rectangle(
-            [float.fromhex("-0x1.39e9c3b681a7ap+1"), -1.5],
-            [float.fromhex("0x1.365595d42e031p+1"), float.fromhex("0x1.b1c71c7b33ed9p+1")],
-        )
-        (stack,) = facet_programs(fld, rect, PolytopeTemplate(normals, offsets))
-        outs = lpsolve.solve_stack(stack)
+        # FitzHugh-Nagumo facet programs with a degenerate row that carries an
+        # entry of 3.45e-9 in facet 5, from their dual starts (costs less their
+        # least); a NaN in facet 5's least Bernstein class stops its dual
+        # simplex loop, and the seven other facets are optimal, each as alone
+        (stack,) = facet_programs(*tiny_entry_facets())
+        c = stack.c - stack.c.min(axis=1, keepdims=True)
+        G = stack.G.copy()
+        G[5, 0, np.argmin(c[5])] = np.nan
+        stack = lpsolve.LPStack(c, G, stack.h, stack.A, stack.d)
+        outs = lpsolve.solve_dual_stack(stack)
         for k, out in enumerate(outs):
+            (alone,) = lpsolve.solve_dual_stack(member(stack, k))
             if k == 5:
-                assert isinstance(out, NumericalFailure)
-                with pytest.raises(NumericalFailure, match=str(out)):
-                    solve(stack[k])
+                assert isinstance(out, NumericalFailure) and isinstance(alone, NumericalFailure)
+                assert str(out) == str(alone) == "dual simplex met a NaN"
                 continue
-            alone = solve(stack[k])
             assert out.status == alone.status == OPTIMAL
             for field in ("x", "ineq_duals", "eq_duals"):
                 assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
+
+
+def member(stack, k):
+    """Member ``k`` of ``stack`` as a stack of one over views of its arrays,
+    whatever its entries (``stack[k]`` refuses a NaN)."""
+    return lpsolve.LPStack(*(a[k : k + 1] for a in (stack.c, stack.G, stack.h, stack.A, stack.d)))
 
 
 class TestLockstepPivots:
@@ -815,7 +819,7 @@ class TestLockstepPivots:
 class TestWarmRestart:
     """A solve given the end tableaux of an earlier solve at other
     right-hand sides restarts from them, with a dual simplex loop, and falls
-    back to phase 1 when the restart fails."""
+    back to a cold solve when the restart fails."""
 
     @staticmethod
     def moved(lp, u, v):
@@ -830,9 +834,10 @@ class TestWarmRestart:
 
     def test_moved_right_hand_sides_match_cold_and_highs(self):
         # the five kinds of test_highs, solved, then moved and restarted from
-        # their end tableaux, alone and as one cost of a two-cost sweep: the
-        # cold solve's status, the cold and HiGHS optimum within 1e-9 (1 + |v|),
-        # and an infeasible move always ends infeasible through phase 1
+        # their end tableaux: alone from a dual start, under the costs' absolute
+        # values, and as one cost of a two-cost sweep: the cold solve's status,
+        # the cold and HiGHS optimum within 1e-9 (1 + |v|), and an infeasible
+        # move always ends infeasible through a cold solve
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
         from test_highs import TIGHT, general_lps, highs
@@ -857,25 +862,27 @@ class TestWarmRestart:
             hypothesis.event(kind)
             restart, sweep = lpsolve.Restart(), lpsolve.Restart()
             costs = np.vstack([lp.c, c2])
+            dual = LPProblem(np.abs(lp.c), G=lp.G, h=lp.h, A=lp.A, d=lp.d)
             try:
-                lpsolve.solve_stack(lpsolve.LPStack.of(lp), restart)
+                lpsolve.solve_dual_stack(lpsolve.LPStack.of(dual), restart)
                 lpsolve.solve_many(lp, costs, sweep)
                 moved = self.moved(lp, u, v)
                 cold = [solve(LPProblem(c, G=moved.G, h=moved.h, A=moved.A, d=moved.d))
-                        for c in costs]
+                        for c in [*costs, dual.c]]
             except NumericalFailure:
                 hypothesis.event("NumericalFailure")
                 return
             ref_moved = self.moved(reference, u, v)
-            one = lpsolve.LPStack.of(moved)
-            for kept, warm in (
-                (restart, lambda: lpsolve.solve_stack(one, restart, one)),
-                (sweep, lambda: lpsolve.solve_many(moved, costs, sweep)),
+            one = lpsolve.LPStack.of(LPProblem(dual.c, G=moved.G, h=moved.h, A=moved.A, d=moved.d))
+            for kept, warm, solved in (
+                (restart, lambda: lpsolve.solve_dual_stack(one, restart, one), [2]),
+                (sweep, lambda: lpsolve.solve_many(moved, costs, sweep), [0, 1]),
             ):
                 if kept.tabs is None:
                     continue
                 outs = warm()
-                for c, out, ref in zip(costs, outs, cold):
+                for c, out, ref in zip(one.c if kept is restart else costs, outs,
+                                       [cold[i] for i in solved], strict=True):
                     assert not isinstance(out, NumericalFailure), kind
                     assert out.status == ref.status, kind
                     if ref.status == INFEASIBLE:
@@ -913,19 +920,19 @@ class TestWarmRestart:
             assert (restart.tabs is None) == any(s.status != OPTIMAL for s in ref)
 
     def test_failed_restart_runs_cold(self, monkeypatch):
-        # a restart whose dual loop fails leaves the stack to phase 1
+        # a restart that fails leaves the stack to a cold solve from its dual start
         lp = LPProblem([1.0, 2.0], G=[[-1.0, -1.0], [1.0, 0.0]], h=[-1.0, 3.0])
         restart = lpsolve.Restart()
-        lpsolve.solve_stack(lpsolve.LPStack.of(lp), restart)
-        monkeypatch.setattr(
-            lpsolve, "_dual_loops",
-            lambda st, n_enter, members: dict.fromkeys(members, NumericalFailure("injected")),
-        )
+        lpsolve.solve_dual_stack(lpsolve.LPStack.of(lp), restart)
         moved = LPProblem(lp.c, G=lp.G, h=[-2.0, 3.0])
         one = lpsolve.LPStack.of(moved)
-        (out,) = lpsolve.solve_stack(one, restart, one)
+        (cold,) = lpsolve.solve_dual_stack(one)
+        monkeypatch.setattr(
+            lpsolve, "_restart", lambda tab, stack: [NumericalFailure("injected")] * len(stack)
+        )
+        (out,) = lpsolve.solve_dual_stack(one, restart, one)
         assert not restart.warm and restart.tabs is not None
-        assert out.x.tobytes() == solve(moved).x.tobytes()
+        assert out.x.tobytes() == cold.x.tobytes() == solve(moved).x.tobytes()
 
 
 def outcome_or_failure(fn):
@@ -934,6 +941,107 @@ def outcome_or_failure(fn):
         return fn()
     except NumericalFailure as exc:
         return exc
+
+
+def random_dual_stack(rng, kinds):
+    """Programs of one shape with nonnegative costs, as the bounding programs
+    are posed once their costs are shifted: 6 columns, 3 inequality rows
+    with right-hand side 0 (some of them degenerate: entries of 1e-8 to 1e-5
+    beside zeros), a weight row ``sum x = 1`` and one more equality row with
+    right-hand side 0; member ``k`` is optimal, one class meeting every row,
+    or, where ``kinds[k]`` says so, infeasible (an equality row that is
+    positive on every column)."""
+    c, G, h, A, d = [], [], [], [], []
+    for kind in kinds:
+        g = rng.normal(size=(3, 6))
+        tiny = rng.random(3) < 0.4
+        size = rng.choice([-1.0, 1.0], (tiny.sum(), 6)) * 10.0 ** rng.uniform(-8, -5, 6)
+        g[tiny] = np.where(rng.random((tiny.sum(), 6)) < 0.5, 0.0, size)
+        eq = rng.normal(size=6)
+        j = rng.integers(6)  # a class that meets every row: the program is feasible
+        eq[j], g[:, j] = 0.0, -np.abs(g[:, j])
+        if kind == "infeasible":
+            eq = np.abs(eq) + 0.1
+        cost = np.where(rng.random(6) < 0.2, 0.0, rng.uniform(0.0, 2.0, 6))
+        rows = (cost, g, np.zeros(3), np.vstack([np.ones(6), eq]), [1.0, 0.0])
+        for arrays, value in zip((c, G, h, A, d), rows):
+            arrays.append(value)
+    return lpsolve.LPStack(*map(np.array, (c, G, h, A, d)))
+
+
+class TestDualStart:
+    """Programs solved cold from their slack bases by the dual simplex, each
+    equality row split in two (``solve_dual_stack``)."""
+
+    def test_stacked_cold_start_matches_each_member_alone(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("phase 1 ran")
+
+        monkeypatch.setattr(lpsolve, "_phase_one", refuse)
+        rng = np.random.default_rng(23)
+        seen = set()
+        for _ in range(60):
+            kinds = rng.choice(["optimal"] * 3 + ["infeasible"], size=int(rng.integers(2, 7)))
+            stack = random_dual_stack(rng, kinds)
+            for k, (out, kind) in enumerate(zip(lpsolve.solve_dual_stack(stack), kinds)):
+                (alone,) = lpsolve.solve_dual_stack(member(stack, k))
+                assert out.status == alone.status
+                assert (out.status == INFEASIBLE) == (kind == "infeasible")
+                seen.add(out.status)
+                if out.status == OPTIMAL:
+                    for field in ("x", "ineq_duals", "eq_duals"):
+                        assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
+                    assert out.objective == alone.objective
+                    assert out.eq_duals.shape == (2,) and out.ineq_duals.shape == (3,)
+        assert seen == {OPTIMAL, INFEASIBLE}
+
+    def test_matches_solve(self):
+        # the same status and optimum as the phase-1 engine on the unsplit rows
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            stack = random_dual_stack(rng, rng.choice(["optimal", "infeasible"], size=4))
+            for k, out in enumerate(lpsolve.solve_dual_stack(stack)):
+                ref = solve(stack[k])
+                assert out.status == ref.status
+                if ref.status == OPTIMAL:
+                    assert abs(out.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+                    assert kkt_residuals(stack[k], out)["dual"] <= 1e-9
+
+    def test_lone_loop_takes_the_lockstep_steps(self):
+        # each member that a lockstep dual loop runs ends, tableau and basis,
+        # bit for bit as the lone loop leaves it; members end at different
+        # steps, and the last one running finishes in the lone loop
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            stack = random_dual_stack(rng, rng.choice(["optimal", "infeasible"], size=5))
+            split = lpsolve._split(stack)
+            tab = lpsolve._dual_start(split, 2)
+            W = lpsolve._width(tab.T)
+            ref = [lpsolve._part(tuple(a.copy() for a in tab.state), k) for k in range(len(stack))]
+            outs = lpsolve._dual_loops(tab.state, W, list(range(len(stack))))
+            for k, st in enumerate(ref):
+                assert lpsolve._dual_loop(st, W) == outs[k]
+                for ours, alone in zip(lpsolve._part(tab.state, k), st):
+                    assert ours.tobytes() == alone.tobytes()
+
+    def test_least_class_enters_first(self, monkeypatch):
+        # the split weight row is the only row below zero at the start, and
+        # its least ratio is the least cost: one pivot answers a program
+        # whose least class meets every other row strictly
+        stack = lpsolve.LPStack(
+            np.array([[2.0, 0.5, 1.0]]), -np.ones((1, 1, 3)), np.zeros((1, 1)),
+            np.ones((1, 1, 3)), np.ones((1, 1)),
+        )
+        pivots = []
+        real = lpsolve._pivot
+
+        def pivot(st, row, slot):
+            pivots.append(int(st[2][slot]))
+            return real(st, row, slot)
+
+        monkeypatch.setattr(lpsolve, "_pivot", pivot)
+        (out,) = lpsolve.solve_dual_stack(stack)
+        assert pivots == [1] and out.x.tolist() == [0.0, 1.0, 0.0] and out.objective == 0.5
 
 
 class TestSolveDual:

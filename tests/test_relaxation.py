@@ -4,7 +4,7 @@ import pytest
 import polyvar.relaxation
 from polyvar.cli import main
 from polyvar.files import dump_json
-from polyvar.lpsolve import solve
+from polyvar.lpsolve import solve, solve_dual_stack
 from polyvar.oracle import (
     SizeGuardError,
     build_full_lp,
@@ -422,11 +422,11 @@ class TestLpCount:
     def test_lower_bound_solves_one_lp(self, monkeypatch):
         calls = []
 
-        def counting_solve(lp):
-            calls.append(lp)
-            return solve(lp)
+        def counting_solve(stack, *args):
+            calls.extend(stack)
+            return solve_dual_stack(stack, *args)
 
-        monkeypatch.setattr(polyvar.relaxation, "solve", counting_solve)
+        monkeypatch.setattr(polyvar.relaxation, "solve_dual_stack", counting_solve)
         lower_bound(*constrained_3d_problem())
         assert len(calls) == 1
         calls.clear()
@@ -486,11 +486,11 @@ class TestKnownAnswer:
     def counted(monkeypatch) -> list:
         calls = []
 
-        def counting_solve(lp):
-            calls.append(lp)
-            return solve(lp)
+        def counting_solve(stack, *args):
+            calls.extend(stack)
+            return solve_dual_stack(stack, *args)
 
-        monkeypatch.setattr(polyvar.relaxation, "solve", counting_solve)
+        monkeypatch.setattr(polyvar.relaxation, "solve_dual_stack", counting_solve)
         return calls
 
     def test_strictly_feasible_least_class_makes_no_solve(self, monkeypatch):

@@ -39,20 +39,22 @@ def synth_items(seed) -> dict:
 
 
 PASS_LINE = re.compile(
-    r"3 (\S+) pass=(\d+) phase1=(\d+)/(\d+) facet_pivots=([\d.]+) "
-    r"support_pivots=([\d.]+) fallbacks=(\d+)/(\d+) improve=(\d+)/(\d+)/(\d+) "
-    r"step=(least_move|capped|-)"
+    r"3 (\S+) pass=(\d+) phase1=(\d+)/(\d+) cold=(\d+) facet_pivots=([\d.]+) "
+    r"cold_pivots=([\d.]+) facet_ms=([\d.]+)/([\d.]+) support_pivots=([\d.]+) "
+    r"fallbacks=(\d+)/(\d+) improve=(\d+)/(\d+)/(\d+) step=(least_move|capped|-)"
 )
 
 
-def test_pass_pivots_counts_one_phase_one_per_facet():
+def test_pass_pivots_counts_cold_dual_starts_per_facet():
     items = synth_items(3)
     passes = {}
     for line in run_tool("pass_pivots.py", "3"):
-        name, p, facet, support, facet_pivots, _, *fallbacks, lps, improve_phase1, improve_pivots, step = (
-            PASS_LINE.fullmatch(line).groups()
+        (name, p, facet, support, cold, facet_pivots, cold_pivots, _, _, _, *fallbacks,
+         lps, improve_phase1, improve_pivots, step) = PASS_LINE.fullmatch(line).groups()
+        passes.setdefault(name, []).append(
+            (int(p), int(facet), int(support), int(cold), float(facet_pivots), float(cold_pivots))
         )
-        passes.setdefault(name, []).append((int(p), int(facet), int(support), float(facet_pivots)))
+        assert facet == "0", line  # a facet program never runs phase 1
         assert fallbacks == ["0", "0"], line
         # the offset step solves two LPs, neither from phase 1
         assert (lps, improve_phase1) == (("0", "0") if step == "-" else ("2", "0")), line
@@ -61,9 +63,10 @@ def test_pass_pivots_counts_one_phase_one_per_facet():
     for name, counts in passes.items():
         assert [c[0] for c in counts] == list(range(len(counts)))
         # the start repair's sweep runs from phase 1 unless its slack basis is feasible
-        assert counts[0][1] == 0 and counts[0][2] <= 1
-        assert counts[1][1:3] == (items[name], 0) and counts[1][3] > 0
-        assert all(c[1:3] == (0, 0) for c in counts[2:]), name  # every later pass warm
+        assert counts[0][2] <= 1 and counts[0][3:] == (0, 0.0, 0.0)
+        # the first pass starts every facet program cold, as a fresh verify does
+        assert counts[1][2:4] == (0, items[name]) and counts[1][4] == counts[1][5] > 0
+        assert all(c[2:4] == (0, 0) and c[5] > 0 for c in counts[2:]), name  # every later pass warm
 
 
 def test_synth_outcomes_prints_one_line_per_item():

@@ -15,7 +15,10 @@ by name so that each call adds its time to a stage:
 
 Each line is ``<seed> <item> <stage>=<us> ... lp_solved=<0|1>``, every time
 the median over the passes in microseconds, and ``lp_solved=0`` for a
-program that ``certify`` answered without an LP.  A last line ``<seed>
+program that ``certify`` answered without an LP.  Each pass writes its
+reports to a directory of its own, one file per item, as
+``perfbench/worker.py`` does: rewriting one file in place costs more than
+writing a fresh one, so a shared report path would overstate ``write``.  A last line ``<seed>
 total`` sums the item times, gives each stage's share of the sum in
 percent, and counts the programs answered without an LP:
 
@@ -83,13 +86,13 @@ def install() -> None:
     for stage, targets in STAGES.items():
         for module, name in targets:
             timed(module, name, stage)
-    solve = relaxation.solve
+    solve = relaxation.solve_dual_stack
 
-    def counted(lp):
-        CLOCK.solves += 1
-        return solve(lp)
+    def counted(stack, *args):
+        CLOCK.solves += len(stack)
+        return solve(stack, *args)
 
-    relaxation.solve = counted
+    relaxation.solve_dual_stack = counted
 
 
 def load_gen():
@@ -125,9 +128,15 @@ def main(argv) -> int:
     install()
     with tempfile.TemporaryDirectory() as tmp:
         paths = gen.write_items(items, Path(tmp) / "inputs")
-        argvs = [["bound", str(path), "--report", str(Path(tmp) / "report.json")] for path in paths]
-        item_stages(argvs[0])  # warm-up
-        runs = [[item_stages(a) for a in argvs] for _ in range(passes)]
+
+        def argvs(out):
+            """Each item's argv, its report going to its own file in ``out``."""
+            out.mkdir()
+            return [["bound", str(path), "--report", str(out / f"{item['name']}.report.json")]
+                    for item, path in zip(items, paths)]
+
+        item_stages(argvs(Path(tmp) / "warmup")[0])
+        runs = [[item_stages(a) for a in argvs(Path(tmp) / f"pass{p}")] for p in range(passes)]
     sums = dict.fromkeys([*STAGES, "other"], 0.0)
     known = 0
     for i, item in enumerate(items):
