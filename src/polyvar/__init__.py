@@ -3,7 +3,7 @@
 The public surface mirrors the module layout:
 
 - ``polynomial``: sparse polynomials and their Bernstein coefficients
-- ``lpsolve``: two-phase simplex on a condensed tableau, with dual extraction
+- ``lpsolve``: dual simplex on a condensed tableau, with dual extraction
 - ``relaxation``: the certified lower-bound programs and their multipliers
 - ``invariance``: per-facet invariance verification and offset synthesis
 - ``oracle``: naive references for the tests (grid and vertex minima, the
@@ -34,12 +34,10 @@ from .invariance import (
 from .lpsolve import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LPProblem,
     LPSolution,
     NumericalFailure,
     solve,
-    solve_many,
 )
 from .polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate
 from .relaxation import (

@@ -13,8 +13,9 @@ the worst predicted bound (``improve_offsets``).
 Offsets are re-tightened to their support values after every step so no
 facet is ever empty.  Between the passes of a synthesis only the offsets
 move, which are right-hand sides of the facet programs up to the weight
-row, and of the repair sweep: every pass after the first restarts them from
-the previous pass's end tableaux (``_Passes``).
+row: every pass after the first restarts them from the previous pass's end
+tableaux (``_Passes``).  Every program here, the support sweeps included,
+is posed with nonnegative costs, so it starts dual feasible.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ import numpy as np
 from .lpsolve import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LPProblem,
     LPStack,
     NumericalFailure,
     Restart,
-    solve_dual,
-    solve_many,
+    solve,
+    solve_sweep,
     stack_members,
     tableau_bytes,
 )
@@ -228,39 +228,110 @@ class SynthesisParams:
     reference_point: np.ndarray = None
 
 
-def support_values(
-    tpl: PolytopeTemplate, directions, rect: Rectangle = None, restart: Restart = None
-) -> np.ndarray:
+def support_values(tpl: PolytopeTemplate, directions, rect: Rectangle = None) -> np.ndarray:
     """Support function ``max d . x`` of the template polytope along each row ``d``.
 
     The polytope is ``{x : normals @ x <= offsets}``, intersected with ``rect``
-    when one is given.  All directions share one ``solve_many`` sweep: one
-    phase 1 for the polytope, then a phase 2 per direction from its
-    tableau, read only for its optimal ``x``.  With a ``restart`` that an
-    earlier sweep of the same normals, directions and rectangle filled,
-    each direction restarts from its own end tableau at the new offsets
-    instead.  An entry is ``+inf`` where the polytope is unbounded along its
-    direction.  Every entry is ``-inf`` when the polytope is empty.
+    when one is given.  Every program is posed with nonnegative costs, so
+    it starts dual feasible, and the directions are solved as stacks
+    (``lpsolve.solve_sweep``): within a rectangle by ``_box_support``, else
+    by ``_free_support``.  An entry is ``+inf`` where the polytope is
+    unbounded along its direction.  Every entry is ``-inf`` when the
+    polytope is empty.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    if rect is None:  # free x = x+ - x- in adjacent columns
-        sign = np.tile([1.0, -1.0], tpl.n)
-        G, h = np.repeat(tpl.normals, 2, axis=1) * sign, tpl.offsets
-        costs = -np.repeat(directions, 2, axis=1) * sign
-    else:  # y = x - lower >= 0, with the box's upper sides as rows
-        G = np.vstack([tpl.normals, np.eye(tpl.n)])
-        h = np.concatenate([tpl.offsets, rect.upper]) - G @ rect.lower
-        costs = -directions
-    sols = solve_many(LPProblem(np.zeros(G.shape[1]), G=G, h=h), costs, restart)
-    out = np.empty(directions.shape[0])
-    for k, (d, sol) in enumerate(zip(directions, sols)):
-        if sol.status == INFEASIBLE:
-            return np.full(directions.shape[0], -np.inf)
-        if sol.status == UNBOUNDED:
-            out[k] = np.inf
-        else:
-            out[k] = d @ (sol.x[0::2] - sol.x[1::2] if rect is None else sol.x + rect.lower)
+    if not np.isfinite(directions).all():
+        raise ValueError("non-finite value (NaN or inf) in support directions")
+    if rect is None:
+        return _free_support(tpl, directions)
+    return _box_support(tpl, directions, rect)
+
+
+def _swept(stack: LPStack, per_stack: int) -> list:
+    """The outcomes of ``lpsolve.solve_sweep`` over ``stack``, in stacks of
+    ``per_stack`` members; the first member, in order, to fail raises."""
+    out = []
+    for lo in range(0, len(stack), per_stack):
+        at = slice(lo, lo + per_stack)
+        out += solve_sweep(LPStack(*(a[at] for a in (stack.c, stack.G, stack.h, stack.A, stack.d))))
+    for res in out:
+        if isinstance(res, NumericalFailure):
+            raise res
     return out
+
+
+def _unit(size: float) -> float:
+    """The power of two nearest ``size``, or 1 where it is 0: the unit a
+    support program is posed in, so that the LP's absolute tolerances are
+    relative to the scale of the rectangle or the polytope (a rectangle
+    1e-10 wide asks for that), and scaling by it is exact."""
+    return float(np.ldexp(1.0, int(np.log2(size).round().clip(-1000, 1000)))) if size > 0.0 else 1.0
+
+
+def _box_support(tpl: PolytopeTemplate, directions, rect: Rectangle) -> np.ndarray:
+    """``support_values`` within ``rect``.
+
+    Direction ``d`` starts at the box corner ``c`` that maximizes ``d . x``:
+    with ``x = c + t S z``, for ``S = diag(-1 where d > 0, else +1)`` and
+    ``t`` the ``_unit`` of the widest side, the program is ``min |d| . z``
+    subject to ``N S z <= (b - N c) / t`` and ``z <= w / t``, for the normals
+    ``N``, the offsets ``b`` and the box widths ``w``, and the support value
+    is ``d . c - t |d| . z``.  Its costs are nonnegative, and an infeasible
+    program is an empty polytope.
+    """
+    N, b = tpl.normals, tpl.offsets
+    (D, n), m = directions.shape, tpl.m
+    t = _unit(rect.width.max())
+    up = directions > 0.0
+    corner = np.where(up, rect.upper, rect.lower)
+    G = np.empty((D, m + n, n))
+    G[:, :m] = N * np.where(up, -1.0, 1.0)[:, None, :]
+    G[:, m:] = np.eye(n)
+    h = np.concatenate([b - corner @ N.T, np.broadcast_to(rect.width, (D, n))], axis=1) / t
+    stack = LPStack(np.abs(directions), G, h, np.zeros((D, 0, n)), np.zeros((D, 0)))
+    sols = _swept(stack, stack_members(n, m + n, 0))
+    if any(sol.status == INFEASIBLE for sol in sols):
+        return np.full(D, -np.inf)
+    reach = np.array([sol.objective for sol in sols])
+    return np.einsum("ij,ij->i", directions, corner) - t * reach
+
+
+def _free_support(tpl: PolytopeTemplate, directions) -> np.ndarray:
+    """``support_values`` without a rectangle.
+
+    Posed over ``u = x / t``, for ``t`` the ``_unit`` of the largest
+    offset.  First a point ``u0`` of the polytope: the origin where no
+    offset is negative, else from a program with zero costs over ``u = u+ -
+    u-``, none meaning an empty polytope.  Then, for
+    each direction ``d``, the LP dual of ``max d . v`` subject to ``N v <=
+    s`` over free ``v = u - u0``: ``min s . y`` subject to ``N^T y = d`` and
+    ``y >= 0``, with ``s = max(b / t - N u0, 0)``, so its costs are
+    nonnegative.  The support value is ``t`` times ``d . u0`` plus its
+    optimum, and ``+inf`` where it is infeasible.
+    """
+    N, (D, n), m = tpl.normals, directions.shape, tpl.m
+    t = _unit(np.abs(tpl.offsets).max())
+    b = tpl.offsets / t
+    u0 = np.zeros(n)
+    if (b < 0.0).any():
+        sign = np.tile([1.0, -1.0], n)
+        point = LPProblem(np.zeros(2 * n), G=np.repeat(N, 2, axis=1) * sign, h=b)
+        (found,) = _swept(LPStack.of(point), 1)
+        if found.status == INFEASIBLE:
+            return np.full(D, -np.inf)
+        u0 = found.x[0::2] - found.x[1::2]
+    s = np.maximum(b - N @ u0, 0.0)
+    stack = LPStack(
+        np.broadcast_to(s, (D, m)),
+        np.zeros((D, 0, m)),
+        np.zeros((D, 0)),
+        np.broadcast_to(N.T, (D, n, m)),
+        directions,
+    )
+    out = directions @ u0
+    for k, sol in enumerate(_swept(stack, stack_members(m, 0, n))):
+        out[k] = np.inf if sol.status == INFEASIBLE else out[k] + sol.objective
+    return t * out
 
 
 def _reach(tpl: PolytopeTemplate) -> np.ndarray:
@@ -384,23 +455,20 @@ def facet_programs(
 
 class _Passes:
     """What a synthesis carries from one pass to the next: the end tableaux
-    of each facet stack, with the offsets its tableaux were built at, and
-    those of the repair sweep, within ``KEEP_BYTES`` in all.
+    of each facet stack, with the offsets its tableaux were built at,
+    within ``KEEP_BYTES`` in all.
 
     The tableau of a facet program built at offsets ``b`` has the rows
     ``n_i . p(c) - b_i``; through the weight row, the program at offsets
     ``b'`` is the program over those rows with right-hand sides
     ``b'_i - b_i``, so a later pass restarts from it at those right-hand
     sides (``lpsolve.solve_dual_stack``).  A stack solved cold is built at
-    the pass's own offsets.  The sweep is charged its largest tableaux,
-    every row's right-hand side negative, and each facet stack its tableaux
-    when the first pass meets it; what does not fit runs cold in every pass.
+    the pass's own offsets.  Each facet stack is charged its tableaux when
+    the first pass meets it; what does not fit runs cold in every pass.
     """
 
-    def __init__(self, tpl: PolytopeTemplate):
-        m, n = tpl.m, tpl.n
-        self.room = KEEP_BYTES - m * tableau_bytes(n, m + n, 0, flipped=m + n)
-        self.sweep = Restart() if self.room >= 0 else None
+    def __init__(self):
+        self.room = KEEP_BYTES
         self.stacks = []  # per facet stack: [Restart or None, offsets built at]
         self._base = (None, None)  # the last offsets built at, and their class values
 
@@ -419,7 +487,7 @@ class _Passes:
         if restart is None:
             return certify_stack(stack)
         rows = None
-        if restart.tabs is not None:
+        if restart.tab is not None:
             if self._base[0] is not base:
                 self._base = (base, _facet_values(lift, base))
             built = _facet_stack(lift, self._base[1], ks)
@@ -487,24 +555,27 @@ def _max_min(
 ) -> tuple[float, np.ndarray]:
     """``(t, alpha)`` of ``max t`` subject to ``t <= d_k - row_k . alpha``
     for every facet ``k`` and ``alpha_lo <= alpha <= alpha_hi``, for the
-    report's bounds ``d`` and multiplier rows.
+    report's bounds ``d`` and multiplier rows ``M``.
 
-    Posed as ``min -s`` over ``s = t - t0 >= 0`` and ``a = alpha - alpha_lo
-    >= 0``, with the rows ``a <= alpha_hi - alpha_lo`` after the facet rows,
-    for ``t0`` the least facet right-hand side ``d_k - row_k . alpha_lo``,
-    the value at ``a = 0``.  Every right-hand side is then nonnegative, so
-    the slack basis is feasible and no phase 1 runs.  Only ``x`` is read, so
-    ``lpsolve.solve_many`` solves it, without the degenerate-row pass.
+    Over ``s = t - t0 >= 0`` and ``a = alpha - alpha_lo >= 0``, for ``t0``
+    the least facet right-hand side ``d_k - row_k . alpha_lo``, the value at
+    ``a = 0``, it is ``max s`` subject to ``s + M a <= f`` and ``a <= w``,
+    with ``f = d - M alpha_lo - t0 >= 0`` and ``w = alpha_hi - alpha_lo >=
+    0``.  Its LP dual, ``min f . lam + w . nu`` subject to ``sum(lam) >= 1``
+    and ``M^T lam + nu >= 0`` over ``lam, nu >= 0``, has nonnegative costs,
+    so it starts dual feasible (``lpsolve.solve``), and ``s`` and ``a`` are
+    its row multipliers, the plain basis duals.
     """
     m = alpha_lo.size
-    G = np.vstack([np.hstack([np.ones((m, 1)), report.multipliers]), np.eye(m, 1 + m, 1)])
-    facet = report.d_star - report.multipliers @ alpha_lo
+    M = report.multipliers
+    facet = report.d_star - M @ alpha_lo
     t0 = facet.min()
-    c = -np.eye(1, 1 + m)[0]
-    (sol,) = solve_many(LPProblem(c, G=G, h=np.concatenate([facet - t0, alpha_hi - alpha_lo])), c)
+    G = np.vstack([np.concatenate([-np.ones(m), np.zeros(m)]), np.hstack([-M.T, -np.eye(m)])])
+    h = np.concatenate([[-1.0], np.zeros(m)])
+    sol = solve(LPProblem(np.concatenate([facet - t0, alpha_hi - alpha_lo]), G=G, h=h))
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"offset-improvement program {sol.status}")
-    return float(t0 + sol.x[0]), alpha_lo + sol.x[1:]
+    return float(t0 + sol.ineq_duals[0]), alpha_lo + sol.ineq_duals[1:]
 
 
 def _least_move(
@@ -515,13 +586,13 @@ def _least_move(
 
     Posed over ``alpha = p - q`` with ``p, q >= 0`` at the cost ``sum(p + q)``.
     The costs are nonnegative, so the slack basis is dual feasible and the
-    dual simplex starts there (``lpsolve.solve_dual``), whatever the signs
-    of the right-hand sides.
+    dual simplex starts there (``lpsolve.solve``), whatever the signs of the
+    right-hand sides.
     """
     M, eye = report.multipliers, np.eye(alpha_lo.size)
     G = np.vstack([np.hstack([M, -M]), np.hstack([eye, -eye]), np.hstack([-eye, eye])])
     h = np.concatenate([report.d_star - tau, alpha_hi, -alpha_lo])
-    sol = solve_dual(LPProblem(np.ones(2 * alpha_lo.size), G=G, h=h))
+    sol = solve(LPProblem(np.ones(2 * alpha_lo.size), G=G, h=h))
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"least-move program {sol.status}")
     return sol.x[: alpha_lo.size] - sol.x[alpha_lo.size :]
@@ -546,10 +617,10 @@ def improve_offsets(
     facet somewhere within the caps, and the step is the least move that
     keeps every prediction at least ``LEAST_MOVE_SHARE * t_big``
     (``_least_move``).  Otherwise it maximizes the worst prediction within
-    ``epsilon`` of ``b`` as well: ``epsilon`` caps only this fallback.  No
-    program runs a phase 1, and ``alpha`` is clipped to the caps, which it
-    meets up to the LP's tolerances.  Always feasible: ``alpha = 0`` keeps
-    the current worst bound.
+    ``epsilon`` of ``b`` as well: ``epsilon`` caps only this fallback.  Both
+    programs start dual feasible, and ``alpha`` is clipped to the caps,
+    which it meets up to the LP's tolerances.  Always feasible: ``alpha =
+    0`` keeps the current worst bound.
     """
     if not report.complete:
         raise ValueError("improvement requires a complete verification report")
@@ -577,19 +648,16 @@ def improve_offsets(
     return OffsetStep(alpha, t_star, t_big, kind)
 
 
-def repair_offsets(
-    tpl: PolytopeTemplate, rect: Rectangle, restart: Restart = None
-) -> np.ndarray:
+def repair_offsets(tpl: PolytopeTemplate, rect: Rectangle) -> np.ndarray:
     """Tighten every offset to its support value, leaving the set unchanged.
 
     After repair each retained inequality is tight at some point of the
     polytope, so every facet is nonempty.  Raises EmptyPolytope when there is
-    nothing to support.  A synthesis passes the ``restart`` of its repair
-    sweeps (see ``support_values``).
+    nothing to support.
     """
     if tpl.offsets is None:
         raise ValueError("template needs offsets to repair")
-    tightened = support_values(tpl, tpl.normals, rect, restart)
+    tightened = support_values(tpl, tpl.normals, rect)
     if np.isneginf(tightened).any():
         raise EmptyPolytope("cannot repair an empty polytope")
     return tightened
@@ -700,12 +768,12 @@ def synthesize(
     # programs would report as infeasible rather than bounding.  This also
     # raises EmptyPolytope for an empty start, so b_lo is checked after it:
     # with b_lo = normals @ ref, every empty start is below b_lo somewhere.
-    passes = _Passes(tpl0)
-    tpl = tpl0.with_offsets(repair_offsets(tpl0.with_offsets(offsets0), rect, passes.sweep))
+    tpl = tpl0.with_offsets(repair_offsets(tpl0.with_offsets(offsets0), rect))
     if np.any(b_lo > offsets0 + 1e-12):
         raise ValueError("initial offsets must satisfy b_lo <= offsets <= b_hi")
 
     lift = facet_lift(fld, rect, tpl.normals)
+    passes = _Passes()
     records: list[IterationRecord] = []
     status = ITERATION_LIMIT
     prev_t = None
@@ -730,7 +798,7 @@ def synthesize(
         t_star = rec.t_star = step.t_star
         rec.alpha, rec.t_big, rec.step = step.alpha, step.t_big, step.kind
         stepped = tpl.with_offsets(tpl.offsets + step.alpha)
-        repaired = repair_offsets(stepped, rect, passes.sweep)
+        repaired = repair_offsets(stepped, rect)
         rec.repaired_offsets = repaired
         tpl = tpl.with_offsets(repaired)
         if prev_t is not None and t_star - prev_t < params.stall_tol:

@@ -1,17 +1,27 @@
-"""Simplex for small linear programs, with dual extraction: the dual simplex
-from a dual-feasible slack basis, or two phases.
+"""Dual simplex for small linear programs with nonnegative costs, with dual
+extraction.
 
 Every program has one form, ``min c.x`` subject to ``G x <= h``, ``A x = d``
-and ``x >= 0``; callers pose free and boxed variables in it themselves.
+and ``x >= 0``, with ``c >= 0``; callers pose free and boxed variables in
+it themselves, and a program with costs of either sign as a program with
+nonnegative ones (see ``invariance.support_values``, ``invariance._max_min``
+and ``oracle.box_lp``).  Each equality row is posed as two inequality rows
+(``_split``), so the slack basis, whose reduced costs are the costs, is
+dual feasible whatever the right-hand sides, and the dual simplex
+(``_dual_loops``) starts there (``_dual_start``; Lemke, *The dual method
+of solving the linear programming problem*, 1954): no phase 1 runs, and
+'infeasible', a row below zero with no entering column, is a verdict.  The
+costs bound the objective below by 0, so no program is unbounded.
+
 Every program this package builds has at most a few hundred rows; the
 bounding programs have one column per vertex class, up to a few thousand.
 A tableau is fast enough at that shape and carries its own duals: its
-reduced costs are updated by every pivot, and the columns that formed the
-start basis hold the basis inverse, so a row's dual is minus the reduced
-cost of its start column, refined once against the program's own rows.
-Rows far from unit scale are rescaled by powers of two first.  Pricing is
-Dantzig's rule, switching to Bland's rule after too many degenerate pivots
-to rule out cycling.
+reduced costs are updated by every pivot, and the slack columns that formed
+the start basis hold the basis inverse, so a row's dual is minus the
+reduced cost of its slack, refined once against the program's own rows.
+Rows far from unit scale are rescaled by powers of two first.  The leaving
+row is the most negative one relative to its length, switching to Bland's
+rule after too many degenerate pivots to rule out cycling.
 
 The tableau is condensed, in the dictionary form of the simplex method
 (Chvátal, *Linear Programming*, 1983, ch. 2-3): a basic column is a unit
@@ -20,62 +30,43 @@ side only, and a pivot is a Jordan exchange, the leaving column taking the
 entering column's slot.  A program with far more rows than columns, such as
 a facet program of a template with many facets, updates a few columns per
 pivot instead of all.  Every entry takes the full tableau's float
-operations and equals its entry, up to the sign of a zero that a basic
-column held (see ``_Tableau``).  Only pricing and the dual refinement
-multiply at full width, since ``np.matmul`` rounds a column subset of
-``v @ M`` differently from the full product.  Every pivot choice compares
-the stored columns and breaks ties by column index (``_first``), so it is
-the full tableau's choice over its whole row.
-
-The programs whose duals are read (``solve_dual_stack``, and
-``solve_stack``, hence ``solve``) get one more pass: among the optimal
-duals, an active inequality row gets a nonzero multiplier where one exists
-(see ``_activate_degenerate_rows``).
-The bounding program's multipliers are its duals, and a zero multiplier on
-an active facet hides how the bound reacts to moving that facet.  The pass
-changes only the multipliers, so ``solve_many``, whose callers read only
-``x``, skips it and returns plain basis duals.
+operations and equals its entry (see ``_Tableau``).  Only the dual
+refinement multiplies at full width, since ``np.matmul`` rounds a column
+subset of ``v @ M`` differently from the full product.  Every pivot choice
+compares the stored columns and breaks ties by column index (``_first``),
+so it is the full tableau's choice over its whole row.
 
 The engine works on stacks (``LPStack``): programs of one shape, such as
-the facet programs of one verification pass, solved together.  Row
-scaling, the tableau, pricing, the dual refinement and the KKT self-check
-run once over the stacked arrays, and the members pivot in lockstep, a
-member that ends dropping out untouched.  Every step is elementwise the one
-a member takes alone, and a stacked product is ``np.matmul`` over operands
-laid out as the member's own, which rounds as ``@`` on that member alone,
-so a member comes out of a stack bit for bit as it would alone.  A lone
-member pivots in a plain loop, which costs less per pivot.
+the facet programs of one verification pass or the directions of one
+support sweep, solved together.  Row scaling, the tableau, the dual
+refinement and the KKT self-check run once over the stacked arrays, and
+the members pivot in lockstep, a member that ends dropping out untouched.
+Every step is elementwise the one a member takes alone, and a stacked
+product is ``np.matmul`` over operands laid out as the member's own, which
+rounds as ``@`` on that member alone, so a member comes out of a stack bit
+for bit as it would alone.  A lone member pivots in a plain loop, which
+costs less per pivot.
 
-``solve_dual_stack`` solves stacks whose costs are nonnegative, as the
-bounding programs are posed (``relaxation.certify_stack`` shifts their
-costs by their least): each equality row is split into two inequality
-rows, so the slack basis is dual feasible whatever the right-hand sides,
-and the dual simplex (``_dual_loops``) starts there, with no phase 1 and no
-artificial column (``_dual_start``); 'infeasible' is then a verdict.
-``solve_dual`` is its cold start for one program, without the
-degenerate-row pass, for the least-move LP of the offset step.  Every
-bounding program of ``bound``, ``verify`` and ``synthesize`` is solved so.
+``solve_dual_stack`` solves the bounding programs, whose duals are read,
+with one more pass: among the optimal duals, an active inequality row gets
+a nonzero multiplier where one exists (see ``_activate_degenerate_rows``).
+A bounding program's multipliers are its duals, and a zero multiplier on an
+active facet hides how the bound reacts to moving that facet.
+``solve_sweep`` solves a stack without that pass, at plain basis duals, for
+the support and reach sweeps, which read ``x`` or the objective; ``solve``
+is its stack of one, for the offset step's programs and
+``oracle.box_point``.
 
-Phase 1 and phase 2 serve the rest.  ``solve_stack`` solves each member
-under its own cost; ``solve``, which ``oracle.box_point`` uses, is a stack
-of one.  ``solve_many`` solves one set of rows under many costs, as the
-support and reach queries of one polytope and the offset step's max-min LP
-do: phase 1 runs once, and its tableau is repeated for a chunk of costs,
-which pivot in lockstep as a stack over the shared rows, so each cost's
-``x`` is the one ``solve`` returns for it.  Every such path shares one
-phase-1 and one phase-2 code path.
-
-``solve_dual_stack`` and ``solve_many`` also restart warm, when a caller
-passes the ``Restart`` that an earlier solve of the same costs and rows at
-other right-hand sides filled with its end tableaux.  Only the right-hand
-side column of an end tableau depends on the right-hand sides: it is
-recomputed from the basis inverse, the basis stays dual feasible, and dual
-simplex pivots in lockstep (``_dual_loops``) make it primal feasible again,
-the pivots that a cold solve spends saved where the right-hand sides moved
-little.  A stack in
-which any member's restart fails is solved cold, so a restart decides no
-emptiness and adds no failure; its answers are optimal ones, though not bit
-for bit the cold solve's.
+``solve_dual_stack`` also restarts warm, when a caller passes the
+``Restart`` that an earlier solve of the same costs and rows at other
+right-hand sides filled with its end tableaux.  Only the right-hand side
+column of an end tableau depends on the right-hand sides: it is recomputed
+from the basis inverse, the basis stays dual feasible, and the dual simplex
+makes it primal feasible again, the pivots that a cold solve spends saved
+where the right-hand sides moved little.  A stack in which any member's
+restart fails is solved cold, so a restart decides no emptiness and adds no
+failure; its answers are optimal ones, though not bit for bit the cold
+solve's.
 """
 
 from __future__ import annotations
@@ -86,7 +77,6 @@ import numpy as np
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-10
@@ -94,9 +84,9 @@ _NO_COLUMN = np.iinfo(np.intp).max  # above every column, for ``_first``
 
 # Largest stacked tableau, in bytes, that a caller builds: programs whose
 # condensed tableaux together would exceed it go in several stacks, and a
-# program whose tableau alone exceeds it in a stack of one.  The full-width
-# rows of pricing and the basis inverses of the dual refinement are built a
-# chunk of members at a time within the same size.
+# program whose tableau alone exceeds it in a stack of one.  The basis
+# inverses of the dual refinement are built a chunk of members at a time
+# within the same size.
 STACK_BYTES = 256 * 1024
 
 
@@ -110,9 +100,9 @@ class LPProblem:
 
     The one form every program is posed in: a free variable is the
     difference of two adjacent nonnegative columns, and a boxed one is
-    shifted to its lower bound with its upper bound as a row of ``G``.
-    Either row block may be omitted.  Every entry must be finite: a NaN or
-    an infinity raises ValueError.
+    shifted to a bound with its other bound as a row of ``G``.  Either row
+    block may be omitted.  Every entry must be finite: a NaN or an infinity
+    raises ValueError.  ``solve`` needs ``c >= 0``.
     """
 
     c: np.ndarray
@@ -196,18 +186,15 @@ class LPStack:
 
 def stack_members(n_vars: int, m_ineq: int, m_eq: int) -> int:
     """How many programs of this shape one stack holds within ``STACK_BYTES``
-    (at least one), when no right-hand side is negative."""
+    (at least one)."""
     return max(1, STACK_BYTES // tableau_bytes(n_vars, m_ineq, m_eq))
 
 
-def tableau_bytes(n_vars: int, m_ineq: int, m_eq: int, flipped: int = 0) -> int:
-    """The bytes of one program's condensed tableau: ``n_vars + flipped + 1``
-    columns of ``m_ineq + 2 m_eq + 1`` rows.  A dual start
-    (``solve_dual_stack``) poses each equality row as two inequality rows;
-    a phase-1 start keeps them whole, so this bounds its tableau, and adds a
-    column for each of the ``flipped`` inequality rows with a negative
-    right-hand side."""
-    return 8 * (m_ineq + 2 * m_eq + 1) * (n_vars + flipped + 1)
+def tableau_bytes(n_vars: int, m_ineq: int, m_eq: int) -> int:
+    """The bytes of one program's condensed tableau: ``n_vars + 1`` columns
+    of ``m_ineq + 2 m_eq + 1`` rows, each equality row posed as two
+    inequality rows (``_split``)."""
+    return 8 * (m_ineq + 2 * m_eq + 1) * (n_vars + 1)
 
 
 def _per_chunk(cells: int) -> int:
@@ -290,24 +277,6 @@ def _pivot_some(st, go, rows, slots):
     _put(st, k, part)
 
 
-def _price(st, cost):
-    """Set the reduced costs of each member ``k`` to ``cost[k]``, which has
-    one more entry, 0, for the right-hand side, at its basis.  The product
-    runs over the constraint rows at full width, as the full tableau's does,
-    its basic columns left zero since only the stored ones are read off."""
-    T, basis, cols = st
-    S, m = basis.shape
-    width = _width(T) + 1
-    step = _per_chunk(m * width)
-    for lo in range(0, S, step):
-        at = slice(lo, lo + step)
-        part, c, stored = T[at], cost[at], cols[at]
-        k = np.arange(c.shape[0])[:, None]
-        rows = np.zeros((k.size, m, width))
-        rows[k, :, stored] = part[:, :-1].swapaxes(1, 2)
-        part[:, -1] = (c - _vm(c[k, basis[at]], rows))[k, stored]
-
-
 def _first(marked, cols):
     """Where the least column of ``cols`` that ``marked`` marks sits (0 if none)."""
     return np.where(marked, cols, _NO_COLUMN).argmin(axis=-1)
@@ -320,69 +289,9 @@ def _least(values):
     return np.where(least == least, values == least, np.isnan(values))
 
 
-def _entering(r, cols, n_enter):
-    """Bland's entering slot of one member with reduced costs ``r`` at its
-    stored columns ``cols``, or None at the optimum: the first of the first
-    ``n_enter`` columns below ``-PIVOT_TOL``, else the first column if its
-    reduced cost is NaN."""
-    key = np.where((cols < n_enter) & (r < -PIVOT_TOL), cols, n_enter)
-    slot = key.argmin()
-    if key[slot] < n_enter:
-        return slot
-    # no improving column: the first column, a NaN there going ahead
-    first = np.flatnonzero(cols == 0)
-    return first[0] if first.size and r[first[0]] != r[first[0]] else None
-
-
-def _allowed(T, cols, n_enter):
-    """``cols < n_enter`` over each member's stored columns, or None where
-    every column of ``T`` may enter; fixed for a loop, since an artificial
-    column neither enters nor leaves in phase 2."""
-    return None if n_enter >= _width(T) else cols[..., :-1] < n_enter
-
-
 def _pivot_limit(T) -> int:
     """The pivots a loop on one member of ``T`` may make."""
     return 1000 + 50 * (T.shape[-2] - 1 + _width(T))  # rows plus columns
-
-
-def _pivot_loop(st, n_enter, degenerate=0, step=0):
-    """Run simplex pivots on one member's tableau ``st`` in place, letting
-    only its first ``n_enter`` columns enter; returns 'optimal', 'unbounded'
-    or the NumericalFailure that ended it.  ``degenerate`` and ``step``
-    carry on a loop begun in ``_pivot_loops``.
-
-    The entering column has the least reduced cost (Dantzig's rule, ties by
-    ``_least``) until degenerate pivots pile up, then ``_entering``'s.  The
-    leaving row has the least ratio, ties going to the row whose basic
-    column comes first; its pivot element exceeds ``PIVOT_TOL`` by choice.
-    """
-    T, basis, cols = st
-    size = T.shape[0] - 1 + _width(T)  # constraint rows plus columns
-    r, stored, allowed = T[-1, :-1], cols[:-1], _allowed(T, cols, n_enter)
-    for _ in range(step, _pivot_limit(T)):
-        if degenerate > 5 * size:
-            slot = _entering(r, stored, n_enter)
-        else:
-            values = r if allowed is None else np.where(allowed, r, np.inf)
-            slot = values.argmin()
-            if values[slot] >= -PIVOT_TOL:
-                slot = None
-            elif slot != r.size - 1 - values[::-1].argmin():  # tied, or NaN twice
-                slot = _first(_least(values), stored)
-        if slot is None:
-            return OPTIMAL
-        col = T[:-1, slot]
-        rows = (col > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
-            return UNBOUNDED
-        ratios = T[rows, -1] / col[rows]
-        best = ratios.min()
-        ties = rows[ratios <= best + 1e-12]
-        leave = int(ties[basis[ties].argmin()])
-        degenerate += best <= 1e-12
-        _pivot(st, leave, slot)
-    return NumericalFailure("simplex iteration limit exceeded")
 
 
 class _Running:
@@ -413,73 +322,7 @@ class _Running:
             _put(self.st, self.members[ended], _part(self.state, ended))
 
 
-def _pivot_loops(st, n_enter, members) -> dict:
-    """``_pivot_loop`` on each member of the stacked state ``st``, for
-    ``k`` in ``members``, in lockstep; returns ``{k: 'optimal', 'unbounded'
-    or its NumericalFailure}``.
-
-    One step picks every running member's entering and leaving columns with
-    batched ``argmin``s, each member under its own rule and degenerate
-    count, and pivots them all at once.  A member that ends drops out, left
-    as its last step left it, and the others go on in a copy (``_Running``).
-    A lone member, or the last one running, pivots in ``_pivot_loop``, which
-    costs less per pivot than a step of one: stepped here instead, a lone
-    member took the ``bound-small`` benchmark +36% and ``synth`` +59% in
-    wall time.
-    """
-    if len(members) == 1:
-        return {members[0]: _pivot_loop(_part(st, members[0]), n_enter)}
-    out = {}
-    size = st[0].shape[1] - 1 + _width(st[0])
-    run = _Running(st, members)
-    degenerate = np.zeros(run.n, dtype=int)
-    step, limit = 0, _pivot_limit(st[0])
-    allowed = _allowed(run.state[0], run.state[2], n_enter)
-    while run.n > 1 and step < limit:
-        T, B, cols = run.state
-        k = np.arange(run.n)
-        r, stored = T[:, -1, :-1], cols[:, :-1]
-        values = r if allowed is None else np.where(allowed, r, np.inf)
-        slot = values.argmin(axis=1)
-        optimal = values[k, slot] >= -PIVOT_TOL
-        tied = slot != values.shape[1] - 1 - values[:, ::-1].argmin(axis=1)
-        if tied.any():
-            slot[tied] = _first(_least(values[tied]), stored[tied])
-        for i in np.flatnonzero(degenerate > 5 * size):  # as _pivot_loop has it
-            chosen = _entering(r[i], stored[i], n_enter)
-            optimal[i] = chosen is None
-            slot[i] = 0 if chosen is None else chosen
-        col = T[k, :-1, slot]
-        up = col > PIVOT_TOL
-        going = up.any(axis=1) & ~optimal
-        if not going.all():
-            for i in np.flatnonzero(~going):
-                out[run.members[i]] = OPTIMAL if optimal[i] else UNBOUNDED
-            run.keep(going)
-            degenerate, slot, col, up = degenerate[going], slot[going], col[going], up[going]
-            allowed = allowed if allowed is None else allowed[going]
-            if not run.n:
-                break
-            T, B = run.state[:2]
-        ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=up)
-        best = ratios.min(axis=1)
-        if np.isnan(best).any():  # no tied row, where _pivot_loop's argmin raises
-            raise ValueError("attempt to get argmin of an empty sequence")
-        ties = up & (ratios <= (best + 1e-12)[:, None])
-        leave = _first(ties, B)
-        degenerate += best <= 1e-12
-        _pivot_all(run.state, leave, slot)
-        step += 1
-    if run.n == 1:
-        out[run.members[0]] = _pivot_loop(_part(run.state, 0), n_enter, degenerate[0], step)
-    else:
-        for k in run.members:
-            out[k] = NumericalFailure("simplex iteration limit exceeded")
-    run.restore()
-    return out
-
-
-def _dual_loop(st, n_enter, degenerate=0, step=0):
+def _dual_loop(st, degenerate=0, step=0):
     """Dual simplex pivots on one member's tableau ``st`` in place, from a
     basis whose reduced costs are nonnegative; returns 'optimal',
     'infeasible' or the NumericalFailure that ended it.  ``degenerate`` and
@@ -488,7 +331,7 @@ def _dual_loop(st, n_enter, degenerate=0, step=0):
     """
     T, basis, cols = st
     size = T.shape[0] - 1 + _width(T)
-    r, stored, allowed = T[-1, :-1], cols[:-1], _allowed(T, cols, n_enter)
+    r, stored = T[-1, :-1], cols[:-1]
     for _ in range(step, _pivot_limit(T)):
         value = T[:-1, -1]
         low = value < -FEAS_TOL
@@ -508,10 +351,7 @@ def _dual_loop(st, n_enter, degenerate=0, step=0):
                                 out=np.full(value.shape, np.inf), where=low)
             row = _first(low & (key == key.min()), basis)
         a = T[row, :-1]
-        cand = a < -PIVOT_TOL
-        if allowed is not None:
-            cand &= allowed
-        cand = cand.nonzero()[0]  # _dual_loops' ratios, divided at the candidates only
+        cand = (a < -PIVOT_TOL).nonzero()[0]  # _dual_loops' ratios, divided at the candidates only
         if not cand.size:
             return INFEASIBLE
         ratios = r[cand] / -a[cand]
@@ -524,7 +364,7 @@ def _dual_loop(st, n_enter, degenerate=0, step=0):
     return NumericalFailure("simplex iteration limit exceeded")
 
 
-def _dual_loops(st, n_enter, members) -> dict:
+def _dual_loops(st, members) -> dict:
     """Dual simplex pivots on each member of the stacked state ``st``, for
     ``k`` in ``members``, in lockstep, from a basis whose reduced costs are
     nonnegative; returns ``{k: 'optimal', 'infeasible' or its
@@ -535,27 +375,29 @@ def _dual_loops(st, n_enter, members) -> dict:
     its row over the stored columns, ties going to the row whose basic
     column comes first: on the second pass of a 48-facet 8-D synthesis this
     normalized pricing took 42 pivots per facet program where the most
-    negative value alone took 70.  The entering column, one of the first
-    ``n_enter``, has the least ratio ``r_j / |T[row, j]|`` over the entries
-    ``T[row, j] < -PIVOT_TOL`` (the ratio test of
-    ``_activate_degenerate_rows``), ties within 1e-12 going to the first
-    column, so the reduced costs stay nonnegative.  After too many
-    degenerate pivots the leaving row is the one below zero whose basic
-    column comes first (Bland's rule), and the pivot limit is
-    ``_pivot_loop``'s.  A member that ends drops out, as in ``_pivot_loops``,
-    and a lone member, or the last one running, pivots in ``_dual_loop``,
-    which takes the same steps for less per pivot.
+    negative value alone took 70.  The entering column has the least ratio
+    ``r_j / |T[row, j]|`` over the entries ``T[row, j] < -PIVOT_TOL`` (the
+    ratio test of ``_activate_degenerate_rows``), ties within 1e-12 going
+    to the first column, so the reduced costs stay nonnegative.  After too
+    many degenerate pivots the leaving row is the one below zero whose
+    basic column comes first (Bland's rule).  One step picks every running
+    member's leaving row and entering column with batched ``argmin``s, each
+    member under its own rule and degenerate count, and pivots them all at
+    once.  A member that ends drops out, left as its last step left it, and
+    the others go on in a copy (``_Running``).  A lone member, or the last
+    one running, pivots in ``_dual_loop``, which takes the same steps for
+    less per pivot: stepped here instead, a lone member took the
+    ``bound-small`` benchmark +36% and ``synth`` +59% in wall time.
     """
     if st[0].shape[1] == 1:  # no rows
         return dict.fromkeys(members, OPTIMAL)
     if len(members) == 1:
-        return {members[0]: _dual_loop(_part(st, members[0]), n_enter)}
+        return {members[0]: _dual_loop(_part(st, members[0]))}
     out = {}
     size = st[0].shape[1] - 1 + _width(st[0])
     run = _Running(st, members)
     degenerate = np.zeros(run.n, dtype=int)
     step, limit = 0, _pivot_limit(st[0])
-    allowed = _allowed(run.state[0], run.state[2], n_enter)
     while run.n > 1 and step < limit:
         T, B, cols = run.state
         k = np.arange(run.n)
@@ -571,8 +413,6 @@ def _dual_loops(st, n_enter, members) -> dict:
         row = _first(first, B)
         a = T[k, row, :-1]
         cand = a < -PIVOT_TOL
-        if allowed is not None:
-            cand &= allowed
         ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
         best = ratios.min(axis=1)
         ties = cand & (ratios <= (best + 1e-12)[:, None])
@@ -589,14 +429,13 @@ def _dual_loops(st, n_enter, members) -> dict:
                 )
             run.keep(going)
             degenerate, row, slot, best = degenerate[going], row[going], slot[going], best[going]
-            allowed = allowed if allowed is None else allowed[going]
             if not run.n:
                 break
         degenerate += best <= 1e-12
         _pivot_all(run.state, row, slot)
         step += 1
     if run.n == 1:
-        out[run.members[0]] = _dual_loop(_part(run.state, 0), n_enter, degenerate[0], step)
+        out[run.members[0]] = _dual_loop(_part(run.state, 0), degenerate[0], step)
     else:
         for k in run.members:
             out[k] = NumericalFailure("simplex iteration limit exceeded")
@@ -617,7 +456,7 @@ def _row_steps(rows, key, members):
         yield counts > step, order[:, step]
 
 
-def _activate_degenerate_rows(st, first_slack, end_slack, n_enter, members):
+def _activate_degenerate_rows(st, first_slack, end_slack, members):
     """Give weakly active inequality rows a multiplier, keeping ``x`` optimal,
     in each member of the stacked state ``st``, for ``k`` in ``members``.
 
@@ -626,36 +465,34 @@ def _activate_degenerate_rows(st, first_slack, end_slack, n_enter, members):
     row.  One dual-simplex pivot per such row, the rows being those whose
     slack is a column from ``first_slack`` to ``end_slack``, moves its slack
     out of the basis: the entering column minimizes ``r_j / |T[row, j]|``
-    over ``T[row, j] < 0`` among the first ``n_enter`` columns, so every
-    reduced cost stays nonnegative, the basic values (hence ``x`` and the
-    objective) stay as they are, and the row's multiplier becomes that
-    ratio.  Rows where the ratio is zero are left.  The rows are selected
-    once and visited in the order of their basic columns: a pivot row's
-    value is zeroed first, so a pivot changes no other row's value.  The
-    members step through their rows in lockstep, one row each per step.
+    over ``T[row, j] < 0``, so every reduced cost stays nonnegative, the
+    basic values (hence ``x`` and the objective) stay as they are, and the
+    row's multiplier becomes that ratio.  Rows where the ratio is zero are
+    left.  The rows are selected once and visited in the order of their
+    basic columns: a pivot row's value is zeroed first, so a pivot changes
+    no other row's value.  The members step through their rows in lockstep,
+    one row each per step.
 
-    The columns from ``end_slack`` to ``n_enter`` are the slacks of split
-    equality rows (``_split``), the ``-`` halves first.  They take part in
-    the ratio test, which keeps their reduced costs nonnegative, but never
-    enter: a row whose least ratio falls on one is left, as the artificial
-    column of an equality row never enters in a phase-1 tableau.  A split
-    row is visited only where both of its halves are basic, so that the
-    equality row it poses carries no multiplier at all; its ``-`` half comes
-    first, and once it pivots, the ``+`` half's row is the negated ``-`` row,
-    zero up to round-off, where no column enters.  Where one half is
-    nonbasic, the pair's multiplier is already that half's, and neither is
-    visited.
+    The columns from ``end_slack`` on are the slacks of split equality rows
+    (``_split``), the ``-`` halves first.  They take part in the ratio
+    test, which keeps their reduced costs nonnegative, but never enter: a
+    row whose least ratio falls on one is left.  A split row is visited
+    only where both of its halves are basic, so that the equality row it
+    poses carries no multiplier at all; its ``-`` half comes first, and
+    once it pivots, the ``+`` half's row is the negated ``-`` row, zero up
+    to round-off, where no column enters.  Where one half is nonbasic, the
+    pair's multiplier is already that half's, and neither is visited.
     """
     T, basis, cols = st
     k = np.arange(T.shape[0])
     zero = np.abs(T[:, :-1, -1]) <= 1e-12
     rows = (basis >= first_slack) & (basis < end_slack) & zero
-    pairs = (n_enter - end_slack) // 2
+    pairs = (_width(T) - end_slack) // 2
     # the halves of a pair are never both nonbasic, so a pair whose halves
     # are both basic leaves fewer nonbasic halves than pairs
-    if pairs and ((cols >= end_slack) & (cols < n_enter)).sum(axis=1).min() < pairs:
+    if pairs and (cols[:, :-1] >= end_slack).sum(axis=1).min() < pairs:
         half = basis - end_slack
-        pair = np.where((half >= 0) & (half < 2 * pairs), half % pairs, pairs)
+        pair = np.where(half >= 0, half % pairs, pairs)
         both = (pair[:, :, None] == np.arange(pairs)).sum(axis=1) == 2
         both = np.append(both, np.zeros((len(T), 1), dtype=bool), axis=1)  # a column for no pair
         rows |= zero & both[k[:, None], pair]
@@ -663,7 +500,7 @@ def _activate_degenerate_rows(st, first_slack, end_slack, n_enter, members):
         return
     for at, row in _row_steps(rows, basis, members):
         a = T[k, row, :-1]
-        cand = (a < -PIVOT_TOL) & (cols[:, :-1] < n_enter) & at[:, None]
+        cand = (a < -PIVOT_TOL) & at[:, None]
         ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
         # the least ratio, NaN first, and the first candidate if all are infinite
         tied = cand & _least(ratios)
@@ -672,26 +509,6 @@ def _activate_degenerate_rows(st, first_slack, end_slack, n_enter, members):
         if go.any():
             T[k[go], row[go], -1] = 0.0  # round-off below the degeneracy threshold
             _pivot_some(st, go, row, slot)
-
-
-def _drive_out_artificials(st, n_std, members):
-    """Pivot the artificial columns left in the phase-1 basis of each member
-    of the stacked state ``st``, for ``k`` in ``members``, out of it.  A row
-    where none can go is redundant: zero up to round-off, it is set to zero
-    and never pivots.  The members step through their rows in lockstep, one
-    row each per step.
-    """
-    T, basis, cols = st
-    k = np.arange(T.shape[0])
-    # a pivot on row i changes only basis[i], so the rows to visit are known
-    for at, row in _row_steps(basis >= n_std, np.arange(basis.shape[1]), members):
-        a = np.where(cols[:, :-1] < n_std, np.abs(T[k, row, :-1]), 0.0)
-        largest = a.max(axis=1)
-        go = at & (largest > PIVOT_TOL)
-        if go.any():
-            _pivot_some(st, go, row, _first(a == largest[:, None], cols[:, :-1]))
-        done = k[at & ~go]
-        T[done, row[done]] = np.where(cols[done] < n_std, 0.0, T[done, row[done]])
 
 
 def _mv(M, v):
@@ -722,41 +539,32 @@ def _top(a):
 
 @dataclass(eq=False)
 class _Tableau:
-    """Primal feasible bases of the rows of a stack's members, ready for any
-    costs, in condensed form.
+    """The tableaux of a stack's members, from their dual starts
+    (``_dual_start``), in condensed form.
 
-    Member ``k`` has ``m`` rows over ``W`` columns: structural, slack and
-    phase-1 artificial.  ``basis[k]`` lists its basic column per row, and
-    ``cols[k]`` the others, then ``W`` for the right-hand side.  ``T[k]``
-    holds the rows over ``cols[k]`` as the full tableau holds them, then
-    those columns' reduced costs and minus the objective.  ``start[k, i]``,
-    row ``i``'s basic column at the start, is its column of the basis
-    inverse, and its reduced cost is minus the row's dual, mapped back to
-    the program's row by ``row_scale[k, i]``.  ``ended[k]`` is None while
-    member ``k`` has a feasible basis, else its outcome: an infeasible
-    LPSolution or the NumericalFailure that ended phase 1.  ``pairs`` counts
-    the equality rows that a dual start posed as two inequality rows each,
-    the last ``2 * pairs`` rows (``_split``); a phase-1 tableau has none.
+    Member ``k`` has ``m`` inequality rows over ``W = n + m`` columns:
+    structural, then one slack per row.  ``basis[k]`` lists its basic
+    column per row, and ``cols[k]`` the others, then ``W`` for the
+    right-hand side.  ``T[k]`` holds the rows over ``cols[k]`` as the full
+    tableau holds them, then those columns' reduced costs and minus the
+    objective.  Row ``i``'s slack, basic in it at the start, is its column
+    of the basis inverse, and its reduced cost is minus the row's dual,
+    mapped back to the program's row by ``row_scale[k, i]``.  ``pairs``
+    counts the equality rows posed as two inequality rows each, the last
+    ``2 * pairs`` rows (``_split``).
 
-    A basic column is not stored: off its own row it is taken as ``+0.0``,
-    with a reduced cost of ``+0.0``, and a leaving column comes out of that
-    (see ``_pivot``).  The full tableau can hold a ``-0.0`` there instead: in
-    phase 1, a row flipped for its negative right-hand side holds one in the
-    slack columns of the unflipped rows.  Such an entry differs from the full
-    tableau's only in the sign of a zero, and no pivot choice reads that
-    sign: the entering, leaving, degenerate-row and drive-out choices compare
-    entries with tolerances.  So every pivot is the full tableau's, and the
-    results equal its results bit for bit on every program that
-    ``tests/test_condensed.py`` compares with the dense engine.
+    A basic column is not stored: off its own row it is ``+0.0``, with a
+    reduced cost of ``+0.0``, as in the full tableau, and a leaving column
+    comes out of that (see ``_pivot``).  So every pivot is the full
+    tableau's, and the results equal its results bit for bit on every
+    program that ``tests/test_condensed.py`` compares with the dense engine.
     """
 
     T: np.ndarray
     basis: np.ndarray
     cols: np.ndarray
-    start: np.ndarray
     row_scale: np.ndarray
-    ended: list
-    pairs: int = 0
+    pairs: int
 
     @property
     def state(self) -> tuple:
@@ -778,10 +586,13 @@ def _row_scale(size):
 
 def _split(stack: LPStack) -> LPStack:
     """``stack`` with inequality rows only: after ``G x <= h`` come
-    ``A x <= d`` and ``-A x <= -d``, each equality row posed as two."""
+    ``A x <= d`` and ``-A x <= -d``, each equality row posed as two.  The
+    rows come out in C order whatever the layout of ``stack``'s arrays,
+    such as views that repeat one program's rows, so that a stacked product
+    over them rounds as the member's own (see ``_mv``)."""
     S, _, n = stack.G.shape
-    G = np.concatenate([stack.G, -stack.A, stack.A], axis=1)
-    h = np.concatenate([stack.h, -stack.d, stack.d], axis=1)
+    G = np.ascontiguousarray(np.concatenate([stack.G, -stack.A, stack.A], axis=1))
+    h = np.ascontiguousarray(np.concatenate([stack.h, -stack.d, stack.d], axis=1))
     return LPStack(stack.c, G, h, np.zeros((S, 0, n)), np.zeros((S, 0)))
 
 
@@ -792,10 +603,10 @@ def _dual_start(stack: LPStack, pairs: int) -> _Tableau:
 
     Each member's reduced costs are its costs, so the basis is dual
     feasible whatever the right-hand sides, which the tableau holds as
-    posed: the dual simplex (``_dual_loops``) starts there, with no
-    artificial column.  The rows are scaled by ``_row_scale`` of their
-    largest entry, the right-hand side left out, so the scaling depends only
-    on the rows' matrix, as a warm restart at other right-hand sides needs.
+    posed: the dual simplex (``_dual_loops``) starts there.  The rows are
+    scaled by ``_row_scale`` of their largest entry, the right-hand side
+    left out, so the scaling depends only on the rows' matrix, as a warm
+    restart at other right-hand sides needs.
     """
     S, m, n = stack.G.shape
     T = np.zeros((S, m + 1, n + 1))
@@ -810,120 +621,18 @@ def _dual_start(stack: LPStack, pairs: int) -> _Tableau:
     basis = np.broadcast_to(n + np.arange(m), (S, m)).copy()
     cols = np.empty((S, n + 1), dtype=int)
     cols[:, :n], cols[:, -1] = np.arange(n), n + m
-    return _Tableau(T, basis, cols, basis.copy(), row_scale, [None] * S, pairs)
+    return _Tableau(T, basis, cols, row_scale, pairs)
 
 
-def _phase_one(stack: LPStack) -> _Tableau:
-    """Feasible starts for the rows of every member of ``stack``."""
-    S, m_ineq, n = stack.G.shape
-    m = m_ineq + stack.A.shape[1]
-    n_std = n + m_ineq
-
-    # Standard form rows: [ineq | eq], slack column per inequality row.
-    A0 = np.concatenate([stack.G, stack.A], axis=1)
-    b0 = np.concatenate([stack.h, stack.d], axis=1)
-
-    size = np.maximum(np.abs(A0).max(axis=2, initial=0.0), np.abs(b0))
-    row_scale = _row_scale(size)
-    if row_scale is None:
-        row_scale = np.ones(b0.shape)
-    else:
-        A0 *= row_scale[:, :, None]
-        b0 *= row_scale
-        size = np.maximum(np.abs(A0).max(axis=2, initial=0.0), np.abs(b0))
-
-    flip = b0 < 0
-    flips = flip.any()
-    if flips:
-        A0[flip] *= -1.0
-        b0[flip] *= -1.0
-        row_scale[flip] *= -1.0
-
-    # Initial basis: unflipped slacks; artificial columns everywhere else,
-    # numbered in row order.  The members share the tableau's shape, so they
-    # need equally many.  Stored are the structural columns and the flipped
-    # rows' slacks: -1 in their own row, -0.0 in the other flipped rows.
-    art = flip.copy()
-    art[:, m_ineq:] = True
-    counts = art.sum(axis=1)
-    n_art = int(counts[0])
-    if S > 1 and (counts != n_art).any():
-        raise ValueError("stack members need equally many artificial columns")
-    basis = np.where(art, n_std - 1 + art.cumsum(axis=1), n + np.arange(m))
-    W, n_flip = n_std + n_art, n_art - (m - m_ineq)
-    T = np.zeros((S, m + 1, n + n_flip + 1))
-    T[:, :m, :n] = A0
-    T[:, :m, -1] = b0
-    cols = np.empty((S, n + n_flip + 1), dtype=int)
-    cols[:, :n], cols[:, -1] = np.arange(n), W
-    if flips:
-        flipped = np.nonzero(flip[:, :m_ineq])[1].reshape(S, n_flip)
-        cols[:, n:-1] = n + flipped
-        T[:, :m, n:-1] = np.where(flip[:, :, None], -0.0, 0.0)
-        T[np.arange(S)[:, None], flipped, n + np.arange(n_flip)] = -1.0
-    tab = _Tableau(T, basis, cols, basis.copy(), row_scale, [None] * S)
-
-    if n_art:
-        # the largest entry of the rows, the slacks' unit entries included
-        scale = 1.0 + np.maximum(size.max(axis=1, initial=0.0), min(m_ineq, 1))
-        cost1 = np.zeros((S, W + 1))
-        cost1[:, n_std:W] = 1.0
-        _price(tab.state, cost1)
-        ended = tab.ended
-        for k, res in _pivot_loops(tab.state, W, range(S)).items():
-            if res == UNBOUNDED:
-                res = NumericalFailure("phase-1 subproblem reported unbounded")
-            if isinstance(res, NumericalFailure):
-                ended[k] = res
-        art_level = _dot(cost1[0, basis], T[:, :-1, -1])
-        for k in range(S):
-            if ended[k] is None and art_level[k] > FEAS_TOL * scale[k]:
-                ended[k] = LPSolution(status=INFEASIBLE)
-        _drive_out_artificials(tab.state, n_std, [k for k in range(S) if ended[k] is None])
-        # the ended never pivot again; zeros keep the stacked steps finite
-        out = [k for k in range(S) if ended[k] is not None]
-        if out:
-            T[out] = 0.0
-    return tab
-
-
-def _phase_two(tab: _Tableau, stack: LPStack, costs: np.ndarray) -> list:
-    """Minimize each member's row of ``costs`` over its rows, from its basis
-    in the tableau, which is left at the end basis.  Artificial columns
-    never enter.
-
-    Returns one outcome per member: None where it ended optimal, its
-    solution to be read off the tableau (``_solutions``) at plain basis
-    duals, else an unbounded LPSolution or the NumericalFailure that ended
-    it; a member that phase 1 ended keeps that outcome.  The members pivot
-    in lockstep.
-    """
-    S, m_ineq, n = stack.G.shape
-    n_std = n + m_ineq
-    out = list(tab.ended)
-    cost = np.zeros((S, _width(tab.T) + 1))
-    cost[:, :n] = costs
-    _price(tab.state, cost)
-    running = [k for k in range(S) if out[k] is None]
-    for k, res in _pivot_loops(tab.state, n_std, running).items():
-        if isinstance(res, NumericalFailure):
-            out[k] = res
-            tab.T[k] = 0.0  # never pivots again; keeps the stacked steps finite
-        elif res == UNBOUNDED:
-            out[k] = LPSolution(status=UNBOUNDED)
-    return out
-
-
-def _dual_phase(tab: _Tableau, n_enter: int, out: list) -> list:
+def _dual_phase(tab: _Tableau, out: list) -> list:
     """``out`` with each None entry, a member whose basis in ``tab`` is dual
     feasible, replaced by the outcome of its dual simplex pivots
-    (``_dual_loops``), letting only the first ``n_enter`` columns enter: None
-    where it ended optimal, its solution to be read off the tableau
-    (``_solutions``), else an infeasible LPSolution or the NumericalFailure
-    that ended it.  The tableau is left at the end bases."""
+    (``_dual_loops``): None where it ended optimal, its solution to be read
+    off the tableau (``_solutions``), else an infeasible LPSolution or the
+    NumericalFailure that ended it.  The tableau is left at the end bases."""
     out = list(out)
     running = [k for k in range(len(out)) if out[k] is None]
-    for k, res in _dual_loops(tab.state, n_enter, running).items():
+    for k, res in _dual_loops(tab.state, running).items():
         if isinstance(res, NumericalFailure):
             out[k] = res
             tab.T[k] = 0.0  # never pivots again; keeps the stacked steps finite
@@ -933,47 +642,43 @@ def _dual_phase(tab: _Tableau, n_enter: int, out: list) -> list:
 
 
 def _restart(tab: _Tableau, stack: LPStack) -> list:
-    """Minimize each member of ``stack`` from its end tableau in ``tab``, an
-    optimal basis that a solve of the same costs and rows left at other
-    right-hand sides; the tableau is left at the new end basis.
+    """Minimize each member of ``stack``, split by ``_split``, from its end
+    tableau in ``tab``, an optimal basis that a solve of the same costs and
+    rows left at other right-hand sides; the tableau is left at the new end
+    basis.
 
     Only the right-hand side column changes: it becomes ``B^-1 b`` for the
     stack's scaled right-hand sides ``b``, with ``B^-1`` read off the start
     columns, and the objective entry follows.  The reduced costs stay, so
     the basis stays dual feasible, and dual simplex pivots (``_dual_loops``)
-    restore primal feasibility (``_dual_phase``).  Returns one outcome per
-    member as ``_dual_phase`` does; a basic artificial column off zero also
-    reads as infeasible.  Neither is a verdict on a phase-1 tableau, where
-    the warm caller solves such a member again from phase 1; from a dual
-    start (``_dual_start``), whose basis is dual feasible at every
-    right-hand side, 'infeasible' is one.
+    restore primal feasibility (``_dual_phase``), whose outcomes this
+    returns; 'infeasible' is a verdict, as from a dual start.
     """
     T, basis, cols = tab.state
-    S, m_ineq, n = stack.G.shape
-    n_std = n + m_ineq
-    b = np.concatenate([stack.h, stack.d], axis=1) * tab.row_scale
+    S, _, n = stack.G.shape
+    b = stack.h * tab.row_scale
     step = _per_chunk(basis.shape[1] ** 2)
     for lo in range(0, S, step):
         at = slice(lo, lo + step)
-        inverse, _ = _start_columns(T[at], basis[at], cols[at], tab.start[at])
+        inverse, _ = _start_columns(T[at], basis[at], cols[at])
         T[at, :-1, -1] = _vm(b[at], inverse)
     cost = np.zeros((S, _width(T) + 1))
     cost[:, :n] = stack.c
     T[:, -1, -1] = -_dot(cost[np.arange(S)[:, None], basis], T[:, :-1, -1])
-    # a basic artificial column sits in a row of zeros, where no pivot moves it
-    stray = ((basis >= n_std) & (np.abs(T[:, :-1, -1]) > FEAS_TOL)).any(axis=1)
-    out = [LPSolution(status=INFEASIBLE) if s else None for s in stray]
-    return _dual_phase(tab, n_std, out)
+    return _dual_phase(tab, [None] * S)
 
 
-def _start_columns(T, basis, cols, start) -> tuple:
-    """Each member's start columns of the full tableau, the basis inverse,
-    listed as rows, and their reduced costs (0 where basic)."""
+def _start_columns(T, basis, cols) -> tuple:
+    """Each member's start columns of the full tableau, its slacks, which
+    hold the basis inverse, listed as rows, and their reduced costs (0
+    where basic)."""
     k = np.arange(len(T))[:, None]
+    m = basis.shape[1]
+    start = _width(T) - m + np.arange(m)
     slots = np.full((len(T), _width(T) + 1), -1)
     slots[k, cols] = np.arange(cols.shape[1])
-    slot = slots[k, start]
-    inverse = (start[:, :, None] == basis[:, None, :]).astype(float)
+    slot = slots[:, start]
+    inverse = (start[:, None] == basis[:, None, :]).astype(float)
     kk, ii = np.nonzero(slot >= 0)
     inverse[kk, ii] = T[kk, :-1, slot[kk, ii]]
     return inverse, np.where(slot >= 0, T[k, -1, slot], 0.0)
@@ -983,35 +688,33 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
     """``out`` with each None entry, a member that ended optimal, replaced by
     its LPSolution or by the NumericalFailure of the KKT self-check.
 
-    Member ``k`` minimizes ``stack.c[k]`` over its rows in ``stack``, at its
-    end basis in ``tab``.  The refinement runs a chunk of members at a time.
-    Where ``tab`` holds split equality rows (``_split``), the self-check runs
-    on the split rows of ``stack``, and each pair's multiplier is read as
-    the free multiplier ``lam+ - lam-`` of the equality row it poses.
+    Member ``k`` minimizes ``stack.c[k]`` over its rows in ``stack``, split
+    by ``_split``, at its end basis in ``tab``.  The refinement runs a
+    chunk of members at a time.  The self-check runs on the split rows, and
+    each pair's multiplier is read as the free multiplier ``lam+ - lam-``
+    of the equality row it poses.
     """
     T, basis, cols = tab.state
     S, m = basis.shape
     m_ineq, n = stack.G.shape[1:]
-    n_std = n + m_ineq
-    costs, width = stack.c, _width(T)
-    start, row_scale = tab.start, tab.row_scale
+    costs, width, row_scale = stack.c, _width(T), tab.row_scale
     members = np.arange(S)[:, None]
     x = np.zeros((S, width))
     x[members, basis] = T[:, :-1, -1]
 
-    # The multipliers [lam; mu] come off the reduced costs of the start
-    # columns.  Pivots on small elements leave round-off in T, which a bound
-    # reads through the multipliers, so one refinement step follows: the
-    # reduced costs of the basic columns, recomputed from the rows of the
-    # program, should be zero, and the basis inverse maps them to the
-    # correction.  ``_start_columns`` lists the start columns as rows; read
-    # transposed, it is laid out as NumPy lays out ``T[:-1, start]`` of one
-    # member's full tableau ``T``, so it rounds the same.
+    # The multipliers lam come off the reduced costs of the start columns.
+    # Pivots on small elements leave round-off in T, which a bound reads
+    # through the multipliers, so one refinement step follows: the reduced
+    # costs of the basic columns, recomputed from the rows of the program,
+    # should be zero, and the basis inverse maps them to the correction.
+    # ``_start_columns`` lists the start columns as rows; read transposed,
+    # it is laid out as NumPy lays out ``T[:-1, start]`` of one member's
+    # full tableau ``T``, so it rounds the same.
     w = np.empty((S, m))
     step = _per_chunk(m * (m + T.shape[2]))
     for lo in range(0, S, step):
         at = slice(lo, lo + step)
-        inverse, reduced = _start_columns(T[at], basis[at], cols[at], start[at])
+        inverse, reduced = _start_columns(T[at], basis[at], cols[at])
         k, scale = np.arange(len(inverse))[:, None], row_scale[at]
         G, A = stack.G[at], stack.A[at]
         dual = reduced * scale
@@ -1021,7 +724,7 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
             + _mv(G.swapaxes(1, 2), dual[:, :m_ineq])
             + _mv(A.swapaxes(1, 2), dual[:, m_ineq:])
         )
-        r[:, n:n_std] = dual[:, :m_ineq] / np.abs(scale[:, :m_ineq])
+        r[:, n:] = dual[:, :m_ineq] / scale[:, :m_ineq]
         w[at] = dual - _vm(r[k, basis[at]], inverse.swapaxes(1, 2)) * scale
     sol = LPSolution(
         status=OPTIMAL,
@@ -1056,72 +759,35 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
     return out
 
 
-def _raised(outcome):
-    """``outcome``, unless it is a NumericalFailure, which is raised."""
-    if isinstance(outcome, NumericalFailure):
-        raise outcome
-    return outcome
-
-
 @dataclass(eq=False)
 class Restart:
     """End tableaux that one solve leaves for the next solve of the same
     costs and rows at other right-hand sides: a warm restart.
 
     A caller whose programs keep their costs and matrices while their
-    right-hand sides move creates one and passes it to each solve.  ``tabs``
-    holds the last solve's end tableaux, one per stack it ran, or None before
-    the first solve and after one where a member did not end optimal.
-    ``warm`` says whether the last solve restarted from them; a solve whose
-    restart failed on any member ran cold, from phase 1.
+    right-hand sides move creates one and passes it to each solve.  ``tab``
+    holds the last solve's end tableaux, or None before the first solve and
+    after one where a member did not end optimal.  ``warm`` says whether
+    the last solve restarted from them; a solve whose restart failed on any
+    member ran cold, from its dual start.
     """
 
-    tabs: list = None
+    tab: _Tableau = None
     warm: bool = False
 
 
-def _restarted(tab: _Tableau, stack: LPStack, duals: bool):
+def _restarted(tab: _Tableau, stack: LPStack):
     """``stack``'s outcomes restarted from ``tab`` (``_restart``), with
-    ``solve_dual_stack``'s multipliers when ``duals`` is set, else
-    ``solve_many``'s; None unless every member ended optimal and passed the
-    KKT self-check.  ``stack`` is posed as ``tab`` was built: split by
-    ``_split`` where ``tab`` holds split equality rows."""
+    ``solve_dual_stack``'s multipliers; None unless every member ended
+    optimal and passed the KKT self-check.  ``stack`` is split by
+    ``_split``, as ``tab`` was built."""
     S, m_ineq, n = stack.G.shape
     out = _restart(tab, stack)
     if any(res is not None for res in out):
         return None
-    if duals:
-        m_rows = m_ineq - 2 * tab.pairs
-        _activate_degenerate_rows(tab.state, n, n + m_rows, n + m_ineq, list(range(S)))
+    _activate_degenerate_rows(tab.state, n, n + m_ineq - 2 * tab.pairs, list(range(S)))
     out = _solutions(stack, tab, out)
     return None if any(isinstance(res, NumericalFailure) for res in out) else out
-
-
-def _kept(tabs: list, outcomes: list):
-    """``tabs``, if every outcome is an optimal LPSolution, else None."""
-    optimal = all(isinstance(res, LPSolution) and res.status == OPTIMAL for res in outcomes)
-    return tabs if optimal else None
-
-
-def solve_stack(stack: LPStack) -> list:
-    """Solve every member of ``stack`` under its own cost ``stack.c[k]``,
-    with the multipliers its callers read.
-
-    One phase 1 and one phase 2 over the stack: the row scaling, the
-    tableau, the pricing, the pivots, the degenerate-row pass
-    (``_activate_degenerate_rows``), the dual refinement and the KKT
-    self-check run once over the stacked arrays, the pivots in lockstep
-    (``_pivot_loops``).  Returns one outcome per member, its LPSolution or
-    the NumericalFailure that ended it; every member comes out bit for bit
-    as it would alone.  The arrays are used as given (no NaN check), and the
-    tableau is ``len(stack)`` times one member's.
-    """
-    S, m_ineq, n = stack.G.shape
-    tab = _phase_one(stack)
-    out = _phase_two(tab, stack, stack.c)
-    optimal = [k for k in range(S) if out[k] is None]
-    _activate_degenerate_rows(tab.state, n, n + m_ineq, n + m_ineq, optimal)
-    return _solutions(stack, tab, out)
 
 
 def _cold_dual(stack: LPStack, duals: bool) -> tuple:
@@ -1131,17 +797,17 @@ def _cold_dual(stack: LPStack, duals: bool) -> tuple:
     S, m_ineq, n = stack.G.shape
     split = _split(stack)
     tab = _dual_start(split, stack.A.shape[1])
-    out = _dual_phase(tab, _width(tab.T), tab.ended)
+    out = _dual_phase(tab, [None] * S)
     if duals:
         optimal = [k for k in range(S) if out[k] is None]
-        _activate_degenerate_rows(tab.state, n, n + m_ineq, _width(tab.T), optimal)
+        _activate_degenerate_rows(tab.state, n, n + m_ineq, optimal)
     return tab, _solutions(split, tab, out)
 
 
 def solve_dual_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
     """Solve every member of ``stack``, whose costs are nonnegative, by the
-    dual simplex from its slack basis, with ``solve_stack``'s multipliers:
-    no phase 1 runs.
+    dual simplex from its slack basis, with the multipliers of the
+    degenerate-row pass.
 
     Each equality row is posed as two inequality rows (``_split``), so the
     slack basis is dual feasible whatever the right-hand sides
@@ -1150,11 +816,12 @@ def solve_dual_stack(stack: LPStack, restart: Restart = None, rows: LPStack = No
     the degenerate-row pass (over the rows of ``G``, and over a split row
     only where both its halves are basic; see ``_activate_degenerate_rows``),
     the dual refinement and the KKT self-check run once over the stacked
-    arrays.  An equality row's multiplier is the difference of its halves'.  Returns one outcome per member, its
-    LPSolution or the NumericalFailure that ended it; every member comes out
-    bit for bit as it would alone.  The arrays are used as given (no NaN or
-    sign check), and the tableau is ``len(stack)`` times one member's, which
-    callers keep within ``STACK_BYTES`` (``stack_members``).
+    arrays.  An equality row's multiplier is the difference of its halves'.
+    Returns one outcome per member, its LPSolution or the NumericalFailure
+    that ended it; every member comes out bit for bit as it would alone.
+    The arrays are used as given (no NaN or sign check), and the tableau is
+    ``len(stack)`` times one member's, which callers keep within
+    ``STACK_BYTES`` (``stack_members``).
 
     With a ``restart`` that holds the end tableaux of an earlier solve, the
     members restart from them (``_restart``) on ``rows``: the same programs
@@ -1167,106 +834,47 @@ def solve_dual_stack(stack: LPStack, restart: Restart = None, rows: LPStack = No
     """
     if restart is not None:
         restart.warm = False
-        if restart.tabs is not None and rows is not None:
-            out = _restarted(restart.tabs[0], _split(rows), duals=True)
+        if restart.tab is not None and rows is not None:
+            out = _restarted(restart.tab, _split(rows))
             if out is not None:
                 restart.warm = True
                 return out
     tab, out = _cold_dual(stack, duals=True)
     if restart is not None:
-        restart.tabs = _kept([tab], out)
+        optimal = all(isinstance(res, LPSolution) and res.status == OPTIMAL for res in out)
+        restart.tab = tab if optimal else None
     return out
 
 
-def solve_many(lp: LPProblem, costs, restart: Restart = None) -> list:
-    """Solve the rows of ``lp`` once per cost vector in ``costs``, for the
-    optimal ``x`` of each.
+def solve_sweep(stack: LPStack) -> list:
+    """Solve every member of ``stack``, whose costs are nonnegative, by the
+    dual simplex from its slack basis, at plain basis duals: the stacked
+    cold start of ``solve_dual_stack`` without its degenerate-row pass,
+    whose pivots change only the multipliers, for callers that read ``x``
+    or the objective.
 
-    Only the rows of ``lp`` are used, not its cost.  Phase 1 runs once; its
-    feasible tableau is repeated for a chunk of costs, as many as tableaux
-    fit in ``STACK_BYTES``, and the chunk is solved as a stack over views of
-    the shared rows.  So each cost's status and ``x`` are ``solve``'s for
-    that cost, bit for bit, whatever the order of the costs.  The duals are
-    the plain basis duals: no degenerate-row pass, whose pivots would change
-    only the multipliers.  The first cost, in order, to fail numerically
-    raises its NumericalFailure.
-
-    With a ``restart`` that holds the end tableaux of an earlier sweep of
-    the same costs over rows with the same ``G`` and ``A``, each cost
-    restarts from its own at this ``h`` and ``d`` (``_restart``), past the
-    refinement and the KKT self-check; if any cost's restart fails, the
-    sweep runs cold, as without a restart.  Either way ``restart`` keeps the
-    end tableaux.
+    Returns one outcome per member, its LPSolution or the NumericalFailure
+    that ended it; every member comes out bit for bit as it would alone.
+    The arrays are used as given, and the tableau is ``len(stack)`` times
+    one member's, which callers keep within ``STACK_BYTES``.
     """
-    costs = np.asarray(costs, dtype=float).reshape(-1, lp.n_vars)
-    if not np.isfinite(costs).all():
-        raise ValueError("non-finite value (NaN or inf) in problem data")
-    one = LPStack.of(lp)
-
-    def rows(lo, S):
-        """The stack of costs ``lo`` to ``lo + S`` over views of the rows."""
-        return LPStack(costs[lo : lo + S], *(np.broadcast_to(a, (S,) + a.shape[1:]) for a in
-                                             (one.G, one.h, one.A, one.d)))
-
-    if restart is not None:
-        restart.warm = False
-        if restart.tabs is not None:
-            out, lo = [], 0
-            for part in restart.tabs:
-                S = len(part.T)
-                res = _restarted(part, rows(lo, S), duals=False)
-                if res is None:
-                    break
-                out += res
-                lo += S
-            if lo == len(costs):
-                restart.warm = True
-                return out
-            restart.tabs = None
-    tab = _phase_one(one)
-    if tab.ended[0] is not None:
-        _raised(tab.ended[0])
-        return [LPSolution(status=INFEASIBLE) for _ in costs]
-    chunk = _per_chunk(tab.T[0].size)
-    out, parts = [], []
-    for lo in range(0, len(costs), chunk):
-        c = costs[lo : lo + chunk]
-        S = len(c)
-        part = _Tableau(*(a.repeat(S, axis=0) for a in
-                          (tab.T, tab.basis, tab.cols, tab.start, tab.row_scale)), [None] * S)
-        stack = rows(lo, S)
-        out += map(_raised, _solutions(stack, part, _phase_two(part, stack, c)))
-        parts.append(part)
-    if restart is not None:
-        restart.tabs = _kept(parts, out)
-    return out
+    return _cold_dual(stack, duals=False)[1]
 
 
 def solve(lp: LPProblem) -> LPSolution:
-    """Solve ``lp``, with the multipliers of ``solve_stack``; deterministic
-    for a fixed input.
+    """Solve ``lp``, whose costs are nonnegative, as a stack of one of
+    ``solve_sweep``: its equality rows split, from its dual start, at plain
+    basis duals; deterministic for a fixed input.
 
-    Raises NumericalFailure instead of ever returning an uncertified answer.
+    Raises ValueError on a negative cost, and NumericalFailure instead of
+    ever returning an uncertified answer.
     """
-    (outcome,) = solve_stack(LPStack.of(lp))
-    return _raised(outcome)
-
-
-def solve_dual(lp: LPProblem) -> LPSolution:
-    """Solve ``lp``, whose costs are nonnegative and whose rows are all
-    inequalities, for its optimal ``x``, by the dual simplex from the slack
-    basis, which those costs make dual feasible: no phase 1 runs, whatever
-    the signs of ``h``.
-
-    The cold start of ``solve_dual_stack``, for one program, without the
-    degenerate-row pass: the duals are the plain basis duals, as
-    ``solve_many``'s.  Raises NumericalFailure instead of ever returning an
-    uncertified answer.
-    """
-    if lp.m_eq or (lp.c < 0.0).any():
-        raise ValueError("a dual start needs nonnegative costs and no equality rows")
-    _, (outcome,) = _cold_dual(LPStack.of(lp), duals=False)
-    return _raised(outcome)
+    if (lp.c < 0.0).any():
+        raise ValueError("a dual start needs nonnegative costs")
+    (outcome,) = solve_sweep(LPStack.of(lp))
+    if isinstance(outcome, NumericalFailure):
+        raise outcome
+    return outcome
 
 
 def kkt_residuals(lp, sol: LPSolution) -> dict:
@@ -1294,4 +902,3 @@ def kkt_residuals(lp, sol: LPSolution) -> dict:
         dual = _top(np.concatenate([-lam, -r], axis=-1))
         gap = np.abs(_dot(lp.c, x) + _dot(lam, lp.h) + _dot(mu, lp.d))
     return {"primal": primal / scale, "dual": dual / scale, "gap": gap / scale}
-

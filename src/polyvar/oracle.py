@@ -3,7 +3,7 @@
 These are deliberately naive.  The test suite sandwiches the certified bound
 between them (bound <= true minimum <= sampled minimum), so they must share no
 code path with the bounding programs.  The class enumeration, the per-class
-lifted constraint value and the phase-1 region check are the scalar
+lifted constraint value and the region check are the scalar
 definitions that the vectorized bounding program is compared against; the
 polar form, the term-by-term rescale to the unit box and the reconstruction
 of values from the Bernstein basis cross-check the Bernstein coefficients;
@@ -12,10 +12,13 @@ offsets move, is checked against re-solved bounds; the full lifted-vertex
 program cross-checks the value of the bounding program; its primal form
 (one row per class) is built from the same class values and coefficients,
 so it cross-checks the LP and its duals rather than the assembly; the
-phase-1 facet check cross-checks the support-value repair.  ``free_lp`` and ``box_lp`` pose free and boxed
-variables in the LP engine's one form for these references and the tests,
-and ``complementary_slackness`` measures the one optimality condition that
-the engine's self-check does not.
+facet check cross-checks the support-value repair.  ``free_lp`` and
+``box_lp`` pose free and boxed variables in the LP engine's one form for
+these references and the tests, and ``complementary_slackness`` measures
+the one optimality condition that the engine's self-check does not.  The
+engine solves only programs with nonnegative costs: ``box_lp`` poses any
+cost so, and the programs of ``free_lp``, ``build_primal_lp`` and
+``build_full_lp`` go to an independent solver in the tests.
 """
 
 from __future__ import annotations
@@ -177,27 +180,40 @@ def complementary_slackness(lp: LPProblem, sol: LPSolution) -> float:
 
 
 def box_lp(c, rect: Rectangle, G=None, h=None, A=None, d=None) -> LPProblem:
-    """``min c.x`` over ``x`` in ``rect`` with ``G x <= h`` and ``A x = d``.
+    """``min c.x`` over ``x`` in ``rect`` with ``G x <= h`` and ``A x = d``,
+    posed with the nonnegative costs ``|c|``.
 
-    Posed in ``y = x - rect.lower >= 0``, with the box's upper sides as rows
-    after ``G``; add ``rect.lower`` to a solution to map it back.
+    Posed in ``y = S (x - v) >= 0`` from the box corner ``v`` that minimizes
+    ``c.x``, for ``S = diag(-1 where c < 0, else +1)``, with the box's far
+    sides as rows after ``G``: ``x = box_corner(c, rect) + S y`` maps a
+    solution back, and its objective is ``c.x - c.v``.
     """
     n = rect.n
-    G = np.vstack([np.reshape(np.zeros((0, n)) if G is None else G, (-1, n)), np.eye(n)])
-    h = np.concatenate([np.zeros(0) if h is None else h, rect.upper]) - G @ rect.lower
+    c = np.asarray(c, dtype=float).reshape(-1)
+    corner, flip = box_corner(c, rect), np.where(c < 0.0, -1.0, 1.0)
+    G = np.reshape(np.zeros((0, n)) if G is None else G, (-1, n))
+    h = (np.zeros(0) if h is None else np.asarray(h, dtype=float)) - G @ corner
     A = np.reshape(np.zeros((0, n)) if A is None else A, (-1, n))
-    d = (np.zeros(0) if d is None else np.asarray(d, dtype=float)) - A @ rect.lower
-    return LPProblem(c, G=G, h=h, A=A, d=d)
+    d = (np.zeros(0) if d is None else np.asarray(d, dtype=float)) - A @ corner
+    G = np.vstack([G * flip, np.eye(n)])
+    return LPProblem(np.abs(c), G=G, h=np.concatenate([h, rect.width]), A=A * flip, d=d)
+
+
+def box_corner(c, rect: Rectangle) -> np.ndarray:
+    """The corner of ``rect`` that minimizes ``c.x``, upper where ``c < 0``:
+    the origin of ``box_lp``."""
+    return np.where(np.asarray(c, dtype=float) < 0.0, rect.upper, rect.lower)
 
 
 def box_point(rect: Rectangle, G=None, h=None, A=None, d=None):
-    """Phase-1 point of ``{x in rect : G x <= h, A x = d}``, or None if empty."""
+    """A point of ``{x in rect : G x <= h, A x = d}``, or None if it is
+    empty: a program with zero costs, which starts dual feasible."""
     sol = solve(box_lp(np.zeros(rect.n), rect, G, h, A, d))
     return sol.x + rect.lower if sol.status == OPTIMAL else None
 
 
 def region_is_feasible(rect: Rectangle, cs: ConstraintSet) -> bool:
-    """Phase-1 check that some ``x`` in the rectangle satisfies ``cs``."""
+    """Whether some ``x`` in the rectangle satisfies ``cs`` (``box_point``)."""
     return box_point(rect, cs.a, cs.b, cs.c, cs.d) is not None
 
 
@@ -385,7 +401,7 @@ def build_full_lp(p: MultiPoly, rect: Rectangle, cs: ConstraintSet) -> LPProblem
 
 
 def facet_nonempty(tpl: PolytopeTemplate, rect: Rectangle, k: int) -> bool:
-    """Phase-1 check that facet ``k`` contains a point of the rectangle."""
+    """Whether facet ``k`` contains a point of the rectangle (``box_point``)."""
     if not 0 <= k < tpl.m:
         raise ValueError(f"facet index {k} out of range")
     others = np.arange(tpl.m) != k

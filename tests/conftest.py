@@ -1,5 +1,6 @@
 """Shared builders for the test suite: random instances, case-study models,
-and a hit-and-run facet sampler used by the certificate soundness checks."""
+a hit-and-run facet sampler used by the certificate soundness checks, and
+HiGHS as the independent solver of programs the LP engine does not take."""
 
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from polyvar.invariance import (
     synthesize,
     verify,
 )
-from polyvar.lpsolve import NumericalFailure
+from polyvar.lpsolve import INFEASIBLE, OPTIMAL, NumericalFailure
 from polyvar.oracle import box_point
 from polyvar.polynomial import MultiPoly, Rectangle, evaluate_many
 from polyvar.relaxation import ConstraintSet, InfeasiblePolytope, certify
@@ -35,6 +36,32 @@ else:
 @pytest.fixture(scope="session")
 def models_dir() -> Path:
     return MODELS_DIR
+
+
+# HiGHS's status for an unbounded program, which the LP engine, whose costs
+# are nonnegative, never returns
+UNBOUNDED = "unbounded"
+HIGHS_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+
+
+def highs(lp, **options):
+    """``(status, optimum, x)`` of ``lp`` from HiGHS, with ``lpsolve``'s
+    status names and ``UNBOUNDED``; a test without scipy skips itself.  It
+    solves the programs with costs of either sign, such as the oracle's
+    ``free_lp`` forms, that the engine does not take."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(
+        lp.c,
+        A_ub=lp.G if lp.m_ineq else None,
+        b_ub=lp.h if lp.m_ineq else None,
+        A_eq=lp.A if lp.m_eq else None,
+        b_eq=lp.d if lp.m_eq else None,
+        bounds=(0, None),
+        method="highs",
+        options=options,
+    )
+    assert res.status in HIGHS_STATUS, res.message
+    return HIGHS_STATUS[res.status], res.fun, res.x
 
 
 def random_rectangle(rng, n, min_width=0.5, max_width=4.0) -> Rectangle:
@@ -119,8 +146,7 @@ def fitzhugh_nagumo_iterate64() -> tuple[VectorField, Rectangle, PolytopeTemplat
 def tiny_entry_facets() -> tuple[VectorField, Rectangle, PolytopeTemplate]:
     """The bundled FitzHugh-Nagumo field and template on a rectangle where
     facet 5's program has a degenerate row (right-hand side 0) with an entry
-    of 3.45e-9: a phase 1 with an absolute pivot tolerance pivots on it, and
-    then reports its bounded subproblem unbounded."""
+    of 3.45e-9, which an absolute pivot tolerance admits as a pivot."""
     fld, _, normals, _ = fitzhugh_nagumo()
     offsets = [2.4244868517041693, 3.7426406871192874, 3.3888888888888884, 4.089289614847649,
                2.4524464230483383, 2.3284271247461916, 1.5000000000000002, 2.7343153804954032]

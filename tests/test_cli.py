@@ -1278,9 +1278,9 @@ class TestPolygonVertices:
 def test_bound_and_verify_run_no_phase_one(models_dir, tmp_path, capsys, monkeypatch):
     # every bounding program starts dual feasible: `bound` on the seed-3
     # bound-small and bound-dense benchmark inputs, and verify on the bundled
-    # models and on a synthesized FitzHugh-Nagumo polytope, never reach the
-    # LP engine's phase 1 (the support and reach sweeps of synthesize and of
-    # the CLI's containment check still do)
+    # models and on a synthesized FitzHugh-Nagumo polytope, start every LP
+    # from the slack basis of its split rows, with nonnegative costs, the
+    # LP engine's only start
     from polyvar import lpsolve
     from polyvar.invariance import verify
     from test_tools import benchmark_items
@@ -1291,12 +1291,13 @@ def test_bound_and_verify_run_no_phase_one(models_dir, tmp_path, capsys, monkeyp
               for name in ("fitzhugh_nagumo", "linear_decay")]
     models[0].template = files.load_polytope(polytope)
     calls = []
+    real = lpsolve._dual_start
 
-    def phase_one(stack):
-        calls.append(len(stack))
-        raise AssertionError("phase 1 ran")
+    def dual_start(stack, pairs):
+        calls.append(bool((stack.c >= 0.0).all()) and stack.A.shape[1] == 0)
+        return real(stack, pairs)
 
-    monkeypatch.setattr(lpsolve, "_phase_one", phase_one)
+    monkeypatch.setattr(lpsolve, "_dual_start", dual_start)
     items = benchmark_items("bound-small", 3) + benchmark_items("bound-dense", 3)
     for item in items:
         path = write_json(tmp_path / f"{item['name']}.json", item["payload"])
@@ -1305,4 +1306,4 @@ def test_bound_and_verify_run_no_phase_one(models_dir, tmp_path, capsys, monkeyp
         assert code == 0 or (code == 2 and "infeasible constraint region" in err), err
     for model in models:
         assert verify(model.field, model.rectangle, model.template).invariant
-    assert calls == [] and len(items) == 205
+    assert calls and all(calls) and len(items) == 205

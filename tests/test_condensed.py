@@ -1,8 +1,6 @@
 """The condensed tableau against the dense one (``dense_reference``): the
 same outcomes bit for bit, after the same pivots per phase, from ``solve``,
-``solve_stack`` and ``solve_many``."""
-
-import re
+``solve_sweep`` and ``solve_dual_stack``."""
 
 import numpy as np
 import pytest
@@ -22,9 +20,7 @@ st = pytest.importorskip("hypothesis.strategies")
 @pytest.fixture
 def pivots(monkeypatch) -> dict:
     """Count ``lpsolve``'s pivots per phase, as ``dense_reference`` does;
-    the test resets the counts between solves.  The pivots of a warm
-    restart and of a dual start, which the dense engine does not make, count
-    as ``restart`` and ``dual_start``."""
+    the test resets the counts between solves."""
     counts = dict.fromkeys(dense_reference.PHASES, 0)
     phase = []
 
@@ -40,19 +36,12 @@ def pivots(monkeypatch) -> dict:
 
     def counted(fn, pivots_of):
         def wrapper(st, rows, slots):
-            counts[phase[-1]] = counts.get(phase[-1], 0) + pivots_of(rows)
+            counts[phase[-1]] += pivots_of(rows)
             return fn(st, rows, slots)
 
         return wrapper
 
-    for name, fn in [
-        ("phase_one", "_phase_one"),
-        ("drive_out", "_drive_out_artificials"),
-        ("phase_two", "_phase_two"),
-        ("degenerate", "_activate_degenerate_rows"),
-        ("restart", "_restart"),
-        ("dual_start", "_cold_dual"),
-    ]:
+    for name, fn in [("dual", "_dual_phase"), ("degenerate", "_activate_degenerate_rows")]:
         monkeypatch.setattr(lpsolve, fn, within(name, getattr(lpsolve, fn)))
     monkeypatch.setattr(lpsolve, "_pivot", counted(lpsolve._pivot, lambda row: 1))
     monkeypatch.setattr(lpsolve, "_pivot_all", counted(lpsolve._pivot_all, len))
@@ -88,10 +77,10 @@ def outcome(fn, *args):
 
 
 def test_general_programs_match_the_dense_tableau(pivots):
-    # the five kinds of test_highs, alone and as a stack of one, again under
-    # a second cost, and a sweep of five costs over each drawn program's
-    # rows; the extra costs have -0.0 entries, as support directions do
-    coeff = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+    # the five kinds of test_highs, alone, with the degenerate-row pass as a
+    # stack of one, again under a second cost, and a sweep of five costs over
+    # each drawn program's rows; the extra costs have -0.0 entries
+    coeff = st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 3.0))
 
     @st.composite
     def cases(draw):
@@ -112,21 +101,23 @@ def test_general_programs_match_the_dense_tableau(pivots):
             ref, ref_counts = dense_reference.solve(program)
             assert_same(outcome(lpsolve.solve, program), ref)
             assert taken(pivots) == ref_counts
-            for phase, count in ref_counts.items():
-                seen[phase] += count
-            (stacked,) = lpsolve.solve_stack(LPStack.of(program))
+            ref, ref_counts = dense_reference.solve(program, duals=True)
+            (stacked,) = lpsolve.solve_dual_stack(LPStack.of(program))
             assert_same(stacked, ref)
             assert taken(pivots) == ref_counts
+            for phase, count in ref_counts.items():
+                seen[phase] += count
 
-        refs, ref_counts = dense_reference.solve_many(lp, costs)
-        if isinstance(refs[-1], NumericalFailure):
-            hypothesis.event("NumericalFailure")
-            with pytest.raises(NumericalFailure, match=re.escape(str(refs[-1]))):
-                lpsolve.solve_many(lp, costs)
-            return
-        for ours, ref in zip(lpsolve.solve_many(lp, costs), refs, strict=True):
+        rows = (np.broadcast_to(a, (len(costs),) + a.shape) for a in (lp.G, lp.h, lp.A, lp.d))
+        expected = dict.fromkeys(dense_reference.PHASES, 0)
+        for ours, c in zip(lpsolve.solve_sweep(LPStack(costs, *rows)), costs, strict=True):
+            ref, ref_counts = dense_reference.solve(LPProblem(c, G=lp.G, h=lp.h, A=lp.A, d=lp.d))
             assert_same(ours, ref)
-        assert taken(pivots) == ref_counts
+            if isinstance(ref, NumericalFailure):
+                hypothesis.event("NumericalFailure")
+            for phase, count in ref_counts.items():
+                expected[phase] += count
+        assert taken(pivots) == expected
 
     check()
     assert min(seen.values()) > 0, seen
@@ -135,8 +126,9 @@ def test_general_programs_match_the_dense_tableau(pivots):
 @pytest.mark.parametrize("m", [32, 64])
 def test_facet_stacks_match_the_dense_tableau(pivots, m):
     # every facet program of the first passes of a FitzHugh-Nagumo
-    # synthesis with m facets, in the stacks that verify solves; a stack
-    # pivots its members in lockstep, and its pivots are theirs
+    # synthesis with m facets, in the stacks that verify solves, with their
+    # costs less their least, as certify_stack poses them; a stack pivots
+    # its members in lockstep, and its pivots are theirs
     fld, rect, _, ref = fitzhugh_nagumo()
     angles = 2.0 * np.pi * np.arange(m) / m
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
@@ -148,13 +140,15 @@ def test_facet_stacks_match_the_dense_tableau(pivots, m):
     for record in trace.records:
         tpl = PolytopeTemplate(normals, record.offsets)
         for stack in facet_programs(fld, rect, tpl, lift):
+            stack = LPStack(stack.c - stack.c.min(axis=1, keepdims=True),
+                            stack.G, stack.h, stack.A, stack.d)
             sizes.append(len(stack))
             taken(pivots)
-            outs = lpsolve.solve_stack(stack)
+            outs = lpsolve.solve_dual_stack(stack)
             counts = taken(pivots)
             expected = dict.fromkeys(counts, 0)
             for k, out in enumerate(outs):
-                ref_out, ref_counts = dense_reference.solve(stack[k])
+                ref_out, ref_counts = dense_reference.solve(stack[k], duals=True)
                 assert_same(out, ref_out)
                 for phase, count in ref_counts.items():
                     expected[phase] += count

@@ -71,14 +71,14 @@ def fail_facet_programs(monkeypatch, members):
     monkeypatch.setattr(lpsolve, "_dual_phase", ending(lpsolve._dual_phase))
 
 
-def fail_phase_two_runs(monkeypatch, runs) -> list:
-    """Make the given (0-based) phase-2 runs of the LP engine fail, counted
-    over the members of its stacks: the run hands back the NumericalFailure
-    ``injected at <run>``.  Returns the run counter."""
+def fail_dual_runs(monkeypatch, runs) -> list:
+    """Make the given (0-based) dual simplex runs of the LP engine fail,
+    counted over the members of its stacks: the run hands back the
+    NumericalFailure ``injected at <run>``.  Returns the run counter."""
     count = [0]
-    real = lpsolve._phase_two
+    real = lpsolve._dual_phase
 
-    def phase_two(*args):
+    def dual_phase(*args):
         out = real(*args)
         for k in range(len(out)):
             if count[0] in runs:
@@ -86,7 +86,7 @@ def fail_phase_two_runs(monkeypatch, runs) -> list:
             count[0] += 1
         return out
 
-    monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
+    monkeypatch.setattr(lpsolve, "_dual_phase", dual_phase)
     return count
 
 
@@ -157,12 +157,15 @@ class TestFailedFacet:
 
 
 class TestFailedPhaseTwo:
+    """A failed dual simplex run: a support direction, or the facet program
+    of a later pass."""
+
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_repair_raises_and_ends_the_sweep(self, monkeypatch, k):
         # the directions fail at k and at 4: the first in order raises
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
         tpl = PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0])
-        count = fail_phase_two_runs(monkeypatch, {k, 4})
+        count = fail_dual_runs(monkeypatch, {k, 4})
         with pytest.raises(NumericalFailure, match=f"^injected at {k}$"):
             repair_offsets(tpl, Rectangle([-2.0, -2.0], [2.0, 2.0]))
         assert count[0] == 5

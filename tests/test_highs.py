@@ -15,18 +15,20 @@ from polyvar.invariance import (
     _max_min,
     facet_programs,
     improve_offsets,
+    support_values,
     verify,
 )
 from polyvar.lpsolve import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LPProblem,
+    LPStack,
     NumericalFailure,
     kkt_residuals,
     solve,
-    solve_many,
+    solve_sweep,
 )
+from polyvar.polynomial import Rectangle
 from polyvar.relaxation import (
     ConstraintSet,
     InfeasiblePolytope,
@@ -38,7 +40,9 @@ from polyvar.relaxation import (
 )
 
 from conftest import (
+    UNBOUNDED,
     fitzhugh_nagumo_iterate64,
+    highs,
     random_feasible_constraints,
     random_poly,
     random_rectangle,
@@ -46,26 +50,6 @@ from conftest import (
 )
 
 linprog = pytest.importorskip("scipy.optimize").linprog
-
-
-STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
-
-
-def highs(lp, **options):
-    """``(status, optimum, x)`` of ``lp`` from HiGHS, with ``lpsolve``'s
-    status names."""
-    res = linprog(
-        lp.c,
-        A_ub=lp.G if lp.m_ineq else None,
-        b_ub=lp.h if lp.m_ineq else None,
-        A_eq=lp.A if lp.m_eq else None,
-        b_eq=lp.d if lp.m_eq else None,
-        bounds=(0, None),
-        method="highs",
-        options=options,
-    )
-    assert res.status in STATUS, res.message
-    return STATUS[res.status], res.fun, res.x
 
 
 def random_constraints(rng, rect):
@@ -103,16 +87,15 @@ def test_random_bounding_programs_match_highs():
         ref_status, ref, _ = highs(lp)
         assert ref_status != UNBOUNDED
         ref_feasible = ref_status == OPTIMAL
-        ours = solve(lp)
         assert ref_feasible == feasible
-        assert (ours.status == OPTIMAL) == ref_feasible
         verdicts.add(ref_feasible)
         if not ref_feasible:
-            assert ours.status == INFEASIBLE
+            with pytest.raises(InfeasiblePolytope):
+                certify(lp)
             with pytest.raises(InfeasiblePolytope):
                 lower_bound(p, rect, cs)
             continue
-        assert abs(ours.objective - ref) <= 1e-9 * (1.0 + abs(ref))
+        assert abs(certify(lp).d_star - ref) <= 1e-9 * (1.0 + abs(ref))
         assert lower_bound(p, rect, cs).d_star <= ref + 1e-9
     assert verdicts == {True, False}
 
@@ -165,8 +148,8 @@ KINDS = ("badly scaled", "near-infeasible", "degenerate", "redundant", "plain")
 
 def general_lps(st):
     """Strategy of ``(kind, lp, reference)``: a program in the one form with
-    a feasible point ``x0``, made one of ``KINDS``, and the program HiGHS
-    solves for it.
+    nonnegative costs and a feasible point ``x0``, made one of ``KINDS``, and
+    the program HiGHS solves for it.
 
     Degenerate: extra rows tight at the reference optimum.  Redundant:
     duplicated inequality rows and equalities.  Badly scaled: every row
@@ -176,6 +159,7 @@ def general_lps(st):
     # HiGHS drops matrix entries of magnitude 1e-9 and below, so the
     # reference programs have none: every coefficient is 0 or at least 1e-3.
     coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+    cost = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
     zero_or = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
 
     def vector(draw, size, elements=coeff):
@@ -196,7 +180,7 @@ def general_lps(st):
         if draw(st.booleans()):
             G = np.vstack([G, np.ones((1, n))])
             h = np.append(h, x0.sum() + draw(st.floats(0.0, 3.0)))
-        c = vector(draw, n)
+        c = vector(draw, n, cost)
         kind = draw(st.sampled_from(KINDS))
         if kind == "degenerate":
             status, _, x_ref = highs(LPProblem(c, G=G, h=h, A=A, d=d), **TIGHT)
@@ -318,10 +302,11 @@ def test_general_programs_match_highs():
 
 def test_cost_sweeps_match_highs():
     # one drawn region and five costs over it (the drawn cost first), solved
-    # in one sweep; each cost is checked against HiGHS as a program of its own
+    # in one stack (solve_sweep); each cost is checked against HiGHS as a
+    # program of its own
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
-    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+    coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0))
 
     @st.composite
     def sweeps(draw):
@@ -335,12 +320,11 @@ def test_cost_sweeps_match_highs():
     def check(case):
         kind, lp, reference, costs = case
         hypothesis.event(kind)
-        try:
-            sols = solve_many(lp, costs)
-        except NumericalFailure:
-            hypothesis.event("NumericalFailure")
-            return
-        for cost, sol in zip(costs, sols):
+        rows = (np.broadcast_to(a, (len(costs),) + a.shape) for a in (lp.G, lp.h, lp.A, lp.d))
+        for cost, sol in zip(costs, solve_sweep(LPStack(costs, *rows))):
+            if isinstance(sol, NumericalFailure):
+                hypothesis.event("NumericalFailure")
+                continue
             ref_status, ref, _ = highs(
                 LPProblem(cost, G=reference.G, h=reference.h, A=reference.A, d=reference.d), **TIGHT
             )
@@ -437,3 +421,35 @@ def test_offset_step_programs_match_highs():
 
     check()
     assert kinds == {LEAST_MOVE, CAPPED}
+
+
+def test_support_values_match_highs():
+    # support values within a rectangle (posed from each direction's box
+    # corner) and without one (a point, then one LP dual per direction),
+    # against HiGHS maximizing d . x over the polytope directly; some
+    # polytopes are empty, some unbounded without the rectangle
+    rng = np.random.default_rng(227)
+    seen = set()
+    for _ in range(150):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 9))
+        normals = rng.normal(size=(m, n))
+        x0 = rng.normal(size=n)
+        offsets = normals @ x0 + rng.uniform(-0.3, 2.0, size=m)
+        tpl = PolytopeTemplate(normals, offsets)
+        rect = Rectangle(x0 - rng.uniform(0.5, 2.0, n), x0 + rng.uniform(0.5, 2.0, n))
+        directions = np.vstack([normals, rng.normal(size=(3, n))])
+        for box in (rect, None):
+            values = support_values(tpl, directions, box)
+            bounds = [(None, None)] * n if box is None else list(zip(box.lower, box.upper))
+            for d, value in zip(directions, values):
+                res = linprog(-d, A_ub=normals, b_ub=offsets, bounds=bounds, method="highs",
+                              options=TIGHT)
+                assert res.status in (0, 2, 3), res.message
+                seen.add((box is None, res.status))
+                if res.status == 2:
+                    assert value == -np.inf
+                elif res.status == 3:
+                    assert value == np.inf
+                else:
+                    assert abs(value + res.fun) <= 1e-9 * (1.0 + abs(res.fun))
+    assert seen == {(False, 0), (False, 2), (True, 0), (True, 2), (True, 3)}

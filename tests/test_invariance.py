@@ -16,6 +16,7 @@ from polyvar.invariance import (
     SynthesisParams,
     VectorField,
     _confining_caps,
+    _reach,
     improve_offsets,
     repair_offsets,
     support_values,
@@ -64,26 +65,19 @@ def rotated_hexagon_normals() -> np.ndarray:
 
 
 def count_phases(monkeypatch) -> dict:
-    """Count the members of the LP engine's phase-1 runs (one per sweep of
-    shared rows), of its phase-2 runs (one per cost solved) and of its cold
-    dual starts (one per program solved cold by the dual simplex)."""
-    counts = {"phase_one": 0, "phase_two": 0, "dual_start": 0}
+    """Count the LP engine's cold dual starts, its only start: ``stacks``
+    counts the stacked solves, ``dual_start`` their members, one per program
+    solved cold by the dual simplex."""
+    counts = {"stacks": 0, "dual_start": 0}
+    real = lpsolve._dual_start
 
-    def counted(key, fn, members):
-        def wrapper(*args):
-            out = fn(*args)
-            counts[key] += members(out)
-            return out
+    def dual_start(*args):
+        tab = real(*args)
+        counts["stacks"] += 1
+        counts["dual_start"] += len(tab.T)
+        return tab
 
-        return wrapper
-
-    monkeypatch.setattr(
-        lpsolve, "_phase_one", counted("phase_one", lpsolve._phase_one, lambda tab: len(tab.T))
-    )
-    monkeypatch.setattr(lpsolve, "_phase_two", counted("phase_two", lpsolve._phase_two, len))
-    monkeypatch.setattr(
-        lpsolve, "_dual_start", counted("dual_start", lpsolve._dual_start, lambda tab: len(tab.T))
-    )
+    monkeypatch.setattr(lpsolve, "_dual_start", dual_start)
     return counts
 
 
@@ -135,6 +129,17 @@ class TestSupportValues:
         assert values[0] == pytest.approx(1.0)
         assert values[1] == np.inf and values[2] == np.inf
 
+    def test_polytope_outside_the_rectangle_is_not_within(self):
+        # the unit square moved to [10, 11]^2: nonempty and wholly outside
+        # the rectangle, so its reach is finite and it is not inside; within
+        # the rectangle there is nothing to support
+        tpl = unit_square_template((11.0, 11.0, -10.0, -10.0))
+        rect = Rectangle([-2.0, -2.0], [2.0, 2.0])
+        reach = support_values(tpl, np.vstack([np.eye(2), -np.eye(2)]))
+        assert reach == pytest.approx([11.0, 11.0, -10.0, -10.0], abs=1e-12)
+        assert not template_within_rect(tpl, rect)
+        assert np.all(support_values(tpl, np.eye(2), rect) == -np.inf)
+
     def test_sweeps_skip_the_degenerate_row_pass(self, monkeypatch):
         # support values read only x; the facet programs, whose multipliers
         # are read, still take the pass
@@ -152,6 +157,30 @@ class TestSupportValues:
                 certify_stack(stack)
 
 
+class TestTinyScale:
+    """The support programs are posed in units of the rectangle or of the
+    offsets, so a polytope 1e-10 wide is measured to its own scale."""
+
+    # the triangle x + y <= b0, x >= -b1, y >= -b2 within [0, 1e-10]^2
+    RECT = Rectangle([0.0, 0.0], [1e-10, 1e-10])
+    TRIANGLE = PolytopeTemplate(
+        np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        [1.1764705874117647e-10, -1.764705884117647e-11, -1.764705884117647e-11],
+    )
+
+    def test_reach_is_the_vertices(self):
+        # x = 0 violates the rows x, y >= 1.76e-11 by less than the LP's
+        # feasibility tolerance at unit scale, which would read the reach
+        # of the triangle grown to the origin
+        reach = _reach(self.TRIANGLE)
+        b = self.TRIANGLE.offsets
+        assert reach == pytest.approx([b[0] + b[2], b[0] + b[1], b[1], b[2]], rel=1e-12)
+
+    def test_support_within_the_rectangle_is_tight(self):
+        values = support_values(self.TRIANGLE, self.TRIANGLE.normals, self.RECT)
+        assert values == pytest.approx(self.TRIANGLE.offsets, rel=1e-12)
+
+
 class TestConfiningCaps:
     @pytest.mark.parametrize("normals", [diamond_normals(), rotated_hexagon_normals()])
     def test_scaled_caps_are_contained_and_maximal(self, normals, monkeypatch):
@@ -162,7 +191,7 @@ class TestConfiningCaps:
         assert not template_within_rect(tpl.with_offsets(raw), rect)
         phases = count_phases(monkeypatch)
         caps = _confining_caps(tpl, rect, ref)
-        assert 0 < phases["phase_two"] <= 6 * tpl.n
+        assert 0 < phases["dual_start"] <= 6 * tpl.n
         capped = tpl.with_offsets(caps)
         assert template_within_rect(capped, rect, tol=0.0)
         reach = support_values(capped, np.vstack([np.eye(2), -np.eye(2)]))
@@ -173,12 +202,14 @@ class TestConfiningCaps:
     def test_scaled_caps_sweep_the_reach_once(self, monkeypatch):
         # the reach of Q = P - ref is the raw caps' reach, which the
         # containment test has swept, shifted by ref: one reach sweep, then
-        # the containment check of the scaled caps
+        # the containment check of the scaled caps; each solves one stacked
+        # LP dual per direction +-e_i from the origin, a point of both cap
+        # polytopes
         rect = Rectangle([-2.0, -1.0], [2.0, 3.0])
         tpl = PolytopeTemplate(diamond_normals())
         phases = count_phases(monkeypatch)
         _confining_caps(tpl, rect, np.array([0.25, 0.5]))
-        assert phases == {"phase_one": 2, "phase_two": 2 * (2 * tpl.n), "dual_start": 0}
+        assert phases == {"stacks": 2, "dual_start": 2 * (2 * tpl.n)}
 
     def test_raw_caps_kept_when_contained(self):
         rect = Rectangle([-2.0, -1.0], [2.0, 3.0])
@@ -290,7 +321,7 @@ class TestVerify:
             return lpsolve.solve_dual_stack(stack, *args)
 
         monkeypatch.setattr(polyvar.relaxation, "solve_dual_stack", solve_dual_stack)
-        for name in ("solve_many", "solve_dual"):
+        for name in ("solve", "solve_sweep"):
             monkeypatch.setattr(polyvar.invariance, name, counted("solve", getattr(lpsolve, name)))
         monkeypatch.setattr(
             polyvar.invariance, "bernstein_coefficients", counted("bernstein", bernstein_coefficients)
@@ -469,7 +500,8 @@ class TestSynthesisLift:
 
 class TestWarmPasses:
     """Every pass of a synthesis after its first restarts its facet
-    programs and its repair sweep from the previous pass's end tableaux."""
+    programs from the previous pass's end tableaux; the repair sweeps run
+    cold."""
 
     # the bundled template and the uniform 8-facet one certify in two passes,
     # the uniform 6-facet one stalls after 13
@@ -481,7 +513,7 @@ class TestWarmPasses:
         tpl = model.template if m is None else PolytopeTemplate(uniform_normals(m))
         phases = count_phases(monkeypatch)
         pivots = [0]
-        steps = []  # (name, phase-1 members, cold dual starts, pivots) at each entry and exit
+        steps = []  # (name, cold dual starts, pivots) at each entry and exit
 
         def counted(fn, count):
             def wrapper(*args):
@@ -492,9 +524,9 @@ class TestWarmPasses:
 
         def marked(key, fn):
             def wrapper(*args):
-                steps.append((key, phases["phase_one"], phases["dual_start"], pivots[0]))
+                steps.append((key, phases["dual_start"], pivots[0]))
                 out = fn(*args)
-                steps.append((key, phases["phase_one"], phases["dual_start"], pivots[0]))
+                steps.append((key, phases["dual_start"], pivots[0]))
                 return out
 
             return wrapper
@@ -511,12 +543,11 @@ class TestWarmPasses:
                  for a, b in zip(steps[::2], steps[1::2])]
         verifies = [s for s in spans if s[0] == "verify"]
         assert len(verifies) == trace.n_iterations
-        assert [s[1] for s in verifies] == [0] * len(verifies)  # no facet program runs phase 1
-        first = spans.index(verifies[0])
-        later = spans[first + 1 :]
-        assert [s[1:3] for s in later] == [(0, 0)] * len(later)  # nothing cold after the first pass
-        assert verifies[0][2] == tpl.m  # the first pass starts every facet program cold
-        warm = sum(s[3] for s in verifies[1:])
+        assert [s[1] for s in verifies[1:]] == [0] * (len(verifies) - 1)  # no cold facet program
+        repairs = [s for s in spans if s[0] == "repair"]
+        assert [s[1] for s in repairs] == [tpl.m] * len(repairs)  # a cold sweep, one per facet
+        assert verifies[0][1] == tpl.m  # the first pass starts every facet program cold
+        warm = sum(s[2] for s in verifies[1:])
         pivots[0] = 0
         for rec in trace.records[1:]:
             verify(model.field, model.rectangle, tpl.with_offsets(rec.offsets))
@@ -534,30 +565,43 @@ class TestWarmPasses:
             assert report.d_star.tobytes() == rec.d_star.tobytes()
 
     def test_stacks_past_the_limit_run_cold(self, monkeypatch):
-        # room for the sweep and the first facet stack: the other stacks start
-        # cold, from their dual starts, in every pass
+        # room for the first facet stack: the other stacks start cold, from
+        # their dual starts, in every pass
         fld, rect, _, ref = fitzhugh_nagumo()
         tpl = PolytopeTemplate(uniform_normals(64))
         K = polyvar.invariance.facet_lift(fld, rect, tpl.normals).products.shape[0]
         first = lpsolve.stack_members(K, 63, 2)
-        sweep = 64 * lpsolve.tableau_bytes(2, 66, 0, flipped=66)
-        monkeypatch.setattr(
-            polyvar.invariance, "KEEP_BYTES", sweep + first * lpsolve.tableau_bytes(K, 63, 2)
-        )
+        monkeypatch.setattr(polyvar.invariance, "KEEP_BYTES", first * lpsolve.tableau_bytes(K, 63, 2))
         phases = count_phases(monkeypatch)
         passes = []
         real = polyvar.invariance.verify
 
         def counted(*args):
-            before = phases["phase_one"], phases["dual_start"]
+            before = phases["dual_start"]
             out = real(*args)
-            passes.append((phases["phase_one"] - before[0], phases["dual_start"] - before[1]))
+            passes.append(phases["dual_start"] - before)
             return out
 
         monkeypatch.setattr(polyvar.invariance, "verify", counted)
         trace = synthesize(fld, rect, tpl, SynthesisParams(reference_point=ref, max_iter=3))
         assert 0 < first < 64 and trace.n_iterations > 1
-        assert passes == [(0, 64)] + [(0, 64 - first)] * (trace.n_iterations - 1)
+        assert passes == [64] + [64 - first] * (trace.n_iterations - 1)
+
+
+class TestBadlyScaledCostRow:
+    def test_facet_bound_is_tight(self):
+        # f_x = 1e-11 - x + 1e10 x^2 and f_y = 1e-11 - y on [0, 1e-10]^2:
+        # facet 1 (x = 0) has -n . f = f_x = 1e-11 there, which mu = -1
+        # certifies, though the cost row is far below the pivot tolerance
+        fld = VectorField((
+            MultiPoly(2, {(0, 0): 1e-11, (1, 0): -1.0, (2, 0): 1e10}),
+            MultiPoly(2, {(0, 0): 1e-11, (0, 1): -1.0}),
+        ))
+        rect = Rectangle([0.0, 0.0], [1e-10, 1e-10])
+        tpl = PolytopeTemplate(np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]), [1e-10, 0.0, 0.0])
+        report = verify(fld, rect, tpl)
+        assert report.complete
+        assert report.d_star[1] == pytest.approx(1e-11, rel=1e-6)
 
 
 class TestFacetPrograms:
@@ -705,17 +749,18 @@ class TestRepairOffsets:
             repair_offsets(tpl, Rectangle([-2.0, -2.0], [2.0, 2.0]))
 
     def test_one_lp_per_facet(self, monkeypatch):
-        # one phase 1 for the polytope, then one phase 2 per facet direction
+        # one stacked solve, one dual start per facet direction
         phases = count_phases(monkeypatch)
         normals = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
         repair_offsets(PolytopeTemplate(normals, [1.0, 1.0, 1.0, 1.0, 5.0]), Rectangle([-2, -2], [2, 2]))
-        assert phases == {"phase_one": 1, "phase_two": 5, "dual_start": 0}
+        assert phases == {"stacks": 1, "dual_start": 5}
 
     def test_empty_polytope_costs_one_lp(self, monkeypatch):
+        # one stacked solve, every direction of which ends infeasible
         phases = count_phases(monkeypatch)
         with pytest.raises(EmptyPolytope):
             repair_offsets(unit_square_template((1.0, 1.0, -2.0, 0.0)), Rectangle([-2, -2], [2, 2]))
-        assert phases == {"phase_one": 1, "phase_two": 0, "dual_start": 0}
+        assert phases == {"stacks": 1, "dual_start": 4}
 
 
 class TestSynthesize:
@@ -788,11 +833,11 @@ class TestSynthesize:
         "offsets, sweeps",
         [
             # above b_hi: only the b_hi containment sweep of the parameter
-            # checks runs (one phase 1, one phase 2 per direction +-e_i)
-            ((1.5, 1.0, 1.0, 1.0), {"phase_one": 1, "phase_two": 4, "dual_start": 0}),
-            # below b_lo = normals @ ref: the repair sweep (one phase 2 per
+            # checks runs (one LP dual per direction +-e_i)
+            ((1.5, 1.0, 1.0, 1.0), {"stacks": 1, "dual_start": 4}),
+            # below b_lo = normals @ ref: the repair sweep (one program per
             # facet) runs first, since an empty start must raise EmptyPolytope
-            ((-0.5, 1.0, 1.0, 1.0), {"phase_one": 2, "phase_two": 8, "dual_start": 0}),
+            ((-0.5, 1.0, 1.0, 1.0), {"stacks": 2, "dual_start": 8}),
         ],
     )
     def test_offsets_outside_caps_rejected(self, offsets, sweeps, monkeypatch):

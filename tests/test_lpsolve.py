@@ -8,20 +8,20 @@ from polyvar import lpsolve
 from polyvar.lpsolve import (
     INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
     LPProblem,
+    LPSolution,
+    LPStack,
     NumericalFailure,
     kkt_residuals,
     solve,
-    solve_dual,
-    solve_many,
+    solve_sweep,
 )
-from polyvar.invariance import facet_programs
-from polyvar.oracle import box_lp, complementary_slackness, free_lp
+from polyvar.invariance import PolytopeTemplate, _swept, facet_programs, support_values
+from polyvar.oracle import box_corner, box_lp, complementary_slackness, free_lp
 from polyvar.polynomial import Rectangle
 
 import dense_reference
-from conftest import tiny_entry_facets
+from conftest import UNBOUNDED, highs, tiny_entry_facets
 
 
 def brute_force_optimum(lp: LPProblem):
@@ -92,47 +92,60 @@ def random_box_program(rng):
 
 
 def random_boxed_lp(rng):
-    """``random_box_program`` in the one form, shifted to ``y = x - lo``."""
+    """``random_box_program`` in the one form, from the cost's box corner."""
     return box_lp(*random_box_program(rng))
+
+
+def solve_read(lp: LPProblem) -> LPSolution:
+    """``lp`` solved as the bounding programs are, whose multipliers are
+    read: ``solve_dual_stack``, degenerate-row pass included."""
+    (out,) = lpsolve.solve_dual_stack(LPStack.of(lp))
+    if isinstance(out, NumericalFailure):
+        raise out
+    return out
 
 
 class TestBasics:
     def test_single_active_constraint_with_duals(self):
-        # max x over free x with x <= 1 and x <= 2
-        lp = free_lp([-1.0], G=[[1.0], [1.0]], h=[1.0, 2.0])
+        # min x with x >= 1 and x >= 2
+        lp = LPProblem([1.0], G=[[-1.0], [-1.0]], h=[-1.0, -2.0])
         sol = solve(lp)
         assert sol.status == OPTIMAL
-        assert sol.x[0::2] - sol.x[1::2] == pytest.approx([1.0])
-        assert sol.objective == pytest.approx(-1.0)
-        assert sol.ineq_duals == pytest.approx([1.0, 0.0])
+        assert sol.x == pytest.approx([2.0])
+        assert sol.objective == pytest.approx(2.0)
+        assert sol.ineq_duals == pytest.approx([0.0, 1.0])
 
     def test_unbounded(self):
-        lp = LPProblem([-1.0])
-        assert solve(lp).status == UNBOUNDED
+        # nonnegative costs bound every program below, an unbounded region
+        # included; a negative cost, which could make it unbounded, is refused
+        assert solve(LPProblem([1.0, 0.0], G=[[-1.0, 1.0]], h=[1.0])).objective == 0.0
+        with pytest.raises(ValueError, match="nonnegative costs"):
+            solve(LPProblem([-1.0]))
 
     def test_infeasible(self):
         lp = LPProblem([0.0], G=[[1.0]], h=[-1.0])
         assert solve(lp).status == INFEASIBLE
 
     def test_equality_with_free_variable(self):
-        # min x1 + x2 with x1 + x2 = 2, x1 in [-1, 5] shifted to y1 = x1 + 1
-        # (its upper side a row), x2 = x2+ - x2- free; the objective is
-        # y1 + x2 = (x1 + x2) + 1
+        # min y with y - x = 1 and x >= 2, for x = x+ - x- free at no cost:
+        # y = 3, with the multiplier -1 on the equality row and 1 on x >= 2
         lp = LPProblem(
-            [1.0, 1.0, -1.0],
-            G=[[1.0, 0.0, 0.0]],
-            h=[6.0],
-            A=[[1.0, 1.0, -1.0]],
-            d=[3.0],
+            [1.0, 0.0, 0.0],
+            G=[[0.0, -1.0, 1.0]],
+            h=[-2.0],
+            A=[[1.0, -1.0, 1.0]],
+            d=[1.0],
         )
         sol = solve(lp)
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(2.0 + 1.0)
+        assert sol.objective == pytest.approx(3.0)
         assert sol.eq_duals == pytest.approx([-1.0])
+        assert sol.ineq_duals == pytest.approx([1.0])
 
     def test_degenerate_redundant_rows(self):
         # same halfspace stacked five times plus its boundary as equality;
-        # max x1 on [-5, 5]^2 is min -(y1 - 5) with y = x + 5, so -(1 + 5)
+        # max x1 on [-5, 5]^2, posed from the corner (5, -5) as min y1 for
+        # y1 = 5 - x1, is 5 - 1
         lp = box_lp(
             [-1.0, 0.0],
             Rectangle([-5.0, -5.0], [5.0, 5.0]),
@@ -143,23 +156,22 @@ class TestBasics:
         )
         sol = solve(lp)
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(-6.0)
+        assert sol.objective == pytest.approx(4.0)
 
     def test_cycling_prone_degenerate_lp(self):
-        # classic example that cycles under naive most-negative pricing from
-        # the all-slack basis; the degenerate-pivot fallback must terminate it
-        lp = LPProblem(
-            [-0.75, 150.0, -0.02, 6.0],
-            G=[
-                [0.25, -60.0, -1.0 / 25.0, 9.0],
-                [0.5, -90.0, -1.0 / 50.0, 3.0],
-                [0.0, 0.0, 1.0, 0.0],
-            ],
-            h=[0.0, 0.0, 1.0],
-        )
+        # Beale's program, which cycles under naive most-negative pricing from
+        # the all-slack basis, in its LP dual form, whose costs (Beale's
+        # right-hand sides) are nonnegative: min h.y with -G^T y <= c; its
+        # optimum is minus Beale's -0.05, and the dual loop must end
+        G = np.array([
+            [0.25, -60.0, -1.0 / 25.0, 9.0],
+            [0.5, -90.0, -1.0 / 50.0, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ])
+        lp = LPProblem([0.0, 0.0, 1.0], G=-G.T, h=[-0.75, 150.0, -0.02, 6.0])
         sol = solve(lp)
         assert sol.status == OPTIMAL
-        assert sol.objective == pytest.approx(-0.05, abs=1e-9)
+        assert sol.objective == pytest.approx(0.05, abs=1e-9)
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
@@ -190,16 +202,21 @@ class TestBasics:
 
 
 class TestUpperBoundOnly:
-    """Variables with an upper bound only: a free column pair plus one row."""
+    """Variables with an upper bound only: a free column pair plus one row,
+    whose costs have both signs, so HiGHS solves them, against the engine
+    on the same program posed from the cost's box corner."""
 
     def test_single_variable(self):
-        assert solve(free_lp([-1.0], G=[[1.0]], h=[3.0])).objective == pytest.approx(-3.0)
-        assert solve(free_lp([1.0], G=[[1.0]], h=[3.0])).status == UNBOUNDED
+        assert highs(free_lp([-1.0], G=[[1.0]], h=[3.0]))[:2] == (OPTIMAL, pytest.approx(-3.0))
+        assert highs(free_lp([1.0], G=[[1.0]], h=[3.0]))[0] == UNBOUNDED
+        with pytest.raises(ValueError, match="nonnegative costs"):
+            solve(free_lp([-1.0], G=[[1.0]], h=[3.0]))
 
     def test_random_battery_against_vertex_oracle(self):
         # the same boxed programs over free variables, with every lower bound
-        # and then every upper bound as a row of G; the reference is the
-        # boxed program's optimum, shifted back by c . lo
+        # and then every upper bound as a row of G; the references are the
+        # boxed program's optimum from the engine and from vertex enumeration,
+        # each shifted back by c at the box corner it is posed from
         rng = np.random.default_rng(43)
         for _ in range(100):
             c, rect, G, h, A, d = random_box_program(rng)
@@ -211,11 +228,12 @@ class TestUpperBoundOnly:
                 A=A,
                 d=d,
             )
-            sol = solve(lp)
-            assert sol.status == OPTIMAL
-            reference = brute_force_optimum(box_lp(c, rect, G, h, A, d)) + c @ rect.lower
-            assert sol.objective == pytest.approx(reference, abs=1e-6)
-            assert kkt_residuals(lp, sol)["primal"] <= 1e-8
+            status, value, x = highs(lp)
+            assert status == OPTIMAL
+            boxed = box_lp(c, rect, G, h, A, d)
+            shift = c @ box_corner(c, rect)
+            assert value == pytest.approx(brute_force_optimum(boxed) + shift, abs=1e-6)
+            assert value == pytest.approx(solve(boxed).objective + shift, abs=1e-6)
 
 
 class TestCertificates:
@@ -241,15 +259,14 @@ class TestCertificates:
             assert complementary_slackness(lp, sol) <= 1e-6
 
     def test_duals_exact_after_a_small_pivot(self):
-        # Phase 1 pivots on the 2.1e-5 entry of the equality row, and the
-        # tableau's entries grow by about its inverse; duals read off the
-        # reduced-cost row alone were 5.2e-12 (relative) from the basis duals
+        # an equality row with an entry of 2.1e-5, over the box [0, 2]^4
+        # posed from the cost's corner: the refined duals are the exact
+        # duals of the end basis
         c = [-0.16600436170542032, -0.8247995492058817, -0.02625746050788247, 0.9971984704084642]
         g = [-0.14573132676012546, -0.13339080409256865, -0.34185341209509934, 0.7719441227062529]
         a = [-0.017576082134149518, 2.1418044866048316e-05, 0.055215305329331166, -0.961957497877004]
-        G = np.vstack([g, np.eye(4)])  # and the box x <= 2
-        h = [0.23568216454195653, 2.0, 2.0, 2.0, 2.0]
-        lp = LPProblem(c, G=G, h=h, A=[a], d=[8.258363381093087e-06])
+        rect = Rectangle(np.zeros(4), np.full(4, 2.0))
+        lp = box_lp(c, rect, G=[g], h=[0.23568216454195653], A=[a], d=[8.258363381093087e-06])
         sol = solve(lp)
         exact = exact_basis_duals(lp, sol)
         got = np.concatenate([sol.ineq_duals, sol.eq_duals])
@@ -283,16 +300,16 @@ def degenerate_variant(rng, lp):
 
 
 class TestDegenerateRowMultipliers:
-    """The post-optimal pass changes which optimal duals come back, never x."""
+    """The post-optimal pass of ``solve_dual_stack`` changes which optimal
+    duals come back, never x; ``solve`` returns the plain basis duals."""
 
-    def test_x_and_objective_unchanged(self, monkeypatch):
+    def test_x_and_objective_unchanged(self):
         rng = np.random.default_rng(47)
         programs = []
         for _ in range(100):
             lp = random_boxed_lp(rng)
             programs += [lp, degenerate_variant(rng, lp)]
-        with_pass = [solve(lp) for lp in programs]
-        monkeypatch.setattr(lpsolve, "_activate_degenerate_rows", lambda *args: None)
+        with_pass = [solve_read(lp) for lp in programs]
         without_pass = [solve(lp) for lp in programs]
         moved = 0
         for lp, sol, plain in zip(programs, with_pass, without_pass):
@@ -309,16 +326,16 @@ class TestDegenerateRowMultipliers:
     def test_weakly_active_row_gets_largest_multiplier(self):
         # min x over x >= 0 with the row -x <= 0: every multiplier in [0, 1]
         # is optimal for the row; the basis alone returns 0, the pass 1
-        sol = solve(LPProblem([1.0], G=[[-1.0]], h=[0.0]))
+        sol = solve_read(LPProblem([1.0], G=[[-1.0]], h=[0.0]))
         assert sol.x.tolist() == [0.0]
         assert sol.ineq_duals.tolist() == [1.0]
 
     def test_only_programs_whose_duals_are_read_take_the_pass(self, monkeypatch):
-        # a sweep reads only x: it keeps the plain basis duals, and the same
-        # x as the pass leaves
+        # solve and a sweep read only x: they keep the plain basis duals, and
+        # the same x as the pass leaves
         lp = LPProblem([1.0], G=[[-1.0]], h=[0.0])
-        (swept,) = solve_many(lp, [[1.0]])
-        assert swept.x.tolist() == [0.0] and swept.ineq_duals.tolist() == [0.0]
+        alone = solve(lp)
+        assert alone.x.tolist() == [0.0] and alone.ineq_duals.tolist() == [0.0]
 
         def entered(*args):
             raise AssertionError("degenerate-row pass entered")
@@ -326,20 +343,18 @@ class TestDegenerateRowMultipliers:
         monkeypatch.setattr(lpsolve, "_activate_degenerate_rows", entered)
         rng = np.random.default_rng(199)
         for _ in range(20):
-            sweep, costs = random_sweep(rng)
-            solve_many(sweep, costs)
+            solve_sweep(random_sweep(rng))
+            solve(random_boxed_lp(rng))
         with pytest.raises(AssertionError, match="pass entered"):
-            solve(lp)
-        with pytest.raises(AssertionError, match="pass entered"):
-            lpsolve.solve_stack(lpsolve.LPStack.of(lp))
+            solve_read(lp)
 
 
 class TestKKTSelfCheck:
     def test_nan_residual_fails(self):
         # the bounding program of p = x over [0, 1] with the subnormal row
         # -2.225073858507e-311 x <= 0: the row stays below unit scale after
-        # scaling by 2**1000, and its dual overflows to NaN, which no
-        # residual threshold may let through
+        # scaling by 2**1000, and the multiplier the degenerate-row pass gives
+        # it overflows to NaN, which no residual threshold may let through
         lp = LPProblem(
             [0.0, 1.0], G=[[-0.0, -2.225073858507e-311]], h=[0.0], A=[[1.0, 1.0]], d=[1.0]
         )
@@ -348,7 +363,7 @@ class TestKKTSelfCheck:
                 NumericalFailure,
                 match=r"KKT self-check: primal=0\.00e\+00 dual=nan gap=nan",
             ):
-                solve(lp)
+                solve_read(lp)
 
 
 class TestRowScaling:
@@ -385,19 +400,10 @@ class TestRowScaling:
             assert sol.ineq_duals * s == pytest.approx(ref.ineq_duals, rel=1e-6, abs=1e-9)
 
 
-def random_sweep(rng):
-    """``(lp, costs)``: six costs over one region, boxed or free, with a gap
-    between two opposite rows in one region of five."""
-    if rng.integers(0, 2):
-        lp = random_boxed_lp(rng)
-        costs = rng.normal(size=(6, lp.n_vars))
-    else:
-        # few rows over free variables: some directions are unbounded
-        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        x0 = rng.normal(size=n)
-        G = rng.normal(size=(m, n))
-        lp = free_lp(np.zeros(n), G=G, h=G @ x0 + rng.uniform(0.0, 2.0, size=m))
-        costs = np.repeat(rng.normal(size=(6, n)), 2, axis=1) * np.tile([1.0, -1.0], n)
+def random_sweep(rng) -> LPStack:
+    """Six nonnegative costs over one boxed region, as a stack over views of
+    its rows, with a gap between two opposite rows in one region of five."""
+    lp = random_boxed_lp(rng)
     if rng.integers(0, 5) == 0:
         a = rng.normal(size=lp.n_vars)
         b = float(rng.normal())
@@ -408,90 +414,79 @@ def random_sweep(rng):
             A=lp.A,
             d=lp.d,
         )
-    return lp, costs
+    return swept(lp, np.abs(rng.normal(size=(6, lp.n_vars))))
+
+
+def swept(lp: LPProblem, costs) -> LPStack:
+    """``costs`` over the rows of ``lp``, as a stack over views of them."""
+    costs = np.asarray(costs, dtype=float)
+    rows = (np.broadcast_to(a, (len(costs),) + a.shape) for a in (lp.G, lp.h, lp.A, lp.d))
+    return LPStack(costs, *rows)
 
 
 class TestSolveMany:
-    """One phase 1, then the costs pivot as stacks from its tableau: each
-    answer is the cold one."""
+    """Many costs over one region's rows, solved as one stack of dual starts
+    (``solve_sweep``), as the support sweeps are: each answer is the cold
+    one."""
 
     def test_matches_a_cold_solve_per_cost(self):
-        # each direction's status, x and objective are the cold solve's bit
-        # for bit, and permuting the costs permutes the answers bit for bit,
-        # the plain basis duals included
+        # each cost's status, x and objective are the cold solve's bit for
+        # bit, and permuting the costs permutes the answers bit for bit, the
+        # plain basis duals included
         rng = np.random.default_rng(191)
         statuses = set()
         for _ in range(400):
-            lp, costs = random_sweep(rng)
-            order = rng.permutation(len(costs))
-            sols = solve_many(lp, costs)
-            for sol, permuted in zip([sols[i] for i in order], solve_many(lp, costs[order])):
-                assert permuted.status == sol.status
+            stack = random_sweep(rng)
+            order = rng.permutation(len(stack))
+            sols = solve_sweep(stack)
+            permuted = solve_sweep(swept(stack[0], stack.c[order]))
+            for sol, moved in zip([sols[i] for i in order], permuted):
+                assert moved.status == sol.status
                 if sol.status == OPTIMAL:
                     for field in ("x", "ineq_duals", "eq_duals"):
-                        assert getattr(permuted, field).tobytes() == getattr(sol, field).tobytes()
-            for cost, sol in zip(costs, sols):
-                program = LPProblem(cost, G=lp.G, h=lp.h, A=lp.A, d=lp.d)
-                ref = solve(program)
+                        assert getattr(moved, field).tobytes() == getattr(sol, field).tobytes()
+            for k, sol in enumerate(sols):
+                ref = solve(stack[k])
                 assert sol.status == ref.status
                 statuses.add(sol.status)
                 if ref.status == OPTIMAL:
                     assert sol.x.tobytes() == ref.x.tobytes()
                     assert sol.objective == ref.objective
-                    res = kkt_residuals(program, sol)
+                    res = kkt_residuals(stack[k], sol)
                     assert max(res["primal"], res["dual"], res["gap"]) <= 1e-6
-        assert statuses == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-
-    def test_first_cost_is_the_cold_solve(self):
-        rng = np.random.default_rng(193)
-        for _ in range(50):
-            lp, costs = random_sweep(rng)
-            first = solve_many(lp, costs)[0]
-            cold = solve(LPProblem(costs[0], G=lp.G, h=lp.h, A=lp.A, d=lp.d))
-            assert first.status == cold.status
-            if cold.status == OPTIMAL:
-                np.testing.assert_array_equal(first.x, cold.x)
-                np.testing.assert_array_equal(first.ineq_duals, cold.ineq_duals)
-                np.testing.assert_array_equal(first.eq_duals, cold.eq_duals)
-                assert first.objective == cold.objective
-
-    def test_rows_only(self):
-        # the program's own cost plays no part; no costs, no answers
-        lp = free_lp([5.0], G=[[1.0], [-1.0]], h=[1.0, 2.0])
-        sols = solve_many(lp, [[-1.0, 1.0], [1.0, -1.0]])
-        assert [s.objective for s in sols] == pytest.approx([-1.0, -2.0])
-        assert solve_many(lp, np.zeros((0, 2))) == []
+        assert statuses == {OPTIMAL, INFEASIBLE}
 
     def test_empty_region_is_infeasible_for_every_cost(self):
-        lp = LPProblem([0.0], G=[[1.0]], h=[-1.0])
-        assert [s.status for s in solve_many(lp, [[1.0], [-1.0]])] == [INFEASIBLE] * 2
+        stack = swept(LPProblem([0.0], G=[[1.0]], h=[-1.0]), [[1.0], [0.0]])
+        assert [s.status for s in solve_sweep(stack)] == [INFEASIBLE] * 2
 
     def test_nan_cost_rejected(self):
-        with pytest.raises(ValueError):
-            solve_many(LPProblem([1.0]), [[1.0], [np.nan]])
+        with pytest.raises(ValueError, match="non-finite"):
+            support_values(PolytopeTemplate(np.eye(2), [1.0, 1.0]), [[1.0, 0.0], [np.nan, 0.0]])
 
     def test_infinite_cost_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            solve_many(LPProblem([1.0], G=[[1.0]], h=[1.0]), [[1.0], [-np.inf]])
-
+            support_values(PolytopeTemplate(np.eye(2), [1.0, 1.0]), [[1.0, 0.0], [-np.inf, 0.0]],
+                           Rectangle([-2.0, -2.0], [2.0, 2.0]))
 
     @staticmethod
-    def long_sweep():
-        """``(lp, costs)``: 20 costs over a bounded region whose tableau is
-        large enough that a chunk of ``solve_many`` holds seven of them."""
+    def long_sweep() -> LPStack:
+        """20 costs over a bounded region whose tableau is large enough that
+        a stack within ``STACK_BYTES`` holds seven of them."""
         rng = np.random.default_rng(197)
-        lp = LPProblem(np.zeros(60), G=rng.uniform(0.1, 1.0, (75, 60)), h=rng.uniform(1.0, 2.0, 75))
+        G = rng.uniform(-1.0, 1.0, (75, 60))
+        lp = LPProblem(np.zeros(60), G=G, h=G @ rng.uniform(0.0, 0.05, 60) + rng.uniform(0.0, 0.1, 75))
         assert lpsolve.stack_members(60, 75, 0) == 7
-        return lp, rng.normal(size=(20, 60))
+        return swept(lp, rng.uniform(0.0, 1.0, (20, 60)))
 
     def test_chunked_duals_match_one_cost_at_a_time(self, monkeypatch):
-        # three chunks of stacked costs; with a chunk of one cost, each cost
-        # pivots alone
-        lp, costs = self.long_sweep()
-        chunked = solve_many(lp, costs)
+        # three stacks of costs (``invariance._swept``); with stacks of one
+        # cost, each cost pivots alone
+        stack = self.long_sweep()
+        chunked = _swept(stack, lpsolve.stack_members(60, 75, 0))
         monkeypatch.setattr(lpsolve, "STACK_BYTES", 1)
         assert lpsolve.stack_members(60, 75, 0) == 1
-        for sol, one in zip(chunked, solve_many(lp, costs), strict=True):
+        for sol, one in zip(chunked, _swept(stack, 1), strict=True):
             assert sol.status == one.status == OPTIMAL
             for field in ("x", "ineq_duals", "eq_duals"):
                 assert getattr(sol, field).tobytes() == getattr(one, field).tobytes()
@@ -507,11 +502,12 @@ class TestSolveMany:
         ],
     )
     def test_failure_in_the_second_chunk_raises_in_order(self, monkeypatch, kkt, run, raised):
-        # costs 7-13 form the second chunk: the first cost in order to fail
+        # costs 7-13 form the second stack: the first cost in order to fail
         # raises, whether its KKT self-check or its pivots fail, as when each
         # cost is solved alone
-        lp, costs = self.long_sweep()
-        real_kkt, real_phase_two = lpsolve.kkt_residuals, lpsolve._phase_two
+        stack = self.long_sweep()
+        costs = stack.c
+        real_kkt, real_dual_phase = lpsolve.kkt_residuals, lpsolve._dual_phase
         solved = [0]
 
         def kkt_residuals(rows, sol):
@@ -521,42 +517,43 @@ class TestSolveMany:
                 res["primal"] = np.where(hit, 1.0, res["primal"])
             return res
 
-        def phase_two(*args):
-            out = real_phase_two(*args)
+        def dual_phase(*args):
+            out = real_dual_phase(*args)
             first, solved[0] = solved[0], solved[0] + len(out)
             if run is not None and first <= run < solved[0]:
                 out[run - first] = NumericalFailure("injected")
             return out
 
         monkeypatch.setattr(lpsolve, "kkt_residuals", kkt_residuals)
-        monkeypatch.setattr(lpsolve, "_phase_two", phase_two)
+        monkeypatch.setattr(lpsolve, "_dual_phase", dual_phase)
         messages = []
-        for stack_bytes in (lpsolve.STACK_BYTES, 1):
-            monkeypatch.setattr(lpsolve, "STACK_BYTES", stack_bytes)
+        for per_stack in (lpsolve.stack_members(60, 75, 0), 1):
             solved[0] = 0
             with pytest.raises(NumericalFailure, match=raised) as exc:
-                solve_many(lp, costs)
+                _swept(stack, per_stack)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
 
 
 class TestSolveStack:
+    """Stacks solved by ``solve_dual_stack``: each member as ``solve_read``
+    gives it alone, bit for bit."""
+
     @staticmethod
     def random_stack(rng, kinds):
-        """Programs of one shape (4 columns, 3 inequality rows with h >= 0,
-        one equality row with d >= 0), each optimal, infeasible or unbounded."""
+        """Programs of one shape (4 columns with nonnegative costs, 3
+        inequality rows, one equality row with d >= 0), each optimal or
+        infeasible."""
         c, G, h, A, d = [], [], [], [], []
         for kind in kinds:
-            g = rng.uniform(0.1, 2.0, (3, 4))
+            g = rng.uniform(-2.0, 2.0, (3, 4))
             a = rng.uniform(0.1, 2.0, (1, 4))
-            cost = rng.uniform(-1.0, 1.0, 4)
+            x0 = rng.uniform(0.0, 0.2, 4)
+            rhs = [float(a[0] @ x0)]
             if kind == "infeasible":  # -a.x = 1 has no solution with x >= 0
                 a, rhs = -a, [1.0]
-            elif kind == "unbounded":  # x grows without limit, the cost falls
-                g, a, rhs, cost = -g, np.zeros((1, 4)), [0.0], -np.abs(cost) - 0.1
-            else:
-                rhs = [float(a[0] @ rng.uniform(0.0, 0.2, 4))]
-            for arrays, value in zip((c, G, h, A, d), (cost, g, rng.uniform(0.5, 2.0, 3), a, rhs)):
+            rows = (rng.uniform(0.0, 1.0, 4), g, g @ x0 + rng.uniform(0.0, 0.5, 3), a, rhs)
+            for arrays, value in zip((c, G, h, A, d), rows):
                 arrays.append(value)
         return lpsolve.LPStack(*map(np.array, (c, G, h, A, d)))
 
@@ -564,23 +561,17 @@ class TestSolveStack:
         rng = np.random.default_rng(7)
         seen = set()
         for _ in range(40):
-            kinds = rng.choice(["optimal", "optimal", "infeasible", "unbounded"], size=5)
+            kinds = rng.choice(["optimal", "optimal", "infeasible"], size=5)
             stack = self.random_stack(rng, kinds)
-            for k, out in enumerate(lpsolve.solve_stack(stack)):
-                alone = solve(stack[k])
+            for k, out in enumerate(lpsolve.solve_dual_stack(stack)):
+                alone = solve_read(stack[k])
                 assert out.status == alone.status
                 seen.add(out.status)
                 if out.status == OPTIMAL:
                     for field in ("x", "ineq_duals", "eq_duals"):
                         assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
                     assert out.objective == alone.objective
-        assert seen == {OPTIMAL, INFEASIBLE, UNBOUNDED}
-
-    def test_members_need_equally_many_artificial_columns(self):
-        stack = self.random_stack(np.random.default_rng(8), ["optimal", "optimal"])
-        stack.h[1, 0] = -1.0  # flips a row of the second member only
-        with pytest.raises(ValueError, match="equally many artificial columns"):
-            lpsolve.solve_stack(stack)
+        assert seen == {OPTIMAL, INFEASIBLE}
 
     @staticmethod
     def posed(c, G, h, A=None):
@@ -598,16 +589,14 @@ class TestSolveStack:
         return program
 
     def beale(self, blocks):
-        """Beale's cycling program, where Dantzig's rule cycles until the
-        switch to Bland's; each block adds a column its own row caps, which
-        the first pivots take, so the switch comes one step later per block."""
-        c, G, h, A, d = self.posed(
-            [-0.75, 150.0, -0.02, 6.0],
-            [[0.25, -60.0, -1 / 25, 9.0], [0.5, -90.0, -1 / 50, 3.0], [0.0, 0.0, 1.0, 0.0]],
-            [0.0, 0.0, 1.0],
-        )
+        """Beale's cycling program in its LP dual form, ``min h.y`` subject to
+        ``-G^T y <= c``; each block adds a column that its own row, far
+        below zero, must take in, which the first pivots do, so the program
+        ends one step later per block."""
+        G = np.array([[0.25, -60.0, -1 / 25, 9.0], [0.5, -90.0, -1 / 50, 3.0], [0.0, 0.0, 1.0, 0.0]])
+        c, G, h, A, d = self.posed([0.0, 0.0, 1.0], -G.T, [-0.75, 150.0, -0.02, 6.0])
         for i in range(blocks):
-            c[4 + i], G[3 + i, 4 + i] = -1000.0, 1.0
+            c[3 + i], G[4 + i, 3 + i], h[4 + i] = 1.0, -1.0, -1000.0
         return c, G, h, A, d
 
     def test_members_ending_at_different_steps_match_their_solve_alone(self, monkeypatch):
@@ -618,7 +607,6 @@ class TestSolveStack:
         members.append(self.posed(np.arange(1.0, 8.0), [[-1.0], [0.0, -1.0], [1.0, 1.0, 1.0]], [0.0] * 3))
         members += [self.degenerate(rng, 4) for _ in range(6)]
         members.append(self.posed([0.0], [[1.0]], [1.0], A=-np.ones(8)))  # -sum x = 1: infeasible
-        members.append(self.posed([-1.0, 1.0], [[-1.0, 1.0]], [1.0]))  # x_0 grows: unbounded
         order = rng.permutation(len(members))
         stack = lpsolve.LPStack(*(np.array(block) for block in zip(*(members[k] for k in order))))
 
@@ -629,22 +617,23 @@ class TestSolveStack:
             pivots[-1] += 1
             return real_pivot(*args)
 
-        outs = lpsolve.solve_stack(stack)
+        outs = lpsolve.solve_dual_stack(stack)
         monkeypatch.setattr(lpsolve, "_pivot", pivot)
         for k, out in enumerate(outs):
             pivots.append(0)
-            alone = solve(stack[k])
+            alone = solve_read(stack[k])
             assert out.status == alone.status
             if out.status == OPTIMAL:
                 for field in ("x", "ineq_duals", "eq_duals"):
                     assert getattr(out, field).tobytes() == getattr(alone, field).tobytes()
                 assert out.objective == alone.objective
         statuses = [out.status for out in outs]
-        assert statuses.count(INFEASIBLE) == statuses.count(UNBOUNDED) == 1
-        # Beale's programs pass the 5 * (rows + columns) = 120 degenerate
-        # pivots after which Bland's rule takes over; the others end sooner
+        assert statuses.count(INFEASIBLE) == 1
+        # Beale's programs, which cycle under Dantzig's rule in the primal
+        # simplex, end in 4 dual pivots under the normalized leaving-row
+        # rule, and each block adds one
         beale = [int(np.flatnonzero(order == b)[0]) for b in range(3)]
-        assert [pivots[k] for k in beale] == [127, 128, 129]
+        assert [pivots[k] for k in beale] == [4, 5, 6]
         assert max(np.delete(pivots, beale)) < 20 and len(set(pivots)) > 5
         degenerate = outs[int(np.flatnonzero(order == 3)[0])]
         assert degenerate.ineq_duals[:2].tolist() == [1.0, 2.0]
@@ -652,8 +641,8 @@ class TestSolveStack:
     def degenerate(self, rng, rows):
         """A program of ``rows`` random rows with ``7 - rows`` more rows
         through its optimum, so some slacks end basic at zero."""
-        G = rng.uniform(0.1, 2.0, (rows, 7))
-        lp = LPProblem(rng.uniform(-1.0, 1.0, 7), G=G, h=rng.uniform(0.5, 2.0, rows))
+        G = -rng.uniform(0.1, 2.0, (rows, 7))
+        lp = LPProblem(rng.uniform(0.0, 1.0, 7), G=G, h=-rng.uniform(0.5, 2.0, rows))
         x = solve(lp).x
         extra = rng.normal(size=(7 - rows, 7))
         extra *= np.where(extra @ x < 0.0, -1.0, 1.0)[:, None]
@@ -661,11 +650,11 @@ class TestSolveStack:
 
     @staticmethod
     def assert_members_alone(members):
-        """``solve_stack`` over ``members`` gives each its ``solve`` alone,
-        bit for bit."""
+        """``solve_dual_stack`` over ``members`` gives each its ``solve_read``
+        alone, bit for bit."""
         stack = lpsolve.LPStack(*(np.array(block) for block in zip(*members)))
-        for k, out in enumerate(lpsolve.solve_stack(stack)):
-            alone = solve(stack[k])
+        for k, out in enumerate(lpsolve.solve_dual_stack(stack)):
+            alone = solve_read(stack[k])
             assert out.status == alone.status
             if out.status == OPTIMAL:
                 for field in ("x", "ineq_duals", "eq_duals"):
@@ -680,24 +669,24 @@ class TestSolveStack:
 
     @pytest.mark.parametrize("blocks", [0, 1, 2])
     def test_last_member_keeps_its_degenerate_count(self, blocks):
-        # the short member ends long before Beale's program switches to
-        # Bland's rule, in the plain loop it finishes in alone
+        # the short member ends before Beale's program, which finishes in the
+        # plain loop, its degenerate count carried over, as alone
         rng = np.random.default_rng(17 + blocks)
         for _ in range(5):
             self.assert_members_alone([self.beale(blocks), self.degenerate(rng, 4)])
 
-    def test_artificials_driven_out_as_alone(self):
+    def test_redundant_equality_rows_as_alone(self):
         # three equality rows through x = 0, the third the sum of the first
-        # two: phase 1 ends with artificial columns basic at zero, which the
-        # drive-out pivots out, or zeroes the redundant row, in row order
+        # two, and rows that keep x off 0: split rows basic at zero, which the
+        # degenerate-row pass visits, a pair at a time
         rng = np.random.default_rng(29)
         for _ in range(20):
             members = []
             for _ in range(5):
                 A = rng.integers(-1, 2, (3, 6)).astype(float)
                 A[2] = A[0] + A[1]
-                G, h = rng.uniform(0.1, 2.0, (2, 6)), rng.uniform(0.5, 2.0, 2)
-                members.append((rng.normal(size=6), G, h, A, np.zeros(3)))
+                G, h = -rng.uniform(0.0, 2.0, (2, 6)), -rng.uniform(0.0, 1.0, 2)
+                members.append((rng.uniform(0.0, 1.0, 6), G, h, A, np.zeros(3)))
             self.assert_members_alone(members)
 
     def test_failed_member_leaves_its_stack_as_each_member_alone(self):
@@ -833,70 +822,53 @@ class TestWarmRestart:
                          A=lp.A, d=lp.d + v * size(lp.A, lp.d))
 
     def test_moved_right_hand_sides_match_cold_and_highs(self):
-        # the five kinds of test_highs, solved, then moved and restarted from
-        # their end tableaux: alone from a dual start, under the costs' absolute
-        # values, and as one cost of a two-cost sweep: the cold solve's status,
-        # the cold and HiGHS optimum within 1e-9 (1 + |v|), and an infeasible
-        # move always ends infeasible through a cold solve
+        # the five kinds of test_highs, solved from their dual starts, then
+        # moved and restarted from their end tableaux: the cold solve's
+        # status, the cold and HiGHS optimum within 1e-9 (1 + |v|), and an
+        # infeasible move always ends infeasible through a cold solve
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        from test_highs import TIGHT, general_lps, highs
+        from test_highs import TIGHT, general_lps
 
         share = st.one_of(st.just(0.0), st.floats(-0.5, 0.5))
-        coeff = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
 
         @st.composite
         def cases(draw):
             kind, lp, reference = draw(general_lps(st))
             u = np.array(draw(st.lists(share, min_size=lp.m_ineq, max_size=lp.m_ineq)))
             v = np.array(draw(st.lists(share, min_size=lp.m_eq, max_size=lp.m_eq)))
-            c2 = np.array(draw(st.lists(coeff, min_size=lp.n_vars, max_size=lp.n_vars)))
-            return kind, lp, reference, u.reshape(-1), v.reshape(-1), c2
+            return kind, lp, reference, u.reshape(-1), v.reshape(-1)
 
         seen = {"warm": 0, "infeasible": 0}
 
         @hypothesis.settings(max_examples=300, derandomize=True, deadline=None)
         @hypothesis.given(cases())
         def check(case):
-            kind, lp, reference, u, v, c2 = case
+            kind, lp, reference, u, v = case
             hypothesis.event(kind)
-            restart, sweep = lpsolve.Restart(), lpsolve.Restart()
-            costs = np.vstack([lp.c, c2])
-            dual = LPProblem(np.abs(lp.c), G=lp.G, h=lp.h, A=lp.A, d=lp.d)
+            restart = lpsolve.Restart()
             try:
-                lpsolve.solve_dual_stack(lpsolve.LPStack.of(dual), restart)
-                lpsolve.solve_many(lp, costs, sweep)
+                lpsolve.solve_dual_stack(LPStack.of(lp), restart)
                 moved = self.moved(lp, u, v)
-                cold = [solve(LPProblem(c, G=moved.G, h=moved.h, A=moved.A, d=moved.d))
-                        for c in [*costs, dual.c]]
+                cold = solve(moved)
             except NumericalFailure:
                 hypothesis.event("NumericalFailure")
                 return
-            ref_moved = self.moved(reference, u, v)
-            one = lpsolve.LPStack.of(LPProblem(dual.c, G=moved.G, h=moved.h, A=moved.A, d=moved.d))
-            for kept, warm, solved in (
-                (restart, lambda: lpsolve.solve_dual_stack(one, restart, one), [2]),
-                (sweep, lambda: lpsolve.solve_many(moved, costs, sweep), [0, 1]),
-            ):
-                if kept.tabs is None:
-                    continue
-                outs = warm()
-                for c, out, ref in zip(one.c if kept is restart else costs, outs,
-                                       [cold[i] for i in solved], strict=True):
-                    assert not isinstance(out, NumericalFailure), kind
-                    assert out.status == ref.status, kind
-                    if ref.status == INFEASIBLE:
-                        assert not kept.warm and kept.tabs is None, kind
-                        seen["infeasible"] += 1
-                        continue
-                    assert abs(out.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
-                    status, value, _ = highs(
-                        LPProblem(c, G=ref_moved.G, h=ref_moved.h, A=ref_moved.A, d=ref_moved.d),
-                        **TIGHT,
-                    )
-                    assert status == OPTIMAL, kind
-                    assert abs(out.objective - value) <= 1e-9 * (1.0 + abs(value)), kind
-                    seen["warm"] += kept.warm
+            if restart.tab is None:
+                return
+            one = LPStack.of(moved)
+            (out,) = lpsolve.solve_dual_stack(one, restart, one)
+            assert not isinstance(out, NumericalFailure), kind
+            assert out.status == cold.status, kind
+            if cold.status == INFEASIBLE:
+                assert not restart.warm and restart.tab is None, kind
+                seen["infeasible"] += 1
+                return
+            assert abs(out.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective))
+            status, value, _ = highs(self.moved(reference, u, v), **TIGHT)
+            assert status == OPTIMAL, kind
+            assert abs(out.objective - value) <= 1e-9 * (1.0 + abs(value)), kind
+            seen["warm"] += restart.warm
 
         check()
         assert min(seen.values()) > 0, seen
@@ -905,33 +877,31 @@ class TestWarmRestart:
         # keeping the end tableaux changes nothing in the solve that keeps them
         rng = np.random.default_rng(5)
         for _ in range(50):
-            lp, costs = random_sweep(rng)
+            stack = random_dual_stack(rng, rng.choice(["optimal"] * 3 + ["infeasible"], size=4))
             restart = lpsolve.Restart()
-            ours = outcome_or_failure(lambda: solve_many(lp, costs, restart))
-            ref = outcome_or_failure(lambda: solve_many(lp, costs))
-            if isinstance(ref, NumericalFailure):
-                assert str(ours) == str(ref)
-                continue
+            ours = lpsolve.solve_dual_stack(stack, restart)
+            ref = lpsolve.solve_dual_stack(stack)
             for a, b in zip(ours, ref, strict=True):
                 assert a.status == b.status
                 if b.status == OPTIMAL:
-                    assert a.x.tobytes() == b.x.tobytes()
+                    for field in ("x", "ineq_duals", "eq_duals"):
+                        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
             assert restart.warm is False
-            assert (restart.tabs is None) == any(s.status != OPTIMAL for s in ref)
+            assert (restart.tab is None) == any(s.status != OPTIMAL for s in ref)
 
     def test_failed_restart_runs_cold(self, monkeypatch):
         # a restart that fails leaves the stack to a cold solve from its dual start
         lp = LPProblem([1.0, 2.0], G=[[-1.0, -1.0], [1.0, 0.0]], h=[-1.0, 3.0])
         restart = lpsolve.Restart()
-        lpsolve.solve_dual_stack(lpsolve.LPStack.of(lp), restart)
+        lpsolve.solve_dual_stack(LPStack.of(lp), restart)
         moved = LPProblem(lp.c, G=lp.G, h=[-2.0, 3.0])
-        one = lpsolve.LPStack.of(moved)
+        one = LPStack.of(moved)
         (cold,) = lpsolve.solve_dual_stack(one)
         monkeypatch.setattr(
             lpsolve, "_restart", lambda tab, stack: [NumericalFailure("injected")] * len(stack)
         )
         (out,) = lpsolve.solve_dual_stack(one, restart, one)
-        assert not restart.warm and restart.tabs is not None
+        assert not restart.warm and restart.tab is not None
         assert out.x.tobytes() == cold.x.tobytes() == solve(moved).x.tobytes()
 
 
@@ -973,11 +943,7 @@ class TestDualStart:
     """Programs solved cold from their slack bases by the dual simplex, each
     equality row split in two (``solve_dual_stack``)."""
 
-    def test_stacked_cold_start_matches_each_member_alone(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("phase 1 ran")
-
-        monkeypatch.setattr(lpsolve, "_phase_one", refuse)
+    def test_stacked_cold_start_matches_each_member_alone(self):
         rng = np.random.default_rng(23)
         seen = set()
         for _ in range(60):
@@ -996,15 +962,18 @@ class TestDualStart:
         assert seen == {OPTIMAL, INFEASIBLE}
 
     def test_matches_solve(self):
-        # the same status and optimum as the phase-1 engine on the unsplit rows
+        # the same status, x and optimum as solve, whose duals skip the
+        # degenerate-row pass, and the optimum of HiGHS on the unsplit rows
         rng = np.random.default_rng(29)
         for _ in range(40):
             stack = random_dual_stack(rng, rng.choice(["optimal", "infeasible"], size=4))
             for k, out in enumerate(lpsolve.solve_dual_stack(stack)):
                 ref = solve(stack[k])
-                assert out.status == ref.status
+                status, value, _ = highs(stack[k])
+                assert out.status == ref.status == status
                 if ref.status == OPTIMAL:
-                    assert abs(out.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+                    assert out.x.tobytes() == ref.x.tobytes() and out.objective == ref.objective
+                    assert abs(out.objective - value) <= 1e-9 * (1.0 + abs(value))
                     assert kkt_residuals(stack[k], out)["dual"] <= 1e-9
 
     def test_lone_loop_takes_the_lockstep_steps(self):
@@ -1016,11 +985,10 @@ class TestDualStart:
             stack = random_dual_stack(rng, rng.choice(["optimal", "infeasible"], size=5))
             split = lpsolve._split(stack)
             tab = lpsolve._dual_start(split, 2)
-            W = lpsolve._width(tab.T)
             ref = [lpsolve._part(tuple(a.copy() for a in tab.state), k) for k in range(len(stack))]
-            outs = lpsolve._dual_loops(tab.state, W, list(range(len(stack))))
+            outs = lpsolve._dual_loops(tab.state, list(range(len(stack))))
             for k, st in enumerate(ref):
-                assert lpsolve._dual_loop(st, W) == outs[k]
+                assert lpsolve._dual_loop(st) == outs[k]
                 for ours, alone in zip(lpsolve._part(tab.state, k), st):
                     assert ours.tobytes() == alone.tobytes()
 
@@ -1044,33 +1012,31 @@ class TestDualStart:
         assert pivots == [1] and out.x.tolist() == [0.0, 1.0, 0.0] and out.objective == 0.5
 
 
-class TestSolveDual:
-    """The dual simplex from the slack basis, for nonnegative costs."""
+class TestSolve:
+    """``solve``: one program with nonnegative costs, by the dual simplex
+    from its slack basis, its equality rows split."""
 
-    def test_matches_solve_without_a_primal_loop(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("a primal pivot loop ran")
-
+    def test_matches_highs(self):
         rng = np.random.default_rng(211)
-        lps = []
+        statuses = set()
         for _ in range(200):
             n, m = int(rng.integers(1, 6)), int(rng.integers(1, 8))
             c = np.where(rng.uniform(size=n) < 0.2, 0.0, rng.uniform(0.0, 2.0, size=n))
-            lps.append(LPProblem(c, G=rng.normal(size=(m, n)), h=rng.normal(size=m)))
-        expected = [solve(lp) for lp in lps]
-        monkeypatch.setattr(lpsolve, "_pivot_loops", refuse)
-        statuses = set()
-        for lp, ref in zip(lps, expected):
-            sol = solve_dual(lp)
+            m_eq = int(rng.integers(0, 2))
+            lp = LPProblem(c, G=rng.normal(size=(m, n)), h=rng.normal(size=m),
+                           A=rng.normal(size=(m_eq, n)), d=rng.normal(size=m_eq))
+            sol = solve(lp)
+            status, value, _ = highs(lp)
             statuses.add(sol.status)
-            assert sol.status == ref.status
-            if ref.status == OPTIMAL:
-                assert abs(sol.objective - ref.objective) <= 1e-9 * (1.0 + abs(ref.objective))
+            assert sol.status == status
+            if status == OPTIMAL:
+                assert abs(sol.objective - value) <= 1e-9 * (1.0 + abs(value))
                 assert np.all(lp.G @ sol.x <= lp.h + 1e-9) and np.all(sol.x >= 0.0)
+                assert np.all(np.abs(lp.A @ sol.x - lp.d) <= 1e-9)
         assert statuses == {OPTIMAL, INFEASIBLE}
 
-    def test_refuses_negative_costs_and_equality_rows(self):
-        with pytest.raises(ValueError):
-            solve_dual(LPProblem([1.0, -1.0], G=[[1.0, 1.0]], h=[1.0]))
-        with pytest.raises(ValueError):
-            solve_dual(LPProblem([1.0, 1.0], A=[[1.0, 1.0]], d=[1.0]))
+    def test_refuses_negative_costs(self):
+        with pytest.raises(ValueError, match="nonnegative costs"):
+            solve(LPProblem([1.0, -1.0], G=[[1.0, 1.0]], h=[1.0]))
+        sol = solve(LPProblem([1.0, 2.0], A=[[1.0, 1.0]], d=[1.0]))
+        assert sol.x.tolist() == [1.0, 0.0] and sol.eq_duals.tolist() == [-1.0]

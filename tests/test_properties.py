@@ -9,7 +9,7 @@ import pytest
 
 from polyvar import files
 from polyvar.invariance import PolytopeTemplate, VectorField, facet_programs
-from polyvar.lpsolve import OPTIMAL, solve
+from polyvar.lpsolve import OPTIMAL, LPProblem, LPStack, solve_dual_stack
 from polyvar.oracle import enumerate_classes, grid_min, lifted_dot, sensitivity_bound
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients
 from polyvar.relaxation import (
@@ -241,12 +241,13 @@ def test_class_constraint_values_match_lifted_dot(data):
 @hypothesis.given(problems())
 def test_known_answer_matches_the_lp(case):
     # where the least class satisfies every row strictly, certify answers
-    # without an LP: the solved program has the same bound, with zero
-    # multipliers
+    # without an LP: the solved program, its costs less their least as
+    # certify_stack poses them, has the same bound, with zero multipliers
     p, rect, cs = case
     lp = build_reduced_lp(pad_for_constraints(p, cs), rect, cs)
     hypothesis.assume(np.all(lp.G[:, np.argmin(lp.c)] < 0.0))
-    res, sol = certify(lp), solve(lp)
+    shifted = LPProblem(lp.c - lp.c.min(), G=lp.G, h=lp.h, A=lp.A, d=lp.d)
+    res, (sol,) = certify(lp), solve_dual_stack(LPStack.of(shifted))
     assert sol.status == OPTIMAL
     assert res.d_star == float((lp.c + lp.G.T @ sol.ineq_duals).min()) == lp.c.min()
     assert res.lam.tolist() == sol.ineq_duals.tolist() == [0.0] * cs.m_ineq

@@ -2,32 +2,29 @@
 
 Each line is (wrapped here)
 
-    <seed> <item> pass=<p> phase1=<f>/<s> cold=<c> facet_pivots=<x> cold_pivots=<w>
-        facet_ms=<t>/<u> support_pivots=<y> fallbacks=<a>/<b> improve=<l>/<i>/<z> step=<k>
+    <seed> <item> pass=<p> cold=<c> facet_pivots=<x> cold_pivots=<w> facet_ms=<t>/<u>
+        support=<s>/<y> fallbacks=<a> improve=<l>/<z> step=<k>
 
 for verification pass ``p``, the offset step and the repair sweep that
 follow it (pass 0 is the repair of the start offsets, before the first
-pass).  ``<f>`` and ``<s>`` count phase-1 runs, one per facet program and
-one per sweep, of the facet programs and of the repair sweep; a phase 1
-runs where a program has equality rows or a negative right-hand side,
-which take artificial columns, so a facet program, which starts from its
-dual start instead, never runs one.  ``<c>`` counts the facet programs
-started cold, from their dual start, rather than restarted warm.  ``<x>``
-is the pass's pivots per facet program and ``<y>`` the sweep's pivots per
-direction, every pivot counted: phase 1, the artificial drive-out, phase 2,
-a dual start's or a restart's dual loop, and the degenerate-row pass.
-``<w>`` is the pivots per facet program of a fresh ``verify`` of the
-pass's offsets, every program started cold from its dual start, and ``<t>``
-and ``<u>`` are the milliseconds of the pass's ``verify`` and of that fresh
-one (0 for pass 0).  ``<a>`` and ``<b>`` count the facet stacks and sweeps
-whose warm restart failed and that were solved again cold.  ``<l>`` counts
-the improvement LPs of the offset step
-(``invariance.improve_offsets``), ``<i>`` their phase-1 runs and ``<z>``
-their pivots in all, and ``<k>`` is the step taken (``least_move`` or
-``capped``), ``-`` where the pass takes none.  The containment sweeps of
-the offset caps, before the start repair, are not counted.  The inputs
-come from ``perfbench/gen.py`` and ``models/`` of this checkout, which the
-script only reads; run it in two checkouts to compare them:
+pass).  Every LP starts cold from its dual start, or restarts warm from an
+earlier end tableau (the facet programs of a synthesis).  ``<c>`` counts
+the facet programs started cold rather than restarted warm, and ``<x>`` is
+the pass's pivots per facet program, every pivot counted: a dual start's or
+a restart's dual loop, and the degenerate-row pass.  ``<w>`` is the pivots
+per facet program of a fresh ``verify`` of the pass's offsets, every
+program started cold, and ``<t>`` and ``<u>`` are the milliseconds of the
+pass's ``verify`` and of that fresh one (0 for pass 0).  ``<s>`` counts the
+cold dual starts of the repair sweep, one per direction, and ``<y>`` is its
+pivots per direction.  ``<a>`` counts the facet stacks whose warm restart
+failed and that were solved again cold.  ``<l>`` counts the cold dual
+starts of the improvement LPs of the offset step
+(``invariance.improve_offsets``), one per LP, and ``<z>`` their pivots in
+all, and ``<k>`` is the step taken (``least_move`` or ``capped``), ``-``
+where the pass takes none.  The containment sweeps of the offset caps,
+before the start repair, are not counted.  The inputs come from
+``perfbench/gen.py`` and ``models/`` of this checkout, which the script only
+reads; run it in two checkouts to compare them:
 
     python tools/pass_pivots.py 3
 """
@@ -48,9 +45,8 @@ import gen  # noqa: E402
 from polyvar import files, invariance, lpsolve, relaxation  # noqa: E402
 
 KEYS = (
-    "phase1_facet", "phase1_support", "phase1_improve", "facet", "support", "improve",
-    "fallbacks_facet", "fallbacks_support", "lps_support", "lps_improve",
-    "cold", "dual_cold", "dual_improve", "verify_s",
+    "facet", "support", "improve", "cold", "fallbacks",
+    "dual_cold", "dual_support", "dual_improve", "verify_s",
 )
 
 
@@ -98,16 +94,15 @@ def wrap(module, name, before=None, count=None, after=None):
 
 def fallbacks(module, name):
     """Count the calls of ``module.name`` that were given the end tableaux of
-    an earlier solve in a ``Restart`` and still ran from phase 1."""
+    an earlier solve in a ``Restart`` and still ran cold."""
     real = getattr(module, name)
-    kind = getattr(lpsolve, "Restart", None)
 
     def wrapper(*args):
-        restart = next((a for a in args if kind is not None and isinstance(a, kind)), None)
-        kept = restart is not None and restart.tabs is not None
+        restart = next((a for a in args if isinstance(a, lpsolve.Restart)), None)
+        kept = restart is not None and restart.tab is not None
         out = real(*args)
         if kept and not restart.warm:
-            COUNTS.add("fallbacks_{}", 1)
+            COUNTS.add("fallbacks", 1)
         return out
 
     setattr(module, name, wrapper)
@@ -146,13 +141,6 @@ def fresh(model, offsets) -> tuple:
     return c["facet"] + c["cold"], c["verify_s"]
 
 
-def phase_one_runs(stack):
-    """``("phase1_{}", n)``: ``n`` is the members of ``stack`` whose phase 1
-    takes artificial columns, hence pivots, all or none of them."""
-    artificial = stack.A.shape[1] > 0 or bool((stack.h[0] < 0.0).any())
-    return "phase1_{}", len(stack) if artificial else 0
-
-
 def record_step(step):
     COUNTS.steps[-1] = step.kind
 
@@ -164,14 +152,10 @@ def install() -> None:
     wrap(invariance, "improve_offsets", before=lambda *args: "improve", after=record_step)
     wrap(lpsolve, "_pivot", count=lambda st, row, slot: ("{}", 1))
     wrap(lpsolve, "_pivot_all", count=lambda st, rows, slots: ("{}", len(rows)))
-    wrap(lpsolve, "_phase_one", count=phase_one_runs)
     wrap(lpsolve, "_cold_dual",
          before=lambda *args: "cold" if COUNTS.caller == "facet" else COUNTS.caller)
     wrap(lpsolve, "_dual_start", count=lambda stack, *args: ("dual_{}", len(stack)))
     fallbacks(relaxation, "solve_dual_stack")
-    fallbacks(invariance, "solve_many")
-    for name in ("solve_many", "solve_dual"):
-        wrap(invariance, name, count=lambda *args: ("lps_{}", 1))
 
 
 def main(argv) -> int:
@@ -195,13 +179,11 @@ def main(argv) -> int:
             cold = [(0, 0.0)] + [fresh(model, rec.offsets) for rec in trace.records]
             for p, (c, (pivots, seconds)) in enumerate(zip(synthesis.passes, cold)):
                 print(
-                    f"{seed} {item['name']} pass={p} "
-                    f"phase1={c['phase1_facet']}/{c['phase1_support']} cold={c['dual_cold']} "
+                    f"{seed} {item['name']} pass={p} cold={c['dual_cold']} "
                     f"facet_pivots={(c['facet'] + c['cold']) / m:.2f} cold_pivots={pivots / m:.2f} "
                     f"facet_ms={c['verify_s'] * 1e3:.3f}/{seconds * 1e3:.3f} "
-                    f"support_pivots={c['support'] / m:.2f} "
-                    f"fallbacks={c['fallbacks_facet']}/{c['fallbacks_support']} "
-                    f"improve={c['lps_improve']}/{c['phase1_improve']}/{c['improve']} "
+                    f"support={c['dual_support']}/{c['support'] / m:.2f} "
+                    f"fallbacks={c['fallbacks']} improve={c['dual_improve']}/{c['improve']} "
                     f"step={synthesis.steps[p]}",
                     flush=True,
                 )
