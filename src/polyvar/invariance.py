@@ -3,19 +3,19 @@
 A polytope with fixed facet normals is invariant when, on every facet, the
 flow points inward; each facet check is one certified lower-bound program.
 A verification pass gathers all of them into stacks of a bounded size
-(``facet_programs``), from arrays that depend only on the field, the
-rectangle and the normals (``facet_lift``, built once per synthesis), and
-certifies each stack in one stacked solve.  When verification fails, the
-facet multipliers say how the per-facet bounds react to moving the offsets,
-and small LPs pick the offset step: the least move after which the old
-multipliers certify every facet, or else the capped step that maximizes
-the worst predicted bound (``improve_offsets``).
-Offsets are re-tightened to their support values after every step so no
-facet is ever empty.  Between the passes of a synthesis only the offsets
-move, which are right-hand sides of the facet programs up to the weight
-row: every pass after the first restarts them from the previous pass's end
-tableaux (``_Passes``).  Every program here, the support sweeps included,
-is posed with nonnegative costs, so it starts dual feasible.
+(``facet_programs``), from the programs posed once per synthesis, at its
+first pass's offsets (``facet_lift``), and certifies each stack in one
+stacked solve.  When verification fails, the facet multipliers say how the
+per-facet bounds react to moving the offsets, and small LPs pick the offset
+step: the least move after which the old multipliers certify every facet,
+or else the capped step that maximizes the worst predicted bound
+(``improve_offsets``).  Offsets are re-tightened to their support values
+after every step so no facet is ever empty.  Between the passes of a
+synthesis only the offsets move, which moves only the right-hand sides of
+the posed programs: every pass after the first restarts them from the
+previous pass's end tableaux (``_Passes``).  Every program here, the
+support sweeps included, is posed with nonnegative costs, so it starts
+dual feasible.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .relaxation import (
 # (``_Passes``).  A 64-facet template in the plane keeps about 0.3 MB, and a
 # 48-facet 8-D template over 3^8 vertex classes 131 MB; the facet stacks
 # past the limit, in facet order, are solved cold, from their dual starts,
-# in every pass.
+# in every pass, over the same rows and right-hand sides as a restart.
 KEEP_BYTES = 128 * 1024 * 1024
 
 # The least-move step keeps every predicted facet bound at least this share
@@ -361,27 +361,27 @@ def template_within_rect(tpl: PolytopeTemplate, rect: Rectangle, tol: float = 1e
 
 @dataclass(frozen=True, eq=False)
 class FacetLift:
-    """What every verification pass of one set of normals shares, whatever
-    the offsets (``facet_lift``).
+    """The facet programs of one set of normals posed at ``offsets``
+    (``facet_lift``), whose rows every verification pass shares.
 
     ``costs[k]`` is facet ``k``'s Bernstein coefficients ``-n_k @ B``, for
     the stacked coefficients ``B`` of the field components at the shared
-    lift degrees, and ``products[c, i]`` is ``n_i . p(c)`` at class point
-    ``c``; a pass subtracts its offsets from the products.
+    lift degrees, and ``values[c, i]`` is ``n_i . p(c) - offsets[i]`` at
+    class point ``c``; a pass at ``b`` moves the right-hand sides to ``b - offsets``.
     """
 
     costs: np.ndarray
-    products: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray
 
 
-def facet_lift(fld: VectorField, rect: Rectangle, normals) -> FacetLift:
-    """The ``FacetLift`` of the facet programs of ``normals``: the lift
-    degrees and their size check, the stacked Bernstein coefficients, the
-    facet costs and the class-point products, computed once."""
-    normals = np.asarray(normals, dtype=float)
-    if normals.shape[1] != fld.n or rect.n != fld.n:
+def facet_lift(fld: VectorField, rect: Rectangle, tpl: PolytopeTemplate) -> FacetLift:
+    """The ``FacetLift`` of the facet programs of ``tpl``'s normals at its
+    offsets: the lift degrees and their size check, the stacked Bernstein
+    coefficients, the facet costs and the class values, computed once."""
+    if tpl.n != fld.n or rect.n != fld.n:
         raise ValueError("dimension mismatch")
-    degrees = lift_degrees(fld.degrees, normals)
+    degrees = lift_degrees(fld.degrees, tpl.normals)
     check_lift(degrees, "vector field")
     padded = [f.pad_degrees(degrees) for f in fld.components]
     bern = np.stack(
@@ -391,35 +391,18 @@ def facet_lift(fld: VectorField, rect: Rectangle, normals) -> FacetLift:
         ]
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        costs = -np.matmul(normals[:, None, :], bern)[:, 0]
+        costs = -np.matmul(tpl.normals[:, None, :], bern)[:, 0]
     if not np.isfinite(costs).all():
         raise ValueError("vector field: facet costs overflow the float range")
-    # the values at right-hand side 0 are the products, bit for bit; one
-    # beyond the float range is refused with the pass's values
-    return FacetLift(costs, class_constraint_values(degrees, rect, normals, 0.0))
-
-
-def _facet_values(lift: FacetLift, offsets) -> np.ndarray:
-    """The class values ``n_i . p(c) - b_i`` of ``lift`` at the offsets ``b``."""
-    with np.errstate(over="ignore"):
-        values = lift.products - offsets
+    values = class_constraint_values(degrees, rect, tpl.normals, tpl.offsets)
     if not np.isfinite(values).all():
-        raise ValueError(
-            "vector field: facet values at the class points overflow the float range"
-        )
-    return values
+        raise ValueError("vector field: facet values at the class points overflow the float range")
+    return FacetLift(costs, values, tpl.offsets)
 
 
 def _others(m: int) -> np.ndarray:
     """Row ``k``: every facet but ``k``, in order."""
     return np.arange(1, m) - (np.arange(1, m) <= np.arange(m)[:, None])
-
-
-def _facet_stack(lift: FacetLift, values: np.ndarray, ks) -> LPStack:
-    """The bounding programs of facets ``ks`` at the class values ``values``."""
-    K, m = values.shape
-    g = values[np.arange(K)[:, None], _others(m)[ks][:, None, :]]
-    return bounding_programs(lift.costs[ks], g, values.T[ks][:, :, None])
 
 
 def facet_programs(
@@ -429,10 +412,11 @@ def facet_programs(
 
     Facet ``k`` minimizes ``-n_k . f`` subject to ``n_k . x = b_k`` and the
     other facets' inequalities.  All facets share the lift degrees, hence the
-    class points, and their costs and constraint values come off ``lift``,
-    ``facet_lift`` of the template's normals, which is built here when not
-    given: a pass only subtracts its offsets from the class-point products.
-    Each chunk is gathered from these shared arrays by
+    class points, and their costs and rows come off ``lift``, ``facet_lift``
+    of the template's normals at the offsets ``b0``, built here at the
+    template's own when not given: the offsets ``b`` only set the
+    right-hand sides of the rows of facets ``i``, to ``b_i - b0_i``.  Each
+    chunk is gathered from these shared arrays by
     ``relaxation.bounding_programs``, and holds as many facets as keep its
     tableau within ``lpsolve.STACK_BYTES`` (at least one).  Member ``i`` of
     a chunk (``stack[i]``) is its facet's program as ``bounding_program``
@@ -441,65 +425,55 @@ def facet_programs(
     if tpl.offsets is None:
         raise ValueError("template needs offsets to verify")
     if lift is None:
-        lift = facet_lift(fld, rect, tpl.normals)
-    values = _facet_values(lift, tpl.offsets)
-    m, K = tpl.m, values.shape[0]
-    # facet k's bound needs m - 1 inequality rows and two equality rows (the
-    # weights and the facet), all with right-hand side 0 or 1
+        lift = facet_lift(fld, rect, tpl)
+    moved = tpl.offsets - lift.offsets
+    K, m = lift.values.shape
+    # facet k's program: m - 1 inequality rows, the weight row and its own row
     per_stack = stack_members(K, m - 1, 2)
     return (
-        _facet_stack(lift, values, np.arange(lo, min(lo + per_stack, m)))
+        _facet_stack(lift, moved, np.arange(lo, min(lo + per_stack, m)))
         for lo in range(0, m, per_stack)
     )
 
 
+def _facet_stack(lift: FacetLift, moved: np.ndarray, ks) -> LPStack:
+    """The programs of facets ``ks`` over ``lift``'s rows, at offsets ``lift.offsets + moved``."""
+    K, m = lift.values.shape
+    others = _others(m)[ks]
+    g = lift.values[np.arange(K)[:, None], others[:, None, :]]
+    stack = bounding_programs(lift.costs[ks], g, lift.values.T[ks][:, :, None])
+    stack.h[:] = moved[others]
+    stack.d[:, 1] = moved[ks]
+    return stack
+
+
 class _Passes:
     """What a synthesis carries from one pass to the next: the end tableaux
-    of each facet stack, with the offsets its tableaux were built at,
-    within ``KEEP_BYTES`` in all.
+    of each facet stack, within ``KEEP_BYTES`` in all.
 
-    The tableau of a facet program built at offsets ``b`` has the rows
-    ``n_i . p(c) - b_i``; through the weight row, the program at offsets
-    ``b'`` is the program over those rows with right-hand sides
-    ``b'_i - b_i``, so a later pass restarts from it at those right-hand
-    sides (``lpsolve.solve_dual_stack``).  A stack solved cold is built at
-    the pass's own offsets.  Each facet stack is charged its tableaux when
-    the first pass meets it; what does not fit runs cold in every pass.
+    Every pass poses the facet programs over the rows of one ``FacetLift``,
+    at its own right-hand sides (``facet_programs``), so a later pass
+    restarts each stack from the previous pass's end tableaux of the same
+    rows (``lpsolve.solve_dual_stack``).  Each facet stack is charged its
+    tableaux when the first pass meets it; what does not fit, and a stack
+    whose restart fails, is solved cold over the same rows.
     """
 
     def __init__(self):
         self.room = KEEP_BYTES
-        self.stacks = []  # per facet stack: [Restart or None, offsets built at]
-        self._base = (None, None)  # the last offsets built at, and their class values
+        self.restarts = []  # per facet stack: its Restart, or None past KEEP_BYTES
 
-    def certify(self, i: int, stack: LPStack, lift: FacetLift, ks, offsets) -> list:
-        """``certify_stack`` of the ``i``-th stack of a pass at ``offsets``,
-        the facets ``ks`` of ``lift``, from the tableaux of the previous
-        pass's."""
-        if i == len(self.stacks):
+    def certify(self, i: int, stack: LPStack) -> list:
+        """``certify_stack`` of the ``i``-th stack of a pass, from the
+        tableaux of the previous pass's."""
+        if i == len(self.restarts):
             S, m_ineq, K = stack.G.shape
             size = S * tableau_bytes(K, m_ineq, stack.A.shape[1])
             fits = size <= self.room
             if fits:
                 self.room -= size
-            self.stacks.append([Restart() if fits else None, None])
-        restart, base = self.stacks[i]
-        if restart is None:
-            return certify_stack(stack)
-        rows = None
-        if restart.tab is not None:
-            if self._base[0] is not base:
-                self._base = (base, _facet_values(lift, base))
-            built = _facet_stack(lift, self._base[1], ks)
-            others = _others(len(offsets))[ks]
-            h = offsets[others] - base[others]
-            d = built.d.copy()
-            d[:, 1] = offsets[ks] - base[ks]
-            rows = LPStack(built.c, built.G, h, built.A, d)
-        results = certify_stack(stack, restart, rows)
-        if not restart.warm:
-            self.stacks[i][1] = offsets
-        return results
+            self.restarts.append(Restart() if fits else None)
+        return certify_stack(stack, self.restarts[i])
 
 
 def verify(
@@ -513,11 +487,11 @@ def verify(
 
     The facet programs are certified chunk by chunk, each chunk in one
     stacked solve (``relaxation.certify_stack``).  ``lift`` is
-    ``facet_lift`` of the template's normals, which a synthesis builds once
-    for all its passes; a lone call builds it itself.  A synthesis also
-    passes its ``_Passes``, from which every pass after its first restarts
-    the facet programs.  A facet whose program fails numerically is recorded
-    and skipped; the report then cannot certify invariance but the other
+    ``facet_lift`` of the template's normals, which a synthesis builds once,
+    at its first pass's offsets; a lone call builds it at the template's.
+    A synthesis also passes its ``_Passes``, from which every pass after its
+    first restarts the facet programs.  A facet whose program fails
+    numerically is recorded and skipped; the report then cannot certify invariance but the other
     facets keep their data, bit for bit.
     """
     m = tpl.m
@@ -527,11 +501,7 @@ def verify(
     failures: dict = {}
     k = 0
     for i, stack in enumerate(facet_programs(fld, rect, tpl, lift)):
-        if passes is None:
-            results = certify_stack(stack)
-        else:
-            results = passes.certify(i, stack, lift, np.arange(k, k + len(stack)), tpl.offsets)
-        for res in results:
+        for res in certify_stack(stack) if passes is None else passes.certify(i, stack):
             if isinstance(res, InfeasiblePolytope):
                 feasible[k] = False
             elif isinstance(res, NumericalFailure):
@@ -772,7 +742,7 @@ def synthesize(
     if np.any(b_lo > offsets0 + 1e-12):
         raise ValueError("initial offsets must satisfy b_lo <= offsets <= b_hi")
 
-    lift = facet_lift(fld, rect, tpl.normals)
+    lift = facet_lift(fld, rect, tpl)
     passes = _Passes()
     records: list[IterationRecord] = []
     status = ITERATION_LIMIT

@@ -64,9 +64,9 @@ column of an end tableau depends on the right-hand sides: it is recomputed
 from the basis inverse, the basis stays dual feasible, and the dual simplex
 makes it primal feasible again, the pivots that a cold solve spends saved
 where the right-hand sides moved little.  A stack in which any member's
-restart fails is solved cold, so a restart decides no emptiness and adds no
-failure; its answers are optimal ones, though not bit for bit the cold
-solve's.
+restart fails is solved cold, bit for bit as without a restart, so a
+restart decides no emptiness and adds no failure; a restart's answers are
+optimal ones, though not bit for bit the cold solve's.
 """
 
 from __future__ import annotations
@@ -804,7 +804,7 @@ def _cold_dual(stack: LPStack, duals: bool) -> tuple:
     return tab, _solutions(split, tab, out)
 
 
-def solve_dual_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
+def solve_dual_stack(stack: LPStack, restart: Restart = None) -> list:
     """Solve every member of ``stack``, whose costs are nonnegative, by the
     dual simplex from its slack basis, with the multipliers of the
     degenerate-row pass.
@@ -823,19 +823,17 @@ def solve_dual_stack(stack: LPStack, restart: Restart = None, rows: LPStack = No
     ``len(stack)`` times one member's, which callers keep within
     ``STACK_BYTES`` (``stack_members``).
 
-    With a ``restart`` that holds the end tableaux of an earlier solve, the
-    members restart from them (``_restart``) on ``rows``: the same programs
-    posed on the rows those tableaux were built on, with the right-hand
-    sides that make them the programs of ``stack``.  The outcomes are then
-    ``rows``' solutions, past the degenerate-row pass, the refinement and
-    the KKT self-check; if any member's restart fails, the whole stack is
-    solved cold, as without a restart.  Either way ``restart`` keeps the
-    end tableaux.
+    With a ``restart`` that holds the end tableaux of an earlier solve of
+    the same costs and rows, the members restart from them (``_restart``)
+    at ``stack``'s right-hand sides, past the degenerate-row pass, the
+    refinement and the KKT self-check; if any member's restart fails, the
+    whole stack is solved cold, as without a restart.  Either way
+    ``restart`` keeps the end tableaux.
     """
     if restart is not None:
         restart.warm = False
-        if restart.tab is not None and rows is not None:
-            out = _restarted(restart.tab, _split(rows))
+        if restart.tab is not None:
+            out = _restarted(restart.tab, _split(stack))
             if out is not None:
                 restart.warm = True
                 return out

@@ -232,7 +232,7 @@ def certify(lp: LPProblem) -> BoundResult:
     return outcome
 
 
-def certify_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None) -> list:
+def certify_stack(stack: LPStack, restart: Restart = None) -> list:
     """``certify`` for every member of a stack of bounding programs, with one
     stacked solve from their dual-feasible starts (``solve_dual_stack``).
 
@@ -249,14 +249,13 @@ def certify_stack(stack: LPStack, restart: Restart = None, rows: LPStack = None)
     Returns one outcome per member: its BoundResult, or the
     InfeasiblePolytope or NumericalFailure that ``certify`` would raise for
     it alone.  Every member comes out bit for bit as ``certify`` gives it.
-    With a ``restart``, the solve restarts from its end tableaux on ``rows``
-    (see ``solve_dual_stack``): the same programs, each row of ``rows`` the
-    row of ``stack`` plus a multiple of the weight row, whose multiplier is
-    the only one that differs.  The bound is the one the multipliers certify
-    in ``stack``.
+    A member may have nonzero right-hand sides ``h`` and ``d[1:]``, as the
+    facet programs of a later pass have (``invariance.facet_programs``): its
+    bound is then ``certify``'s certificate less ``lam . h + mu . d[1:]``.
+    With a ``restart``, the solve restarts from the end tableaux of an
+    earlier solve of the same rows (see ``solve_dual_stack``).
     """
-    shifted = None if rows is None else _shifted(rows)
-    return _certified(stack, solve_dual_stack(_shifted(stack), restart, shifted))
+    return _certified(stack, solve_dual_stack(_shifted(stack), restart))
 
 
 def _shifted(stack: LPStack) -> LPStack:
@@ -277,7 +276,9 @@ def _certified(stack: LPStack, sols) -> list:
         + np.matmul(stack.G.swapaxes(1, 2), lam[:, :, None])[:, :, 0]
         + np.matmul(stack.A[:, 1:].swapaxes(1, 2), mu[:, :, None])[:, :, 0]
     )
-    d_star = terms.min(axis=1)
+    rhs = np.matmul(lam[:, None], stack.h[:, :, None])[:, 0, 0]
+    rhs += np.matmul(mu[:, None], stack.d[:, 1:, None])[:, 0, 0]
+    d_star = terms.min(axis=1) - rhs
     out = []
     for k, sol in enumerate(sols):
         if isinstance(sol, NumericalFailure):

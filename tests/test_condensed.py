@@ -126,16 +126,17 @@ def test_general_programs_match_the_dense_tableau(pivots):
 @pytest.mark.parametrize("m", [32, 64])
 def test_facet_stacks_match_the_dense_tableau(pivots, m):
     # every facet program of the first passes of a FitzHugh-Nagumo
-    # synthesis with m facets, in the stacks that verify solves, with their
-    # costs less their least, as certify_stack poses them; a stack pivots
-    # its members in lockstep, and its pivots are theirs
+    # synthesis with m facets, posed at its first pass's offsets, in the
+    # stacks that verify solves, with their costs less their least, as
+    # certify_stack poses them; a stack pivots its members in lockstep, and
+    # its pivots are theirs
     fld, rect, _, ref = fitzhugh_nagumo()
     angles = 2.0 * np.pi * np.arange(m) / m
     normals = np.column_stack([np.cos(angles), np.sin(angles)])
     trace = synthesize(
         fld, rect, PolytopeTemplate(normals), SynthesisParams(reference_point=ref, max_iter=4)
     )
-    lift = facet_lift(fld, rect, normals)
+    lift = facet_lift(fld, rect, PolytopeTemplate(normals, trace.records[0].offsets))
     sizes = []
     for record in trace.records:
         tpl = PolytopeTemplate(normals, record.offsets)

@@ -26,7 +26,13 @@ from polyvar.invariance import (
 )
 from polyvar.oracle import facet_nonempty
 from polyvar.polynomial import MultiPoly, Rectangle, bernstein_coefficients, evaluate
-from polyvar.relaxation import ConstraintSet, certify_stack, class_constraint_values, lower_bound
+from polyvar.relaxation import (
+    ConstraintSet,
+    certify_stack,
+    class_constraint_values,
+    lift_degrees,
+    lower_bound,
+)
 
 from conftest import (
     MODELS_DIR,
@@ -497,6 +503,29 @@ class TestSynthesisLift:
             assert report.failures == rec.failures
         assert lifts[0] == 1 + trace.n_iterations  # a lone verify builds its own
 
+    @pytest.mark.parametrize("m", [None, 6])
+    def test_certificates_at_moved_right_hand_sides(self, m):
+        # each pass's facet stacks, posed over the rows of the pass before
+        # at their own right-hand sides, certify the bounds of the programs
+        # posed at their own offsets
+        model = load_model(MODELS_DIR / "fitzhugh_nagumo.json")
+        fld, rect = model.field, model.rectangle
+        tpl = model.template if m is None else PolytopeTemplate(uniform_normals(m))
+        trace = synthesize(fld, rect, tpl, model.params)
+        assert trace.n_iterations > 1
+        for before, after in zip(trace.records, trace.records[1:]):
+            lift = polyvar.invariance.facet_lift(fld, rect, tpl.with_offsets(before.offsets))
+            at = tpl.with_offsets(after.offsets)
+            posed = list(polyvar.invariance.facet_programs(fld, rect, at, lift))
+            assert all(stack.h.any() and stack.d[:, 1].any() for stack in posed)
+            moved = [res for stack in posed for res in certify_stack(stack)]
+            own = [res for stack in polyvar.invariance.facet_programs(fld, rect, at)
+                   for res in certify_stack(stack)]
+            for ours, ref in zip(moved, own, strict=True):
+                assert type(ours) is type(ref)
+                if hasattr(ref, "d_star"):
+                    assert abs(ours.d_star - ref.d_star) <= 1e-12 * (1.0 + abs(ref.d_star))
+
 
 class TestWarmPasses:
     """Every pass of a synthesis after its first restarts its facet
@@ -554,22 +583,58 @@ class TestWarmPasses:
         assert 2 * warm <= pivots[0], (warm, pivots[0])
 
     def test_nothing_kept_runs_every_pass_cold(self, monkeypatch):
-        # without room for tableaux every pass is, bit for bit, a fresh verify
+        # without room for tableaux every pass is, bit for bit, a fresh
+        # verify over the programs posed at the first pass's offsets
         monkeypatch.setattr(polyvar.invariance, "KEEP_BYTES", 0)
         model = load_model(MODELS_DIR / "fitzhugh_nagumo.json")
+        fld, rect = model.field, model.rectangle
         tpl = PolytopeTemplate(uniform_normals(6))
-        trace = synthesize(model.field, model.rectangle, tpl, model.params)
+        trace = synthesize(fld, rect, tpl, model.params)
         assert trace.n_iterations > 2
+        lift = polyvar.invariance.facet_lift(fld, rect, tpl.with_offsets(trace.records[0].offsets))
         for rec in trace.records:
-            report = verify(model.field, model.rectangle, tpl.with_offsets(rec.offsets))
+            report = verify(fld, rect, tpl.with_offsets(rec.offsets), lift)
             assert report.d_star.tobytes() == rec.d_star.tobytes()
+
+    @pytest.mark.parametrize("name, m", [("phytoplankton", None), ("fitzhugh_nagumo", 6)])
+    def test_failed_restarts_are_the_cold_solves(self, monkeypatch, name, m):
+        # a restart that fails falls back to the cold solve of the same
+        # programs: the synthesis is, bit for bit, the one that keeps nothing
+        model = load_model(MODELS_DIR / f"{name}.json")
+        tpl = model.template if m is None else PolytopeTemplate(uniform_normals(m))
+
+        def run():
+            trace = synthesize(model.field, model.rectangle, tpl, model.params)
+            return trace, [
+                [None if a is None else np.asarray(a).tobytes() for a in (
+                    rec.offsets, rec.d_star, rec.facet_feasible, rec.alpha, rec.repaired_offsets
+                )] + [rec.failures, rec.t_star, rec.t_big, rec.step]
+                for rec in trace.records
+            ]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polyvar.invariance, "KEEP_BYTES", 0)
+            cold, cold_records = run()
+        failed = [0]
+
+        def restart(tab, stack):
+            failed[0] += 1
+            return [lpsolve.NumericalFailure("injected")] * len(stack)
+
+        monkeypatch.setattr(lpsolve, "_restart", restart)
+        trace, records = run()
+        assert failed[0] > 0 and trace.n_iterations > 1
+        assert records == cold_records
+        assert trace.status == cold.status
+        assert trace.final_offsets.tobytes() == cold.final_offsets.tobytes()
 
     def test_stacks_past_the_limit_run_cold(self, monkeypatch):
         # room for the first facet stack: the other stacks start cold, from
         # their dual starts, in every pass
         fld, rect, _, ref = fitzhugh_nagumo()
         tpl = PolytopeTemplate(uniform_normals(64))
-        K = polyvar.invariance.facet_lift(fld, rect, tpl.normals).products.shape[0]
+        lift = polyvar.invariance.facet_lift(fld, rect, tpl.with_offsets(tpl.support_in(rect)))
+        K = lift.values.shape[0]
         first = lpsolve.stack_members(K, 63, 2)
         monkeypatch.setattr(polyvar.invariance, "KEEP_BYTES", first * lpsolve.tableau_bytes(K, 63, 2))
         phases = count_phases(monkeypatch)
@@ -688,10 +753,14 @@ class TestStepCertificates:
         assert len(steps) == trace.n_iterations - (trace.status == INVARIANT_FOUND)
         kinds = {step.kind for _, _, step in steps}
         assert kinds == ({CAPPED} if m else {LEAST_MOVE})
-        lift = polyvar.invariance.facet_lift(model.field, model.rectangle, tpl0.normals)
+        rect, normals = model.rectangle, tpl0.normals
+        lift = polyvar.invariance.facet_lift(model.field, rect, tpl0.with_offsets(steps[0][1]))
+        products = class_constraint_values(
+            lift_degrees(model.field.degrees, normals), rect, normals, 0.0
+        )
         for report, b, step in steps:
             rows = report.multipliers
-            values = lift.products - (b + step.alpha)
+            values = products - (b + step.alpha)
             certified = (lift.costs + rows @ values.T).min(axis=1)
             predicted = report.d_star - rows @ step.alpha
             np.testing.assert_array_less(

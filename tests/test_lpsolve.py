@@ -857,7 +857,7 @@ class TestWarmRestart:
             if restart.tab is None:
                 return
             one = LPStack.of(moved)
-            (out,) = lpsolve.solve_dual_stack(one, restart, one)
+            (out,) = lpsolve.solve_dual_stack(one, restart)
             assert not isinstance(out, NumericalFailure), kind
             assert out.status == cold.status, kind
             if cold.status == INFEASIBLE:
@@ -900,7 +900,7 @@ class TestWarmRestart:
         monkeypatch.setattr(
             lpsolve, "_restart", lambda tab, stack: [NumericalFailure("injected")] * len(stack)
         )
-        (out,) = lpsolve.solve_dual_stack(one, restart, one)
+        (out,) = lpsolve.solve_dual_stack(one, restart)
         assert not restart.warm and restart.tab is not None
         assert out.x.tobytes() == cold.x.tobytes() == solve(moved).x.tobytes()
 
@@ -1012,6 +1012,65 @@ class TestDualStart:
         assert pivots == [1] and out.x.tolist() == [0.0, 1.0, 0.0] and out.objective == 0.5
 
 
+def klee_minty(n=7) -> LPProblem:
+    """The LP dual of the ``n``-D Klee–Minty cube ``max c . x`` subject to
+    ``A x <= b`` and ``x >= 0``, for ``c_j = 10^(n-1-j)``, row ``i`` of ``A x``
+    being ``2 sum_{j<i} 10^(i-j) x_j + x_i`` and ``b_i = 100^i``: ``min b .
+    y`` subject to ``-A^T y <= -c`` and ``y >= 0``, whose costs are
+    nonnegative.  Its optimum is the cube's, ``100^(n-1)``."""
+    i, j = np.indices((n, n))
+    A = np.where(j < i, 2.0 * 10.0 ** (i - j), np.eye(n))
+    return LPProblem(100.0 ** np.arange(n), G=-A.T, h=-(10.0 ** np.arange(n - 1, -1, -1)))
+
+
+def basic_programs() -> list:
+    """The programs of ``TestBasics``, Beale's LP dual among them."""
+    beale = np.array([
+        [0.25, -60.0, -1.0 / 25.0, 9.0],
+        [0.5, -90.0, -1.0 / 50.0, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ])
+    return [
+        LPProblem([1.0], G=[[-1.0], [-1.0]], h=[-1.0, -2.0]),
+        LPProblem([1.0, 0.0], G=[[-1.0, 1.0]], h=[1.0]),
+        LPProblem([0.0], G=[[1.0]], h=[-1.0]),
+        LPProblem([1.0, 0.0, 0.0], G=[[0.0, -1.0, 1.0]], h=[-2.0], A=[[1.0, -1.0, 1.0]], d=[1.0]),
+        box_lp([-1.0, 0.0], Rectangle([-5.0, -5.0], [5.0, 5.0]),
+               G=[[1.0, 0.0]] * 5, h=[1.0] * 5, A=[[1.0, 0.0]], d=[1.0]),
+        LPProblem([0.0, 0.0, 1.0], G=-beale.T, h=[-0.75, 150.0, -0.02, 6.0]),
+    ]
+
+
+class TestBlandRule:
+    """After more than ``5 * size`` degenerate pivots the dual loop picks the
+    leaving row below zero whose basic column comes first (Bland's rule)."""
+
+    @pytest.mark.parametrize("k", range(len(basic_programs()) + 1))
+    def test_matches_the_default_rule(self, monkeypatch, k):
+        # from the dual start with the degenerate count past the switch, the
+        # same status and optimum as the normalized rule
+        lp = (basic_programs() + [klee_minty()])[k]
+        pivots = []
+        real = lpsolve._pivot
+        monkeypatch.setattr(lpsolve, "_pivot", lambda *args: pivots.append(real(*args)))
+        ends = []
+        for bland in (False, True):
+            tab = lpsolve._dual_start(lpsolve._split(LPStack.of(lp)), lp.m_eq)
+            st = lpsolve._part(tab.state, 0)
+            size = st[0].shape[0] - 1 + lpsolve._width(st[0])
+            pivots.clear()
+            status = lpsolve._dual_loop(st, 5 * size + 1 if bland else 0)
+            ends.append((status, -st[0][-1, -1], len(pivots)))
+        (status, value, default), (bland_status, bland_value, taken) = ends
+        assert bland_status == status
+        if status == OPTIMAL:
+            assert abs(bland_value - value) <= 1e-9 * abs(value)
+        if k == len(basic_programs()):
+            # every row of the Klee–Minty dual starts below zero: Bland's
+            # rule leaves by other rows than the normalized one
+            assert status == OPTIMAL and taken != default
+
+
 class TestSolve:
     """``solve``: one program with nonnegative costs, by the dual simplex
     from its slack basis, its equality rows split."""
@@ -1034,6 +1093,15 @@ class TestSolve:
                 assert np.all(lp.G @ sol.x <= lp.h + 1e-9) and np.all(sol.x >= 0.0)
                 assert np.all(np.abs(lp.A @ sol.x - lp.d) <= 1e-9)
         assert statuses == {OPTIMAL, INFEASIBLE}
+
+    def test_klee_minty_cube_as_its_dual(self):
+        # the 7-D cube, with costs up to 1e12, at HiGHS's optimum
+        lp = klee_minty()
+        sol = solve(lp)
+        status, value, _ = highs(lp)
+        assert sol.status == status == OPTIMAL
+        assert abs(sol.objective - 1e12) <= 1e-9 * 1e12
+        assert abs(sol.objective - value) <= 1e-9 * abs(value)
 
     def test_refuses_negative_costs(self):
         with pytest.raises(ValueError, match="nonnegative costs"):
