@@ -30,11 +30,12 @@ side only, and a pivot is a Jordan exchange, the leaving column taking the
 entering column's slot.  A program with far more rows than columns, such as
 a facet program of a template with many facets, updates a few columns per
 pivot instead of all.  Every entry takes the full tableau's float
-operations and equals its entry (see ``_Tableau``).  Only the dual
-refinement multiplies at full width, since ``np.matmul`` rounds a column
-subset of ``v @ M`` differently from the full product.  Every pivot choice
+operations and equals its entry (see ``_Tableau``), and every pivot choice
 compares the stored columns and breaks ties by column index (``_first``),
-so it is the full tableau's choice over its whole row.
+so it is the full tableau's choice over its whole row.  The basis inverse,
+whose columns are the slacks', a basic one a unit vector, is never formed:
+the dual refinement and a warm restart read the stored slack columns only
+(``_stored_slacks``), and round as over the full inverse.
 
 The engine works on stacks (``LPStack``): programs of one shape, such as
 the facet programs of one verification pass or the directions of one
@@ -61,7 +62,7 @@ is its stack of one, for the offset step's programs and
 ``Restart`` that an earlier solve of the same costs and rows at other
 right-hand sides filled with its end tableaux.  Only the right-hand side
 column of an end tableau depends on the right-hand sides: it is recomputed
-from the basis inverse, the basis stays dual feasible, and the dual simplex
+(``_restart``), the basis stays dual feasible, and the dual simplex
 makes it primal feasible again, the pivots that a cold solve spends saved
 where the right-hand sides moved little.  A stack in which any member's
 restart fails is solved cold, bit for bit as without a restart, so a
@@ -84,9 +85,9 @@ _NO_COLUMN = np.iinfo(np.intp).max  # above every column, for ``_first``
 
 # Largest stacked tableau, in bytes, that a caller builds: programs whose
 # condensed tableaux together would exceed it go in several stacks, and a
-# program whose tableau alone exceeds it in a stack of one.  The basis
-# inverses of the dual refinement are built a chunk of members at a time
-# within the same size.
+# program whose tableau alone exceeds it in a stack of one.  The slack
+# columns that the dual refinement and a warm restart gather from a stack
+# (``_stored_slacks``) number at most five more than the tableau's columns.
 STACK_BYTES = 256 * 1024
 
 
@@ -195,12 +196,6 @@ def tableau_bytes(n_vars: int, m_ineq: int, m_eq: int) -> int:
     of ``m_ineq + 2 m_eq + 1`` rows, each equality row posed as two
     inequality rows (``_split``)."""
     return 8 * (m_ineq + 2 * m_eq + 1) * (n_vars + 1)
-
-
-def _per_chunk(cells: int) -> int:
-    """How many members' arrays of ``cells`` floats each fit in
-    ``STACK_BYTES`` (at least one)."""
-    return max(1, STACK_BYTES // (8 * max(1, cells)))
 
 
 # A tableau's state is the tuple ``(T, basis, cols)`` of one member
@@ -516,7 +511,7 @@ def _mv(M, v):
 
     ``np.matmul`` runs each member's product as ``@`` runs it on that member
     alone, so a stacked product rounds as the per-member one does, as long
-    as each member's operands are laid out alike (see ``_solutions``).
+    as each member's operands are laid out alike (see ``_stored_slacks``).
     """
     return np.matmul(M, v[..., None])[..., 0]
 
@@ -548,10 +543,10 @@ class _Tableau:
     right-hand side.  ``T[k]`` holds the rows over ``cols[k]`` as the full
     tableau holds them, then those columns' reduced costs and minus the
     objective.  Row ``i``'s slack, basic in it at the start, is its column
-    of the basis inverse, and its reduced cost is minus the row's dual,
-    mapped back to the program's row by ``row_scale[k, i]``.  ``pairs``
-    counts the equality rows posed as two inequality rows each, the last
-    ``2 * pairs`` rows (``_split``).
+    of the basis inverse (``_stored_slacks``), and its reduced cost is minus
+    the row's dual, mapped back to the program's row by ``row_scale[k, i]``.
+    ``pairs`` counts the equality rows posed as two inequality rows each,
+    the last ``2 * pairs`` rows (``_split``).
 
     A basic column is not stored: off its own row it is ``+0.0``, with a
     reduced cost of ``+0.0``, as in the full tableau, and a leaving column
@@ -641,6 +636,35 @@ def _dual_phase(tab: _Tableau, out: list) -> list:
     return out
 
 
+def _stored_slacks(tab: _Tableau) -> tuple:
+    """``(slack, columns, reduced)``: the slack columns that each member's
+    tableau stores, the others being basic, unit columns with a zero reduced
+    cost.  ``slack[k, p]`` is the slack's row (``m`` for none), and
+    ``columns[k, p]`` and ``reduced[k, p]`` its entries in ``T[k]``.
+
+    ``np.matmul``'s BLAS product sums blocks of four columns, a tail of two
+    and a tail of one each in its own order, so they fall as the full
+    inverse's do, and a product rounds each as over it: the stored slacks of
+    the first ``4 * (m // 4)`` rows in order, padded to a multiple of four
+    (to four before a lone tail, else summed as a dot), then the last ``m % 4``."""
+    T, basis, cols = tab.state
+    S, m = basis.shape
+    k, head = np.arange(S)[:, None], m - m % 4
+    slot = np.full((S, _width(T) + 1), -1)
+    slot[k, cols[:, :-1]] = np.arange(cols.shape[1] - 1)
+    slot = slot[:, _width(T) - m :]  # each slack's slot, -1 where basic, and -1 at m
+    stored = np.where(slot[:, :head] >= 0, np.arange(head), m)
+    stored.sort(axis=1)
+    width = max(-(-(stored < m).sum(axis=1).max(initial=0) // 4) * 4, 4 * (head and m % 4 == 1))
+    slack = np.empty((S, width + m - head), dtype=int)
+    slack[:, :width], slack[:, width:] = stored[:, :width], np.arange(head, m)
+    at = slot[k, slack]
+    none = at < 0
+    columns, reduced = T[k, :-1, at], T[k, -1, at]
+    columns[none], reduced[none], slack[none] = 0.0, 0.0, m
+    return slack, columns, reduced
+
+
 def _restart(tab: _Tableau, stack: LPStack) -> list:
     """Minimize each member of ``stack``, split by ``_split``, from its end
     tableau in ``tab``, an optimal basis that a solve of the same costs and
@@ -648,40 +672,24 @@ def _restart(tab: _Tableau, stack: LPStack) -> list:
     basis.
 
     Only the right-hand side column changes: it becomes ``B^-1 b`` for the
-    stack's scaled right-hand sides ``b``, with ``B^-1`` read off the start
-    columns, and the objective entry follows.  The reduced costs stay, so
-    the basis stays dual feasible, and dual simplex pivots (``_dual_loops``)
+    stack's scaled right-hand sides ``b``, a row's own ``b`` where its slack
+    is basic plus the stored slack columns (``_stored_slacks``) times their
+    ``b``, and the objective entry follows.  The reduced costs stay, so the
+    basis stays dual feasible, and dual simplex pivots (``_dual_loops``)
     restore primal feasibility (``_dual_phase``), whose outcomes this
     returns; 'infeasible' is a verdict, as from a dual start.
     """
-    T, basis, cols = tab.state
-    S, _, n = stack.G.shape
-    b = stack.h * tab.row_scale
-    step = _per_chunk(basis.shape[1] ** 2)
-    for lo in range(0, S, step):
-        at = slice(lo, lo + step)
-        inverse, _ = _start_columns(T[at], basis[at], cols[at])
-        T[at, :-1, -1] = _vm(b[at], inverse)
+    T, basis = tab.T, tab.basis
+    S, m, n = stack.G.shape
+    k = np.arange(S)[:, None]
+    b = np.zeros((S, m + 1))  # 0 at m, for no slack
+    b[:, :m] = stack.h * tab.row_scale
+    slack, columns, _ = _stored_slacks(tab)
+    T[:, :-1, -1] = b[k, np.where(basis >= n, basis - n, m)] + _vm(b[k, slack], columns)
     cost = np.zeros((S, _width(T) + 1))
     cost[:, :n] = stack.c
-    T[:, -1, -1] = -_dot(cost[np.arange(S)[:, None], basis], T[:, :-1, -1])
+    T[:, -1, -1] = -_dot(cost[k, basis], T[:, :-1, -1])
     return _dual_phase(tab, [None] * S)
-
-
-def _start_columns(T, basis, cols) -> tuple:
-    """Each member's start columns of the full tableau, its slacks, which
-    hold the basis inverse, listed as rows, and their reduced costs (0
-    where basic)."""
-    k = np.arange(len(T))[:, None]
-    m = basis.shape[1]
-    start = _width(T) - m + np.arange(m)
-    slots = np.full((len(T), _width(T) + 1), -1)
-    slots[k, cols] = np.arange(cols.shape[1])
-    slot = slots[:, start]
-    inverse = (start[:, None] == basis[:, None, :]).astype(float)
-    kk, ii = np.nonzero(slot >= 0)
-    inverse[kk, ii] = T[kk, :-1, slot[kk, ii]]
-    return inverse, np.where(slot >= 0, T[k, -1, slot], 0.0)
 
 
 def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
@@ -689,15 +697,15 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
     its LPSolution or by the NumericalFailure of the KKT self-check.
 
     Member ``k`` minimizes ``stack.c[k]`` over its rows in ``stack``, split
-    by ``_split``, at its end basis in ``tab``.  The refinement runs a
-    chunk of members at a time.  The self-check runs on the split rows, and
-    each pair's multiplier is read as the free multiplier ``lam+ - lam-``
-    of the equality row it poses.
+    by ``_split``, at its end basis in ``tab``.  The dual refinement reads
+    only the stored slack columns (``_stored_slacks``).  The self-check
+    runs on the split rows, and each pair's multiplier is read as the free
+    multiplier ``lam+ - lam-`` of the equality row it poses.
     """
-    T, basis, cols = tab.state
+    T, basis = tab.T, tab.basis
     S, m = basis.shape
     m_ineq, n = stack.G.shape[1:]
-    costs, width, row_scale = stack.c, _width(T), tab.row_scale
+    costs, width = stack.c, _width(T)
     members = np.arange(S)[:, None]
     x = np.zeros((S, width))
     x[members, basis] = T[:, :-1, -1]
@@ -705,27 +713,19 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
     # The multipliers lam come off the reduced costs of the start columns.
     # Pivots on small elements leave round-off in T, which a bound reads
     # through the multipliers, so one refinement step follows: the reduced
-    # costs of the basic columns, recomputed from the rows of the program,
-    # should be zero, and the basis inverse maps them to the correction.
-    # ``_start_columns`` lists the start columns as rows; read transposed,
-    # it is laid out as NumPy lays out ``T[:-1, start]`` of one member's
-    # full tableau ``T``, so it rounds the same.
-    w = np.empty((S, m))
-    step = _per_chunk(m * (m + T.shape[2]))
-    for lo in range(0, S, step):
-        at = slice(lo, lo + step)
-        inverse, reduced = _start_columns(T[at], basis[at], cols[at])
-        k, scale = np.arange(len(inverse))[:, None], row_scale[at]
-        G, A = stack.G[at], stack.A[at]
-        dual = reduced * scale
-        r = np.zeros((k.size, width))
-        r[:, :n] = (
-            costs[at]
-            + _mv(G.swapaxes(1, 2), dual[:, :m_ineq])
-            + _mv(A.swapaxes(1, 2), dual[:, m_ineq:])
-        )
-        r[:, n:] = dual[:, :m_ineq] / scale[:, :m_ineq]
-        w[at] = dual - _vm(r[k, basis[at]], inverse.swapaxes(1, 2)) * scale
+    # costs r_B of the basic columns, recomputed from the rows of the
+    # program, should be zero, and r_B B^-T is the correction.  At a basic
+    # slack both are 0, its r_B entry being its zero reduced cost.
+    slack, columns, reduced = _stored_slacks(tab)
+    at = np.zeros((S, m + 1))  # each row's value at its stored slack, 0 elsewhere
+    at[members, slack] = reduced
+    dual = at[:, :m] * tab.row_scale
+    G, A = stack.G.swapaxes(1, 2), stack.A.swapaxes(1, 2)
+    r = np.zeros((S, width))
+    r[:, :n] = costs + _mv(G, dual[:, :m_ineq]) + _mv(A, dual[:, m_ineq:])
+    r[:, n:] = dual[:, :m_ineq] / tab.row_scale[:, :m_ineq]
+    at[members, slack] = _vm(r[members, basis], columns.swapaxes(1, 2))
+    w = dual - at[:, :m] * tab.row_scale
     sol = LPSolution(
         status=OPTIMAL,
         x=x[:, :n],

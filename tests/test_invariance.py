@@ -431,13 +431,12 @@ class TestStackedVerify:
 
     @pytest.mark.parametrize("m", [64, 200])
     def test_stacked_tableau_within_cap(self, monkeypatch, m):
-        # the largest arrays a pass holds are a stack's tableau and the
-        # full-width rows and basis inverses that its pricing and dual
-        # refinement multiply by; each stays within STACK_BYTES while it
-        # spans two or more members, and one member alone may exceed it only
-        # when it cannot be split (the operands at m = 200 here)
-        sizes, members, operands = [], [], []
-        real_dual_start, real_vm = lpsolve._dual_start, lpsolve._vm
+        # the largest arrays a pass holds are a stack's tableau and the slack
+        # columns that its dual refinement gathers from it; each stays within
+        # STACK_BYTES while it spans two or more members, and one member
+        # alone may exceed it only when it cannot be split
+        sizes, members, gathered = [], [], []
+        real_dual_start, real_stored_slacks = lpsolve._dual_start, lpsolve._stored_slacks
 
         def dual_start(stack, *args):
             tab = real_dual_start(stack, *args)
@@ -448,12 +447,13 @@ class TestStackedVerify:
             members.append(len(stack))
             return lpsolve.solve_dual_stack(stack, *args)
 
-        def vm(v, M):
-            operands.append((len(M), M.nbytes))
-            return real_vm(v, M)
+        def stored_slacks(tab):
+            out = real_stored_slacks(tab)
+            gathered.append((len(tab.T), out[1].nbytes))
+            return out
 
         monkeypatch.setattr(lpsolve, "_dual_start", dual_start)
-        monkeypatch.setattr(lpsolve, "_vm", vm)
+        monkeypatch.setattr(lpsolve, "_stored_slacks", stored_slacks)
         monkeypatch.setattr(polyvar.relaxation, "solve_dual_stack", solve_dual_stack)
         fld, rect, _, _ = fitzhugh_nagumo()
         tpl = PolytopeTemplate(uniform_normals(m))
@@ -461,14 +461,12 @@ class TestStackedVerify:
         report = verify(fld, rect, tpl)
         assert report.complete
         assert sum(members) == m and len(members) > 1
-        assert len(sizes) == len(members)
+        assert len(sizes) == len(members) == len(gathered)
         one = max(size // count for count, size in sizes)
-        for count, size in sizes + operands:
+        for count, size in sizes + gathered:
             assert size <= lpsolve.STACK_BYTES or count == 1
         if one <= lpsolve.STACK_BYTES // 2:
             assert max(members) > 1  # small members do share stacks
-        if max(size // count for count, size in operands) <= lpsolve.STACK_BYTES // 2:
-            assert max(count for count, _ in operands) > 1  # and chunks
 
 
 class TestSynthesisLift:

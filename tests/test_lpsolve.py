@@ -16,12 +16,20 @@ from polyvar.lpsolve import (
     solve,
     solve_sweep,
 )
-from polyvar.invariance import PolytopeTemplate, _swept, facet_programs, support_values
+from polyvar.invariance import (
+    PolytopeTemplate,
+    SynthesisParams,
+    _swept,
+    facet_lift,
+    facet_programs,
+    support_values,
+    synthesize,
+)
 from polyvar.oracle import box_corner, box_lp, complementary_slackness, free_lp
 from polyvar.polynomial import Rectangle
 
 import dense_reference
-from conftest import UNBOUNDED, highs, tiny_entry_facets
+from conftest import UNBOUNDED, fitzhugh_nagumo, highs, tiny_entry_facets
 
 
 def brute_force_optimum(lp: LPProblem):
@@ -903,6 +911,156 @@ class TestWarmRestart:
         (out,) = lpsolve.solve_dual_stack(one, restart)
         assert not restart.warm and restart.tab is not None
         assert out.x.tobytes() == cold.x.tobytes() == solve(moved).x.tobytes()
+
+
+def assert_same_solution(ours, ref):
+    """Two optimal solutions of one program are the same, bit for bit."""
+    assert ours.status == ref.status == OPTIMAL
+    for field in ("x", "ineq_duals", "eq_duals"):
+        assert getattr(ours, field).tobytes() == getattr(ref, field).tobytes(), field
+    assert np.float64(ours.objective).tobytes() == np.float64(ref.objective).tobytes()
+
+
+class TestStoredSlacks:
+    """The dual refinement and a warm restart read the basis inverse off the
+    slack columns that an end tableau stores (``_stored_slacks``), the
+    other slacks being basic."""
+
+    def test_programs_without_rows_cold_and_restarted(self):
+        stack = LPStack(np.array([[1.0, 2.0], [0.0, 0.5], [3.0, 0.0]]), np.zeros((3, 0, 2)),
+                        np.zeros((3, 0)), np.zeros((3, 0, 2)), np.zeros((3, 0)))
+        restart = lpsolve.Restart()
+        cold = lpsolve.solve_dual_stack(stack, restart)
+        assert restart.tab is not None and not restart.warm
+        warm = lpsolve.solve_dual_stack(stack, restart)
+        assert restart.warm
+        for k in range(3):
+            assert cold[k].x.tolist() == [0.0, 0.0] and cold[k].objective == 0.0
+            assert cold[k].ineq_duals.shape == cold[k].eq_duals.shape == (0,)
+            assert_same_solution(warm[k], cold[k])
+            assert_same_solution(solve(stack[k]), cold[k])
+
+    def test_every_slack_basic(self):
+        # positive right-hand sides: the slack basis is optimal, and no row
+        # is degenerate, so the end tableau stores no slack, and a restart
+        # at other such right-hand sides takes them as they are
+        lp = LPProblem([1.0, 2.0], G=[[1.0, 1.0], [1.0, -1.0], [-1.0, 2.0]], h=[1.0, 0.5, 3.0])
+        restart = lpsolve.Restart()
+        (out,) = lpsolve.solve_dual_stack(LPStack.of(lp), restart)
+        slack, _, reduced = lpsolve._stored_slacks(restart.tab)
+        assert (slack == 3).all() and (reduced == 0.0).all()
+        ref, _ = dense_reference.solve(lp, duals=True)
+        assert_same_solution(out, ref)
+        assert out.ineq_duals.tolist() == [0.0, 0.0, 0.0] and out.x.tolist() == [0.0, 0.0]
+        h = np.array([2.0, 0.25, 1.0])
+        (warm,) = lpsolve.solve_dual_stack(LPStack.of(LPProblem(lp.c, G=lp.G, h=h)), restart)
+        assert restart.warm
+        assert restart.tab.T[0, :-1, -1].tobytes() == h[restart.tab.basis[0] - 2].tobytes()
+        assert warm.x.tolist() == [0.0, 0.0]
+
+    def test_products_round_as_the_full_inverse(self):
+        # condensed tableaux of random bases with entries over sixteen orders
+        # of magnitude: v B^-T over the gathered columns of a stack is, at
+        # each stored slack, bit for bit v B^-T over the full inverse of the
+        # member's full tableau, laid out as dense_reference lays it out
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            S, m, n = 4, int(rng.integers(1, 30)), int(rng.integers(1, 10))
+            order = np.argsort(rng.random((S, n + m)), axis=1)
+            basis, cols = order[:, :m], np.hstack([order[:, m:], np.full((S, 1), n + m)])
+            T = rng.normal(size=(S, m + 1, n + 1)) * 10.0 ** rng.uniform(-8, 8, (S, m + 1, n + 1))
+            v = rng.normal(size=(S, m)) * 10.0 ** rng.uniform(-5, 5, (S, m))
+            tab = lpsolve._Tableau(T, basis, cols, np.ones((S, m)), 0)
+            slack, columns, reduced = lpsolve._stored_slacks(tab)
+            ours = lpsolve._vm(v, columns.swapaxes(1, 2))
+            for k in range(S):
+                full = np.zeros((m + 1, n + m + 1))
+                full[:, cols[k]] = T[k]
+                full[np.arange(m), basis[k]] = 1.0
+                inverse = np.ascontiguousarray(full[:-1, n:-1].T)[None]
+                ref = lpsolve._vm(v[k : k + 1], inverse.swapaxes(1, 2))[0]
+                real = slack[k] < m
+                assert sorted(slack[k, real]) == sorted(cols[k][cols[k] >= n][:-1] - n)
+                assert ours[k, real].tobytes() == ref[slack[k, real]].tobytes()
+                assert reduced[k, real].tobytes() == full[-1, n + slack[k, real]].tobytes()
+
+    @staticmethod
+    def random_stack(rng, m, size):
+        """``size`` feasible programs of 6 columns and ``m`` inequality rows
+        whose sizes span four orders of magnitude; the first one's slack
+        basis is optimal."""
+        c = rng.uniform(0.0, 2.0, (size, 6))
+        G = rng.normal(size=(size, m, 6)) * 10.0 ** rng.uniform(-2.0, 2.0, (size, m, 1))
+        h = np.einsum("kij,kj->ki", G, rng.uniform(0.0, 1.0, (size, 6)))
+        h += rng.uniform(0.0, 0.3, (size, m))
+        h[0] = np.abs(h[0])
+        return LPStack(c, G, h, np.zeros((size, 0, 6)), np.zeros((size, 0)))
+
+    @pytest.mark.parametrize("m", [9, 10, 11, 12])
+    def test_members_storing_different_slack_counts_match_alone(self, m):
+        # every member, cold and restarted at moved right-hand sides, bit for
+        # bit as alone, whichever slacks the others store; m covers each
+        # count of rows past a multiple of four
+        rng = np.random.default_rng(40 + m)
+        counts, warm = set(), 0
+        for _ in range(12):
+            stack = self.random_stack(rng, m, 6)
+            moved = LPStack(stack.c, stack.G, stack.h * rng.uniform(0.9, 1.1, stack.h.shape),
+                            stack.A, stack.d)
+            restart = lpsolve.Restart()
+            cold = lpsolve.solve_dual_stack(stack, restart)
+            slack, _, _ = lpsolve._stored_slacks(restart.tab)
+            counts.update((slack < m).sum(axis=1).tolist())
+            restarted = lpsolve.solve_dual_stack(moved, restart)
+            for k in range(len(stack)):
+                alone = lpsolve.Restart()
+                (out,) = lpsolve.solve_dual_stack(member(stack, k), alone)
+                assert_same_solution(cold[k], out)
+                (out,) = lpsolve.solve_dual_stack(member(moved, k), alone)
+                if restart.warm and alone.warm:
+                    assert_same_solution(restarted[k], out)
+                    warm += 1
+        assert {0, 1, 2, 3, 4, 5} <= counts and warm > 0, (counts, warm)
+
+    def test_restart_right_hand_side_solves_the_basis(self, monkeypatch):
+        # each facet stack of a 64-facet FitzHugh-Nagumo synthesis, restarted
+        # from its end tableau at the next pass's offsets: before any pivot,
+        # the right-hand side column is B^-1 b of the end basis B, within
+        # 1e-12 relative of np.linalg.solve
+        fld, rect, _, ref = fitzhugh_nagumo()
+        angles = np.arange(64) * np.pi / 32
+        normals = np.column_stack([np.cos(angles), np.sin(angles)])
+        trace = synthesize(fld, rect, PolytopeTemplate(normals),
+                           SynthesisParams(reference_point=ref, max_iter=4))
+        offsets = [record.offsets for record in trace.records]
+        lift = facet_lift(fld, rect, PolytopeTemplate(normals, offsets[0]))
+        restarted = []
+        real_dual_phase = lpsolve._dual_phase
+
+        def dual_phase(tab, out):
+            restarted.append((tab.T[:, :-1, -1].copy(), tab.basis.copy()))
+            return real_dual_phase(tab, out)
+
+        checked = 0
+        for before, after in zip(offsets, offsets[1:]):
+            stacks = [facet_programs(fld, rect, PolytopeTemplate(normals, b), lift)
+                      for b in (before, after)]
+            for old, new in zip(*stacks, strict=True):
+                restart = lpsolve.Restart()
+                lpsolve.solve_dual_stack(LPStack(old.c - old.c.min(axis=1, keepdims=True),
+                                                 old.G, old.h, old.A, old.d), restart)
+                tab, split = restart.tab, lpsolve._split(new)
+                with monkeypatch.context() as patch:
+                    patch.setattr(lpsolve, "_dual_phase", dual_phase)
+                    lpsolve._restart(tab, split)
+                value, basis = restarted.pop()
+                S, m, n = split.G.shape
+                for k in range(S):
+                    rows = np.hstack([split.G[k] * tab.row_scale[k][:, None], np.eye(m)])
+                    exact = np.linalg.solve(rows[:, basis[k]], split.h[k] * tab.row_scale[k])
+                    assert np.abs(value[k] - exact).max() <= 1e-12 * (1.0 + np.abs(exact).max())
+                    checked += 1
+        assert len(offsets) > 1 and checked >= 64, checked
 
 
 def outcome_or_failure(fn):

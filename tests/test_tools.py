@@ -1,8 +1,8 @@
 """Smoke tests for the comparison scripts in ``tools/``.
 
 The scripts wrap engine functions by name, so a rename makes them crash or
-count nothing; each runs here as a subprocess, since ``pass_pivots.py`` and
-``bound_stages.py`` patch modules in place.
+count nothing; each runs here as a subprocess, since ``pass_pivots.py``,
+``bound_stages.py`` and ``synth_stages.py`` patch modules in place.
 """
 
 import importlib.util
@@ -116,3 +116,29 @@ def test_bound_stages_prints_one_line_per_item():
         assert shares.groups()[7:] == (str(no_lp), str(len(items)))
         # every dense program has an equality row, so each one is solved
         assert (no_lp == 0) == (workload == "bound-dense")
+
+
+SYNTH_STAGES = ("dual_start", "dual_loops", "degenerate", "solutions", "restart", "other")
+SYNTH_STAGE_LINE = re.compile(
+    r"3 (\S+) ([\d.]+)ms " + " ".join(rf"{s}=(-?[\d.]+)/(-?[\d.]+)%" for s in SYNTH_STAGES)
+)
+SYNTH_TOTAL_LINE = re.compile(
+    r"3 total ([\d.]+)ms " + " ".join(rf"{s}=(-?[\d.]+)%" for s in SYNTH_STAGES)
+)
+
+
+def test_synth_stages_prints_one_line_per_item():
+    *lines, total = run_tool("synth_stages.py", "3", "1")
+    matches = [SYNTH_STAGE_LINE.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    assert [m.group(1) for m in matches] == list(synth_items(3))
+    for m in matches:
+        ms = [float(v) for v in m.groups()[2::2]]
+        shares = [float(v) for v in m.groups()[3::2]]
+        assert abs(sum(ms) - float(m.group(2))) < 0.01 * len(ms), m.group(0)
+        assert abs(sum(shares) - 100.0) < 0.5, m.group(0)
+        # every synthesis starts its facet programs cold and restarts them warm
+        assert min(ms[:5]) > 0.0, m.group(0)
+    shares = SYNTH_TOTAL_LINE.fullmatch(total)
+    assert shares, total
+    assert abs(sum(map(float, shares.groups()[1:])) - 100.0) < 0.5
