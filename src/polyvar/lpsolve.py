@@ -46,7 +46,10 @@ Every step is elementwise the one a member takes alone, and a stacked
 product is ``np.matmul`` over operands laid out as the member's own, which
 rounds as ``@`` on that member alone, so a member comes out of a stack bit
 for bit as it would alone.  A lone member pivots in a plain loop, which
-costs less per pivot.
+costs less per pivot.  A small program pays for the numpy calls around its
+few pivots more than for their arithmetic, so each stage makes few calls
+(``_dual_loops``, ``_split``, ``kkt_residuals``), the same float operations
+reaching every result.
 
 ``solve_dual_stack`` solves the bounding programs, whose duals are read,
 with one more pass: among the optimal duals, an active inequality row gets
@@ -277,13 +280,6 @@ def _first(marked, cols):
     return np.where(marked, cols, _NO_COLUMN).argmin(axis=-1)
 
 
-def _least(values):
-    """Where ``values`` is least over the last axis, or NaN if its least is:
-    with ``_first``, the choice among tied values."""
-    least = values.min(axis=-1, keepdims=True)
-    return np.where(least == least, values == least, np.isnan(values))
-
-
 def _pivot_limit(T) -> int:
     """The pivots a loop on one member of ``T`` may make."""
     return 1000 + 50 * (T.shape[-2] - 1 + _width(T))  # rows plus columns
@@ -291,16 +287,16 @@ def _pivot_limit(T) -> int:
 
 class _Running:
     """The running members of a stacked state ``st``, ``members`` being their
-    indices there: ``state`` is ``st`` itself while all of them run, else a
-    copy of the running ones, which ``keep`` and ``restore`` write back.
-    Only a stack of two or more members, which fits ``STACK_BYTES``, is ever
-    copied, and a copy holds each entry as it is, as in place.
+    indices there, in increasing order: ``state`` is ``st`` itself while all
+    of them run, else a copy of the running ones, which ``keep`` and
+    ``restore`` write back.  Only a stack of two or more members, which fits
+    ``STACK_BYTES``, is ever copied, and a copy holds each entry as it is, as
+    in place.
     """
 
     def __init__(self, st, members):
         self.st, self.members = st, np.asarray(members, dtype=int)
-        whole = np.array_equal(self.members, np.arange(len(st[0])))
-        self.state = st if whole else _part(st, self.members)
+        self.state = st if self.members.size == len(st[0]) else _part(st, self.members)
 
     @property
     def n(self) -> int:
@@ -326,14 +322,14 @@ def _dual_loop(st, degenerate=0, step=0):
     """
     T, basis, cols = st
     size = T.shape[0] - 1 + _width(T)
-    r, stored = T[-1, :-1], cols[:-1]
+    r, stored, value = T[-1, :-1], cols[:-1], T[:-1, -1]
     for _ in range(step, _pivot_limit(T)):
-        value = T[:-1, -1]
-        low = value < -FEAS_TOL
-        if np.isnan(value).any():
+        lowest = value[value.argmin()]  # the least value, NaN if any value is
+        if lowest != lowest:
             return NumericalFailure("dual simplex met a NaN")
-        if not low.any():
+        if lowest >= -FEAS_TOL:
             return OPTIMAL
+        low = value < -FEAS_TOL
         lows = low.nonzero()[0]
         if lows.size == 1 and not np.isnan(T[lows[0], :-1]).any():
             row = lows[0]  # the one row below zero; its key, not NaN, is the least
@@ -344,25 +340,26 @@ def _dual_loop(st, degenerate=0, step=0):
             with np.errstate(divide="ignore"):  # a row of zeros below zero comes first
                 key = np.divide(value, np.sqrt(np.einsum("ij,ij->i", rows, rows)),
                                 out=np.full(value.shape, np.inf), where=low)
-            row = _first(low & (key == key.min()), basis)
+            row = _first(low & (key == key[key.argmin()]), basis)
         a = T[row, :-1]
         cand = (a < -PIVOT_TOL).nonzero()[0]  # _dual_loops' ratios, divided at the candidates only
         if not cand.size:
             return INFEASIBLE
         ratios = r[cand] / -a[cand]
-        best = ratios.min()
+        best = ratios[ratios.argmin()]
         if best != best:
             return NumericalFailure("dual simplex met a NaN")
         degenerate += best <= 1e-12
         ties = cand[ratios <= best + 1e-12]
-        _pivot(st, row, ties[stored[ties].argmin()])
+        _pivot(st, row, ties[0] if ties.size == 1 else ties[stored[ties].argmin()])
     return NumericalFailure("simplex iteration limit exceeded")
 
 
-def _dual_loops(st, members) -> dict:
+def _dual_loops(st, members, degenerate=0) -> dict:
     """Dual simplex pivots on each member of the stacked state ``st``, for
-    ``k`` in ``members``, in lockstep, from a basis whose reduced costs are
-    nonnegative; returns ``{k: 'optimal', 'infeasible' or its
+    ``k`` in ``members`` (in increasing order), in lockstep, from a basis
+    whose reduced costs are nonnegative, each member past ``degenerate``
+    degenerate pivots; returns ``{k: 'optimal', 'infeasible' or its
     NumericalFailure}``.  'optimal' means every basic value is at least
     ``-FEAS_TOL``; 'infeasible' that a row below it has no entering column.
 
@@ -378,57 +375,70 @@ def _dual_loops(st, members) -> dict:
     basic column comes first (Bland's rule).  One step picks every running
     member's leaving row and entering column with batched ``argmin``s, each
     member under its own rule and degenerate count, and pivots them all at
-    once.  A member that ends drops out, left as its last step left it, and
-    the others go on in a copy (``_Running``).  A lone member, or the last
-    one running, pivots in ``_dual_loop``, which takes the same steps for
-    less per pivot: stepped here instead, a lone member took the
-    ``bound-small`` benchmark +36% and ``synth`` +59% in wall time.
+    once.  A step in which no member has a row below zero ends them all,
+    without row norms or a ratio test, as a warm restart whose basis stays
+    optimal does; which members end in another step is worked out only when
+    the least key or ratio of some member says that one may (no row below
+    zero, no candidate, or a NaN).  A member that ends drops out, left as
+    its last step left it, and the others go on in a copy (``_Running``).
+    A lone member, or the last one running, pivots in ``_dual_loop``, which
+    takes the same steps for less per pivot: stepped here instead, a lone
+    member took the ``bound-small`` benchmark +36% and ``synth`` +59% in
+    wall time.
     """
     if st[0].shape[1] == 1:  # no rows
         return dict.fromkeys(members, OPTIMAL)
     if len(members) == 1:
-        return {members[0]: _dual_loop(_part(st, members[0]))}
+        return {members[0]: _dual_loop(_part(st, members[0]), degenerate)}
     out = {}
     size = st[0].shape[1] - 1 + _width(st[0])
     run = _Running(st, members)
-    degenerate = np.zeros(run.n, dtype=int)
+    start, degenerate = degenerate, np.full(run.n, degenerate)
     step, limit = 0, _pivot_limit(st[0])
-    while run.n > 1 and step < limit:
-        T, B, cols = run.state
-        k = np.arange(run.n)
-        value = T[:, :-1, -1]
-        low = value < -FEAS_TOL
-        bland = degenerate > 5 * size
-        rows = T[:, :-1, :-1]
-        with np.errstate(divide="ignore"):  # a row of zeros below zero comes first
+    with np.errstate(divide="ignore"):  # a row of zeros below zero comes first
+        while run.n > 1 and step < limit:
+            T, B, cols = run.state
+            value = T[:, :-1, -1]
+            lowest = value.min()  # NaN if any value is
+            if lowest >= -FEAS_TOL:  # every member ends optimal
+                out.update(dict.fromkeys(run.members.tolist(), OPTIMAL))
+                run.restore()
+                return out
+            k = np.arange(run.n)
+            low = value < -FEAS_TOL
+            rows = T[:, :-1, :-1]
             key = np.divide(value, np.sqrt(np.einsum("kij,kij->ki", rows, rows)),
                             out=np.full(value.shape, np.inf), where=low)
-        least = key.min(axis=1)
-        first = low & ((key == least[:, None]) | bland[:, None])
-        row = _first(first, B)
-        a = T[k, row, :-1]
-        cand = a < -PIVOT_TOL
-        ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
-        best = ratios.min(axis=1)
-        ties = cand & (ratios <= (best + 1e-12)[:, None])
-        slot = _first(ties, cols[:, :-1])
-        feasible = ~low.any(axis=1)
-        stuck = ~cand.any(axis=1)
-        broken = np.isnan(value).any(axis=1) | (~feasible & ~stuck & np.isnan(best))
-        going = ~(feasible | stuck | broken)
-        if not going.all():
-            for i in np.flatnonzero(~going):
-                out[run.members[i]] = (
-                    NumericalFailure("dual simplex met a NaN") if broken[i]
-                    else OPTIMAL if feasible[i] else INFEASIBLE
-                )
-            run.keep(going)
-            degenerate, row, slot, best = degenerate[going], row[going], slot[going], best[going]
-            if not run.n:
-                break
-        degenerate += best <= 1e-12
-        _pivot_all(run.state, row, slot)
-        step += 1
+            least = key[k, key.argmin(axis=1)]  # as key.min(axis=1), for less
+            first = key == least[:, None]  # all rows of a member with none below zero, which ends
+            if start + step > 5 * size:  # a member may be past Bland's switch
+                first |= low & (degenerate > 5 * size)[:, None]
+            row = _first(first, B)
+            a = T[k, row, :-1]
+            cand = a < -PIVOT_TOL
+            ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
+            best = ratios[k, ratios.argmin(axis=1)]
+            ties = cand & (ratios <= (best + 1e-12)[:, None])
+            slot = _first(ties, cols[:, :-1])
+            # a member may end: no row below zero, no candidate, or a NaN
+            if not (least.max() < np.inf and best.max() < np.inf and lowest == lowest):
+                feasible = ~low.any(axis=1)
+                stuck = ~cand.any(axis=1)
+                broken = np.isnan(value).any(axis=1) | (~feasible & ~stuck & np.isnan(best))
+                going = ~(feasible | stuck | broken)
+                for i in np.flatnonzero(~going):
+                    out[run.members[i]] = (
+                        NumericalFailure("dual simplex met a NaN") if broken[i]
+                        else OPTIMAL if feasible[i] else INFEASIBLE
+                    )
+                if not going.all():
+                    run.keep(going)
+                    degenerate, row, slot, best = (v[going] for v in (degenerate, row, slot, best))
+                    if not run.n:
+                        break
+            degenerate += best <= 1e-12
+            _pivot_all(run.state, row, slot)
+            step += 1
     if run.n == 1:
         out[run.members[0]] = _dual_loop(_part(run.state, 0), degenerate[0], step)
     else:
@@ -442,9 +452,10 @@ def _row_steps(rows, key, members):
     """Walk the marked ``rows`` of each member in ``members`` in the order of
     ``key``, one row per member per step; yields ``(at, row)``: which
     members have a row at this step, and the row each visits."""
-    mine = np.zeros(rows.shape[0], dtype=bool)
-    mine[members] = True
-    rows = rows & mine[:, None]
+    if len(members) < rows.shape[0]:
+        mine = np.zeros(rows.shape[0], dtype=bool)
+        mine[members] = True
+        rows = rows & mine[:, None]
     order = np.where(rows, key, np.inf).argsort(axis=1, kind="stable")
     counts = rows.sum(axis=1)
     for step in range(counts.max(initial=0)):
@@ -497,10 +508,12 @@ def _activate_degenerate_rows(st, first_slack, end_slack, members):
         a = T[k, row, :-1]
         cand = (a < -PIVOT_TOL) & at[:, None]
         ratios = np.divide(T[:, -1, :-1], -a, out=np.full(a.shape, np.inf), where=cand)
-        # the least ratio, NaN first, and the first candidate if all are infinite
-        tied = cand & _least(ratios)
+        # the least ratio, and the first candidate if all are infinite; a
+        # member whose least ratio is NaN does not pivot
+        least = ratios[k, ratios.argmin(axis=1)]
+        tied = cand & (ratios == least[:, None])
         slot = _first(tied, cols[:, :-1])
-        go = tied.any(axis=1) & (ratios.min(axis=1) > 0.0) & (cols[k, slot] < end_slack)
+        go = tied.any(axis=1) & (least > 0.0) & (cols[k, slot] < end_slack)
         if go.any():
             T[k[go], row[go], -1] = 0.0  # round-off below the degeneracy threshold
             _pivot_some(st, go, row, slot)
@@ -526,10 +539,10 @@ def _dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _top(a):
-    """The largest entry of each member's vector ``a``, or 0 (never -0.0,
-    which ``np.maximum`` can return against an initial 0.0)."""
-    return np.maximum.reduce(a, axis=-1, initial=0.0) + 0.0
+def _top_below(a):
+    """How far each member's vector ``a`` falls below 0: the largest entry of
+    ``-a``, or 0 (never -0.0)."""
+    return 0.0 - np.minimum.reduce(a, axis=-1, initial=0.0)
 
 
 @dataclass(eq=False)
@@ -572,6 +585,8 @@ def _row_scale(size):
     rows within that band, or None where every row is within it.  Scaling
     by a power of two is exact, and it makes the absolute tolerances mean
     the same in every row; rows within the band stay exactly as posed."""
+    if size.min(initial=np.inf) >= 2.0**-6 and size.max(initial=0.0) <= 2.0**6:
+        return None  # every row within the band
     far = (size > 0.0) & ((size < 2.0**-6) | (size > 2.0**6))
     if not far.any():
         return None
@@ -584,7 +599,11 @@ def _split(stack: LPStack) -> LPStack:
     ``A x <= d`` and ``-A x <= -d``, each equality row posed as two.  The
     rows come out in C order whatever the layout of ``stack``'s arrays,
     such as views that repeat one program's rows, so that a stacked product
-    over them rounds as the member's own (see ``_mv``)."""
+    over them rounds as the member's own (see ``_mv``); a stack without
+    equality rows only has its rows made C-contiguous."""
+    if not stack.A.shape[1]:
+        return LPStack(stack.c, np.ascontiguousarray(stack.G), np.ascontiguousarray(stack.h),
+                       stack.A, stack.d)
     S, _, n = stack.G.shape
     G = np.ascontiguousarray(np.concatenate([stack.G, -stack.A, stack.A], axis=1))
     h = np.ascontiguousarray(np.concatenate([stack.h, -stack.d, stack.d], axis=1))
@@ -607,15 +626,18 @@ def _dual_start(stack: LPStack, pairs: int) -> _Tableau:
     T = np.zeros((S, m + 1, n + 1))
     T[:, :m, :n] = stack.G
     T[:, :m, -1] = stack.h
-    row_scale = _row_scale(np.abs(stack.G).max(axis=2, initial=0.0))
+    # each row's largest entry, reduced along the longer axis, which is faster
+    size = (np.abs(stack.G).max(axis=2, initial=0.0) if n >= m
+            else np.abs(stack.G.swapaxes(1, 2), order="C").max(axis=1, initial=0.0))
+    row_scale = _row_scale(size)
     if row_scale is None:
         row_scale = np.ones((S, m))
     else:
         T[:, :m] *= row_scale[:, :, None]
     T[:, m, :n] = stack.c
-    basis = np.broadcast_to(n + np.arange(m), (S, m)).copy()
-    cols = np.empty((S, n + 1), dtype=int)
-    cols[:, :n], cols[:, -1] = np.arange(n), n + m
+    column = np.arange(n + m + 1)
+    basis, cols = np.empty((S, m), dtype=int), np.empty((S, n + 1), dtype=int)
+    basis[:], cols[:, :n], cols[:, -1] = column[n:-1], column[:n], n + m
     return _Tableau(T, basis, cols, row_scale, pairs)
 
 
@@ -649,20 +671,22 @@ def _stored_slacks(tab: _Tableau) -> tuple:
     (to four before a lone tail, else summed as a dot), then the last ``m % 4``."""
     T, basis, cols = tab.state
     S, m = basis.shape
-    k, head = np.arange(S)[:, None], m - m % 4
-    slot = np.full((S, _width(T) + 1), -1)
-    slot[k, cols[:, :-1]] = np.arange(cols.shape[1] - 1)
-    slot = slot[:, _width(T) - m :]  # each slack's slot, -1 where basic, and -1 at m
-    stored = np.where(slot[:, :head] >= 0, np.arange(head), m)
+    k, head, n = np.arange(S)[:, None], m - m % 4, _width(T) - m
+    slot = np.full((S, n + m + 1), -1)
+    slot[k, cols[:, :-1]] = np.arange(n)
+    slot = slot[:, n:]  # each slack's slot, -1 where basic, and -1 at m
+    mask = slot[:, :head] >= 0
+    stored = np.where(mask, np.arange(head), m)
     stored.sort(axis=1)
-    width = max(-(-(stored < m).sum(axis=1).max(initial=0) // 4) * 4, 4 * (head and m % 4 == 1))
+    width = max(-(-mask.sum(axis=1).max(initial=0) // 4) * 4, 4 * (head and m % 4 == 1))
     slack = np.empty((S, width + m - head), dtype=int)
     slack[:, :width], slack[:, width:] = stored[:, :width], np.arange(head, m)
     at = slot[k, slack]
     none = at < 0
-    columns, reduced = T[k, :-1, at], T[k, -1, at]
-    columns[none], reduced[none], slack[none] = 0.0, 0.0, m
-    return slack, columns, reduced
+    gathered = T[k, :, at]
+    np.copyto(gathered, 0.0, where=none[:, :, None])
+    slack[none] = m
+    return slack, gathered[:, :, :-1], gathered[:, :, -1]
 
 
 def _restart(tab: _Tableau, stack: LPStack) -> list:
@@ -682,10 +706,10 @@ def _restart(tab: _Tableau, stack: LPStack) -> list:
     T, basis = tab.T, tab.basis
     S, m, n = stack.G.shape
     k = np.arange(S)[:, None]
-    b = np.zeros((S, m + 1))  # 0 at m, for no slack
-    b[:, :m] = stack.h * tab.row_scale
+    b = np.zeros((S, _width(T) + 1))  # each slack column's b, 0 at the others
+    b[:, n:-1] = stack.h * tab.row_scale
     slack, columns, _ = _stored_slacks(tab)
-    T[:, :-1, -1] = b[k, np.where(basis >= n, basis - n, m)] + _vm(b[k, slack], columns)
+    T[:, :-1, -1] = b[k, basis] + _vm(b[k, n + slack], columns)
     cost = np.zeros((S, _width(T) + 1))
     cost[:, :n] = stack.c
     T[:, -1, -1] = -_dot(cost[k, basis], T[:, :-1, -1])
@@ -704,11 +728,11 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
     """
     T, basis = tab.T, tab.basis
     S, m = basis.shape
-    m_ineq, n = stack.G.shape[1:]
-    costs, width = stack.c, _width(T)
+    n = stack.G.shape[2]
     members = np.arange(S)[:, None]
-    x = np.zeros((S, width))
+    x = np.zeros((S, _width(T)))
     x[members, basis] = T[:, :-1, -1]
+    x = x[:, :n]
 
     # The multipliers lam come off the reduced costs of the start columns.
     # Pivots on small elements leave round-off in T, which a bound reads
@@ -720,24 +744,17 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
     at = np.zeros((S, m + 1))  # each row's value at its stored slack, 0 elsewhere
     at[members, slack] = reduced
     dual = at[:, :m] * tab.row_scale
-    G, A = stack.G.swapaxes(1, 2), stack.A.swapaxes(1, 2)
-    r = np.zeros((S, width))
-    r[:, :n] = costs + _mv(G, dual[:, :m_ineq]) + _mv(A, dual[:, m_ineq:])
-    r[:, n:] = dual[:, :m_ineq] / tab.row_scale[:, :m_ineq]
+    r = np.concatenate([stack.c + _mv(stack.G.swapaxes(1, 2), dual), dual / tab.row_scale], axis=1)
     at[members, slack] = _vm(r[members, basis], columns.swapaxes(1, 2))
     w = dual - at[:, :m] * tab.row_scale
-    sol = LPSolution(
-        status=OPTIMAL,
-        x=x[:, :n],
-        objective=_dot(costs, x[:, :n]),
-        ineq_duals=np.maximum(w[:, :m_ineq], 0.0),
-        eq_duals=w[:, m_ineq:],
-    )
+    sol = LPSolution(OPTIMAL, x=x, objective=_dot(stack.c, x), ineq_duals=np.maximum(w, 0.0),
+                     eq_duals=w[:, m:])
     res = kkt_residuals(stack, sol)
-    primal, dual, gap = res["primal"], res["dual"], res["gap"]
+    primal, dual, gap = res["primal"].tolist(), res["dual"].tolist(), res["gap"].tolist()
     if tab.pairs:
         lam, p = sol.ineq_duals, tab.pairs
         sol.ineq_duals, sol.eq_duals = lam[:, : -2 * p], lam[:, -p:] - lam[:, -2 * p : -p]
+    objective = sol.objective.tolist()
     out = list(out)
     for k in range(S):
         if out[k] is not None:
@@ -749,13 +766,7 @@ def _solutions(stack: LPStack, tab: _Tableau, out: list) -> list:
                 f"primal={primal[k]:.2e} dual={dual[k]:.2e} gap={gap[k]:.2e}"
             )
         else:
-            out[k] = LPSolution(
-                status=OPTIMAL,
-                x=sol.x[k],
-                objective=float(sol.objective[k]),
-                ineq_duals=sol.ineq_duals[k],
-                eq_duals=sol.eq_duals[k],
-            )
+            out[k] = LPSolution(OPTIMAL, sol.x[k], objective[k], sol.ineq_duals[k], sol.eq_duals[k])
     return out
 
 
@@ -883,20 +894,24 @@ def kkt_residuals(lp, sol: LPSolution) -> dict:
     ``r = c + G^T lam + A^T mu``, the dual is feasible when ``lam >= 0`` and
     ``r >= 0``, and the gap is ``|c.x + lam.h + mu.d|``.  ``lp`` may be an
     ``LPStack`` with ``sol`` holding one row per member; each value is then
-    an array with one entry per member.  Overflow raises no warning: a
-    residual that overflows is ``inf``, which the self-check refuses.
+    an array with one entry per member.  Where ``lp`` has no equality rows,
+    as a split stack (``_split``), their terms, zeros, are left out.
+    Overflow raises no warning: a residual that overflows is ``inf``, which
+    the self-check refuses.
     """
     if sol.status != OPTIMAL:
         raise ValueError("kkt_residuals requires an optimal solution")
     x, lam, mu = sol.x, sol.ineq_duals, sol.eq_duals
     with np.errstate(over="ignore"):
-        scale = 1.0 + np.maximum(
-            _top(np.abs(np.concatenate([lp.h, lp.d], axis=-1))),
-            _top(np.abs(np.concatenate([x, lp.c], axis=-1))),
-        )
-        slack = lp.h - _mv(lp.G, x)
-        primal = _top(np.concatenate([-x, -slack, np.abs(_mv(lp.A, x) - lp.d)], axis=-1))
-        r = lp.c + _mv(lp.G.swapaxes(-1, -2), lam) + _mv(lp.A.swapaxes(-1, -2), mu)
-        dual = _top(np.concatenate([-lam, -r], axis=-1))
-        gap = np.abs(_dot(lp.c, x) + _dot(lam, lp.h) + _dot(mu, lp.d))
-    return {"primal": primal / scale, "dual": dual / scale, "gap": gap / scale}
+        scale = 1.0 + np.maximum.reduce(np.abs(np.concatenate([lp.h, lp.d, x, lp.c], axis=-1)),
+                                        axis=-1, initial=0.0)
+        signed = [x, lp.h - _mv(lp.G, x)]  # what must not fall below zero
+        r = lp.c + _mv(lp.G.swapaxes(-1, -2), lam)
+        gap = _dot(lp.c, x) + _dot(lam, lp.h)
+        if lp.A.shape[-2]:  # equality rows, which a split stack has none of
+            signed.append(-np.abs(_mv(lp.A, x) - lp.d))
+            r = r + _mv(lp.A.swapaxes(-1, -2), mu)
+            gap = gap + _dot(mu, lp.d)
+        primal = _top_below(np.concatenate(signed, axis=-1))
+        dual = _top_below(np.concatenate([lam, r], axis=-1))
+    return {"primal": primal / scale, "dual": dual / scale, "gap": np.abs(gap) / scale}

@@ -266,10 +266,11 @@ def _shifted(stack: LPStack) -> LPStack:
 def _certified(stack: LPStack, sols) -> list:
     """The outcome of ``certify`` for each member, from its solver outcome;
     the bounds of all members are read off in one stacked step."""
+    optimal = [isinstance(sol, LPSolution) and sol.status == OPTIMAL for sol in sols]
     lam = np.zeros(stack.G.shape[:2])
     mu = np.zeros((len(stack), stack.A.shape[1] - 1))
     for k, sol in enumerate(sols):
-        if isinstance(sol, LPSolution) and sol.status == OPTIMAL:
+        if optimal[k]:
             lam[k], mu[k] = sol.ineq_duals, sol.eq_duals[1:]
     terms = (
         stack.c
@@ -278,19 +279,17 @@ def _certified(stack: LPStack, sols) -> list:
     )
     rhs = np.matmul(lam[:, None], stack.h[:, :, None])[:, 0, 0]
     rhs += np.matmul(mu[:, None], stack.d[:, 1:, None])[:, 0, 0]
-    d_star = terms.min(axis=1) - rhs
+    d_star = (terms.min(axis=1) - rhs).tolist()
     out = []
     for k, sol in enumerate(sols):
-        if isinstance(sol, NumericalFailure):
+        if optimal[k]:
+            out.append(BoundResult(d_star=d_star[k], lam=sol.ineq_duals, mu=sol.eq_duals[1:]))
+        elif isinstance(sol, NumericalFailure):
             out.append(sol)
         elif sol.status == INFEASIBLE:
             out.append(InfeasiblePolytope("no feasible point in the rectangle"))
-        elif sol.status != OPTIMAL:
-            out.append(NumericalFailure(f"bounding program unexpectedly {sol.status}"))
         else:
-            out.append(
-                BoundResult(d_star=float(d_star[k]), lam=sol.ineq_duals, mu=sol.eq_duals[1:])
-            )
+            out.append(NumericalFailure(f"bounding program unexpectedly {sol.status}"))
     return out
 
 

@@ -1150,6 +1150,85 @@ class TestDualStart:
                 for ours, alone in zip(lpsolve._part(tab.state, k), st):
                     assert ours.tobytes() == alone.tobytes()
 
+    @staticmethod
+    def feasible_stack(rng, size):
+        """``size`` programs of 5 columns and 6 inequality rows whose slack
+        bases are optimal: every right-hand side is positive."""
+        return LPStack(rng.uniform(0.0, 2.0, (size, 5)), rng.normal(size=(size, 6, 5)),
+                       rng.uniform(0.1, 1.0, (size, 6)), np.zeros((size, 0, 5)), np.zeros((size, 0)))
+
+    @staticmethod
+    def refuse(monkeypatch, *names):
+        """Make each named ``lpsolve`` function fail the test if called."""
+        for name in names:
+            def refused(*args, name=name):
+                raise AssertionError(f"{name} called")
+
+            monkeypatch.setattr(lpsolve, name, refused)
+
+    def test_members_that_start_optimal_stop_at_once(self, monkeypatch):
+        # no member has a row below zero: the lockstep loop ends them all in
+        # its first step, with no row choice, no ratio test and no pivot, and
+        # each comes out bit for bit as alone, cold and restarted at other
+        # such right-hand sides
+        rng = np.random.default_rng(37)
+        self.refuse(monkeypatch, "_pivot_all", "_first")
+        for _ in range(10):
+            stack = self.feasible_stack(rng, 5)
+            moved = LPStack(stack.c, stack.G, rng.uniform(0.1, 1.0, stack.h.shape), stack.A, stack.d)
+            restart = lpsolve.Restart()
+            outs = [lpsolve.solve_dual_stack(stack, restart), lpsolve.solve_sweep(stack)]
+            outs.append(lpsolve.solve_dual_stack(moved, restart))
+            assert restart.warm
+            for k in range(len(stack)):
+                alone = lpsolve.Restart()
+                assert_same_solution(outs[0][k], lpsolve.solve_dual_stack(member(stack, k), alone)[0])
+                assert_same_solution(outs[1][k], solve(stack[k]))
+                assert_same_solution(outs[2][k], lpsolve.solve_dual_stack(member(moved, k), alone)[0])
+                assert outs[0][k].x.tolist() == [0.0] * 5
+
+    def test_nan_member_fails_where_the_others_stop(self, monkeypatch):
+        # one member's right-hand side is NaN and the others start optimal:
+        # the step that ends them fails that member alone
+        rng = np.random.default_rng(41)
+        self.refuse(monkeypatch, "_pivot_all")
+        stack = self.feasible_stack(rng, 4)
+        stack.h[2, 3] = np.nan
+        for outs in (lpsolve.solve_dual_stack(stack), lpsolve.solve_sweep(stack)):
+            for k, out in enumerate(outs):
+                (alone,) = lpsolve.solve_dual_stack(member(stack, k))
+                if k == 2:
+                    assert isinstance(out, NumericalFailure) and isinstance(alone, NumericalFailure)
+                    assert str(out) == str(alone) == "dual simplex met a NaN"
+                else:
+                    assert_same_solution(out, alone)
+
+    def test_stacks_without_equality_rows_over_views_match_alone(self):
+        # G as a view that repeats one block and as a transposed block, its
+        # rows spanning six orders of magnitude: the split rows are
+        # C-contiguous, and each member comes out bit for bit as a
+        # contiguous copy of it does alone
+        rng = np.random.default_rng(47)
+        statuses = set()
+        for _ in range(20):
+            G = rng.normal(size=(7, 4)) * 10.0 ** rng.uniform(-3, 3, (7, 1))
+            transposed = rng.normal(size=(5, 4, 7)) * 10.0 ** rng.uniform(-3, 3, (5, 1, 7))
+            c, h = rng.uniform(0.0, 2.0, (5, 4)), rng.normal(size=(5, 7))
+            for block in (np.broadcast_to(G, (5, 7, 4)), transposed.swapaxes(1, 2)):
+                stack = LPStack(c, block, h, np.zeros((5, 0, 4)), np.zeros((5, 0)))
+                split = lpsolve._split(stack)
+                assert not block.flags.c_contiguous
+                assert split.G.flags.c_contiguous and split.h.flags.c_contiguous
+                read, swept = lpsolve.solve_dual_stack(stack), lpsolve.solve_sweep(stack)
+                for k in range(len(stack)):
+                    copy = LPProblem(c[k].copy(), G=block[k].copy(), h=h[k].copy())
+                    for ours, ref in ((read[k], solve_read(copy)), (swept[k], solve(copy))):
+                        assert ours.status == ref.status
+                        statuses.add(ref.status)
+                        if ref.status == OPTIMAL:
+                            assert_same_solution(ours, ref)
+        assert statuses == {OPTIMAL, INFEASIBLE}
+
     def test_least_class_enters_first(self, monkeypatch):
         # the split weight row is the only row below zero at the start, and
         # its least ratio is the least cost: one pivot answers a program
@@ -1227,6 +1306,44 @@ class TestBlandRule:
             # every row of the Klee–Minty dual starts below zero: Bland's
             # rule leaves by other rows than the normalized one
             assert status == OPTIMAL and taken != default
+
+    @pytest.mark.parametrize("k", range(len(basic_programs()) + 1))
+    def test_lockstep_members_past_the_switch_end_as_alone(self, monkeypatch, k):
+        # a stack of the program and three copies with moved right-hand
+        # sides, started in lockstep past the switch: each member ends,
+        # tableau and basis, bit for bit as the lone loop leaves it from the
+        # same count, so the lockstep step takes the Bland row too
+        lp = (basic_programs() + [klee_minty()])[k]
+        rng = np.random.default_rng(59 + k)
+        members = [lp] + [
+            LPProblem(lp.c, G=lp.G, h=lp.h + rng.normal(0.0, 0.1, lp.m_ineq) * (1.0 + np.abs(lp.h)),
+                      A=lp.A, d=lp.d + rng.normal(0.0, 0.1, lp.m_eq) * (1.0 + np.abs(lp.d)))
+            for _ in range(3)
+        ]
+        stack = LPStack(*(np.array([getattr(m, f) for m in members]) for f in "cGhAd"))
+        tab = lpsolve._dual_start(lpsolve._split(stack), lp.m_eq)
+        size = tab.T.shape[1] - 1 + lpsolve._width(tab.T)
+        alone = [lpsolve._part(tuple(a.copy() for a in tab.state), j) for j in range(len(stack))]
+        steps = []
+        real = lpsolve._pivot_all
+        monkeypatch.setattr(lpsolve, "_pivot_all", lambda *args: steps.append(real(*args)))
+        outs = lpsolve._dual_loops(tab.state, list(range(len(stack))), 5 * size + 1)
+        for j, st in enumerate(alone):
+            ours = outs[j]
+            ref = lpsolve._dual_loop(st, 5 * size + 1)
+            assert str(ours) == str(ref) and type(ours) is type(ref)
+            for a, b in zip(lpsolve._part(tab.state, j), st):
+                assert a.tobytes() == b.tobytes()
+        if k == len(basic_programs()):
+            # every member starts with all its rows below zero and steps in
+            # lockstep, where Bland's rule takes other pivots than the
+            # normalized rule from a count of 0
+            assert steps and all(out == OPTIMAL for out in outs.values())
+            bland = len(steps)
+            tab = lpsolve._dual_start(lpsolve._split(stack), lp.m_eq)
+            steps.clear()
+            lpsolve._dual_loops(tab.state, list(range(len(stack))))
+            assert len(steps) != bland
 
 
 class TestSolve:

@@ -118,12 +118,17 @@ def test_bound_stages_prints_one_line_per_item():
         assert (no_lp == 0) == (workload == "bound-dense")
 
 
-SYNTH_STAGES = ("dual_start", "dual_loops", "degenerate", "solutions", "restart", "other")
+SYNTH_STAGES = ("dual_start", "dual_loops", "degenerate", "solutions", "kkt_residuals",
+                "stored_slacks", "restart")
 SYNTH_STAGE_LINE = re.compile(
-    r"3 (\S+) ([\d.]+)ms " + " ".join(rf"{s}=(-?[\d.]+)/(-?[\d.]+)%" for s in SYNTH_STAGES)
+    r"3 (\S+) ([\d.]+)ms "
+    + " ".join(rf"{s}=([\d.]+)/([\d.]+)%/(\d+)x([\d.]+)us" for s in SYNTH_STAGES)
+    + r" other=(-?[\d.]+)/(-?[\d.]+)%"
 )
 SYNTH_TOTAL_LINE = re.compile(
-    r"3 total ([\d.]+)ms " + " ".join(rf"{s}=(-?[\d.]+)%" for s in SYNTH_STAGES)
+    r"3 total ([\d.]+)ms "
+    + " ".join(rf"{s}=([\d.]+)%/(\d+)x([\d.]+)us" for s in SYNTH_STAGES)
+    + r" other=(-?[\d.]+)%"
 )
 
 
@@ -133,12 +138,21 @@ def test_synth_stages_prints_one_line_per_item():
     assert all(matches), lines
     assert [m.group(1) for m in matches] == list(synth_items(3))
     for m in matches:
-        ms = [float(v) for v in m.groups()[2::2]]
-        shares = [float(v) for v in m.groups()[3::2]]
+        stages = [m.groups()[2 + 4 * i : 6 + 4 * i] for i in range(len(SYNTH_STAGES))]
+        ms = [float(s[0]) for s in stages] + [float(m.group(len(m.groups()) - 1))]
+        shares = [float(s[1]) for s in stages] + [float(m.groups()[-1])]
         assert abs(sum(ms) - float(m.group(2))) < 0.01 * len(ms), m.group(0)
         assert abs(sum(shares) - 100.0) < 0.5, m.group(0)
-        # every synthesis starts its facet programs cold and restarts them warm
-        assert min(ms[:5]) > 0.0, m.group(0)
+        for t, _, calls, us in stages:
+            # the time per call is the stage's time over its calls
+            assert abs(float(us) * int(calls) - 1e3 * float(t)) <= 0.05 * int(calls) + 1.0, m.group(0)
+        # every synthesis starts its facet programs cold and restarts them
+        # warm, and every solve reads its stored slacks and checks its KKT
+        # residuals
+        assert min(int(s[2]) for s in stages) > 0, m.group(0)
+        assert int(stages[3][2]) == int(stages[4][2]), m.group(0)
     shares = SYNTH_TOTAL_LINE.fullmatch(total)
     assert shares, total
-    assert abs(sum(map(float, shares.groups()[1:])) - 100.0) < 0.5
+    assert abs(sum(map(float, shares.groups()[1:-1:3] + shares.groups()[-1:])) - 100.0) < 0.5
+    calls = [sum(int(m.groups()[4 + 4 * i]) for m in matches) for i in range(len(SYNTH_STAGES))]
+    assert [int(c) for c in shares.groups()[2:-1:3]] == calls

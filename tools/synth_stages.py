@@ -3,20 +3,26 @@
 Each item goes through ``polyvar.cli.main(["synthesize", <file>, "--report",
 ..., "--polytope", ...])`` in this process, ``PASSES`` times (default 10),
 with these ``lpsolve`` functions wrapped by name so that each call adds its
-own time, less that of the wrapped calls inside it, to a stage:
+own time, less that of the wrapped calls inside it, to a stage, and
+counts the call:
 
-    dual_start   _dual_start (the slack bases of a cold solve)
-    dual_loops   _dual_loops (the dual simplex pivots, cold or restarted)
-    degenerate   _activate_degenerate_rows (the degenerate-row pass)
-    solutions    _solutions (the dual refinement and the KKT self-check)
-    restart      _restart (the right-hand side column of a warm restart)
-    other        the rest of the call: the polynomial work, LP assembly,
-                 the bounds, the offset step, the reports
+    dual_start     _dual_start (the slack bases of a cold solve)
+    dual_loops     _dual_loops (the dual simplex pivots, cold or restarted)
+    degenerate     _activate_degenerate_rows (the degenerate-row pass)
+    solutions      _solutions (the solutions and the dual refinement)
+    kkt_residuals  kkt_residuals (the KKT self-check's residuals)
+    stored_slacks  _stored_slacks (the slack columns that the refinement
+                   and a warm restart read)
+    restart        _restart (the right-hand side column of a warm restart)
+    other          the rest of the call: the polynomial work, LP assembly,
+                   the bounds, the offset step, the reports
 
-Each line is ``<seed> <item> <total>ms <stage>=<ms>/<share>% ...``, every
-time the median over the passes, and each share that stage's part of the
-item's median total.  A last line ``<seed> total <ms>ms <stage>=<share>%
-...`` sums the item times and gives each stage's share of the sum:
+Each line is ``<seed> <item> <total>ms <stage>=<ms>/<share>%/<calls>x<us>us
+... other=<ms>/<share>%``: each stage's median time over the passes, its
+share of the item's median total, its calls per pass and its microseconds
+per call.  A last line ``<seed> total <ms>ms <stage>=<share>%/<calls>x<us>us
+... other=<share>%`` sums the item times and calls and gives each stage's
+share of the sum and its time per call over all items:
 
     python tools/synth_stages.py 3
 
@@ -47,20 +53,23 @@ STAGES = {
     "dual_loops": "_dual_loops",
     "degenerate": "_activate_degenerate_rows",
     "solutions": "_solutions",
+    "kkt_residuals": "kkt_residuals",
+    "stored_slacks": "_stored_slacks",
     "restart": "_restart",
 }
 
 
 class Clock:
-    """Own seconds per stage since the last ``reset``; ``inner`` holds, for
-    each wrapped call still running, the seconds of the wrapped calls made
-    inside it so far."""
+    """Own seconds and calls per stage since the last ``reset``; ``inner``
+    holds, for each wrapped call still running, the seconds of the wrapped
+    calls made inside it so far."""
 
     def __init__(self):
         self.reset()
 
     def reset(self):
         self.seconds = dict.fromkeys(STAGES, 0.0)
+        self.calls = dict.fromkeys(STAGES, 0)
         self.inner = []
 
 
@@ -78,6 +87,7 @@ def timed(stage, name):
         finally:
             spent = time.perf_counter() - start
             CLOCK.seconds[stage] += spent - CLOCK.inner.pop()
+            CLOCK.calls[stage] += 1
             if CLOCK.inner:
                 CLOCK.inner[-1] += spent
 
@@ -89,8 +99,9 @@ def install() -> None:
         timed(stage, name)
 
 
-def item_stages(argv) -> dict:
-    """``{stage: seconds}`` of one call of ``argv``, ``other`` included."""
+def item_stages(argv) -> tuple:
+    """``({stage: seconds}, {stage: calls})`` of one call of ``argv``, the
+    seconds with ``other`` included."""
     CLOCK.reset()
     with contextlib.redirect_stdout(io.StringIO()):
         start = time.perf_counter()
@@ -100,7 +111,12 @@ def item_stages(argv) -> dict:
         raise SystemExit(f"synth_stages.py: {argv[1]} exited {code}")
     stages = dict(CLOCK.seconds)
     stages["other"] = total - sum(stages.values())
-    return stages
+    return stages, dict(CLOCK.calls)
+
+
+def per_call(seconds, calls) -> str:
+    """``/<calls>x<us>us``, or nothing for a stage without calls."""
+    return "" if calls is None else f"/{calls}x{seconds * 1e6 / max(calls, 1):.1f}us"
 
 
 def main(argv) -> int:
@@ -124,15 +140,21 @@ def main(argv) -> int:
         item_stages(argvs(Path(tmp) / "warmup")[0])
         runs = [[item_stages(a) for a in argvs(Path(tmp) / f"pass{p}")] for p in range(passes)]
     sums = dict.fromkeys([*STAGES, "other"], 0.0)
+    counts = dict.fromkeys(STAGES, 0)
     for i, item in enumerate(items):
-        medians = {s: statistics.median(run[i][s] for run in runs) for s in sums}
-        total = statistics.median(sum(run[i].values()) for run in runs)
+        medians = {s: statistics.median(run[i][0][s] for run in runs) for s in sums}
+        calls = {s: int(statistics.median(run[i][1][s] for run in runs)) for s in STAGES}
+        total = statistics.median(sum(run[i][0].values()) for run in runs)
         for s, t in medians.items():
             sums[s] += t
-        times = " ".join(f"{s}={t * 1e3:.3f}/{100.0 * t / total:.1f}%" for s, t in medians.items())
+        for s, c in calls.items():
+            counts[s] += c
+        times = " ".join(f"{s}={t * 1e3:.3f}/{100.0 * t / total:.1f}%{per_call(t, calls.get(s))}"
+                         for s, t in medians.items())
         print(f"{seed} {item['name']} {total * 1e3:.3f}ms {times}", flush=True)
     total = sum(sums.values())
-    shares = " ".join(f"{s}={100.0 * t / total:.1f}%" for s, t in sums.items())
+    shares = " ".join(f"{s}={100.0 * t / total:.1f}%{per_call(t, counts.get(s))}"
+                      for s, t in sums.items())
     print(f"{seed} total {total * 1e3:.3f}ms {shares}")
     return 0
 
